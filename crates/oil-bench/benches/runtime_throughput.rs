@@ -1,14 +1,14 @@
 //! Runtime throughput: the execution engines head to head.
 //!
-//! Four engines over three workloads, each executed over a fixed virtual
-//! horizon while the wall clock is measured:
+//! Two references and two engines over three workloads, each executed over
+//! a fixed virtual horizon while the wall clock is measured:
 //!
 //! * **sim** — the discrete-event simulator: token origins only, no kernel
 //!   work, no threads. The scheduling-overhead floor.
-//! * **calendar** — `oil-rt::exec` at 1/2/4 worker threads: real kernels,
-//!   but every firing serialises through the virtual-clock calendar (the
-//!   price of bit-identical traces). Expected to scale *negatively*: more
-//!   threads add handoff cost to a scheduler-bound loop.
+//! * **calendar** — `oil-rt::exec`, the single-threaded reference
+//!   interpreter: real kernels fired inline from the virtual-clock calendar
+//!   (the price of bit-identical traces). One row; it is the oracle the
+//!   engines are compared against, not a contender.
 //! * **selftimed** — `oil-rt::selftimed` at 1/2/4 worker threads: real
 //!   kernels, no clock, tasks fire whenever data and space allow with
 //!   repetition-vector batching.
@@ -48,7 +48,7 @@
 //!   when the row itself ran traced (`OIL_RT_TRACE=1`), `"companion"` when
 //!   a short traced companion run at the smoke horizon supplied them (the
 //!   headline rows run untraced, and schema v7's constant zeros taught
-//!   nothing), `"none"` on the sim rows;
+//!   nothing), `"none"` on the sim and calendar rows;
 //! * `cost_model_hash` — the fingerprint of the `KernelCostModel` that
 //!   steered a static-order row's partition (`OIL_COST_MODEL`), or null;
 //! * `predicted_utilization` / `measured_utilization` — per-worker
@@ -241,7 +241,7 @@ fn sdr_graph() -> (RtGraph, KernelLibrary) {
 }
 
 /// Eight independent source → filter → sink chains at 4 kHz: wide enough
-/// that firings overlap, with kernels heavy enough that the pool matters.
+/// that firings overlap, with kernels heavy enough that worker threads matter.
 fn wide_graph() -> (RtGraph, KernelLibrary) {
     const CHAINS: usize = 8;
     let mut src = String::new();
@@ -274,6 +274,39 @@ fn wide_graph() -> (RtGraph, KernelLibrary) {
     (graph, lib)
 }
 
+/// The row of a single-threaded reference (`sim`, `calendar`): no workers
+/// to sweep, no trace, no metrics.
+fn reference_row(
+    workload: &'static str,
+    engine: &'static str,
+    virtual_s: f64,
+    wall: std::time::Duration,
+    tokens: u64,
+) -> Row {
+    Row {
+        workload,
+        engine_mode: engine,
+        engine_actual: engine,
+        threads: 1,
+        virtual_s,
+        wall_ms: wall.as_secs_f64() * 1e3,
+        tokens,
+        tokens_per_wall_s: tokens as f64 / wall.as_secs_f64(),
+        host_parallelism: host_parallelism(),
+        fusion: FusionStats::default(),
+        transition_firings: 0,
+        telemetry_source: "none",
+        park_count: 0,
+        ring_highwater_max: 0,
+        backpressure_wait_ns: 0,
+        seam_latency_observed_ns: 0,
+        cost_model_hash: None,
+        predicted_utilization: Vec::new(),
+        measured_utilization: Vec::new(),
+        drift: "none",
+    }
+}
+
 const THREAD_SWEEP: [usize; 3] = [1, 2, 4];
 
 #[allow(clippy::too_many_arguments)]
@@ -301,79 +334,36 @@ fn bench_workload(
     let wall = started.elapsed();
     // Same currency as the runtime reports — values actually pushed into
     // buffers — so every row is directly comparable.
-    let tokens = sim_metrics.tokens_written;
-    rows.push(Row {
+    rows.push(reference_row(
         workload,
-        engine_mode: "sim",
-        engine_actual: "sim",
-        threads: 1,
+        "sim",
         virtual_s,
-        wall_ms: wall.as_secs_f64() * 1e3,
-        tokens,
-        tokens_per_wall_s: tokens as f64 / wall.as_secs_f64(),
-        host_parallelism: host_parallelism(),
-        fusion: FusionStats::default(),
-        transition_firings: 0,
-        telemetry_source: "none",
-        park_count: 0,
-        ring_highwater_max: 0,
-        backpressure_wait_ns: 0,
-        seam_latency_observed_ns: 0,
-        cost_model_hash: None,
-        predicted_utilization: Vec::new(),
-        measured_utilization: Vec::new(),
-        drift: "none",
-    });
+        wall,
+        sim_metrics.tokens_written,
+    ));
 
-    for threads in THREAD_SWEEP {
-        let run = |trace: bool, horizon: f64| {
-            execute(
-                graph,
-                lib,
-                picos(horizon),
-                &RtConfig {
-                    threads,
-                    warmup_ticks: 64,
-                    record_traces: false,
-                    record_values: false,
-                    trace,
-                    metrics,
-                },
-            )
-        };
-        let report = run(trace, virtual_s);
-        assert!(
-            report.meets_real_time_constraints(),
-            "{workload}: calendar engine missed constraints at {threads} threads"
-        );
-        let label = format!("{workload} calendar@{threads}");
-        let (telemetry_source, park_count, ring_highwater_max, backpressure, seam) =
-            telemetry(&label, report.trace_report.as_ref(), || {
-                run(true, companion_s).trace_report
-            });
-        rows.push(Row {
-            workload,
-            engine_mode: "calendar",
-            engine_actual: "calendar",
-            threads,
-            virtual_s,
-            wall_ms: report.wall.as_secs_f64() * 1e3,
-            tokens: report.tokens,
-            tokens_per_wall_s: report.tokens as f64 / report.wall.as_secs_f64(),
-            host_parallelism: host_parallelism(),
-            fusion: FusionStats::default(),
-            transition_firings: 0,
-            telemetry_source,
-            park_count,
-            ring_highwater_max,
-            backpressure_wait_ns: backpressure,
-            seam_latency_observed_ns: seam,
-            cost_model_hash: None,
-            predicted_utilization: Vec::new(),
-            measured_utilization: measured_utilization(report.metrics.as_ref(), report.wall),
-            drift: drift_tag(report.metrics.as_ref()),
-        });
-    }
+    let report = execute(
+        graph,
+        lib,
+        picos(virtual_s),
+        &RtConfig {
+            warmup_ticks: 64,
+            record_traces: false,
+            record_values: false,
+            ..RtConfig::default()
+        },
+    );
+    assert!(
+        report.meets_real_time_constraints(),
+        "{workload}: the calendar interpreter missed constraints"
+    );
+    rows.push(reference_row(
+        workload,
+        "calendar",
+        virtual_s,
+        report.wall,
+        report.tokens,
+    ));
 
     let plan = rtgraph::plan(graph);
     for threads in THREAD_SWEEP {
@@ -710,7 +700,7 @@ fn main() {
     // sized — the CI leg's quick look at scheduler health without opening
     // the Perfetto trace.
     if smoke {
-        for r in rows.iter().filter(|r| r.engine_mode != "sim") {
+        for r in rows.iter().filter(|r| r.telemetry_source != "none") {
             println!(
                 "telemetry[{}]: {} {}@{} parks={} ring_highwater_max={} \
                  backpressure_wait_ns={} seam_latency_observed_ns={} drift={}",

@@ -445,7 +445,7 @@ pub const MAX_BATCH: u32 = 64;
 ///   `switch` statements, whose branch tasks share their input and output
 ///   variables). All nodes contending on a buffer are grouped into one
 ///   cluster, executed serially by one owner with a fixed lowest-id-first
-///   preference — the same preference the calendar engine's id-ordered
+///   preference — the same preference the interpreter's id-ordered
 ///   admission scan applies. The plan additionally records whether each
 ///   cluster is *uniform* (all members exact twins): lowest-id-first is
 ///   timing-independent for twins, while a non-uniform cluster needs its

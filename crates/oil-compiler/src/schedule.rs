@@ -118,8 +118,8 @@ pub enum ScheduleError {
         required: u64,
     },
     /// The CTA-bounded worst-case source-to-sink latency across a mode
-    /// switch seam (drain the outgoing period, run the transition program,
-    /// fill the incoming period) exceeds the program's latency constraint.
+    /// switch seam (drain the outgoing period, fill the incoming period)
+    /// exceeds the program's latency constraint.
     SeamLatency {
         /// Outgoing mode.
         from: u32,
@@ -441,18 +441,23 @@ pub struct ModalSchedule {
     /// `Some` when the cluster is **mode-dependent** (arms diverge in their
     /// write lists or overlap in their reads): token flow then differs per
     /// mode, so each mode carries its own repetition vector and firing
-    /// order, and a switch runs the verified drain/fill transition protocol
-    /// instead of hot-switching. `None` is the union-advance case, where
-    /// the shared period serves every mode.
+    /// order, and a switch takes effect at a verified period seam (drain
+    /// the outgoing period, fill the incoming one) instead of
+    /// hot-switching. `None` is the union-advance case, where the shared
+    /// period serves every mode.
     pub dependent: Option<ModeDependent>,
 }
 
 /// The per-mode dimension of a mode-dependent schedule: one repetition
-/// vector and firing order per mode, plus the compiler-derived drain/fill
-/// transition program for every ordered mode pair and the CTA seam-latency
-/// result. The schedule's top-level `period`/`workers`/`repetitions` are
-/// mode 0's (the initial mode of the default script); the engines index
-/// into these tables per executed period.
+/// vector and firing order per mode, plus the CTA seam-latency result.
+/// Every per-mode period is anchored at the graph's initial levels and
+/// proven level-preserving, so mode `from`'s end-of-period state *is* mode
+/// `to`'s entry state: a switch seam is `period(from) ++ period(to)` with
+/// nothing in between, re-proven for every ordered pair by
+/// [`StaticSchedule::validate_transitions`]. The schedule's top-level
+/// `period`/`workers`/`repetitions` are mode 0's (the initial mode of the
+/// default script); the engines index into these tables per executed
+/// period.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModeDependent {
     /// Per mode, per unit: firings per period. Units *gated* in a mode
@@ -465,20 +470,9 @@ pub struct ModeDependent {
     /// Per mode, per worker: the projection of that mode's period onto the
     /// worker's units (the shared partition serves every mode).
     pub steps: Vec<Vec<Vec<Step>>>,
-    /// Per ordered `(from, to)` pair (row-major, `from * modes + to`): the
-    /// drain/fill transition program — the finite firing sequence, proven
-    /// by exact integer replay in
-    /// [`StaticSchedule::validate_transitions`], that takes mode `from`'s
-    /// end-of-period buffer levels to mode `to`'s entry levels. Because
-    /// every per-mode period is anchored at the initial levels (one period
-    /// is level-preserving), the derived program is empty whenever
-    /// derivation succeeds today; the derivation, replay and executor
-    /// machinery carry non-empty programs unchanged should a future
-    /// synthesis produce periods with differing entry levels.
-    pub transitions: Vec<Vec<Step>>,
     /// Worst-case source-to-sink latency (seconds) across any switch seam:
-    /// the maximum over ordered mode pairs of drain + transition + fill
-    /// work, as bounded by the CTA seam-latency query. Exact.
+    /// the maximum over ordered mode pairs of drain + fill work, as bounded
+    /// by the CTA seam-latency query. Exact.
     pub seam_latency_max: Rational,
     /// The bound [`StaticSchedule::validate_transitions`] enforces on the
     /// seam latency of every ordered pair (from
@@ -490,11 +484,6 @@ impl ModeDependent {
     /// Number of modes.
     pub fn mode_count(&self) -> usize {
         self.reps.len()
-    }
-
-    /// The transition program for the ordered pair `(from, to)`.
-    pub fn transition(&self, from: u32, to: u32) -> &[Step] {
-        &self.transitions[from as usize * self.mode_count() + to as usize]
     }
 
     /// The per-mode firing rates the engines schedule by (see
@@ -939,12 +928,11 @@ impl StaticSchedule {
                         }
                     }
                 }
-                for t in &dep.transitions {
-                    h.write_u64(t.len() as u64);
-                    for s in t {
-                        h.write_u64(s.unit as u64);
-                        h.write_u64(s.times as u64);
-                    }
+                // One zero per ordered mode pair: the length of the (always
+                // empty) transition program the golden corpus was recorded
+                // with.
+                for _ in 0..dep.mode_count() * dep.mode_count() {
+                    h.write_u64(0);
                 }
             }
         }
@@ -985,21 +973,17 @@ impl StaticSchedule {
         h.finish()
     }
 
-    /// [`Self::digest`] specialised to one ordered mode pair's transition:
-    /// mixes the pair and its drain/fill program into the structural
-    /// digest, for the transition lines of the golden schedule corpus.
+    /// [`Self::digest`] specialised to one ordered mode pair's seam: mixes
+    /// the pair into the structural digest, for the transition lines of the
+    /// golden schedule corpus.
     pub fn digest_transition(&self, from: u32, to: u32) -> u64 {
         let mut h = Fnv1a::new();
         h.write_u64(self.digest());
         h.write_u64(from as u64);
         h.write_u64(to as u64);
-        if let Some(dep) = self.modes.as_ref().and_then(|m| m.dependent.as_ref()) {
-            let t = dep.transition(from, to);
-            h.write_u64(t.len() as u64);
-            for s in t {
-                h.write_u64(s.unit as u64);
-                h.write_u64(s.times as u64);
-            }
+        if self.modes.as_ref().is_some_and(|m| m.dependent.is_some()) {
+            // The corpus' transition-program length (see [`Self::digest`]).
+            h.write_u64(0);
         }
         h.finish()
     }
@@ -1113,11 +1097,6 @@ impl StaticSchedule {
         if dep.periods.len() != n_modes || dep.steps.len() != n_modes {
             return Err(ScheduleError::Invalid(
                 "per-mode table lengths disagree".into(),
-            ));
-        }
-        if dep.transitions.len() != n_modes * n_modes {
-            return Err(ScheduleError::Invalid(
-                "transition table is not modes × modes".into(),
             ));
         }
         for m in 0..n_modes {
@@ -1448,15 +1427,16 @@ impl StaticSchedule {
 
     /// The mode-dependent seam proof, for every ordered `(from, to)` pair:
     ///
-    /// 1. **Drain/fill replay.** `period(from) ++ transition(from, to) ++
-    ///    period(to)` is replayed by exact integer accounting, levels
-    ///    carried across both seams — the drain half under `from`'s access
-    ///    lists, the transition program and the fill half under `to`'s. No
-    ///    underflow, no capacity excess, and the composite must end at the
-    ///    initial levels (mode `to`'s entry state, since every per-mode
-    ///    period is anchored there). This is the proof obligation the
-    ///    union-advance argument got for free from mode-independent flow.
-    /// 2. **Seam latency.** The CTA chain drain → transition → fill (each
+    /// 1. **Drain/fill replay.** `period(from) ++ period(to)` is replayed
+    ///    by exact integer accounting, levels carried across the seam — the
+    ///    drain half under `from`'s access lists, the fill half under
+    ///    `to`'s. No underflow, no capacity excess, and the composite must
+    ///    end at the initial levels (mode `to`'s entry state, since every
+    ///    per-mode period is anchored there). This is the proof obligation
+    ///    the union-advance argument got for free from mode-independent
+    ///    flow, and the proof that no transition program is needed between
+    ///    the two periods.
+    /// 2. **Seam latency.** The CTA chain drain → fill (each
     ///    stage's work = Σ firings · response, exact) bounds the worst-case
     ///    source-to-sink latency a switch inserts; when the synthesis
     ///    carried a [`SynthesisConfig::seam_latency_bound`] the bound is
@@ -1489,14 +1469,9 @@ impl StaticSchedule {
                     .map(|b| b.initial_tokens as u64)
                     .collect::<Vec<_>>()
                     .into();
-                let phases: [(&[Step], usize); 3] = [
-                    (&dep.periods[from as usize], from as usize),
-                    (dep.transition(from, to), to as usize),
-                    (&dep.periods[to as usize], to as usize),
-                ];
-                for (steps, mode) in phases {
+                for mode in [from as usize, to as usize] {
                     let access = mode_access(graph, &self.units, mode);
-                    for step in steps {
+                    for step in &dep.periods[mode] {
                         let a = &access[step.unit as usize];
                         for _ in 0..step.times {
                             for &(b, c) in &a.reads {
@@ -1566,17 +1541,8 @@ impl StaticSchedule {
             }
             work
         };
-        let transition_work: Rational = dep
-            .transition(from, to)
-            .iter()
-            .map(|s| {
-                Rational::from_int(s.times as i128)
-                    * response(&self.units[s.unit as usize], to as usize)
-            })
-            .fold(Rational::ZERO, |acc, w| acc + w);
         let stages = [
             ("drain", period_work(from as usize)),
-            ("transition", transition_work),
             ("fill", period_work(to as usize)),
         ];
         oil_cta::latency::check_seam_latency(&stages, dep.seam_latency_bound)
@@ -1835,7 +1801,7 @@ pub struct ModalClusterInfo {
     /// reads) — one schedule serves every mode, hot switching. True: the
     /// arms diverge in write lists or overlap in reads, but each mode is
     /// individually consistent — synthesis produces one schedule per mode
-    /// and the drain/fill transition protocol between them.
+    /// and proves the drain/fill seam between every ordered pair.
     pub mode_dependent: bool,
 }
 
@@ -1856,8 +1822,8 @@ pub struct ModalClusterInfo {
 /// Arms that diverge in write counts or overlap in reads break the
 /// union-advance argument but are still individually consistent per mode:
 /// the returned info then carries `mode_dependent: true` and synthesis
-/// produces one schedule per mode plus the drain/fill transition protocol
-/// (see [`ModeDependent`]). What remains inadmissible — a second
+/// produces one schedule per mode plus the drain/fill seam proof (see
+/// [`ModeDependent`]). What remains inadmissible — a second
 /// non-uniform cluster, an arm with no writes, or an arm reading a buffer
 /// any arm writes — is [`ScheduleError::NonUniformCluster`] and the caller
 /// falls back to the self-timed engine.
@@ -3140,56 +3106,14 @@ fn mode_repetitions(
     Ok(reps)
 }
 
-/// Derive the drain/fill transition program for one ordered mode pair: the
-/// firing sequence taking mode `from`'s end-of-period levels to mode
-/// `to`'s entry levels. Every per-mode period is anchored at the graph's
-/// initial levels and proven level-preserving, so both states coincide and
-/// the derived program is empty; the net-flow replay here is the defensive
-/// check that derivation *notices* if a future synthesis breaks that
-/// anchoring instead of silently emitting an unsound empty program.
-fn derive_transition(
-    graph: &RtGraph,
-    access_from: &[UnitAccess],
-    consumer_unit: &IndexVec<RtBufferId, Option<u32>>,
-    period_from: &[Step],
-    from: usize,
-    to: usize,
-) -> Result<Vec<Step>, ScheduleError> {
-    let mut net: IndexVec<RtBufferId, i128> = IndexVec::from_elem(0, graph.buffers.len());
-    for step in period_from {
-        let a = &access_from[step.unit as usize];
-        for &(b, c) in &a.reads {
-            net[b] -= step.times as i128 * c as i128;
-        }
-        for &(b, c) in &a.writes {
-            if consumer_unit[b].is_some() {
-                net[b] += step.times as i128 * c as i128;
-            }
-        }
-    }
-    if let Some(b) = graph
-        .buffers
-        .indices()
-        .find(|&b| consumer_unit[b].is_some() && net[b] != 0)
-    {
-        return Err(ScheduleError::Invalid(format!(
-            "transition {from}->{to}: mode {from}'s period shifts buffer `{}` \
-             by {} tokens, so its end state is not mode {to}'s entry state \
-             and no drain/fill program is derivable",
-            graph.buffers[b].name, net[b]
-        )));
-    }
-    Ok(Vec::new())
-}
-
 /// Per-mode synthesis for a **mode-dependent** modal cluster (see
 /// [`modal_admission`]): one SDF repetition vector, admitted period and
 /// worker projection per mode — each over the mode's active slice of the
-/// graph — plus a drain/fill transition program for every ordered mode
-/// pair and the CTA seam-latency result. One worker partition serves every
-/// mode (balanced by each unit's worst mode), fusion is off (a fused run
-/// compiled against one mode's token flow would be unsound in another),
-/// and the top-level period/workers/repetitions mirror mode 0.
+/// graph — plus the CTA seam-latency result over every ordered mode pair.
+/// One worker partition serves every mode (balanced by each unit's worst
+/// mode), fusion is off (a fused run compiled against one mode's token
+/// flow would be unsound in another), and the top-level
+/// period/workers/repetitions mirror mode 0.
 fn synthesize_mode_dependent(
     graph: &RtGraph,
     plan: &RtPlan,
@@ -3213,7 +3137,6 @@ fn synthesize_mode_dependent(
     // --- Per mode: gate the off-mode slice, solve the mode's repetition
     // vector, admit a period by the same greedy bursting replay the
     // uniform path uses (under the mode's access lists).
-    let mut accesses: Vec<Vec<UnitAccess>> = Vec::with_capacity(n_modes);
     let mut reps_table: Vec<Vec<u64>> = Vec::with_capacity(n_modes);
     let mut periods: Vec<Vec<Step>> = Vec::with_capacity(n_modes);
     for m in 0..n_modes {
@@ -3232,7 +3155,6 @@ fn synthesize_mode_dependent(
             return Err(ScheduleError::PeriodTooLong { firings: required });
         }
         let period = greedy_period(graph, &access, &consumer_unit, &capacity, &reps)?;
-        accesses.push(access);
         reps_table.push(reps);
         periods.push(period);
     }
@@ -3312,21 +3234,6 @@ fn synthesize_mode_dependent(
 
     timer.lap("partition");
 
-    // --- Drain/fill transition programs, one per ordered mode pair.
-    let mut transitions: Vec<Vec<Step>> = Vec::with_capacity(n_modes * n_modes);
-    for from in 0..n_modes {
-        for to in 0..n_modes {
-            transitions.push(derive_transition(
-                graph,
-                &accesses[from],
-                &consumer_unit,
-                &periods[from],
-                from,
-                to,
-            )?);
-        }
-    }
-
     let fused_workers: Vec<Vec<WorkItem>> = steps[0]
         .iter()
         .map(|w| w.iter().map(|&s| WorkItem::Step(s)).collect())
@@ -3360,7 +3267,6 @@ fn synthesize_mode_dependent(
                 reps: reps_table,
                 periods,
                 steps,
-                transitions,
                 seam_latency_max: Rational::ZERO,
                 seam_latency_bound,
             }),
@@ -3369,7 +3275,6 @@ fn synthesize_mode_dependent(
         cost_model_hash: config.cost_model.as_ref().map(|m| m.fingerprint()),
         predicted_utilization,
     };
-    timer.lap("transition_synthesis");
     // --- Record the worst-case seam latency over all ordered pairs. The
     // per-pair CTA query also enforces the configured bound, so a
     // violation surfaces here as [`ScheduleError::SeamLatency`].
@@ -3655,10 +3560,6 @@ mod tests {
         // (two tokens into t), so n2 and the sink run twice and source a
         // gates. Hand-solved balance equations.
         assert_eq!(dep.reps, vec![vec![1, 1, 1, 0, 1], vec![1, 2, 0, 1, 2]]);
-        // Every per-mode period anchors at the initial levels, so every
-        // derived drain/fill program is empty — and still proven by replay.
-        assert_eq!(dep.transitions.len(), 4);
-        assert!(dep.transitions.iter().all(Vec::is_empty));
         assert!(dep.seam_latency_max > Rational::ZERO);
         s.validate(&graph)
             .expect("per-mode steady state re-validates");

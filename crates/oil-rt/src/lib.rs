@@ -1,52 +1,51 @@
-//! `oil-rt` — the work-stealing multi-threaded execution runtime.
+//! `oil-rt` — the execution runtime: two engines and a reference interpreter.
 //!
 //! The paper's thesis is that OIL's restrictions make every program
 //! *automatically parallelizable* while staying temporally analysable. The
 //! discrete-event simulator (`oil-sim`) validates the analysis; this crate
 //! validates the **parallelization**: it executes a compiled program's task
-//! graph on real OS threads — actual `oil-dsp` kernels computing actual
-//! sample streams — and is held, by `tests/runtime_differential.rs`, to
-//! produce **bit-identical** per-buffer token traces, deadline-miss counts
-//! and overflow counts as the simulator at every thread count.
+//! graph with actual `oil-dsp` kernels computing actual sample streams, on
+//! real OS threads in the two engines, and holds every execution to one
+//! sequential reference.
 //!
 //! Architecture (see the module docs for detail):
 //!
-//! * [`ring`] — lock-free bounded SPSC ring buffers with bounded-spin →
-//!   yield → park/unpark blocking wait paths; one per runtime-graph buffer
-//!   (capacity from CTA buffer sizing), plus the source-generator and
-//!   sink-collector conduits;
-//! * [`pool`] — the work-stealing thread pool executing kernel firings;
-//! * [`kernel`] — DSP-backed and synthetic kernels, mapped from coordinated
-//!   function names by a [`KernelLibrary`];
-//! * [`exec`] — the deterministic **calendar engine**: virtual time
-//!   replayed on a `(time, kind, id)`-ordered calendar with the same
-//!   documented tie-breaking rule as the simulator, kernel computation
-//!   overlapped on the pool between a firing's start and completion events;
+//! * [`exec`] — the **reference interpreter**: a single-threaded replay of
+//!   virtual time on a `(time, kind, id)`-ordered calendar with the same
+//!   documented tie-breaking rule as the simulator, kernels fired inline.
+//!   `tests/runtime_differential.rs` holds its per-buffer token traces,
+//!   deadline-miss and overflow counts bit-identical to `oil-sim`; the
+//!   engines' value streams are compared against it;
 //! * [`selftimed`] — the **free-running engine**: no clock, tasks fire as
 //!   soon as tokens and space allow, batched by the repetition-vector plan
-//!   (`oil_compiler::rtgraph::plan`), verified against the calendar engine
+//!   (`oil_compiler::rtgraph::plan`), verified against the interpreter
 //!   through the value plane (`tests/selftimed_differential.rs`);
 //! * [`staticsched`] — the **compiled static-order engine**: each worker
 //!   replays a periodic firing list synthesised and validated at compile
 //!   time (`oil_compiler::schedule`), with zero readiness scanning and
 //!   synchronisation only on cross-worker buffers
 //!   (`tests/staticsched_differential.rs`);
+//! * [`ring`] — lock-free bounded SPSC ring buffers with bounded-spin →
+//!   yield → park/unpark blocking wait paths; one per cross-worker buffer
+//!   of the two engines (capacity from CTA buffer sizing);
+//! * [`kernel`] — DSP-backed and synthetic kernels, mapped from coordinated
+//!   function names by a [`KernelLibrary`];
 //! * [`measure`] — per-buffer value-stream traces and wall-clock sink
 //!   throughput vs the CTA-predicted rates (rate conformance);
-//! * [`trace`] — low-overhead per-worker event tracing: firing/seam spans,
-//!   park/backpressure counters and ring high-water marks, exported as a
-//!   stable JSON summary or a Perfetto-loadable Chrome trace. Off by
-//!   default; enabling it never changes value streams;
-//! * [`metrics`] — always-on metrics registry: lock-free per-worker
-//!   counter/histogram cells, windowed sink throughput and a live CTA
-//!   drift detector ([`metrics::DriftVerdict`]). Off by default with the
+//! * [`trace`] — low-overhead per-worker event tracing of the two engines:
+//!   firing/seam spans, park/backpressure counters and ring high-water
+//!   marks, exported as a stable JSON summary or a Perfetto-loadable Chrome
+//!   trace. Off by default; enabling it never changes value streams;
+//! * [`metrics`] — always-on metrics registry of the two engines: lock-free
+//!   per-worker counter/histogram cells, windowed sink throughput and a live
+//!   CTA drift detector ([`metrics::DriftVerdict`]). Off by default with the
 //!   same one-branch discipline as [`trace`];
 //! * [`profile`] — kernel cost calibration: measures ns/firing per
 //!   coordinated function (trimmed-median estimator) into an
 //!   `oil_compiler::costmodel::KernelCostModel` artifact that
 //!   `oil_compiler::schedule` can use for measured-cost partitioning.
 //!
-//! The runtime consumes the same [`oil_compiler::rtgraph::RtGraph`] lowering
+//! All three consume the same [`oil_compiler::rtgraph::RtGraph`] lowering
 //! as the simulator, so differential testing compares *scheduling
 //! semantics*, not graph construction.
 
@@ -54,20 +53,18 @@ pub mod exec;
 pub mod kernel;
 pub mod measure;
 pub mod metrics;
-pub mod pool;
 pub mod profile;
 pub mod ring;
 pub mod selftimed;
 pub mod staticsched;
 pub mod trace;
 
-pub use exec::{env_threads, execute, parse_threads, RtConfig, RtReport, SinkStream};
+pub use exec::{execute, RtConfig, RtReport, SinkStream};
 pub use kernel::{Kernel, KernelLibrary, SourceKernel};
 pub use measure::{
     ConformanceVerdict, RateConformance, SinkThroughput, ThroughputMeter, ValueTrace,
 };
 pub use metrics::{env_metrics, DriftVerdict, MetricsConfig, MetricsHub, MetricsReport, WindowObs};
-pub use pool::WorkStealingPool;
 pub use profile::{profile_graph, profile_kernel, ProfileConfig};
 pub use selftimed::{
     execute_selftimed, execute_selftimed_scripted, SelfTimedConfig, SelfTimedReport,
@@ -77,91 +74,33 @@ pub use staticsched::{
 };
 pub use trace::{env_trace, TraceReport};
 
+/// The `OIL_RT_THREADS` environment override, if set: the "N" of the worker
+/// sweeps the test harnesses run the two engines at
+/// ([`SelfTimedConfig::threads`], the `workers` of a synthesised schedule).
+///
+/// A malformed value is a loud panic, not a silent fall-through to the
+/// default: an override that does not apply is worse than no override
+/// (matching the `OIL_RT_CONFORMANCE` / `OIL_RT_FUSION` validation
+/// discipline). Parsing lives in [`parse_threads`] so the rejection path
+/// is testable without mutating the process environment.
+pub fn env_threads() -> Option<usize> {
+    std::env::var("OIL_RT_THREADS")
+        .ok()
+        .map(|v| parse_threads(&v))
+}
+
+/// Parse an `OIL_RT_THREADS` value: a base-10 thread count (`0` means
+/// "use the machine's available parallelism"). Anything else panics — see
+/// [`env_threads`].
+pub fn parse_threads(raw: &str) -> usize {
+    raw.trim()
+        .parse()
+        .unwrap_or_else(|_| panic!("OIL_RT_THREADS must be a thread count (0 = auto), got `{raw}`"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oil_compiler::{compile, rtgraph, CompilerOptions};
-    use oil_lang::registry::{FunctionRegistry, FunctionSignature};
-    use oil_sim::{build_simulation_from_graph, picos, SimulationConfig};
-
-    fn registry() -> FunctionRegistry {
-        let mut r = FunctionRegistry::new();
-        for f in ["f", "g", "init", "src", "snk"] {
-            r.register(FunctionSignature::pure(f, 1e-5));
-        }
-        r
-    }
-
-    const PIPELINE: &str = r#"
-        mod seq P(int a, out int m){ loop{ f(a, out m); } while(1); }
-        mod seq Q(int m, out int b){ loop{ g(m:2, out b); } while(1); }
-        mod par D(){
-            fifo int mid;
-            source int x = src() @ 2 kHz;
-            sink int y = snk() @ 1 kHz;
-            P(x, out mid) || Q(mid, out y)
-        }
-    "#;
-
-    #[test]
-    fn runtime_matches_simulator_trace_on_a_pipeline() {
-        let compiled = compile(PIPELINE, &registry(), &CompilerOptions::default()).unwrap();
-        let graph = rtgraph::lower(&compiled);
-        let mut net = build_simulation_from_graph(&graph);
-        let (_, sim_trace) = net.run_traced(picos(0.25), &SimulationConfig::default());
-
-        for threads in [1, 2, 4] {
-            let report = execute(
-                &graph,
-                &KernelLibrary::new(),
-                picos(0.25),
-                &RtConfig {
-                    threads,
-                    ..RtConfig::default()
-                },
-            );
-            assert_eq!(report.threads, threads);
-            assert_eq!(
-                report.trace.first_divergence(&sim_trace),
-                None,
-                "threads={threads}"
-            );
-            assert!(report.meets_real_time_constraints(), "{:?}", report.trace);
-            // Real sample values reached the sink.
-            let values = report.sink_values("y").expect("sink stream");
-            assert!(!values.is_empty());
-            assert!(values.iter().any(|v| *v != 0.0));
-        }
-    }
-
-    #[test]
-    fn value_streams_are_identical_across_thread_counts() {
-        let compiled = compile(PIPELINE, &registry(), &CompilerOptions::default()).unwrap();
-        let graph = rtgraph::lower(&compiled);
-        let config = RtConfig::default();
-        let base = execute(
-            &graph,
-            &KernelLibrary::new(),
-            picos(0.1),
-            &RtConfig {
-                threads: 1,
-                ..config
-            },
-        );
-        for threads in [2, 3, 8] {
-            let other = execute(
-                &graph,
-                &KernelLibrary::new(),
-                picos(0.1),
-                &RtConfig { threads, ..config },
-            );
-            assert_eq!(
-                base.sinks, other.sinks,
-                "sink sample streams must not depend on the pool size"
-            );
-            assert_eq!(base.trace, other.trace);
-        }
-    }
 
     #[test]
     fn env_threads_parses() {
@@ -172,28 +111,5 @@ mod tests {
         // A malformed override is a loud error, never a silent default.
         assert!(std::panic::catch_unwind(|| parse_threads("three")).is_err());
         assert!(std::panic::catch_unwind(|| parse_threads("")).is_err());
-    }
-
-    #[test]
-    fn panicking_kernel_fails_loudly_instead_of_hanging() {
-        // A kernel that unwinds on a worker thread must surface as a
-        // scheduler panic naming the node — never as a silent deadlock on
-        // the firing slot.
-        let compiled = compile(PIPELINE, &registry(), &CompilerOptions::default()).unwrap();
-        let graph = rtgraph::lower(&compiled);
-        let mut lib = KernelLibrary::new();
-        lib.register(
-            "f",
-            Box::new(|| Kernel::Custom(Box::new(|_, _| panic!("injected kernel failure")))),
-        );
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute(&graph, &lib, picos(0.01), &RtConfig::default())
-        }));
-        let err = result.expect_err("the runtime must propagate the kernel panic");
-        let message = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(
-            message.contains("panicked during a firing") && message.contains("injected"),
-            "unexpected panic message: {message}"
-        );
     }
 }

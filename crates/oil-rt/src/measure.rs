@@ -4,7 +4,7 @@
 //!
 //! * [`ValueTrace`] — the per-buffer *value* streams (every `f64` ever
 //!   pushed, bit-exact). For Kahn-process-network graphs these streams are
-//!   schedule-invariant, so the deterministic calendar engine's trace must
+//!   schedule-invariant, so the reference interpreter's trace must
 //!   be a **prefix** of any free-running execution's trace — the value-plane
 //!   analogue of `oil_sim::trace::ExecutionTrace`'s origin-timestamp
 //!   equality, checked by `tests/selftimed_differential.rs`.

@@ -1,16 +1,15 @@
 //! The self-timed, free-running execution engine.
 //!
-//! The calendar engine ([`crate::exec`]) proves the *semantics* of parallel
-//! execution: it replays virtual time and is held to bit-identical traces
-//! against the simulator. It also serialises every scheduling decision
-//! through one thread — the price of replaying a clock. This engine drops
-//! the clock entirely and keeps only what the paper's restrictions actually
-//! require for correctness:
+//! The reference interpreter ([`crate::exec`]) pins the *semantics* of
+//! execution: it replays virtual time sequentially and is held to
+//! bit-identical traces against the simulator. This engine drops the clock
+//! entirely and keeps only what the paper's restrictions actually require
+//! for correctness:
 //!
 //! * every task **fires as soon as** its input tokens and output space are
 //!   available — no calendar, no virtual-clock barrier, no response times;
-//! * tokens flow through the same lock-free SPSC rings, with **blocking
-//!   backpressure**: a worker with nothing fireable spins briefly, yields,
+//! * tokens flow through lock-free SPSC rings ([`crate::ring`]), with
+//!   **blocking backpressure**: a worker with nothing fireable spins briefly, yields,
 //!   then parks until a peer's firing makes progress possible;
 //! * nodes fire in **batches** (sizes from the repetition-vector pass,
 //!   [`oil_compiler::rtgraph::plan`]), so a node that is 64× faster than
@@ -23,7 +22,7 @@
 //! is not always a KPN (modal `if`/`switch` statements produce twin tasks
 //! contending on shared buffers); the plan groups such nodes into *serial
 //! clusters* executed by a single owner with lowest-id-first preference —
-//! the same preference as the calendar engine's id-ordered admission scan.
+//! the same preference as the interpreter's id-ordered admission scan.
 //! For *uniform* clusters (all members exact twins, the shape modal
 //! extraction produces) that preference is timing-independent by itself;
 //! a non-uniform cluster (members gated on disjoint inputs) additionally
@@ -41,7 +40,7 @@
 //! static-order engine's per-mode schedules firing for firing
 //! (`tests/modeswitch_differential.rs`).
 //! `tests/selftimed_differential.rs` holds the engine to exactly that: the
-//! calendar reference's value streams are a bit-exact prefix of this
+//! interpreter's value streams are a bit-exact prefix of this
 //! engine's streams on KPN graphs, all streams are thread-count- and
 //! perturbation-invariant, CTA-sized buffers never deadlock, and measured
 //! sink throughput meets the CTA rate-conformance threshold
@@ -470,7 +469,7 @@ fn run_unit(unit: &mut Unit, w: &mut WorkerBufs, control: &Control) -> bool {
                 }
                 // Blocking backpressure: a source sample is broadcast to
                 // every replica atomically, so it waits until all of them
-                // have room (the calendar engine drops and counts an
+                // have room (the interpreter drops and counts an
                 // overflow instead; accepted programs overflow in neither).
                 if !outputs.iter().all(|&b| w.space_for(b, 1)) {
                     break;
@@ -1525,10 +1524,7 @@ mod tests {
             &graph,
             &KernelLibrary::new(),
             picos(0.25),
-            &RtConfig {
-                threads: 1,
-                ..RtConfig::default()
-            },
+            &RtConfig::default(),
         );
         for threads in [1, 2, 4] {
             let report = execute_selftimed(

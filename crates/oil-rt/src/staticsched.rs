@@ -130,8 +130,7 @@ pub struct StaticReport {
     /// Firings spent crossing mode-switch seams: modal firings whose
     /// scripted arm differed from the period's executing mode (the drain —
     /// a switch requested mid-period takes effect at the next period
-    /// boundary) plus every firing of an executed drain/fill transition
-    /// program. Always 0 for union-advance schedules (hot switching needs
+    /// boundary). Always 0 for union-advance schedules (hot switching needs
     /// no drain) and non-modal schedules.
     pub transition_firings: u64,
     /// Per-worker event tracks, ring telemetry and compile-phase timing
@@ -637,8 +636,7 @@ impl BufIo {
 /// This worker's share of a mode-dependent replay: instead of looping one
 /// period list, the worker walks the resolved [`ModePlan`]'s mode sequence
 /// — for each executed period it replays its projection of that mode's
-/// firing list, running its projection of the drain/fill transition
-/// program at every mode boundary.
+/// firing list.
 ///
 /// [`ModePlan`]: oil_compiler::schedule::ModePlan
 struct DepWork {
@@ -646,9 +644,6 @@ struct DepWork {
     mode_seq: Arc<Vec<u32>>,
     /// Per mode: this worker's firing list as `(local unit, times)`.
     periods: Vec<Vec<(u32, u32)>>,
-    /// Per ordered `(from, to)` pair (row-major): this worker's projection
-    /// of the transition program.
-    transitions: Vec<Vec<(u32, u32)>>,
 }
 
 /// Everything one worker owns for the run.
@@ -879,35 +874,24 @@ impl Worker {
     }
 
     /// The mode-dependent replay: walk the plan's mode sequence, replaying
-    /// this worker's projection of each period's firing list — with the
-    /// drain/fill transition program at every mode boundary. Every worker
+    /// this worker's projection of each period's firing list. Every worker
     /// walks the same sequence, so cross-worker rings line up exactly as in
     /// the validated global order.
     fn run_dependent(mut self, abort: &AtomicBool) -> WorkerOut {
         let dep = self.dep.take().expect("dependent work");
         let io = &mut self.io;
         let scratch = &mut self.scratch;
-        let n_modes = dep.periods.len();
         let mut prev: Option<u32> = None;
         for &m in dep.mode_seq.iter() {
-            if let Some(p) = prev {
-                if p != m {
-                    // The seam span covers this worker's whole drain/fill
-                    // projection; its arg packs the (from, to) mode pair.
-                    let t0 = io.trace.as_ref().map(|t| t.now_ns());
-                    for &(u, times) in &dep.transitions[p as usize * n_modes + m as usize] {
-                        fire_dependent(&mut self.units, io, scratch, u, times, m, true, abort);
-                    }
-                    if let Some(start) = t0 {
-                        let t = io.trace.as_mut().expect("tracer outlives the run");
-                        t.span(EventKind::Seam, (p << 16) | m, start);
-                        t.instant(EventKind::ModeSwitch, m);
-                    }
-                }
+            if let (Some(p), Some(t)) = (prev.filter(|&p| p != m), io.trace.as_mut()) {
+                // The periods abut at a boundary, so the seam span is an
+                // empty marker; its arg packs the (from, to) mode pair.
+                t.span(EventKind::Seam, (p << 16) | m, t.now_ns());
+                t.instant(EventKind::ModeSwitch, m);
             }
             for &(u, times) in &dep.periods[m as usize] {
                 let t0 = io.trace.as_ref().map(|t| t.now_ns());
-                fire_dependent(&mut self.units, io, scratch, u, times, m, false, abort);
+                fire_dependent(&mut self.units, io, scratch, u, times, m, abort);
                 if let Some(start) = t0 {
                     let t = io.trace.as_mut().expect("tracer outlives the run");
                     t.span(EventKind::Firing, u, start);
@@ -925,14 +909,11 @@ impl Worker {
 }
 
 /// Fire one unit `times` times inside a mode-dependent replay, with `mode`
-/// the executed period's mode (a transition-program firing carries the
-/// *incoming* mode). The modal unit dispatches the mode's member and moves
-/// only that member's access lists; a firing counts toward
-/// [`StaticReport::transition_firings`] when it belongs to a transition
-/// program or the script has already requested a different arm (the drain
-/// tail of the old period — a mid-period switch point takes effect at the
-/// next period boundary).
-#[allow(clippy::too_many_arguments)]
+/// the executed period's mode. The modal unit dispatches the mode's member
+/// and moves only that member's access lists; a firing counts toward
+/// [`StaticReport::transition_firings`] when the script has already
+/// requested a different arm (the drain tail of the old period — a
+/// mid-period switch point takes effect at the next period boundary).
 fn fire_dependent(
     units: &mut [UnitState],
     io: &mut BufIo,
@@ -940,7 +921,6 @@ fn fire_dependent(
     unit: u32,
     times: u32,
     mode: u32,
-    in_transition: bool,
     abort: &AtomicBool,
 ) {
     match &mut units[unit as usize] {
@@ -1020,7 +1000,7 @@ fn fire_dependent(
                     *switches += 1;
                 }
                 *last_arm = mode;
-                if in_transition || script.arm_at(*fired).min(arms - 1) != mode {
+                if script.arm_at(*fired).min(arms - 1) != mode {
                     *transition_firings += 1;
                 }
                 let active = &mut members[mode as usize];
@@ -1199,8 +1179,8 @@ pub fn execute_staticsched(
 /// [`ModePlan`](oil_compiler::schedule::ModePlan): each executed period
 /// runs one mode's verified firing list, a requested switch takes effect
 /// at the next period boundary (the old period's trailing firings are the
-/// *drain*, reported as [`StaticReport::transition_firings`]), and the
-/// compiler-derived drain/fill transition program runs at every boundary.
+/// *drain*, reported as [`StaticReport::transition_firings`]); the next
+/// period follows directly, since every period is level-preserving.
 ///
 /// Non-modal schedules ignore the script.
 ///
@@ -1479,8 +1459,8 @@ pub fn execute_staticsched_scripted(
         };
         // A mode-dependent worker replays the resolved plan instead of a
         // covering-iteration step list (whose per-component counts do not
-        // exist here): compile the per-mode projections and per-pair
-        // transition programs down to local unit indices.
+        // exist here): compile the per-mode projections down to local unit
+        // indices.
         let dep = mode_seq.as_ref().map(|seq| {
             let d = dependent.expect("a mode plan implies a dependent schedule");
             DepWork {
@@ -1491,16 +1471,6 @@ pub fn execute_staticsched_scripted(
                     .map(|per_worker| {
                         per_worker[w]
                             .iter()
-                            .map(|s| (unit_home[s.unit as usize].1, s.times))
-                            .collect()
-                    })
-                    .collect(),
-                transitions: d
-                    .transitions
-                    .iter()
-                    .map(|t| {
-                        t.iter()
-                            .filter(|s| schedule.units[s.unit as usize].worker == w)
                             .map(|s| (unit_home[s.unit as usize].1, s.times))
                             .collect()
                     })

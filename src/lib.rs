@@ -14,11 +14,12 @@
 //! * [`sim`] — a discrete-event multi-core simulator used as the execution
 //!   substrate (processors, ring interconnect, circular buffers, periodic
 //!   sources/sinks).
-//! * [`rt`] — the multi-threaded runtimes executing compiled task graphs on
-//!   real OS threads: the calendar engine (trace-equivalent to the
-//!   simulator, `tests/runtime_differential.rs`) and the self-timed
-//!   free-running engine (value/rate-conformant,
-//!   `tests/selftimed_differential.rs`).
+//! * [`rt`] — the runtime executing compiled task graphs with real kernels:
+//!   two multi-threaded engines — the self-timed free-running engine
+//!   (`tests/selftimed_differential.rs`) and the compiled static-order
+//!   engine (`tests/staticsched_differential.rs`) — plus the single-threaded
+//!   reference interpreter both are compared against, itself
+//!   trace-equivalent to the simulator (`tests/runtime_differential.rs`).
 //! * [`dsp`] — the signal-processing kernels coordinated by the example
 //!   programs (filters, mixers, resamplers, signal generators).
 //! * [`pal`] — the PAL video/audio decoder case study from the paper.

@@ -5,8 +5,9 @@
 //! Four oracles:
 //!
 //! 1. **Bit-identity** — enabling metrics must never change a value
-//!    stream, sink sample or firing count, on any engine at any worker
-//!    count. Same contract tracing is held to (`trace_differential.rs`).
+//!    stream, sink sample or firing count, on either engine at any worker
+//!    count. Same contract tracing is held to (`trace_differential.rs`);
+//!    like tracing, metering does not reach the reference interpreter.
 //! 2. **Live oracle honesty** — on the untampered corpus, every run that
 //!    beats real time must report [`DriftVerdict::Ok`]: the drift detector
 //!    may only fire on real drift.
@@ -23,8 +24,8 @@ use oil::compiler::{compile, rtgraph, CompileError, CompilerOptions};
 use oil::gen::ProgramScenario;
 use oil::lang::registry::{FunctionRegistry, FunctionSignature};
 use oil::rt::{
-    execute, execute_selftimed, execute_staticsched, DriftVerdict, Kernel, KernelLibrary,
-    MetricsConfig, RtConfig, SelfTimedConfig, StaticConfig,
+    execute_selftimed, execute_staticsched, DriftVerdict, Kernel, KernelLibrary, MetricsConfig,
+    SelfTimedConfig, StaticConfig,
 };
 use oil::sim::picos;
 
@@ -113,43 +114,6 @@ fn metered_runs_are_bit_identical_to_unmetered_on_all_engines() {
         let graph = rtgraph::lower(&compiled);
         let plan = rtgraph::plan(&graph);
         for &threads in &WORKERS {
-            let run_calendar = |metrics: Option<MetricsConfig>| {
-                execute(
-                    &graph,
-                    &KernelLibrary::new(),
-                    picos(HORIZON_S),
-                    &RtConfig {
-                        threads,
-                        warmup_ticks: 64,
-                        record_traces: true,
-                        record_values: true,
-                        metrics,
-                        ..RtConfig::default()
-                    },
-                )
-            };
-            let base = run_calendar(None);
-            let metered = run_calendar(metrics);
-            assert!(base.metrics.is_none(), "unmetered run grew a report");
-            let m = metered.metrics.as_ref().expect("metered run lost report");
-            assert!(m.firings > 0, "seed {seed}: calendar recorded nothing");
-            assert_ok_verdict(
-                seed,
-                &format!("calendar@{threads}"),
-                m,
-                metered.wall.as_secs_f64(),
-            );
-            assert_eq!(
-                base.trace, metered.trace,
-                "seed {seed}: calendar@{threads}: metrics changed the token trace"
-            );
-            assert_bit_identical(
-                seed,
-                &format!("calendar@{threads}"),
-                (&base.values, &base.sinks, &base.node_firings),
-                (&metered.values, &metered.sinks, &metered.node_firings),
-            );
-
             let run_selftimed = |metrics: Option<MetricsConfig>| {
                 execute_selftimed(
                     &graph,

@@ -9,7 +9,7 @@
 //! for every (mode, mode') pair. Clusters whose token flow is
 //! **mode-dependent** (arms with differing write counts, overlapping
 //! reads) get one repetition vector and firing order *per mode* plus a
-//! verified drain/fill transition protocol; the dependent legs below hold
+//! verified drain/fill seam between every ordered pair; the dependent legs below hold
 //! both engines to the same resolved mode plan, seam accounting included
 //! (`mode_switches`, `transition_firings`). `oil-rt` then executes the same dispatch
 //! in two unrelated ways — the static-order engine replays compiled firing
@@ -23,9 +23,9 @@
 //! its leg runs on the **collapsed twin**: the modal cluster replaced by
 //! one union node with identical token flow ([`collapse_modal`]). The
 //! collapsed trace must be bit-identical between the simulator and the
-//! calendar engine — which, combined with the in-crate proof that the
-//! modal schedule moves exactly the collapsed schedule's per-period token
-//! flow, closes the three-engine oracle.
+//! reference interpreter — which, combined with the in-crate proof that
+//! the modal schedule moves exactly the collapsed schedule's per-period
+//! token flow, closes the simulator → interpreter → engines oracle chain.
 //!
 //! Every failure message quotes the reproducing seed
 //! (`ModalScenario::generate(seed)`).
@@ -226,7 +226,7 @@ fn collapsed_twin_trace_matches_the_simulator() {
     // itself cannot be its oracle. Its twin with the cluster collapsed to
     // one union node has the *identical per-buffer token flow* (proven by
     // exact integer replay in `oil-compiler`'s unit tests) and is a plain
-    // KPN graph: simulator and calendar engine must agree bit for bit.
+    // KPN graph: simulator and interpreter must agree bit for bit.
     for seed in 0..8 {
         let scenario = ModalScenario::generate(seed);
         let plan = rtgraph::plan(&scenario.graph);
@@ -236,23 +236,17 @@ fn collapsed_twin_trace_matches_the_simulator() {
         let collapsed = collapse_modal(&scenario.graph, &info);
         let mut net = build_simulation_from_graph(&collapsed);
         let (_, sim_trace) = net.run_traced(picos(0.05), &SimulationConfig::default());
-        for threads in [1, 2] {
-            let report = execute(
-                &collapsed,
-                &KernelLibrary::new(),
-                picos(0.05),
-                &RtConfig {
-                    threads,
-                    ..RtConfig::default()
-                },
-            );
-            assert_eq!(
-                report.trace.first_divergence(&sim_trace),
-                None,
-                "seed {seed}: collapsed-twin trace diverges from the simulator at \
-                 {threads} thread(s)"
-            );
-        }
+        let report = execute(
+            &collapsed,
+            &KernelLibrary::new(),
+            picos(0.05),
+            &RtConfig::default(),
+        );
+        assert_eq!(
+            report.trace.first_divergence(&sim_trace),
+            None,
+            "seed {seed}: collapsed-twin trace diverges from the simulator"
+        );
     }
 }
 
@@ -395,7 +389,7 @@ fn scripted_selftimed_run(
 fn mode_dependent_static_replay_matches_scripted_selftimed() {
     // The tentpole differential: arms with differing write counts (the
     // shape PR 7 rejected) synthesize one schedule per mode plus verified
-    // drain/fill transitions, and the static replay of that plan is
+    // drain/fill seams, and the static replay of that plan is
     // bit-identical to the data-driven scripted self-timed engine — at
     // 1/2/4 workers, fusion on and off, across every ordered mode pair.
     let mut seam_crossings = 0u64;

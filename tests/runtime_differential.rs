@@ -1,23 +1,21 @@
-//! Trace-equivalence differential verification of the parallel runtime
-//! against the discrete-event simulator.
+//! Trace-equivalence differential verification of the reference
+//! interpreter (`oil_rt::exec`) against the discrete-event simulator.
 //!
-//! The paper's parallelization claim — OIL's restrictions make every
-//! accepted program *safely* parallelizable — is checked here as a
-//! machine-verified property: for hundreds of seeded random programs
-//! (`oil_gen::ProgramScenario`) and for the PAL decoder case study, the
-//! work-stealing multi-threaded runtime (`oil-rt`) must produce
-//! **bit-identical** per-buffer token traces, deadline-miss counts and
-//! overflow counts as the simulator (`oil-sim`), at thread counts 1, 2 and
-//! N (the machine's parallelism, or `OIL_RT_THREADS` when set). Both
-//! engines execute the *same* `oil_compiler::rtgraph` lowering, so any
-//! divergence is a scheduling-semantics bug, not a graph-construction
-//! artifact.
+//! The interpreter is the bridge oracle of the runtime: the two engines'
+//! value streams are compared against it, so it must itself be pinned. For
+//! hundreds of seeded random programs (`oil_gen::ProgramScenario`) and for
+//! the PAL decoder case study it must produce **bit-identical** per-buffer
+//! token traces, deadline-miss counts and overflow counts as the simulator
+//! (`oil-sim`) while computing real sample values. Both execute the *same*
+//! `oil_compiler::rtgraph` lowering, so any divergence is a
+//! scheduling-semantics bug, not a graph-construction artifact.
 //!
 //! On top of live equivalence, a fixed-seed corpus
-//! (`tests/data/runtime_corpus.txt`: `seed digest` lines) pins the expected
-//! trace digest per seed, so a behavioural regression fails with the exact
-//! reproducing seed even if both engines drift together. Regenerate after
-//! an intentional semantic change with
+//! (`tests/data/runtime_corpus.txt`: `seed trace-digest value-digest`
+//! lines) pins the simulator's token-trace digest and the interpreter's
+//! value-stream digest per seed, so a behavioural regression fails with the
+//! exact reproducing seed even if both drift together. Regenerate after an
+//! intentional semantic change with
 //! `OIL_UPDATE_RUNTIME_CORPUS=1 cargo test --test runtime_differential corpus`.
 //!
 //! Every failure message quotes the reproducing seed; re-create the program
@@ -25,7 +23,8 @@
 
 use oil::compiler::{compile, rtgraph, CompileError, CompilerOptions};
 use oil::gen::ProgramScenario;
-use oil::rt::{execute, KernelLibrary, RtConfig};
+use oil::lang::registry::{FunctionRegistry, FunctionSignature};
+use oil::rt::{execute, Kernel, KernelLibrary, RtConfig};
 use oil::sim::{build_simulation_from_graph, picos, ExecutionTrace, SimulationConfig};
 
 /// Generated programs per sweep (the acceptance bar is ≥ 200; the stress
@@ -51,17 +50,6 @@ fn duration_s() -> f64 {
 
 fn stress() -> bool {
     std::env::var_os("OIL_RT_STRESS").is_some()
-}
-
-/// The thread counts under test: 1 (serial), 2 (minimal parallelism) and N
-/// (the machine's available parallelism or the `OIL_RT_THREADS` override).
-fn thread_counts() -> Vec<usize> {
-    let n = oil::rt::env_threads()
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()));
-    let mut counts = vec![1, 2, n.max(1)];
-    counts.sort_unstable();
-    counts.dedup();
-    counts
 }
 
 /// Warm-up ticks covering the pipeline fill of a generated scenario (same
@@ -114,7 +102,6 @@ fn simulator_trace(
 
 #[test]
 fn runtime_traces_match_the_simulator_on_generated_programs() {
-    let threads = thread_counts();
     let (mut checked, mut rejected) = (0u32, 0u32);
     for seed in 0..program_seeds() {
         let scenario = ProgramScenario::generate(seed);
@@ -126,42 +113,35 @@ fn runtime_traces_match_the_simulator_on_generated_programs() {
         let warmup = warmup_ticks(&scenario);
         let (sim_trace, graph) = simulator_trace(&compiled, warmup, duration_s());
 
-        for &t in &threads {
-            let report = execute(
-                &graph,
-                &KernelLibrary::new(),
-                picos(duration_s()),
-                &RtConfig {
-                    threads: t,
-                    warmup_ticks: warmup,
-                    record_traces: true,
-                    record_values: true,
-                    trace: oil::rt::env_trace(),
-                    ..RtConfig::default()
-                },
-            );
-            if let Some(divergence) = report.trace.first_divergence(&sim_trace) {
-                panic!(
-                    "seed {seed}: runtime trace at {t} thread(s) diverges from the simulator: \
-                     {divergence}\nreproduce with ProgramScenario::generate({seed})\nsource:\n{}",
-                    scenario.source
-                );
-            }
-            // The paper's guarantee carries over to the parallel execution:
-            // accepted ⇒ no misses, no overflows, at any thread count.
-            assert!(
-                report.meets_real_time_constraints(),
-                "seed {seed}: accepted program missed deadlines or overflowed at {t} thread(s): \
-                 {:?}\nsource:\n{}",
-                report.trace,
+        let report = execute(
+            &graph,
+            &KernelLibrary::new(),
+            picos(duration_s()),
+            &RtConfig {
+                warmup_ticks: warmup,
+                ..RtConfig::default()
+            },
+        );
+        if let Some(divergence) = report.trace.first_divergence(&sim_trace) {
+            panic!(
+                "seed {seed}: interpreter trace diverges from the simulator: \
+                 {divergence}\nreproduce with ProgramScenario::generate({seed})\nsource:\n{}",
                 scenario.source
             );
-            for (name, cap, occ) in &report.buffers {
-                assert!(
-                    occ <= cap,
-                    "seed {seed}: buffer {name} exceeded its capacity at {t} thread(s)"
-                );
-            }
+        }
+        // The paper's guarantee carries over to the value-producing
+        // execution: accepted ⇒ no misses, no overflows.
+        assert!(
+            report.meets_real_time_constraints(),
+            "seed {seed}: accepted program missed deadlines or overflowed: {:?}\nsource:\n{}",
+            report.trace,
+            scenario.source
+        );
+        for (name, cap, occ) in &report.buffers {
+            assert!(
+                occ <= cap,
+                "seed {seed}: buffer {name} exceeded its capacity"
+            );
         }
     }
     assert!(
@@ -172,53 +152,9 @@ fn runtime_traces_match_the_simulator_on_generated_programs() {
 }
 
 #[test]
-fn runtime_value_streams_are_thread_count_invariant() {
-    // Beyond token traces: the actual f64 sample streams delivered to the
-    // sinks must be identical at every thread count (kernel state travels
-    // with the node, firings are totally ordered).
-    let threads = thread_counts();
-    for seed in 0..24 {
-        let scenario = ProgramScenario::generate(seed);
-        let Some(compiled) = compile_scenario(&scenario) else {
-            continue;
-        };
-        let graph = rtgraph::lower(&compiled);
-        let warmup = warmup_ticks(&scenario);
-        let mut baseline: Option<oil::rt::RtReport> = None;
-        for &t in &threads {
-            let report = execute(
-                &graph,
-                &KernelLibrary::new(),
-                picos(0.05),
-                &RtConfig {
-                    threads: t,
-                    warmup_ticks: warmup,
-                    record_traces: true,
-                    record_values: true,
-                    trace: oil::rt::env_trace(),
-                    ..RtConfig::default()
-                },
-            );
-            match &baseline {
-                None => baseline = Some(report),
-                Some(base) => {
-                    assert_eq!(
-                        base.sinks, report.sinks,
-                        "seed {seed}: sink sample streams differ between {} and {} threads",
-                        base.threads, report.threads
-                    );
-                    assert_eq!(base.trace, report.trace, "seed {seed}");
-                    assert_eq!(base.node_firings, report.node_firings, "seed {seed}");
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn pal_decoder_runtime_matches_simulator_with_zero_misses() {
     // The case study of paper Section VI, with the real DSP kernels: the
-    // runtime must reproduce the simulator's trace bit for bit and meet
+    // interpreter must reproduce the simulator's trace bit for bit and meet
     // every real-time constraint at CTA-sized buffers.
     let (compiled, _) = oil::pal::analyze_pal().expect("the PAL decoder is schedulable");
     let registry = oil::pal::pal_registry();
@@ -236,31 +172,90 @@ fn pal_decoder_runtime_matches_simulator_with_zero_misses() {
     assert_eq!(sim_trace.total_misses(), 0, "simulator PAL baseline");
     assert_eq!(sim_trace.total_overflows(), 0, "simulator PAL baseline");
 
-    for t in thread_counts() {
-        let report = execute(
-            &graph,
-            &KernelLibrary::pal(),
-            duration,
-            &RtConfig {
-                threads: t,
-                warmup_ticks: config_warmup,
-                record_traces: true,
-                record_values: true,
-                trace: oil::rt::env_trace(),
-                ..RtConfig::default()
-            },
-        );
-        if let Some(divergence) = report.trace.first_divergence(&sim_trace) {
-            panic!("PAL decoder at {t} thread(s) diverges from the simulator: {divergence}");
-        }
-        assert_eq!(report.trace.total_misses(), 0, "threads={t}");
-        assert_eq!(report.trace.total_overflows(), 0, "threads={t}");
-        // The runtime executed real DSP kernels: the speaker stream carries
-        // the recovered audio tone, not zeros.
-        let speakers = report.sink_values("speakers").expect("speaker stream");
-        assert!(speakers.len() > 32, "collected {} samples", speakers.len());
-        assert!(speakers.iter().any(|v| v.abs() > 1e-6));
+    let report = execute(
+        &graph,
+        &KernelLibrary::pal(),
+        duration,
+        &RtConfig {
+            warmup_ticks: config_warmup,
+            ..RtConfig::default()
+        },
+    );
+    if let Some(divergence) = report.trace.first_divergence(&sim_trace) {
+        panic!("PAL decoder diverges from the simulator: {divergence}");
     }
+    assert_eq!(report.trace.total_misses(), 0);
+    assert_eq!(report.trace.total_overflows(), 0);
+    // The interpreter executed real DSP kernels: the speaker stream carries
+    // the recovered audio tone, not zeros.
+    let speakers = report.sink_values("speakers").expect("speaker stream");
+    assert!(speakers.len() > 32, "collected {} samples", speakers.len());
+    assert!(speakers.iter().any(|v| v.abs() > 1e-6));
+}
+
+// ---------------------------------------------------------------------------
+// A hand-written pipeline (moved from `oil-rt`'s unit tests so tier-1 runs
+// them).
+// ---------------------------------------------------------------------------
+
+fn pipeline_graph() -> rtgraph::RtGraph {
+    const PIPELINE: &str = r#"
+        mod seq P(int a, out int m){ loop{ f(a, out m); } while(1); }
+        mod seq Q(int m, out int b){ loop{ g(m:2, out b); } while(1); }
+        mod par D(){
+            fifo int mid;
+            source int x = src() @ 2 kHz;
+            sink int y = snk() @ 1 kHz;
+            P(x, out mid) || Q(mid, out y)
+        }
+    "#;
+    let mut registry = FunctionRegistry::new();
+    for f in ["f", "g", "init", "src", "snk"] {
+        registry.register(FunctionSignature::pure(f, 1e-5));
+    }
+    let compiled = compile(PIPELINE, &registry, &CompilerOptions::default()).unwrap();
+    rtgraph::lower(&compiled)
+}
+
+#[test]
+fn runtime_matches_simulator_trace_on_a_pipeline() {
+    let graph = pipeline_graph();
+    let mut net = build_simulation_from_graph(&graph);
+    let (_, sim_trace) = net.run_traced(picos(0.25), &SimulationConfig::default());
+
+    let report = execute(
+        &graph,
+        &KernelLibrary::new(),
+        picos(0.25),
+        &RtConfig::default(),
+    );
+    assert_eq!(report.trace.first_divergence(&sim_trace), None);
+    assert!(report.meets_real_time_constraints(), "{:?}", report.trace);
+    // Real sample values reached the sink.
+    let values = report.sink_values("y").expect("sink stream");
+    assert!(!values.is_empty());
+    assert!(values.iter().any(|v| *v != 0.0));
+}
+
+#[test]
+fn panicking_kernel_fails_loudly_instead_of_hanging() {
+    // The interpreter fires kernels inline, so a kernel's own panic must
+    // reach the caller of `execute` unchanged.
+    let graph = pipeline_graph();
+    let mut lib = KernelLibrary::new();
+    lib.register(
+        "f",
+        Box::new(|| Kernel::Custom(Box::new(|_, _| panic!("injected kernel failure")))),
+    );
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        execute(&graph, &lib, picos(0.01), &RtConfig::default())
+    }));
+    let err = result.expect_err("the kernel panic must propagate");
+    let message = err.downcast_ref::<&str>().copied().unwrap_or_default();
+    assert!(
+        message.contains("injected"),
+        "unexpected panic message: {message}"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -271,16 +266,26 @@ fn pal_decoder_runtime_matches_simulator_with_zero_misses() {
 const CORPUS_SEEDS: u64 = 48;
 const CORPUS_PATH: &str = "tests/data/runtime_corpus.txt";
 
-/// Compute the digest of a corpus seed's execution trace, or `None` when
-/// the compiler (legitimately) rejects the scenario temporally.
-fn corpus_digest(seed: u64) -> Option<u64> {
+/// The pinned pair of a corpus seed — the simulator's token-trace digest and
+/// the interpreter's value-stream digest (`RtReport::values`) — or `None`
+/// when the compiler (legitimately) rejects the scenario temporally.
+fn corpus_digests(seed: u64) -> Option<(u64, u64)> {
     let scenario = ProgramScenario::generate(seed);
     let compiled = compile_scenario(&scenario)?;
     let warmup = warmup_ticks(&scenario);
     // The corpus duration is fixed (independent of the stress horizon) so
     // pinned digests stay valid in every CI configuration.
-    let (trace, _) = simulator_trace(&compiled, warmup, 0.2);
-    Some(trace.digest())
+    let (trace, graph) = simulator_trace(&compiled, warmup, 0.2);
+    let report = execute(
+        &graph,
+        &KernelLibrary::new(),
+        picos(0.2),
+        &RtConfig {
+            warmup_ticks: warmup,
+            ..RtConfig::default()
+        },
+    );
+    Some((trace.digest(), report.values.digest()))
 }
 
 #[test]
@@ -288,12 +293,12 @@ fn corpus_digests_pin_the_observable_behaviour() {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(CORPUS_PATH);
     if std::env::var_os("OIL_UPDATE_RUNTIME_CORPUS").is_some() {
         let mut out = String::from(
-            "# Fixed-seed trace-digest corpus: `<seed> <digest|rejected>` per line.\n\
+            "# Fixed-seed corpus: `<seed> <trace digest> <value digest>` or `<seed> rejected` per line.\n\
              # Generated by OIL_UPDATE_RUNTIME_CORPUS=1 cargo test --test runtime_differential corpus\n",
         );
         for seed in 0..CORPUS_SEEDS {
-            match corpus_digest(seed) {
-                Some(d) => out.push_str(&format!("{seed} {d:016x}\n")),
+            match corpus_digests(seed) {
+                Some((t, v)) => out.push_str(&format!("{seed} {t:016x} {v:016x}\n")),
                 None => out.push_str(&format!("{seed} rejected\n")),
             }
         }
@@ -314,12 +319,13 @@ fn corpus_digests_pin_the_observable_behaviour() {
             .split_once(' ')
             .unwrap_or_else(|| panic!("malformed corpus line `{line}`"));
         let seed: u64 = seed.parse().expect("corpus seed");
-        let actual = corpus_digest(seed);
-        let actual_str = actual.map_or("rejected".to_string(), |d| format!("{d:016x}"));
+        let actual = corpus_digests(seed).map_or("rejected".to_string(), |(t, v)| {
+            format!("{t:016x} {v:016x}")
+        });
         assert_eq!(
-            actual_str, expected,
-            "seed {seed}: execution-trace digest changed — the observable behaviour of this \
-             program regressed (or changed intentionally; then regenerate with \
+            actual, expected,
+            "seed {seed}: token-trace or value-stream digest changed — the observable behaviour \
+             of this program regressed (or changed intentionally; then regenerate with \
              OIL_UPDATE_RUNTIME_CORPUS=1). Reproduce with ProgramScenario::generate({seed})."
         );
         pinned += 1;

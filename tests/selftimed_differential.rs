@@ -1,7 +1,7 @@
 //! Rate-conformance and schedule-invariance verification of the self-timed
 //! free-running engine.
 //!
-//! The calendar engine (`oil-rt::exec`) is pinned to the simulator by
+//! The reference interpreter (`oil-rt::exec`) is pinned to the simulator by
 //! bit-identical origin-timestamp traces (`tests/runtime_differential.rs`).
 //! The self-timed engine (`oil-rt::selftimed`) has no virtual clock to
 //! compare, so its oracles are the *value plane* and the *rate plane*:
@@ -197,11 +197,7 @@ fn free_running_streams_match_the_calendar_reference_on_the_corpus() {
             &KernelLibrary::new(),
             picos(duration_s()),
             &RtConfig {
-                threads: 1,
                 warmup_ticks: u64::MAX, // miss accounting is not under test
-                record_traces: true,
-                record_values: true,
-                trace: oil::rt::env_trace(),
                 ..RtConfig::default()
             },
         );
@@ -400,11 +396,7 @@ fn pal_decoder_free_run_conforms_to_the_predicted_rates() {
         &KernelLibrary::pal(),
         duration,
         &RtConfig {
-            threads: 1,
             warmup_ticks: 64,
-            record_traces: true,
-            record_values: true,
-            trace: oil::rt::env_trace(),
             ..RtConfig::default()
         },
     );

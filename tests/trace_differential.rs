@@ -3,8 +3,8 @@
 //!
 //! Three oracles:
 //!
-//! 1. **Bit-identity** — for a corpus of generated programs, every engine
-//!    at every worker count produces byte-for-byte identical value
+//! 1. **Bit-identity** — for a corpus of generated programs, both engines
+//!    at every worker count produce byte-for-byte identical value
 //!    streams, sink samples and firing counts with tracing on and off.
 //!    Tracing enabled may *record* more; it must never *change* anything.
 //! 2. **Chrome schema** — the Perfetto export is well-formed JSON (parsed
@@ -14,17 +14,19 @@
 //!    or one contains the other. Perfetto renders overlapping non-nested
 //!    spans misleadingly, so the exporter owes this invariant.
 //! 3. **Capacity** — observed ring high-water marks stay within the
-//!    CTA-proven capacities on the blocking engines (self-timed and
-//!    static-order; the calendar engine's rings are admission-checked
-//!    against the same bound by the trace oracle already). This is the
-//!    paper's buffer-sizing theorem checked *at runtime*, per run.
+//!    CTA-proven capacities on both engines (self-timed and
+//!    static-order). This is the paper's buffer-sizing theorem checked *at
+//!    runtime*, per run.
+//!
+//! The reference interpreter (`oil::rt::execute`) is not traced: an oracle
+//! is compared, not profiled.
 
 use oil::compiler::schedule::{synthesize, ScheduleError, SynthesisConfig};
 use oil::compiler::{compile, rtgraph, CompileError, CompilerOptions};
 use oil::gen::ProgramScenario;
 use oil::rt::{
-    execute, execute_selftimed, execute_staticsched, KernelLibrary, RtConfig, SelfTimedConfig,
-    StaticConfig, TraceReport,
+    execute_selftimed, execute_staticsched, KernelLibrary, SelfTimedConfig, StaticConfig,
+    TraceReport,
 };
 use oil::sim::picos;
 
@@ -113,42 +115,6 @@ fn traced_runs_are_bit_identical_to_untraced_on_all_engines() {
         let graph = rtgraph::lower(&compiled);
         let plan = rtgraph::plan(&graph);
         for &threads in &WORKERS {
-            // Calendar: the full execution trace is part of the contract.
-            let run_calendar = |trace: bool| {
-                execute(
-                    &graph,
-                    &KernelLibrary::new(),
-                    picos(0.05),
-                    &RtConfig {
-                        threads,
-                        warmup_ticks: 64,
-                        record_traces: true,
-                        record_values: true,
-                        trace,
-                        ..RtConfig::default()
-                    },
-                )
-            };
-            let base = run_calendar(false);
-            let traced = run_calendar(true);
-            assert!(base.trace_report.is_none(), "untraced run grew a report");
-            assert!(traced.trace_report.is_some(), "traced run lost its report");
-            assert_no_drops(
-                seed,
-                &format!("calendar@{threads}"),
-                traced.trace_report.as_ref(),
-            );
-            assert_eq!(
-                base.trace, traced.trace,
-                "seed {seed}: calendar@{threads}: tracing changed the token trace"
-            );
-            assert_bit_identical(
-                seed,
-                &format!("calendar@{threads}"),
-                (&base.values, &base.sinks, &base.node_firings),
-                (&traced.values, &traced.sinks, &traced.node_firings),
-            );
-
             // Self-timed: schedule-dependent interleavings, schedule-
             // invariant values — tracing must stay on the invariant side.
             let run_selftimed = |trace: bool| {
@@ -582,20 +548,6 @@ fn chrome_trace_export_is_wellformed_and_properly_nested() {
     let duration = picos(2e-3);
 
     for &threads in &[1usize, 2] {
-        let report = execute(
-            &graph,
-            &KernelLibrary::pal(),
-            duration,
-            &RtConfig {
-                threads,
-                record_values: false,
-                trace: true,
-                ..RtConfig::default()
-            },
-        );
-        let tr = report.trace_report.expect("tracing was enabled");
-        validate_chrome_trace(&format!("calendar@{threads}"), &tr.chrome_trace_json());
-
         let report = execute_selftimed(
             &graph,
             &plan,
