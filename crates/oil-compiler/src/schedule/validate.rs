@@ -1,0 +1,482 @@
+//! Validation: the admission proof, as replays of one [`Ledger`] over the
+//! per-mode table of a schedule.
+//!
+//! A schedule is a table with one row per *distinct token flow*: a single
+//! row for uniform and union-advance graphs (every mode moves the same
+//! tokens), one row per arm for mode-dependent ones. Each row carries its
+//! access lists, repetition vector, period and worker projections. The
+//! proof obligations iterate the table; every replay starts at the initial
+//! tokens and must end there:
+//!
+//! | obligation | replayed list | tracked buffers | bound |
+//! |---|---|---|---|
+//! | period | each row's period, firing by firing | consumed | capacity |
+//! | fused worker lists | each worker's fused list | confined to it | `local_level_max` |
+//! | seams | `period(from) ++ period(to)`, every row pair | consumed | capacity |
+//! | fused seams | each worker's fused list, twice | confined to it | `local_level_max` |
+//! | seam latency | CTA drain → fill chain, every row pair | — | `seam_latency_bound` |
+
+use super::fusion::confined_worker;
+use super::ledger::{
+    engine_capacities, modal_member_access, row_access, Ledger, Levels, UnitAccess,
+};
+
+use super::model::{
+    FusedRun, FusionStats, ModalSchedule, ModeDependent, ScheduleError, ScheduleUnit,
+    StaticSchedule, Step, UnitKind, WorkItem,
+};
+use crate::rtgraph::{RtBufferId, RtGraph};
+use oil_dataflow::index::IndexVec;
+use oil_dataflow::Rational;
+
+fn invalid(message: impl Into<String>) -> ScheduleError {
+    ScheduleError::Invalid(message.into())
+}
+
+/// One row of a schedule's per-mode table (see the module docs).
+struct ModeRow<'s> {
+    /// Error-message prefix: empty for the single all-modes row, `mode k: `
+    /// for a mode-dependent row.
+    label: String,
+    access: Vec<UnitAccess>,
+    reps: Vec<u64>,
+    period: &'s [Step],
+    workers: &'s [Vec<Step>],
+}
+
+impl StaticSchedule {
+    /// The per-mode table, after checking that the schedule's modal
+    /// dimension is coherent: the modal unit carries exactly the arms, and
+    /// a mode-dependent schedule has exactly one `reps`/`periods`/`steps`
+    /// row per arm, each firing the modal unit.
+    fn mode_table(&self, graph: &RtGraph) -> Result<Vec<ModeRow<'_>>, ScheduleError> {
+        if let Some(modes) = &self.modes {
+            let unit = self.units.get(modes.unit as usize).map(|u| &u.kind);
+            if !matches!(unit, Some(UnitKind::Modal { members }) if *members == modes.arms) {
+                return Err(invalid(format!(
+                    "unit {} is not the modal unit over the schedule's {} arms",
+                    modes.unit,
+                    modes.arms.len()
+                )));
+            }
+        }
+        let modes = self.modes.as_ref();
+        let Some((modes, dep)) = modes.and_then(|m| Some((m, m.dependent.as_ref()?))) else {
+            return Ok(vec![ModeRow {
+                label: String::new(),
+                access: row_access(graph, &self.units, None),
+                reps: self.units.iter().map(|u| u.repetitions).collect(),
+                period: &self.period,
+                workers: &self.workers,
+            }]);
+        };
+        let arms = modes.arms.len();
+        if [dep.reps.len(), dep.periods.len(), dep.steps.len()] != [arms; 3] {
+            return Err(invalid(format!(
+                "the per-mode tables carry {}/{}/{} rows (reps/periods/steps) for {arms} arms",
+                dep.reps.len(),
+                dep.periods.len(),
+                dep.steps.len()
+            )));
+        }
+        (0..arms)
+            .map(|m| {
+                if dep.reps[m].len() != self.units.len() || dep.steps[m].len() != self.workers.len()
+                {
+                    return Err(invalid(format!(
+                        "mode {m}: the repetition vector or worker lists diverge from the \
+                         schedule's units or workers"
+                    )));
+                }
+                if dep.reps[m][modes.unit as usize] == 0 {
+                    return Err(invalid(format!(
+                        "mode {m}: the modal unit is gated in its own mode"
+                    )));
+                }
+                Ok(ModeRow {
+                    label: format!("mode {m}: "),
+                    access: row_access(graph, &self.units, Some(m)),
+                    reps: dep.reps[m].clone(),
+                    period: &dep.periods[m],
+                    workers: &dep.steps[m],
+                })
+            })
+            .collect()
+    }
+
+    /// Exact integer replay of the admitted period against the CTA-sized
+    /// capacities, for every row of the per-mode table: every unit fires
+    /// exactly its repetition count, no read ever underflows, no
+    /// ring-backed buffer ever exceeds its capacity, every buffer returns
+    /// to its initial level (which is what makes the schedule loopable),
+    /// and the worker projections partition the period. Then the fused
+    /// worker lists are re-proven the same way ([`Self::validate_fused`]);
+    /// a mode-dependent schedule never fuses, and its top-level
+    /// period/worker/repetition fields must mirror mode 0 (what a
+    /// script-less consumer sees). This is the admission proof —
+    /// [`synthesize`](super::synthesize) never returns a schedule that
+    /// fails it — and the oracle the schedule property tests replay
+    /// independently.
+    pub fn validate(&self, graph: &RtGraph) -> Result<(), ScheduleError> {
+        let rows = self.mode_table(graph)?;
+        let capacity = engine_capacities(graph);
+        for row in &rows {
+            let label = &row.label;
+            let mut ledger = Ledger::new(graph, |b| self.consumer_unit[b].is_some());
+            replay_period(graph, &mut ledger, row, &capacity, "")?;
+            let mut fired = vec![0u64; self.units.len()];
+            for step in row.period {
+                fired[step.unit as usize] += step.times as u64;
+            }
+            if let Some(u) = (0..fired.len()).find(|&u| fired[u] != row.reps[u]) {
+                return Err(invalid(format!(
+                    "{label}unit {u} fired {} times in one period, repetition vector says {}",
+                    fired[u], row.reps[u]
+                )));
+            }
+            ledger
+                .restored()
+                .map_err(|f| f.invalid(graph, format_args!("{label}the period")))?;
+            check_projection(&self.units, row)?;
+        }
+        match self.modes.as_ref().and_then(|m| m.dependent.as_ref()) {
+            Some(dep) => self.mirrors_mode_zero(dep),
+            None => self.validate_fused(graph, &rows[0].access),
+        }
+    }
+
+    /// The mode-dependent-only shape obligations: the top-level fields are
+    /// mode 0's, and the fused lists are the plain projections (a fused run
+    /// compiled against one mode's token flow would be unsound in another).
+    fn mirrors_mode_zero(&self, dep: &ModeDependent) -> Result<(), ScheduleError> {
+        let reps = self.units.iter().map(|u| u.repetitions);
+        let plain: Vec<_> = self.workers.iter().map(|w| WorkItem::plain(w)).collect();
+        let mirrors = self.period == dep.periods[0]
+            && self.workers == dep.steps[0]
+            && reps.eq(dep.reps[0].iter().copied());
+        if !mirrors || self.fusion != FusionStats::default() || self.fused_workers != plain {
+            return Err(invalid(
+                "a mode-dependent schedule's top-level period/workers/repetitions mirror mode 0 \
+                 and its fused worker lists are the plain projections",
+            ));
+        }
+        Ok(())
+    }
+
+    /// Re-prove the admission property over the fused worker lists: per
+    /// worker, every unit keeps its projected firing count, fused runs touch
+    /// only worker-confined buffers with exactly-balanced empty links, and
+    /// the per-worker replay (which fully determines every confined buffer's
+    /// level) never underflows nor exceeds [`Self::local_level_max`].
+    fn validate_fused(&self, graph: &RtGraph, access: &[UnitAccess]) -> Result<(), ScheduleError> {
+        if self.fused_workers.len() != self.workers.len() {
+            return Err(invalid(
+                "fused worker list count diverges from the projections",
+            ));
+        }
+        for (w, items) in self.fused_workers.iter().enumerate() {
+            let mut delta = vec![0i128; self.units.len()];
+            for s in &self.workers[w] {
+                delta[s.unit as usize] += s.times as i128;
+            }
+            for s in items.iter().flat_map(WorkItem::stages) {
+                delta[s.unit as usize] -= s.times as i128;
+            }
+            if let Some(u) = delta.iter().position(|&d| d != 0) {
+                return Err(invalid(format!(
+                    "fused worker {w} changes the firing count of unit {u}"
+                )));
+            }
+        }
+        self.replay_workers(graph, access, 1, "")
+    }
+
+    /// Replay every worker's fused list `passes` times back to back over a
+    /// ledger of the buffers confined to that worker (one pass is the
+    /// period, two is a switch seam), checking every fused run's structure
+    /// on the way ([`check_run`]) — so only a run's head reads and tail
+    /// writes touch rings. Each worker must end restored.
+    fn replay_workers(
+        &self,
+        graph: &RtGraph,
+        access: &[UnitAccess],
+        passes: usize,
+        ctx: &str,
+    ) -> Result<(), ScheduleError> {
+        let confined =
+            confined_worker(graph, &self.units, &self.producer_unit, &self.consumer_unit);
+        for (w, items) in self.fused_workers.iter().enumerate() {
+            let mut ledger = Ledger::new(graph, |b| {
+                confined[b] == Some(w) && self.consumer_unit[b].is_some()
+            });
+            for item in std::iter::repeat_n(items, passes).flatten() {
+                if let WorkItem::Fused(run) = item {
+                    check_run(graph, access, &confined, w, run, &ledger)
+                        .map_err(|what| invalid(format!("{ctx}fused worker {w}: {what}")))?;
+                }
+                let (head, tail) = item.ends();
+                let fired = ledger.fire(access, head, tail, Some(&self.local_level_max));
+                fired.map_err(|f| {
+                    let (h, t) = (head.unit, tail.unit);
+                    f.invalid(graph, format_args!("{ctx}fused worker {w}: units {h}..{t}"))
+                })?;
+            }
+            ledger
+                .restored()
+                .map_err(|f| f.invalid(graph, format_args!("{ctx}fused worker {w}")))?;
+        }
+        Ok(())
+    }
+
+    /// Re-prove the admission property across every mode-switch seam by
+    /// exact integer replay. No-op for non-modal schedules.
+    ///
+    /// For every ordered pair of rows of the per-mode table, one period
+    /// under `from` followed by one period under `to` — levels carried
+    /// across the seam, each half under its own row's access lists — must
+    /// never underflow a buffer, never exceed its capacity, and end with
+    /// every buffer back at its initial level (mode `to`'s entry state,
+    /// since every period is anchored there): the proof that no transition
+    /// program is needed between the two periods.
+    ///
+    /// A **union-advance** schedule has one row, because the modal unit
+    /// consumes the union of all members' inputs and produces the shared
+    /// write list whichever arm runs. That premise is checked per arm, and
+    /// it is exactly why hot switching needs no pipeline drain: the state
+    /// at any prefix of the period is a state the period visits under every
+    /// arm, so the bounds hold pointwise across a switch injected
+    /// *anywhere*, including mid-period and inside fused super-steps (whose
+    /// stages never span the modal unit — it is excluded from fusion). The
+    /// one seam is still replayed, over the global period and over every
+    /// fused worker list (fused runs hoist and defer firings, so a worker's
+    /// seam state differs from the global replay's).
+    ///
+    /// A **mode-dependent** schedule additionally bounds the worst-case
+    /// source-to-sink latency a switch inserts by the CTA chain drain →
+    /// fill (each stage's work = Σ firings · response, exact): the recorded
+    /// [`ModeDependent::seam_latency_max`] must equal the recomputed one,
+    /// and a [`SynthesisConfig::seam_latency_bound`](super::SynthesisConfig)
+    /// violation is [`ScheduleError::SeamLatency`]. Its worker lists need
+    /// no replay of their own: they never fuse, so each is the exact
+    /// projection of the global order, and on single-producer/single-
+    /// consumer graphs the concurrent replay of projections reproduces the
+    /// global interleaving's bounds.
+    pub fn validate_transitions(&self, graph: &RtGraph) -> Result<(), ScheduleError> {
+        let Some(modes) = self.modes.as_ref() else {
+            return Ok(());
+        };
+        let rows = self.mode_table(graph)?;
+        let capacity = engine_capacities(graph);
+        for (from, drain) in rows.iter().enumerate() {
+            for (to, fill) in rows.iter().enumerate() {
+                let ctx = match rows.len() {
+                    1 => "any mode switch: ".to_string(),
+                    _ => format!("transition {from}->{to}: "),
+                };
+                let mut ledger = Ledger::new(graph, |b| self.consumer_unit[b].is_some());
+                replay_period(graph, &mut ledger, drain, &capacity, &ctx)?;
+                replay_period(graph, &mut ledger, fill, &capacity, &ctx)?;
+                ledger
+                    .restored()
+                    .map_err(|f| f.invalid(graph, format_args!("{ctx}the switch seam")))?;
+            }
+        }
+        let Some(dep) = modes.dependent.as_ref() else {
+            return self.validate_union_advance(graph, modes, &rows[0]);
+        };
+        let latency_max = worst_seam_latency(graph, &self.units, dep)?;
+        if latency_max != dep.seam_latency_max {
+            return Err(invalid(format!(
+                "recorded worst-case seam latency {}s diverges from the recomputed {}s",
+                dep.seam_latency_max.to_f64(),
+                latency_max.to_f64()
+            )));
+        }
+        Ok(())
+    }
+
+    /// The union-advance half of [`Self::validate_transitions`]: the one
+    /// row really is every arm's token flow, and every worker's fused list
+    /// survives the seam.
+    fn validate_union_advance(
+        &self,
+        graph: &RtGraph,
+        modes: &ModalSchedule,
+        row: &ModeRow<'_>,
+    ) -> Result<(), ScheduleError> {
+        let shared = &row.access[modes.unit as usize];
+        let mut reads = Vec::new();
+        for (k, &arm) in modes.arms.iter().enumerate() {
+            let (arm_reads, arm_writes) = modal_member_access(graph, arm);
+            if arm_writes != shared.writes {
+                return Err(invalid(format!(
+                    "mode {k}: arm `{}` diverges from the shared write list of modal unit {}, \
+                     so one period cannot serve every mode",
+                    graph.nodes[arm].name, modes.unit
+                )));
+            }
+            reads.extend(arm_reads);
+        }
+        reads.sort();
+        if reads != shared.reads {
+            return Err(invalid(format!(
+                "the arms of modal unit {} overlap in their reads, so one period cannot \
+                 serve every mode",
+                modes.unit
+            )));
+        }
+        self.replay_workers(graph, &row.access, 2, "any mode switch: ")
+    }
+}
+
+/// The worst CTA-bounded source-to-sink latency across any ordered
+/// `(from, to)` switch seam of a mode-dependent schedule; a pair over
+/// the configured bound is [`ScheduleError::SeamLatency`].
+pub(super) fn worst_seam_latency(
+    graph: &RtGraph,
+    units: &[ScheduleUnit],
+    dep: &ModeDependent,
+) -> Result<Rational, ScheduleError> {
+    // Sources and sinks move one token with no kernel work.
+    let response = |unit: &ScheduleUnit, mode: usize| {
+        let node = unit.kind.nodes(Some(mode)).first();
+        node.map_or(Rational::ZERO, |&n| graph.nodes[n].response)
+    };
+    let work: Vec<Rational> = (0..dep.mode_count())
+        .map(|mode| {
+            let mut work = Rational::ZERO;
+            for (u, unit) in units.iter().enumerate() {
+                let reps = dep.reps[mode][u];
+                if reps > 0 {
+                    work += Rational::from_int(reps as i128) * response(unit, mode);
+                }
+            }
+            work
+        })
+        .collect();
+    let mut worst = Rational::ZERO;
+    for (from, &drain) in work.iter().enumerate() {
+        for (to, &fill) in work.iter().enumerate() {
+            let stages = [("drain", drain), ("fill", fill)];
+            let report = oil_cta::latency::check_seam_latency(&stages, dep.seam_latency_bound)
+                .map_err(|e| ScheduleError::SeamLatency {
+                    from: from as u32,
+                    to: to as u32,
+                    latency: e.latency,
+                    bound: e.bound,
+                })?;
+            if report.latency > worst {
+                worst = report.latency;
+            }
+        }
+    }
+    Ok(worst)
+}
+
+/// The structure of one fused run of worker `w`: at least two stages joined
+/// by `stages - 1` links, every stage confined to `w`, every link the
+/// single write of its producer stage and the single read of its consumer
+/// stage, exactly balanced, and empty (per `ledger`) at run entry.
+fn check_run(
+    graph: &RtGraph,
+    access: &[UnitAccess],
+    confined: &IndexVec<RtBufferId, Option<usize>>,
+    w: usize,
+    run: &FusedRun,
+    ledger: &Ledger<'_, impl Fn(RtBufferId) -> bool>,
+) -> Result<(), String> {
+    if run.stages.len() < 2 || run.links.len() + 1 != run.stages.len() {
+        return Err(format!(
+            "malformed run ({} stages, {} links)",
+            run.stages.len(),
+            run.links.len()
+        ));
+    }
+    for s in &run.stages {
+        let a = &access[s.unit as usize];
+        if let Some(&(b, _)) = a
+            .reads
+            .iter()
+            .chain(&a.writes)
+            .find(|&&(b, _)| confined[b] != Some(w))
+        {
+            return Err(format!(
+                "fused unit {} touches buffer `{}` not confined to the worker",
+                s.unit, graph.buffers[b].name
+            ));
+        }
+    }
+    for (i, &link) in run.links.iter().enumerate() {
+        let (p, c) = (run.stages[i], run.stages[i + 1]);
+        let name = &graph.buffers[link].name;
+        let (writes, reads) = (
+            &access[p.unit as usize].writes,
+            &access[c.unit as usize].reads,
+        );
+        let (prod, cons) = match (writes.as_slice(), reads.as_slice()) {
+            (&[(wb, prod)], &[(rb, cons)]) if wb == link && rb == link => (prod, cons),
+            _ => {
+                return Err(format!(
+                    "fused link `{name}` is not the single write of unit {} and the single \
+                     read of unit {}",
+                    p.unit, c.unit
+                ))
+            }
+        };
+        let produced = p.times as u64 * prod as u64;
+        let consumed = c.times as u64 * cons as u64;
+        if produced != consumed || produced == 0 {
+            return Err(format!(
+                "fused link `{name}` is unbalanced ({produced} produced, {consumed} consumed)"
+            ));
+        }
+        if ledger.level(link) != 0 {
+            let level = ledger.level(link);
+            return Err(format!(
+                "fused link `{name}` holds {level} standing tokens at run entry"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Replay one row's period through `ledger`, firing by firing, within the
+/// CTA-sized capacities.
+fn replay_period(
+    graph: &RtGraph,
+    ledger: &mut Ledger<'_, impl Fn(RtBufferId) -> bool>,
+    row: &ModeRow<'_>,
+    capacity: &Levels,
+    ctx: &str,
+) -> Result<(), ScheduleError> {
+    for (pos, &step) in row.period.iter().enumerate() {
+        let fired = ledger.fire_each(&row.access, step, Some(capacity));
+        fired.map_err(|f| {
+            let who = format_args!("{ctx}{}step {pos}: unit {}", row.label, step.unit);
+            f.invalid(graph, who)
+        })?;
+    }
+    Ok(())
+}
+
+/// The row's worker lists are exactly the per-worker projection of its
+/// period under the units' worker assignment.
+fn check_projection(units: &[ScheduleUnit], row: &ModeRow<'_>) -> Result<(), ScheduleError> {
+    let mut cursors = vec![0usize; row.workers.len()];
+    let stray = row.period.iter().find_map(|step| {
+        let w = units[step.unit as usize].worker;
+        let Some(cursor) = cursors.get_mut(w) else {
+            return Some(w);
+        };
+        *cursor += 1;
+        (row.workers[w].get(*cursor - 1) != Some(step)).then_some(w)
+    });
+    let stray = stray.or_else(|| (0..cursors.len()).find(|&w| cursors[w] != row.workers[w].len()));
+    match stray {
+        Some(w) => Err(invalid(format!(
+            "{}worker {w}'s list is not the projection of the period onto its units",
+            row.label
+        ))),
+        None => Ok(()),
+    }
+}

@@ -24,11 +24,13 @@
 //!   exponential-time baseline referred to in the paper's related work.
 //! * [`mcr`] — maximum cycle ratio analysis on weighted graphs (shared by the
 //!   CTA consistency algorithm and by the HSDF analysis).
+//! * [`fnv`] — the one stable FNV-1a hasher behind every golden digest.
 //! * [`buffer`] — circular buffers with multiple overlapping windows, the
 //!   communication primitive of the paper's execution substrate.
 
 pub mod buffer;
 pub mod csdf;
+pub mod fnv;
 pub mod hsdf;
 pub mod index;
 pub mod mcr;

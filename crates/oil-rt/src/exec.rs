@@ -273,6 +273,18 @@ fn quantise(what: &str, name: &str, seconds: Rational) -> Picos {
     picos_nearest(seconds).unwrap_or_else(|e| panic!("{what} of `{name}`: {e}"))
 }
 
+/// Per-source sample budgets of a `duration`-long run: the horizon every
+/// engine and the simulator admit (ticks at `period, 2·period, …`, time ≤
+/// `duration`).
+pub(crate) fn source_budgets(graph: &RtGraph, duration: Picos) -> Vec<u64> {
+    let ticks = |period| duration.checked_div(period).unwrap_or(0);
+    let periods = graph
+        .sources
+        .iter()
+        .map(|s| quantise("period", &s.name, s.period));
+    periods.map(ticks).collect()
+}
+
 /// Execute `graph` for `duration` picoseconds of virtual time with the
 /// kernels of `lib`.
 ///

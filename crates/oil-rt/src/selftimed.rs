@@ -917,15 +917,7 @@ fn execute_inner(
     }
     // Natural per-source sample budgets: the same horizon the calendar and
     // the simulator admit (ticks at `period, 2·period, …`, time ≤ duration).
-    let natural_budgets: Vec<u64> = graph
-        .sources
-        .iter()
-        .map(|s| {
-            let period_ps = oil_sim::time::picos_nearest(s.period)
-                .unwrap_or_else(|e| panic!("period of `{}`: {e}", s.name));
-            duration.checked_div(period_ps).unwrap_or(0)
-        })
-        .collect();
+    let natural_budgets = crate::exec::source_budgets(graph, duration);
     // A mode-dependent cluster resolves the script into a period plan up
     // front: token flow differs per mode, so the engine walks the same
     // verified mode sequence the static-order engine replays, and source
@@ -1377,18 +1369,14 @@ fn execute_inner(
 
 /// The display label of a scheduling unit (trace attribution).
 fn unit_label(unit: &Unit, graph: &RtGraph) -> String {
+    let label = |parts: &[NodePart], modal| {
+        crate::trace::unit_label(graph, parts.iter().map(|p| p.id), modal)
+    };
     match unit {
-        Unit::Nodes(parts) if parts.len() == 1 => graph.nodes[parts[0].id].name.clone(),
-        Unit::Nodes(parts) => format!("{}(+{})", graph.nodes[parts[0].id].name, parts.len() - 1),
+        Unit::Nodes(parts) => label(parts, false),
+        Unit::Modal { members, .. } => label(members, true),
         Unit::Source { id, .. } => graph.sources[*id].name.clone(),
         Unit::Sink { id, .. } => graph.sinks[*id].name.clone(),
-        Unit::Modal { members, .. } => {
-            let names: Vec<&str> = members
-                .iter()
-                .map(|p| graph.nodes[p.id].name.as_str())
-                .collect();
-            format!("modal[{}]", names.join("|"))
-        }
     }
 }
 

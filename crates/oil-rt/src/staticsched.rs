@@ -47,7 +47,7 @@ use crate::kernel::{Kernel, KernelLibrary, SourceKernel};
 use crate::measure::{BufferValues, RateConformance, SinkThroughput, ThroughputMeter, ValueTrace};
 use crate::metrics::{MetricCell, MetricsConfig, MetricsHub, MetricsReport, SinkMonitor};
 use crate::ring::{self, Consumer, Producer, WaitStats};
-use crate::trace::{EventKind, RingStat, TraceReport, WorkerTracer};
+use crate::trace::{unit_label, EventKind, RingStat, TraceReport, WorkerTracer};
 use oil_compiler::rtgraph::RtGraph;
 use oil_compiler::schedule::{
     modal_member_access, plan_mode_sequence, FusionStats, ModeScript, StaticSchedule, UnitKind,
@@ -1216,15 +1216,7 @@ pub fn execute_staticsched_scripted(
 
     // --- Source budgets (the simulator's horizon count) and the covering
     // iteration count per component.
-    let budgets: Vec<u64> = graph
-        .sources
-        .iter()
-        .map(|s| {
-            let period_ps = oil_sim::time::picos_nearest(s.period)
-                .unwrap_or_else(|e| panic!("period of `{}`: {e}", s.name));
-            duration.checked_div(period_ps).unwrap_or(0)
-        })
-        .collect();
+    let budgets = crate::exec::source_budgets(graph, duration);
     // A mode-dependent schedule replays the resolved mode plan instead of
     // a fixed covering-iteration count per component.
     let dependent = schedule.modes.as_ref().and_then(|m| m.dependent.as_ref());
@@ -1317,24 +1309,13 @@ pub fn execute_staticsched_scripted(
         let w = unit.worker;
         if config.trace {
             worker_labels[w].push(match &unit.kind {
-                UnitKind::Node(id) => graph.nodes[*id].name.clone(),
-                UnitKind::Cluster {
-                    representative,
-                    members,
-                } => format!(
-                    "{}(+{})",
-                    graph.nodes[*representative].name,
-                    members.len().saturating_sub(1)
-                ),
+                UnitKind::Node(id) => unit_label(graph, [*id], false),
+                UnitKind::Cluster { members, .. } => {
+                    unit_label(graph, members.iter().copied(), false)
+                }
+                UnitKind::Modal { members } => unit_label(graph, members.iter().copied(), true),
                 UnitKind::Source(id) => graph.sources[*id].name.clone(),
                 UnitKind::Sink(id) => graph.sinks[*id].name.clone(),
-                UnitKind::Modal { members } => {
-                    let names: Vec<&str> = members
-                        .iter()
-                        .map(|&m| graph.nodes[m].name.as_str())
-                        .collect();
-                    format!("modal[{}]", names.join("|"))
-                }
             });
         }
         // A buffer endpoint is "free of peers" when the worker's view of it

@@ -43,6 +43,25 @@ use std::time::Instant;
 
 use crate::measure::RateConformance;
 use crate::ring::WaitStats;
+use oil_compiler::rtgraph::{RtGraph, RtNodeId};
+
+/// The display label of the scheduling unit over `members` (trace
+/// attribution): the node's name, `first(+n)` for a serial cluster resolved
+/// onto its first member, `modal[a|b]` for a modal unit.
+pub(crate) fn unit_label(
+    graph: &RtGraph,
+    members: impl IntoIterator<Item = RtNodeId>,
+    modal: bool,
+) -> String {
+    let names = members.into_iter().map(|m| graph.nodes[m].name.as_str());
+    let names: Vec<&str> = names.collect();
+    match names.as_slice() {
+        _ if modal => format!("modal[{}]", names.join("|")),
+        [only] => only.to_string(),
+        [first, rest @ ..] => format!("{first}(+{})", rest.len()),
+        [] => String::new(),
+    }
+}
 
 /// Per-worker event capacity. Beyond this, events are counted as dropped
 /// rather than grown: a trace buffer that reallocates mid-run would put

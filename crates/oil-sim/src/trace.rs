@@ -14,6 +14,7 @@
 //! without storing whole traces.
 
 use crate::network::Picos;
+pub use oil_dataflow::fnv::Fnv1a;
 use serde::{Deserialize, Serialize};
 
 /// Per-buffer token trace: the buffer's name and the origin timestamp of
@@ -121,54 +122,6 @@ impl ExecutionTrace {
             return Some("traces differ".to_string());
         }
         None
-    }
-}
-
-/// Minimal FNV-1a 64-bit hasher (stable across platforms, unlike
-/// `DefaultHasher` which is documented to change between releases). Public
-/// so other crates needing a stable name/trace hash (e.g. `oil-rt`'s
-/// synthetic kernel keys) reuse this one instead of growing copies of the
-/// algorithm.
-#[derive(Debug, Clone)]
-pub struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a::new()
-    }
-}
-
-impl Fnv1a {
-    /// A hasher at the FNV-1a offset basis.
-    pub fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Absorb one byte.
-    pub fn write_byte(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-
-    /// Absorb a `u64`, little-endian.
-    pub fn write_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.write_byte(b);
-        }
-    }
-
-    /// Absorb a string, length-delimited so `("ab", "c")` and `("a", "bc")`
-    /// differ.
-    pub fn write_str(&mut self, s: &str) {
-        for b in s.as_bytes() {
-            self.write_byte(*b);
-        }
-        self.write_u64(s.len() as u64);
-    }
-
-    /// The digest so far.
-    pub fn finish(&self) -> u64 {
-        self.0
     }
 }
 

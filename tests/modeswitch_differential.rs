@@ -32,8 +32,8 @@
 
 use oil::compiler::rtgraph;
 use oil::compiler::schedule::{
-    collapse_modal, modal_admission, synthesize, synthesize_with, ModeScript, ScheduleError,
-    StaticSchedule, SynthesisConfig,
+    collapse_modal, modal_admission, synthesize, ModeScript, ScheduleError, StaticSchedule,
+    SynthesisConfig,
 };
 use oil::gen::{ModalScenario, ModeDependentScenario};
 use oil::rt::{
@@ -41,6 +41,15 @@ use oil::rt::{
     KernelLibrary, RtConfig, SelfTimedConfig, SelfTimedReport, StaticConfig, StaticReport,
 };
 use oil::sim::{build_simulation_from_graph, picos, SimulationConfig};
+
+/// Synthesis with fusion pinned on or off (no seam bound, declared costs),
+/// whatever the environment says.
+fn fusion(on: bool) -> SynthesisConfig {
+    SynthesisConfig {
+        fusion: on,
+        ..SynthesisConfig::default()
+    }
+}
 
 fn stress() -> bool {
     std::env::var_os("OIL_RT_STRESS").is_some()
@@ -199,9 +208,9 @@ fn fusion_on_and_off_replay_identical_modal_streams() {
         let graph = &scenario.graph;
         let plan = rtgraph::plan(graph);
         for &w in &WORKERS {
-            let fused = synthesize_with(graph, &plan, w, true)
+            let fused = synthesize(graph, &plan, w, &fusion(true))
                 .unwrap_or_else(|e| panic!("seed {seed}: fused modal synthesis: {e}"));
-            let plain = synthesize_with(graph, &plan, w, false)
+            let plain = synthesize(graph, &plan, w, &fusion(false))
                 .unwrap_or_else(|e| panic!("seed {seed}: unfused modal synthesis: {e}"));
             assert_eq!(fused.period, plain.period, "seed {seed}");
             for script in scripts_for(&scenario, &fused).into_iter().take(4) {
@@ -400,8 +409,8 @@ fn mode_dependent_static_replay_matches_scripted_selftimed() {
         let schedules: Vec<(usize, bool, StaticSchedule)> = WORKERS
             .iter()
             .flat_map(|&w| [(w, true), (w, false)])
-            .map(|(w, fusion)| {
-                let s = synthesize_with(graph, &plan, w, fusion).unwrap_or_else(|e| {
+            .map(|(w, fuse)| {
+                let s = synthesize(graph, &plan, w, &fusion(fuse)).unwrap_or_else(|e| {
                     panic!("seed {seed}: mode-dependent synthesis at {w} workers: {e}")
                 });
                 let modes = s.modes.as_ref().unwrap_or_else(|| {
@@ -414,7 +423,7 @@ fn mode_dependent_static_replay_matches_scripted_selftimed() {
                 s.validate_transitions(graph).unwrap_or_else(|e| {
                     panic!("seed {seed} at {w} workers: transition admission failed: {e}")
                 });
-                (w, fusion, s)
+                (w, fuse, s)
             })
             .collect();
         for script in dependent_scripts(&scenario) {

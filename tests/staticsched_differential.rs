@@ -40,7 +40,8 @@
 //! slice).
 
 use oil::compiler::schedule::{
-    synthesize, synthesize_with, ScheduleError, StaticSchedule, SynthesisConfig, UnitKind,
+    synthesize, ModeDependent, ScheduleError, StaticSchedule, Step, SynthesisConfig, UnitKind,
+    WorkItem,
 };
 use oil::compiler::{compile, rtgraph, CompileError, CompilerOptions};
 use oil::gen::ProgramScenario;
@@ -49,6 +50,15 @@ use oil::rt::{
     SelfTimedConfig, StaticConfig, StaticReport,
 };
 use oil::sim::picos;
+
+/// Synthesis with fusion pinned on or off (no seam bound, declared costs),
+/// whatever the environment says.
+fn fusion(on: bool) -> SynthesisConfig {
+    SynthesisConfig {
+        fusion: on,
+        ..SynthesisConfig::default()
+    }
+}
 
 /// Generated programs per sweep (stress widens it, as in the sibling
 /// harnesses).
@@ -369,7 +379,7 @@ fn corpus_digest(seed: u64) -> Option<(u64, u64)> {
     // Fusion is forced ON so the pinned digests cover the fused worker
     // lists and stay stable under the CI leg that sets `OIL_RT_FUSION=0`.
     let d = |w: usize| {
-        synthesize_with(&graph, &plan, w, true)
+        synthesize(&graph, &plan, w, &fusion(true))
             .expect("schedulable")
             .digest()
     };
@@ -385,7 +395,7 @@ fn modal_corpus_digests(seed: u64) -> Vec<String> {
     let scenario = oil::gen::ModalScenario::generate(seed);
     let plan = rtgraph::plan(&scenario.graph);
     let synth = |w: usize| {
-        synthesize_with(&scenario.graph, &plan, w, true)
+        synthesize(&scenario.graph, &plan, w, &fusion(true))
             .unwrap_or_else(|e| panic!("modal seed {seed} at {w} workers: {e}"))
     };
     let s1 = synth(1);
@@ -415,7 +425,7 @@ fn dependent_corpus_digests(seed: u64) -> Vec<String> {
     let scenario = oil::gen::ModeDependentScenario::generate(seed);
     let plan = rtgraph::plan(&scenario.graph);
     let synth = |w: usize| {
-        synthesize_with(&scenario.graph, &plan, w, true)
+        synthesize(&scenario.graph, &plan, w, &fusion(true))
             .unwrap_or_else(|e| panic!("dependent seed {seed} at {w} workers: {e}"))
     };
     let s1 = synth(1);
@@ -517,6 +527,220 @@ fn corpus_digests_pin_the_synthesised_schedules() {
 }
 
 // ---------------------------------------------------------------------------
+// Tamper suite: the admission proof rejects every minimal corruption.
+// ---------------------------------------------------------------------------
+
+/// Both halves of the admission proof, as `synthesize` runs them.
+fn admission(graph: &rtgraph::RtGraph, s: &StaticSchedule) -> Result<(), ScheduleError> {
+    s.validate(graph)?;
+    s.validate_transitions(graph)
+}
+
+/// `s` with one corruption applied must be rejected as
+/// `ScheduleError::Invalid` by a message naming `needle`.
+fn assert_rejected(
+    what: &str,
+    graph: &rtgraph::RtGraph,
+    s: &StaticSchedule,
+    corrupt: impl FnOnce(&mut StaticSchedule),
+    needle: &str,
+) {
+    let mut tampered = s.clone();
+    corrupt(&mut tampered);
+    match admission(graph, &tampered) {
+        Err(ScheduleError::Invalid(message)) => assert!(
+            message.contains(needle),
+            "{what}: rejected, but `{message}` does not name `{needle}`"
+        ),
+        other => panic!("{what}: expected an Invalid rejection, got {other:?}"),
+    }
+}
+
+/// The dependent tables of a mode-dependent schedule, mutably.
+fn dependent_mut(s: &mut StaticSchedule) -> &mut ModeDependent {
+    let modes = s.modes.as_mut().expect("modal");
+    modes.dependent.as_mut().expect("mode-dependent")
+}
+
+/// The period a shape is corrupted through: a mode-dependent schedule's own
+/// tables are its modes' (the top level mirrors mode 0), so there the
+/// corruption goes into mode 1.
+fn period_of(s: &mut StaticSchedule, dependent: bool) -> &mut Vec<Step> {
+    if dependent {
+        &mut dependent_mut(s).periods[1]
+    } else {
+        &mut s.period
+    }
+}
+
+#[test]
+fn the_admission_proof_rejects_every_minimal_corruption() {
+    let (compiled, _) = oil::pal::analyze_pal().expect("the PAL decoder is schedulable");
+    let pal = rtgraph::lower_with_registry(&compiled, &oil::pal::pal_registry());
+    let modal = oil::gen::ModalScenario::generate(0).graph;
+    let dependent = oil::gen::ModeDependentScenario::generate(0).graph;
+    let synth = |graph: &rtgraph::RtGraph, workers: usize| {
+        synthesize(graph, &rtgraph::plan(graph), workers, &fusion(true)).expect("schedulable")
+    };
+    // One admitted schedule of each shape.
+    let subjects = [
+        ("uniform fused 1w", &pal, synth(&pal, 1)),
+        ("uniform split 2w", &pal, synth(&pal, 2)),
+        ("union-advance modal", &modal, synth(&modal, 2)),
+        ("mode-dependent", &dependent, synth(&dependent, 2)),
+    ];
+    assert!(subjects[0].2.fusion.runs_fused > 0 && subjects[0].2.cross_buffers.is_empty());
+    assert!(!subjects[1].2.cross_buffers.is_empty());
+    assert!(subjects[2]
+        .2
+        .modes
+        .as_ref()
+        .is_some_and(|m| m.dependent.is_none()));
+    assert!(subjects[3]
+        .2
+        .modes
+        .as_ref()
+        .is_some_and(|m| m.dependent.is_some()));
+
+    for (shape, graph, s) in &subjects {
+        admission(graph, s).unwrap_or_else(|e| panic!("{shape}: untouched schedule: {e}"));
+        let is_dependent = *shape == "mode-dependent";
+        let prefix = if is_dependent { "mode 1: " } else { "" };
+        let mut probe = (*s).clone();
+        let period = period_of(&mut probe, is_dependent).clone();
+        let (first, last) = (period[0], period[period.len() - 1]);
+
+        // Swap two period steps: the period's final firing moved to the
+        // front finds its input empty.
+        assert_rejected(
+            &format!("{shape}: swapped period steps"),
+            graph,
+            s,
+            |t| {
+                let p = period_of(t, is_dependent);
+                let end = p.len() - 1;
+                p.swap(0, end);
+            },
+            &format!("{prefix}step 0: unit {} underflows buffer `", last.unit),
+        );
+        // Bump one `times`: the unit over-fires (or overruns a buffer first).
+        assert_rejected(
+            &format!("{shape}: bumped times"),
+            graph,
+            s,
+            |t| period_of(t, is_dependent)[0].times += 1,
+            &format!("unit {} ", first.unit),
+        );
+        // Move a unit to another worker without re-projecting (where there
+        // is another worker).
+        if s.worker_count() > 1 {
+            let moved = first.unit as usize;
+            assert_rejected(
+                &format!("{shape}: moved unit"),
+                graph,
+                s,
+                |t| t.units[moved].worker = (t.units[moved].worker + 1) % 2,
+                "list is not the projection of the period",
+            );
+        }
+    }
+
+    // Fused-list corruptions, on the single-worker PAL schedule.
+    let (shape, graph, s) = &subjects[0];
+    let (at, link) = s.fused_workers[0]
+        .iter()
+        .enumerate()
+        .find_map(|(at, item)| match item {
+            WorkItem::Fused(run) => Some((at, run.links[0])),
+            _ => None,
+        })
+        .expect("PAL@1w fuses");
+    let other = oil::compiler::RtBufferId::new((link.index() + 1) % graph.buffers.len());
+    assert_rejected(
+        &format!("{shape}: retargeted fused link"),
+        graph,
+        s,
+        |t| {
+            if let WorkItem::Fused(run) = &mut t.fused_workers[0][at] {
+                run.links[0] = other;
+            }
+        },
+        &format!("fused link `{}`", graph.buffers[other].name),
+    );
+    // Lowering `local_level_max` is rejected wherever the fused replay
+    // writes the buffer through a ring (fully-elided links never do), and
+    // every rejection names the buffer.
+    let mut lowered = 0;
+    for b in graph.buffers.indices() {
+        let mut tampered = (*s).clone();
+        tampered.local_level_max[b] = 0;
+        match admission(graph, &tampered) {
+            Ok(()) => {}
+            Err(ScheduleError::Invalid(message)) => {
+                let needle = format!("overflows buffer `{}`", graph.buffers[b].name);
+                assert!(
+                    message.contains(&needle),
+                    "{shape}: `{message}` vs `{needle}`"
+                );
+                lowered += 1;
+            }
+            Err(e) => panic!("{shape}: lowered level bound: {e}"),
+        }
+    }
+    assert!(lowered > 0, "{shape}: no level bound is load-bearing");
+
+    // Per-mode table corruptions, on the mode-dependent schedule.
+    let (shape, graph, s) = &subjects[3];
+    let arms = s.modes.as_ref().expect("modal").arms.len();
+    let dropped = {
+        let mut probe = (*s).clone();
+        *dependent_mut(&mut probe).periods[1]
+            .last()
+            .expect("non-empty")
+    };
+    assert_rejected(
+        &format!("{shape}: truncated mode period"),
+        graph,
+        s,
+        |t| {
+            dependent_mut(t).periods[1].pop();
+        },
+        &format!("mode 1: unit {} fired", dropped.unit),
+    );
+    // The clamp bug: a surplus mode row used to be checked against the last
+    // arm's access lists and pass.
+    assert_rejected(
+        &format!("{shape}: surplus mode row"),
+        graph,
+        s,
+        |t| {
+            let dep = dependent_mut(t);
+            dep.reps.push(dep.reps[arms - 1].clone());
+            dep.periods.push(dep.periods[arms - 1].clone());
+            dep.steps.push(dep.steps[arms - 1].clone());
+        },
+        &format!("rows (reps/periods/steps) for {arms} arms"),
+    );
+    assert_rejected(
+        &format!("{shape}: changed seam latency"),
+        graph,
+        s,
+        |t| {
+            dependent_mut(t).seam_latency_max += oil::dataflow::Rational::new(1, 1000);
+        },
+        "recorded worst-case seam latency",
+    );
+    // Dropping the per-mode tables altogether claims one period serves
+    // every mode; it does not.
+    let mut stripped = (*s).clone();
+    stripped.modes.as_mut().expect("modal").dependent = None;
+    assert!(
+        matches!(admission(graph, &stripped), Err(ScheduleError::Invalid(_))),
+        "{shape}: a stripped mode-dependent schedule must not pass as union-advance"
+    );
+}
+
+// ---------------------------------------------------------------------------
 // Fusion differential: the fused execution form is an optimisation, never a
 // semantic change.
 // ---------------------------------------------------------------------------
@@ -540,12 +764,12 @@ fn fusion_on_and_off_replay_bit_identical_streams() {
         let graph = rtgraph::lower(&compiled);
         let plan = rtgraph::plan(&graph);
         for &w in &WORKERS {
-            let fused = match synthesize_with(&graph, &plan, w, true) {
+            let fused = match synthesize(&graph, &plan, w, &fusion(true)) {
                 Ok(s) => s,
                 Err(ScheduleError::NonUniformCluster { .. }) => continue,
                 Err(e) => panic!("seed {seed} ({label}): fused synthesis at {w} workers: {e}"),
             };
-            let plain = synthesize_with(&graph, &plan, w, false).unwrap_or_else(|e| {
+            let plain = synthesize(&graph, &plan, w, &fusion(false)).unwrap_or_else(|e| {
                 panic!("seed {seed} ({label}): unfused synthesis at {w} workers: {e}")
             });
             // Fusion rewrites the execution form only: the admitted period
@@ -596,8 +820,8 @@ fn pal_fusion_collapses_the_pipelines_without_changing_a_bit() {
     let plan = rtgraph::plan(&graph);
     let duration = picos(1e-3);
     for workers in WORKERS {
-        let fused = synthesize_with(&graph, &plan, workers, true).expect("schedulable");
-        let plain = synthesize_with(&graph, &plan, workers, false).expect("schedulable");
+        let fused = synthesize(&graph, &plan, workers, &fusion(true)).expect("schedulable");
+        let plain = synthesize(&graph, &plan, workers, &fusion(false)).expect("schedulable");
         assert_eq!(plain.fusion.runs_fused, 0);
         if workers == 1 {
             // One worker owns the whole decoder: both the audio and the
