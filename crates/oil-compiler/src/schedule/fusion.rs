@@ -42,7 +42,7 @@ pub fn parse_fusion(raw: &str) -> bool {
 
 /// Per buffer: the worker every existing endpoint lives on, when they all
 /// agree (`None` for cross-worker buffers and endpoint-less buffers).
-pub(super) fn confined_worker(
+fn confined_worker(
     graph: &RtGraph,
     units: &[ScheduleUnit],
     producer_unit: &UnitOf,
@@ -64,27 +64,48 @@ pub(super) fn confined_worker(
         .into()
 }
 
+/// What the fusion pass knows about the schedule it rewrites.
+struct Context<'a> {
+    graph: &'a RtGraph,
+    access: &'a [UnitAccess],
+    units: &'a [ScheduleUnit],
+    producer_unit: &'a UnitOf,
+    consumer_unit: &'a UnitOf,
+    confined: IndexVec<RtBufferId, Option<usize>>,
+}
+
 /// The fusion pass: rewrite each worker's firing list, coalescing each
 /// maximal producer→consumer chain's *entire period* of firings into one
 /// [`FusedRun`] super-step.
 ///
 /// A link edge `u → v` is fusable when `u`'s only write is the link, `v`'s
-/// only read is the link, both units touch only worker-confined buffers,
-/// and the link holds no initial tokens; chains are the maximal paths of
-/// that (functional) edge relation. Each chain's run fires every stage its
-/// full per-period repetition count, so the CTA-sized burst interleaving
-/// the admission loop produced (often 3–5 firings per step) collapses to
-/// one pass per stage. The run is *placed* at the earliest point of the
-/// remaining plain-step list where the head's whole-period inputs have
-/// accumulated — deferring the chain units' earlier firings and hoisting
-/// their later ones. Per-unit firing order and per-buffer push/pop value
-/// order are unchanged (only cross-buffer interleaving moves, and only on
-/// worker-confined buffers no other worker can observe), so every value
-/// stream is bit-identical; the reorder is visible solely through token
-/// levels, which [`StaticSchedule::local_level_max`] absorbs and the
-/// per-worker replay below re-proves. A chain whose deferral would starve
-/// a plain step (or another chain) is dropped back to plain steps and the
-/// placement replay restarts without it.
+/// only read is the link, both units live on the worker, and the link
+/// holds no initial tokens; chains are the maximal paths of that
+/// (functional) edge relation. A chain runs *up to* a worker cut, not
+/// across it: its head may read, and its tail may write, a buffer that
+/// crosses to another worker. Each chain's run fires every stage its full
+/// per-period repetition count, so the CTA-sized burst interleaving the
+/// admission loop produced (often 3–5 firings per step) collapses to one
+/// pass per stage. The run is *placed* at the earliest point of the
+/// remaining plain-step list where the head's whole-period inputs from
+/// this worker have accumulated — deferring the chain units' earlier
+/// firings and hoisting their later ones — and the plain steps the folded
+/// firings used to separate coalesce (a source feeding two chains becomes
+/// one whole-period step). Per-unit firing order and per-buffer push/pop
+/// value order are unchanged, so every value stream is bit-identical; the
+/// reorder is visible solely through token levels and through *when* a
+/// worker waits for another.
+///
+/// Both are settled by running all workers' lists side by side
+/// ([`Ledger::replay_cooperative`]): [`StaticSchedule::level_max`] takes
+/// the levels that replay reaches, floored at the CTA capacities — a ring
+/// that carries a whole period per transfer needs the period's tokens, not
+/// a burst's. A chain whose deferral would starve a plain step or another
+/// chain of its worker is dropped back to plain steps and the placement
+/// restarts without it; if the workers' lists starve *each other*, the run
+/// (or, failing that, the coalesced list) of a stalled worker is dropped
+/// the same way, down to the plain projections, which the admitted period
+/// proves complete.
 pub(super) fn fuse_workers(
     graph: &RtGraph,
     access: &[UnitAccess],
@@ -93,66 +114,73 @@ pub(super) fn fuse_workers(
     consumer_unit: &UnitOf,
     worker_lists: &[Vec<Step>],
 ) -> (Vec<Vec<WorkItem>>, FusionStats, Levels) {
-    let confined = confined_worker(graph, units, producer_unit, consumer_unit);
-    // A unit is fusable when every buffer it touches is confined to its own
-    // worker — hoisting its firings then reorders nothing another worker
-    // can observe (cross-ring push/pop order is untouched).
-    let fusable: Vec<bool> = units
-        .iter()
-        .enumerate()
-        .map(|(u, unit)| {
-            // Modal units never fuse: their per-firing kernel dispatch is
-            // script-dependent, which a block-fired fused stage cannot
-            // express — and keeping them out of runs means a mode switch
-            // can never land inside a super-step.
-            if matches!(unit.kind, UnitKind::Modal { .. }) {
-                return false;
-            }
-            let a = &access[u];
-            a.reads
-                .iter()
-                .chain(&a.writes)
-                .all(|&(b, _)| confined[b] == Some(unit.worker))
-        })
+    let cx = Context {
+        graph,
+        access,
+        units,
+        producer_unit,
+        consumer_unit,
+        confined: confined_worker(graph, units, producer_unit, consumer_unit),
+    };
+    let capacity = engine_capacities(graph);
+    let mut level_max = capacity.clone();
+    let mut workers: Vec<WorkerFusion<'_>> = (worker_lists.iter().enumerate())
+        .map(|(w, steps)| WorkerFusion::new(&cx, w, steps))
         .collect();
-    let mut level_max = engine_capacities(graph);
+    let mut lists: Vec<Vec<WorkItem>> = (workers.iter_mut())
+        .map(|w| w.place(&cx, &mut level_max))
+        .collect();
+    // Settle the lists against each other, sizing the crossing rings on
+    // the way.
+    let level_max = loop {
+        let mut sized = level_max.clone();
+        let mut ledger = Ledger::new(graph, |b| consumer_unit[b].is_some());
+        let Err(stalls) = ledger.replay_cooperative(access, &lists, &mut sized, true) else {
+            break sized;
+        };
+        // Somebody waits for tokens that cannot come before it moves: undo
+        // a coalescing — the run a stalled worker sits at, else the whole
+        // rewrite of a worker, a stalled one first.
+        let stalled = |w: usize| stalls[w].map(|s| &lists[w][s.item]);
+        let at_run = (0..lists.len()).find_map(|w| match stalled(w)? {
+            WorkItem::Fused(run) => Some((w, Some(run.stages[0].unit))),
+            WorkItem::Step(_) => None,
+        });
+        let rewritten = (0..lists.len()).filter(|&w| !workers[w].plain);
+        let culprit = at_run.or_else(|| {
+            let w = rewritten.min_by_key(|&w| stalls[w].is_none())?;
+            Some((w, None))
+        });
+        let Some((w, run)) = culprit else {
+            // Every list is the plain projection and they still starve each
+            // other: not reachable from an admitted period (validation
+            // rejects the schedule if it ever is).
+            break sized;
+        };
+        match run {
+            Some(head) => workers[w].drop_chain_of(head as usize),
+            None => workers[w].plain = true,
+        }
+        for b in graph.buffers.indices() {
+            if cx.confined[b] == Some(w) {
+                level_max[b] = capacity[b];
+            }
+        }
+        lists[w] = workers[w].place(&cx, &mut level_max);
+    };
     let mut stats = FusionStats::default();
-    let mut lists: Vec<Vec<WorkItem>> = Vec::with_capacity(worker_lists.len());
-    for steps in worker_lists {
-        let items = fuse_worker(
-            graph,
-            access,
-            units,
-            producer_unit,
-            consumer_unit,
-            &confined,
-            &fusable,
-            steps,
-            &mut level_max,
-            &mut stats,
-        );
-        // Defensive: an invariant breach falls back to the unfused
-        // projection for this worker (validate() re-proves either way).
-        lists.push(items.unwrap_or_else(|| WorkItem::plain(steps)));
-    }
     // Batchable runs: a run that is its component's entire period may be
     // executed several iterations back to back (its links are scratch).
     let mut component_firings = vec![0u64; units.len().max(1)];
     for s in worker_lists.iter().flatten() {
         component_firings[units[s.unit as usize].component as usize] += s.times as u64;
     }
-    for item in lists.iter_mut().flatten() {
-        if let WorkItem::Fused(run) = item {
-            let comp = units[run.stages[0].unit as usize].component as usize;
-            run.batch = run.firings() == component_firings[comp];
-        }
-    }
     // Fully-elided rings: link buffers no remaining plain step or run
     // boundary (head read / tail write) ever touches.
     let mut is_link: IndexVec<RtBufferId, bool> = IndexVec::from_elem(false, graph.buffers.len());
     let mut ring_touched: IndexVec<RtBufferId, bool> =
         IndexVec::from_elem(false, graph.buffers.len());
-    for item in lists.iter().flatten() {
+    for item in lists.iter_mut().flatten() {
         let (head, tail) = item.ends();
         let (reads, writes) = (
             &access[head.unit as usize].reads,
@@ -162,9 +190,13 @@ pub(super) fn fuse_workers(
             ring_touched[b] = true;
         }
         if let WorkItem::Fused(run) = item {
+            let comp = units[run.stages[0].unit as usize].component as usize;
+            run.batch = run.firings() == component_firings[comp];
             for &b in &run.links {
                 is_link[b] = true;
             }
+            stats.runs_fused += 1;
+            stats.fused_chain_len_max = stats.fused_chain_len_max.max(run.stages.len() as u32);
         }
     }
     stats.rings_elided = graph
@@ -175,190 +207,244 @@ pub(super) fn fuse_workers(
     (lists, stats, level_max)
 }
 
-/// Fuse one worker's projection (see [`fuse_workers`] for the legality
-/// argument). Returns `None` on an internal invariant breach (the caller
-/// falls back to the unfused projection).
-#[allow(clippy::too_many_arguments)]
-fn fuse_worker(
-    graph: &RtGraph,
-    access: &[UnitAccess],
-    units: &[ScheduleUnit],
-    producer_unit: &UnitOf,
-    consumer_unit: &UnitOf,
-    confined: &IndexVec<RtBufferId, Option<usize>>,
-    fusable: &[bool],
-    steps: &[Step],
-    level_max: &mut Levels,
-    stats: &mut FusionStats,
-) -> Option<Vec<WorkItem>> {
-    let worker = steps
-        .first()
-        .map(|s| units[s.unit as usize].worker)
-        .unwrap_or(0);
-    // Whole-period firing count of each unit on this worker.
-    let mut total = vec![0u64; units.len()];
-    for s in steps {
-        total[s.unit as usize] += s.times as u64;
-    }
-    // The chain successor relation: `u → v` when u's single write feeds v's
-    // single read over an initially-empty worker-confined link. At most one
-    // edge leaves u (single write) and at most one enters v (single read +
-    // single producer per buffer), so the relation is functional both ways
-    // and chains are disjoint maximal paths.
-    let succ = |u: usize| -> Option<(usize, RtBufferId)> {
-        if !fusable[u] || total[u] == 0 || total[u] > u32::MAX as u64 {
-            return None;
+/// One worker's share of the fusion pass: its projection, the chains found
+/// in it, and which of them are still to be fused.
+struct WorkerFusion<'a> {
+    worker: usize,
+    steps: &'a [Step],
+    /// `(stages, links)` per chain.
+    chains: Vec<(Vec<Step>, Vec<RtBufferId>)>,
+    /// Per unit: the chain it belongs to (`usize::MAX` for none).
+    chain_of: Vec<usize>,
+    /// Per chain: still fused (dropped chains fall back to plain steps).
+    active: Vec<bool>,
+    /// Rewrite nothing: the list is the projection as it stands.
+    plain: bool,
+}
+
+impl<'a> WorkerFusion<'a> {
+    /// Find the chains of worker `worker`'s projection `steps`.
+    fn new(cx: &Context<'_>, worker: usize, steps: &'a [Step]) -> Self {
+        let Context {
+            graph,
+            access,
+            units,
+            consumer_unit,
+            ..
+        } = *cx;
+        // Whole-period firing count of each unit on this worker.
+        let mut total = vec![0u64; units.len()];
+        for s in steps {
+            total[s.unit as usize] += s.times as u64;
         }
-        let &[(link, prod)] = access[u].writes.as_slice() else {
-            return None;
+        // Modal units never fuse: their per-firing kernel dispatch is
+        // script-dependent, which a block-fired fused stage cannot express
+        // — and keeping them out of runs means a mode switch can never
+        // land inside a super-step.
+        let fusable = |u: usize| {
+            !matches!(units[u].kind, UnitKind::Modal { .. })
+                && total[u] > 0
+                && total[u] <= u32::MAX as u64
         };
-        if prod == 0 || graph.buffers[link].initial_tokens != 0 {
-            return None;
-        }
-        let v = consumer_unit[link]? as usize;
-        if v == u || !fusable[v] || total[v] == 0 || total[v] > u32::MAX as u64 {
-            return None;
-        }
-        let &[(rb, cons)] = access[v].reads.as_slice() else {
-            return None;
-        };
-        let burst = total[u].checked_mul(prod as u64)?;
-        if rb != link
-            || cons == 0
-            || burst != total[v].checked_mul(cons as u64)?
-            || burst > MAX_FUSED_STAGE_TOKENS
-        {
-            return None;
-        }
-        Some((v, link))
-    };
-    let successors: Vec<Option<(usize, RtBufferId)>> = (0..units.len()).map(succ).collect();
-    let mut has_pred = vec![false; units.len()];
-    for s in successors.iter().flatten() {
-        has_pred[s.0] = true;
-    }
-    // Maximal paths: start from every head (an edge out, none in). Cycle
-    // units all have a predecessor, so no walk enters a cycle except via a
-    // tail into it — the membership check below cuts that walk short.
-    let stage = |u: usize| Step {
-        unit: u as u32,
-        times: total[u] as u32,
-    };
-    let mut chain_of = vec![usize::MAX; units.len()];
-    let mut chains: Vec<(Vec<Step>, Vec<RtBufferId>)> = Vec::new();
-    for h in 0..units.len() {
-        if has_pred[h] || successors[h].is_none() {
-            continue;
-        }
-        let mut stages = vec![stage(h)];
-        let mut links: Vec<RtBufferId> = Vec::new();
-        let mut cur = h;
-        while let Some((v, link)) = successors[cur] {
-            if chain_of[v] != usize::MAX || stages.iter().any(|s| s.unit as usize == v) {
-                break;
+        // The chain successor relation: `u → v` when u's single write feeds
+        // v's single read over an initially-empty link with both ends on
+        // this worker (`total` counts only its firings). At most one edge
+        // leaves u (single write) and at most one enters v (single read +
+        // single producer per buffer), so the relation is functional both
+        // ways and chains are disjoint maximal paths.
+        let succ = |u: usize| -> Option<(usize, RtBufferId)> {
+            if !fusable(u) {
+                return None;
             }
-            stages.push(stage(v));
-            links.push(link);
-            cur = v;
+            let &[(link, prod)] = access[u].writes.as_slice() else {
+                return None;
+            };
+            if prod == 0 || graph.buffers[link].initial_tokens != 0 {
+                return None;
+            }
+            let v = consumer_unit[link]? as usize;
+            if v == u || !fusable(v) {
+                return None;
+            }
+            let &[(rb, cons)] = access[v].reads.as_slice() else {
+                return None;
+            };
+            let burst = total[u].checked_mul(prod as u64)?;
+            if rb != link
+                || cons == 0
+                || burst != total[v].checked_mul(cons as u64)?
+                || burst > MAX_FUSED_STAGE_TOKENS
+            {
+                return None;
+            }
+            Some((v, link))
+        };
+        let successors: Vec<Option<(usize, RtBufferId)>> = (0..units.len()).map(succ).collect();
+        let mut has_pred = vec![false; units.len()];
+        for s in successors.iter().flatten() {
+            has_pred[s.0] = true;
         }
-        if stages.len() < 2 {
-            continue;
+        // Maximal paths: start from every head (an edge out, none in). Cycle
+        // units all have a predecessor, so no walk enters a cycle except via
+        // a tail into it — the membership check below cuts that walk short.
+        let stage = |u: usize| Step {
+            unit: u as u32,
+            times: total[u] as u32,
+        };
+        let mut chain_of = vec![usize::MAX; units.len()];
+        let mut chains: Vec<(Vec<Step>, Vec<RtBufferId>)> = Vec::new();
+        for h in 0..units.len() {
+            if has_pred[h] || successors[h].is_none() {
+                continue;
+            }
+            let mut stages = vec![stage(h)];
+            let mut links: Vec<RtBufferId> = Vec::new();
+            let mut cur = h;
+            while let Some((v, link)) = successors[cur] {
+                if chain_of[v] != usize::MAX || stages.iter().any(|s| s.unit as usize == v) {
+                    break;
+                }
+                stages.push(stage(v));
+                links.push(link);
+                cur = v;
+            }
+            if stages.len() < 2 {
+                continue;
+            }
+            let ci = chains.len();
+            for s in &stages {
+                chain_of[s.unit as usize] = ci;
+            }
+            chains.push((stages, links));
         }
-        let ci = chains.len();
-        for s in &stages {
-            chain_of[s.unit as usize] = ci;
+        WorkerFusion {
+            worker,
+            steps,
+            active: vec![true; chains.len()],
+            chains,
+            chain_of,
+            plain: false,
         }
-        chains.push((stages, links));
     }
-    // Placement replay: walk the plain projection with chain units removed,
-    // emitting each chain's run at the earliest point its head's
-    // whole-period inputs have accumulated. A chain whose deferral starves
-    // someone is dropped back to plain steps and the replay restarts.
-    let mut active = vec![true; chains.len()];
-    let tracked = |b: RtBufferId| confined[b] == Some(worker) && consumer_unit[b].is_some();
-    // Fusion may push tokens into a local buffer earlier than the unfused
-    // order did: the local rings are sized from the levels its writes reach.
-    let raise = |lmax: &mut Levels, ledger: &Ledger<'_, _>, tail: Step| {
-        for &(b, _) in &access[tail.unit as usize].writes {
-            lmax[b] = lmax[b].max(ledger.level(b));
+
+    /// Stop fusing the chain `unit` belongs to.
+    fn drop_chain_of(&mut self, unit: usize) {
+        self.active[self.chain_of[unit]] = false;
+    }
+
+    /// The placement replay: walk the plain projection with the active
+    /// chains' units removed, emitting each chain's run at the earliest
+    /// point its head's whole-period inputs have accumulated. A chain whose
+    /// deferral starves someone on this worker is dropped back to plain
+    /// steps and the replay restarts. Raises `level_max` to the levels the
+    /// list reaches on this worker's own buffers; the buffers crossing to
+    /// other workers are invisible here.
+    fn place(&mut self, cx: &Context<'_>, level_max: &mut Levels) -> Vec<WorkItem> {
+        if self.plain {
+            return WorkItem::plain(self.steps);
         }
-    };
-    'placement: loop {
-        let mut ledger = Ledger::new(graph, tracked);
-        let mut lmax = level_max.clone();
-        let mut emitted = vec![false; chains.len()];
-        let mut out: Vec<WorkItem> = Vec::new();
-        // Emit every ready chain (to a fixpoint: one chain's tail may feed
-        // another chain's head). A run moves its head's reads and its
-        // tail's writes; a head whose inputs have not accumulated yet
-        // underflows, which leaves the ledger untouched.
-        let try_emit = |ledger: &mut Ledger<'_, _>,
-                        lmax: &mut Levels,
-                        emitted: &mut [bool],
-                        out: &mut Vec<WorkItem>| {
-            let mut progressed = true;
-            while progressed {
-                progressed = false;
-                for (ci, (stages, links)) in chains.iter().enumerate() {
-                    let (head, tail) = (stages[0], stages[stages.len() - 1]);
-                    let placed =
-                        active[ci] && !emitted[ci] && ledger.fire(access, head, tail, None).is_ok();
-                    if placed {
-                        raise(lmax, ledger, tail);
-                        out.push(WorkItem::Fused(FusedRun {
-                            stages: stages.clone(),
-                            links: links.clone(),
-                            batch: false,
-                        }));
-                        emitted[ci] = true;
-                        progressed = true;
+        // An invariant breach falls back to the unfused projection
+        // (validation re-proves either way).
+        self.try_place(cx, level_max).unwrap_or_else(|| {
+            self.plain = true;
+            WorkItem::plain(self.steps)
+        })
+    }
+
+    fn try_place(&mut self, cx: &Context<'_>, level_max: &mut Levels) -> Option<Vec<WorkItem>> {
+        let Context {
+            graph,
+            access,
+            producer_unit,
+            consumer_unit,
+            ref confined,
+            ..
+        } = *cx;
+        let (worker, steps, chains, chain_of) =
+            (self.worker, self.steps, &self.chains, &self.chain_of);
+        let active = &mut self.active;
+        let tracked = |b: RtBufferId| confined[b] == Some(worker) && consumer_unit[b].is_some();
+        // Fusion may push tokens into a local buffer earlier than the unfused
+        // order did: the local rings are sized from the levels its writes reach.
+        let raise = |lmax: &mut Levels, ledger: &Ledger<'_, _>, tail: Step| {
+            for &(b, _) in &access[tail.unit as usize].writes {
+                lmax[b] = lmax[b].max(ledger.level(b));
+            }
+        };
+        'placement: loop {
+            let mut ledger = Ledger::new(graph, tracked);
+            let mut lmax = level_max.clone();
+            let mut emitted = vec![false; chains.len()];
+            let mut out: Vec<WorkItem> = Vec::new();
+            // Emit every ready chain (to a fixpoint: one chain's tail may feed
+            // another chain's head). A run moves its head's reads and its
+            // tail's writes; a head whose inputs have not accumulated yet
+            // underflows, which leaves the ledger untouched.
+            let try_emit = |ledger: &mut Ledger<'_, _>,
+                            lmax: &mut Levels,
+                            emitted: &mut [bool],
+                            out: &mut Vec<WorkItem>,
+                            active: &[bool]| {
+                let mut progressed = true;
+                while progressed {
+                    progressed = false;
+                    for (ci, (stages, links)) in chains.iter().enumerate() {
+                        let (head, tail) = (stages[0], stages[stages.len() - 1]);
+                        let placed = active[ci]
+                            && !emitted[ci]
+                            && ledger.fire(access, head, tail, None).is_ok();
+                        if placed {
+                            raise(lmax, ledger, tail);
+                            out.push(WorkItem::Fused(FusedRun {
+                                stages: stages.clone(),
+                                links: links.clone(),
+                                batch: false,
+                            }));
+                            emitted[ci] = true;
+                            progressed = true;
+                        }
                     }
                 }
-            }
-        };
-        try_emit(&mut ledger, &mut lmax, &mut emitted, &mut out);
-        for step in steps {
-            let u = step.unit as usize;
-            if chain_of[u] != usize::MAX && active[chain_of[u]] {
-                continue; // folded into its chain's run
-            }
-            if let Err(fault) = ledger.fire(access, *step, *step, None) {
-                // Starved by a deferred chain — the unemitted active chain
-                // producing into the buffer: drop it and restart.
-                let ci = chain_of[producer_unit[fault.buffer]? as usize];
-                if ci == usize::MAX || !active[ci] || emitted[ci] {
-                    return None;
+            };
+            try_emit(&mut ledger, &mut lmax, &mut emitted, &mut out, active);
+            for step in steps {
+                let u = step.unit as usize;
+                if chain_of[u] != usize::MAX && active[chain_of[u]] {
+                    continue; // folded into its chain's run
                 }
+                if let Err(fault) = ledger.fire(access, *step, *step, None) {
+                    // Starved by a deferred chain — the unemitted active chain
+                    // producing into the buffer: drop it and restart.
+                    let ci = chain_of[producer_unit[fault.buffer]? as usize];
+                    if ci == usize::MAX || !active[ci] || emitted[ci] {
+                        return None;
+                    }
+                    active[ci] = false;
+                    continue 'placement;
+                }
+                raise(&mut lmax, &ledger, *step);
+                // Coalesce with a directly-adjacent plain step of the same
+                // unit (no op of this worker separates them in the emitted
+                // list).
+                match out.last_mut() {
+                    Some(WorkItem::Step(prev)) if prev.unit == step.unit => {
+                        match prev.times.checked_add(step.times) {
+                            Some(times) => prev.times = times,
+                            None => out.push(WorkItem::Step(*step)),
+                        }
+                    }
+                    _ => out.push(WorkItem::Step(*step)),
+                }
+                try_emit(&mut ledger, &mut lmax, &mut emitted, &mut out, active);
+            }
+            if let Some(ci) = (0..chains.len()).find(|&ci| active[ci] && !emitted[ci]) {
+                // Head inputs never accumulated (initial-token stock below one
+                // period's need): this chain cannot be placed — drop it.
                 active[ci] = false;
                 continue 'placement;
             }
-            raise(&mut lmax, &ledger, *step);
-            // Merge with a directly-adjacent plain step of the same unit
-            // (replay-neutral: no op separates them in the emitted list).
-            match out.last_mut() {
-                Some(WorkItem::Step(prev)) if prev.unit == step.unit => {
-                    match prev.times.checked_add(step.times) {
-                        Some(times) => prev.times = times,
-                        None => out.push(WorkItem::Step(*step)),
-                    }
-                }
-                _ => out.push(WorkItem::Step(*step)),
-            }
-            try_emit(&mut ledger, &mut lmax, &mut emitted, &mut out);
+            *level_max = lmax;
+            return Some(out);
         }
-        if let Some(ci) = (0..chains.len()).find(|&ci| active[ci] && !emitted[ci]) {
-            // Head inputs never accumulated (initial-token stock below one
-            // period's need): this chain cannot be placed — drop it.
-            active[ci] = false;
-            continue 'placement;
-        }
-        for (ci, (stages, _)) in chains.iter().enumerate() {
-            if active[ci] {
-                stats.runs_fused += 1;
-                stats.fused_chain_len_max = stats.fused_chain_len_max.max(stages.len() as u32);
-            }
-        }
-        *level_max = lmax;
-        return Some(out);
     }
 }

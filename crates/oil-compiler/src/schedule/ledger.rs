@@ -2,14 +2,15 @@
 //! buffers.
 //!
 //! Every proof obligation of the schedule module — one period, one
-//! period per mode, the fused worker lists, every switch seam — and both
-//! constructors (the greedy firing order, fusion placement) are the same
-//! loop: start from the initial tokens, move tokens firing by firing, never
-//! underflow, stay within a bound, end where you started. That loop lives
-//! here, once; callers supply *what* fires and under *which* bound, and turn
-//! a [`Fault`] into an error naming the unit and position or mode.
+//! period per mode, the workers' fused lists run side by side, every switch
+//! seam — and both constructors (the greedy firing order, fusion placement)
+//! are the same loop: start from the initial tokens, move tokens firing by
+//! firing, never underflow, stay within a bound, end where you started.
+//! That loop lives here, once; callers supply *what* fires and under
+//! *which* bound, and turn a [`Fault`] into an error naming the unit and
+//! position or mode.
 
-use super::model::{ScheduleError, ScheduleUnit, Step, UnitKind};
+use super::model::{ScheduleError, ScheduleUnit, Step, UnitKind, WorkItem};
 use crate::rtgraph::{RtBuffer, RtBufferId, RtGraph, RtNodeId};
 use oil_dataflow::index::IndexVec;
 use std::collections::BTreeMap;
@@ -25,6 +26,15 @@ pub type PortAccessList = Vec<(RtBufferId, usize)>;
 pub(super) struct UnitAccess {
     pub reads: PortAccessList,
     pub writes: PortAccessList,
+}
+
+impl UnitAccess {
+    /// The unit reads a buffer it also writes: levels then do not move
+    /// monotonically within a step, so `times` firings at once and `times`
+    /// firings in sequence prove different things.
+    fn feeds_itself(&self) -> bool {
+        self.reads.iter().any(|&(b, _)| port(&self.writes, b) > 0)
+    }
 }
 
 fn aggregate(ports: &[(RtBufferId, usize)]) -> PortAccessList {
@@ -141,6 +151,9 @@ pub(super) enum FaultKind {
     Overflow { level: u64, bound: u64 },
     /// The replay did not return the buffer to its initial level.
     Unrestored { level: u64, initial: u64 },
+    /// A fused run was entered with tokens standing in one of its links
+    /// (the run carries a link in scratch, so it must start empty).
+    LinkOccupied { level: u64 },
 }
 
 impl Fault {
@@ -156,18 +169,30 @@ impl Fault {
             FaultKind::Unrestored { level, initial } => {
                 format!("{who} leaves buffer `{name}` at level {level} (started at {initial})")
             }
+            FaultKind::LinkOccupied { level } => {
+                format!("{who} enters fused link `{name}` holding {level} standing tokens")
+            }
         })
     }
+}
+
+/// Where one worker of a cooperative replay came to rest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct Stall {
+    /// Index into the worker's list of the item it could not fire.
+    pub item: usize,
+    pub fault: Fault,
 }
 
 /// Token levels over the *tracked* buffers of a graph, anchored at the
 /// initial tokens.
 ///
 /// Untracked buffers are invisible: their reads and writes are skipped and
-/// they are exempt from restoration. The global replays track every
-/// consumed buffer (the engines drop commits to an unread one); a worker's
-/// replay tracks the consumed buffers confined to it (cross-worker rings
-/// are proven by the global replay).
+/// they are exempt from restoration. The proofs track every consumed buffer
+/// (the engines drop commits to an unread one); fusion's per-worker
+/// placement tracks the consumed buffers confined to that worker (what the
+/// other workers do to a crossing ring is settled afterwards, by
+/// [`Ledger::replay_cooperative`]).
 pub(super) struct Ledger<'g, T> {
     graph: &'g RtGraph,
     tracked: T,
@@ -198,11 +223,11 @@ impl<'g, T: Fn(RtBufferId) -> bool> Ledger<'g, T> {
     /// Move one work item's ring traffic: consume `head.times ×` every read
     /// of `head`'s unit, then produce `tail.times ×` every write of
     /// `tail`'s unit, each as a single transfer (what a step of a worker
-    /// list does to a local ring). A plain step is its own head and tail; a
-    /// fused run moves only its first stage's reads and its last stage's
-    /// writes. A write past `bound` (when one is given) is an overflow; an
-    /// underflow leaves the ledger untouched, so constructors may probe
-    /// with it.
+    /// list does to a ring). A plain step is its own head and tail; a fused
+    /// run moves only its first stage's reads and its last stage's writes.
+    /// A write past `bound` (when one is given) is an overflow. The firing
+    /// is all or nothing: a fault leaves the ledger untouched, so
+    /// constructors may probe with it and a blocked worker may retry.
     #[inline] // the inner loop of every replay; ~15% of `validate` when outlined
     pub fn fire(
         &mut self,
@@ -212,26 +237,35 @@ impl<'g, T: Fn(RtBufferId) -> bool> Ledger<'g, T> {
         bound: Option<&Levels>,
     ) -> Result<(), Fault> {
         let tracked = &self.tracked;
-        let reads = || {
-            let reads = access[head.unit as usize].reads.iter();
-            reads.filter(|&&(b, _)| tracked(b))
+        let head_reads = &access[head.unit as usize].reads;
+        let reads = || head_reads.iter().filter(|&&(b, _)| tracked(b));
+        let writes = || {
+            let writes = access[tail.unit as usize].writes.iter();
+            writes.filter(|&&(b, _)| tracked(b))
         };
         let need = |c: usize| head.times as u64 * c as u64;
+        let gain = |c: usize| tail.times as u64 * c as u64;
         if let Some(&(buffer, _)) = reads().find(|&&(b, c)| self.level[b] < need(c)) {
             let kind = FaultKind::Underflow;
             return Err(Fault { buffer, kind });
         }
+        if let Some(bound) = bound {
+            for &(buffer, c) in writes() {
+                // The level the write reaches once the head's own reads of
+                // the buffer (a feedback edge) have been taken out.
+                let level = self.level[buffer] - need(port(head_reads, buffer)) + gain(c);
+                if level > bound[buffer] {
+                    let bound = bound[buffer];
+                    let kind = FaultKind::Overflow { level, bound };
+                    return Err(Fault { buffer, kind });
+                }
+            }
+        }
         for &(b, c) in reads() {
             self.level[b] -= need(c);
         }
-        let writes = access[tail.unit as usize].writes.iter();
-        for &(buffer, c) in writes.filter(|&&(b, _)| tracked(b)) {
-            self.level[buffer] += tail.times as u64 * c as u64;
-            let level = self.level[buffer];
-            if let Some(bound) = bound.map(|max| max[buffer]).filter(|&max| level > max) {
-                let kind = FaultKind::Overflow { level, bound };
-                return Err(Fault { buffer, kind });
-            }
+        for &(b, c) in writes() {
+            self.level[b] += gain(c);
         }
         Ok(())
     }
@@ -246,8 +280,7 @@ impl<'g, T: Fn(RtBufferId) -> bool> Ledger<'g, T> {
         step: Step,
         bound: Option<&Levels>,
     ) -> Result<(), Fault> {
-        let a = &access[step.unit as usize];
-        if !a.reads.iter().any(|&(b, _)| port(&a.writes, b) > 0) {
+        if !access[step.unit as usize].feeds_itself() {
             return self.fire(access, step, step, bound);
         }
         let once = Step { times: 1, ..step };
@@ -275,6 +308,94 @@ impl<'g, T: Fn(RtBufferId) -> bool> Ledger<'g, T> {
             }
         }
         enabled
+    }
+
+    /// Run every worker's list side by side, the way the static-order engine
+    /// does: each worker fires its next item as soon as the item's reads
+    /// are all present and its writes all fit `level_max`, and waits
+    /// otherwise. Items fire whole ([`Self::fire`]) — except a plain step of
+    /// a unit that reads a buffer it writes, which the engine also fires
+    /// one firing at a time — and a fused run must find its links empty.
+    ///
+    /// Whether an item can fire depends only on what *other* workers have
+    /// already done, never on what they have not: the reads it waits for
+    /// are consumed by nobody else and the space it waits for is filled by
+    /// nobody else (every buffer has one producer and one consumer). So
+    /// this round-robin is one maximal execution of a network in which all
+    /// maximal executions fire the same items: if it completes, none
+    /// deadlocks — and the engine's workers, which block token by token
+    /// inside an item instead of waiting for the whole of it, only ever
+    /// run ahead of it.
+    ///
+    /// With `grow`, a round in which nobody moved but some worker lacks
+    /// only write space raises that buffer's `level_max` to the level the
+    /// write needs and carries on; that is how synthesis sizes the rings.
+    /// Without it (the proof) such a worker is stalled. `Err` holds, per
+    /// worker, the item it stalled at and why (`None`: finished).
+    pub fn replay_cooperative(
+        &mut self,
+        access: &[UnitAccess],
+        lists: &[Vec<WorkItem>],
+        level_max: &mut Levels,
+        grow: bool,
+    ) -> Result<(), Vec<Option<Stall>>> {
+        // Per worker: the next item, and the firings of it already done.
+        let mut cursors = vec![(0usize, 0u32); lists.len()];
+        loop {
+            let mut progressed = false;
+            let mut stalls: Vec<Option<Stall>> = vec![None; lists.len()];
+            for (w, items) in lists.iter().enumerate() {
+                let (at, done) = &mut cursors[w];
+                while let Some(item) = items.get(*at) {
+                    let (head, tail) = item.ends();
+                    let fired = if let WorkItem::Fused(run) = item {
+                        let occupied = run.links.iter().find(|&&b| self.level[b] != 0);
+                        match occupied {
+                            Some(&buffer) => {
+                                let level = self.level[buffer];
+                                let kind = FaultKind::LinkOccupied { level };
+                                Err(Fault { buffer, kind })
+                            }
+                            None => self.fire(access, head, tail, Some(level_max)),
+                        }
+                    } else if access[head.unit as usize].feeds_itself() {
+                        let once = Step { times: 1, ..head };
+                        (*done..head.times).try_for_each(|_| {
+                            self.fire(access, once, once, Some(level_max))?;
+                            *done += 1;
+                            progressed = true;
+                            Ok(())
+                        })
+                    } else {
+                        self.fire(access, head, tail, Some(level_max))
+                    };
+                    match fired {
+                        Ok(()) => {
+                            (*at, *done) = (*at + 1, 0);
+                            progressed = true;
+                        }
+                        Err(fault) => {
+                            stalls[w] = Some(Stall { item: *at, fault });
+                            break;
+                        }
+                    }
+                }
+            }
+            if stalls.iter().all(Option::is_none) {
+                return Ok(());
+            }
+            if progressed {
+                continue;
+            }
+            let short_of_space = stalls.iter().flatten().find_map(|s| match s.fault.kind {
+                FaultKind::Overflow { level, .. } => Some((s.fault.buffer, level)),
+                _ => None,
+            });
+            match short_of_space {
+                Some((buffer, level)) if grow => level_max[buffer] = level,
+                _ => return Err(stalls),
+            }
+        }
     }
 
     /// Every tracked buffer is back at its initial level: the replayed

@@ -10,8 +10,8 @@
 //! iteration fires every scheduling unit exactly its repetition count, so a
 //! runtime engine (`oil_rt::staticsched`) can replay the list in a loop
 //! with **zero readiness scanning** — the only synchronisation left is
-//! blocking push/pop on the buffers that cross a worker boundary, and the
-//! partitioning below minimises those crossings.
+//! blocking block transfers on the buffers that cross a worker boundary,
+//! and the partitioning below minimises what crosses.
 //!
 //! Synthesis in four steps:
 //!
@@ -57,12 +57,19 @@
 //!    (`q[u] ·` response time). When components outnumber workers each
 //!    component stays whole (zero crossings); otherwise workers are
 //!    apportioned to components by cost and each component is cut into
-//!    contiguous segments of its dataflow order, so a pipeline splits at
-//!    stage boundaries — one crossing buffer per cut. Each worker's list is
-//!    the projection of the global order onto its units; because every
-//!    buffer has one producer and one consumer, replaying the projections
-//!    concurrently (blocking only on cross-worker buffers) reproduces
-//!    exactly the admitted global interleaving's token bounds.
+//!    contiguous segments of its dataflow order taken *chain by chain* —
+//!    the branches of a fork one after the other, not interleaved — with
+//!    the lightest bottleneck any such cut achieves, and among those the
+//!    fewest chains split and the fewest tokens per period handed across.
+//!    Each worker's list is the projection of the global order onto its
+//!    units, rewritten by the fusion pass into whole-period super-steps *up
+//!    to* the cut: what crosses is one block per period, not a burst per
+//!    firing. Because every buffer has one producer and one consumer,
+//!    whether a worker's next item can fire never depends on what another
+//!    worker has *not* yet done, so replaying the workers' lists side by
+//!    side once ([`StaticSchedule::validate`]) proves that no interleaving
+//!    of them starves, overruns a ring sized to
+//!    [`StaticSchedule::level_max`], or deadlocks.
 //!
 //! The schedule is *periodic*: one iteration returns every buffer to its
 //! starting level (the repetition-vector property), so validating a single
@@ -237,13 +244,15 @@ pub fn synthesize(
     let components = order::assign_components(&mut units, graph, &producer_unit, &consumer_unit);
 
     // --- 4. Partition units over workers by component, balanced by kernel
-    // cost estimates; pipelines are cut in first-firing order across the
-    // concatenated row periods, so units gated in row 0 still get a
-    // dataflow position.
+    // cost estimates; a component that must be split is cut along its
+    // chain-contiguous dataflow order, first firings taken across the
+    // concatenated row periods so units gated in row 0 still get a
+    // position.
     let workers = workers.clamp(1, units.len().max(1));
     let cost = partition::unit_costs(graph, &units, config.cost_model.as_ref(), &reps, &arms);
     let order = periods.iter().flatten().copied();
-    partition::partition_workers(&mut units, &cost, components, workers, order);
+    let flow = partition::Flow::new(graph, &access, &reps, &producer_unit, &consumer_unit);
+    partition::partition_workers(&mut units, &cost, components, workers, order, &flow);
     partition::renumber_workers(&mut units, workers);
     let worker_count = units.iter().map(|u| u.worker + 1).max().unwrap_or(1);
     let mut steps: Vec<Vec<Vec<Step>>> = periods
@@ -261,7 +270,7 @@ pub fn synthesize(
     timer.lap("partition");
 
     // A table with per-mode rows never fuses (see above).
-    let (fused_workers, fusion, local_level_max) = if config.fusion && arms[0].is_none() {
+    let (fused_workers, fusion, level_max) = if config.fusion && arms[0].is_none() {
         fusion::fuse_workers(
             graph,
             &access[0],
@@ -314,7 +323,7 @@ pub fn synthesize(
         cross_buffers,
         fused_workers,
         fusion,
-        local_level_max,
+        level_max,
         phases: Vec::new(),
         cost_model_hash: config.cost_model.as_ref().map(|m| m.fingerprint()),
         predicted_utilization,

@@ -123,9 +123,12 @@ impl std::error::Error for ScheduleError {}
 pub struct ModeScript {
     /// Arm before the first switch point.
     pub initial: u32,
-    /// `(firing index, arm)` pairs, ascending by firing index: from the
-    /// modal unit's `index`-th firing onward, run `arm` (until the next
-    /// entry takes over).
+    /// `(firing index, arm)` pairs: from the modal unit's `index`-th firing
+    /// onward, run `arm` (until the next entry takes over).
+    ///
+    /// **Invariant:** strictly ascending by firing index — [`Self::arm_at`]
+    /// binary-searches it. [`Self::new`] establishes that from any input;
+    /// code that fills the field directly must keep it.
     pub switches: Vec<(u64, u32)>,
 }
 
@@ -186,15 +189,11 @@ impl ModeScript {
     /// The arm the `firing`-th modal firing executes. Engines clamp the
     /// result to the arms that exist.
     pub fn arm_at(&self, firing: u64) -> u32 {
-        let mut arm = self.initial;
-        for &(at, a) in &self.switches {
-            if at <= firing {
-                arm = a;
-            } else {
-                break;
-            }
+        let taken = self.switches.partition_point(|&(at, _)| at <= firing);
+        match taken.checked_sub(1) {
+            Some(last) => self.switches[last].1,
+            None => self.initial,
         }
-        arm
     }
 }
 
@@ -283,11 +282,12 @@ pub struct Step {
 /// between them holds no standing tokens when the run starts — so the
 /// intermediate tokens never touch a ring: the executor hands stage `i`'s
 /// output slice directly to stage `i + 1`. Only the head's reads and the
-/// tail's writes go through real buffers. Fusion is legal because OIL's
-/// coordinated functions are side-effect-free (the paper's restriction):
-/// reordering a worker's local firings changes no per-buffer value stream,
-/// and the per-worker replay in [`StaticSchedule::validate`] re-proves the
-/// token bounds over the fused order.
+/// tail's writes go through real buffers — which may cross to another
+/// worker; the links never do. Fusion is legal because OIL's coordinated
+/// functions are side-effect-free (the paper's restriction): reordering a
+/// worker's firings changes no per-buffer value stream, and the cooperative
+/// replay in [`StaticSchedule::validate`] re-proves the token bounds, and
+/// that no worker waits forever, over the fused order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FusedRun {
     /// The stages in dataflow order (at least two).
@@ -467,13 +467,13 @@ pub struct StaticSchedule {
     pub fused_workers: Vec<Vec<WorkItem>>,
     /// What the fusion pass did.
     pub fusion: FusionStats,
-    /// Per buffer: the highest level the fused per-worker replay reaches
-    /// (floored by the declared engine capacity). Fusion may push tokens
-    /// into a worker-local buffer *earlier* than the unfused order did, so
-    /// local rings are sized from this bound instead of the declared
-    /// capacity alone; cross-worker buffers keep the declared capacity
-    /// (fused runs never touch them).
-    pub local_level_max: IndexVec<RtBufferId, u64>,
+    /// Per buffer: the level its ring is sized to — the highest the
+    /// cooperative replay of [`Self::fused_workers`] reaches, floored at the
+    /// declared engine capacity. Fusion and step coalescing move a whole
+    /// period's tokens at once where the admitted period moved a burst, so
+    /// a ring — worker-local or crossing — may need more room than the CTA
+    /// capacity; [`Self::validate`] proves this bound is enough.
+    pub level_max: IndexVec<RtBufferId, u64>,
     /// The per-mode dimension: `Some` iff the graph had a modal-admissible
     /// non-uniform cluster. The period/worker lists are shared by every
     /// mode (union-advance makes token flow mode-independent); the arms
@@ -509,7 +509,7 @@ impl PartialEq for StaticSchedule {
             && self.cross_buffers == other.cross_buffers
             && self.fused_workers == other.fused_workers
             && self.fusion == other.fusion
-            && self.local_level_max == other.local_level_max
+            && self.level_max == other.level_max
             && self.modes == other.modes
     }
 }
@@ -525,6 +525,18 @@ impl StaticSchedule {
     /// Total firings in one period.
     pub fn period_firings(&self) -> u64 {
         self.period.iter().map(|s| s.times as u64).sum()
+    }
+
+    /// Tokens one period moves over [`Self::cross_buffers`]: what the
+    /// workers hand each other per iteration (the top-level period's flow;
+    /// mode 0's for a mode-dependent schedule).
+    pub fn cross_tokens_per_period(&self, graph: &RtGraph) -> u64 {
+        let access = row_access(graph, &self.units, None);
+        let produced = |b: RtBufferId| {
+            let p = self.producer_unit[b].expect("a crossing buffer has a producer") as usize;
+            self.units[p].repetitions * port(&access[p].writes, b) as u64
+        };
+        self.cross_buffers.iter().map(|&b| produced(b)).sum()
     }
 
     /// Iterations each component must execute so that the periodic replay

@@ -2,7 +2,9 @@
 //! workers by weakly-connected component, and the per-worker projection of
 //! a global firing order.
 
+use super::ledger::{port, UnitAccess};
 use super::model::{ScheduleUnit, Step};
+use super::order::UnitOf;
 use crate::costmodel::KernelCostModel;
 use crate::rtgraph::{RtGraph, RtNodeId};
 
@@ -84,16 +86,164 @@ pub(super) fn worker_utilization(
     load.iter().map(|&l| l / peak).collect()
 }
 
+/// The token flow between units, as the partitioner sees it.
+pub(super) struct Flow {
+    /// `(producer, consumer, tokens per period)` of every buffer with both
+    /// ends, the tokens at the buffer's busiest row of the per-mode table.
+    edges: Vec<(usize, usize, u64)>,
+    /// The chain successor of each unit: `u → v` when the only buffer `u`
+    /// feeds is the only buffer `v` is fed by — the edges the fusion pass
+    /// can carry in scratch, so a cut that spares them spares a super-step.
+    next: Vec<Option<usize>>,
+}
+
+impl Flow {
+    pub(super) fn new(
+        graph: &RtGraph,
+        access: &[Vec<UnitAccess>],
+        reps: &[Vec<u64>],
+        producer_unit: &UnitOf,
+        consumer_unit: &UnitOf,
+    ) -> Self {
+        let units = reps[0].len();
+        let mut edges = Vec::new();
+        for b in graph.buffers.indices() {
+            let (Some(p), Some(c)) = (producer_unit[b], consumer_unit[b]) else {
+                continue;
+            };
+            let (p, c) = (p as usize, c as usize);
+            let rows = access.iter().zip(reps);
+            let tokens = rows.map(|(a, reps)| reps[p] * port(&a[p].writes, b) as u64);
+            edges.push((p, c, tokens.max().unwrap_or(0)));
+        }
+        let (mut fan_out, mut fan_in) = (vec![0u32; units], vec![0u32; units]);
+        for &(p, c, _) in &edges {
+            fan_out[p] += 1;
+            fan_in[c] += 1;
+        }
+        let mut next = vec![None; units];
+        for &(p, c, _) in &edges {
+            if p != c && fan_out[p] == 1 && fan_in[c] == 1 {
+                next[p] = Some(c);
+            }
+        }
+        Flow { edges, next }
+    }
+
+    /// `units` (given in first-firing order) reordered so every chain is
+    /// contiguous: chains in the order of their heads, each walked to its
+    /// tail. Branches of a fork then sit one after the other instead of
+    /// interleaved stage by stage, and a cut between them severs the fork's
+    /// edge once rather than every branch somewhere.
+    fn chain_contiguous(&self, units: &[usize]) -> Vec<usize> {
+        let mut inside = vec![false; self.next.len()];
+        for v in self.next.iter().flatten() {
+            inside[*v] = true;
+        }
+        let mut placed = vec![false; self.next.len()];
+        let mut ordered = Vec::with_capacity(units.len());
+        // Heads first; whatever is left sits on a cycle of chain edges and
+        // is walked from its earliest unit.
+        let heads = units.iter().filter(|&&u| !inside[u]);
+        for &start in heads.chain(units) {
+            let mut at = Some(start);
+            while let Some(u) = at.filter(|&u| !placed[u]) {
+                placed[u] = true;
+                ordered.push(u);
+                at = self.next[u];
+            }
+        }
+        ordered
+    }
+}
+
+/// Cut `ordered` into `segments` contiguous runs (returned as the start of
+/// every run but the first). The bottleneck — the costliest run — is made as
+/// light as any contiguous cut can make it; among the cuts that achieve it,
+/// the one splitting the fewest chains wins, then the one handing the
+/// fewest tokens per period across.
+fn balanced_cuts(ordered: &[usize], cost: &[f64], flow: &Flow, segments: usize) -> Vec<usize> {
+    let n = ordered.len();
+    let mut prefix = vec![0.0f64; n + 1];
+    let mut pos = vec![usize::MAX; cost.len()];
+    for (i, &u) in ordered.iter().enumerate() {
+        prefix[i + 1] = prefix[i] + cost[u];
+        pos[u] = i;
+    }
+    let run = |from: usize, to: usize| prefix[to] - prefix[from];
+    // bottleneck[k][j]: the lightest bottleneck of the first `j` units in
+    // `k + 1` runs.
+    let mut bottleneck = vec![vec![f64::INFINITY; n + 1]; segments];
+    for (j, whole) in bottleneck[0].iter_mut().enumerate().skip(1) {
+        *whole = run(0, j);
+    }
+    for k in 1..segments {
+        for j in k + 1..=n {
+            let starts = k..j;
+            let best = starts.map(|i| bottleneck[k - 1][i].max(run(i, j)));
+            bottleneck[k][j] = best.fold(f64::INFINITY, f64::min);
+        }
+    }
+    let limit = bottleneck[segments - 1][n];
+    // What a cut before position `i` costs: (splits a chain, tokens per
+    // period on the edges it severs).
+    let mut severed = vec![0u64; n + 1];
+    for &(p, c, tokens) in &flow.edges {
+        let (a, b) = (pos[p].min(pos[c]), pos[p].max(pos[c]));
+        if b != usize::MAX {
+            for s in &mut severed[a + 1..=b] {
+                *s += tokens;
+            }
+        }
+    }
+    let price = |i: usize| {
+        let splits = flow.next[ordered[i - 1]] == Some(ordered[i]);
+        (splits as u64, severed[i])
+    };
+    // cheapest[k][j]: the cheapest cuts of the first `j` units into `k + 1`
+    // runs no heavier than `limit`, with the start of the last run.
+    const NONE: (u64, u64) = (u64::MAX, u64::MAX);
+    let mut cheapest = vec![vec![(NONE, 0usize); n + 1]; segments];
+    for (j, uncut) in cheapest[0].iter_mut().enumerate().skip(1) {
+        if run(0, j) <= limit {
+            *uncut = ((0, 0), 0);
+        }
+    }
+    for k in 1..segments {
+        for j in k + 1..=n {
+            for i in k..j {
+                let (before, _) = cheapest[k - 1][i];
+                if before == NONE || run(i, j) > limit {
+                    continue;
+                }
+                let (splits, tokens) = price(i);
+                let total = (before.0 + splits, before.1 + tokens);
+                if total < cheapest[k][j].0 {
+                    cheapest[k][j] = (total, i);
+                }
+            }
+        }
+    }
+    let mut cuts = vec![0usize; segments - 1];
+    let mut end = n;
+    for k in (1..segments).rev() {
+        end = cheapest[k][end].1;
+        cuts[k - 1] = end;
+    }
+    cuts
+}
+
 /// Step 4 of synthesis: assign units to workers by weakly-connected
 /// component, balanced by the given per-unit cost estimates (mutates
-/// `units[..].worker`; `period` supplies the dataflow order for contiguous
-/// pipeline cuts — the rows' periods back to back).
+/// `units[..].worker`; `period` supplies the dataflow order — the rows'
+/// periods back to back).
 pub(super) fn partition_workers(
     units: &mut [ScheduleUnit],
     cost: &[f64],
     components: u32,
     workers: usize,
     period: impl Iterator<Item = Step>,
+    flow: &Flow,
 ) {
     let mut component_units: Vec<Vec<usize>> = vec![Vec::new(); components as usize];
     for (u, unit) in units.iter().enumerate() {
@@ -126,9 +276,7 @@ pub(super) fn partition_workers(
     } else {
         // Fewer components than workers: apportion workers to components by
         // cost (every component gets at least one), then cut each component
-        // into contiguous segments of its dataflow order — the order of
-        // first firing in the admitted period, so a pipeline splits at
-        // stage boundaries and each cut crosses one buffer.
+        // into contiguous segments of its chain-contiguous dataflow order.
         let total: f64 = component_cost.iter().sum::<f64>().max(f64::MIN_POSITIVE);
         let mut share: Vec<usize> = component_cost
             .iter()
@@ -162,24 +310,15 @@ pub(super) fn partition_workers(
         }
         let mut next_worker = 0usize;
         for (c, us) in component_units.iter().enumerate() {
-            let segments = share[c];
-            let mut ordered = us.clone();
-            ordered.sort_by_key(|&u| (first_pos[u], u));
-            let comp_total: f64 = component_cost[c].max(f64::MIN_POSITIVE);
-            let mut acc = 0.0f64;
-            let mut segment = 0usize;
-            for &u in &ordered {
-                // Cut when the accumulated cost passes the next segment
-                // boundary (but never beyond the last segment).
-                if segment + 1 < segments
-                    && acc >= comp_total * (segment + 1) as f64 / segments as f64
-                {
-                    segment += 1;
-                }
-                units[u].worker = next_worker + segment;
-                acc += cost[u];
+            let mut by_firing = us.clone();
+            by_firing.sort_by_key(|&u| (first_pos[u], u));
+            let ordered = flow.chain_contiguous(&by_firing);
+            let segments = share[c].min(ordered.len());
+            let cuts = balanced_cuts(&ordered, cost, flow, segments);
+            for (i, &u) in ordered.iter().enumerate() {
+                units[u].worker = next_worker + cuts.partition_point(|&cut| cut <= i);
             }
-            next_worker += segments;
+            next_worker += share[c];
         }
     }
 }

@@ -162,7 +162,7 @@ fn collapsed_twin_matches_the_modal_period_flow() {
 }
 
 #[test]
-fn fused_runs_never_touch_cross_worker_buffers() {
+fn fused_runs_reach_other_workers_only_at_their_ends() {
     let src = r#"
         mod seq P(int a, out int m){ loop{ f(a, out m); } while(1); }
         mod seq Q(int m, out int b){ loop{ g(m:2, out b); } while(1); }
@@ -181,19 +181,31 @@ fn fused_runs_never_touch_cross_worker_buffers() {
     let graph = rtgraph::lower(&compiled);
     let s = synthesize(&graph, &rtgraph::plan(&graph), 2, &fused(true)).unwrap();
     let access = row_access(&graph, &s.units, None);
+    let crosses = |b: &RtBufferId| s.cross_buffers.contains(b);
+    // The pipeline is one chain cut once: fusion runs up to the cut on both
+    // sides, so the crossing buffer is a run's tail write and a run's head
+    // read — and nothing else of a run ever crosses.
+    let (mut written, mut read) = (0, 0);
     for item in s.fused_workers.iter().flatten() {
-        if let WorkItem::Fused(run) = item {
-            for st in &run.stages {
-                let a = &access[st.unit as usize];
-                for &(b, _) in a.reads.iter().chain(&a.writes) {
-                    assert!(
-                        !s.cross_buffers.contains(&b),
-                        "fused stage touches cross buffer `{}`",
-                        graph.buffers[b].name
-                    );
-                }
-            }
+        let WorkItem::Fused(run) = item else { continue };
+        assert!(!run.links.iter().any(crosses), "a link crosses: {run:?}");
+        let last = run.stages.len() - 1;
+        for (i, st) in run.stages.iter().enumerate() {
+            let a = &access[st.unit as usize];
+            let reads = a.reads.iter().filter(|(b, _)| crosses(b)).count();
+            let writes = a.writes.iter().filter(|(b, _)| crosses(b)).count();
+            assert!(
+                reads == 0 || i == 0,
+                "an inner stage reads a crossing buffer"
+            );
+            assert!(
+                writes == 0 || i == last,
+                "an inner stage writes a crossing buffer"
+            );
+            read += reads;
+            written += writes;
         }
     }
+    assert_eq!((s.cross_buffers.len(), written, read), (1, 1, 1));
     s.validate(&graph).unwrap();
 }

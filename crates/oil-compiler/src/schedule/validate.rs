@@ -11,14 +11,17 @@
 //! | obligation | replayed list | tracked buffers | bound |
 //! |---|---|---|---|
 //! | period | each row's period, firing by firing | consumed | capacity |
-//! | fused worker lists | each worker's fused list | confined to it | `local_level_max` |
+//! | cooperative | all workers' fused lists, side by side | consumed | `level_max` |
 //! | seams | `period(from) ++ period(to)`, every row pair | consumed | capacity |
-//! | fused seams | each worker's fused list, twice | confined to it | `local_level_max` |
 //! | seam latency | CTA drain → fill chain, every row pair | — | `seam_latency_bound` |
+//!
+//! The cooperative row needs no seam form of its own: it ends with every
+//! worker at the end of its list and every buffer at its initial level,
+//! which is the state it started from, so the lists loop — through a mode
+//! switch of a union-advance schedule too, whose one row serves every arm.
 
-use super::fusion::confined_worker;
 use super::ledger::{
-    engine_capacities, modal_member_access, row_access, Ledger, Levels, UnitAccess,
+    engine_capacities, modal_member_access, row_access, FaultKind, Ledger, Levels, UnitAccess,
 };
 
 use super::model::{
@@ -26,7 +29,6 @@ use super::model::{
     StaticSchedule, Step, UnitKind, WorkItem,
 };
 use crate::rtgraph::{RtBufferId, RtGraph};
-use oil_dataflow::index::IndexVec;
 use oil_dataflow::Rational;
 
 fn invalid(message: impl Into<String>) -> ScheduleError {
@@ -110,7 +112,8 @@ impl StaticSchedule {
     /// ring-backed buffer ever exceeds its capacity, every buffer returns
     /// to its initial level (which is what makes the schedule loopable),
     /// and the worker projections partition the period. Then the fused
-    /// worker lists are re-proven the same way ([`Self::validate_fused`]);
+    /// worker lists are proven to run to completion side by side
+    /// ([`Self::validate_fused`]);
     /// a mode-dependent schedule never fuses, and its top-level
     /// period/worker/repetition fields must mirror mode 0 (what a
     /// script-less consumer sees). This is the admission proof —
@@ -163,11 +166,17 @@ impl StaticSchedule {
         Ok(())
     }
 
-    /// Re-prove the admission property over the fused worker lists: per
-    /// worker, every unit keeps its projected firing count, fused runs touch
-    /// only worker-confined buffers with exactly-balanced empty links, and
-    /// the per-worker replay (which fully determines every confined buffer's
-    /// level) never underflows nor exceeds [`Self::local_level_max`].
+    /// The cooperative proof over the fused worker lists, which are what
+    /// the engine executes: per worker, every unit keeps its projected
+    /// firing count and every fused run is well formed ([`check_run`]: its
+    /// stages live on the worker and its links never leave it); then all
+    /// workers' lists run side by side ([`Ledger::replay_cooperative`]) —
+    /// each worker firing its next item once the item's reads are present
+    /// and its writes fit [`Self::level_max`] — and every worker must reach
+    /// the end of its list with every buffer back at its initial level.
+    /// That one execution decides it for all: no interleaving of the
+    /// workers underflows a local ring, exceeds a ring's size, or leaves a
+    /// worker waiting forever.
     fn validate_fused(&self, graph: &RtGraph, access: &[UnitAccess]) -> Result<(), ScheduleError> {
         if self.fused_workers.len() != self.workers.len() {
             return Err(invalid(
@@ -187,45 +196,32 @@ impl StaticSchedule {
                     "fused worker {w} changes the firing count of unit {u}"
                 )));
             }
-        }
-        self.replay_workers(graph, access, 1, "")
-    }
-
-    /// Replay every worker's fused list `passes` times back to back over a
-    /// ledger of the buffers confined to that worker (one pass is the
-    /// period, two is a switch seam), checking every fused run's structure
-    /// on the way ([`check_run`]) — so only a run's head reads and tail
-    /// writes touch rings. Each worker must end restored.
-    fn replay_workers(
-        &self,
-        graph: &RtGraph,
-        access: &[UnitAccess],
-        passes: usize,
-        ctx: &str,
-    ) -> Result<(), ScheduleError> {
-        let confined =
-            confined_worker(graph, &self.units, &self.producer_unit, &self.consumer_unit);
-        for (w, items) in self.fused_workers.iter().enumerate() {
-            let mut ledger = Ledger::new(graph, |b| {
-                confined[b] == Some(w) && self.consumer_unit[b].is_some()
-            });
-            for item in std::iter::repeat_n(items, passes).flatten() {
+            for item in items {
                 if let WorkItem::Fused(run) = item {
-                    check_run(graph, access, &confined, w, run, &ledger)
-                        .map_err(|what| invalid(format!("{ctx}fused worker {w}: {what}")))?;
+                    check_run(graph, access, &self.units, w, run)
+                        .map_err(|what| invalid(format!("fused worker {w}: {what}")))?;
                 }
-                let (head, tail) = item.ends();
-                let fired = ledger.fire(access, head, tail, Some(&self.local_level_max));
-                fired.map_err(|f| {
-                    let (h, t) = (head.unit, tail.unit);
-                    f.invalid(graph, format_args!("{ctx}fused worker {w}: units {h}..{t}"))
-                })?;
             }
-            ledger
-                .restored()
-                .map_err(|f| f.invalid(graph, format_args!("{ctx}fused worker {w}")))?;
         }
-        Ok(())
+        let mut ledger = Ledger::new(graph, |b| self.consumer_unit[b].is_some());
+        let mut bound = self.level_max.clone();
+        let replayed = ledger.replay_cooperative(access, &self.fused_workers, &mut bound, false);
+        if let Err(stalls) = replayed {
+            // A worker short of space or at an occupied link names the
+            // cause; one short of tokens may only be waiting for it.
+            let stalled = stalls.iter().enumerate();
+            let stalled = stalled.filter_map(|(w, s)| s.as_ref().map(|s| (w, s)));
+            let (w, stall) = stalled
+                .min_by_key(|(_, s)| s.fault.kind == FaultKind::Underflow)
+                .expect("a stalled replay has a stalled worker");
+            let (head, tail) = self.fused_workers[w][stall.item].ends();
+            let (h, t) = (head.unit, tail.unit);
+            let who = format_args!("the workers stall: fused worker {w}: units {h}..{t}");
+            return Err(stall.fault.invalid(graph, who));
+        }
+        ledger
+            .restored()
+            .map_err(|f| f.invalid(graph, "the fused worker lists"))
     }
 
     /// Re-prove the admission property across every mode-switch seam by
@@ -247,9 +243,9 @@ impl StaticSchedule {
     /// arm, so the bounds hold pointwise across a switch injected
     /// *anywhere*, including mid-period and inside fused super-steps (whose
     /// stages never span the modal unit — it is excluded from fusion). The
-    /// one seam is still replayed, over the global period and over every
-    /// fused worker list (fused runs hoist and defer firings, so a worker's
-    /// seam state differs from the global replay's).
+    /// one seam is still replayed over the global period; the fused worker
+    /// lists need no seam replay, because [`Self::validate`] proved they
+    /// loop.
     ///
     /// A **mode-dependent** schedule additionally bounds the worst-case
     /// source-to-sink latency a switch inserts by the CTA chain drain →
@@ -282,7 +278,7 @@ impl StaticSchedule {
             }
         }
         let Some(dep) = modes.dependent.as_ref() else {
-            return self.validate_union_advance(graph, modes, &rows[0]);
+            return Self::validate_union_advance(graph, modes, &rows[0]);
         };
         let latency_max = worst_seam_latency(graph, &self.units, dep)?;
         if latency_max != dep.seam_latency_max {
@@ -296,10 +292,8 @@ impl StaticSchedule {
     }
 
     /// The union-advance half of [`Self::validate_transitions`]: the one
-    /// row really is every arm's token flow, and every worker's fused list
-    /// survives the seam.
+    /// row really is every arm's token flow.
     fn validate_union_advance(
-        &self,
         graph: &RtGraph,
         modes: &ModalSchedule,
         row: &ModeRow<'_>,
@@ -325,7 +319,7 @@ impl StaticSchedule {
                 modes.unit
             )));
         }
-        self.replay_workers(graph, &row.access, 2, "any mode switch: ")
+        Ok(())
     }
 }
 
@@ -373,17 +367,19 @@ pub(super) fn worst_seam_latency(
     Ok(worst)
 }
 
-/// The structure of one fused run of worker `w`: at least two stages joined
-/// by `stages - 1` links, every stage confined to `w`, every link the
-/// single write of its producer stage and the single read of its consumer
-/// stage, exactly balanced, and empty (per `ledger`) at run entry.
+/// The structure of one fused run of worker `w`: at least two stages, all
+/// of them `w`'s units, joined by `stages - 1` links, every link the single
+/// write of its producer stage and the single read of its consumer stage,
+/// and exactly balanced. Both ends of every link are therefore `w`'s: a
+/// link never crosses to another worker — only the head's reads and the
+/// tail's writes may. (That the links are empty at run entry is the
+/// replay's to check.)
 fn check_run(
     graph: &RtGraph,
     access: &[UnitAccess],
-    confined: &IndexVec<RtBufferId, Option<usize>>,
+    units: &[ScheduleUnit],
     w: usize,
     run: &FusedRun,
-    ledger: &Ledger<'_, impl Fn(RtBufferId) -> bool>,
 ) -> Result<(), String> {
     if run.stages.len() < 2 || run.links.len() + 1 != run.stages.len() {
         return Err(format!(
@@ -392,19 +388,12 @@ fn check_run(
             run.links.len()
         ));
     }
-    for s in &run.stages {
-        let a = &access[s.unit as usize];
-        if let Some(&(b, _)) = a
-            .reads
-            .iter()
-            .chain(&a.writes)
-            .find(|&&(b, _)| confined[b] != Some(w))
-        {
-            return Err(format!(
-                "fused unit {} touches buffer `{}` not confined to the worker",
-                s.unit, graph.buffers[b].name
-            ));
-        }
+    if let Some(s) = run
+        .stages
+        .iter()
+        .find(|s| units[s.unit as usize].worker != w)
+    {
+        return Err(format!("fused unit {} lives on another worker", s.unit));
     }
     for (i, &link) in run.links.iter().enumerate() {
         let (p, c) = (run.stages[i], run.stages[i + 1]);
@@ -428,12 +417,6 @@ fn check_run(
         if produced != consumed || produced == 0 {
             return Err(format!(
                 "fused link `{name}` is unbalanced ({produced} produced, {consumed} consumed)"
-            ));
-        }
-        if ledger.level(link) != 0 {
-            let level = ledger.level(link);
-            return Err(format!(
-                "fused link `{name}` holds {level} standing tokens at run entry"
             ));
         }
     }

@@ -15,9 +15,14 @@
 //!   deque (no atomics at all: the validated replay *is* the proof the
 //!   accesses are safe), which is every buffer when the schedule has one
 //!   worker;
-//! * cross-worker edges are the only synchronisation: the same bounded
-//!   SPSC rings as the other engines, with blocking `push_wait`/`pop_wait`
-//!   — and the schedule pass minimises how many edges cross;
+//! * cross-worker edges are the only synchronisation: bounded SPSC rings
+//!   ([`crate::ring`]) whose blocking *slice* operations hand a step's or a
+//!   fused run's whole block over in one transfer — typically one per
+//!   schedule period per crossing buffer. Like the local deques they are
+//!   sized from [`StaticSchedule::level_max`]: the schedule's cooperative
+//!   replay proved that with rings that large no interleaving of the
+//!   workers leaves one waiting forever, so a worker may gather all of an
+//!   item's inputs before it writes any output, on crossing rings too;
 //! * **no quiescence protocol** — one schedule period returns every buffer
 //!   to its starting level, so the engine computes up front how many
 //!   iterations cover the sources' sample budgets, replays exactly that
@@ -249,13 +254,13 @@ enum UnitState {
         /// Inputs per firing (all read ports flattened).
         in_len: usize,
         out_len: usize,
-        /// Blocked execution admissible: every touched buffer is local to
-        /// this worker and no buffer is both read and written. A scheduled
-        /// run of `k` consecutive firings then executes as one
-        /// [`Kernel::fire_block`] call over block-popped inputs — the
-        /// validated schedule proves the run's tokens exist up front, so
-        /// gathering them before the pushes is sound (and bit-identical:
-        /// per-buffer push/pop orders are unchanged).
+        /// Blocked execution admissible: no buffer is both read and
+        /// written. A scheduled run of `k` consecutive firings then
+        /// executes as one [`Kernel::fire_block`] call over block-popped
+        /// inputs — the validated schedule proves the run's tokens arrive
+        /// without its outputs, so gathering them before the pushes is
+        /// sound (and bit-identical: per-buffer push/pop orders are
+        /// unchanged).
         block: bool,
         fired: u64,
     },
@@ -263,11 +268,6 @@ enum UnitState {
         source: usize,
         kernel: SourceKernel,
         outputs: Vec<usize>,
-        /// Blocked broadcast admissible: a single output, or every replica
-        /// local (a multi-replica broadcast over a cross-worker ring keeps
-        /// the per-firing interleave instead, so a replica never runs a
-        /// whole block ahead of its siblings against bounded rings).
-        block: bool,
         generated: u64,
     },
     Sink {
@@ -564,14 +564,12 @@ impl BufIo {
         match &mut self.slots[b] {
             Slot::Local(q) => q.pop_block(n, scratch),
             Slot::Cons(rx) => {
+                // One block transfer; waits are observed once per block,
+                // and not at all when nothing observes them.
                 let before = blocked_ns(&self.trace, &self.metrics);
-                for _ in 0..n {
-                    let stats = wait_stats(&mut self.trace, &mut self.metrics);
-                    scratch.push(
-                        rx.pop_wait_observed(|| abort.load(Ordering::Relaxed), stats)
-                            .expect("peer worker aborted mid-schedule"),
-                    );
-                }
+                let stats = wait_stats(&mut self.trace, &mut self.metrics);
+                rx.pop_slice(n, scratch, || abort.load(Ordering::Relaxed), stats)
+                    .expect("peer worker aborted mid-schedule");
                 observe_wait(&mut self.trace, &self.metrics, b, before);
             }
             _ => unreachable!("read from a buffer this worker does not consume"),
@@ -613,15 +611,9 @@ impl BufIo {
             }
             Slot::Prod(tx) => {
                 let before = blocked_ns(&self.trace, &self.metrics);
-                for &v in values {
-                    let stats = wait_stats(&mut self.trace, &mut self.metrics);
-                    if tx
-                        .push_wait_observed(v, || abort.load(Ordering::Relaxed), stats)
-                        .is_err()
-                    {
-                        panic!("peer worker aborted mid-schedule");
-                    }
-                }
+                let stats = wait_stats(&mut self.trace, &mut self.metrics);
+                tx.push_slice(values, || abort.load(Ordering::Relaxed), stats)
+                    .expect("peer worker aborted mid-schedule");
                 observe_wait(&mut self.trace, &self.metrics, b, before);
                 if let Some(t) = self.trace.as_mut() {
                     t.note_level(b, tx.len());
@@ -765,23 +757,13 @@ impl Worker {
                     UnitState::Source {
                         kernel,
                         outputs,
-                        block,
                         generated,
                         ..
                     } => {
-                        if *block {
-                            scratch.clear();
-                            kernel.fill_into(step.times as usize, scratch);
-                            for &b in outputs.iter() {
-                                io.push_block(b, scratch, abort);
-                            }
-                        } else {
-                            for _ in 0..step.times {
-                                let v = kernel.next_sample();
-                                for &b in outputs.iter() {
-                                    io.push(b, v, abort);
-                                }
-                            }
+                        scratch.clear();
+                        kernel.fill_into(step.times as usize, scratch);
+                        for &b in outputs.iter() {
+                            io.push_block(b, scratch, abort);
                         }
                         *generated += step.times as u64;
                     }
@@ -1238,10 +1220,17 @@ pub fn execute_staticsched_scripted(
     // --- Per-buffer placement: the worker of each endpoint decides the
     // backing (local deque, cross-worker ring, or record-and-drop).
     let unit_worker = |u: Option<u32>| u.map(|u| schedule.units[u as usize].worker);
-    let declared: Vec<usize> = graph
+    // Every ring — local deque or crossing — is sized to the level the
+    // schedule's cooperative replay proved sufficient: a fused run or a
+    // coalesced step moves a whole period's tokens where the admitted
+    // period moved a burst. The declared (CTA) capacity stays the floor.
+    let sized: Vec<usize> = graph
         .buffers
-        .iter()
-        .map(|b| b.capacity.max(b.initial_tokens).max(1))
+        .iter_enumerated()
+        .map(|(bi, b)| {
+            let declared = b.capacity.max(b.initial_tokens).max(1);
+            declared.max(schedule.level_max[bi] as usize)
+        })
         .collect();
     let mut worker_slots: Vec<Vec<Slot>> = (0..threads)
         .map(|_| (0..n_buffers).map(|_| Slot::Absent).collect())
@@ -1266,18 +1255,14 @@ pub fn execute_staticsched_scripted(
                 worker_slots[p][i] = Slot::Sunk;
             }
             (Some(p), Some(c)) if p == c => {
-                // Fusion may push tokens into a local buffer earlier than
-                // the unfused order did; the schedule's fused replay bound
-                // (floored at the declared capacity) sizes the ring.
-                let cap = declared[i].max(schedule.local_level_max[bi] as usize);
-                let mut q = LocalRing::with_capacity(cap);
+                let mut q = LocalRing::with_capacity(sized[i]);
                 for _ in 0..b.initial_tokens {
                     q.push(0.0);
                 }
                 worker_slots[p][i] = Slot::Local(q);
             }
             (Some(p), Some(c)) => {
-                let (mut tx, rx) = ring::spsc::<f64>(declared[i]);
+                let (mut tx, rx) = ring::spsc::<f64>(sized[i]);
                 for _ in 0..b.initial_tokens {
                     tx.push(0.0).expect("initial tokens fit the capacity");
                 }
@@ -1287,7 +1272,7 @@ pub fn execute_staticsched_scripted(
             (None, Some(c)) => {
                 // Only initial tokens ever occupy it (validation bounds the
                 // consumer's reads to those).
-                let mut q = LocalRing::with_capacity(declared[i]);
+                let mut q = LocalRing::with_capacity(sized[i]);
                 for _ in 0..b.initial_tokens {
                     q.push(0.0);
                 }
@@ -1318,9 +1303,6 @@ pub fn execute_staticsched_scripted(
                 UnitKind::Sink(id) => graph.sinks[*id].name.clone(),
             });
         }
-        // A buffer endpoint is "free of peers" when the worker's view of it
-        // never blocks: a local deque, or a dropped unread buffer.
-        let unblocked = |b: usize| matches!(worker_slots[w][b], Slot::Local(_) | Slot::Sunk);
         let state = match &unit.kind {
             UnitKind::Node(id)
             | UnitKind::Cluster {
@@ -1331,12 +1313,9 @@ pub fn execute_staticsched_scripted(
                     n.reads.iter().map(|&(b, c)| (b.index(), c)).collect();
                 let writes: Vec<(usize, usize)> =
                     n.writes.iter().map(|&(b, c)| (b.index(), c)).collect();
-                let disjoint = reads
+                let block = reads
                     .iter()
                     .all(|&(b, _)| writes.iter().all(|&(wb, _)| wb != b));
-                let block = disjoint
-                    && reads.iter().all(|&(b, _)| unblocked(b))
-                    && writes.iter().all(|&(b, _)| unblocked(b));
                 UnitState::Node {
                     node: id.index(),
                     kernel: lib.instantiate(&n.function),
@@ -1350,13 +1329,10 @@ pub fn execute_staticsched_scripted(
             }
             UnitKind::Source(id) => {
                 let s = &graph.sources[*id];
-                let outputs: Vec<usize> = s.outputs.iter().map(|b| b.index()).collect();
-                let block = outputs.len() == 1 || outputs.iter().all(|&b| unblocked(b));
                 UnitState::Source {
                     source: id.index(),
                     kernel: lib.instantiate_source(&s.function),
-                    outputs,
-                    block,
+                    outputs: s.outputs.iter().map(|b| b.index()).collect(),
                     generated: 0,
                 }
             }
@@ -1657,24 +1633,13 @@ pub fn execute_staticsched_scripted(
             .buffers
             .iter()
             .enumerate()
-            .map(|(i, b)| {
-                let bi = oil_compiler::rtgraph::RtBufferId::new(i);
-                RingStat {
-                    name: b.name.clone(),
-                    // The bound the ring was actually sized to: fusion may
-                    // push into a same-worker buffer earlier than the
-                    // unfused order, up to the schedule's proven fused
-                    // replay level — the CTA capacity still bounds every
-                    // cross-worker ring.
-                    capacity: if crossing[i] {
-                        declared[i]
-                    } else {
-                        declared[i].max(schedule.local_level_max[bi] as usize)
-                    },
-                    // Initial tokens occupy the ring before any traced push.
-                    highwater: (ring_hw[i] as usize).max(b.initial_tokens),
-                    crossing: crossing[i],
-                }
+            .map(|(i, b)| RingStat {
+                name: b.name.clone(),
+                // The bound the ring was actually sized to.
+                capacity: sized[i],
+                // Initial tokens occupy the ring before any traced push.
+                highwater: (ring_hw[i] as usize).max(b.initial_tokens),
+                crossing: crossing[i],
             })
             .collect();
         tr.phases = schedule

@@ -238,13 +238,15 @@ pub struct TraceCounters {
     pub seam_latency_max_ns: u64,
 }
 
-/// One SPSC crossing (or local ring) in the telemetry: the CTA-proven
-/// capacity next to the occupancy high-water mark the run reached.
+/// One SPSC crossing (or local ring) in the telemetry: the proven size of
+/// the ring next to the occupancy high-water mark the run reached.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RingStat {
     /// Buffer name (from the runtime graph).
     pub name: String,
-    /// CTA-proven capacity the engine sized the ring from.
+    /// The size the engine gave the ring: the CTA capacity, or — in the
+    /// static-order engine — the schedule's proven `level_max` where fused
+    /// and coalesced transfers need more.
     pub capacity: usize,
     /// Highest occupancy observed after a push.
     pub highwater: usize,
@@ -355,8 +357,8 @@ impl TraceReport {
         self.counters.seam_latency_max_ns
     }
 
-    /// Every ring whose high-water mark stayed within its CTA-proven
-    /// capacity? (The differential suite asserts this on the corpus.)
+    /// Every ring whose high-water mark stayed within its proven size?
+    /// (The differential suite asserts this on the corpus.)
     pub fn rings_within_capacity(&self) -> bool {
         self.rings.iter().all(|r| r.highwater <= r.capacity)
     }

@@ -327,6 +327,29 @@ fn mode_script_normalizes_switch_points() {
 }
 
 #[test]
+fn mode_script_lookup_agrees_with_a_scan_on_a_dense_script() {
+    // 10⁵ switch points, three firings apart, cycling seven arms. The
+    // binary search must pick what "the last switch at or before the
+    // firing" picks, at, between and beyond the switch points. (A linear
+    // `arm_at` makes this loop 1.5·10¹⁰ steps.)
+    const SWITCHES: u64 = 100_000;
+    let points = (0..SWITCHES).map(|i| (10 + 3 * i, (i % 7) as u32 + 1));
+    let script = ModeScript::new(0, points.rev().collect());
+    assert!(script.switches.windows(2).all(|w| w[0].0 < w[1].0));
+    let mut expected = script.initial;
+    let mut next = 0usize;
+    for firing in 0..3 * SWITCHES + 20 {
+        if script.switches.get(next).is_some_and(|s| s.0 == firing) {
+            expected = script.switches[next].1;
+            next += 1;
+        }
+        assert_eq!(script.arm_at(firing), expected, "firing {firing}");
+    }
+    assert_eq!(next as u64, SWITCHES);
+    assert_eq!(script.arm_at(u64::MAX), ((SWITCHES - 1) % 7) as u32 + 1);
+}
+
+#[test]
 fn mode_script_validates_arm_indices() {
     assert!(ModeScript::new(0, vec![(3, 1)]).validate_arms(2).is_ok());
     let bad_initial = ModeScript::new(7, vec![]).validate_arms(2).unwrap_err();

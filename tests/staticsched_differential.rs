@@ -17,7 +17,7 @@
 //!    (admissible ones get per-mode schedules, covered by
 //!    `tests/modeswitch_differential.rs`), so this holds on *all* buffers,
 //!    not only the plan's schedule-invariant subset.
-//! 2. **Worker-count invariance** — schedules synthesised for 1/2/4
+//! 2. **Worker-count invariance** — schedules synthesised for 1/2/3/4
 //!    workers replay bit-identical streams, firing counts and sink streams.
 //! 3. **Liveness** — every synthesised schedule replays to completion
 //!    under CTA-sized buffer bounds (validation proved one period; the
@@ -27,7 +27,9 @@
 //!    period of every synthesised schedule with exact integer token
 //!    accounting: every unit fires exactly its repetition count, no read
 //!    underflows, no CTA-sized capacity is exceeded, and the period is
-//!    level-preserving. A fixed-seed golden corpus
+//!    level-preserving — and then runs the workers' fused lists side by
+//!    side under `level_max`, which must bring every worker to the end of
+//!    its list. A fixed-seed golden corpus
 //!    (`tests/data/schedule_corpus.txt`) pins the synthesised schedules'
 //!    digests; regenerate after an intentional change with
 //!    `OIL_UPDATE_SCHEDULE_CORPUS=1 cargo test --test staticsched_differential corpus`.
@@ -83,7 +85,7 @@ fn duration_s() -> f64 {
 }
 
 /// Worker counts under test.
-const WORKERS: [usize; 3] = [1, 2, 4];
+const WORKERS: [usize; 4] = [1, 2, 3, 4];
 
 fn compile_scenario(scenario: &ProgramScenario) -> Option<oil::compiler::CompiledProgram> {
     match compile(
@@ -256,73 +258,70 @@ fn synthesized_schedules_satisfy_the_admission_property() {
             s.validate(&graph)
                 .unwrap_or_else(|e| panic!("seed {seed} ({label}): {e}"));
             // …and independently: exact integer replay of the period.
-            let mut level: Vec<i64> = graph
+            type Ports = Vec<(usize, usize)>;
+            let ports = |unit: u32| -> (Ports, Ports) {
+                let index = |list: &[(oil::compiler::RtBufferId, usize)]| -> Ports {
+                    list.iter().map(|&(b, c)| (b.index(), c)).collect()
+                };
+                match &s.units[unit as usize].kind {
+                    UnitKind::Node(id)
+                    | UnitKind::Cluster {
+                        representative: id, ..
+                    } => (
+                        index(&graph.nodes[*id].reads),
+                        index(&graph.nodes[*id].writes),
+                    ),
+                    UnitKind::Source(id) => (
+                        Vec::new(),
+                        graph.sources[*id]
+                            .outputs
+                            .iter()
+                            .map(|&b| (b.index(), 1))
+                            .collect(),
+                    ),
+                    UnitKind::Sink(id) => (vec![(graph.sinks[*id].input.index(), 1)], Vec::new()),
+                    UnitKind::Modal { members } => {
+                        // Union-advance: every member's aggregated reads
+                        // are consumed each firing; all members share one
+                        // write list (members[0] is canonical).
+                        let access = |m: oil::compiler::RtNodeId| {
+                            oil::compiler::schedule::modal_member_access(&graph, m)
+                        };
+                        (
+                            members.iter().flat_map(|&m| index(&access(m).0)).collect(),
+                            index(&access(members[0]).1),
+                        )
+                    }
+                }
+            };
+            let consumed = |b: usize| {
+                let bid = oil::compiler::rtgraph::RtBufferId::new(b);
+                s.consumer_unit[bid].is_some()
+            };
+            let initial: Vec<i64> = graph
                 .buffers
                 .iter()
                 .map(|b| b.initial_tokens as i64)
                 .collect();
+            let mut level = initial.clone();
             let mut fired = vec![0u64; s.units.len()];
             for step in &s.period {
-                let unit = &s.units[step.unit as usize];
+                let (reads, writes) = ports(step.unit);
                 for _ in 0..step.times {
                     fired[step.unit as usize] += 1;
-                    type Ports = Vec<(usize, usize)>;
-                    let (reads, writes): (Ports, Ports) = match &unit.kind {
-                        UnitKind::Node(id)
-                        | UnitKind::Cluster {
-                            representative: id, ..
-                        } => {
-                            let n = &graph.nodes[*id];
-                            (
-                                n.reads.iter().map(|&(b, c)| (b.index(), c)).collect(),
-                                n.writes.iter().map(|&(b, c)| (b.index(), c)).collect(),
-                            )
-                        }
-                        UnitKind::Source(id) => (
-                            Vec::new(),
-                            graph.sources[*id]
-                                .outputs
-                                .iter()
-                                .map(|&b| (b.index(), 1))
-                                .collect(),
-                        ),
-                        UnitKind::Sink(id) => {
-                            (vec![(graph.sinks[*id].input.index(), 1)], Vec::new())
-                        }
-                        UnitKind::Modal { members } => {
-                            // Union-advance: every member's aggregated reads
-                            // are consumed each firing; all members share one
-                            // write list (members[0] is canonical).
-                            let access = |m: oil::compiler::RtNodeId| {
-                                oil::compiler::schedule::modal_member_access(&graph, m)
-                            };
-                            (
-                                members
-                                    .iter()
-                                    .flat_map(|&m| access(m).0)
-                                    .map(|(b, c)| (b.index(), c))
-                                    .collect(),
-                                access(members[0])
-                                    .1
-                                    .iter()
-                                    .map(|&(b, c)| (b.index(), c))
-                                    .collect(),
-                            )
-                        }
-                    };
-                    for (b, c) in reads {
+                    for &(b, c) in &reads {
                         level[b] -= c as i64;
                         assert!(
                             level[b] >= 0,
                             "seed {seed} ({label}): buffer underflow in period replay"
                         );
                     }
-                    for (b, c) in writes {
-                        let bid = oil::compiler::rtgraph::RtBufferId::new(b);
-                        if s.consumer_unit[bid].is_none() {
+                    for &(b, c) in &writes {
+                        if !consumed(b) {
                             continue;
                         }
                         level[b] += c as i64;
+                        let bid = oil::compiler::rtgraph::RtBufferId::new(b);
                         let cap = graph.buffers[bid]
                             .capacity
                             .max(graph.buffers[bid].initial_tokens)
@@ -343,11 +342,86 @@ fn synthesized_schedules_satisfy_the_admission_property() {
                 );
             }
             for (b, buf) in graph.buffers.iter().enumerate() {
-                let bid = oil::compiler::rtgraph::RtBufferId::new(b);
-                if s.consumer_unit[bid].is_some() {
+                if consumed(b) {
                     assert_eq!(
-                        level[b], buf.initial_tokens as i64,
+                        level[b], initial[b],
                         "seed {seed} ({label}): period is not level-preserving on `{}`",
+                        buf.name
+                    );
+                }
+            }
+            // The cooperative property, again without the ledger: run the
+            // workers' fused lists side by side. A worker fires its next
+            // item (a step of a self-feeding unit: its next firing) when
+            // the reads are all there and the writes all fit `level_max`;
+            // everybody must get to the end of their list, and the buffers
+            // back to where they started.
+            if s.modes.as_ref().is_some_and(|m| m.dependent.is_some()) {
+                continue; // never fused: the lists are the projections
+            }
+            let bound = |b: usize| s.level_max[oil::compiler::rtgraph::RtBufferId::new(b)] as i64;
+            let mut level = initial.clone();
+            let mut cursor = vec![(0usize, 0u32); s.fused_workers.len()];
+            loop {
+                let mut progressed = false;
+                for (w, items) in s.fused_workers.iter().enumerate() {
+                    while let Some(item) = items.get(cursor[w].0) {
+                        let (head, tail) = match item {
+                            WorkItem::Step(step) => (*step, *step),
+                            WorkItem::Fused(run) => {
+                                (run.stages[0], run.stages[run.stages.len() - 1])
+                            }
+                        };
+                        let (reads, _) = ports(head.unit);
+                        let (_, writes) = ports(tail.unit);
+                        let feeds_itself = head.unit == tail.unit
+                            && reads.iter().any(|r| writes.iter().any(|w| w.0 == r.0));
+                        let (times_in, times_out, rounds) = if feeds_itself {
+                            (1, 1, head.times)
+                        } else {
+                            (head.times as i64, tail.times as i64, 1)
+                        };
+                        let taken = |b: usize| -> i64 {
+                            let port = reads.iter().filter(|r| r.0 == b);
+                            port.map(|r| r.1 as i64 * times_in).sum()
+                        };
+                        let ready = reads.iter().all(|&(b, _)| level[b] >= taken(b))
+                            && writes.iter().all(|&(b, c)| {
+                                !consumed(b)
+                                    || level[b] - taken(b) + c as i64 * times_out <= bound(b)
+                            });
+                        if !ready {
+                            break;
+                        }
+                        for &(b, c) in &reads {
+                            level[b] -= c as i64 * times_in;
+                        }
+                        for &(b, c) in writes.iter().filter(|w| consumed(w.0)) {
+                            level[b] += c as i64 * times_out;
+                        }
+                        progressed = true;
+                        cursor[w].1 += 1;
+                        if cursor[w].1 == rounds {
+                            cursor[w] = (cursor[w].0 + 1, 0);
+                        }
+                    }
+                }
+                let done =
+                    (cursor.iter().zip(&s.fused_workers)).all(|(c, items)| c.0 == items.len());
+                if done {
+                    break;
+                }
+                assert!(
+                    progressed,
+                    "seed {seed} ({label}): the fused worker lists stall at items {cursor:?} \
+                     of {workers} worker(s)"
+                );
+            }
+            for (b, buf) in graph.buffers.iter().enumerate() {
+                if consumed(b) {
+                    assert_eq!(
+                        level[b], initial[b],
+                        "seed {seed} ({label}): the fused lists are not level-preserving on `{}`",
                         buf.name
                     );
                 }
@@ -667,13 +741,13 @@ fn the_admission_proof_rejects_every_minimal_corruption() {
         },
         &format!("fused link `{}`", graph.buffers[other].name),
     );
-    // Lowering `local_level_max` is rejected wherever the fused replay
-    // writes the buffer through a ring (fully-elided links never do), and
-    // every rejection names the buffer.
+    // Lowering `level_max` is rejected wherever the fused replay writes
+    // the buffer through a ring (fully-elided links never do), and every
+    // rejection names the buffer.
     let mut lowered = 0;
     for b in graph.buffers.indices() {
         let mut tampered = (*s).clone();
-        tampered.local_level_max[b] = 0;
+        tampered.level_max[b] = 0;
         match admission(graph, &tampered) {
             Ok(()) => {}
             Err(ScheduleError::Invalid(message)) => {
@@ -688,6 +762,64 @@ fn the_admission_proof_rejects_every_minimal_corruption() {
         }
     }
     assert!(lowered > 0, "{shape}: no level bound is load-bearing");
+
+    // Corruptions of the cooperative proof, on the split PAL schedule: what
+    // one worker does to a crossing ring is another worker's business.
+    let (shape, graph, s) = &subjects[1];
+    let name = |b: oil::compiler::RtBufferId| graph.buffers[b].name.clone();
+    let crossing = s.cross_buffers[0];
+    // One slot short on a crossing ring: the producer's whole-period block
+    // no longer fits, and nobody else can make it fit.
+    assert!(s.level_max[crossing] > 1);
+    assert_rejected(
+        &format!("{shape}: crossing level bound lowered by one"),
+        graph,
+        s,
+        |t| t.level_max[crossing] -= 1,
+        &format!("overflows buffer `{}`", name(crossing)),
+    );
+    // Two items of a worker's list swapped: the run now ahead of the step
+    // that feeds it waits for tokens that only come after it.
+    let (w, at, starved) = (s.fused_workers.iter().enumerate())
+        .find_map(|(w, items)| {
+            let fed = |at: usize| match (&items[at], &items[at + 1]) {
+                (WorkItem::Step(step), WorkItem::Fused(run)) => {
+                    (graph.buffers.indices()).find(|&b| {
+                        s.producer_unit[b] == Some(step.unit)
+                            && s.consumer_unit[b] == Some(run.stages[0].unit)
+                    })
+                }
+                _ => None,
+            };
+            (0..items.len().saturating_sub(1)).find_map(|at| Some((w, at, fed(at)?)))
+        })
+        .expect("PAL@2w: a step feeding the run after it");
+    assert_rejected(
+        &format!("{shape}: reordered worker items"),
+        graph,
+        s,
+        |t| t.fused_workers[w].swap(at, at + 1),
+        &format!("underflows buffer `{}`", name(starved)),
+    );
+    // A run whose link is the crossing buffer: scratch cannot reach another
+    // worker, and a link has both its ends in the run.
+    let (w, at) = (s.fused_workers.iter().enumerate())
+        .find_map(|(w, items)| {
+            let run = |i: &WorkItem| matches!(i, WorkItem::Fused(_));
+            Some((w, items.iter().position(run)?))
+        })
+        .expect("PAL@2w fuses up to the cut");
+    assert_rejected(
+        &format!("{shape}: crossing fused link"),
+        graph,
+        s,
+        |t| {
+            if let WorkItem::Fused(run) = &mut t.fused_workers[w][at] {
+                run.links[0] = crossing;
+            }
+        },
+        &format!("fused link `{}` is not the single write", name(crossing)),
+    );
 
     // Per-mode table corruptions, on the mode-dependent schedule.
     let (shape, graph, s) = &subjects[3];
@@ -842,6 +974,21 @@ fn pal_fusion_collapses_the_pipelines_without_changing_a_bit() {
                 "PAL@1w fusion stats: {:?}",
                 fused.fusion
             );
+        }
+        if workers == 2 {
+            // The cut falls between the audio and the video branch: one
+            // buffer crosses (the video replica of the RF source), one
+            // period's worth of it per period, and fusion runs up to the
+            // cut on both sides.
+            assert_eq!(fused.cross_buffers.len(), 1, "{:?}", fused.cross_buffers);
+            let crossing = fused.cross_tokens_per_period(&graph);
+            assert!(
+                crossing <= 400,
+                "PAL@2w hands {crossing} tokens across per period"
+            );
+            for (w, items) in fused.fused_workers.iter().enumerate() {
+                assert!(items.len() <= 8, "PAL@2w worker {w}: {} items", items.len());
+            }
         }
         let run = |s: &StaticSchedule| {
             execute_staticsched(

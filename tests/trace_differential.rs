@@ -232,6 +232,19 @@ fn ring_highwater_stays_within_cta_capacity_on_the_corpus() {
                 },
             );
             assert_rings_within(seed, "staticsched", threads, report.trace_report.as_ref());
+            // The bound checked above is the size the schedule proved — for
+            // crossing rings as for local ones — floored at the CTA capacity.
+            let rings = &report.trace_report.as_ref().expect("traced").rings;
+            for ((b, buffer), ring) in graph.buffers.iter_enumerated().zip(rings) {
+                let declared = buffer.capacity.max(buffer.initial_tokens).max(1);
+                assert_eq!(
+                    ring.capacity,
+                    declared.max(schedule.level_max[b] as usize),
+                    "seed {seed}: staticsched@{threads}: ring `{}` (crossing: {})",
+                    ring.name,
+                    ring.crossing
+                );
+            }
         }
     }
     assert!(
