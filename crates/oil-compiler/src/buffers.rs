@@ -10,7 +10,7 @@ use crate::derive::DerivedModel;
 use oil_cta::{buffersizing, BufferSizingError, CtaModel};
 use oil_lang::sema::AnalyzedProgram;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Sized buffers of a compiled program.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -33,9 +33,10 @@ impl BufferPlan {
 
     /// Capacity of a channel by (suffix of) its name.
     pub fn channel(&self, name: &str) -> Option<u64> {
+        let qualifies = |prefix: &str| prefix.is_empty() || prefix.ends_with('.');
         self.channels
             .iter()
-            .find(|(k, _)| k.as_str() == name || k.ends_with(&format!(".{name}")))
+            .find(|(k, _)| k.strip_suffix(name).is_some_and(qualifies))
             .map(|(_, &v)| v)
     }
 }
@@ -51,7 +52,7 @@ pub fn plan_buffers(
     let mut sized = derived.cta.clone();
     buffersizing::apply_capacities(&mut sized, &sizing.capacities);
 
-    let channel_names: Vec<&str> = analyzed
+    let channel_names: BTreeSet<&str> = analyzed
         .graph
         .channels
         .iter()
@@ -63,7 +64,7 @@ pub fn plan_buffers(
         // A minimum of one value per buffer: even a fully synchronous
         // producer/consumer pair needs one location to exchange data.
         let cap = (*cap).max(1);
-        if channel_names.contains(&name.as_str()) {
+        if channel_names.contains(name.as_str()) {
             channels.insert(name.clone(), cap);
         } else {
             locals.insert(name.clone(), cap);

@@ -9,23 +9,27 @@
 //! 1. determine the target rates: the maximal achievable rates with buffer
 //!    capacities treated as unbounded (buffers must never be the reason to
 //!    run slower than the data dependencies allow);
-//! 2. while a positive cycle exists, pick the buffer connections on that
-//!    cycle and enlarge their capacities just enough (rounded up to whole
-//!    tokens) to cancel the cycle's excess delay;
+//! 2. probe the delay constraints at those rates with the crate's
+//!    longest-path kernel (`longest_path.rs` says what a probe does and why
+//!    its short cuts are exact); while it finds a positive cycle, enlarge
+//!    the buffer connections on it just enough (rounded up to whole tokens)
+//!    to cancel its excess, rewrite their weights, probe again from zero;
 //! 3. repeat. Each iteration removes at least one offending cycle and the
 //!    number of iterations is bounded by the number of connections times the
-//!    number of buffers, keeping the whole procedure polynomial.
+//!    number of buffers: polynomial. Probes restart from zero, so a
+//!    `k`-stage pipeline still costs about `k³`.
 //!
-//! All of this runs in exact rational arithmetic: the excess delay of a cycle
-//! and the token growth `⌈excess · r / n⌉` are exact, so the computed
-//! capacities are deterministic and free of floating-point round-off.
+//! All of this is exact and deterministic: a cycle's excess and the token
+//! growth `⌈excess · r / n⌉` are rationals whatever the probe computes in,
+//! and the probe accepting the final capacities is replayed in rationals.
 //!
 //! The result is a *sufficient* capacity per buffer (the paper claims
 //! sufficiency, not minimality); the ablation benchmark compares it against
 //! the exact minimum found by state-space search on the dataflow model.
 
 use crate::component::{ConnectionId, CtaModel};
-use crate::consistency::{check_delays_at_rates, ConsistencyError};
+use crate::consistency::ConsistencyError;
+use crate::longest_path::Kernel;
 use oil_dataflow::index::{IndexVec, PortId};
 use oil_dataflow::Rational;
 use serde::{Deserialize, Serialize};
@@ -99,51 +103,40 @@ pub fn size_buffers(model: &CtaModel) -> Result<BufferSizingResult, BufferSizing
     let max_iterations =
         (working.connections.len().max(1)) * (working.buffer_connections().len() + 2) * 8;
     let mut iterations = 0;
-    loop {
-        match check_delays_at_rates(&working, &base) {
-            Ok(_) => break,
-            Err(ConsistencyError::PositiveCycle {
-                excess,
-                connections,
-                ..
-            }) => {
-                iterations += 1;
-                if iterations > max_iterations {
-                    return Err(BufferSizingError::DidNotConverge {
-                        capacities: collect_capacities(&working),
-                    });
-                }
-                // Buffer connections on the cycle can absorb the excess by
-                // growing their capacity: enlarging δ by Δ reduces the cycle
-                // weight by Δ / r(from).
-                let on_cycle: Vec<ConnectionId> = connections
-                    .iter()
-                    .copied()
-                    .filter(|&cid| working.connections[cid].buffer.is_some())
-                    .collect();
-                if on_cycle.is_empty() {
-                    return Err(BufferSizingError::Unfixable(
-                        ConsistencyError::PositiveCycle {
-                            ports: Vec::new(),
-                            excess,
-                            connections,
-                        },
-                    ));
-                }
-                // Spread the growth over the cycle's buffers; rounding each
-                // share up (exactly, via rational ceil) keeps the algorithm
-                // monotone and terminating.
-                let share = excess / Rational::from_int(on_cycle.len() as i128);
-                for cid in on_cycle {
-                    let rate = base[working.connections[cid].from];
-                    let grow_tokens = (share * rate).ceil().max(1);
-                    working.connections[cid].phi -= Rational::from_int(grow_tokens);
-                }
-            }
-            Err(other) => return Err(BufferSizingError::Unfixable(other)),
+    let mut kernel = Kernel::default();
+    kernel.load(&working, &base, false);
+    while let Some((ports, connections, excess)) = kernel.probe(None) {
+        iterations += 1;
+        if iterations > max_iterations {
+            return Err(BufferSizingError::DidNotConverge {
+                capacities: collect_capacities(&working),
+            });
+        }
+        // Buffer connections on the cycle can absorb the excess by growing
+        // their capacity: enlarging δ by Δ reduces the cycle weight by
+        // Δ / r(from).
+        let on_cycle: Vec<ConnectionId> = connections
+            .iter()
+            .copied()
+            .filter(|&cid| working.connections[cid].buffer.is_some())
+            .collect();
+        if on_cycle.is_empty() {
+            let witness = (ports, connections, excess).into();
+            return Err(BufferSizingError::Unfixable(witness));
+        }
+        // Spread the growth over the cycle's buffers; rounding each share up
+        // (exactly, via rational ceil) keeps the algorithm monotone and
+        // terminating.
+        let share = excess / Rational::from_int(on_cycle.len() as i128);
+        for cid in on_cycle {
+            let rate = base[working.connections[cid].from];
+            let grow = Rational::from_int((share * rate).ceil().max(1));
+            working.connections[cid].phi -= grow;
+            kernel.lower(cid, grow / rate);
         }
     }
 
+    kernel.confirm();
     Ok(BufferSizingResult {
         capacities: collect_capacities(&working),
         iterations,
@@ -284,10 +277,33 @@ mod tests {
         let ms = Rational::new(1, 1000);
         m.connect(p, q, ms, Rational::ZERO, Rational::ONE);
         m.connect(q, p, ms, Rational::ZERO, Rational::ONE);
-        assert!(matches!(
-            size_buffers(&m),
-            Err(BufferSizingError::Unfixable(_))
-        ));
+        assert_witness_closes_a_loop(&m, size_buffers(&m));
+    }
+
+    /// An unfixable cycle is reported with its witness: a non-empty port
+    /// list, one port per connection, and the connections close a loop
+    /// through exactly those ports.
+    fn assert_witness_closes_a_loop(
+        m: &CtaModel,
+        result: Result<BufferSizingResult, BufferSizingError>,
+    ) {
+        let Err(BufferSizingError::Unfixable(ConsistencyError::PositiveCycle {
+            ports,
+            excess,
+            connections,
+        })) = result
+        else {
+            panic!("expected an unfixable positive cycle, got {result:?}");
+        };
+        assert!(excess.is_positive());
+        assert!(!ports.is_empty(), "the witness lost its ports");
+        assert_eq!(ports.len(), connections.len());
+        for (i, &cid) in connections.iter().enumerate() {
+            let next = connections[(i + 1) % connections.len()];
+            assert_eq!(m.connections[cid].to, ports[i]);
+            assert_eq!(m.connections[cid].to, m.connections[next].from);
+            assert!(m.connections[cid].buffer.is_none());
+        }
     }
 
     #[test]
@@ -325,10 +341,7 @@ mod tests {
             Rational::ZERO,
             Rational::ONE,
         );
-        assert!(matches!(
-            size_buffers(&m),
-            Err(BufferSizingError::Unfixable(_))
-        ));
+        assert_witness_closes_a_loop(&m, size_buffers(&m));
     }
 
     #[test]

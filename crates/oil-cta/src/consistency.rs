@@ -10,10 +10,10 @@
 //!    no cycle of connections has a positive total delay.
 //!
 //! Both checks are polynomial: rate propagation is a breadth-first traversal
-//! with exact rational coefficients, and the delay check is a Bellman-Ford
-//! longest-path computation (`O(P · C)`). The algorithm also returns the
-//! maximal achievable transfer rates, which the paper uses for rate-only
-//! interfaces of black-box components.
+//! with exact rational coefficients, and the delay check is one probe of the
+//! crate's longest-path kernel (`longest_path.rs`, `O(P · C)` at worst, says
+//! why its short cuts are exact). The algorithm also returns the maximal
+//! achievable rates, used for rate-only interfaces of black-box components.
 //!
 //! Everything here is computed in **exact rational arithmetic**: rates,
 //! offsets and slacks are [`Rational`]s, comparisons are exact, and there are
@@ -25,6 +25,7 @@
 //! of binary-searching to a tolerance.
 
 use crate::component::{ConnectionId, CtaModel};
+use crate::longest_path::{Cycle, Kernel};
 use oil_dataflow::index::{GroupId, Idx, IndexVec, PortId};
 use oil_dataflow::Rational;
 use serde::{Deserialize, Serialize};
@@ -141,6 +142,16 @@ impl std::fmt::Display for ConsistencyError {
 }
 
 impl std::error::Error for ConsistencyError {}
+
+impl From<Cycle> for ConsistencyError {
+    fn from((ports, connections, excess): Cycle) -> Self {
+        ConsistencyError::PositiveCycle {
+            ports,
+            excess,
+            connections,
+        }
+    }
+}
 
 /// Internal: rate groups and per-port rational coefficients.
 pub(crate) struct RateStructure {
@@ -276,89 +287,19 @@ fn resolve_rates(
 pub type DelayCheck = (IndexVec<PortId, Rational>, IndexVec<ConnectionId, Rational>);
 
 /// Check the delay constraints at the given rates: no cycle of connections
-/// may have positive total delay. Returns feasible offsets on success or a
-/// witness cycle on failure. Longest-path Bellman-Ford, `O(P · C)`, with
-/// exact comparisons throughout.
+/// may have positive total delay. Returns the least feasible offsets (every
+/// port may start at zero) on success or a witness cycle on failure. One
+/// probe of the longest-path kernel: exact, `O(P · C)` at worst.
 pub fn check_delays_at_rates(
     model: &CtaModel,
     rates: &IndexVec<PortId, Rational>,
 ) -> Result<DelayCheck, ConsistencyError> {
-    check_delays(model, rates, false)
-}
-
-/// As [`check_delays_at_rates`], optionally treating buffer connections as
-/// unbounded (their capacity term `-δ/r` can absorb any delay, so they can
-/// never be part of a binding cycle). Used when computing the rates a model
-/// could reach if buffer sizing were free to enlarge every capacity.
-pub(crate) fn check_delays(
-    model: &CtaModel,
-    rates: &IndexVec<PortId, Rational>,
-    ignore_buffers: bool,
-) -> Result<DelayCheck, ConsistencyError> {
-    let n = model.ports.len();
-    let mut offsets: IndexVec<PortId, Rational> = IndexVec::from_elem(Rational::ZERO, n);
-    let mut pred: IndexVec<PortId, Option<(PortId, ConnectionId)>> = IndexVec::from_elem(None, n);
-    let weight = |cid: ConnectionId| -> Rational {
-        let c = &model.connections[cid];
-        c.delay_at_rate(rates[c.from])
-    };
-    let skipped =
-        |cid: ConnectionId| -> bool { ignore_buffers && model.connections[cid].buffer.is_some() };
-
-    let mut updated: Option<PortId> = None;
-    for _ in 0..n.max(1) {
-        updated = None;
-        for (cid, c) in model.connections.iter_enumerated() {
-            if skipped(cid) {
-                continue;
-            }
-            let w = weight(cid);
-            if offsets[c.from] + w > offsets[c.to] {
-                offsets[c.to] = offsets[c.from] + w;
-                pred[c.to] = Some((c.from, cid));
-                updated = Some(c.to);
-            }
-        }
-        if updated.is_none() {
-            break;
-        }
+    let mut kernel = Kernel::default();
+    kernel.load(model, rates, false);
+    match kernel.probe(None) {
+        None => Ok(kernel.delay_check()),
+        Some(cycle) => Err(cycle.into()),
     }
-
-    if let Some(start) = updated {
-        // A positive cycle exists; walk predecessors to extract it.
-        let mut v = start;
-        for _ in 0..n {
-            v = pred[v].map(|(p, _)| p).unwrap_or(v);
-        }
-        let mut ports = vec![v];
-        let mut connections = Vec::new();
-        let mut excess = Rational::ZERO;
-        let mut cur = v;
-        loop {
-            let (p, cid) = pred[cur].expect("cycle nodes have predecessors");
-            connections.push(cid);
-            excess += weight(cid);
-            cur = p;
-            if cur == v {
-                break;
-            }
-            ports.push(cur);
-        }
-        ports.reverse();
-        connections.reverse();
-        return Err(ConsistencyError::PositiveCycle {
-            ports,
-            excess,
-            connections,
-        });
-    }
-
-    let slacks = model
-        .connections
-        .iter_enumerated()
-        .map(|(cid, c)| offsets[c.to] - offsets[c.from] - weight(cid))
-        .collect();
-    Ok((offsets, slacks))
 }
 
 impl CtaModel {
@@ -391,7 +332,7 @@ impl CtaModel {
     /// Returns the per-port rates, or the error that makes even arbitrarily
     /// low rates infeasible.
     pub fn maximal_rates(&self) -> Result<IndexVec<PortId, Rational>, ConsistencyError> {
-        self.maximal_rates_impl(false)
+        Ok(self.maximal_rates_impl(false)?.0)
     }
 
     /// As [`Self::maximal_rates`], but with buffer-capacity connections
@@ -401,13 +342,14 @@ impl CtaModel {
     pub fn maximal_rates_unbounded_buffers(
         &self,
     ) -> Result<IndexVec<PortId, Rational>, ConsistencyError> {
-        self.maximal_rates_impl(true)
+        Ok(self.maximal_rates_impl(true)?.0)
     }
 
+    /// The maximal rates, their structure and the kernel that accepted them.
     fn maximal_rates_impl(
         &self,
         ignore_buffers: bool,
-    ) -> Result<IndexVec<PortId, Rational>, ConsistencyError> {
+    ) -> Result<(IndexVec<PortId, Rational>, RateStructure, Kernel), ConsistencyError> {
         let rs = propagate_rate_structure(self)?;
         let (_scales, base) = resolve_rates(self, &rs)?;
         // Which groups are pinned by a source or sink?
@@ -444,59 +386,46 @@ impl CtaModel {
         // guards against pathological models.
         let max_rounds = self.connections.len() * self.connections.len() + 8;
         let mut last_error = None;
+        let mut kernel = Kernel::default();
         for _ in 0..=max_rounds {
             let rates = rates_at(&factor);
-            match check_delays(self, &rates, ignore_buffers) {
-                Ok(_) => return Ok(rates),
-                Err(ConsistencyError::PositiveCycle {
-                    ports,
-                    excess,
-                    connections,
-                }) => {
-                    // The cycle lies within one constraint component; split
-                    // its weight into E + P/factor there: epsilon terms and
-                    // fixed-group phi terms are constant, free-group phi
-                    // terms scale with 1/factor.
-                    let cycle_comp = comp[self.connections[connections[0]].from.index()];
-                    let mut e_sum = Rational::ZERO;
-                    let mut p_sum = Rational::ZERO;
-                    for &cid in &connections {
-                        let c = &self.connections[cid];
-                        debug_assert_eq!(comp[c.from.index()], cycle_comp);
-                        e_sum += c.epsilon;
-                        if !c.phi.is_zero() {
-                            let term = c.phi / base[c.from];
-                            if fixed[rs.group[c.from].index()] {
-                                e_sum += term;
-                            } else {
-                                p_sum += term;
-                            }
-                        }
-                    }
-                    if p_sum.is_negative() {
-                        // weight(f) = E + P/f with P < 0 is increasing in f
-                        // and positive at the current factor, so E > 0 and
-                        // the unique zero crossing -P/E lies strictly below.
-                        let threshold = -p_sum / e_sum;
-                        debug_assert!(threshold.is_positive() && threshold < factor[cycle_comp]);
-                        factor[cycle_comp] = threshold;
-                        last_error = Some(ConsistencyError::PositiveCycle {
-                            ports,
-                            excess,
-                            connections,
-                        });
+            kernel.load(self, &rates, ignore_buffers);
+            let Some(cycle) = kernel.probe(None) else {
+                return Ok((rates, rs, kernel));
+            };
+            // The cycle lies within one constraint component; split its
+            // weight into E + P/factor there: epsilon terms and fixed-group
+            // phi terms are constant, free-group phi terms scale with
+            // 1/factor.
+            let connections = &cycle.1;
+            let cycle_comp = comp[self.connections[connections[0]].from.index()];
+            let mut e_sum = Rational::ZERO;
+            let mut p_sum = Rational::ZERO;
+            for &cid in connections {
+                let c = &self.connections[cid];
+                debug_assert_eq!(comp[c.from.index()], cycle_comp);
+                e_sum += c.epsilon;
+                if !c.phi.is_zero() {
+                    let term = c.phi / base[c.from];
+                    if fixed[rs.group[c.from].index()] {
+                        e_sum += term;
                     } else {
-                        // The cycle's delay does not shrink at lower rates:
-                        // no positive factor is feasible.
-                        return Err(ConsistencyError::PositiveCycle {
-                            ports,
-                            excess,
-                            connections,
-                        });
+                        p_sum += term;
                     }
                 }
-                Err(other) => return Err(other),
             }
+            if !p_sum.is_negative() {
+                // The cycle's delay does not shrink at lower rates: no
+                // positive factor is feasible.
+                return Err(cycle.into());
+            }
+            // weight(f) = E + P/f with P < 0 is increasing in f and positive
+            // at the current factor, so E > 0 and the unique zero crossing
+            // -P/E lies strictly below.
+            let threshold = -p_sum / e_sum;
+            debug_assert!(threshold.is_positive() && threshold < factor[cycle_comp]);
+            factor[cycle_comp] = threshold;
+            last_error = Some(cycle.into());
         }
         Err(last_error.expect("rounds exhausted only after at least one cycle"))
     }
@@ -545,9 +474,8 @@ impl CtaModel {
     /// exactly. Fails only when no positive rate satisfies the constraints,
     /// e.g. an unattainable latency bound.
     pub fn consistency_at_maximal_rates(&self) -> Result<ConsistencyResult, ConsistencyError> {
-        let rs = propagate_rate_structure(self)?;
-        let rates = self.maximal_rates()?;
-        let (offsets, slacks) = check_delays_at_rates(self, &rates)?;
+        let (rates, rs, mut kernel) = self.maximal_rates_impl(false)?;
+        let (offsets, slacks) = kernel.delay_check();
         Ok(ConsistencyResult {
             rates,
             offsets,

@@ -12,7 +12,8 @@
 
 use crate::component::CtaModel;
 use crate::consistency::ConsistencyResult;
-use oil_dataflow::index::{IndexVec, PortId};
+use crate::longest_path::Kernel;
+use oil_dataflow::index::{Idx, PortId};
 use oil_dataflow::Rational;
 use serde::{Deserialize, Serialize};
 
@@ -64,36 +65,22 @@ pub fn add_after_constraint(
 
 /// Compute the critical-path latency from `from` to `to` implied by a
 /// consistent model: the longest total delay over all connection paths,
-/// evaluated exactly at the rates of `result`. Returns `None` if `to` is not
-/// reachable from `from`.
+/// evaluated exactly at the rates of `result` by a single-source probe of
+/// the crate's longest-path kernel. Returns `None` if `to` is not reachable
+/// from `from` (or, on an inconsistent model, a positive cycle is).
 pub fn check_latency_path(
     model: &CtaModel,
     result: &ConsistencyResult,
     from: PortId,
     to: PortId,
 ) -> Option<LatencyReport> {
-    let n = model.ports.len();
-    // `None` plays the role of -infinity: unreachable so far.
-    let mut dist: IndexVec<PortId, Option<Rational>> = IndexVec::from_elem(None, n);
-    dist[from] = Some(Rational::ZERO);
-    // Longest path by Bellman-Ford; the model is consistent, so there are no
-    // positive cycles and the longest path is well defined.
-    for _ in 0..n {
-        let mut changed = false;
-        for c in &model.connections {
-            let Some(base) = dist[c.from] else { continue };
-            let w = c.delay_at_rate(result.rates[c.from]);
-            let candidate = base + w;
-            if dist[c.to].is_none_or(|d| candidate > d) {
-                dist[c.to] = Some(candidate);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
+    let mut kernel = Kernel::default();
+    kernel.load(model, &result.rates, false);
+    if kernel.probe(Some(from)).is_some() {
+        return None;
     }
-    dist[to].map(|latency| LatencyReport { from, to, latency })
+    let latency = kernel.offset(to.index())?;
+    Some(LatencyReport { from, to, latency })
 }
 
 /// A seam-latency bound violation: the worst-case source-to-sink latency

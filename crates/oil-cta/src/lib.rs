@@ -51,6 +51,7 @@ pub mod component;
 pub mod compose;
 pub mod consistency;
 pub mod latency;
+mod longest_path;
 pub mod periodic;
 
 pub use buffersizing::{size_buffers, BufferSizingError, BufferSizingResult};

@@ -93,6 +93,38 @@ fn fig6_consistency_and_sizing_are_bit_identical_on_the_raw_model() {
 }
 
 #[test]
+fn pipeline32_sizing_is_bit_identical_across_runs() {
+    // The largest program of the compile corpus: 324 ports, 484 connections,
+    // 33 buffers, one enlargement each. Its sizing runs on scaled integers,
+    // skips no-op relaxations and stops at the first predecessor cycle;
+    // none of that may make a result depend on anything but the model.
+    let mut src = String::from("mod seq W(int a, out int b){ loop{ f(a, out b); } while(1); }\n");
+    src.push_str("mod par Top(){\n");
+    for i in 0..31 {
+        src.push_str(&format!("    fifo int m{i};\n"));
+    }
+    src.push_str("    source int x = src() @ 1000 Hz;\n    sink int y = snk() @ 1000 Hz;\n");
+    src.push_str("    W(x, out m0)");
+    for i in 1..31 {
+        src.push_str(&format!(" || W(m{}, out m{i})", i - 1));
+    }
+    src.push_str(" || W(m30, out y)\n}\n");
+
+    let reg = registry();
+    let analyzed = oil::lang::frontend(&src, &reg).unwrap();
+    let derived = derive_cta_model(&analyzed, &reg);
+    assert_eq!(derived.cta.ports.len(), 324);
+    assert_eq!(derived.cta.connections.len(), 484);
+    let first = size_buffers(&derived.cta).unwrap();
+    assert_eq!(first.iterations, 33);
+    assert_eq!(first.capacities.len(), 33);
+    for _ in 0..3 {
+        assert_eq!(size_buffers(&derived.cta).unwrap(), first);
+    }
+    assert_deterministic(&src);
+}
+
+#[test]
 fn fig6_reported_rates_and_latency_are_exact() {
     let compiled = compile(FIG6, &registry(), &CompilerOptions::default()).unwrap();
     // Source and sink rates are exactly the declared 1 kHz.

@@ -360,4 +360,610 @@ fn adversarial_rates_hit_budget_guards_not_panics() {
         HsdfGraph::expand(&wide),
         Err(SdfError::BudgetExceeded { .. })
     ));
+
+    adversarial_denominators_take_the_rational_path_to_the_dense_verdict();
+}
+
+// ---------------------------------------------------------------------------
+// The shared longest-path kernel of `oil-cta` against the dense loop it
+// replaced.
+// ---------------------------------------------------------------------------
+
+mod dense {
+    //! The reference: the exact-rational Bellman-Ford `oil-cta` ran before
+    //! every delay analysis moved onto one kernel. Every connection is
+    //! relaxed in every round with its weight recomputed per visit, a cycle
+    //! is looked for only after `n` rounds, and each probe starts from zero.
+    //! Slow and obviously right; the kernel must reproduce its results
+    //! exactly.
+
+    use oil::cta::buffersizing::{BufferSizingError, BufferSizingResult};
+    use oil::cta::consistency::{ConsistencyError, DelayCheck};
+    use oil::cta::{ConnectionId, CtaModel};
+    use oil::dataflow::index::{IndexVec, PortId};
+    use oil::dataflow::Rational;
+
+    pub fn check_delays(
+        model: &CtaModel,
+        rates: &IndexVec<PortId, Rational>,
+    ) -> Result<DelayCheck, ConsistencyError> {
+        let n = model.ports.len();
+        let mut offsets: IndexVec<PortId, Rational> = IndexVec::from_elem(Rational::ZERO, n);
+        let mut pred: IndexVec<PortId, Option<(PortId, ConnectionId)>> =
+            IndexVec::from_elem(None, n);
+        let weight = |cid: ConnectionId| -> Rational {
+            let c = &model.connections[cid];
+            c.delay_at_rate(rates[c.from])
+        };
+        let mut updated: Option<PortId> = None;
+        for _ in 0..n.max(1) {
+            updated = None;
+            for (cid, c) in model.connections.iter_enumerated() {
+                let w = weight(cid);
+                if offsets[c.from] + w > offsets[c.to] {
+                    offsets[c.to] = offsets[c.from] + w;
+                    pred[c.to] = Some((c.from, cid));
+                    updated = Some(c.to);
+                }
+            }
+            if updated.is_none() {
+                break;
+            }
+        }
+        if let Some(start) = updated {
+            let mut v = start;
+            for _ in 0..n {
+                v = pred[v].map(|(p, _)| p).unwrap_or(v);
+            }
+            let mut ports = vec![v];
+            let mut connections = Vec::new();
+            let mut excess = Rational::ZERO;
+            let mut cur = v;
+            loop {
+                let (p, cid) = pred[cur].expect("cycle nodes have predecessors");
+                connections.push(cid);
+                excess += weight(cid);
+                cur = p;
+                if cur == v {
+                    break;
+                }
+                ports.push(cur);
+            }
+            ports.reverse();
+            connections.reverse();
+            return Err(ConsistencyError::PositiveCycle {
+                ports,
+                excess,
+                connections,
+            });
+        }
+        let slacks = model
+            .connections
+            .iter_enumerated()
+            .map(|(cid, c)| offsets[c.to] - offsets[c.from] - weight(cid))
+            .collect();
+        Ok((offsets, slacks))
+    }
+
+    /// Longest path from `from` to `to` by dense rounds from a single source.
+    pub fn latency(
+        model: &CtaModel,
+        rates: &IndexVec<PortId, Rational>,
+        from: PortId,
+        to: PortId,
+    ) -> Option<Rational> {
+        let n = model.ports.len();
+        let mut dist: IndexVec<PortId, Option<Rational>> = IndexVec::from_elem(None, n);
+        dist[from] = Some(Rational::ZERO);
+        for _ in 0..n {
+            let mut changed = false;
+            for c in &model.connections {
+                let Some(base) = dist[c.from] else { continue };
+                let candidate = base + c.delay_at_rate(rates[c.from]);
+                if dist[c.to].is_none_or(|d| candidate > d) {
+                    dist[c.to] = Some(candidate);
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        dist[to]
+    }
+
+    /// The sizing loop on the dense probe: find one positive cycle, enlarge
+    /// the buffers on it, probe again from zero.
+    pub fn size_buffers(model: &CtaModel) -> Result<BufferSizingResult, BufferSizingError> {
+        let mut working = model.clone();
+        let base = working
+            .maximal_rates_unbounded_buffers()
+            .map_err(BufferSizingError::Unfixable)?;
+        let mut iterations = 0;
+        loop {
+            match check_delays(&working, &base) {
+                Ok(_) => break,
+                Err(ConsistencyError::PositiveCycle {
+                    ports,
+                    excess,
+                    connections,
+                }) => {
+                    iterations += 1;
+                    let on_cycle: Vec<ConnectionId> = connections
+                        .iter()
+                        .copied()
+                        .filter(|&cid| working.connections[cid].buffer.is_some())
+                        .collect();
+                    if on_cycle.is_empty() {
+                        return Err(BufferSizingError::Unfixable(
+                            ConsistencyError::PositiveCycle {
+                                ports,
+                                excess,
+                                connections,
+                            },
+                        ));
+                    }
+                    let share = excess / Rational::from_int(on_cycle.len() as i128);
+                    for cid in on_cycle {
+                        let rate = base[working.connections[cid].from];
+                        let grow_tokens = (share * rate).ceil().max(1);
+                        working.connections[cid].phi -= Rational::from_int(grow_tokens);
+                    }
+                }
+                Err(other) => return Err(BufferSizingError::Unfixable(other)),
+            }
+        }
+        let mut capacities = std::collections::BTreeMap::new();
+        for c in &working.connections {
+            if let Some(name) = &c.buffer {
+                let cap = (-c.phi).max(Rational::ZERO).ceil() as u64;
+                let entry = capacities.entry(name.clone()).or_insert(0);
+                *entry = (*entry).max(cap);
+            }
+        }
+        Ok(BufferSizingResult {
+            capacities,
+            iterations,
+            rates: base,
+        })
+    }
+}
+
+/// A `stages`-deep single-rate pipeline between a 1 kHz source and sink
+/// (the compile corpus's `pipeline_source`).
+fn pipeline_source(stages: usize) -> String {
+    let mut s = String::from("mod seq W(int a, out int b){ loop{ f(a, out b); } while(1); }\n");
+    s.push_str("mod par Top(){\n");
+    for i in 0..stages - 1 {
+        s.push_str(&format!("    fifo int m{i};\n"));
+    }
+    s.push_str("    source int x = src() @ 1000 Hz;\n    sink int y = snk() @ 1000 Hz;\n");
+    let calls: Vec<String> = (0..stages)
+        .map(|i| {
+            let input = if i == 0 {
+                "x".into()
+            } else {
+                format!("m{}", i - 1)
+            };
+            let output = if i == stages - 1 {
+                "y".into()
+            } else {
+                format!("m{i}")
+            };
+            format!("W({input}, out {output})")
+        })
+        .collect();
+    s.push_str(&format!("    {}\n}}\n", calls.join(" || ")));
+    s
+}
+
+/// Every CTA model the kernel is held to the dense loop on: the derived
+/// models of the generated and fixed programs, and the generator's ring,
+/// pair and multi-rate topologies.
+fn kernel_corpus() -> Vec<(String, oil::cta::CtaModel)> {
+    use oil::compiler::derive_cta_model;
+    use oil::lang::registry::{FunctionRegistry, FunctionSignature};
+
+    let registry = |functions: &[(&str, f64)]| {
+        let mut reg = FunctionRegistry::new();
+        for &(name, response) in functions {
+            reg.register(FunctionSignature::pure(name, response));
+        }
+        reg
+    };
+    let unit = registry(&[("f", 1e-6), ("src", 1e-6), ("snk", 1e-6)]);
+    let sdr = r#"
+        mod seq Decim(int a, out int b){ loop{ f0(a:8, out b); } while(1); }
+        mod seq Demod(int a, out int b){ loop{ f1(a, out b); } while(1); }
+        mod seq Resamp(int a, out int b){ loop{ f2(a:2, out b:3); } while(1); }
+        mod par Top(){
+            fifo int ifs, af;
+            source int x = src() @ 512 kHz;
+            sink int y = snk() @ 96 kHz;
+            Decim(x, out ifs) || Demod(ifs, out af) || Resamp(af, out y)
+        }
+    "#;
+    let wide = {
+        let mut s = String::from(
+            "mod seq S(int a, out int b){ loop{ heavy(a, out b); } while(1); }\nmod par Top(){\n",
+        );
+        for i in 0..8 {
+            s.push_str(&format!("    source int x{i} = src() @ 4 kHz;\n"));
+            s.push_str(&format!("    sink int y{i} = snk() @ 4 kHz;\n"));
+        }
+        let calls: Vec<String> = (0..8).map(|i| format!("S(x{i}, out y{i})")).collect();
+        s + &format!("    {}\n}}\n", calls.join(" || "))
+    };
+    let mut programs = vec![
+        (
+            "pal".to_string(),
+            oil::pal::PAL_DECODER_OIL.to_string(),
+            oil::pal::pal_registry(),
+        ),
+        (
+            "sdr".to_string(),
+            sdr.to_string(),
+            registry(&[
+                ("f0", 1e-5),
+                ("f1", 1e-5),
+                ("f2", 2e-5),
+                ("src", 1e-7),
+                ("snk", 1e-7),
+            ]),
+        ),
+        (
+            "wide".to_string(),
+            wide,
+            registry(&[("heavy", 1.875e-4), ("src", 1e-7), ("snk", 1e-7)]),
+        ),
+    ];
+    for k in [4, 8, 16] {
+        programs.push((format!("pipeline{k}"), pipeline_source(k), unit.clone()));
+    }
+    for seed in 0..PROGRAM_SEEDS {
+        let s = ProgramScenario::generate(seed);
+        programs.push((format!("program seed {seed}"), s.source, s.registry));
+        let s = ProgramScenario::generate_sdr(seed);
+        programs.push((format!("sdr program seed {seed}"), s.source, s.registry));
+    }
+    let mut corpus: Vec<(String, oil::cta::CtaModel)> = programs
+        .into_iter()
+        .map(|(name, source, reg)| {
+            let analyzed = oil::lang::frontend(&source, &reg)
+                .unwrap_or_else(|e| panic!("{name}: front end rejected: {e:?}"));
+            (name, derive_cta_model(&analyzed, &reg).cta)
+        })
+        .collect();
+    for seed in 0..RING_SEEDS {
+        corpus.push((
+            format!("ring seed {seed}"),
+            RingScenario::generate(seed).cta(),
+        ));
+    }
+    for seed in 0..PAIR_SEEDS {
+        let pair = PairScenario::generate(seed);
+        corpus.push((format!("unsized pair seed {seed}"), pair.cta(None)));
+        corpus.push((format!("pair seed {seed}"), pair.cta(Some(pair.capacity))));
+    }
+    for seed in 0..MULTIRATE_SEEDS {
+        let scenario = MultiRateScenario::generate(seed);
+        corpus.push((format!("multirate seed {seed}"), scenario.cta(1000)));
+    }
+    corpus
+}
+
+/// A reported positive cycle must be a closed walk over existing connections
+/// whose delays at `rates` sum to exactly the reported, positive excess.
+fn assert_positive_cycle(
+    name: &str,
+    model: &oil::cta::CtaModel,
+    rates: &oil::dataflow::index::IndexVec<PortId, Rational>,
+    error: &ConsistencyError,
+) {
+    let ConsistencyError::PositiveCycle {
+        ports,
+        excess,
+        connections,
+    } = error
+    else {
+        panic!("{name}: expected a positive cycle, got {error:?}");
+    };
+    assert!(!connections.is_empty(), "{name}: empty cycle");
+    assert_eq!(
+        ports.len(),
+        connections.len(),
+        "{name}: ports vs connections"
+    );
+    let mut sum = Rational::ZERO;
+    for (i, &cid) in connections.iter().enumerate() {
+        let c = &model.connections[cid];
+        let next = &model.connections[connections[(i + 1) % connections.len()]];
+        assert_eq!(c.to, next.from, "{name}: cycle is not closed at {cid}");
+        assert_eq!(
+            ports[i], c.to,
+            "{name}: port list does not follow the cycle"
+        );
+        sum += c.delay_at_rate(rates[c.from]);
+    }
+    assert_eq!(sum, *excess, "{name}: excess is not the cycle's delay");
+    assert!(
+        excess.is_positive(),
+        "{name}: excess {excess} is not positive"
+    );
+}
+
+/// How many models reached each arm of [`assert_kernel_matches_dense`].
+#[derive(Default, Debug)]
+struct KernelTally {
+    feasible: u32,
+    cycles: u32,
+    sized: u32,
+    latencies: u32,
+}
+
+/// Hold every delay analysis of `model` to the dense reference: one probe at
+/// the rates sizing targets, the sizing loop, and on the sized model the
+/// maximal rates with their offsets and slacks and the latencies between its
+/// pinned ports.
+fn assert_kernel_matches_dense(name: &str, model: &oil::cta::CtaModel, tally: &mut KernelTally) {
+    use oil::cta::buffersizing::apply_capacities;
+    use oil::cta::{check_delays_at_rates, check_latency_path, size_buffers};
+
+    // The unsized programs fail this probe, the sized topologies pass it.
+    if let Ok(rates) = model.maximal_rates_unbounded_buffers() {
+        match (
+            check_delays_at_rates(model, &rates),
+            dense::check_delays(model, &rates),
+        ) {
+            // The least solution is unique: equality, not tolerance.
+            (Ok(kernel), Ok(reference)) => {
+                tally.feasible += 1;
+                assert_eq!(kernel, reference, "{name}: offsets or slacks differ");
+            }
+            (Err(kernel), Err(_)) => {
+                tally.cycles += 1;
+                assert_positive_cycle(name, model, &rates, &kernel);
+            }
+            (kernel, reference) => {
+                panic!("{name}: verdicts differ: kernel {kernel:?}, dense {reference:?}")
+            }
+        }
+    }
+
+    // Sizing: capacities, iterations and rates.
+    let result = match (size_buffers(model), dense::size_buffers(model)) {
+        (Ok(kernel), Ok(reference)) => {
+            assert_eq!(kernel, reference, "{name}: sizing differs");
+            kernel
+        }
+        (Err(kernel), Err(reference)) => {
+            assert_eq!(
+                std::mem::discriminant(&kernel),
+                std::mem::discriminant(&reference),
+                "{name}: sizing errors differ: {kernel:?} vs {reference:?}"
+            );
+            return;
+        }
+        (kernel, reference) => {
+            panic!("{name}: sizing verdicts differ: kernel {kernel:?}, dense {reference:?}")
+        }
+    };
+    tally.sized += 1;
+
+    let mut sized = model.clone();
+    apply_capacities(&mut sized, &result.capacities);
+    let Ok(consistency) = sized.consistency_at_maximal_rates() else {
+        assert!(
+            dense::check_delays(&sized, &result.rates).is_err(),
+            "{name}: kernel rejects a sized model the dense loop accepts"
+        );
+        return;
+    };
+    assert_eq!(
+        dense::check_delays(&sized, &consistency.rates),
+        Ok((consistency.offsets.clone(), consistency.slacks.clone())),
+        "{name}: offsets or slacks at the maximal rates differ"
+    );
+    assert_eq!(
+        sized.maximal_rates().as_ref(),
+        Ok(&consistency.rates),
+        "{name}: maximal rates differ between the two entry points"
+    );
+    let pinned: Vec<PortId> = sized
+        .ports
+        .iter_enumerated()
+        .filter(|(_, p)| p.required_rate.is_some())
+        .map(|(id, _)| id)
+        .take(4)
+        .collect();
+    for &from in &pinned {
+        for &to in &pinned {
+            tally.latencies += 1;
+            assert_eq!(
+                check_latency_path(&sized, &consistency, from, to).map(|r| r.latency),
+                dense::latency(&sized, &consistency.rates, from, to),
+                "{name}: latency {from} -> {to} differs"
+            );
+        }
+    }
+}
+
+#[test]
+fn longest_path_kernel_matches_the_dense_reference_exactly() {
+    let mut tally = KernelTally::default();
+    for (name, model) in kernel_corpus() {
+        assert_kernel_matches_dense(&name, &model, &mut tally);
+    }
+    // The sweep must exercise every arm.
+    assert!(
+        tally.feasible >= 100 && tally.cycles >= 50 && tally.sized >= 150 && tally.latencies >= 100,
+        "thin sweep: {tally:?}"
+    );
+}
+
+/// The least common multiple of every connection delay's denominator at
+/// `rates`, or `None` once it no longer fits `i128`: whether the kernel can
+/// clear denominators on this model.
+fn common_denominator(
+    model: &oil::cta::CtaModel,
+    rates: &oil::dataflow::index::IndexVec<PortId, Rational>,
+) -> Option<i128> {
+    use oil::dataflow::rational::gcd;
+    model.connections.iter().try_fold(1i128, |lcm, c| {
+        let den = c.delay_at_rate(rates[c.from]).denom();
+        (lcm / gcd(lcm as u128, den as u128) as i128).checked_mul(den)
+    })
+}
+
+/// Disjoint producer/consumer pairs whose rates and response times are
+/// distinct primes near 1e9: every pair is easy in rationals, their common
+/// denominator is far outside `i128`.
+fn coprime_prime_pairs() -> oil::cta::CtaModel {
+    const PRIMES: [i128; 12] = [
+        1_000_000_007,
+        1_000_000_009,
+        998_244_353,
+        1_000_000_021,
+        1_000_000_033,
+        1_000_000_087,
+        1_000_000_093,
+        1_000_000_097,
+        1_000_000_103,
+        1_000_000_123,
+        999_999_937,
+        999_999_929,
+    ];
+    let mut m = oil::cta::CtaModel::new();
+    for (i, pair) in PRIMES.chunks(2).enumerate() {
+        let (rate, response) = (Rational::from_int(pair[0]), Rational::new(1, pair[1]));
+        let prod = m.add_component(format!("prod{i}"), None);
+        let cons = m.add_component(format!("cons{i}"), None);
+        let p = m.add_port(prod, "out", Some(rate));
+        let q = m.add_port(cons, "in", Some(rate));
+        m.connect(p, q, response, Rational::ZERO, Rational::ONE);
+        let unsized_buffer = Rational::ZERO;
+        m.connect_buffer(
+            format!("b{i}"),
+            q,
+            p,
+            response,
+            unsized_buffer,
+            Rational::ONE,
+        );
+    }
+    m
+}
+
+/// A 1 kHz source through `depth` rate converters of ratio `num/den` (each
+/// with a granularity term and an unsized buffer back): the rates are
+/// `1000 · (num/den)^k`, so the delays' common denominator grows like
+/// `num^depth`.
+fn converter_chain(num: i128, den: i128, depth: u32) -> oil::cta::CtaModel {
+    let ratio = Rational::new(num, den);
+    let (zero, one) = (Rational::ZERO, Rational::ONE);
+    let mut m = oil::cta::CtaModel::new();
+    let src = m.add_component("src", None);
+    let mut prev = m.add_required_rate_port(src, "out", Rational::from_int(1000));
+    for k in 0..depth {
+        let conv = m.add_component(format!("conv{k}"), None);
+        let input = m.add_port(conv, "in", None);
+        let output = m.add_port(conv, "out", None);
+        m.connect(prev, input, Rational::new(1, 1000), zero, one);
+        m.connect(input, output, zero, Rational::from_int(3), ratio);
+        m.connect_buffer(
+            format!("{num}:{den} b{k}"),
+            output,
+            prev,
+            zero,
+            zero,
+            ratio.recip(),
+        );
+        prev = output;
+    }
+    m
+}
+
+/// The arithmetic edge of denominator clearing (ROADMAP 5(d)): models whose
+/// paths are easy in rationals while the common denominator of all their
+/// delays leaves `i128`. There the kernel must neither wrap nor panic while
+/// scaling: it runs its `Rational` instantiation and returns what the dense
+/// loop returns.
+fn adversarial_denominators_take_the_rational_path_to_the_dense_verdict() {
+    // 441/480 compositions several deep, up and down, and an 11/13-based
+    // ratio: each chain alone clears its denominators, all three at once
+    // cannot.
+    let chains = [(441, 480, 8), (480, 441, 8), (121, 130, 6)].map(|(num, den, depth)| {
+        (
+            format!("{num}/{den} x{depth}"),
+            converter_chain(num, den, depth),
+        )
+    });
+    let mut together = oil::cta::CtaModel::new();
+    for (_, chain) in &chains {
+        together.merge(chain);
+    }
+    let models = chains.into_iter().chain([
+        ("three chains".to_string(), together),
+        ("coprime prime pairs".to_string(), coprime_prime_pairs()),
+    ]);
+    let mut tally = KernelTally::default();
+    let mut left_i128 = Vec::new();
+    for (name, model) in models {
+        let rates = model
+            .maximal_rates_unbounded_buffers()
+            .unwrap_or_else(|e| panic!("{name}: no rates: {e}"));
+        if common_denominator(&model, &rates).is_none() {
+            left_i128.push(name.clone());
+        }
+        assert_kernel_matches_dense(&name, &model, &mut tally);
+    }
+    assert_eq!(left_i128, ["three chains", "coprime prime pairs"]);
+    assert!(
+        tally.cycles == 5 && tally.sized == 5,
+        "thin sweep: {tally:?}"
+    );
+}
+
+/// Long pipelines through the whole analysis half: compile, lower, plan,
+/// synthesize at one and two workers, re-validate. CTA sizing of a
+/// `k`-stage pipeline is cubic in `k`; before the shared kernel its constant
+/// made `k = 128` take about a minute, now about a second. CI's differential
+/// sweep runs this in release (`-- --ignored`) so the old curve cannot come
+/// back unseen; it is too slow for the debug tier-1 run.
+#[test]
+#[ignore = "release-only: run by CI's differential sweep"]
+fn long_pipelines_compile_and_schedule() {
+    use oil::compiler::rtgraph;
+    use oil::compiler::schedule::{synthesize, SynthesisConfig};
+    use oil::compiler::{compile, CompilerOptions};
+    use oil::lang::registry::{FunctionRegistry, FunctionSignature};
+
+    let mut registry = FunctionRegistry::new();
+    for f in ["f", "src", "snk"] {
+        registry.register(FunctionSignature::pure(f, 1e-6));
+    }
+    for stages in [64, 128] {
+        let started = std::time::Instant::now();
+        let compiled = compile(
+            &pipeline_source(stages),
+            &registry,
+            &CompilerOptions::default(),
+        )
+        .unwrap_or_else(|e| panic!("pipeline{stages}: {e}"));
+        assert_eq!(compiled.buffers.iterations, stages + 1);
+        assert_eq!(
+            compiled.channel_rate_exact("y"),
+            Some(Rational::from_int(1000))
+        );
+        let graph = rtgraph::lower_with_registry(&compiled, &registry);
+        let plan = rtgraph::plan(&graph);
+        for workers in [1, 2] {
+            let schedule = synthesize(&graph, &plan, workers, &SynthesisConfig::default())
+                .unwrap_or_else(|e| panic!("pipeline{stages}@{workers}w: {e}"));
+            schedule
+                .validate(&graph)
+                .unwrap_or_else(|e| panic!("pipeline{stages}@{workers}w: {e}"));
+        }
+        println!("pipeline{stages}: {:?}", started.elapsed());
+    }
 }
