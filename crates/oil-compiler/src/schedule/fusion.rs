@@ -72,6 +72,9 @@ struct Context<'a> {
     producer_unit: &'a UnitOf,
     consumer_unit: &'a UnitOf,
     confined: IndexVec<RtBufferId, Option<usize>>,
+    /// `access` is one mode's row of a mode-dependent table: every firing of
+    /// the modal unit in it runs the same member, so the unit may chain.
+    modal_fuses: bool,
 }
 
 /// The fusion pass: rewrite each worker's firing list, coalescing each
@@ -106,6 +109,13 @@ struct Context<'a> {
 /// (or, failing that, the coalesced list) of a stalled worker is dropped
 /// the same way, down to the plain projections, which the admitted period
 /// proves complete.
+///
+/// The pass runs once per row of the per-mode table, on the row's
+/// projections under the row's access lists. `modal_fuses` says the row is
+/// one mode of a mode-dependent table, where the modal unit fires one fixed
+/// member and chains like a node; in the one all-modes row of a
+/// union-advance schedule its arm may change at any firing, and it stays a
+/// plain step.
 pub(super) fn fuse_workers(
     graph: &RtGraph,
     access: &[UnitAccess],
@@ -113,6 +123,7 @@ pub(super) fn fuse_workers(
     producer_unit: &UnitOf,
     consumer_unit: &UnitOf,
     worker_lists: &[Vec<Step>],
+    modal_fuses: bool,
 ) -> (Vec<Vec<WorkItem>>, FusionStats, Levels) {
     let cx = Context {
         graph,
@@ -121,6 +132,7 @@ pub(super) fn fuse_workers(
         producer_unit,
         consumer_unit,
         confined: confined_worker(graph, units, producer_unit, consumer_unit),
+        modal_fuses,
     };
     let capacity = engine_capacities(graph);
     let mut level_max = capacity.clone();
@@ -207,6 +219,56 @@ pub(super) fn fuse_workers(
     (lists, stats, level_max)
 }
 
+/// Target tokens through the widest stage of one batched execution: enough
+/// to amortise the per-item overhead and fill the SIMD kernels without
+/// growing the scratch buffers past cache-friendly sizes. The engine batches
+/// whole-component runs to it, [`batch_row`] whole mode rows.
+pub const FUSED_BATCH_TOKENS: u64 = 4096;
+/// Batching cap (periods concatenated per execution).
+pub const FUSED_BATCH_MAX: u64 = 64;
+
+/// How many consecutive periods of one mode row the engine may execute as
+/// one pass (see [`ModeDependent::batch`](super::ModeDependent::batch)).
+///
+/// Firing every item of `lists` `by` periods' worth at once keeps each
+/// unit's firing order and each buffer's push/pop order, so it changes no
+/// value stream; what it changes is the levels the rings reach and when a
+/// worker waits. Both are settled the way fusion settles them: the scaled
+/// lists are run side by side, `level_max` rising to what that takes. A row
+/// whose scaled lists do not run to completion and back to the initial
+/// levels (a step that lives on standing tokens, say) is left unbatched.
+pub(super) fn batch_row(
+    graph: &RtGraph,
+    access: &[UnitAccess],
+    consumer_unit: &UnitOf,
+    lists: &[Vec<WorkItem>],
+    level_max: &mut Levels,
+) -> u32 {
+    let tokens = |s: &Step| {
+        let a = &access[s.unit as usize];
+        let reads: usize = a.reads.iter().map(|&(_, c)| c).sum();
+        let writes = a.writes.iter().map(|&(_, c)| c).max().unwrap_or(0);
+        s.times as u64 * reads.max(writes).max(1) as u64
+    };
+    let stages = lists.iter().flatten().flat_map(WorkItem::stages);
+    let widest = stages.map(tokens).max().unwrap_or(1);
+    let by = (FUSED_BATCH_TOKENS / widest.max(1)).clamp(1, FUSED_BATCH_MAX) as u32;
+    let Some(scaled) = (by > 1)
+        .then(|| WorkItem::scaled_lists(lists, by))
+        .flatten()
+    else {
+        return 1;
+    };
+    let mut sized = level_max.clone();
+    let mut ledger = Ledger::new(graph, |b| consumer_unit[b].is_some());
+    let replayed = ledger.replay_cooperative(access, &scaled, &mut sized, true);
+    if replayed.is_err() || ledger.restored().is_err() {
+        return 1;
+    }
+    *level_max = sized;
+    by
+}
+
 /// One worker's share of the fusion pass: its projection, the chains found
 /// in it, and which of them are still to be fused.
 struct WorkerFusion<'a> {
@@ -230,6 +292,7 @@ impl<'a> WorkerFusion<'a> {
             access,
             units,
             consumer_unit,
+            modal_fuses,
             ..
         } = *cx;
         // Whole-period firing count of each unit on this worker.
@@ -237,12 +300,13 @@ impl<'a> WorkerFusion<'a> {
         for s in steps {
             total[s.unit as usize] += s.times as u64;
         }
-        // Modal units never fuse: their per-firing kernel dispatch is
-        // script-dependent, which a block-fired fused stage cannot express
-        // — and keeping them out of runs means a mode switch can never
-        // land inside a super-step.
+        // A union-advance modal unit never fuses: its per-firing kernel
+        // dispatch is script-dependent, which a block-fired fused stage
+        // cannot express — and keeping it out of runs means a hot switch
+        // can never land inside a super-step. (A mode-dependent schedule
+        // switches at period boundaries only, between whole lists.)
         let fusable = |u: usize| {
-            !matches!(units[u].kind, UnitKind::Modal { .. })
+            (modal_fuses || !matches!(units[u].kind, UnitKind::Modal { .. }))
                 && total[u] > 0
                 && total[u] <= u32::MAX as u64
         };

@@ -1,5 +1,5 @@
 //! The mode dimension: per-mode firing rates, the resolution of a
-//! [`ModeScript`] into the period-by-period [`ModePlan`] both engines
+//! [`ModeScript`] into the run-length [`ModePlan`] both engines
 //! execute, and the *gating* that carves each mode's active slice out of a
 //! mode-dependent graph.
 
@@ -52,14 +52,16 @@ impl ModeDependentRates {
 /// The resolved mode sequence of one scripted run of a mode-dependent
 /// program: which mode each executed period runs, and exactly how many
 /// tokens every source and sink moves. Both engines execute this plan —
-/// the static engine by replaying the per-mode firing lists period by
-/// period, the self-timed engine by capping its source/sink budgets to the
+/// the static engine by replaying the per-mode firing lists run by run,
+/// the self-timed engine by capping its source/sink budgets to the
 /// planned totals and letting data-driven firing follow — which is what
 /// makes their value streams bit-identical.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModePlan {
-    /// The mode of each executed period, in order.
-    pub mode_seq: Vec<u32>,
+    /// The executed periods, run-length encoded: `(mode, periods)` per
+    /// maximal run of consecutive periods of one mode, in order (adjacent
+    /// runs differ in mode, no run is empty).
+    pub runs: Vec<(u32, u64)>,
     /// Per source (by index): total samples produced over the run. May
     /// exceed a source's natural sample budget by up to one period — the
     /// final period always runs to completion.
@@ -71,6 +73,23 @@ pub struct ModePlan {
     /// Mode switches the plan executes (adjacent periods of different
     /// modes).
     pub mode_switches: u64,
+    /// Modal firings executed in a mode other than the arm the script
+    /// names for them: the tail of a period a switch point landed in (the
+    /// *drain* — the switch takes effect at the next period boundary).
+    pub transition_firings: u64,
+}
+
+impl ModePlan {
+    /// Periods the plan executes.
+    pub fn periods(&self) -> u64 {
+        self.runs.iter().map(|&(_, periods)| periods).sum()
+    }
+
+    /// The mode of each executed period, in order.
+    pub fn modes(&self) -> impl Iterator<Item = u32> + '_ {
+        let run = |&(mode, periods): &(u32, u64)| (0..periods).map(move |_| mode);
+        self.runs.iter().flat_map(run)
+    }
 }
 
 /// Resolve a [`ModeScript`] against per-mode rates and source sample
@@ -87,6 +106,13 @@ pub struct ModePlan {
 /// beyond the sources' budgets — e.g. a switch at firing 1 000 000 of a
 /// 250-period run — never reaches them, so such past-horizon scripts
 /// execute as the constant-arm run with zero switches.
+///
+/// The script is walked once, by a cursor over its switch points: between
+/// two switch points every period start names the same arm, so the periods
+/// up to the next point (or to the end of the budgets) are counted by
+/// division, and the firings of a period's tail that lie past a switch
+/// point by subtraction. The cost is linear in switch points plus runs,
+/// whatever the number of periods.
 pub fn plan_mode_sequence(
     rates: &ModeDependentRates,
     script: &ModeScript,
@@ -96,33 +122,58 @@ pub fn plan_mode_sequence(
         .map(|s| budget(RtSourceId::new(s)))
         .collect();
     let mut plan = ModePlan {
-        mode_seq: Vec::new(),
+        runs: Vec::new(),
         produced: vec![0; budgets.len()],
         drained: vec![0; rates.sinks.first().map_or(0, Vec::len)],
         modal_firings: 0,
         mode_switches: 0,
+        transition_firings: 0,
     };
+    // The script's arm at modal firing `at`, and the switch points taken.
+    let (mut arm, mut taken, mut at) = (script.initial, 0usize, 0u64);
     loop {
-        let m = script.arm_at(plan.modal_firings);
-        let progress = budgets
-            .iter()
-            .enumerate()
-            .any(|(s, &b)| plan.produced[s] < b && rates.sources[m as usize][s] > 0);
-        if !progress {
+        while let Some(&(_, next)) = script.switches.get(taken).filter(|p| p.0 <= at) {
+            (arm, taken) = (next, taken + 1);
+        }
+        let (mode, m) = (arm, arm as usize);
+        let per_period = rates.modal[m];
+        // Periods of mode `m` from here: those starting before the next
+        // switch point, as long as one of its sources still has budget.
+        let upcoming = script.switches.get(taken).map(|p| p.0);
+        let by_script = upcoming.map_or(u64::MAX, |p| (p - at).div_ceil(per_period));
+        let feeds = |(s, &rate): (usize, &u64)| match budgets[s].checked_sub(plan.produced[s]) {
+            Some(left) if rate > 0 => left.div_ceil(rate),
+            _ => 0,
+        };
+        let by_budget = rates.sources[m].iter().enumerate().map(feeds).max();
+        let periods = by_script.min(by_budget.unwrap_or(0));
+        if periods == 0 {
             break;
         }
-        if plan.mode_seq.last().is_some_and(|&prev| prev != m) {
-            plan.mode_switches += 1;
+        match plan.runs.last_mut() {
+            Some((last, run)) if *last == mode => *run += periods,
+            last => {
+                plan.mode_switches += last.is_some() as u64;
+                plan.runs.push((mode, periods));
+            }
         }
-        plan.mode_seq.push(m);
-        for (s, p) in plan.produced.iter_mut().enumerate() {
-            *p += rates.sources[m as usize][s];
+        for (p, rate) in plan.produced.iter_mut().zip(&rates.sources[m]) {
+            *p += periods * rate;
         }
-        for (k, d) in plan.drained.iter_mut().enumerate() {
-            *d += rates.sinks[m as usize][k];
+        for (d, rate) in plan.drained.iter_mut().zip(&rates.sinks[m]) {
+            *d += periods * rate;
         }
-        plan.modal_firings += rates.modal[m as usize];
+        // The firings `[at, end)` all run mode `m`; those past a switch
+        // point to another arm are the drain.
+        let end = at + periods * per_period;
+        while let Some(&(p, next)) = script.switches.get(taken).filter(|p| p.0 < end) {
+            plan.transition_firings += if arm == mode { 0 } else { p - at };
+            (arm, taken, at) = (next, taken + 1, p);
+        }
+        plan.transition_firings += if arm == mode { 0 } else { end - at };
+        at = end;
     }
+    plan.modal_firings = at;
     plan
 }
 

@@ -88,7 +88,7 @@ mod partition;
 mod tests;
 mod validate;
 
-pub use fusion::{fusion_enabled, parse_fusion};
+pub use fusion::{fusion_enabled, parse_fusion, FUSED_BATCH_MAX, FUSED_BATCH_TOKENS};
 pub use gating::{mode_dependent_rates, plan_mode_sequence, ModeDependentRates, ModePlan};
 pub use ledger::{modal_member_access, PortAccessList};
 pub use modal::{collapse_modal, modal_admission, ModalClusterInfo};
@@ -191,9 +191,10 @@ impl PhaseTimer {
 /// have a single row; a mode-dependent cluster ([`modal_admission`]) has
 /// one row per arm, each over the mode's active slice of the graph. One
 /// worker partition serves every row (balanced by each unit's worst row),
-/// and the top-level period/workers/repetitions are row 0's. Only a
-/// one-row table fuses: a fused run compiled against one mode's token flow
-/// would be unsound in another.
+/// and the top-level period/workers/repetitions/fused lists are row 0's.
+/// Every row fuses on its own ([`ModeDependent::fused`]): a fused run is
+/// compiled against one mode's token flow and executed in that mode's
+/// periods only.
 pub fn synthesize(
     graph: &RtGraph,
     plan: &RtPlan,
@@ -269,20 +270,48 @@ pub fn synthesize(
         .collect();
     timer.lap("partition");
 
-    // A table with per-mode rows never fuses (see above).
-    let (fused_workers, fusion, level_max) = if config.fusion && arms[0].is_none() {
+    // One fused list per row, each rewritten against the row's own token
+    // flow; the rings are sized to the highest level any row reaches.
+    let fuse = |row: usize| {
         fusion::fuse_workers(
             graph,
-            &access[0],
+            &access[row],
             &units,
             &producer_unit,
             &consumer_unit,
-            &steps[0],
+            &steps[row],
+            arms[row].is_some(),
         )
-    } else {
-        let plain = steps[0].iter().map(|w| WorkItem::plain(w)).collect();
-        (plain, FusionStats::default(), capacity)
     };
+    let plain = |row: usize| steps[row].iter().map(|w| WorkItem::plain(w)).collect();
+    let (fused_workers, mut fusion, mut level_max) = if config.fusion {
+        fuse(0)
+    } else {
+        (plain(0), FusionStats::default(), capacity)
+    };
+    // The rows of a mode-dependent table (row 0 is the top level's), each
+    // with the number of periods the engine may execute as one pass.
+    let (mut fused, mut batch) = (Vec::new(), Vec::new());
+    let mode_rows = if arms[0].is_some() { arms.len() } else { 0 };
+    for (row, access) in access.iter().enumerate().take(mode_rows) {
+        let lists = match (row, config.fusion) {
+            (0, _) => fused_workers.clone(),
+            (_, false) => plain(row),
+            (_, true) => {
+                let (lists, stats, levels) = fuse(row);
+                fusion.absorb(stats);
+                for (max, level) in level_max.iter_mut().zip(levels.iter()) {
+                    *max = (*max).max(*level);
+                }
+                lists
+            }
+        };
+        batch.push(match config.fusion {
+            true => fusion::batch_row(graph, access, &consumer_unit, &lists, &mut level_max),
+            false => 1,
+        });
+        fused.push(lists);
+    }
     timer.lap("fusion");
     // --- The mode-dependent tables, with the worst-case seam latency over
     // all ordered mode pairs (a pair over the configured bound surfaces
@@ -295,6 +324,8 @@ pub fn synthesize(
         reps,
         periods,
         steps,
+        fused,
+        batch,
         seam_latency_max: Rational::ZERO,
         seam_latency_bound: config.seam_latency_bound,
     });
@@ -329,9 +360,10 @@ pub fn synthesize(
         predicted_utilization,
     };
     // Admission: the schedule is returned only with its validity — and,
-    // for modal schedules, every switch seam — proven by exact replay.
+    // for modal schedules, every switch seam — proven by exact replay (the
+    // seam latency it records was computed just above).
     schedule.validate(graph)?;
-    schedule.validate_transitions(graph)?;
+    schedule.validate_seams(graph)?;
     timer.lap("admission_proof");
     schedule.phases = timer.phases;
     Ok(schedule)

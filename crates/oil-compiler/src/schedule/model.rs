@@ -337,6 +337,29 @@ impl WorkItem {
         let stages = self.stages();
         (stages[0], stages[stages.len() - 1])
     }
+
+    /// The item `by` periods at a time: every stage fires `by ×` as often
+    /// (`None` when a firing count leaves `u32`).
+    fn scaled(&self, by: u32) -> Option<WorkItem> {
+        let scale = |s: &Step| {
+            let times = s.times.checked_mul(by)?;
+            Some(Step { times, ..*s })
+        };
+        Some(match self {
+            WorkItem::Step(s) => WorkItem::Step(scale(s)?),
+            WorkItem::Fused(run) => WorkItem::Fused(FusedRun {
+                stages: run.stages.iter().map(scale).collect::<Option<_>>()?,
+                ..run.clone()
+            }),
+        })
+    }
+
+    /// Every worker's list `by` periods at a time (see
+    /// [`ModeDependent::batch`]).
+    pub(super) fn scaled_lists(lists: &[Vec<WorkItem>], by: u32) -> Option<Vec<Vec<WorkItem>>> {
+        let scale = |items: &Vec<WorkItem>| items.iter().map(|i| i.scaled(by)).collect();
+        lists.iter().map(scale).collect()
+    }
 }
 
 /// What the fusion pass did to a schedule.
@@ -349,6 +372,16 @@ pub struct FusionStats {
     pub rings_elided: u32,
     /// Longest chain (stage count) of any fused run.
     pub fused_chain_len_max: u32,
+}
+
+impl FusionStats {
+    /// Fold one more mode row's stats in: a mode-dependent schedule reports
+    /// the pass's work over all its rows.
+    pub(super) fn absorb(&mut self, row: FusionStats) {
+        self.runs_fused += row.runs_fused;
+        self.rings_elided += row.rings_elided;
+        self.fused_chain_len_max = self.fused_chain_len_max.max(row.fused_chain_len_max);
+    }
 }
 
 /// The modal dimension of a schedule: which unit is modal and which node
@@ -373,15 +406,16 @@ pub struct ModalSchedule {
 }
 
 /// The per-mode dimension of a mode-dependent schedule: one repetition
-/// vector and firing order per mode, plus the CTA seam-latency result.
-/// Every per-mode period is anchored at the graph's initial levels and
-/// proven level-preserving, so mode `from`'s end-of-period state *is* mode
-/// `to`'s entry state: a switch seam is `period(from) ++ period(to)` with
-/// nothing in between, re-proven for every ordered pair by
+/// vector, firing order and fused worker lists per mode, plus the CTA
+/// seam-latency result. Every per-mode period is anchored at the graph's
+/// initial levels and proven level-preserving, so mode `from`'s
+/// end-of-period state *is* mode `to`'s entry state: a switch seam is
+/// `period(from) ++ period(to)` with nothing in between, re-proven over the
+/// fused lists for every ordered pair by
 /// [`StaticSchedule::validate_transitions`]. The schedule's top-level
-/// `period`/`workers`/`repetitions` are mode 0's (the initial mode of the
-/// default script); the engines index into these tables per executed
-/// period.
+/// `period`/`workers`/`repetitions`/`fused_workers` are mode 0's (the
+/// initial mode of the default script); the engines index into these
+/// tables per run of same-mode periods.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModeDependent {
     /// Per mode, per unit: firings per period. Units *gated* in a mode
@@ -394,6 +428,18 @@ pub struct ModeDependent {
     /// Per mode, per worker: the projection of that mode's period onto the
     /// worker's units (the shared partition serves every mode).
     pub steps: Vec<Vec<Vec<Step>>>,
+    /// Per mode, per worker: the list the engine executes for one period of
+    /// the mode — [`Self::steps`] rewritten by the fusion pass against the
+    /// mode's own token flow (the plain projection when fusion is off).
+    /// Within one mode the modal unit fires one fixed member, so here it
+    /// chains like any node.
+    pub fused: Vec<Vec<Vec<WorkItem>>>,
+    /// Per mode: how many consecutive periods of the mode the engine may
+    /// execute as one pass, every item firing that many periods' worth at
+    /// once (1: none). [`StaticSchedule::validate`] replays the lists
+    /// scaled by this factor, and [`StaticSchedule::level_max`] covers the
+    /// levels that replay reaches.
+    pub batch: Vec<u32>,
     /// Worst-case source-to-sink latency (seconds) across any switch seam:
     /// the maximum over ordered mode pairs of drain + fill work, as bounded
     /// by the CTA seam-latency query. Exact.
@@ -465,10 +511,12 @@ pub struct StaticSchedule {
     /// projection of [`Self::period`] rewritten by the fusion pass (or the
     /// plain projection wrapped in [`WorkItem::Step`] when fusion is off).
     pub fused_workers: Vec<Vec<WorkItem>>,
-    /// What the fusion pass did.
+    /// What the fusion pass did (over every mode row of a mode-dependent
+    /// schedule).
     pub fusion: FusionStats,
     /// Per buffer: the level its ring is sized to — the highest the
-    /// cooperative replay of [`Self::fused_workers`] reaches, floored at the
+    /// cooperative replay of [`Self::fused_workers`] (of any mode row, at
+    /// its [`ModeDependent::batch`]) reaches, floored at the
     /// declared engine capacity. Fusion and step coalescing move a whole
     /// period's tokens at once where the admitted period moved a burst, so
     /// a ring — worker-local or crossing — may need more room than the CTA
@@ -651,23 +699,7 @@ impl StaticSchedule {
             write_steps(&mut h, w, true);
         }
         for items in &self.fused_workers {
-            h.write_u64(items.len() as u64);
-            for item in items {
-                match item {
-                    WorkItem::Step(s) => {
-                        h.write_u64(0);
-                        write_steps(&mut h, std::slice::from_ref(s), false);
-                    }
-                    WorkItem::Fused(run) => {
-                        h.write_u64(1);
-                        write_steps(&mut h, &run.stages, true);
-                        for &b in &run.links {
-                            h.write_u64(b.index() as u64);
-                        }
-                        h.write_u64(run.batch as u64);
-                    }
-                }
-            }
+            write_items(&mut h, items);
         }
         if let Some(m) = &self.modes {
             h.write_u64(5);
@@ -688,6 +720,23 @@ impl StaticSchedule {
                 }
                 for list in dep.periods.iter().chain(dep.steps.iter().flatten()) {
                     write_steps(&mut h, list, true);
+                }
+                // The per-mode fused lists and batch factors, where the
+                // fusion pass rewrote a projection: a table it left alone
+                // (fusion off) digests as it did before rows could fuse.
+                let rows = dep.fused.iter().zip(&dep.steps).zip(&dep.batch);
+                for (mode, ((fused, steps), &batch)) in rows.enumerate() {
+                    let plain =
+                        |(items, steps): (&Vec<_>, &Vec<_>)| *items == WorkItem::plain(steps);
+                    if batch == 1 && fused.iter().zip(steps).all(plain) {
+                        continue;
+                    }
+                    h.write_u64(7);
+                    h.write_u64(mode as u64);
+                    h.write_u64(batch as u64);
+                    for items in fused {
+                        write_items(&mut h, items);
+                    }
                 }
                 // One zero per ordered mode pair: the length of the (always
                 // empty) transition program the golden corpus was recorded
@@ -744,6 +793,27 @@ impl StaticSchedule {
             h.write_u64(0);
         }
         h.finish()
+    }
+}
+
+/// Absorb one worker's fused list.
+fn write_items(h: &mut Fnv1a, items: &[WorkItem]) {
+    h.write_u64(items.len() as u64);
+    for item in items {
+        match item {
+            WorkItem::Step(s) => {
+                h.write_u64(0);
+                write_steps(h, std::slice::from_ref(s), false);
+            }
+            WorkItem::Fused(run) => {
+                h.write_u64(1);
+                write_steps(h, &run.stages, true);
+                for &b in &run.links {
+                    h.write_u64(b.index() as u64);
+                }
+                h.write_u64(run.batch as u64);
+            }
+        }
     }
 }
 

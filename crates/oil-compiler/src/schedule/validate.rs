@@ -11,22 +11,27 @@
 //! | obligation | replayed list | tracked buffers | bound |
 //! |---|---|---|---|
 //! | period | each row's period, firing by firing | consumed | capacity |
-//! | cooperative | all workers' fused lists, side by side | consumed | `level_max` |
-//! | seams | `period(from) ++ period(to)`, every row pair | consumed | capacity |
+//! | cooperative | each row's fused worker lists, side by side | consumed | `level_max` |
+//! | batch | the same lists, `batch` periods per item | consumed | `level_max` |
+//! | seams | `period(from) ++ period(to)`, every row pair | consumed | see below |
 //! | seam latency | CTA drain → fill chain, every row pair | — | `seam_latency_bound` |
 //!
-//! The cooperative row needs no seam form of its own: it ends with every
-//! worker at the end of its list and every buffer at its initial level,
-//! which is the state it started from, so the lists loop — through a mode
-//! switch of a union-advance schedule too, whose one row serves every arm.
+//! A cooperative replay ends with every worker at the end of its list and
+//! every buffer at its initial level, which is the state it started from,
+//! so a row's lists loop — through a mode switch of a union-advance
+//! schedule too, whose one row serves every arm; its one seam is replayed
+//! over the global period within the capacities. The seams of a
+//! mode-dependent table are replayed over what the engine executes there:
+//! row `from`'s fused lists, then row `to`'s, on one ledger within
+//! `level_max`.
 
 use super::ledger::{
     engine_capacities, modal_member_access, row_access, FaultKind, Ledger, Levels, UnitAccess,
 };
 
 use super::model::{
-    FusedRun, FusionStats, ModalSchedule, ModeDependent, ScheduleError, ScheduleUnit,
-    StaticSchedule, Step, UnitKind, WorkItem,
+    FusedRun, ModalSchedule, ModeDependent, ScheduleError, ScheduleUnit, StaticSchedule, Step,
+    UnitKind, WorkItem,
 };
 use crate::rtgraph::{RtBufferId, RtGraph};
 use oil_dataflow::Rational;
@@ -44,6 +49,10 @@ struct ModeRow<'s> {
     reps: Vec<u64>,
     period: &'s [Step],
     workers: &'s [Vec<Step>],
+    /// The lists the engine executes for a period of the row.
+    fused: &'s [Vec<WorkItem>],
+    /// Periods the engine may execute as one pass.
+    batch: u32,
 }
 
 impl StaticSchedule {
@@ -70,15 +79,22 @@ impl StaticSchedule {
                 reps: self.units.iter().map(|u| u.repetitions).collect(),
                 period: &self.period,
                 workers: &self.workers,
+                fused: &self.fused_workers,
+                batch: 1,
             }]);
         };
         let arms = modes.arms.len();
-        if [dep.reps.len(), dep.periods.len(), dep.steps.len()] != [arms; 3] {
+        let rows = [
+            dep.reps.len(),
+            dep.periods.len(),
+            dep.steps.len(),
+            dep.fused.len(),
+            dep.batch.len(),
+        ];
+        if rows != [arms; 5] {
             return Err(invalid(format!(
-                "the per-mode tables carry {}/{}/{} rows (reps/periods/steps) for {arms} arms",
-                dep.reps.len(),
-                dep.periods.len(),
-                dep.steps.len()
+                "the per-mode tables carry {rows:?} rows (reps/periods/steps/fused/batch) for \
+                 {arms} arms"
             )));
         }
         (0..arms)
@@ -101,6 +117,8 @@ impl StaticSchedule {
                     reps: dep.reps[m].clone(),
                     period: &dep.periods[m],
                     workers: &dep.steps[m],
+                    fused: &dep.fused[m],
+                    batch: dep.batch[m],
                 })
             })
             .collect()
@@ -111,12 +129,11 @@ impl StaticSchedule {
     /// exactly its repetition count, no read ever underflows, no
     /// ring-backed buffer ever exceeds its capacity, every buffer returns
     /// to its initial level (which is what makes the schedule loopable),
-    /// and the worker projections partition the period. Then the fused
-    /// worker lists are proven to run to completion side by side
-    /// ([`Self::validate_fused`]);
-    /// a mode-dependent schedule never fuses, and its top-level
-    /// period/worker/repetition fields must mirror mode 0 (what a
-    /// script-less consumer sees). This is the admission proof —
+    /// and the worker projections partition the period. Then every row's
+    /// fused worker lists are proven to run to completion side by side
+    /// ([`Self::validate_fused`]); a mode-dependent schedule's top-level
+    /// period/worker/repetition/fused-list fields must mirror mode 0 (what
+    /// a script-less consumer sees). This is the admission proof —
     /// [`synthesize`](super::synthesize) never returns a schedule that
     /// fails it — and the oracle the schedule property tests replay
     /// independently.
@@ -142,50 +159,53 @@ impl StaticSchedule {
                 .map_err(|f| f.invalid(graph, format_args!("{label}the period")))?;
             check_projection(&self.units, row)?;
         }
-        match self.modes.as_ref().and_then(|m| m.dependent.as_ref()) {
-            Some(dep) => self.mirrors_mode_zero(dep),
-            None => self.validate_fused(graph, &rows[0].access),
+        if let Some(dep) = self.modes.as_ref().and_then(|m| m.dependent.as_ref()) {
+            self.mirrors_mode_zero(dep)?;
         }
+        rows.iter()
+            .try_for_each(|row| self.validate_fused(graph, row))
     }
 
-    /// The mode-dependent-only shape obligations: the top-level fields are
-    /// mode 0's, and the fused lists are the plain projections (a fused run
-    /// compiled against one mode's token flow would be unsound in another).
+    /// The mode-dependent-only shape obligation: the top-level fields are
+    /// mode 0's.
     fn mirrors_mode_zero(&self, dep: &ModeDependent) -> Result<(), ScheduleError> {
         let reps = self.units.iter().map(|u| u.repetitions);
-        let plain: Vec<_> = self.workers.iter().map(|w| WorkItem::plain(w)).collect();
         let mirrors = self.period == dep.periods[0]
             && self.workers == dep.steps[0]
+            && self.fused_workers == dep.fused[0]
             && reps.eq(dep.reps[0].iter().copied());
-        if !mirrors || self.fusion != FusionStats::default() || self.fused_workers != plain {
+        if !mirrors {
             return Err(invalid(
-                "a mode-dependent schedule's top-level period/workers/repetitions mirror mode 0 \
-                 and its fused worker lists are the plain projections",
+                "a mode-dependent schedule's top-level period/workers/repetitions/fused worker \
+                 lists mirror mode 0",
             ));
         }
         Ok(())
     }
 
-    /// The cooperative proof over the fused worker lists, which are what
-    /// the engine executes: per worker, every unit keeps its projected
-    /// firing count and every fused run is well formed ([`check_run`]: its
-    /// stages live on the worker and its links never leave it); then all
-    /// workers' lists run side by side ([`Ledger::replay_cooperative`]) —
-    /// each worker firing its next item once the item's reads are present
-    /// and its writes fit [`Self::level_max`] — and every worker must reach
-    /// the end of its list with every buffer back at its initial level.
-    /// That one execution decides it for all: no interleaving of the
-    /// workers underflows a local ring, exceeds a ring's size, or leaves a
-    /// worker waiting forever.
-    fn validate_fused(&self, graph: &RtGraph, access: &[UnitAccess]) -> Result<(), ScheduleError> {
-        if self.fused_workers.len() != self.workers.len() {
-            return Err(invalid(
-                "fused worker list count diverges from the projections",
-            ));
+    /// The cooperative proof over one row's fused worker lists, which are
+    /// what the engine executes in the row's periods: per worker, every unit
+    /// keeps its projected firing count and every fused run is well formed
+    /// ([`check_run`]: its stages live on the worker and its links never
+    /// leave it); then all workers' lists run side by side
+    /// ([`Ledger::replay_cooperative`]) — each worker firing its next item
+    /// once the item's reads are present and its writes fit
+    /// [`Self::level_max`] — and every worker must reach the end of its
+    /// list with every buffer back at its initial level. That one execution
+    /// decides it for all: no interleaving of the workers underflows a
+    /// local ring, exceeds a ring's size, or leaves a worker waiting
+    /// forever. A row the engine may batch is replayed once more with every
+    /// item at `batch` periods' firings, under the same bound.
+    fn validate_fused(&self, graph: &RtGraph, row: &ModeRow<'_>) -> Result<(), ScheduleError> {
+        let label = &row.label;
+        if row.fused.len() != row.workers.len() {
+            return Err(invalid(format!(
+                "{label}fused worker list count diverges from the projections"
+            )));
         }
-        for (w, items) in self.fused_workers.iter().enumerate() {
+        for (w, items) in row.fused.iter().enumerate() {
             let mut delta = vec![0i128; self.units.len()];
-            for s in &self.workers[w] {
+            for s in &row.workers[w] {
                 delta[s.unit as usize] += s.times as i128;
             }
             for s in items.iter().flat_map(WorkItem::stages) {
@@ -193,19 +213,42 @@ impl StaticSchedule {
             }
             if let Some(u) = delta.iter().position(|&d| d != 0) {
                 return Err(invalid(format!(
-                    "fused worker {w} changes the firing count of unit {u}"
+                    "{label}fused worker {w} changes the firing count of unit {u}"
                 )));
             }
             for item in items {
                 if let WorkItem::Fused(run) = item {
-                    check_run(graph, access, &self.units, w, run)
-                        .map_err(|what| invalid(format!("fused worker {w}: {what}")))?;
+                    check_run(graph, &row.access, &self.units, w, run)
+                        .map_err(|what| invalid(format!("{label}fused worker {w}: {what}")))?;
                 }
             }
         }
         let mut ledger = Ledger::new(graph, |b| self.consumer_unit[b].is_some());
         let mut bound = self.level_max.clone();
-        let replayed = ledger.replay_cooperative(access, &self.fused_workers, &mut bound, false);
+        self.replay_lists(graph, &mut ledger, row, row.fused, &mut bound, label)?;
+        if row.batch > 1 {
+            let batched = format_args!("{label}{} periods per pass: ", row.batch);
+            let scaled = WorkItem::scaled_lists(row.fused, row.batch)
+                .ok_or_else(|| invalid(format!("{batched}a firing count overflows")))?;
+            self.replay_lists(graph, &mut ledger, row, &scaled, &mut bound, batched)?;
+        }
+        Ok(())
+    }
+
+    /// Run `lists` side by side on `ledger`, under `row`'s access lists and
+    /// within `bound` (a copy of [`Self::level_max`]; the proof never grows
+    /// it): every worker must finish, and every buffer end at its initial
+    /// level.
+    fn replay_lists(
+        &self,
+        graph: &RtGraph,
+        ledger: &mut Ledger<'_, impl Fn(RtBufferId) -> bool>,
+        row: &ModeRow<'_>,
+        lists: &[Vec<WorkItem>],
+        bound: &mut Levels,
+        ctx: impl std::fmt::Display,
+    ) -> Result<(), ScheduleError> {
+        let replayed = ledger.replay_cooperative(&row.access, lists, bound, false);
         if let Err(stalls) = replayed {
             // A worker short of space or at an occupied link names the
             // cause; one short of tokens may only be waiting for it.
@@ -214,14 +257,14 @@ impl StaticSchedule {
             let (w, stall) = stalled
                 .min_by_key(|(_, s)| s.fault.kind == FaultKind::Underflow)
                 .expect("a stalled replay has a stalled worker");
-            let (head, tail) = self.fused_workers[w][stall.item].ends();
+            let (head, tail) = lists[w][stall.item].ends();
             let (h, t) = (head.unit, tail.unit);
-            let who = format_args!("the workers stall: fused worker {w}: units {h}..{t}");
+            let who = format_args!("{ctx}the workers stall: fused worker {w}: units {h}..{t}");
             return Err(stall.fault.invalid(graph, who));
         }
         ledger
             .restored()
-            .map_err(|f| f.invalid(graph, "the fused worker lists"))
+            .map_err(|f| f.invalid(graph, format_args!("{ctx}the fused worker lists")))
     }
 
     /// Re-prove the admission property across every mode-switch seam by
@@ -230,7 +273,7 @@ impl StaticSchedule {
     /// For every ordered pair of rows of the per-mode table, one period
     /// under `from` followed by one period under `to` — levels carried
     /// across the seam, each half under its own row's access lists — must
-    /// never underflow a buffer, never exceed its capacity, and end with
+    /// never underflow a buffer, never exceed its bound, and end with
     /// every buffer back at its initial level (mode `to`'s entry state,
     /// since every period is anchored there): the proof that no transition
     /// program is needed between the two periods.
@@ -247,38 +290,19 @@ impl StaticSchedule {
     /// lists need no seam replay, because [`Self::validate`] proved they
     /// loop.
     ///
-    /// A **mode-dependent** schedule additionally bounds the worst-case
+    /// A **mode-dependent** schedule switches at period boundaries, between
+    /// whole fused lists, so its seams are replayed over those: all
+    /// workers' lists of row `from` side by side, then row `to`'s, within
+    /// [`Self::level_max`]. It additionally bounds the worst-case
     /// source-to-sink latency a switch inserts by the CTA chain drain →
     /// fill (each stage's work = Σ firings · response, exact): the recorded
     /// [`ModeDependent::seam_latency_max`] must equal the recomputed one,
     /// and a [`SynthesisConfig::seam_latency_bound`](super::SynthesisConfig)
-    /// violation is [`ScheduleError::SeamLatency`]. Its worker lists need
-    /// no replay of their own: they never fuse, so each is the exact
-    /// projection of the global order, and on single-producer/single-
-    /// consumer graphs the concurrent replay of projections reproduces the
-    /// global interleaving's bounds.
+    /// violation is [`ScheduleError::SeamLatency`].
     pub fn validate_transitions(&self, graph: &RtGraph) -> Result<(), ScheduleError> {
-        let Some(modes) = self.modes.as_ref() else {
+        self.validate_seams(graph)?;
+        let Some(dep) = self.modes.as_ref().and_then(|m| m.dependent.as_ref()) else {
             return Ok(());
-        };
-        let rows = self.mode_table(graph)?;
-        let capacity = engine_capacities(graph);
-        for (from, drain) in rows.iter().enumerate() {
-            for (to, fill) in rows.iter().enumerate() {
-                let ctx = match rows.len() {
-                    1 => "any mode switch: ".to_string(),
-                    _ => format!("transition {from}->{to}: "),
-                };
-                let mut ledger = Ledger::new(graph, |b| self.consumer_unit[b].is_some());
-                replay_period(graph, &mut ledger, drain, &capacity, &ctx)?;
-                replay_period(graph, &mut ledger, fill, &capacity, &ctx)?;
-                ledger
-                    .restored()
-                    .map_err(|f| f.invalid(graph, format_args!("{ctx}the switch seam")))?;
-            }
-        }
-        let Some(dep) = modes.dependent.as_ref() else {
-            return Self::validate_union_advance(graph, modes, &rows[0]);
         };
         let latency_max = worst_seam_latency(graph, &self.units, dep)?;
         if latency_max != dep.seam_latency_max {
@@ -287,6 +311,40 @@ impl StaticSchedule {
                 dep.seam_latency_max.to_f64(),
                 latency_max.to_f64()
             )));
+        }
+        Ok(())
+    }
+
+    /// [`Self::validate_transitions`] less the recomputation of the
+    /// recorded seam latency — what [`synthesize`](super::synthesize) runs,
+    /// having just computed that value itself.
+    pub(super) fn validate_seams(&self, graph: &RtGraph) -> Result<(), ScheduleError> {
+        let Some(modes) = self.modes.as_ref() else {
+            return Ok(());
+        };
+        let rows = self.mode_table(graph)?;
+        let mut ledger = Ledger::new(graph, |b| self.consumer_unit[b].is_some());
+        if modes.dependent.is_none() {
+            let row = &rows[0];
+            let capacity = engine_capacities(graph);
+            let ctx = "any mode switch: ";
+            replay_period(graph, &mut ledger, row, &capacity, ctx)?;
+            replay_period(graph, &mut ledger, row, &capacity, ctx)?;
+            ledger
+                .restored()
+                .map_err(|f| f.invalid(graph, format_args!("{ctx}the switch seam")))?;
+            return Self::validate_union_advance(graph, modes, row);
+        }
+        // Every half of a fused seam ends at the initial levels (or is
+        // rejected), so one ledger carries all the pairs.
+        let mut bound = self.level_max.clone();
+        for (from, drain) in rows.iter().enumerate() {
+            for (to, fill) in rows.iter().enumerate() {
+                for row in [drain, fill] {
+                    let ctx = format_args!("transition {from}->{to}: {}", row.label);
+                    self.replay_lists(graph, &mut ledger, row, row.fused, &mut bound, ctx)?;
+                }
+            }
         }
         Ok(())
     }

@@ -9,7 +9,29 @@
 use crate::simd::{dot_rr4, fir_block_rr4};
 use crate::Sample;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::f64::consts::PI;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+
+/// Designed coefficient sets, as `(taps, taps reversed)`.
+type Design = (Arc<[f64]>, Arc<[f64]>);
+
+/// Low-pass designs kept for reuse, keyed by the exact bit patterns of
+/// `(cutoff, sample rate)` and the tap count: a design is a `sin` and a
+/// `cos` per tap, and every engine run designs each of a program's filters
+/// again (eight identical 2047-tap ones for eight parallel chains).
+/// Coefficients are immutable, so instances share them.
+type Designs = HashMap<(u64, u64, usize), Design>;
+static DESIGNS: OnceLock<Mutex<Designs>> = OnceLock::new();
+/// Designs kept at most; past that, new ones are computed and not kept.
+const DESIGNS_KEPT: usize = 64;
+
+fn designs() -> MutexGuard<'static, Designs> {
+    // A panic while the lock is held leaves the map whole (an entry is
+    // inserted complete or not at all), so a poisoned lock is usable.
+    let kept = DESIGNS.get_or_init(Default::default).lock();
+    kept.unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// A direct-form FIR filter with an internal delay line.
 ///
@@ -23,10 +45,10 @@ use std::f64::consts::PI;
 /// bit-exact.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FirFilter {
-    taps: Vec<f64>,
+    taps: Arc<[f64]>,
     /// `taps` reversed: `rtaps[i] = taps[n-1-i]`, paired with the
     /// ascending-time window.
-    rtaps: Vec<f64>,
+    rtaps: Arc<[f64]>,
     /// Doubled delay line (`2n` slots).
     delay: Vec<Sample>,
     pos: usize,
@@ -39,8 +61,12 @@ impl FirFilter {
     /// Create a filter from explicit tap coefficients.
     pub fn from_taps(taps: Vec<f64>) -> Self {
         assert!(!taps.is_empty(), "a FIR filter needs at least one tap");
-        let n = taps.len();
         let rtaps = taps.iter().rev().copied().collect();
+        FirFilter::from_design((taps.into(), rtaps))
+    }
+
+    fn from_design((taps, rtaps): Design) -> Self {
+        let n = taps.len();
         FirFilter {
             taps,
             rtaps,
@@ -62,6 +88,10 @@ impl FirFilter {
             cutoff_hz > 0.0 && cutoff_hz < sample_rate_hz / 2.0,
             "cutoff must be below Nyquist"
         );
+        let key = (cutoff_hz.to_bits(), sample_rate_hz.to_bits(), taps);
+        if let Some(design) = designs().get(&key) {
+            return FirFilter::from_design(design.clone());
+        }
         let fc = cutoff_hz / sample_rate_hz;
         let m = (taps - 1) as f64;
         let mut coeffs = Vec::with_capacity(taps);
@@ -81,7 +111,12 @@ impl FirFilter {
         for c in &mut coeffs {
             *c /= sum;
         }
-        FirFilter::from_taps(coeffs)
+        let filter = FirFilter::from_taps(coeffs);
+        let mut designs = designs();
+        if designs.len() < DESIGNS_KEPT {
+            designs.insert(key, (filter.taps.clone(), filter.rtaps.clone()));
+        }
+        filter
     }
 
     /// Number of taps.
@@ -305,6 +340,26 @@ mod tests {
     #[should_panic(expected = "below Nyquist")]
     fn cutoff_above_nyquist_panics() {
         let _ = FirFilter::low_pass(30_000.0, 48_000.0, 31);
+    }
+
+    #[test]
+    fn repeated_designs_share_bit_identical_taps() {
+        let a = FirFilter::low_pass(1234.5, 48_000.0, 33);
+        let b = FirFilter::low_pass(1234.5, 48_000.0, 33);
+        assert!(Arc::ptr_eq(&a.taps, &b.taps) && Arc::ptr_eq(&a.rtaps, &b.rtaps));
+        // The kept design is the one a fresh computation gives, and a
+        // neighbouring key is a different design.
+        let fresh = FirFilter::from_taps(a.taps().to_vec());
+        assert_eq!(a, fresh);
+        assert!(a.rtaps.iter().eq(a.taps.iter().rev()));
+        let c = FirFilter::low_pass(1234.5, 48_000.0, 35);
+        let d = FirFilter::low_pass(f64::from_bits(1234.5f64.to_bits() + 1), 48_000.0, 33);
+        assert!(c.len() == 35 && !Arc::ptr_eq(&a.taps, &d.taps));
+        // State stays per instance.
+        let (mut a, mut b) = (a, b);
+        a.push(1.0);
+        assert_ne!(a, b);
+        assert_eq!(b.push(0.0), 0.0);
     }
 
     #[test]

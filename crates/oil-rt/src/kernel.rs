@@ -9,8 +9,9 @@
 //! including the randomly generated ones — executes with real values.
 //!
 //! Kernel state (FIR delay lines, oscillator phases, …) is per node and
-//! travels with the firing job through the work-stealing pool; because a
-//! node's firings are strictly ordered by the virtual clock, the value
+//! owned by whichever single thread fires the node: the reference
+//! interpreter's one thread, or the engine worker the node is assigned to.
+//! A node's firings therefore run in order on every engine, and its value
 //! streams are identical at every thread count.
 
 use oil_dsp::{CompositeSignal, Decimator, FirFilter, Mixer, RationalResampler, ToneGenerator};
@@ -208,8 +209,8 @@ impl Kernel {
 }
 
 /// A time-triggered source's sample generator. Pure sequences: sample `n` is
-/// a function of `n` alone, so generator threads can run ahead of the
-/// virtual clock without changing the stream.
+/// a function of `n` alone, so an engine may generate whole bursts ahead of
+/// their consumers without changing the stream.
 pub enum SourceKernel {
     /// The synthetic PAL composite RF signal.
     Composite(Box<CompositeSignal>),

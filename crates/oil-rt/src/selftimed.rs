@@ -248,10 +248,14 @@ enum Unit {
 struct ModalDep {
     /// Per mode: modal firings per period (the per-mode repetition).
     period_reps: Vec<u64>,
-    /// The planned mode of every executed period, in order.
-    mode_seq: Vec<u32>,
-    /// Index of the period currently executing.
-    seq_idx: usize,
+    /// The plan's `(mode, periods)` runs ([`ModePlan::runs`]).
+    ///
+    /// [`ModePlan::runs`]: oil_compiler::schedule::ModePlan::runs
+    runs: Vec<(u32, u64)>,
+    /// Index of the run currently executing.
+    run: usize,
+    /// Periods of that run still to finish (the executing one included).
+    periods_left: u64,
     /// Firings remaining in the current period (0 ⇒ the plan is spent).
     period_left: u64,
     /// See [`SelfTimedReport::transition_firings`].
@@ -618,7 +622,7 @@ fn run_modal_dependent(
         if dep.period_left == 0 {
             break; // the plan is spent; source budgets are capped to match
         }
-        let mode = dep.mode_seq[dep.seq_idx];
+        let mode = dep.runs[dep.run].0;
         let ready = {
             let active = &members[mode as usize];
             ports_satisfied(&active.reads, |b| w.available_count(b))
@@ -672,9 +676,13 @@ fn run_modal_dependent(
         }
         dep.period_left -= 1;
         if dep.period_left == 0 {
-            dep.seq_idx += 1;
-            if dep.seq_idx < dep.mode_seq.len() {
-                dep.period_left = dep.period_reps[dep.mode_seq[dep.seq_idx] as usize];
+            dep.periods_left -= 1;
+            if dep.periods_left == 0 {
+                dep.run += 1;
+                dep.periods_left = dep.runs.get(dep.run).map_or(0, |r| r.1);
+            }
+            if dep.periods_left > 0 {
+                dep.period_left = dep.period_reps[dep.runs[dep.run].0 as usize];
             }
         }
         any = true;
@@ -1049,9 +1057,10 @@ fn execute_inner(
                     last_arm: u32::MAX,
                     dep: mode_plan.as_ref().map(|(rates, seq)| ModalDep {
                         period_reps: rates.modal.clone(),
-                        mode_seq: seq.mode_seq.clone(),
-                        seq_idx: 0,
-                        period_left: seq.mode_seq.first().map_or(0, |&m| rates.modal[m as usize]),
+                        runs: seq.runs.clone(),
+                        run: 0,
+                        periods_left: seq.runs.first().map_or(0, |r| r.1),
+                        period_left: seq.runs.first().map_or(0, |r| rates.modal[r.0 as usize]),
                         transition_firings: 0,
                     }),
                 });

@@ -38,7 +38,13 @@
 //! flow is mode-independent) and runs whichever member's kernel the
 //! [`ModeScript`] selects for that firing, so the engine **switches modes
 //! hot**, mid-stream, without draining the pipeline — the SDR "user changes
-//! channels" scenario. `tests/staticsched_differential.rs` and
+//! channels" scenario. A **mode-dependent** cluster (arms moving different
+//! tokens) carries one fused list per mode instead: the script is resolved
+//! up front into runs of same-mode periods, and the same loop that replays
+//! a plain schedule's one list replays each run's list — fused runs, block
+//! kernels and all, the modal unit firing the run's member like any node —
+//! in passes of as many periods as the schedule proved batchable.
+//! `tests/staticsched_differential.rs` and
 //! `tests/modeswitch_differential.rs` hold the engine to exactly that, plus
 //! thread-count invariance and rate conformance.
 //!
@@ -55,8 +61,8 @@ use crate::ring::{self, Consumer, Producer, WaitStats};
 use crate::trace::{unit_label, EventKind, RingStat, TraceReport, WorkerTracer};
 use oil_compiler::rtgraph::RtGraph;
 use oil_compiler::schedule::{
-    modal_member_access, plan_mode_sequence, FusionStats, ModeScript, StaticSchedule, UnitKind,
-    WorkItem,
+    modal_member_access, plan_mode_sequence, FusionStats, ModePlan, ModeScript, StaticSchedule,
+    UnitKind, WorkItem, FUSED_BATCH_MAX, FUSED_BATCH_TOKENS,
 };
 use oil_dataflow::index::Idx;
 use oil_sim::Picos;
@@ -280,38 +286,35 @@ enum UnitState {
         /// monitor for this sink.
         monitor: Option<SinkMonitor>,
     },
-    /// A modal unit: one arm per cluster member. Under **union-advance**
-    /// the script dispatches per firing: every firing pops the union of all
+    /// A **union-advance** modal unit: one arm per cluster member, the
+    /// script dispatching per firing. Every firing pops the union of all
     /// members' reads in ascending member order (the schedule admitted
     /// exactly that token flow for every mode), feeds the active arm's
-    /// slice to its kernel, and pushes the shared write list. Under a
-    /// **mode-dependent** schedule the executed period's mode dispatches
-    /// instead ([`fire_dependent`]): the firing pops and pushes *only* that
-    /// member's access lists. Never uses the block fast path: the arm may
-    /// change at any firing (or period) boundary.
+    /// slice to its kernel, and pushes the shared write list. Never uses
+    /// the block fast path: the arm may change at any firing. (The modal
+    /// unit of a **mode-dependent** schedule fires one fixed member per
+    /// mode row; each member is compiled to a [`UnitState::Node`] of its
+    /// own and the rows name the one they fire.)
     Modal {
-        /// Arms ascending by member node id; `script.arm_at(fired)` picks.
+        /// Arms ascending by member node id.
         members: Vec<ModalMember>,
-        /// The shared aggregated write list (identical for every member
-        /// under union-advance; mode-dependent firings use the member's own
-        /// [`ModalMember::writes`]).
+        /// The shared aggregated write list (identical for every member).
         writes: Vec<(usize, usize)>,
         out_len: usize,
         script: ModeScript,
+        /// Switch points of `script` already taken: the firings run in
+        /// order, so the scripted arm follows by stepping a cursor.
+        taken: usize,
+        /// The scripted arm of the next firing.
+        arm: u32,
         /// Total modal firings (the script's clock).
         fired: u64,
-        /// Union-advance: firings whose arm differed from the previous
-        /// firing's. Mode-dependent: period boundaries that changed mode.
+        /// Firings whose arm differed from the previous firing's.
         switches: u64,
-        /// Arm (or executed mode) of the previous firing (`u32::MAX` before
-        /// the first).
-        last_arm: u32,
-        /// See [`StaticReport::transition_firings`].
-        transition_firings: u64,
     },
 }
 
-/// One arm of a modal unit.
+/// One arm of a union-advance modal unit.
 struct ModalMember {
     /// Node id of the member this arm dispatches to.
     node: usize,
@@ -320,10 +323,6 @@ struct ModalMember {
     /// ([`modal_member_access`]), shared with synthesis and the scripted
     /// self-timed engine so value layouts agree everywhere.
     reads: Vec<(usize, usize)>,
-    /// This member's aggregated write list (mode-dependent firings push
-    /// exactly this; under union-advance it equals the shared list).
-    writes: Vec<(usize, usize)>,
-    out_len: usize,
     fired: u64,
 }
 
@@ -370,12 +369,18 @@ enum CompiledWork {
     Fused(CompiledFused),
 }
 
-/// Target tokens per stage per batched run execution: enough to amortise
-/// the per-call overhead and fill the SIMD kernels without growing the
-/// scratch buffers past cache-friendly sizes.
-const FUSED_BATCH_TOKENS: u64 = 4096;
-/// Batching cap (iterations concatenated per run execution).
-const FUSED_BATCH_MAX: u64 = 64;
+/// One row of a worker's compiled per-mode table: what it executes for a
+/// period of the mode.
+struct Row {
+    items: Vec<CompiledWork>,
+    /// Consecutive periods executed as one pass, every item firing that
+    /// many periods' worth at once ([`ModeDependent::batch`]: the schedule
+    /// proved the scaled list and sized the rings for it). 1 for the single
+    /// row of a schedule without per-mode tables.
+    ///
+    /// [`ModeDependent::batch`]: oil_compiler::schedule::ModeDependent::batch
+    batch: u64,
+}
 
 /// The buffer plumbing of one worker: endpoint slots plus producer-side
 /// recording. Split from the unit table so a unit's state and the buffer
@@ -625,29 +630,20 @@ impl BufIo {
     }
 }
 
-/// This worker's share of a mode-dependent replay: instead of looping one
-/// period list, the worker walks the resolved [`ModePlan`]'s mode sequence
-/// — for each executed period it replays its projection of that mode's
-/// firing list.
-///
-/// [`ModePlan`]: oil_compiler::schedule::ModePlan
-struct DepWork {
-    /// The plan's per-period modes, shared by every worker.
-    mode_seq: Arc<Vec<u32>>,
-    /// Per mode: this worker's firing list as `(local unit, times)`.
-    periods: Vec<Vec<(u32, u32)>>,
-}
-
 /// Everything one worker owns for the run.
 struct Worker {
-    steps: Vec<CompiledWork>,
+    /// The compiled per-mode table: one row per mode of a mode-dependent
+    /// schedule, a single row otherwise.
+    rows: Vec<Row>,
+    /// The `(row, periods)` runs to replay, in order: the resolved
+    /// [`ModePlan`](oil_compiler::schedule::ModePlan) of a mode-dependent
+    /// schedule (shared by every worker, so cross-worker rings line up as
+    /// in the validated order), else the one run of covering iterations.
+    plan: Arc<Vec<(u32, u64)>>,
     units: Vec<UnitState>,
     io: BufIo,
-    max_iters: u64,
-    /// `Some` switches the worker to the mode-dependent replay loop.
-    dep: Option<DepWork>,
     scratch: Vec<f64>,
-    /// Reused output buffer for blocked kernel calls; doubles as the second
+    /// Reused output buffer for kernel calls; doubles as the second
     /// ping-pong scratch of fused runs.
     out_buf: Vec<f64>,
 }
@@ -661,225 +657,61 @@ struct WorkerOut {
 }
 
 impl Worker {
+    /// The one replay loop: walk the plan's runs; within a run, execute the
+    /// row's list once per pass of `batch` periods (period by period while
+    /// fewer remain — both forms were replayed by the schedule's proof).
+    /// Every list returns every buffer to its initial level, so the passes
+    /// simply follow each other, across a mode seam too.
     fn run(mut self, abort: &AtomicBool) -> WorkerOut {
-        if self.dep.is_some() {
-            return self.run_dependent(abort);
-        }
         let io = &mut self.io;
         let scratch = &mut self.scratch;
         let out_buf = &mut self.out_buf;
-        for it in 0..self.max_iters {
-            for work in &self.steps {
-                let step = match work {
-                    CompiledWork::Step(step) => step,
-                    CompiledWork::Fused(f) => {
-                        if it >= f.iters || (f.batch > 1 && !it.is_multiple_of(f.batch)) {
-                            continue;
-                        }
-                        let reps = if f.batch > 1 {
-                            f.batch.min(f.iters - it) as usize
-                        } else {
-                            1
-                        };
-                        let t0 = work_t0(io);
-                        run_fused(f, reps, &mut self.units, io, scratch, out_buf, abort);
-                        if let Some(start) = t0 {
-                            note_work(io, EventKind::SuperStep, f.stages[0].unit, start);
-                        }
-                        continue;
-                    }
-                };
-                if it >= step.iters {
-                    continue;
-                }
-                let t0 = work_t0(io);
-                match &mut self.units[step.unit as usize] {
-                    UnitState::Node {
-                        kernel,
-                        reads,
-                        writes,
-                        in_len,
-                        out_len,
-                        block,
-                        fired,
-                        ..
-                    } => {
-                        let times = step.times as usize;
-                        if *block {
-                            // One kernel call for the whole scheduled run:
-                            // gather every firing's inputs (the schedule
-                            // proved they exist), fire the block, scatter.
-                            scratch.clear();
-                            if let [(b, c)] = reads[..] {
-                                io.pop_block(b, times * c, scratch, abort);
-                            } else {
-                                for _ in 0..times {
-                                    for &(b, c) in reads.iter() {
-                                        for _ in 0..c {
-                                            scratch.push(io.pop(b, abort));
-                                        }
-                                    }
-                                }
-                            }
-                            out_buf.clear();
-                            kernel.fire_block_into(scratch, times, *in_len, *out_len, out_buf);
-                            if let [(b, c)] = writes[..] {
-                                debug_assert_eq!(c, *out_len);
-                                io.push_block(b, out_buf, abort);
-                            } else {
-                                for j in 0..times {
-                                    for &(b, c) in writes.iter() {
-                                        for k in 0..c {
-                                            let v = out_buf.get(j * *out_len + k).copied();
-                                            io.push(b, v.unwrap_or(0.0), abort);
-                                        }
-                                    }
-                                }
-                            }
-                        } else {
-                            for _ in 0..times {
-                                scratch.clear();
-                                for &(b, c) in reads.iter() {
-                                    for _ in 0..c {
-                                        scratch.push(io.pop(b, abort));
-                                    }
-                                }
-                                let out = kernel.fire(scratch, *out_len);
-                                for &(b, c) in writes.iter() {
-                                    for k in 0..c {
-                                        io.push(b, out.get(k).copied().unwrap_or(0.0), abort);
-                                    }
-                                }
-                            }
-                        }
-                        *fired += step.times as u64;
-                    }
-                    UnitState::Source {
-                        kernel,
-                        outputs,
-                        generated,
-                        ..
-                    } => {
-                        scratch.clear();
-                        kernel.fill_into(step.times as usize, scratch);
-                        for &b in outputs.iter() {
-                            io.push_block(b, scratch, abort);
-                        }
-                        *generated += step.times as u64;
-                    }
-                    UnitState::Sink {
-                        input,
-                        consumed,
-                        values,
-                        meter,
-                        monitor,
-                        ..
-                    } => {
-                        for _ in 0..step.times {
-                            let v = io.pop(*input, abort);
-                            *consumed += 1;
-                            meter.record();
-                            if let Some(m) = monitor.as_mut() {
-                                m.record();
-                            }
-                            if values.len() < SINK_STREAM_CAP {
-                                values.push(v);
-                            }
-                        }
-                        if let Some(m) = io.metrics.as_ref() {
-                            m.cell().record_sink(step.times as u64);
-                        }
-                    }
-                    UnitState::Modal {
-                        members,
-                        writes,
-                        out_len,
-                        script,
-                        fired,
-                        switches,
-                        last_arm,
-                        // Union-advance switches hot: no drain/fill, so no
-                        // firing ever belongs to a transition.
-                        transition_firings: _,
-                    } => {
-                        for _ in 0..step.times {
-                            let arm = script.arm_at(*fired).min(members.len() as u32 - 1);
-                            if *last_arm != u32::MAX && arm != *last_arm {
-                                *switches += 1;
-                                if let Some(t) = io.trace.as_mut() {
-                                    t.instant(EventKind::ModeSwitch, arm);
-                                }
-                            }
-                            *last_arm = arm;
-                            // Union-advance: pop every member's inputs in
-                            // ascending member order; the active arm's
-                            // slice feeds its kernel, the rest is
-                            // mode-gated traffic consumed and discarded.
-                            scratch.clear();
-                            let (mut start, mut len) = (0usize, 0usize);
-                            for (k, m) in members.iter().enumerate() {
-                                if k as u32 == arm {
-                                    start = scratch.len();
-                                }
-                                for &(b, c) in &m.reads {
-                                    for _ in 0..c {
-                                        scratch.push(io.pop(b, abort));
-                                    }
-                                }
-                                if k as u32 == arm {
-                                    len = scratch.len() - start;
-                                }
-                            }
-                            let active = &mut members[arm as usize];
-                            let out = active.kernel.fire(&scratch[start..start + len], *out_len);
-                            for &(b, c) in writes.iter() {
-                                for k in 0..c {
-                                    io.push(b, out.get(k).copied().unwrap_or(0.0), abort);
-                                }
-                            }
-                            active.fired += 1;
-                            *fired += 1;
-                        }
-                    }
-                }
-                if let Some(start) = t0 {
-                    note_work(io, EventKind::Firing, step.unit, start);
-                }
-            }
-        }
-        WorkerOut {
-            units: self.units,
-            recorders: self.io.recorders,
-            tokens: self.io.tokens,
-            trace: self.io.trace,
-        }
-    }
-
-    /// The mode-dependent replay: walk the plan's mode sequence, replaying
-    /// this worker's projection of each period's firing list. Every worker
-    /// walks the same sequence, so cross-worker rings line up exactly as in
-    /// the validated global order.
-    fn run_dependent(mut self, abort: &AtomicBool) -> WorkerOut {
-        let dep = self.dep.take().expect("dependent work");
-        let io = &mut self.io;
-        let scratch = &mut self.scratch;
         let mut prev: Option<u32> = None;
-        for &m in dep.mode_seq.iter() {
-            if let (Some(p), Some(t)) = (prev.filter(|&p| p != m), io.trace.as_mut()) {
+        for &(mode, periods) in self.plan.iter() {
+            if let (Some(p), Some(t)) = (prev, io.trace.as_mut()) {
                 // The periods abut at a boundary, so the seam span is an
                 // empty marker; its arg packs the (from, to) mode pair.
-                t.span(EventKind::Seam, (p << 16) | m, t.now_ns());
-                t.instant(EventKind::ModeSwitch, m);
+                t.span(EventKind::Seam, (p << 16) | mode, t.now_ns());
+                t.instant(EventKind::ModeSwitch, mode);
             }
-            for &(u, times) in &dep.periods[m as usize] {
-                let t0 = io.trace.as_ref().map(|t| t.now_ns());
-                fire_dependent(&mut self.units, io, scratch, u, times, m, abort);
-                if let Some(start) = t0 {
-                    let t = io.trace.as_mut().expect("tracer outlives the run");
-                    t.span(EventKind::Firing, u, start);
+            prev = Some(mode);
+            let row = &self.rows[mode as usize];
+            let mut it = 0;
+            while it < periods {
+                let pass = if periods - it >= row.batch {
+                    row.batch
+                } else {
+                    1
+                };
+                for work in &row.items {
+                    match work {
+                        CompiledWork::Step(step) if it < step.iters => {
+                            let t0 = work_t0(io);
+                            let unit = &mut self.units[step.unit as usize];
+                            let times = step.times as usize * pass as usize;
+                            fire_step(unit, times, io, scratch, out_buf, abort);
+                            if let Some(start) = t0 {
+                                note_work(io, EventKind::Firing, step.unit, start);
+                            }
+                        }
+                        // A whole-component run (single-row tables only)
+                        // executes at every `batch`-th iteration, for the
+                        // iterations up to the next.
+                        CompiledWork::Fused(f)
+                            if it < f.iters && (f.batch == 1 || it.is_multiple_of(f.batch)) =>
+                        {
+                            let t0 = work_t0(io);
+                            let reps = (pass * f.batch.min(f.iters - it)) as usize;
+                            run_fused(f, reps, &mut self.units, io, scratch, out_buf, abort);
+                            if let Some(start) = t0 {
+                                note_work(io, EventKind::SuperStep, f.stages[0].unit, start);
+                            }
+                        }
+                        _ => {}
+                    }
                 }
+                it += pass;
             }
-            prev = Some(m);
         }
         WorkerOut {
             units: self.units,
@@ -890,41 +722,71 @@ impl Worker {
     }
 }
 
-/// Fire one unit `times` times inside a mode-dependent replay, with `mode`
-/// the executed period's mode. The modal unit dispatches the mode's member
-/// and moves only that member's access lists; a firing counts toward
-/// [`StaticReport::transition_firings`] when the script has already
-/// requested a different arm (the drain tail of the old period — a
-/// mid-period switch point takes effect at the next period boundary).
-fn fire_dependent(
-    units: &mut [UnitState],
+/// Fire one unit `times` times in a row (a plain step of a worker's list).
+fn fire_step(
+    unit: &mut UnitState,
+    times: usize,
     io: &mut BufIo,
     scratch: &mut Vec<f64>,
-    unit: u32,
-    times: u32,
-    mode: u32,
+    out_buf: &mut Vec<f64>,
     abort: &AtomicBool,
 ) {
-    match &mut units[unit as usize] {
+    match unit {
         UnitState::Node {
             kernel,
             reads,
             writes,
+            in_len,
             out_len,
+            block,
             fired,
             ..
         } => {
-            for _ in 0..times {
+            if *block {
+                // One kernel call for the whole scheduled run: gather every
+                // firing's inputs (the schedule proved they exist), fire
+                // the block, scatter.
                 scratch.clear();
-                for &(b, c) in reads.iter() {
-                    for _ in 0..c {
-                        scratch.push(io.pop(b, abort));
+                if let [(b, c)] = reads[..] {
+                    io.pop_block(b, times * c, scratch, abort);
+                } else {
+                    for _ in 0..times {
+                        for &(b, c) in reads.iter() {
+                            for _ in 0..c {
+                                scratch.push(io.pop(b, abort));
+                            }
+                        }
                     }
                 }
-                let out = kernel.fire(scratch, *out_len);
-                for &(b, c) in writes.iter() {
-                    for k in 0..c {
-                        io.push(b, out.get(k).copied().unwrap_or(0.0), abort);
+                out_buf.clear();
+                kernel.fire_block_into(scratch, times, *in_len, *out_len, out_buf);
+                if let [(b, c)] = writes[..] {
+                    debug_assert_eq!(c, *out_len);
+                    io.push_block(b, out_buf, abort);
+                } else {
+                    for j in 0..times {
+                        for &(b, c) in writes.iter() {
+                            for k in 0..c {
+                                let v = out_buf.get(j * *out_len + k).copied();
+                                io.push(b, v.unwrap_or(0.0), abort);
+                            }
+                        }
+                    }
+                }
+            } else {
+                for _ in 0..times {
+                    scratch.clear();
+                    for &(b, c) in reads.iter() {
+                        for _ in 0..c {
+                            scratch.push(io.pop(b, abort));
+                        }
+                    }
+                    out_buf.clear();
+                    kernel.fire_extend(scratch, *out_len, out_buf);
+                    for &(b, c) in writes.iter() {
+                        for &v in &out_buf[..c] {
+                            io.push(b, v, abort);
+                        }
                     }
                 }
             }
@@ -936,11 +798,10 @@ fn fire_dependent(
             generated,
             ..
         } => {
-            for _ in 0..times {
-                let v = kernel.next_sample();
-                for &b in outputs.iter() {
-                    io.push(b, v, abort);
-                }
+            scratch.clear();
+            kernel.fill_into(times, scratch);
+            for &b in outputs.iter() {
+                io.push_block(b, scratch, abort);
             }
             *generated += times as u64;
         }
@@ -969,33 +830,50 @@ fn fire_dependent(
         }
         UnitState::Modal {
             members,
+            writes,
+            out_len,
             script,
+            taken,
+            arm,
             fired,
             switches,
-            last_arm,
-            transition_firings,
-            ..
         } => {
-            let arms = members.len() as u32;
             for _ in 0..times {
-                if *last_arm != u32::MAX && mode != *last_arm {
+                let last = *arm;
+                while let Some(&(_, next)) = script.switches.get(*taken).filter(|p| p.0 <= *fired) {
+                    (*arm, *taken) = (next.min(members.len() as u32 - 1), *taken + 1);
+                }
+                if *fired > 0 && *arm != last {
                     *switches += 1;
-                }
-                *last_arm = mode;
-                if script.arm_at(*fired).min(arms - 1) != mode {
-                    *transition_firings += 1;
-                }
-                let active = &mut members[mode as usize];
-                scratch.clear();
-                for &(b, c) in &active.reads {
-                    for _ in 0..c {
-                        scratch.push(io.pop(b, abort));
+                    if let Some(t) = io.trace.as_mut() {
+                        t.instant(EventKind::ModeSwitch, *arm);
                     }
                 }
-                let out = active.kernel.fire(scratch, active.out_len);
-                for &(b, c) in &active.writes {
-                    for k in 0..c {
-                        io.push(b, out.get(k).copied().unwrap_or(0.0), abort);
+                // Union-advance: pop every member's inputs in ascending
+                // member order; the active arm's slice feeds its kernel,
+                // the rest is mode-gated traffic consumed and discarded.
+                scratch.clear();
+                let (mut start, mut len) = (0usize, 0usize);
+                for (k, m) in members.iter().enumerate() {
+                    if k as u32 == *arm {
+                        start = scratch.len();
+                    }
+                    for &(b, c) in &m.reads {
+                        for _ in 0..c {
+                            scratch.push(io.pop(b, abort));
+                        }
+                    }
+                    if k as u32 == *arm {
+                        len = scratch.len() - start;
+                    }
+                }
+                let active = &mut members[*arm as usize];
+                out_buf.clear();
+                let inputs = &scratch[start..start + len];
+                active.kernel.fire_extend(inputs, *out_len, out_buf);
+                for &(b, c) in writes.iter() {
+                    for &v in &out_buf[..c] {
+                        io.push(b, v, abort);
                     }
                 }
                 active.fired += 1;
@@ -1087,7 +965,7 @@ fn run_fused(
                 }
             }
             UnitState::Modal { .. } => {
-                unreachable!("modal units are excluded from fusion at synthesis")
+                unreachable!("union-advance modal units are excluded from fusion at synthesis")
             }
             UnitState::Sink {
                 consumed,
@@ -1158,11 +1036,13 @@ pub fn execute_staticsched(
 /// replay at synthesis ([`StaticSchedule::validate_transitions`]).
 ///
 /// For a **mode-dependent** schedule the script is first resolved into a
-/// [`ModePlan`](oil_compiler::schedule::ModePlan): each executed period
-/// runs one mode's verified firing list, a requested switch takes effect
-/// at the next period boundary (the old period's trailing firings are the
-/// *drain*, reported as [`StaticReport::transition_firings`]); the next
-/// period follows directly, since every period is level-preserving.
+/// [`ModePlan`]: each executed period runs one mode's verified fused list
+/// (consecutive periods of one mode in batches), a requested switch takes
+/// effect at the next period boundary (the old period's trailing firings
+/// are the *drain*, reported as [`StaticReport::transition_firings`] — the
+/// plan counts them, and the switches, from the switch points that fall
+/// inside each run; no firing looks the script up); the next period
+/// follows directly, since every period is level-preserving.
 ///
 /// Non-modal schedules ignore the script.
 ///
@@ -1206,7 +1086,6 @@ pub fn execute_staticsched_scripted(
         let rates = dep.rates(&schedule.units, graph);
         plan_mode_sequence(&rates, script, |id| budgets[id.index()])
     });
-    let mode_seq: Option<Arc<Vec<u32>>> = plan.as_ref().map(|p| Arc::new(p.mode_seq.clone()));
     let component_iters = if plan.is_none() {
         schedule.covering_iterations(graph, |id| budgets[id.index()])
     } else {
@@ -1214,8 +1093,14 @@ pub fn execute_staticsched_scripted(
     };
     let iterations = plan
         .as_ref()
-        .map(|p| p.mode_seq.len() as u64)
+        .map(ModePlan::periods)
         .unwrap_or_else(|| component_iters.iter().copied().max().unwrap_or(0));
+    // Switches and drain firings of a mode-dependent run follow from the
+    // plan alone; a union-advance modal unit counts its own hot switches.
+    let (mut mode_switches, transition_firings) = plan
+        .as_ref()
+        .map_or((0, 0), |p| (p.mode_switches, p.transition_firings));
+    let mode_runs = plan.map(|p| Arc::new(p.runs));
 
     // --- Per-buffer placement: the worker of each endpoint decides the
     // backing (local deque, cross-worker ring, or record-and-drop).
@@ -1285,60 +1170,68 @@ pub fn execute_staticsched_scripted(
 
     // --- Compile each worker's unit table and step list.
     let mut workers: Vec<Worker> = Vec::with_capacity(threads);
-    // unit id -> (worker, local index)
+    // unit id -> (worker, local index); the modal unit of a mode-dependent
+    // schedule is compiled to one node per member, mode `m`'s at `index + m`.
     let mut unit_home: Vec<(usize, u32)> = vec![(0, 0); schedule.units.len()];
     let mut worker_units: Vec<Vec<UnitState>> = (0..threads).map(|_| Vec::new()).collect();
     // Per worker, the display label of each local unit (trace attribution).
     let mut worker_labels: Vec<Vec<String>> = (0..threads).map(|_| Vec::new()).collect();
+    let ports = |list: &[(oil_compiler::rtgraph::RtBufferId, usize)]| -> Vec<(usize, usize)> {
+        list.iter().map(|&(b, c)| (b.index(), c)).collect()
+    };
+    let node_state = |id: oil_compiler::rtgraph::RtNodeId,
+                      reads: Vec<(usize, usize)>,
+                      writes: Vec<(usize, usize)>| {
+        let block = reads
+            .iter()
+            .all(|&(b, _)| writes.iter().all(|&(wb, _)| wb != b));
+        UnitState::Node {
+            node: id.index(),
+            kernel: lib.instantiate(&graph.nodes[id].function),
+            in_len: reads.iter().map(|&(_, c)| c).sum(),
+            out_len: writes.iter().map(|&(_, c)| c).max().unwrap_or(0),
+            reads,
+            writes,
+            block,
+            fired: 0,
+        }
+    };
     for (u, unit) in schedule.units.iter().enumerate() {
         let w = unit.worker;
-        if config.trace {
-            worker_labels[w].push(match &unit.kind {
-                UnitKind::Node(id) => unit_label(graph, [*id], false),
-                UnitKind::Cluster { members, .. } => {
-                    unit_label(graph, members.iter().copied(), false)
-                }
-                UnitKind::Modal { members } => unit_label(graph, members.iter().copied(), true),
-                UnitKind::Source(id) => graph.sources[*id].name.clone(),
-                UnitKind::Sink(id) => graph.sinks[*id].name.clone(),
-            });
-        }
-        let state = match &unit.kind {
-            UnitKind::Node(id)
-            | UnitKind::Cluster {
-                representative: id, ..
+        unit_home[u] = (w, worker_units[w].len() as u32);
+        let mut push = |state: UnitState, label: &dyn Fn() -> String| {
+            worker_units[w].push(state);
+            if config.trace {
+                worker_labels[w].push(label());
+            }
+        };
+        match &unit.kind {
+            UnitKind::Node(id) => {
+                let n = &graph.nodes[*id];
+                let state = node_state(*id, ports(&n.reads), ports(&n.writes));
+                push(state, &|| unit_label(graph, [*id], false));
+            }
+            UnitKind::Cluster {
+                representative: id,
+                members,
             } => {
                 let n = &graph.nodes[*id];
-                let reads: Vec<(usize, usize)> =
-                    n.reads.iter().map(|&(b, c)| (b.index(), c)).collect();
-                let writes: Vec<(usize, usize)> =
-                    n.writes.iter().map(|&(b, c)| (b.index(), c)).collect();
-                let block = reads
-                    .iter()
-                    .all(|&(b, _)| writes.iter().all(|&(wb, _)| wb != b));
-                UnitState::Node {
-                    node: id.index(),
-                    kernel: lib.instantiate(&n.function),
-                    in_len: reads.iter().map(|&(_, c)| c).sum(),
-                    out_len: writes.iter().map(|&(_, c)| c).max().unwrap_or(0),
-                    reads,
-                    writes,
-                    block,
-                    fired: 0,
-                }
+                let state = node_state(*id, ports(&n.reads), ports(&n.writes));
+                push(state, &|| unit_label(graph, members.iter().copied(), false));
             }
             UnitKind::Source(id) => {
                 let s = &graph.sources[*id];
-                UnitState::Source {
+                let state = UnitState::Source {
                     source: id.index(),
                     kernel: lib.instantiate_source(&s.function),
                     outputs: s.outputs.iter().map(|b| b.index()).collect(),
                     generated: 0,
-                }
+                };
+                push(state, &|| s.name.clone());
             }
             UnitKind::Sink(id) => {
                 let s = &graph.sinks[*id];
-                UnitState::Sink {
+                let state = UnitState::Sink {
                     sink: id.index(),
                     input: s.input.index(),
                     consumed: 0,
@@ -1347,45 +1240,44 @@ pub fn execute_staticsched_scripted(
                     monitor: hub
                         .as_ref()
                         .map(|h| h.sink_monitor(s.name.clone(), s.period.recip().to_f64())),
+                };
+                push(state, &|| s.name.clone());
+            }
+            // Mode-dependent: a row fires one fixed member, moving exactly
+            // that member's aggregated access lists — a node like any other.
+            UnitKind::Modal { members } if dependent.is_some() => {
+                for &m in members {
+                    let (reads, writes) = modal_member_access(graph, m);
+                    let state = node_state(m, ports(&reads), ports(&writes));
+                    push(state, &|| unit_label(graph, [m], true));
                 }
             }
             UnitKind::Modal { members } => {
                 let arms: Vec<ModalMember> = members
                     .iter()
-                    .map(|&m| {
-                        let (reads, member_writes) = modal_member_access(graph, m);
-                        let member_writes: Vec<(usize, usize)> = member_writes
-                            .into_iter()
-                            .map(|(b, c)| (b.index(), c))
-                            .collect();
-                        ModalMember {
-                            node: m.index(),
-                            kernel: lib.instantiate(&graph.nodes[m].function),
-                            reads: reads.into_iter().map(|(b, c)| (b.index(), c)).collect(),
-                            out_len: member_writes.iter().map(|&(_, c)| c).max().unwrap_or(0),
-                            writes: member_writes,
-                            fired: 0,
-                        }
+                    .map(|&m| ModalMember {
+                        node: m.index(),
+                        kernel: lib.instantiate(&graph.nodes[m].function),
+                        reads: ports(&modal_member_access(graph, m).0),
+                        fired: 0,
                     })
                     .collect();
-                let (_, writes) = modal_member_access(graph, members[0]);
-                let writes: Vec<(usize, usize)> =
-                    writes.into_iter().map(|(b, c)| (b.index(), c)).collect();
-                UnitState::Modal {
+                let writes = ports(&modal_member_access(graph, members[0]).1);
+                let state = UnitState::Modal {
                     out_len: writes.iter().map(|&(_, c)| c).max().unwrap_or(0),
+                    arm: script.initial.min(arms.len() as u32 - 1),
                     members: arms,
                     writes,
                     script: script.clone(),
+                    taken: 0,
                     fired: 0,
                     switches: 0,
-                    last_arm: u32::MAX,
-                    transition_firings: 0,
-                }
+                };
+                push(state, &|| unit_label(graph, members.iter().copied(), true));
             }
-        };
-        unit_home[u] = (w, worker_units[w].len() as u32);
-        worker_units[w].push(state);
+        }
     }
+    let modal_unit = schedule.modes.as_ref().map(|m| m.unit);
     for (w, (units, mut slots)) in worker_units
         .into_iter()
         .zip(std::mem::take(&mut worker_slots))
@@ -1409,48 +1301,35 @@ pub fn execute_staticsched_scripted(
                     in_len, out_len, ..
                 } => (*in_len).max(*out_len).max(1),
                 UnitState::Source { .. } | UnitState::Sink { .. } => 1,
-                // Modal units never fuse, so they never size a batch.
+                // A union-advance modal unit never fuses, so it never sizes
+                // a batch.
                 UnitState::Modal { .. } => 1,
             };
             s.times as u64 * width as u64
         };
-        // A mode-dependent worker replays the resolved plan instead of a
-        // covering-iteration step list (whose per-component counts do not
-        // exist here): compile the per-mode projections down to local unit
-        // indices.
-        let dep = mode_seq.as_ref().map(|seq| {
-            let d = dependent.expect("a mode plan implies a dependent schedule");
-            DepWork {
-                mode_seq: Arc::clone(seq),
-                periods: d
-                    .steps
-                    .iter()
-                    .map(|per_worker| {
-                        per_worker[w]
-                            .iter()
-                            .map(|s| (unit_home[s.unit as usize].1, s.times))
-                            .collect()
-                    })
-                    .collect(),
-            }
-        });
-        let steps: Vec<CompiledWork> = if dep.is_some() {
-            Vec::new()
-        } else {
-            schedule.fused_workers[w]
+        // One row per mode of a mode-dependent schedule — its items run in
+        // every period of the plan's runs, batched by the row's proven
+        // factor — else the single row, whose items run their component's
+        // covering iterations, whole-component runs batching on their own.
+        let compile_row = |items: &[WorkItem], mode: Option<usize>| -> Vec<CompiledWork> {
+            let local = |unit: u32| {
+                let member = mode.filter(|_| Some(unit) == modal_unit).unwrap_or(0);
+                unit_home[unit as usize].1 + member as u32
+            };
+            let iters = |unit: u32| match mode {
+                Some(_) => u64::MAX,
+                None => component_iters[schedule.units[unit as usize].component as usize],
+            };
+            items
                 .iter()
                 .map(|item| match item {
-                    WorkItem::Step(s) => {
-                        let unit = &schedule.units[s.unit as usize];
-                        CompiledWork::Step(CompiledStep {
-                            unit: unit_home[s.unit as usize].1,
-                            times: s.times,
-                            iters: component_iters[unit.component as usize],
-                        })
-                    }
+                    WorkItem::Step(s) => CompiledWork::Step(CompiledStep {
+                        unit: local(s.unit),
+                        times: s.times,
+                        iters: iters(s.unit),
+                    }),
                     WorkItem::Fused(run) => {
-                        let comp = schedule.units[run.stages[0].unit as usize].component;
-                        let batch = if run.batch {
+                        let batch = if run.batch && mode.is_none() {
                             let widest = run.stages.iter().map(&stage_tokens).max().unwrap_or(1);
                             (FUSED_BATCH_TOKENS / widest.max(1)).clamp(1, FUSED_BATCH_MAX)
                         } else {
@@ -1461,28 +1340,40 @@ pub fn execute_staticsched_scripted(
                                 .stages
                                 .iter()
                                 .map(|s| CompiledStage {
-                                    unit: unit_home[s.unit as usize].1,
+                                    unit: local(s.unit),
                                     times: s.times,
                                 })
                                 .collect(),
                             links: run.links.iter().map(|b| b.index()).collect(),
-                            iters: component_iters[comp as usize],
+                            iters: iters(run.stages[0].unit),
                             batch,
                         })
                     }
                 })
                 .collect()
         };
-        let max_iters = steps
-            .iter()
-            .map(|s| match s {
-                CompiledWork::Step(s) => s.iters,
-                CompiledWork::Fused(f) => f.iters,
-            })
-            .max()
-            .unwrap_or(0);
+        let (rows, plan) = match (dependent, &mode_runs) {
+            (Some(dep), Some(runs)) => {
+                let rows = dep.fused.iter().zip(&dep.batch).enumerate();
+                let row = |(mode, (lists, &batch)): (usize, (&Vec<Vec<WorkItem>>, &u32))| Row {
+                    items: compile_row(&lists[w], Some(mode)),
+                    batch: batch as u64,
+                };
+                (rows.map(row).collect(), Arc::clone(runs))
+            }
+            _ => {
+                let items = compile_row(&schedule.fused_workers[w], None);
+                let max_iters = items.iter().map(|s| match s {
+                    CompiledWork::Step(s) => s.iters,
+                    CompiledWork::Fused(f) => f.iters,
+                });
+                let plan = Arc::new(vec![(0, max_iters.max().unwrap_or(0))]);
+                (vec![Row { items, batch: 1 }], plan)
+            }
+        };
         workers.push(Worker {
-            steps,
+            rows,
+            plan,
             units,
             io: BufIo {
                 slots,
@@ -1497,8 +1388,6 @@ pub fn execute_staticsched_scripted(
                     wait: WaitStats::default(),
                 }),
             },
-            max_iters,
-            dep,
             scratch: Vec::new(),
             out_buf: Vec::new(),
         });
@@ -1552,8 +1441,6 @@ pub fn execute_staticsched_scripted(
     let mut sinks: Vec<Option<SinkStream>> = (0..graph.sinks.len()).map(|_| None).collect();
     let mut throughput: Vec<Option<SinkThroughput>> =
         (0..graph.sinks.len()).map(|_| None).collect();
-    let mut mode_switches = 0u64;
-    let mut transition_firings = 0u64;
     let mut trace_report = config
         .trace
         .then(|| TraceReport::new("staticsched", threads));
@@ -1610,16 +1497,12 @@ pub fn execute_staticsched_scripted(
                     });
                 }
                 UnitState::Modal {
-                    members,
-                    switches,
-                    transition_firings: tf,
-                    ..
+                    members, switches, ..
                 } => {
                     for m in members {
                         node_firings[m.node].1 = m.fired;
                     }
                     mode_switches += switches;
-                    transition_firings += tf;
                 }
             }
         }
@@ -1876,5 +1759,64 @@ mod tests {
             )
         }));
         assert!(result.is_err(), "the kernel panic must propagate");
+
+        // The same inside a fused row of a mode-dependent schedule: the
+        // modal member's run on one worker, and a run whose peer worker
+        // sits in a blocking pop behind it.
+        let scenario = oil_gen::ModeDependentScenario::generate(1);
+        let graph = &scenario.graph;
+        for (workers, function) in [(1, "arm0"), (2, "front0")] {
+            let schedule = synthesize(graph, &rtgraph::plan(graph), workers, &fused_on()).unwrap();
+            let rows = &schedule
+                .modes
+                .as_ref()
+                .unwrap()
+                .dependent
+                .as_ref()
+                .unwrap()
+                .fused;
+            let node = graph
+                .nodes
+                .indices()
+                .find(|&n| graph.nodes[n].function == function);
+            let node = node.expect("the scenario has the node");
+            let fires = |u: &oil_compiler::schedule::ScheduleUnit| match &u.kind {
+                UnitKind::Node(n) => *n == node,
+                UnitKind::Modal { members } => members.contains(&node),
+                _ => false,
+            };
+            let unit = schedule.units.iter().position(fires).expect("scheduled") as u32;
+            let in_a_run = rows[0].iter().flatten().any(|item| match item {
+                WorkItem::Fused(run) => run.stages.iter().any(|s| s.unit == unit),
+                WorkItem::Step(_) => false,
+            });
+            assert!(in_a_run, "`{function}` fires inside a fused run of mode 0");
+            let mut lib = KernelLibrary::new();
+            lib.register(
+                function,
+                Box::new(|| Kernel::Custom(Box::new(|_, _| panic!("injected kernel failure")))),
+            );
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                execute_staticsched_scripted(
+                    graph,
+                    &schedule,
+                    &ModeScript::new(0, vec![(40, 1)]),
+                    &lib,
+                    picos(0.1),
+                    &StaticConfig::default(),
+                )
+            }));
+            assert!(
+                result.is_err(),
+                "{workers} worker(s): the panic must propagate"
+            );
+        }
+    }
+
+    fn fused_on() -> SynthesisConfig {
+        SynthesisConfig {
+            fusion: true,
+            ..SynthesisConfig::default()
+        }
     }
 }

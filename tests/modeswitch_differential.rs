@@ -89,6 +89,16 @@ fn scripted_static_run(
     schedule: &StaticSchedule,
     script: &ModeScript,
 ) -> StaticReport {
+    traced_static_run(graph, schedule, script, false)
+}
+
+/// A scripted static replay recording every buffer's values, traced or not.
+fn traced_static_run(
+    graph: &rtgraph::RtGraph,
+    schedule: &StaticSchedule,
+    script: &ModeScript,
+    trace: bool,
+) -> StaticReport {
     execute_staticsched_scripted(
         graph,
         schedule,
@@ -97,6 +107,8 @@ fn scripted_static_run(
         picos(DURATION_S),
         &StaticConfig {
             warmup_samples: 4,
+            record_values: true,
+            trace,
             ..StaticConfig::default()
         },
     )
@@ -201,8 +213,9 @@ fn scripted_static_replay_matches_scripted_selftimed_on_the_modal_corpus() {
 
 #[test]
 fn fusion_on_and_off_replay_identical_modal_streams() {
-    // Modal units are excluded from fusion, but the rest of the graph still
-    // fuses; switching mid-stream must not observe the difference.
+    // Union-advance modal units are excluded from fusion, but the rest of
+    // the graph still fuses; switching mid-stream must not observe the
+    // difference.
     for seed in 0..8 {
         let scenario = ModalScenario::generate(seed);
         let graph = &scenario.graph;
@@ -227,6 +240,73 @@ fn fusion_on_and_off_replay_identical_modal_streams() {
             }
         }
     }
+
+    // Every row of a mode-dependent table fuses on its own — the modal unit
+    // with it — and runs of same-mode periods execute in batches. For every
+    // ordered mode pair: a switch point on a period boundary and one firing
+    // either side of it, then two periods later (a run shorter than any
+    // batch) the switch back, into a run many batches long.
+    let (mut fused_runs, mut batched_rows) = (0u32, 0usize);
+    for seed in 0..6 {
+        let scenario = ModeDependentScenario::generate(seed);
+        let graph = &scenario.graph;
+        let plan = rtgraph::plan(graph);
+        for &w in &WORKERS {
+            let fused = synthesize(graph, &plan, w, &fusion(true))
+                .unwrap_or_else(|e| panic!("seed {seed}: fused mode-dependent synthesis: {e}"));
+            let plain = synthesize(graph, &plan, w, &fusion(false))
+                .unwrap_or_else(|e| panic!("seed {seed}: unfused mode-dependent synthesis: {e}"));
+            let modes = fused.modes.as_ref().expect("modal");
+            let dep = modes.dependent.as_ref().expect("mode-dependent");
+            let unfused = plain.modes.as_ref().and_then(|m| m.dependent.as_ref());
+            assert_eq!(
+                Some(&dep.periods),
+                unfused.map(|d| &d.periods),
+                "seed {seed}"
+            );
+            assert_eq!(plain.fusion.runs_fused, 0, "seed {seed}");
+            fused_runs += fused.fusion.runs_fused;
+            batched_rows += dep.batch.iter().filter(|&&b| b > 1).count();
+            let per_period = |mode: u32| dep.reps[mode as usize][modes.unit as usize];
+            let arms = scenario.arms as u32;
+            let pairs = (0..arms).flat_map(|from| (0..arms).map(move |to| (from, to)));
+            for (i, (from, to)) in pairs.filter(|(from, to)| from != to).enumerate() {
+                let boundary = 3 * per_period(from);
+                for at in [boundary - 1, boundary, boundary + 1] {
+                    let back = at.next_multiple_of(per_period(from)) + 2 * per_period(to);
+                    let script = ModeScript::new(from, vec![(at, to), (back, from)]);
+                    let trace = (i + at as usize).is_multiple_of(2);
+                    let a = traced_static_run(graph, &fused, &script, trace);
+                    let b = traced_static_run(graph, &plain, &script, trace);
+                    let what = format!("seed {seed}, {w} worker(s), trace={trace}, {script:?}");
+                    if let Some(d) = a.values.first_divergence(&b.values) {
+                        panic!("fusion changed a mode-dependent value stream: {d}\n{what}");
+                    }
+                    assert_eq!(a.node_firings, b.node_firings, "{what}");
+                    assert_eq!((&a.sources, a.tokens), (&b.sources, b.tokens), "{what}");
+                    assert_eq!(a.iterations, b.iterations, "{what}");
+                    assert_eq!(
+                        (a.mode_switches, a.transition_firings),
+                        (b.mode_switches, b.transition_firings),
+                        "{what}"
+                    );
+                    assert_eq!(a.mode_switches, 2, "{what}");
+                    for (fa, fb) in a.sinks.iter().zip(&b.sinks) {
+                        assert_eq!(
+                            (fa.consumed, &fa.values),
+                            (fb.consumed, &fb.values),
+                            "{what}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        fused_runs > 0 && batched_rows > 0,
+        "no mode row fused ({fused_runs} runs) or batched ({batched_rows} rows) — the \
+         differential would be vacuous"
+    );
 }
 
 #[test]

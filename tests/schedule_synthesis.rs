@@ -12,6 +12,7 @@ use oil::compiler::schedule::{
     ModeScript, ScheduleError, StaticSchedule, Step, SynthesisConfig, UnitKind, WorkItem,
 };
 use oil::compiler::{compile, CompilerOptions};
+use oil::dataflow::index::Idx;
 use oil::dataflow::Rational;
 use oil::lang::registry::{FunctionRegistry, FunctionSignature};
 
@@ -206,12 +207,29 @@ fn write_divergent_arms_synthesize_per_mode_schedules() {
     // The corpus distinguishes modes and seams.
     assert_ne!(s.digest_mode(0), s.digest_mode(1));
     assert_ne!(s.digest_transition(0, 1), s.digest_transition(1, 0));
-    // Fusion is structurally off for mode-dependent schedules: the
-    // on/off synthesis results coincide exactly.
+    // Fusion rewrites each mode's worker lists and nothing else of the
+    // table; off, the lists are the plain projections and the schedule
+    // digests as it did before rows could fuse.
     let off = synthesize(&graph, &plan, 2, &fusion(false)).unwrap();
     let on = synthesize(&graph, &plan, 2, &fusion(true)).unwrap();
-    assert_eq!(on, off);
-    assert_eq!(on.fusion, FusionStats::default());
+    assert_eq!(on, s);
+    let off_dep = off.modes.as_ref().unwrap().dependent.as_ref().unwrap();
+    assert_eq!((&on.period, &on.workers), (&off.period, &off.workers));
+    assert_eq!((&dep.reps, &dep.periods), (&off_dep.reps, &off_dep.periods));
+    assert_eq!(dep.steps, off_dep.steps);
+    assert_eq!(off.fusion, FusionStats::default());
+    assert_eq!(off_dep.batch, [1, 1]);
+    let plain = |steps: &[Step]| steps.iter().map(|&s| WorkItem::Step(s)).collect::<Vec<_>>();
+    for (lists, steps) in off_dep.fused.iter().zip(&off_dep.steps) {
+        let projected: Vec<_> = steps.iter().map(|w| plain(w)).collect();
+        assert_eq!(*lists, projected);
+    }
+    assert_eq!(off.digest(), 0x9a0d_6a60_e8d5_dae5, "the parent's digest");
+    // Mode 0 chains source a into the modal unit and n2 into the sink;
+    // mode 1's worker 1 interleaves source b, so nothing chains there.
+    assert_eq!(on.fusion.runs_fused, 2);
+    assert_eq!(on.fused_workers, dep.fused[0]);
+    assert!(dep.batch.iter().all(|&b| b > 1), "{:?}", dep.batch);
 }
 
 #[test]
@@ -371,8 +389,10 @@ fn plan_mode_sequence_follows_the_script_at_period_boundaries() {
     // until source 1's budget drains.
     let script = ModeScript::new(0, vec![(2, 1)]);
     let plan = plan_mode_sequence(&rates, &script, |_| 5);
-    assert_eq!(plan.mode_seq, vec![0, 0, 1, 1, 1, 1, 1]);
-    assert_eq!(plan.mode_switches, 1);
+    assert_eq!(plan.runs, vec![(0, 2), (1, 5)]);
+    assert_eq!(plan.modes().collect::<Vec<_>>(), [0, 0, 1, 1, 1, 1, 1]);
+    assert_eq!(plan.periods(), 7);
+    assert_eq!((plan.mode_switches, plan.transition_firings), (1, 0));
     assert_eq!(plan.produced, vec![2, 5]);
     assert_eq!(plan.drained, vec![2 + 5 * 2]);
     assert_eq!(plan.modal_firings, 7);
@@ -392,8 +412,91 @@ fn plan_mode_sequence_past_horizon_never_switches() {
     let plan = plan_mode_sequence(&rates, &script, |_| 3);
     let constant = plan_mode_sequence(&rates, &ModeScript::new(0, vec![]), |_| 3);
     assert_eq!(plan, constant);
-    assert_eq!(plan.mode_seq, vec![0, 0, 0]);
+    assert_eq!(plan.runs, vec![(0, 3)]);
     assert_eq!(plan.mode_switches, 0);
+}
+
+/// [`plan_mode_sequence`] by its definition: period by period, each modal
+/// firing looked up in the script.
+fn plan_by_definition(
+    rates: &ModeDependentRates,
+    script: &ModeScript,
+    budgets: &[u64],
+) -> (Vec<u32>, Vec<u64>, Vec<u64>, [u64; 3]) {
+    let (mut modes, mut fired, mut switches, mut transition) = (Vec::new(), 0u64, 0u64, 0u64);
+    let mut produced = vec![0u64; budgets.len()];
+    let mut drained = vec![0u64; rates.sinks[0].len()];
+    loop {
+        let mode = script.arm_at(fired);
+        let m = mode as usize;
+        let feeds = |s: usize| produced[s] < budgets[s] && rates.sources[m][s] > 0;
+        if !(0..budgets.len()).any(feeds) {
+            break;
+        }
+        switches += modes.last().is_some_and(|&prev| prev != mode) as u64;
+        modes.push(mode);
+        for (p, rate) in produced.iter_mut().zip(&rates.sources[m]) {
+            *p += rate;
+        }
+        for (d, rate) in drained.iter_mut().zip(&rates.sinks[m]) {
+            *d += rate;
+        }
+        for _ in 0..rates.modal[m] {
+            transition += (script.arm_at(fired) != mode) as u64;
+            fired += 1;
+        }
+    }
+    (modes, produced, drained, [fired, switches, transition])
+}
+
+#[test]
+fn plan_mode_sequence_counts_equal_the_per_firing_definition() {
+    // Periods of 1, 2 and 3 modal firings, so switch points land on period
+    // boundaries, one firing either side of them and mid-period.
+    let rates = ModeDependentRates {
+        modal: vec![1, 2, 3],
+        sources: vec![vec![1, 0, 0, 1], vec![0, 2, 0, 1], vec![0, 0, 3, 1]],
+        sinks: vec![vec![2], vec![3], vec![4]],
+    };
+    let every_firing = |n: u64| (0..n).map(|i| (i, (i * 7 % 3) as u32)).collect::<Vec<_>>();
+    let scripts = [
+        ModeScript::constant(2),
+        ModeScript::new(0, every_firing(400)),
+        ModeScript::new(1, vec![(0, 2), (1, 0), (2, 1), (3, 1), (4, 2), (11, 0)]),
+        ModeScript::new(2, vec![(5, 0), (6, 2), (7, 1), (8, 2), (9, 1), (10, 0)]),
+        ModeScript::new(0, (0..60).map(|i| (i * i, (i % 3) as u32)).collect()),
+        ModeScript::new(1, vec![(1_000_000, 0)]),
+    ];
+    for script in &scripts {
+        for budgets in [[40, 40, 40, 100], [7, 0, 90, 30], [0, 0, 0, 0]] {
+            let plan = plan_mode_sequence(&rates, script, |s| budgets[s.index()]);
+            let (modes, produced, drained, counts) = plan_by_definition(&rates, script, &budgets);
+            let what = format!("{script:?} under {budgets:?}");
+            assert_eq!(plan.modes().collect::<Vec<_>>(), modes, "{what}");
+            assert_eq!(plan.periods(), modes.len() as u64, "{what}");
+            assert_eq!(
+                (&plan.produced, &plan.drained),
+                (&produced, &drained),
+                "{what}"
+            );
+            let planned = [
+                plan.modal_firings,
+                plan.mode_switches,
+                plan.transition_firings,
+            ];
+            assert_eq!(planned, counts, "{what}");
+            assert!(plan.runs.iter().all(|r| r.1 > 0), "{what}");
+            assert!(plan.runs.windows(2).all(|w| w[0].0 != w[1].0), "{what}");
+        }
+    }
+    // A switch point at every modal firing, then a constant tail of 2^40
+    // periods: the plan is one walk of the script plus one division per
+    // run, not a step per period.
+    let dense = ModeScript::new(0, (0..200_000).map(|i| (i, (i % 3) as u32)).collect());
+    let plan = plan_mode_sequence(&rates, &dense, |_| 1 << 40);
+    assert!(plan.mode_switches > 50_000 && plan.periods() >= 1 << 40);
+    let &(last, tail) = plan.runs.last().expect("the run is not empty");
+    assert!(last == 199_999 % 3 && tail > 1 << 39, "{last}: {tail}");
 }
 
 #[test]

@@ -357,7 +357,9 @@ fn synthesized_schedules_satisfy_the_admission_property() {
             // everybody must get to the end of their list, and the buffers
             // back to where they started.
             if s.modes.as_ref().is_some_and(|m| m.dependent.is_some()) {
-                continue; // never fused: the lists are the projections
+                // One fused list per mode, each under its own access lists:
+                // the tamper suite and `modeswitch_differential` hold those.
+                continue;
             }
             let bound = |b: usize| s.level_max[oil::compiler::rtgraph::RtBufferId::new(b)] as i64;
             let mut level = initial.clone();
@@ -599,6 +601,36 @@ fn corpus_digests_pin_the_synthesised_schedules() {
         "schedule corpus too small: {pinned} pinned seeds"
     );
 }
+
+#[test]
+fn golden_corpora_outside_the_mode_dependent_rows_are_as_recorded() {
+    // Per-mode fusion (PR 22) regenerated the `D` rows of the schedule
+    // corpus and nothing else: every other line of it — program and
+    // union-advance modal schedules at 1 and 2 workers — and the whole
+    // runtime value corpus are pinned here by fingerprint, so a
+    // regeneration that moves them has to say so in this test too.
+    let read = |path: &str| {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(path);
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    };
+    let fingerprint = |text: &str, keep: &dyn Fn(&str) -> bool| {
+        let mut h = oil::dataflow::fnv::Fnv1a::new();
+        for line in text.lines().filter(|l| keep(l)) {
+            h.write_str(line);
+        }
+        h.finish()
+    };
+    let schedules = fingerprint(&read(CORPUS_PATH), &|l| !l.starts_with('D'));
+    let values = fingerprint(&read("tests/data/runtime_corpus.txt"), &|_| true);
+    assert_eq!(
+        (schedules, values),
+        (SCHEDULE_ROWS_FINGERPRINT, RUNTIME_CORPUS_FINGERPRINT),
+        "got ({schedules:#018x}, {values:#018x})"
+    );
+}
+
+const SCHEDULE_ROWS_FINGERPRINT: u64 = 0xa971_ca03_677c_21cb;
+const RUNTIME_CORPUS_FINGERPRINT: u64 = 0x085d_dc8f_95c6_e4a4;
 
 // ---------------------------------------------------------------------------
 // Tamper suite: the admission proof rejects every minimal corruption.
@@ -851,7 +883,7 @@ fn the_admission_proof_rejects_every_minimal_corruption() {
             dep.periods.push(dep.periods[arms - 1].clone());
             dep.steps.push(dep.steps[arms - 1].clone());
         },
-        &format!("rows (reps/periods/steps) for {arms} arms"),
+        &format!("rows (reps/periods/steps/fused/batch) for {arms} arms"),
     );
     assert_rejected(
         &format!("{shape}: changed seam latency"),
@@ -862,6 +894,98 @@ fn the_admission_proof_rejects_every_minimal_corruption() {
         },
         "recorded worst-case seam latency",
     );
+    // Per-mode fused-list corruptions. Row 0 is also the top level's, so a
+    // corruption of it goes into both.
+    let dep = s.modes.as_ref().and_then(|m| m.dependent.as_ref());
+    let dep = dep.expect("mode-dependent");
+    assert!(s.fusion.runs_fused > 0 && dep.batch.iter().any(|&b| b > 1));
+    let in_row = |t: &mut StaticSchedule, mode: usize, f: &dyn Fn(&mut Vec<Vec<WorkItem>>)| {
+        f(&mut dependent_mut(t).fused[mode]);
+        if mode == 0 {
+            f(&mut t.fused_workers);
+        }
+    };
+    let name = |b: oil::compiler::RtBufferId| graph.buffers[b].name.clone();
+    let crossing = s.cross_buffers[0];
+    // A run whose link is a crossing buffer, in one row only.
+    let (mode, w, at) = (dep.fused.iter().enumerate())
+        .find_map(|(mode, lists)| {
+            let run = |i: &WorkItem| matches!(i, WorkItem::Fused(_));
+            let found =
+                |(w, items): (usize, &Vec<WorkItem>)| Some((w, items.iter().position(run)?));
+            let (w, at) = lists.iter().enumerate().find_map(found)?;
+            Some((mode, w, at))
+        })
+        .expect("a mode row fuses");
+    assert_rejected(
+        &format!("{shape}: a row's fused link leaves its worker"),
+        graph,
+        s,
+        |t| {
+            in_row(t, mode, &|lists| {
+                if let WorkItem::Fused(run) = &mut lists[w][at] {
+                    run.links[0] = crossing;
+                }
+            })
+        },
+        &format!(
+            "mode {mode}: fused worker {w}: fused link `{}` is not the single write",
+            name(crossing)
+        ),
+    );
+    // Row 1 executing row 0's lists: compiled against another mode's token
+    // flow, they fire the wrong units the wrong number of times.
+    assert_rejected(
+        &format!("{shape}: a row's fused lists swapped for another row's"),
+        graph,
+        s,
+        |t| {
+            let dep = dependent_mut(t);
+            dep.fused[1] = dep.fused[0].clone();
+        },
+        "mode 1: fused worker 0 changes the firing count of unit",
+    );
+    // A pass of more periods than the rings were sized for.
+    let batched = (0..arms)
+        .find(|&m| dep.batch[m] > 1)
+        .expect("a row batches");
+    assert_rejected(
+        &format!("{shape}: doubled batch"),
+        graph,
+        s,
+        |t| dependent_mut(t).batch[batched] *= 2,
+        &format!(
+            "mode {batched}: {} periods per pass: ",
+            dep.batch[batched] * 2
+        ),
+    );
+    // A ring below what the fused lists need: every row that writes it
+    // rejects it, and so does the seam replay on its own.
+    let ring = (graph.buffers.indices())
+        .find(|&b| {
+            let mut tampered = (*s).clone();
+            tampered.level_max[b] = 0;
+            tampered.validate(graph).is_err()
+        })
+        .expect("a level bound is load-bearing");
+    let needle = format!("overflows buffer `{}`", name(ring));
+    assert_rejected(
+        &format!("{shape}: lowered level bound"),
+        graph,
+        s,
+        |t| t.level_max[ring] = 0,
+        &needle,
+    );
+    let mut tampered = (*s).clone();
+    tampered.level_max[ring] = 0;
+    match tampered.validate_transitions(graph) {
+        Err(ScheduleError::Invalid(message)) => assert!(
+            message.starts_with("transition 0->") && message.contains(&needle),
+            "{shape}: fused seam below its level bound: `{message}`"
+        ),
+        other => panic!("{shape}: fused seam below its level bound: {other:?}"),
+    }
+
     // Dropping the per-mode tables altogether claims one period serves
     // every mode; it does not.
     let mut stripped = (*s).clone();
