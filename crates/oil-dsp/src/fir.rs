@@ -6,55 +6,90 @@
 //! internal state (the delay line) but is side-effect free, exactly the class
 //! of functions OIL may coordinate.
 
-use crate::simd::{dot_rr4, fir_block_rr4};
+use crate::kept::Kept;
+use crate::simd::{dot_rr4, dot_rr4_strided, fir_block_rr4};
 use crate::Sample;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::f64::consts::PI;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::Arc;
 
 /// Designed coefficient sets, as `(taps, taps reversed)`.
 type Design = (Arc<[f64]>, Arc<[f64]>);
 
 /// Low-pass designs kept for reuse, keyed by the exact bit patterns of
-/// `(cutoff, sample rate)` and the tap count: a design is a `sin` and a
-/// `cos` per tap, and every engine run designs each of a program's filters
-/// again (eight identical 2047-tap ones for eight parallel chains).
-/// Coefficients are immutable, so instances share them.
-type Designs = HashMap<(u64, u64, usize), Design>;
-static DESIGNS: OnceLock<Mutex<Designs>> = OnceLock::new();
-/// Designs kept at most; past that, new ones are computed and not kept.
-const DESIGNS_KEPT: usize = 64;
+/// `(cutoff, sample rate)` and the tap count (eight identical 2047-tap ones
+/// for eight parallel chains).
+static DESIGNS: Kept<(u64, u64, usize), Design> = Kept::new();
 
-fn designs() -> MutexGuard<'static, Designs> {
-    // A panic while the lock is held leaves the map whole (an entry is
-    // inserted complete or not at all), so a poisoned lock is usable.
-    let kept = DESIGNS.get_or_init(Default::default).lock();
-    kept.unwrap_or_else(|poisoned| poisoned.into_inner())
+/// Longest block staged at once: longer inputs are processed in pieces of
+/// this many samples, so a staged window stays cache-sized however long the
+/// caller's slice is (the bits do not depend on the chunking).
+pub(crate) const BLOCK: usize = 4096;
+
+/// The most recent `keep` samples of a stream, always followed directly in
+/// memory by whatever arrives next — the one staging routine behind every
+/// block kernel: appending a block *is* building the contiguous
+/// `history ++ input` window its outputs read, so there is no delay-line
+/// copy before the kernel and none after it. Consumed samples are dropped
+/// from the front only when the buffer is full, so with room for two
+/// histories that is at most one moved sample per sample received.
+#[derive(Debug, Clone)]
+pub(crate) struct History {
+    buf: Vec<Sample>,
+    keep: usize,
+}
+
+impl History {
+    /// A history of `keep` zeros.
+    pub(crate) fn new(keep: usize) -> Self {
+        let mut buf = Vec::with_capacity(2 * keep + 64);
+        buf.resize(keep, 0.0);
+        History { buf, keep }
+    }
+
+    /// Append `input` and return `history ++ input`: the `keep` samples
+    /// before it and the block itself, contiguous and in time order. The
+    /// last `keep` of them are the history of the next call.
+    pub(crate) fn stage(&mut self, input: impl IntoIterator<Item = Sample>) -> &[Sample] {
+        let input = input.into_iter();
+        if self.buf.len() + input.size_hint().0 > self.buf.capacity() {
+            self.buf.drain(..self.buf.len() - self.keep);
+        }
+        let start = self.buf.len() - self.keep;
+        self.buf.extend(input);
+        &self.buf[start..]
+    }
+
+    fn reset(&mut self) {
+        self.buf.clear();
+        self.buf.resize(self.keep, 0.0);
+    }
+}
+
+/// Two histories are equal when they remember the same samples, however
+/// many consumed ones still sit in front of them.
+impl PartialEq for History {
+    fn eq(&self, other: &Self) -> bool {
+        self.buf[self.buf.len() - self.keep..] == other.buf[other.buf.len() - other.keep..]
+    }
 }
 
 /// A direct-form FIR filter with an internal delay line.
 ///
-/// The delay line is stored **doubled** (every sample written at `pos` and
-/// `pos + n`), so the current window is always one contiguous ascending
-/// slice and the dot product runs over it with pre-reversed taps and four
-/// round-robin partial sums — no wraparound arithmetic per tap and an add
-/// chain the CPU can pipeline. The 4-way reassociation moves results only
-/// at the last-ulp level, inside the tolerance the golden vectors pin;
-/// every engine shares this code, so cross-engine value oracles stay
-/// bit-exact.
+/// The delay line is a [`History`] of the last `n - 1` inputs, so the
+/// window of every output of a block is one contiguous ascending slice and
+/// the dot products run over it with pre-reversed taps and four round-robin
+/// partial sums — no wraparound arithmetic per tap and an add chain the CPU
+/// can pipeline. The 4-way reassociation moves results only at the last-ulp
+/// level, inside the tolerance the golden vectors pin; every engine shares
+/// this code, so cross-engine value oracles stay bit-exact.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FirFilter {
     taps: Arc<[f64]>,
     /// `taps` reversed: `rtaps[i] = taps[n-1-i]`, paired with the
     /// ascending-time window.
     rtaps: Arc<[f64]>,
-    /// Doubled delay line (`2n` slots).
-    delay: Vec<Sample>,
-    pos: usize,
-    /// Block-path staging window (history ++ input). Always left empty
-    /// between calls, so derived equality still compares filter state only.
-    scratch: Vec<Sample>,
+    line: History,
 }
 
 impl FirFilter {
@@ -66,14 +101,8 @@ impl FirFilter {
     }
 
     fn from_design((taps, rtaps): Design) -> Self {
-        let n = taps.len();
-        FirFilter {
-            taps,
-            rtaps,
-            delay: vec![0.0; 2 * n],
-            pos: 0,
-            scratch: Vec::new(),
-        }
+        let line = History::new(taps.len() - 1);
+        FirFilter { taps, rtaps, line }
     }
 
     /// Design a low-pass filter with the windowed-sinc method.
@@ -89,34 +118,29 @@ impl FirFilter {
             "cutoff must be below Nyquist"
         );
         let key = (cutoff_hz.to_bits(), sample_rate_hz.to_bits(), taps);
-        if let Some(design) = designs().get(&key) {
-            return FirFilter::from_design(design.clone());
-        }
-        let fc = cutoff_hz / sample_rate_hz;
-        let m = (taps - 1) as f64;
-        let mut coeffs = Vec::with_capacity(taps);
-        for i in 0..taps {
-            let x = i as f64 - m / 2.0;
-            let sinc = if x.abs() < 1e-12 {
-                2.0 * fc
-            } else {
-                (2.0 * PI * fc * x).sin() / (PI * x)
-            };
-            // Hamming window.
-            let w = 0.54 - 0.46 * (2.0 * PI * i as f64 / m.max(1.0)).cos();
-            coeffs.push(sinc * w);
-        }
-        // Normalise DC gain to one.
-        let sum: f64 = coeffs.iter().sum();
-        for c in &mut coeffs {
-            *c /= sum;
-        }
-        let filter = FirFilter::from_taps(coeffs);
-        let mut designs = designs();
-        if designs.len() < DESIGNS_KEPT {
-            designs.insert(key, (filter.taps.clone(), filter.rtaps.clone()));
-        }
-        filter
+        FirFilter::from_design(DESIGNS.get_or_make(key, || {
+            let fc = cutoff_hz / sample_rate_hz;
+            let m = (taps - 1) as f64;
+            let mut coeffs = Vec::with_capacity(taps);
+            for i in 0..taps {
+                let x = i as f64 - m / 2.0;
+                let sinc = if x.abs() < 1e-12 {
+                    2.0 * fc
+                } else {
+                    (2.0 * PI * fc * x).sin() / (PI * x)
+                };
+                // Hamming window.
+                let w = 0.54 - 0.46 * (2.0 * PI * i as f64 / m.max(1.0)).cos();
+                coeffs.push(sinc * w);
+            }
+            // Normalise DC gain to one.
+            let sum: f64 = coeffs.iter().sum();
+            for c in &mut coeffs {
+                *c /= sum;
+            }
+            let rtaps = coeffs.iter().rev().copied().collect();
+            (coeffs.into(), rtaps)
+        }))
     }
 
     /// Number of taps.
@@ -136,17 +160,8 @@ impl FirFilter {
 
     /// Process one input sample and return one output sample.
     pub fn push(&mut self, x: Sample) -> Sample {
-        let n = self.taps.len();
-        self.delay[self.pos] = x;
-        self.delay[self.pos + n] = x;
-        // Ascending-time window [x_{t-n+1} … x_t], contiguous by doubling.
-        let window = &self.delay[self.pos + 1..self.pos + 1 + n];
-        let y = dot_rr4(window, &self.rtaps);
-        self.pos += 1;
-        if self.pos == n {
-            self.pos = 0;
-        }
-        y
+        // Ascending-time window [x_{t-n+1} … x_t].
+        dot_rr4(self.line.stage([x]), &self.rtaps)
     }
 
     /// Advance the delay line by one sample *without* computing the output
@@ -155,100 +170,53 @@ impl FirFilter {
     /// of their filter outputs; skipping the dead dot products is most of
     /// their throughput.
     pub fn push_silent(&mut self, x: Sample) {
-        let n = self.taps.len();
-        self.delay[self.pos] = x;
-        self.delay[self.pos + n] = x;
-        self.pos += 1;
-        if self.pos == n {
-            self.pos = 0;
-        }
-    }
-
-    /// Advance the delay line by a whole block of samples without computing
-    /// outputs — bit-exact state-wise with a [`Self::push_silent`] loop, but
-    /// two `memcpy`s per wrap instead of two stores per sample.
-    pub fn push_silent_block(&mut self, input: &[Sample]) {
-        let n = self.taps.len();
-        let mut i = 0;
-        while i < input.len() {
-            let run = (input.len() - i).min(n - self.pos);
-            let src = &input[i..i + run];
-            self.delay[self.pos..self.pos + run].copy_from_slice(src);
-            self.delay[self.pos + n..self.pos + n + run].copy_from_slice(src);
-            self.pos += run;
-            if self.pos == n {
-                self.pos = 0;
-            }
-            i += run;
-        }
+        self.line.stage([x]);
     }
 
     /// Process a block of samples, appending the outputs to `out`.
     ///
-    /// Bit-identical to a [`Self::push`] loop: the delay-line stores are the
-    /// same, and each output's window and reduction order are the canonical
-    /// ones. The win is structural — consecutive outputs' windows overlap in
-    /// one contiguous stretch of the doubled delay line (up to the next
-    /// wrap), so the dot products run through the multi-output SIMD kernel
-    /// with shared tap loads instead of one call per sample.
+    /// Bit-identical to a [`Self::push`] loop: each output's window and
+    /// reduction order are the canonical ones. The win is structural — the
+    /// windows of the whole block overlap in one contiguous stretch, so the
+    /// dot products run through the multi-output SIMD kernel with shared
+    /// tap loads instead of one call per sample.
     pub fn process_block_into(&mut self, input: &[Sample], out: &mut Vec<Sample>) {
-        let n = self.taps.len();
         out.reserve(input.len());
-        if n == 1 {
-            // One tap: the window is `[x_t]` alone, and the generic path
-            // degenerates to one kernel call per sample (`run ≤ n - pos`).
+        if let [t] = self.rtaps[..] {
+            // One tap has no history to stage, and one pass over the input
+            // is a third of the kernel's three (stage, zero-fill, compute).
             // The trailing `+ 0.0 + 0.0` additions replay the round-robin
             // reduction `(l0+l1)+(l2+l3)` with three empty lanes, keeping
             // the result bit-identical even for signed zeros.
-            let t = self.rtaps[0];
             out.extend(input.iter().map(|&x| (x * t + 0.0) + 0.0));
-            if let Some(&last) = input.last() {
-                self.delay[0] = last;
-                self.delay[1] = last;
-            }
             return;
         }
-        if input.len() >= 2 * n {
-            // Long block: stage `history ++ input` contiguously once and run
-            // the whole block through one kernel call — every output's
-            // window is the same ascending slice the chunked path (and a
-            // `push` loop) would read, so the bits are identical; what goes
-            // away is a delay-line copy round-trip every `≤ n` outputs.
-            self.scratch.reserve(n - 1 + input.len());
-            self.scratch
-                .extend_from_slice(&self.delay[self.pos + 1..self.pos + n]);
-            self.scratch.extend_from_slice(input);
+        for block in input.chunks(BLOCK) {
             let start = out.len();
-            out.resize(start + input.len(), 0.0);
-            fir_block_rr4(&self.scratch, &self.rtaps, &mut out[start..]);
-            self.scratch.clear();
-            self.push_silent_block(input);
+            out.resize(start + block.len(), 0.0);
+            let window = self.line.stage(block.iter().copied());
+            fir_block_rr4(window, &self.rtaps, &mut out[start..]);
+        }
+    }
+
+    /// Process a block of at most [`BLOCK`] samples keeping only every
+    /// `factor`-th output, the first being the response to `input[first]` —
+    /// what a decimator emits. The delay line advances by the whole block.
+    pub(crate) fn decimate_block_into(
+        &mut self,
+        input: &[Sample],
+        first: usize,
+        factor: usize,
+        out: &mut Vec<Sample>,
+    ) {
+        let window = self.line.stage(input.iter().copied());
+        if first >= input.len() {
             return;
         }
-        let mut i = 0;
-        while i < input.len() {
-            let run = (input.len() - i).min(n - self.pos);
-            let src = &input[i..i + run];
-            // Write the *doubled* copies only: output k's window still needs
-            // the previous-era samples at primary slots `pos+1+k .. n`, which
-            // writing the primary copies up front would clobber.
-            self.delay[self.pos + n..self.pos + n + run].copy_from_slice(src);
-            let start = out.len();
-            out.resize(start + run, 0.0);
-            fir_block_rr4(
-                &self.delay[self.pos + 1..self.pos + run + n],
-                &self.rtaps,
-                &mut out[start..],
-            );
-            // Restore the doubling invariant now that no window reads the
-            // old primary slots any more.
-            self.delay[self.pos..self.pos + run].copy_from_slice(src);
-            self.pos += run;
-            if self.pos == n {
-                self.pos = 0;
-            }
-            i += run;
-        }
+        let start = out.len();
+        out.resize(start + (input.len() - first).div_ceil(factor), 0.0);
+        // The response to `input[i]` reads `window[i..i + n]`.
+        dot_rr4_strided(&window[first..], factor, &self.rtaps, &mut out[start..], 1);
     }
 
     /// Process a block of samples.
@@ -260,8 +228,7 @@ impl FirFilter {
 
     /// Reset the delay line to zero.
     pub fn reset(&mut self) {
-        self.delay.iter_mut().for_each(|d| *d = 0.0);
-        self.pos = 0;
+        self.line.reset();
     }
 
     /// The filter's magnitude response at `freq_hz` for a given sample rate
@@ -373,7 +340,7 @@ mod tests {
     fn block_path_bit_identical_to_push_loop() {
         let input: Vec<f64> = (0..257).map(|i| (i as f64 * 0.31).sin()).collect();
         for taps in [1, 2, 3, 7, 31, 63] {
-            for chunk in [1, 3, 8, 64, 100] {
+            for chunk in [1, 3, 8, 64, 100, 257] {
                 let mut by_push = FirFilter::low_pass(1000.0, 48_000.0, taps);
                 let mut by_block = by_push.clone();
                 let mut block_out = Vec::new();
@@ -389,30 +356,16 @@ mod tests {
                         "taps {taps} chunk {chunk} sample {i}"
                     );
                 }
-                // Delay-line state converged identically: one more sample
-                // through each must agree bit for bit.
+                // Delay-line state converged identically, however many
+                // consumed samples each still holds: equal, and one more
+                // sample through each must agree bit for bit.
+                assert_eq!(by_push, by_block, "taps {taps} chunk {chunk}");
                 assert_eq!(
                     by_push.push(0.123).to_bits(),
                     by_block.push(0.123).to_bits(),
                     "taps {taps} chunk {chunk} post-block state"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn silent_block_bit_identical_to_silent_loop() {
-        let input: Vec<f64> = (0..100).map(|i| (i as f64 * 0.77).cos()).collect();
-        for taps in [1, 5, 31] {
-            let mut a = FirFilter::low_pass(2000.0, 48_000.0, taps);
-            let mut b = a.clone();
-            for &x in &input {
-                a.push_silent(x);
-            }
-            for c in input.chunks(13) {
-                b.push_silent_block(c);
-            }
-            assert_eq!(a.push(1.5).to_bits(), b.push(1.5).to_bits(), "taps {taps}");
         }
     }
 }

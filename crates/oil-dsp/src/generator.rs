@@ -7,12 +7,19 @@
 //! which exercises the same splitter / mixer / filter / resampler code path
 //! (see DESIGN.md, substitutions table).
 
+use crate::kept::Kept;
 use crate::Sample;
 use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
+use std::sync::Arc;
 
 /// Upper bound on a precomputed one-period sine table.
 const MAX_TONE_TABLE: u64 = 1 << 16;
+
+/// Shortest table kept: a shorter period is repeated a whole number of
+/// times, so a block fill meets a table wrap every thousand samples, not
+/// every sixteen (the PAL carrier's period).
+const MIN_TONE_TABLE: usize = 1 << 10;
 
 /// The smallest sample count `P ≤ MAX_TONE_TABLE` after which the tone
 /// repeats exactly (`freq · P / rate` is a whole number of cycles), if any.
@@ -25,17 +32,33 @@ fn exact_period(freq_hz: f64, sample_rate_hz: f64) -> Option<usize> {
         .map(|p| p as usize)
 }
 
-/// One exact period of a unit sine oscillator at `freq_hz`/`sample_rate_hz`
-/// (empty when the period is not a whole number of samples ≤ the table
-/// bound). Shared by [`ToneGenerator`] and the mixer.
-pub(crate) fn oscillator_table(freq_hz: f64, sample_rate_hz: f64) -> Vec<Sample> {
-    exact_period(freq_hz, sample_rate_hz)
-        .map(|p| {
-            (0..p)
-                .map(|n| (2.0 * PI * freq_hz * n as f64 / sample_rate_hz).sin())
-                .collect()
-        })
-        .unwrap_or_default()
+/// Oscillator tables kept for reuse, keyed by the exact bit patterns of
+/// `(frequency, sample rate, amplitude)`: every engine run instantiates the
+/// RF source's three tone generators and the mixer again, and a table is a
+/// `sin` per entry after a period search of up to `MAX_TONE_TABLE` steps —
+/// which a frequency *without* an exact period pays in full, so its empty
+/// table is kept too.
+static TABLES: Kept<(u64, u64, u64), Arc<[Sample]>> = Kept::new();
+
+/// Whole exact periods of a sine oscillator of the given amplitude at
+/// `freq_hz`/`sample_rate_hz` (empty when the period is not a whole number
+/// of samples ≤ the table bound). Shared by [`ToneGenerator`] and the mixer
+/// (amplitude 1: `1.0 * v` is `v` exactly).
+pub(crate) fn oscillator_table(freq_hz: f64, sample_rate_hz: f64, amplitude: f64) -> Arc<[Sample]> {
+    let key = (
+        freq_hz.to_bits(),
+        sample_rate_hz.to_bits(),
+        amplitude.to_bits(),
+    );
+    TABLES.get_or_make(key, || {
+        let Some(p) = exact_period(freq_hz, sample_rate_hz) else {
+            return Arc::default();
+        };
+        let period: Vec<Sample> = (0..p)
+            .map(|n| amplitude * (2.0 * PI * freq_hz * n as f64 / sample_rate_hz).sin())
+            .collect();
+        period.repeat(MIN_TONE_TABLE.div_ceil(p)).into()
+    })
 }
 
 /// A sine-tone generator.
@@ -48,13 +71,13 @@ pub struct ToneGenerator {
     /// Amplitude.
     pub amplitude: f64,
     n: u64,
-    /// One exact period of samples when the tone's period is a whole
+    /// Whole exact periods of samples when the tone's period is a whole
     /// (small) number of samples — the PAL front end synthesises tones at
     /// MS/s rates, and a table lookup beats a libm `sin` per sample by an
     /// order of magnitude. Entries are computed with the same closed-form
-    /// expression the fallback path uses, at the in-table indices, so the
+    /// expression the fallback path uses, at the in-period indices, so the
     /// table is at least as accurate (it avoids the large-argument `sin`).
-    table: Vec<Sample>,
+    table: Arc<[Sample]>,
     /// `n mod table.len()`, maintained incrementally (a u64 modulo per
     /// sample costs more than the table load it indexes).
     idx: usize,
@@ -64,10 +87,7 @@ impl ToneGenerator {
     /// Create a tone generator.
     pub fn new(freq_hz: f64, sample_rate_hz: f64, amplitude: f64) -> Self {
         assert!(sample_rate_hz > 0.0, "sample rate must be positive");
-        let table = oscillator_table(freq_hz, sample_rate_hz)
-            .into_iter()
-            .map(|v| amplitude * v)
-            .collect();
+        let table = oscillator_table(freq_hz, sample_rate_hz, amplitude);
         ToneGenerator {
             freq_hz,
             sample_rate_hz,
@@ -98,6 +118,21 @@ impl ToneGenerator {
     /// Produce a block of samples.
     pub fn block(&mut self, len: usize) -> Vec<Sample> {
         (0..len).map(|_| self.next_sample()).collect()
+    }
+
+    /// The next table entries up to the wrap, at most `max` of them (none
+    /// without a table).
+    fn run(&self, max: usize) -> &[Sample] {
+        &self.table[self.idx..self.table.len().min(self.idx + max)]
+    }
+
+    /// Skip `by` samples, at most up to the table wrap.
+    fn advance(&mut self, by: usize) {
+        self.n += by as u64;
+        self.idx += by;
+        if self.idx == self.table.len() {
+            self.idx = 0;
+        }
     }
 }
 
@@ -146,17 +181,31 @@ impl CompositeSignal {
     }
 
     /// Append `len` composite samples to `out` — bit-identical to a
-    /// [`Self::next_sample`] loop, but the oscillator cursors stay in
-    /// registers across the block instead of round-tripping through memory
-    /// every sample.
+    /// [`Self::next_sample`] loop. Between two table wraps the three
+    /// oscillators are plain slices, so the block is filled run by run,
+    /// slice to slice, in a loop the compiler vectorises.
     pub fn fill_into(&mut self, len: usize, out: &mut Vec<Sample>) {
         out.reserve(len);
-        out.extend((0..len).map(|_| {
-            let video = self.video.next_sample();
-            let audio = self.audio_baseband.next_sample();
-            let carrier = self.carrier.next_sample();
-            video + (1.0 + audio) * carrier * 0.5
-        }));
+        let mut left = len;
+        while left > 0 {
+            let video = self.video.run(left);
+            let audio = self.audio_baseband.run(left);
+            let carrier = self.carrier.run(left);
+            let run = video.len().min(audio.len()).min(carrier.len());
+            if run == 0 {
+                // An oscillator without a table: sample by sample.
+                out.extend((0..left).map(|_| self.next_sample()));
+                return;
+            }
+            let tones = video[..run].iter().zip(&audio[..run]).zip(&carrier[..run]);
+            out.extend(
+                tones.map(|((video, audio), carrier)| video + (1.0 + audio) * carrier * 0.5),
+            );
+            self.video.advance(run);
+            self.audio_baseband.advance(run);
+            self.carrier.advance(run);
+            left -= run;
+        }
     }
 }
 
@@ -218,5 +267,59 @@ mod tests {
     fn rms_and_dominant_frequency_edge_cases() {
         assert_eq!(rms(&[]), 0.0);
         assert_eq!(dominant_frequency(&[1.0], 100.0), 0.0);
+    }
+
+    #[test]
+    fn composite_fill_is_bit_identical_to_next_sample_across_every_wrap() {
+        // Tables of 1024 (16-sample carrier, repeated), 1024 (128-sample
+        // video tone, repeated) and 6400 entries: 20 000 samples cross
+        // every wrap several times, at every alignment the chunks produce.
+        for chunk in [1, 7, 400, 1024, 4096, 20_000] {
+            let mut by_sample = CompositeSignal::pal_default();
+            let mut by_block = by_sample.clone();
+            let want: Vec<u64> = (0..20_000)
+                .map(|_| by_sample.next_sample().to_bits())
+                .collect();
+            let mut got = Vec::new();
+            while got.len() < want.len() {
+                by_block.fill_into(chunk.min(want.len() - got.len()), &mut got);
+            }
+            let got: Vec<u64> = got.into_iter().map(f64::to_bits).collect();
+            assert_eq!(got, want, "chunk {chunk}");
+            assert_eq!(by_block, by_sample, "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn composite_fill_without_a_table_falls_back_to_the_closed_form() {
+        // An irrational frequency never repeats exactly: no table.
+        let mut by_sample = CompositeSignal::new(6.4e6, 50_000.0, 1_000.0 * PI, 2.0e6);
+        assert!(by_sample.audio_baseband.table.is_empty());
+        let mut by_block = by_sample.clone();
+        let want: Vec<f64> = (0..3000).map(|_| by_sample.next_sample()).collect();
+        let mut got = Vec::new();
+        by_block.fill_into(1234, &mut got);
+        by_block.fill_into(1766, &mut got);
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn oscillator_tables_are_kept_shared_and_whole_periods() {
+        let a = ToneGenerator::new(2.0e6, 6.4e6, 1.0);
+        let mut b = crate::Mixer::new(2.0e6, 6.4e6);
+        assert!(Arc::ptr_eq(&a.table, &oscillator_table(2.0e6, 6.4e6, 1.0)));
+        assert_eq!(b.process(&[0.5; 3]), [0.0, a.table[1], a.table[2]]);
+        // 5/16 cycles per sample: a 16-sample period, repeated.
+        assert_eq!(a.table.len(), MIN_TONE_TABLE);
+        for (n, &v) in a.table.iter().enumerate() {
+            let in_period = (2.0 * PI * 2.0e6 * (n % 16) as f64 / 6.4e6).sin();
+            assert_eq!(v.to_bits(), in_period.to_bits(), "entry {n}");
+        }
+        // Amplitude and neighbouring bit patterns are different tables.
+        let half = ToneGenerator::new(2.0e6, 6.4e6, 0.5);
+        assert!(!Arc::ptr_eq(&a.table, &half.table));
+        assert_eq!(half.table[1].to_bits(), (0.5 * a.table[1]).to_bits());
+        let next = ToneGenerator::new(f64::from_bits(2.0e6f64.to_bits() + 1), 6.4e6, 1.0);
+        assert!(next.table.is_empty());
     }
 }

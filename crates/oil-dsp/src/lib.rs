@@ -10,6 +10,7 @@
 
 pub mod fir;
 pub mod generator;
+mod kept;
 pub mod mixer;
 pub mod registry;
 pub mod resample;

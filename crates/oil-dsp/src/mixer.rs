@@ -8,6 +8,7 @@
 use crate::Sample;
 use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
+use std::sync::Arc;
 
 /// A real mixer: multiplies the input by a sine local oscillator.
 ///
@@ -23,7 +24,7 @@ pub struct Mixer {
     /// Input sample rate in Hz.
     pub sample_rate_hz: f64,
     n: u64,
-    table: Vec<Sample>,
+    table: Arc<[Sample]>,
     /// `n mod table.len()`, maintained incrementally (a u64 modulo per
     /// sample costs more than the table load it indexes).
     idx: usize,
@@ -33,7 +34,7 @@ impl Mixer {
     /// Create a mixer with the given local-oscillator frequency.
     pub fn new(lo_freq_hz: f64, sample_rate_hz: f64) -> Self {
         assert!(sample_rate_hz > 0.0, "sample rate must be positive");
-        let table = crate::generator::oscillator_table(lo_freq_hz, sample_rate_hz);
+        let table = crate::generator::oscillator_table(lo_freq_hz, sample_rate_hz, 1.0);
         Mixer {
             lo_freq_hz,
             sample_rate_hz,

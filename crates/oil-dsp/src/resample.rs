@@ -5,8 +5,8 @@
 //! the video path resamples by the rational factor 10/16 (`SRC_V`). Both a
 //! plain decimator and a polyphase rational resampler are provided.
 
-use crate::fir::FirFilter;
-use crate::simd::dot_rr4;
+use crate::fir::{FirFilter, History, BLOCK};
+use crate::simd::{dot_rr4, dot_rr4_strided};
 use crate::Sample;
 use serde::{Deserialize, Serialize};
 
@@ -64,28 +64,15 @@ impl Decimator {
     }
 
     /// Process an arbitrary-length input, appending the decimated output to
-    /// `out`. Bit-identical to a [`Self::push`] loop; once the phase is
-    /// aligned, whole decimation windows advance the delay line with block
-    /// copies instead of per-sample stores.
+    /// `out`. Bit-identical to a [`Self::push`] loop: the emitting samples
+    /// are every `factor`-th one from wherever the phase stands, so their
+    /// windows go through the strided multi-output kernel in one pass.
     pub fn process_into(&mut self, input: &[Sample], out: &mut Vec<Sample>) {
-        let mut i = 0;
-        while i < input.len() && self.phase != 0 {
-            if let Some(y) = self.push(input[i]) {
-                out.push(y);
-            }
-            i += 1;
-        }
-        let rest = &input[i..];
-        let chunks = rest.chunks_exact(self.factor);
-        let tail = chunks.remainder();
-        for chunk in chunks {
-            self.filter.push_silent_block(&chunk[..self.factor - 1]);
-            out.push(self.filter.push(chunk[self.factor - 1]));
-        }
-        for &x in tail {
-            if let Some(y) = self.push(x) {
-                out.push(y);
-            }
+        for block in input.chunks(BLOCK) {
+            let first = self.factor - 1 - self.phase;
+            self.filter
+                .decimate_block_into(block, first, self.factor, out);
+            self.phase = (self.phase + block.len()) % self.factor;
         }
     }
 
@@ -123,13 +110,25 @@ pub struct RationalResampler {
     /// ascending-time window slice: `ptaps[k][i] = taps[k + (c-1-i)·up]`
     /// where `c` is phase `k`'s tap count.
     ptaps: Vec<Vec<f64>>,
-    /// Input-rate history (samples pre-scaled by `up`), stored **doubled**
-    /// like the FIR delay line so the most recent `hist_len` samples are
-    /// always one contiguous ascending slice.
-    hist: Vec<Sample>,
-    pos: usize,
+    /// Input-rate history (samples pre-scaled by `up`): the `hist_len - 1`
+    /// inputs before the current one, `hist_len` being the longest phase.
+    line: History,
+    hist_len: usize,
     /// Phase accumulator over the upsampled grid.
     phase: usize,
+    /// Outputs per phase cycle, `up / gcd(up, down)`: outputs this far
+    /// apart use the same tap subset…
+    cycle: usize,
+    /// …on windows `down / gcd(up, down)` inputs apart.
+    step: usize,
+}
+
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
 }
 
 impl RationalResampler {
@@ -152,14 +151,17 @@ impl RationalResampler {
                 p
             })
             .collect();
+        let g = gcd(up, down);
         RationalResampler {
             up,
             down,
             taps,
             ptaps,
-            hist: vec![0.0; 2 * hist_len],
-            pos: 0,
+            line: History::new(hist_len - 1),
+            hist_len,
             phase: 0,
+            cycle: up / g,
+            step: down / g,
         }
     }
 
@@ -169,40 +171,21 @@ impl RationalResampler {
     /// `Σ_j taps[j] · U[t−j]` over the zero-stuffed stream `U`; only the
     /// taps with `j ≡ k (mod up)` meet a non-structural-zero sample, and
     /// those samples are the plain input history `x[i], x[i−1], …` (scaled
-    /// by `up`). With the history doubled, phase `k`'s inner product is a
-    /// contiguous dot of its reversed tap subset against the tail of the
-    /// ascending window, which runs through the SIMD kernel.
+    /// by `up`): phase `k`'s inner product is a contiguous dot of its
+    /// reversed tap subset against the tail of the ascending window.
     pub fn push_each(&mut self, x: Sample, mut emit: impl FnMut(Sample)) {
-        let hist_len = self.hist.len() / 2;
-        let scaled = x * self.up as f64;
-        self.hist[self.pos] = scaled;
-        self.hist[self.pos + hist_len] = scaled;
-        self.pos += 1;
-        if self.pos == hist_len {
-            self.pos = 0;
-        }
-        // Ascending window of the last `hist_len` inputs. The phase
-        // accumulator walks the upsampled grid `phase, phase+1, …,
-        // phase+up-1 (mod down)` and an output fires wherever it hits zero
-        // — at `k ≡ -phase (mod down)` — so iterate the emitting positions
-        // directly instead of stepping through every grid point.
-        let window = &self.hist[self.pos..self.pos + hist_len];
-        let mut k = if self.phase == 0 {
-            0
-        } else {
-            self.down - self.phase
-        };
+        let window = self.line.stage([x * self.up as f64]);
+        // The phase accumulator walks the upsampled grid `phase, phase+1,
+        // …, phase+up-1 (mod down)` and an output fires wherever it hits
+        // zero — at `k ≡ -phase (mod down)` — so iterate the emitting
+        // positions directly instead of stepping through every grid point.
+        let mut k = (self.down - self.phase) % self.down;
         while k < self.up {
             let pt = &self.ptaps[k];
-            emit(dot_rr4(&window[hist_len - pt.len()..], pt));
+            emit(dot_rr4(&window[self.hist_len - pt.len()..], pt));
             k += self.down;
         }
-        // `phase + up mod down` by repeated subtraction: at most ⌈up/down⌉
-        // steps, cheaper than a hardware divide at audio/video rates.
-        self.phase += self.up;
-        while self.phase >= self.down {
-            self.phase -= self.down;
-        }
+        self.phase = (self.phase + self.up) % self.down;
     }
 
     /// Push one input sample; returns zero or more output samples.
@@ -212,12 +195,39 @@ impl RationalResampler {
         out
     }
 
+    /// Process a block of input samples, appending the outputs to `out`.
+    ///
+    /// Bit-identical to a [`Self::push_each`] loop. On the upsampled grid
+    /// the block's outputs sit at `first, first + down, first + 2·down, …`;
+    /// the output at grid position `t` belongs to input `t / up` and phase
+    /// `t % up`. Outputs `cycle` apart therefore share a phase and read
+    /// windows `step` inputs apart, so each of the first `cycle` outputs
+    /// heads one pass of the strided multi-output kernel over the staged
+    /// `history ++ up·input` window, writing every `cycle`-th output.
+    pub fn process_into(&mut self, input: &[Sample], out: &mut Vec<Sample>) {
+        let (up, down) = (self.up, self.down);
+        let scale = up as f64;
+        for block in input.chunks(BLOCK) {
+            let first = (down - self.phase) % down;
+            let grid = block.len() * up;
+            let window = self.line.stage(block.iter().map(|&x| x * scale));
+            let start = out.len();
+            out.resize(start + grid.saturating_sub(first).div_ceil(down), 0.0);
+            for (r, head) in (start..out.len()).take(self.cycle).enumerate() {
+                let t = first + r * down;
+                let pt = &self.ptaps[t % up];
+                // Input `i`'s `c`-tap window is `window[hist_len - c + i..][..c]`.
+                let from = self.hist_len - pt.len() + t / up;
+                dot_rr4_strided(&window[from..], self.step, pt, &mut out[head..], self.cycle);
+            }
+            self.phase = (self.phase + grid) % down;
+        }
+    }
+
     /// Process a block of input samples.
     pub fn process(&mut self, input: &[Sample]) -> Vec<Sample> {
         let mut out = Vec::with_capacity(input.len() * self.up / self.down + 1);
-        for &x in input {
-            self.push_each(x, |y| out.push(y));
-        }
+        self.process_into(input, &mut out);
         out
     }
 
@@ -303,23 +313,86 @@ mod tests {
     #[test]
     fn decimator_process_into_bit_identical_to_push_loop() {
         let input: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.13).sin()).collect();
-        for factor in [1, 2, 4, 25] {
-            let mut by_push = Decimator::new(factor, 6.4e6, 63);
-            let mut by_block = by_push.clone();
-            let push_out: Vec<f64> = input.iter().filter_map(|&x| by_push.push(x)).collect();
-            let mut block_out = Vec::new();
-            for c in input.chunks(37) {
-                by_block.process_into(c, &mut block_out);
+        for factor in [1, 2, 4, 8, 25] {
+            for chunk in [1, 3, 16, 37, 400] {
+                let mut by_push = Decimator::new(factor, 6.4e6, 63);
+                let mut by_block = by_push.clone();
+                let push_out: Vec<f64> = input.iter().filter_map(|&x| by_push.push(x)).collect();
+                let mut block_out = Vec::new();
+                for c in input.chunks(chunk) {
+                    by_block.process_into(c, &mut block_out);
+                }
+                assert_eq!(push_out.len(), block_out.len(), "factor {factor}");
+                for (i, (a, b)) in push_out.iter().zip(&block_out).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "factor {factor} chunk {chunk} sample {i}"
+                    );
+                }
+                assert_eq!(by_push.aligned(), by_block.aligned());
+                // The states converged: the next `factor` samples through
+                // each emit the same bits.
+                for x in [0.5; 25] {
+                    assert_eq!(
+                        by_push.push(x).map(f64::to_bits),
+                        by_block.push(x).map(f64::to_bits)
+                    );
+                }
             }
-            assert_eq!(push_out.len(), block_out.len(), "factor {factor}");
-            for (i, (a, b)) in push_out.iter().zip(&block_out).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "factor {factor} sample {i}");
-            }
-            assert_eq!(
-                by_push.push(0.5).map(|y| y.to_bits()),
-                by_block.push(0.5).map(|y| y.to_bits())
-            );
         }
+    }
+
+    #[test]
+    fn resampler_process_into_bit_identical_to_push_each_loop() {
+        let input: Vec<f64> = (0..1200).map(|i| (i as f64 * 0.29).sin()).collect();
+        // 10/16 is the PAL video path (6–7 taps per phase), 1/2 a plain
+        // decimating FIR (one 101-tap phase), 3/2 emits more than it takes,
+        // 147/160 has more phases than a block has outputs — some of them
+        // without a single tap.
+        for (up, down, taps) in [(10, 16, 63), (1, 2, 101), (3, 2, 31), (147, 160, 63)] {
+            for lead in [0, 1, 5] {
+                for chunk in [1, 3, 16, 37, 400] {
+                    let mut by_push = RationalResampler::new(up, down, 6.4e6, taps);
+                    for &x in &input[..lead] {
+                        by_push.push_each(x, |_| ());
+                    }
+                    let mut by_block = by_push.clone();
+                    let mut push_out = Vec::new();
+                    for &x in &input[lead..] {
+                        by_push.push_each(x, |y| push_out.push(y));
+                    }
+                    let mut block_out = Vec::new();
+                    for c in input[lead..].chunks(chunk) {
+                        by_block.process_into(c, &mut block_out);
+                    }
+                    let what = format!("{up}/{down} lead {lead} chunk {chunk}");
+                    assert_eq!(push_out.len(), block_out.len(), "{what}");
+                    for (i, (a, b)) in push_out.iter().zip(&block_out).enumerate() {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{what} sample {i}");
+                    }
+                    assert_eq!(by_push.aligned(), by_block.aligned(), "{what}");
+                    assert_eq!(by_push, by_block, "{what}");
+                    let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                    assert_eq!(bits(by_push.push(0.5)), bits(by_block.push(0.5)), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn long_inputs_are_staged_in_pieces() {
+        let input: Vec<f64> = (0..3 * BLOCK + 17)
+            .map(|i| (i as f64 * 0.07).sin())
+            .collect();
+        let mut whole = RationalResampler::new(10, 16, 6.4e6, 63);
+        let mut pieces = whole.clone();
+        let expect: Vec<f64> = input.chunks(1000).flat_map(|c| pieces.process(c)).collect();
+        assert_eq!(whole.process(&input), expect);
+        let mut whole = Decimator::new(25, 6.4e6, 63);
+        let mut pieces = whole.clone();
+        let expect: Vec<f64> = input.chunks(1000).flat_map(|c| pieces.process(c)).collect();
+        assert_eq!(whole.process(&input), expect);
     }
 
     #[test]

@@ -84,11 +84,7 @@ impl Kernel {
             }
             Kernel::Fir(f) => f.process_block_into(inputs, out),
             Kernel::Decimate(d) => d.process_into(inputs, out),
-            Kernel::Resample(r) => {
-                for &x in inputs {
-                    r.push_each(x, |y| out.push(y));
-                }
-            }
+            Kernel::Resample(r) => r.process_into(inputs, out),
             Kernel::Mix(m) => out.extend(inputs.iter().map(|&x| m.push(x))),
             Kernel::Custom(f) => out.extend(f(inputs, out_len)),
         }
@@ -156,8 +152,8 @@ impl Kernel {
             }
             // An aligned decimator consuming whole windows per firing emits
             // exactly `out_len` per chunk, so the concatenation is the
-            // per-firing result; the block path advances the silent stretches
-            // with memcpys.
+            // per-firing result; the block path runs every window of the run
+            // through one strided kernel pass.
             Kernel::Decimate(d) if d.aligned() && d.factor > 0 && in_len == out_len * d.factor => {
                 d.process_into(inputs, out);
             }
@@ -170,9 +166,7 @@ impl Kernel {
                     && (in_len * r.up).is_multiple_of(r.down)
                     && in_len * r.up == out_len * r.down =>
             {
-                for &x in inputs {
-                    r.push_each(x, |y| out.push(y));
-                }
+                r.process_into(inputs, out);
             }
             // The synthetic kernel is defined per firing; loop it without a
             // per-firing allocation.
@@ -411,5 +405,48 @@ mod tests {
         let mut s2 = lib.instantiate_source("src");
         let again: Vec<f64> = (0..8).map(|_| s2.next_sample()).collect();
         assert_eq!(first, again);
+    }
+
+    #[test]
+    fn block_firing_is_bit_identical_to_per_firing_on_the_dsp_arms() {
+        let lib = KernelLibrary::pal();
+        let signal: Vec<f64> = (0..2000).map(|i| (i as f64 * 0.23).sin()).collect();
+        // (function, inputs per firing, outputs per firing): the PAL shapes,
+        // then shapes the block arms must decline (padded or truncated
+        // outputs fall back to the per-firing loop).
+        for (function, in_len, out_len) in [
+            ("mix", 1, 1),
+            ("lpf_v", 1, 1),
+            ("Video", 1, 1),
+            ("LPF", 25, 1),
+            ("Audio", 8, 1),
+            ("resamp", 16, 10),
+            ("resamp", 8, 5),
+            ("LPF", 25, 2),
+            ("resamp", 16, 7),
+            ("resamp", 5, 4),
+            ("lpf_v", 3, 2),
+        ] {
+            for lead in [0, 1] {
+                let firings = (signal.len() - lead) / in_len;
+                let mut one_by_one = lib.instantiate(function);
+                // Start the decimators and the resampler off their phase.
+                one_by_one.fire(&signal[..lead], 0);
+                let mut blocked = lib.instantiate(function);
+                blocked.fire(&signal[..lead], 0);
+                let inputs = &signal[lead..lead + firings * in_len];
+                let want: Vec<u64> = inputs
+                    .chunks(in_len)
+                    .flat_map(|chunk| one_by_one.fire(chunk, out_len))
+                    .map(f64::to_bits)
+                    .collect();
+                let mut got = Vec::new();
+                for run in inputs.chunks(37 * in_len) {
+                    got.extend(blocked.fire_block(run, run.len() / in_len, in_len, out_len));
+                }
+                let got: Vec<u64> = got.into_iter().map(f64::to_bits).collect();
+                assert_eq!(got, want, "{function} {in_len}->{out_len} lead {lead}");
+            }
+        }
     }
 }
