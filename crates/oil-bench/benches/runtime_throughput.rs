@@ -568,8 +568,7 @@ struct BaselineRow {
 }
 
 /// Parse the committed BENCH_runtime.json (one row per line, as this
-/// binary writes it — schema v7 or v8). A hand-rolled reader: the vendored
-/// serde is a stub.
+/// binary writes it — schema v7 or v8). A hand-rolled reader.
 fn parse_baseline(raw: &str) -> Vec<BaselineRow> {
     raw.lines()
         .filter_map(|line| {

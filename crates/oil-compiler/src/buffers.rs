@@ -9,11 +9,10 @@
 use crate::derive::DerivedModel;
 use oil_cta::{buffersizing, BufferSizingError, CtaModel};
 use oil_lang::sema::AnalyzedProgram;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Sized buffers of a compiled program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BufferPlan {
     /// Capacity (in values) of each FIFO / source / sink channel, keyed by
     /// the channel's hierarchical name (e.g. `<top>.vid`).

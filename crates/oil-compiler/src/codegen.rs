@@ -10,11 +10,10 @@
 //! requiring a C++ toolchain.
 
 use oil_dataflow::taskgraph::TaskGraph;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write;
 
 /// Code generated for one sequential module.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeneratedCode {
     /// The module instance path this code belongs to.
     pub instance: String,

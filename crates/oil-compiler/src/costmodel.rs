@@ -15,7 +15,7 @@
 //! better balanced.
 //!
 //! The JSON format (schema 1) is stable and hand-rolled on both ends (the
-//! vendored serde is a no-op stub):
+//! workspace has no serialisation dependency):
 //!
 //! ```json
 //! {
@@ -188,8 +188,21 @@ impl KernelCostModel {
                     "entries[{i}] `{function}`: ns_per_firing must be finite and positive, got {ns}"
                 )));
             }
-            let burst = eo.get("burst").map_or(Ok(0.0), |v| v.number("burst"))? as u32;
-            let samples = eo.get("samples").map_or(Ok(0.0), |v| v.number("samples"))? as u32;
+            // An absent count reads 0; a present one must be a whole `u32`
+            // (`as u32` would turn -5 into 0, 3.7 into 3, 1e12 into MAX).
+            let count = |key: &str| -> Result<u32, CostModelError> {
+                let Some(v) = eo.get(key) else { return Ok(0) };
+                let n = v.number(key)?;
+                if n.fract() == 0.0 && (0.0..=u32::MAX as f64).contains(&n) {
+                    Ok(n as u32)
+                } else {
+                    Err(CostModelError(format!(
+                        "entries[{i}] `{function}`: {key} must be a whole u32, got {n}"
+                    )))
+                }
+            };
+            let burst = count("burst")?;
+            let samples = count("samples")?;
             if model.entries.contains_key(&function) {
                 return Err(CostModelError(format!(
                     "duplicate entry for function `{function}`"
@@ -256,9 +269,8 @@ fn escape(s: &str) -> String {
     out
 }
 
-/// A minimal JSON value — just enough to read the artifact (the vendored
-/// serde is a no-op stub, so parsing is hand-rolled like the exporters in
-/// `oil_rt::trace`).
+/// A minimal JSON value — just enough to read the artifact (hand-rolled
+/// like the exporters in `oil_rt::trace`).
 #[derive(Debug, Clone, PartialEq)]
 enum Json {
     Null,
@@ -271,11 +283,10 @@ enum Json {
 
 impl Json {
     fn parse(raw: &str) -> Result<Json, String> {
-        let bytes = raw.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(raw, &mut pos)?;
+        skip_ws(raw.as_bytes(), &mut pos);
+        if pos != raw.len() {
             return Err(format!("trailing garbage at byte {pos}"));
         }
         Ok(value)
@@ -347,7 +358,10 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse one value of `text` starting at byte `pos`. `pos` only ever moves
+/// past ASCII bytes or whole scalars, so it stays on a char boundary.
+fn parse_value(text: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
@@ -361,7 +375,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = match parse_value(bytes, pos)? {
+                let key = match parse_value(text, pos)? {
                     Json::String(s) => s,
                     other => return Err(format!("object key must be a string, got {other:?}")),
                 };
@@ -370,7 +384,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected `:` at byte {pos}", pos = *pos));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -392,7 +406,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -426,14 +440,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                             Some(b'b') => out.push('\u{8}'),
                             Some(b'f') => out.push('\u{c}'),
                             Some(b'u') => {
-                                let hex = bytes
-                                    .get(*pos + 1..*pos + 5)
-                                    .ok_or("truncated \\u escape")?;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                    16,
-                                )
-                                .map_err(|_| "bad \\u escape")?;
+                                let hex =
+                                    text.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
+                                let code =
+                                    u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
                                 out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                                 *pos += 4;
                             }
@@ -442,11 +452,8 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                         *pos += 1;
                     }
                     Some(_) => {
-                        // Copy one UTF-8 scalar (bytes are valid UTF-8:
-                        // the input came in as &str).
-                        let s = &bytes[*pos..];
-                        let text = unsafe { std::str::from_utf8_unchecked(s) };
-                        let c = text.chars().next().unwrap();
+                        // Copy one UTF-8 scalar.
+                        let c = text[*pos..].chars().next().ok_or("unterminated string")?;
                         out.push(c);
                         *pos += c.len_utf8();
                     }
@@ -472,10 +479,11 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             {
                 *pos += 1;
             }
-            let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "bad number")?;
-            text.parse::<f64>()
+            let number = &text[start..*pos];
+            number
+                .parse::<f64>()
                 .map(Json::Number)
-                .map_err(|_| format!("bad number `{text}` at byte {start}"))
+                .map_err(|_| format!("bad number `{number}` at byte {start}"))
         }
     }
 }
@@ -563,5 +571,48 @@ mod tests {
             "{\"schema\": 1, \"host\": \"h\", \"entries\": []} extra"
         )
         .is_err());
+        // Counts must be whole u32s, and the error names the entry.
+        for (key, bad) in [
+            ("burst", "-5"),
+            ("burst", "3.7"),
+            ("samples", "1e12"),
+            ("samples", "4294967296"),
+            ("burst", "1e999"),
+        ] {
+            let raw = format!(
+                "{{\"schema\": 1, \"host\": \"h\", \"entries\": [{{\"function\": \"lpf\", \
+                 \"ns_per_firing\": 1.0, \"{key}\": {bad}}}]}}"
+            );
+            let err = KernelCostModel::from_json(&raw)
+                .expect_err(&raw)
+                .to_string();
+            assert!(
+                err.contains("entries[0] `lpf`") && err.contains(key),
+                "{err}"
+            );
+        }
+        let edge = KernelCostModel::from_json(
+            "{\"schema\": 1, \"host\": \"h\", \"entries\": [{\"function\": \"f\", \
+             \"ns_per_firing\": 1.0, \"burst\": 4294967295, \"samples\": 0}]}",
+        )
+        .expect("u32::MAX and 0 are valid counts");
+        assert_eq!(edge.entries["f"].burst, u32::MAX);
+        assert_eq!(edge.entries["f"].samples, 0);
+    }
+
+    #[test]
+    fn non_ascii_names_round_trip() {
+        let mut m = KernelCostModel::new("hôst-π");
+        m.insert(
+            "filtre_passe_bas_é→𝄞",
+            KernelCost {
+                ns_per_firing: 7.5,
+                burst: 16,
+                samples: 3,
+            },
+        );
+        let parsed = KernelCostModel::from_json(&m.to_json()).expect("round trip");
+        assert_eq!(parsed, m);
+        assert_eq!(parsed.fingerprint(), m.fingerprint());
     }
 }

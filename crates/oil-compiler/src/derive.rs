@@ -32,7 +32,6 @@ use oil_dataflow::{ActorId, ChannelId, LoopId};
 use oil_lang::ast::LatencyRelation;
 use oil_lang::registry::FunctionRegistry;
 use oil_lang::sema::{AnalyzedProgram, ChannelKind, InstanceId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The CTA model derived from a program, with lookup tables back to the
@@ -50,7 +49,7 @@ pub struct DerivedModel {
 }
 
 /// Application-level ports of one channel (FIFO, source or sink).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChannelPorts {
     /// The port where the channel's data originates (source data port or the
     /// writer module's output port).

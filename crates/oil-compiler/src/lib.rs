@@ -7,7 +7,7 @@
 //!    one task per function call / assignment, one circular buffer per
 //!    variable, with guarded statements becoming unconditionally executing
 //!    tasks (Fig. 4);
-//! 3. [`derive`] builds the **CTA model**: a component per task, per
+//! 3. [`derive`](mod@derive) builds the **CTA model**: a component per task, per
 //!    while-loop, per module, per source/sink and per FIFO, with transfer
 //!    rate ratios `γ`, constant delays `ε` and rate-dependent delays `φ`
 //!    following Figs. 7–10;

@@ -230,8 +230,8 @@ pub fn loops_accessing(graph: &TaskGraph, buffer: BufferId) -> Vec<LoopId> {
     out
 }
 
-/// Dump the loop structure of the extracted graph for [`LoopInfo`] consumers
-/// (examples print this to mirror the paper's figures).
+/// Dump the loop structure of the extracted graph (examples print this to
+/// mirror the paper's figures).
 pub fn describe_loops(graph: &TaskGraph) -> String {
     use std::fmt::Write;
     let mut s = String::new();

@@ -13,15 +13,10 @@ use oil_lang::registry::FunctionRegistry;
 use oil_lang::sema::AnalyzedProgram;
 use oil_lang::Diagnostic;
 
-/// Options controlling compilation.
+/// Options controlling compilation. Every stage always runs, so there is
+/// nothing to set; the type keeps [`compile`]'s signature stable.
 #[derive(Debug, Clone, Default)]
-pub struct CompilerOptions {
-    /// Skip buffer sizing and keep whatever capacities the model starts with
-    /// (used by benches that measure sizing separately).
-    pub skip_buffer_sizing: bool,
-    /// Skip code generation.
-    pub skip_codegen: bool,
-}
+pub struct CompilerOptions {}
 
 /// A fully compiled OIL program.
 #[derive(Debug, Clone)]
@@ -107,23 +102,12 @@ impl std::error::Error for CompileError {}
 pub fn compile(
     source: &str,
     registry: &FunctionRegistry,
-    options: &CompilerOptions,
+    _options: &CompilerOptions,
 ) -> Result<CompiledProgram, CompileError> {
     let analyzed = oil_lang::frontend(source, registry).map_err(CompileError::Frontend)?;
     let derived = derive_cta_model(&analyzed, registry);
-
-    let (buffers, sized_model) = if options.skip_buffer_sizing {
-        (
-            BufferPlan {
-                channels: Default::default(),
-                locals: Default::default(),
-                iterations: 0,
-            },
-            derived.cta.clone(),
-        )
-    } else {
-        plan_buffers(&analyzed, &derived).map_err(CompileError::Temporal)?
-    };
+    let (buffers, sized_model) =
+        plan_buffers(&analyzed, &derived).map_err(CompileError::Temporal)?;
 
     // Rates not pinned by a source or sink settle at their maximal achievable
     // value (the paper's consistency algorithm reports exactly these, and the
@@ -132,16 +116,12 @@ pub fn compile(
         .consistency_at_maximal_rates()
         .map_err(|e| CompileError::Temporal(BufferSizingError::Unfixable(e)))?;
 
-    let generated = if options.skip_codegen {
-        Vec::new()
-    } else {
-        derived
-            .task_graphs
-            .iter()
-            .zip(&analyzed.graph.instances)
-            .filter_map(|(tg, inst)| tg.as_ref().map(|tg| generate_module_code(&inst.path, tg)))
-            .collect()
-    };
+    let generated = derived
+        .task_graphs
+        .iter()
+        .zip(&analyzed.graph.instances)
+        .filter_map(|(tg, inst)| tg.as_ref().map(|tg| generate_module_code(&inst.path, tg)))
+        .collect();
 
     Ok(CompiledProgram {
         analyzed,
@@ -238,16 +218,6 @@ mod tests {
             compile(src, &reg, &CompilerOptions::default()),
             Err(CompileError::Temporal(_))
         ));
-    }
-
-    #[test]
-    fn options_skip_stages() {
-        let opts = CompilerOptions {
-            skip_buffer_sizing: false,
-            skip_codegen: true,
-        };
-        let compiled = compile(FIG6, &registry(), &opts).unwrap();
-        assert!(compiled.generated.is_empty());
     }
 
     #[test]

@@ -33,7 +33,6 @@ use oil_dataflow::unionfind::UnionFind;
 use oil_dataflow::{ChannelId, Rational};
 use oil_lang::sema::{ChannelKind, InstanceId};
 use oil_lang::FunctionRegistry;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 define_index_type! {
@@ -66,7 +65,7 @@ pub const DEFAULT_LOCAL_CAPACITY: usize = 4;
 pub const CAPACITY_SLACK: usize = 1;
 
 /// A bounded buffer of the runtime graph.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RtBuffer {
     /// Buffer name: the channel name for single-reader channels,
     /// `<channel>-><reader path>` for replicated multi-reader channels, or
@@ -80,7 +79,7 @@ pub struct RtBuffer {
 
 /// A data-driven node: fires when every read has enough values and every
 /// write has enough space, occupying its processor for its response time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RtNode {
     /// Node name (`<instance path>.<task>` or the black box's path).
     pub name: String,
@@ -96,7 +95,7 @@ pub struct RtNode {
 
 /// A time-triggered source broadcasting one sample per period to every
 /// reader of its channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RtSource {
     /// Source name (`src_<function>_<channel>`).
     pub name: String,
@@ -109,7 +108,7 @@ pub struct RtSource {
 }
 
 /// A time-triggered sink draining one value per period.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RtSink {
     /// Sink name (`snk_<function>_<channel>`).
     pub name: String,
@@ -122,7 +121,7 @@ pub struct RtSink {
 }
 
 /// The engine-agnostic runtime graph of a compiled program.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RtGraph {
     /// All buffers.
     pub buffers: IndexVec<RtBufferId, RtBuffer>,

@@ -10,7 +10,7 @@ use oil_dataflow::index::IndexVec;
 /// the scratch window the executor allocates (8 MiB of f64 per worker).
 const MAX_FUSED_STAGE_TOKENS: u64 = 1 << 20;
 
-/// True when the fusion pass is enabled for [`synthesize`] (default on;
+/// True when the fusion pass is enabled for [`synthesize`](super::synthesize) (default on;
 /// `OIL_RT_FUSION=0` disables it, `OIL_RT_FUSION=1` enables it).
 ///
 /// Any other value is a **loud error**: a typoed override that silently
@@ -222,7 +222,7 @@ pub(super) fn fuse_workers(
 /// Target tokens through the widest stage of one batched execution: enough
 /// to amortise the per-item overhead and fill the SIMD kernels without
 /// growing the scratch buffers past cache-friendly sizes. The engine batches
-/// whole-component runs to it, [`batch_row`] whole mode rows.
+/// whole-component runs to it, `batch_row` whole mode rows.
 pub const FUSED_BATCH_TOKENS: u64 = 4096;
 /// Batching cap (periods concatenated per execution).
 pub const FUSED_BATCH_MAX: u64 = 64;

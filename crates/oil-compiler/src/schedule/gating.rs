@@ -21,7 +21,7 @@ pub struct ModeDependentRates {
     /// Per mode, per source (by [`RtSourceId`] index): samples produced per
     /// period (0 when the source is gated in that mode).
     pub sources: Vec<Vec<u64>>,
-    /// Per mode, per sink (by [`RtSinkId`] index): values drained per
+    /// Per mode, per sink (by [`RtSinkId`](crate::rtgraph::RtSinkId) index): values drained per
     /// period (0 when the sink is gated in that mode).
     pub sinks: Vec<Vec<u64>>,
 }

@@ -52,7 +52,7 @@ pub struct ModalClusterInfo {
 /// union-advance argument but are still individually consistent per mode:
 /// the returned info then carries `mode_dependent: true` and synthesis
 /// produces one schedule per mode plus the drain/fill seam proof (see
-/// [`ModeDependent`]). What remains inadmissible — a second
+/// [`ModeDependent`](super::ModeDependent)). What remains inadmissible — a second
 /// non-uniform cluster, an arm with no writes, or an arm reading a buffer
 /// any arm writes — is [`ScheduleError::NonUniformCluster`] and the caller
 /// falls back to the self-timed engine.

@@ -23,7 +23,7 @@ pub enum ScheduleError {
     /// the graph. (`oil_rt::selftimed` handles these by pinning the
     /// component to one worker.)
     NonUniformCluster {
-        /// Index into [`RtPlan::clusters`].
+        /// Index into [`RtPlan::clusters`](crate::rtgraph::RtPlan::clusters).
         cluster: u32,
         /// The member node names, ascending by node id — so a failing
         /// corpus seed is diagnosable from the message alone.
@@ -213,7 +213,7 @@ pub enum UnitKind {
         members: Vec<RtNodeId>,
     },
     /// A **modal unit**: a non-uniform cluster admitted under the
-    /// union-advance rule ([`modal_admission`]). Every firing consumes the
+    /// union-advance rule ([`modal_admission`](super::modal_admission)). Every firing consumes the
     /// union of all members' aggregated reads and produces the shared
     /// write list; which member's kernel runs is the schedule *arm* a
     /// [`ModeScript`] selects at run time. Token flow is therefore
@@ -446,7 +446,7 @@ pub struct ModeDependent {
     pub seam_latency_max: Rational,
     /// The bound [`StaticSchedule::validate_transitions`] enforces on the
     /// seam latency of every ordered pair (from
-    /// [`SynthesisConfig::seam_latency_bound`]).
+    /// [`SynthesisConfig::seam_latency_bound`](super::SynthesisConfig::seam_latency_bound)).
     pub seam_latency_bound: Option<Rational>,
 }
 
@@ -470,7 +470,7 @@ pub(super) fn modal_unit(units: &[ScheduleUnit]) -> Option<usize> {
         .position(|u| matches!(u.kind, UnitKind::Modal { .. }))
 }
 
-/// Wall time of one synthesis phase, recorded by [`synthesize`] so the
+/// Wall time of one synthesis phase, recorded by [`synthesize`](super::synthesize) so the
 /// runtime's trace layer (`oil_rt::trace`) can report where compile time
 /// went (CTA admission, repetition-vector solve, firing-order proof,
 /// fusion, per-mode synthesis). Excluded from [`StaticSchedule::digest`]:
@@ -531,8 +531,9 @@ pub struct StaticSchedule {
     /// only: not part of [`Self::digest`] and never compared by the
     /// golden corpus.
     pub phases: Vec<PhaseSpan>,
-    /// [`KernelCostModel::fingerprint`] of the measured cost model that
-    /// steered the partition, `None` when declared response times did.
+    /// [`KernelCostModel::fingerprint`](crate::costmodel::KernelCostModel::fingerprint)
+    /// of the measured cost model that steered the partition, `None` when
+    /// declared response times did.
     /// Provenance only: excluded from equality and [`Self::digest`], like
     /// [`Self::phases`] — two syntheses that landed on the same structure
     /// are the same schedule regardless of what steered the balance.

@@ -131,7 +131,7 @@ impl StaticSchedule {
     /// to its initial level (which is what makes the schedule loopable),
     /// and the worker projections partition the period. Then every row's
     /// fused worker lists are proven to run to completion side by side
-    /// ([`Self::validate_fused`]); a mode-dependent schedule's top-level
+    /// (`validate_fused`); a mode-dependent schedule's top-level
     /// period/worker/repetition/fused-list fields must mirror mode 0 (what
     /// a script-less consumer sees). This is the admission proof —
     /// [`synthesize`](super::synthesize) never returns a schedule that

@@ -32,11 +32,10 @@ use crate::consistency::ConsistencyError;
 use crate::longest_path::Kernel;
 use oil_dataflow::index::{IndexVec, PortId};
 use oil_dataflow::Rational;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The outcome of buffer sizing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BufferSizingResult {
     /// Sufficient capacity per buffer name, in tokens.
     pub capacities: BTreeMap<String, u64>,
@@ -54,7 +53,7 @@ impl BufferSizingResult {
 }
 
 /// Why buffer sizing failed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BufferSizingError {
     /// The model is inconsistent for a reason buffers cannot fix (rate
     /// conflict, max rate exceeded, or a positive cycle without any buffer

@@ -10,7 +10,7 @@
 //! second, delays in seconds, `φ` in events. The analyses in this crate
 //! therefore contain no floating-point tolerance constants; `f64` appears
 //! only in human-readable output ([`CtaModel::describe`]) and in the
-//! `*_hz`/`*_seconds` convenience accessors of the result types.
+//! `rate_hz`/`seconds` convenience accessors of the result types.
 //!
 //! This module stores a whole *model* (a composition of components) in one
 //! flat arena — components only group ports and record nesting, which mirrors
@@ -23,7 +23,6 @@
 use oil_dataflow::define_index_type;
 use oil_dataflow::index::{Idx, IndexVec, PortId};
 use oil_dataflow::Rational;
-use serde::{Deserialize, Serialize};
 
 define_index_type! {
     /// A component of a [`CtaModel`].
@@ -36,7 +35,7 @@ define_index_type! {
 }
 
 /// A port of a CTA component.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Port {
     /// Port name, unique within its component.
     pub name: String,
@@ -53,7 +52,7 @@ pub struct Port {
 }
 
 /// A directed connection between two ports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Connection {
     /// Source port `p`.
     pub from: PortId,
@@ -103,7 +102,7 @@ impl Connection {
 
 /// A CTA component: a named group of ports, optionally nested inside a parent
 /// component (while-loop components nest inside module components).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Component {
     /// Component name (module, while-loop, task, source or sink name).
     pub name: String,
@@ -118,7 +117,7 @@ pub struct Component {
 /// A composition of CTA components and connections is again a CTA component
 /// (paper Section V-A), so one flat model with nesting information is
 /// sufficient to represent arbitrarily deep compositions.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CtaModel {
     /// All components.
     pub components: IndexVec<ComponentId, Component>,
@@ -275,17 +274,6 @@ impl CtaModel {
             .find(|&p| self.ports[p].name == name)
     }
 
-    /// All connections whose source or destination belongs to `component`.
-    pub fn connections_of(&self, component: ComponentId) -> Vec<ConnectionId> {
-        self.connections
-            .iter_enumerated()
-            .filter(|(_, c)| {
-                self.ports[c.from].component == component || self.ports[c.to].component == component
-            })
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// All connections that model buffer capacities, grouped by buffer name.
     pub fn buffer_connections(&self) -> Vec<(String, ConnectionId)> {
         self.connections
@@ -391,7 +379,7 @@ impl CtaModel {
 
 /// Offsets returned by [`CtaModel::merge`], translating the merged model's
 /// ids into the composed model's id spaces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MergeOffsets {
     /// Offset added to component ids of the merged model.
     pub components: usize,
@@ -446,7 +434,6 @@ mod tests {
         assert_eq!(m.port_count(), 3);
         assert_eq!(m.connection_count(), 4);
         assert_eq!(m.port_by_name(w, "bz_out"), Some(bz_out));
-        assert_eq!(m.connections_of(w).len(), 4);
     }
 
     #[test]

@@ -28,10 +28,9 @@ use crate::component::{ConnectionId, CtaModel};
 use crate::longest_path::{Cycle, Kernel};
 use oil_dataflow::index::{GroupId, Idx, IndexVec, PortId};
 use oil_dataflow::Rational;
-use serde::{Deserialize, Serialize};
 
 /// The result of a successful consistency check. All values are exact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConsistencyResult {
     /// Actual transfer rate per port, in events per second.
     pub rates: IndexVec<PortId, Rational>,
@@ -60,16 +59,10 @@ impl ConsistencyResult {
     pub fn rate_hz(&self, port: PortId) -> f64 {
         self.rates[port].to_f64()
     }
-
-    /// A port's start offset in seconds as `f64` — conversion at the API
-    /// boundary, after all exact computation has finished.
-    pub fn offset_seconds(&self, port: PortId) -> f64 {
-        self.offsets[port].to_f64()
-    }
 }
 
 /// Why a CTA composition is inconsistent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ConsistencyError {
     /// Following two different connection paths to the same port implies two
     /// different rates: the `γ` ratios around some cycle do not multiply to 1.

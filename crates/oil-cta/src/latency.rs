@@ -15,10 +15,9 @@ use crate::consistency::ConsistencyResult;
 use crate::longest_path::Kernel;
 use oil_dataflow::index::{Idx, PortId};
 use oil_dataflow::Rational;
-use serde::{Deserialize, Serialize};
 
 /// A report about the latency between two ports of a consistent model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyReport {
     /// The upstream (source-side) port.
     pub from: PortId,
@@ -85,7 +84,7 @@ pub fn check_latency_path(
 
 /// A seam-latency bound violation: the worst-case source-to-sink latency
 /// across a mode-switch seam exceeds the program's latency constraint.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeamLatencyExceeded {
     /// The actual critical-path latency across the seam, exact.
     pub latency: Rational,

@@ -22,8 +22,8 @@
 //! Every algorithm works in **exact rational arithmetic**
 //! ([`Rational`]) over **typed indices** ([`PortId`], [`ComponentId`],
 //! [`ConnectionId`], [`GroupId`]): results are bit-exact, deterministic and
-//! free of tolerance constants; `f64` only appears in the `*_hz` /
-//! `*_seconds` accessors at the API boundary.
+//! free of tolerance constants; `f64` only appears in the `rate_hz` /
+//! `seconds` accessors at the API boundary.
 //!
 //! # Example: a producer/consumer pair with a bounded buffer
 //!
@@ -52,7 +52,6 @@ pub mod compose;
 pub mod consistency;
 pub mod latency;
 mod longest_path;
-pub mod periodic;
 
 pub use buffersizing::{size_buffers, BufferSizingError, BufferSizingResult};
 pub use component::{Component, ComponentId, Connection, ConnectionId, CtaModel, Port};
@@ -61,4 +60,3 @@ pub use consistency::{check_delays_at_rates, ConsistencyError, ConsistencyResult
 pub use latency::{check_latency_path, LatencyReport};
 pub use oil_dataflow::index::{GroupId, PortId};
 pub use oil_dataflow::Rational;
-pub use periodic::PeriodicSequence;

@@ -11,11 +11,10 @@ use crate::index::{ActorId, IndexVec};
 use crate::mcr::{CycleRatio, RatioGraph};
 use crate::rational::Rational;
 use crate::sdf::{SdfError, SdfGraph};
-use serde::{Deserialize, Serialize};
 
 /// The exact maximum cycle ratio of an HSDF graph (see
 /// [`HsdfGraph::maximum_cycle_ratio_exact`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExactCycleRatio {
     /// The graph has no cycle: throughput is unconstrained by dependencies.
     Acyclic,
@@ -28,7 +27,7 @@ pub enum ExactCycleRatio {
 }
 
 /// A node of the homogeneous expansion: firing `k` of actor `actor`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Firing {
     /// The actor in the original SDF graph.
     pub actor: ActorId,
@@ -37,7 +36,7 @@ pub struct Firing {
 }
 
 /// An edge of the homogeneous expansion.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HsdfEdge {
     /// Producing firing (node index).
     pub src: usize,
@@ -49,7 +48,7 @@ pub struct HsdfEdge {
 }
 
 /// The homogeneous (single-rate) expansion of an SDF graph.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HsdfGraph {
     /// One node per firing.
     pub firings: Vec<Firing>,

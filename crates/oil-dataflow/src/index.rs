@@ -4,9 +4,9 @@
 //! several crates (dataflow → CTA → compiler → simulator). Indexing all of
 //! them with bare `usize` made it possible to use a port id where a channel
 //! id was meant and the compiler would not notice. This module provides
-//! newtype indices (via [`define_index_type!`]) and [`IndexVec`], a vector
-//! that can only be indexed by its declared index type, so cross-indexing
-//! mistakes become type errors.
+//! newtype indices (via [`define_index_type!`](crate::define_index_type))
+//! and [`IndexVec`], a vector that can only be indexed by its declared
+//! index type, so cross-indexing mistakes become type errors.
 //!
 //! The shared vocabulary types — [`PortId`], [`ActorId`], [`ChannelId`],
 //! [`GroupId`] — live here; crates define additional private index spaces
@@ -39,10 +39,7 @@ pub trait Idx: Copy + Eq + Ord + std::hash::Hash + fmt::Debug + 'static {
 macro_rules! define_index_type {
     ($(#[$meta:meta])* $vis:vis struct $Name:ident = $prefix:literal;) => {
         $(#[$meta])*
-        #[derive(
-            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
-            serde::Serialize, serde::Deserialize,
-        )]
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         $vis struct $Name(u32);
 
         impl $crate::index::Idx for $Name {
@@ -78,7 +75,7 @@ define_index_type! {
 }
 
 define_index_type! {
-    /// An actor: a task of a task graph or an actor of an SDF/CSDF graph
+    /// An actor: a task of a task graph or an actor of an SDF graph
     /// (the two are index-compatible by construction — every task becomes
     /// one actor).
     pub struct ActorId = "a";
@@ -96,7 +93,7 @@ define_index_type! {
 }
 
 /// A vector indexable only by its declared index type.
-#[derive(Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct IndexVec<I: Idx, T> {
     raw: Vec<T>,
     _marker: PhantomData<fn(I) -> I>,

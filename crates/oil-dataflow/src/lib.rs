@@ -17,31 +17,23 @@
 //!   producers/consumers.
 //! * [`sdf`] — Synchronous Dataflow graphs, repetition vectors, consistency
 //!   and deadlock analysis.
-//! * [`csdf`] — Cyclo-Static Dataflow actors with phase-dependent rates.
 //! * [`hsdf`] — expansion of an SDF graph to its homogeneous equivalent and
-//!   Maximum Cycle Mean throughput analysis.
+//!   Maximum Cycle Mean throughput analysis (on a crate-private maximum
+//!   cycle ratio solver).
 //! * [`statespace`] — exact self-timed state-space throughput analysis, the
 //!   exponential-time baseline referred to in the paper's related work.
-//! * [`mcr`] — maximum cycle ratio analysis on weighted graphs (shared by the
-//!   CTA consistency algorithm and by the HSDF analysis).
 //! * [`fnv`] — the one stable FNV-1a hasher behind every golden digest.
-//! * [`buffer`] — circular buffers with multiple overlapping windows, the
-//!   communication primitive of the paper's execution substrate.
 
-pub mod buffer;
-pub mod csdf;
 pub mod fnv;
 pub mod hsdf;
 pub mod index;
-pub mod mcr;
+mod mcr;
 pub mod rational;
 pub mod sdf;
 pub mod statespace;
 pub mod taskgraph;
 pub mod unionfind;
 
-pub use buffer::CircularBuffer;
-pub use csdf::CsdfGraph;
 pub use hsdf::{ExactCycleRatio, HsdfGraph};
 pub use index::{ActorId, ChannelId, GroupId, Idx, IndexVec, PortId};
 pub use rational::Rational;

@@ -16,10 +16,8 @@
 //! logarithmic factor, keeping the whole analysis polynomial — the complexity
 //! claim of the paper for CTA-style analyses.
 
-use serde::{Deserialize, Serialize};
-
 /// An edge of a cost/transit weighted graph.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RatioEdge {
     /// Source node.
     pub src: usize,
@@ -32,7 +30,7 @@ pub struct RatioEdge {
 }
 
 /// A weighted graph for cycle-ratio analysis.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RatioGraph {
     /// Number of nodes.
     pub nodes: usize,
@@ -41,7 +39,7 @@ pub struct RatioGraph {
 }
 
 /// Result of a cycle-ratio analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CycleRatio {
     /// The graph has no cycles: every ratio is feasible.
     Acyclic,

@@ -13,7 +13,6 @@
 //! [`Rational::from_f64_lossless`] (exact by construction) and
 //! [`Rational::to_f64`] (the closest double).
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
@@ -39,7 +38,7 @@ pub fn lcm(a: u128, b: u128) -> u128 {
 
 /// An exact rational number `num / den` with `den > 0` and
 /// `gcd(|num|, den) == 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rational {
     num: i128,
     den: i128,

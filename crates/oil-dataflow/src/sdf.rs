@@ -16,7 +16,6 @@
 use crate::define_index_type;
 use crate::index::{ActorId, Idx, IndexVec};
 use crate::rational::Rational;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -26,7 +25,7 @@ define_index_type! {
 }
 
 /// An SDF actor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SdfActor {
     /// Human-readable name (task or function name).
     pub name: String,
@@ -35,7 +34,7 @@ pub struct SdfActor {
 }
 
 /// An SDF edge: a FIFO with fixed production/consumption rates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SdfEdge {
     /// Producing actor.
     pub src: ActorId,
@@ -52,7 +51,7 @@ pub struct SdfEdge {
 }
 
 /// A Synchronous Dataflow graph.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SdfGraph {
     /// The actors.
     pub actors: IndexVec<ActorId, SdfActor>,
@@ -61,7 +60,7 @@ pub struct SdfGraph {
 }
 
 /// Why an SDF graph cannot execute indefinitely in bounded memory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SdfError {
     /// The balance equations only admit the all-zero solution.
     Inconsistent {
@@ -337,24 +336,6 @@ impl SdfGraph {
         }
     }
 
-    /// The total number of actor firings in one graph iteration.
-    pub fn iteration_length(&self) -> Result<u64, SdfError> {
-        Ok(self.repetition_vector()?.iter().sum())
-    }
-
-    /// An upper bound on throughput (iterations per second) obtained by
-    /// ignoring all dependencies: the bottleneck actor alone limits the rate.
-    pub fn throughput_upper_bound(&self) -> Result<f64, SdfError> {
-        let q = self.repetition_vector()?;
-        let mut bound = f64::INFINITY;
-        for (a, actor) in self.actors.iter_enumerated() {
-            if actor.firing_duration > 0.0 && q[a] > 0 {
-                bound = bound.min(1.0 / (actor.firing_duration * q[a] as f64));
-            }
-        }
-        Ok(bound)
-    }
-
     /// Find an actor id by name.
     pub fn actor_by_name(&self, name: &str) -> Option<ActorId> {
         self.actors.position(|a| a.name == name)
@@ -418,7 +399,6 @@ mod tests {
         let q = g.repetition_vector().unwrap();
         // g must execute 3/2 as often as f -> smallest integer vector (2, 3).
         assert_eq!(q.as_slice(), &[2, 3]);
-        assert_eq!(g.iteration_length().unwrap(), 5);
     }
 
     #[test]
@@ -502,17 +482,6 @@ mod tests {
         assert_eq!(q["src_a"], 8);
         assert_eq!(q["audio"], 1);
         assert_eq!(q["speakers"], 1);
-    }
-
-    #[test]
-    fn throughput_upper_bound_uses_bottleneck() {
-        let mut g = SdfGraph::new();
-        let a = g.add_actor("a", 1e-3);
-        let b = g.add_actor("b", 2e-3);
-        g.add_edge(a, b, 1, 1, 0);
-        g.add_edge(b, a, 1, 1, 1);
-        let bound = g.throughput_upper_bound().unwrap();
-        assert!((bound - 500.0).abs() < 1e-9);
     }
 
     #[test]

@@ -15,11 +15,10 @@
 use crate::index::{ActorId, IndexVec};
 use crate::rational::Rational;
 use crate::sdf::{EdgeId, SdfError, SdfGraph};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Result of an exact self-timed execution analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SelfTimedAnalysis {
     /// The steady-state iteration period in seconds.
     pub period: f64,

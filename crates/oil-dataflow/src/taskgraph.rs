@@ -18,7 +18,6 @@
 use crate::define_index_type;
 use crate::index::{ActorId, IndexVec};
 use crate::sdf::SdfGraph;
-use serde::{Deserialize, Serialize};
 
 define_index_type! {
     /// A circular buffer of a task graph (one per variable or stream).
@@ -31,7 +30,7 @@ define_index_type! {
 }
 
 /// One access of a task to a buffer: how many values per firing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PortAccess {
     /// The accessed buffer.
     pub buffer: BufferId,
@@ -40,7 +39,7 @@ pub struct PortAccess {
 }
 
 /// A task: the unit of parallel execution extracted from one statement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Task {
     /// Unique name within the task graph (e.g. `tg`, `tf#2`).
     pub name: String,
@@ -63,7 +62,7 @@ pub struct Task {
 }
 
 /// A circular buffer created for a variable or stream of the module.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskBuffer {
     /// Buffer name (the variable/stream name, possibly suffixed).
     pub name: String,
@@ -79,7 +78,7 @@ pub struct TaskBuffer {
 }
 
 /// A while-loop of the sequential module.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoopInfo {
     /// Loop id (index into [`TaskGraph::loops`]).
     pub id: LoopId,
@@ -93,7 +92,7 @@ pub struct LoopInfo {
 }
 
 /// The task graph of one sequential module.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TaskGraph {
     /// Name of the module this graph was extracted from.
     pub module: String,
@@ -169,18 +168,6 @@ impl TaskGraph {
     /// Find a task by name.
     pub fn task_by_name(&self, name: &str) -> Option<ActorId> {
         self.tasks.position(|t| t.name == name)
-    }
-
-    /// Total number of values written to `buffer` per firing of all its
-    /// producers (used when distributing stream rates).
-    pub fn total_production(&self, buffer: BufferId) -> u64 {
-        self.producers(buffer).iter().map(|(_, c)| c).sum()
-    }
-
-    /// Total number of values read from `buffer` per firing of all its
-    /// consumers.
-    pub fn total_consumption(&self, buffer: BufferId) -> u64 {
-        self.consumers(buffer).iter().map(|(_, c)| c).sum()
     }
 
     /// Convert the task graph to an SDF graph (paper Section V-B1): one actor
@@ -348,8 +335,6 @@ mod tests {
         assert_eq!(tg.consumers(by).len(), 1);
         assert_eq!(tg.producers(bx).len(), 1);
         assert_eq!(tg.consumers(bx).len(), 0);
-        assert_eq!(tg.total_production(by), 2);
-        assert_eq!(tg.total_consumption(by), 2);
         // Guarded tasks are marked as such but present unconditionally.
         assert!(tg.tasks[tg.task_by_name("tg").unwrap()].guarded);
         assert!(!tg.tasks[tg.task_by_name("tk").unwrap()].guarded);

@@ -9,7 +9,6 @@
 use crate::kept::Kept;
 use crate::simd::{dot_rr4, dot_rr4_strided, fir_block_rr4};
 use crate::Sample;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 use std::sync::Arc;
 
@@ -76,14 +75,14 @@ impl PartialEq for History {
 
 /// A direct-form FIR filter with an internal delay line.
 ///
-/// The delay line is a [`History`] of the last `n - 1` inputs, so the
+/// The delay line is a `History` of the last `n - 1` inputs, so the
 /// window of every output of a block is one contiguous ascending slice and
 /// the dot products run over it with pre-reversed taps and four round-robin
 /// partial sums — no wraparound arithmetic per tap and an add chain the CPU
 /// can pipeline. The 4-way reassociation moves results only at the last-ulp
 /// level, inside the tolerance the golden vectors pin; every engine shares
 /// this code, so cross-engine value oracles stay bit-exact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FirFilter {
     taps: Arc<[f64]>,
     /// `taps` reversed: `rtaps[i] = taps[n-1-i]`, paired with the

@@ -9,7 +9,6 @@
 
 use crate::kept::Kept;
 use crate::Sample;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 use std::sync::Arc;
 
@@ -62,7 +61,7 @@ pub(crate) fn oscillator_table(freq_hz: f64, sample_rate_hz: f64, amplitude: f64
 }
 
 /// A sine-tone generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ToneGenerator {
     /// Tone frequency in Hz.
     pub freq_hz: f64,
@@ -138,7 +137,7 @@ impl ToneGenerator {
 
 /// The synthetic stand-in for the PAL composite RF signal: a video band
 /// (low-frequency content) plus an audio tone on a carrier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompositeSignal {
     video: ToneGenerator,
     audio_baseband: ToneGenerator,

@@ -6,7 +6,6 @@
 //! state (the oscillator phase) but has no side effects.
 
 use crate::Sample;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 use std::sync::Arc;
 
@@ -17,7 +16,7 @@ use std::sync::Arc;
 /// the oscillator period is a whole number of samples the sine values are
 /// precomputed for one period — at the PAL front end's 6.4 MS/s that
 /// replaces a libm `sin` per sample with a table load.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mixer {
     /// Oscillator frequency in Hz.
     pub lo_freq_hz: f64,

@@ -8,10 +8,9 @@
 use crate::fir::{FirFilter, History, BLOCK};
 use crate::simd::{dot_rr4, dot_rr4_strided};
 use crate::Sample;
-use serde::{Deserialize, Serialize};
 
 /// An integer-factor decimator with an anti-aliasing low-pass filter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Decimator {
     /// Decimation factor.
     pub factor: usize,
@@ -98,7 +97,7 @@ impl Decimator {
 /// (`⌈taps/up⌉` multiplies instead of `taps`; the structural zeros of the
 /// conceptual zero-stuffed stream contribute nothing and are never
 /// touched).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RationalResampler {
     /// Upsampling factor (e.g. 10 for the PAL video path).
     pub up: usize,

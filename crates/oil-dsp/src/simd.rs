@@ -19,7 +19,7 @@
 //!   (accumulator `r` of an output is its round-robin lane `r`), so every
 //!   tap broadcast is shared by `V` vectors of outputs, there is no tap
 //!   tail and no horizontal step: `(l0+l1)+(l2+l3)` is three vector adds
-//!   yielding finished outputs. The body is written once over [`Lanes`]
+//!   yielding finished outputs. The body is written once over `Lanes`
 //!   and instantiated for `ymm` (AVX, 4 outputs per vector) and `zmm`
 //!   (AVX-512F, 8 per vector). A block length that is not a whole number
 //!   of vectors recomputes the last vector's worth of outputs (same
@@ -40,7 +40,7 @@
 //! reduced throughput while the core powers the upper lanes, so a short
 //! burst between other kernels gains nothing: inside the PAL decoder's
 //! period the 63-tap filter reads the same on either width. The rule is by
-//! shape alone — at least [`ZMM_MIN_PRODUCTS`] multiply-adds in the block
+//! shape alone — at least `ZMM_MIN_PRODUCTS` multiply-adds in the block
 //! (a few microseconds of work) and two `zmm` vectors of outputs — on hosts
 //! that report AVX-512F; everything else with AVX takes `ymm`, and every
 //! other architecture the scalar loop.

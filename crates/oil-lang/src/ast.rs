@@ -15,11 +15,10 @@
 //! ```
 
 use crate::span::Span;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An identifier with its source location.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Ident {
     /// The identifier text.
     pub name: String,
@@ -56,7 +55,7 @@ impl fmt::Display for Ident {
 /// structure of the application is rooted in the *top module*: either the
 /// single anonymous `mod par { .. }` block or, if absent, the last defined
 /// module.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     /// All module definitions in source order.
     pub modules: Vec<Module>,
@@ -81,7 +80,7 @@ impl Program {
 }
 
 /// Whether a module contains a parallel or a sequential specification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModuleKind {
     /// `mod par`: instantiates other modules which execute concurrently.
     Par,
@@ -100,7 +99,7 @@ impl fmt::Display for ModuleKind {
 }
 
 /// A module definition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Module {
     /// Name, or `None` for the anonymous top-level `mod par { .. }` block.
     pub name: Option<Ident>,
@@ -135,7 +134,7 @@ impl Module {
 }
 
 /// A stream parameter of a module: `out T r` or `T r`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamParam {
     /// True if this is an output stream of the module.
     pub out: bool,
@@ -146,7 +145,7 @@ pub struct StreamParam {
 }
 
 /// The body of a module.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ModuleBody {
     /// A parallel body: buffer declarations, latency constraints and a
     /// parallel composition of module instantiations.
@@ -156,7 +155,7 @@ pub enum ModuleBody {
 }
 
 /// The body of a `mod par` module.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParBody {
     /// FIFO, source and sink declarations.
     pub buffers: Vec<BufferDecl>,
@@ -167,7 +166,7 @@ pub struct ParBody {
 }
 
 /// A buffer declaration in a parallel module body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BufferDecl {
     /// `fifo T x, y, ..;`
     Fifo {
@@ -220,7 +219,7 @@ impl BufferDecl {
 }
 
 /// A frequency such as `1 kHz` or `6.4 MHz`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Frequency {
     /// The frequency in Hertz.
     pub hz: f64,
@@ -257,7 +256,7 @@ impl fmt::Display for Frequency {
 }
 
 /// Direction of a latency constraint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LatencyRelation {
     /// `start x n ms after y`: x must start at least/defined n ms after y.
     After,
@@ -267,7 +266,7 @@ pub enum LatencyRelation {
 
 /// A latency constraint between two sources/sinks:
 /// `start x n ms after y;` or `start x n ms before y;`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyConstraint {
     /// The source/sink being constrained.
     pub subject: Ident,
@@ -282,7 +281,7 @@ pub struct LatencyConstraint {
 }
 
 /// A module instantiation `A(out x, y)` inside a parallel composition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModuleCall {
     /// Name of the instantiated module.
     pub module: Ident,
@@ -293,7 +292,7 @@ pub struct ModuleCall {
 }
 
 /// A stream argument of a module instantiation: `out r` or `r`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CallArg {
     /// True if the instantiated module writes this stream.
     pub out: bool,
@@ -302,7 +301,7 @@ pub struct CallArg {
 }
 
 /// The body of a `mod seq` module.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SeqBody {
     /// Local variable declarations `T x;` (and array declarations `T x[n];`).
     pub vars: Vec<VarDecl>,
@@ -311,7 +310,7 @@ pub struct SeqBody {
 }
 
 /// A local variable declaration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VarDecl {
     /// Type name.
     pub ty: Ident,
@@ -324,7 +323,7 @@ pub struct VarDecl {
 }
 
 /// A statement in a sequential module body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
     /// `x = e;`
     Assign {
@@ -412,7 +411,7 @@ impl Stmt {
 }
 
 /// A `case n { .. }` arm of a switch statement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Case {
     /// The matched (non-negative) value.
     pub value: i64,
@@ -425,7 +424,7 @@ pub struct Case {
 /// A variable or stream access, possibly with the colon multi-rate notation
 /// `r:n` (read/write `n` values per loop iteration) or the array-slice
 /// notation `x[a:b]` used by the paper's sequential examples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Access {
     /// The accessed variable or stream.
     pub name: Ident,
@@ -459,7 +458,7 @@ impl Access {
 }
 
 /// An argument of a coordinated function call.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Arg {
     /// An input argument: an arbitrary expression.
     In(Expr),
@@ -475,7 +474,7 @@ impl Arg {
 }
 
 /// Binary operators of the expression grammar.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// `*`
     Mul,
@@ -532,7 +531,7 @@ impl BinOp {
 }
 
 /// An expression.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// An integer literal.
     Int(i64, Span),

@@ -13,11 +13,10 @@
 //! * its **worst-case response time**, which becomes the firing duration of
 //!   the corresponding dataflow actor / CTA component.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Temporal and semantic information about one coordinated function.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FunctionSignature {
     /// Function name as it appears in OIL source.
     pub name: String,
@@ -70,7 +69,7 @@ impl FunctionSignature {
 /// The temporal interface of a black-box module (Section V-C of the paper):
 /// a module only known by the maximum rates and delays of its interface, such
 /// as the `Video` and `Audio` modules of the PAL decoder.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlackBoxInterface {
     /// Module name as instantiated in OIL source.
     pub name: String,
@@ -107,7 +106,7 @@ impl BlackBoxInterface {
 /// default response time so that programs can be analysed before all
 /// implementations exist; a warning is emitted by semantic analysis for each
 /// unknown function.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FunctionRegistry {
     functions: BTreeMap<String, FunctionSignature>,
     black_boxes: BTreeMap<String, BlackBoxInterface>,

@@ -13,7 +13,6 @@ use crate::registry::FunctionRegistry;
 use crate::span::{Diagnostic, Span};
 use oil_dataflow::define_index_type;
 use oil_dataflow::index::{ChannelId, IndexVec};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 define_index_type! {
@@ -22,7 +21,7 @@ define_index_type! {
 }
 
 /// How a channel transports data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ChannelKind {
     /// A FIFO buffer between modules.
     Fifo,
@@ -65,7 +64,7 @@ impl ChannelKind {
 }
 
 /// A channel of the flattened application graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Channel {
     /// Hierarchical name, e.g. `C.x` or `<top>.vid`.
     pub name: String,
@@ -82,7 +81,7 @@ pub struct Channel {
 }
 
 /// A binding of a leaf instance's stream parameter to a channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Binding {
     /// Parameter name inside the instantiated module.
     pub param: String,
@@ -94,7 +93,7 @@ pub struct Binding {
 
 /// A leaf instance of the flattened application: a sequential module or a
 /// black-box module.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModuleInstance {
     /// Hierarchical instance path, e.g. `Splitter.SRC_A`.
     pub path: String,
@@ -111,7 +110,7 @@ pub struct ModuleInstance {
 
 /// A latency constraint between two source/sink channels, resolved to channel
 /// ids.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencySpec {
     /// Channel of the constrained source/sink (`start <subject> ..`).
     pub subject: ChannelId,
@@ -124,7 +123,7 @@ pub struct LatencySpec {
 }
 
 /// The flattened application graph.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AppGraph {
     /// All leaf instances.
     pub instances: IndexVec<InstanceId, ModuleInstance>,

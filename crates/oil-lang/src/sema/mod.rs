@@ -2,15 +2,15 @@
 //!
 //! Analysis proceeds in three phases:
 //!
-//! 1. **Restriction checks** ([`restrict`]): the rules that keep OIL
+//! 1. **Restriction checks** (`restrict`): the rules that keep OIL
 //!    analysable — unique module names, no (mutual) recursion between modules,
 //!    no instantiation of modules from sequential code, matching instantiation
 //!    arities/directions and side-effect-free coordinated functions.
-//! 2. **Stream-access checks** ([`streams`]): the rules of Section IV-A of the
+//! 2. **Stream-access checks** (`streams`): the rules of Section IV-A of the
 //!    paper — output streams must be written every loop iteration, streams of
 //!    a sequential module should be accessed in every top-level while-loop so
 //!    that sources and sinks can remain strictly periodic.
-//! 3. **Flattening** ([`flatten`]): the hierarchy of `mod par` instantiations
+//! 3. **Flattening** (`flatten`): the hierarchy of `mod par` instantiations
 //!    is expanded into a flat application graph of leaf instances (sequential
 //!    modules and black boxes) connected by channels (FIFOs, sources, sinks),
 //!    which is the structure the compiler derives task graphs and CTA models

@@ -3,12 +3,11 @@
 //! Every token and AST node carries a [`Span`] so that semantic errors can be
 //! reported against the original OIL source text.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A half-open byte range `[start, end)` into the source text, together with
 /// the 1-based line/column of its start for human-readable reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Span {
     /// Byte offset of the first character.
     pub start: usize,
@@ -69,7 +68,7 @@ impl fmt::Display for Span {
 }
 
 /// Severity of a diagnostic message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Severity {
     /// The program is rejected.
     Error,
@@ -91,7 +90,7 @@ impl fmt::Display for Severity {
 
 /// A single diagnostic message produced by the lexer, parser or semantic
 /// analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Diagnostic {
     /// How severe the problem is.
     pub severity: Severity,
@@ -134,47 +133,6 @@ impl fmt::Display for Diagnostic {
 
 impl std::error::Error for Diagnostic {}
 
-/// Tracks line starts so byte offsets can be converted back to line/column
-/// pairs, e.g. when a later pass wants to point at a location it only knows by
-/// offset.
-#[derive(Debug, Clone)]
-pub struct SourceMap {
-    line_starts: Vec<usize>,
-    len: usize,
-}
-
-impl SourceMap {
-    /// Build a source map for `source`.
-    pub fn new(source: &str) -> Self {
-        let mut line_starts = vec![0usize];
-        for (i, b) in source.bytes().enumerate() {
-            if b == b'\n' {
-                line_starts.push(i + 1);
-            }
-        }
-        SourceMap {
-            line_starts,
-            len: source.len(),
-        }
-    }
-
-    /// Convert a byte offset to a `(line, column)` pair (both 1-based).
-    pub fn line_col(&self, offset: usize) -> (u32, u32) {
-        let offset = offset.min(self.len);
-        let line_idx = match self.line_starts.binary_search(&offset) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
-        let col = offset - self.line_starts[line_idx] + 1;
-        (line_idx as u32 + 1, col as u32)
-    }
-
-    /// Number of lines in the mapped source.
-    pub fn line_count(&self) -> usize {
-        self.line_starts.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,19 +162,6 @@ mod tests {
     fn span_len_and_empty() {
         assert!(Span::synthetic().is_empty());
         assert_eq!(Span::new(2, 6, 1, 3).len(), 4);
-    }
-
-    #[test]
-    fn source_map_line_col() {
-        let src = "abc\ndef\n\nxyz";
-        let map = SourceMap::new(src);
-        assert_eq!(map.line_col(0), (1, 1));
-        assert_eq!(map.line_col(2), (1, 3));
-        assert_eq!(map.line_col(4), (2, 1));
-        assert_eq!(map.line_col(8), (3, 1));
-        assert_eq!(map.line_col(9), (4, 1));
-        assert_eq!(map.line_col(100), (4, 4));
-        assert_eq!(map.line_count(), 4);
     }
 
     #[test]

@@ -16,11 +16,10 @@
 use crate::program::{pal_registry, PAL_DECODER_OIL};
 use oil_compiler::{compile, CompileError, CompiledProgram, CompilerOptions};
 use oil_dataflow::Rational;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Results of analysing the PAL decoder. Rates and latencies are exact.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PalAnalysis {
     /// Token rate of every channel (Hz), keyed by channel name suffix.
     pub channel_rates: BTreeMap<String, Rational>,

@@ -6,10 +6,9 @@
 //! output rates — can be checked independently of the temporal analysis.
 
 use oil_dsp::{Decimator, FirFilter, Mixer, RationalResampler, Sample};
-use serde::{Deserialize, Serialize};
 
 /// Output of running the native decoder over a block of RF samples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NativeDecodeOutput {
     /// Video samples at 4 MS/s.
     pub video: Vec<Sample>,

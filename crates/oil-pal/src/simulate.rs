@@ -12,10 +12,9 @@ use crate::analysis::analyze_pal;
 use crate::program::pal_registry;
 use oil_compiler::CompileError;
 use oil_sim::{build_simulation_with_registry, picos, SimMetrics, SimulationConfig};
-use serde::{Deserialize, Serialize};
 
 /// Summary of a PAL decoder simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PalSimulationReport {
     /// Raw simulator metrics.
     pub metrics: SimMetrics,

@@ -16,7 +16,7 @@
 //!   rate.
 
 use oil_sim::trace::Fnv1a;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Upper bound on recorded values per buffer (counters keep counting).
 pub const VALUE_TRACE_CAP: usize = 1 << 16;
@@ -223,11 +223,6 @@ impl ThroughputMeter {
         }
         Some((last_idx - warm_idx) as f64 / span.as_secs_f64())
     }
-
-    /// The wall-clock span of the steady-state window.
-    pub fn steady_span(&self) -> Option<Duration> {
-        Some(self.last?.1.duration_since(self.warm?.1))
-    }
 }
 
 /// One sink's measured throughput against its CTA-predicted rate.
@@ -380,6 +375,7 @@ fn parse_conformance(raw: &str) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn trace(streams: &[(&str, &[f64], u64)]) -> ValueTrace {
         ValueTrace {
@@ -440,7 +436,6 @@ mod tests {
             short.record();
         }
         assert!(short.steady_rate_hz().is_none());
-        assert!(short.steady_span().is_none());
     }
 
     #[test]

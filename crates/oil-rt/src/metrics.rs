@@ -15,7 +15,7 @@
 //! **live oracle**: the CTA predicts each sink's steady throughput
 //! (`1/period`); the registry buckets sink consumption into fixed-size
 //! windows and compares each window's observed rate against the
-//! prediction. A window below `margin ×` predicted raises
+//! prediction. A window below the predicted rate raises
 //! [`DriftVerdict::Violated`] immediately — within one window of the
 //! slowdown, not at end-of-run; a sustained monotone decline raises
 //! [`DriftVerdict::Degrading`] while the rate is still above the floor.
@@ -37,30 +37,21 @@ pub struct MetricsConfig {
     /// and cost one clock read per closure; the default keeps window
     /// closures far off the hot path.
     pub window: u64,
-    /// Violation threshold: a window with
-    /// `observed_hz < margin × predicted_hz` is a violation. 1.0 demands
-    /// the CTA rate exactly; deployments wanting headroom alarms set it
-    /// above 1.
-    pub margin: f64,
-    /// Consecutive strictly-declining windows (by more than
-    /// [`DEGRADE_EPSILON`] relative) that raise
-    /// [`DriftVerdict::Degrading`].
-    pub degrading_windows: u32,
 }
 
 impl Default for MetricsConfig {
     fn default() -> Self {
-        MetricsConfig {
-            window: 1 << 16,
-            margin: 1.0,
-            degrading_windows: 3,
-        }
+        MetricsConfig { window: 1 << 16 }
     }
 }
 
 /// Relative decline between consecutive windows below which the
 /// degradation streak resets (noise floor).
 pub const DEGRADE_EPSILON: f64 = 0.01;
+
+/// Consecutive strictly-declining windows (by more than [`DEGRADE_EPSILON`]
+/// relative) that raise [`DriftVerdict::Degrading`].
+const DEGRADING_WINDOWS: usize = 3;
 
 /// One worker's metric cell. Written by its owning worker with `Relaxed`
 /// atomics (single writer, so the counts are exact); readable from any
@@ -124,12 +115,12 @@ pub enum DriftVerdict {
     /// Every window met the CTA-predicted rate.
     Ok,
     /// No violation yet, but the observed rate declined monotonically over
-    /// the configured number of consecutive windows.
+    /// the last three windows.
     Degrading {
         /// The declining per-window rates (Hz), oldest first.
         rates_hz: Vec<f64>,
     },
-    /// A window fell below `margin × predicted_hz`.
+    /// A window fell below `predicted_hz`.
     Violated {
         /// Index of the first violating window.
         window: usize,
@@ -159,15 +150,12 @@ impl DriftVerdict {
     }
 }
 
-/// Judge one sink's window history against its predicted rate. An empty
-/// history is `Ok` — no evidence is not drift.
-pub fn drift_verdict(
-    windows: &[WindowObs],
-    predicted_hz: f64,
-    config: &MetricsConfig,
-) -> DriftVerdict {
+/// Judge one sink's window history against its predicted rate: the CTA
+/// rate is demanded exactly. An empty history is `Ok` — no evidence is not
+/// drift.
+pub fn drift_verdict(windows: &[WindowObs], predicted_hz: f64) -> DriftVerdict {
     for (i, w) in windows.iter().enumerate() {
-        if w.observed_hz < config.margin * predicted_hz {
+        if w.observed_hz < predicted_hz {
             return DriftVerdict::Violated {
                 window: i,
                 observed_hz: w.observed_hz,
@@ -175,9 +163,8 @@ pub fn drift_verdict(
             };
         }
     }
-    let need = config.degrading_windows.max(2) as usize;
-    if windows.len() >= need {
-        let tail = &windows[windows.len() - need..];
+    if windows.len() >= DEGRADING_WINDOWS {
+        let tail = &windows[windows.len() - DEGRADING_WINDOWS..];
         let declining = tail
             .windows(2)
             .all(|p| p[1].observed_hz < p[0].observed_hz * (1.0 - DEGRADE_EPSILON));
@@ -295,7 +282,7 @@ impl MetricsHub {
         let sink_reports: Vec<SinkMetrics> = sinks
             .iter()
             .map(|s| {
-                let v = drift_verdict(&s.windows, s.predicted_hz, &self.config);
+                let v = drift_verdict(&s.windows, s.predicted_hz);
                 verdict = verdict.clone().max(v.clone());
                 SinkMetrics {
                     sink: s.name.clone(),
@@ -478,8 +465,8 @@ impl MetricsReport {
         )
     }
 
-    /// The snapshot as a hand-rolled JSON document (the vendored serde is
-    /// a stub), for artifact upload and offline comparison.
+    /// The snapshot as a hand-rolled JSON document, for artifact upload and
+    /// offline comparison.
     pub fn summary_json(&self) -> String {
         let mut out = String::with_capacity(512);
         out.push_str("{\n");
@@ -565,10 +552,7 @@ mod tests {
     use super::*;
 
     fn cfg(window: u64) -> MetricsConfig {
-        MetricsConfig {
-            window,
-            ..MetricsConfig::default()
-        }
+        MetricsConfig { window }
     }
 
     #[test]
@@ -621,7 +605,6 @@ mod tests {
 
     #[test]
     fn drift_verdict_flags_a_slow_window_immediately() {
-        let config = cfg(100);
         let fast = WindowObs {
             samples: 100,
             dur_ns: 100,
@@ -632,9 +615,9 @@ mod tests {
             dur_ns: 1_000_000_000,
             observed_hz: 100.0,
         };
-        assert_eq!(drift_verdict(&[], 1000.0, &config), DriftVerdict::Ok);
-        assert_eq!(drift_verdict(&[fast], 1000.0, &config), DriftVerdict::Ok);
-        match drift_verdict(&[fast, slow], 1000.0, &config) {
+        assert_eq!(drift_verdict(&[], 1000.0), DriftVerdict::Ok);
+        assert_eq!(drift_verdict(&[fast], 1000.0), DriftVerdict::Ok);
+        match drift_verdict(&[fast, slow], 1000.0) {
             DriftVerdict::Violated {
                 window,
                 observed_hz,
@@ -650,11 +633,6 @@ mod tests {
 
     #[test]
     fn drift_verdict_reports_sustained_decline_as_degrading() {
-        let config = MetricsConfig {
-            window: 100,
-            margin: 1.0,
-            degrading_windows: 3,
-        };
         let w = |hz: f64| WindowObs {
             samples: 100,
             dur_ns: 100,
@@ -662,13 +640,13 @@ mod tests {
         };
         // Declining but still above predicted: Degrading, not Violated.
         let windows = [w(4000.0), w(3000.0), w(2000.0)];
-        match drift_verdict(&windows, 1000.0, &config) {
+        match drift_verdict(&windows, 1000.0) {
             DriftVerdict::Degrading { rates_hz } => assert_eq!(rates_hz.len(), 3),
             other => panic!("expected Degrading, got {other:?}"),
         }
         // Flat tail: Ok.
         let flat = [w(4000.0), w(4000.0), w(4000.0)];
-        assert_eq!(drift_verdict(&flat, 1000.0, &config), DriftVerdict::Ok);
+        assert_eq!(drift_verdict(&flat, 1000.0), DriftVerdict::Ok);
     }
 
     #[test]

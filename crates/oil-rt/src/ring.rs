@@ -13,7 +13,7 @@
 //! counters; the store is merely rounded up so indexing is a mask.
 //!
 //! Three things keep the two endpoints off each other's cache lines:
-//! `head`, `tail` and the two [`Waiter`]s each sit on a line of their own;
+//! `head`, `tail` and the two `Waiter`s each sit on a line of their own;
 //! each endpoint keeps its own index in its handle and a *cached* copy of
 //! the opposite one, so an uncongested `push`/`pop` touches the peer's line
 //! only when the cached view says full/empty; and a whole block moves with

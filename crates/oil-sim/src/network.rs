@@ -4,7 +4,6 @@ use crate::trace::{BufferTrace, ExecutionTrace};
 use oil_dataflow::define_index_type;
 use oil_dataflow::index::{Idx, IndexVec};
 use oil_dataflow::taskgraph::ports_satisfied;
-use serde::{Deserialize, Serialize};
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Simulation time in picoseconds.
@@ -33,7 +32,7 @@ define_index_type! {
 /// A bounded circular buffer in the simulated network. Tokens carry the
 /// timestamp of the source sample they originate from so end-to-end latency
 /// can be measured.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimBuffer {
     /// Buffer name (channel or `<instance>.<variable>`).
     pub name: String,
@@ -85,7 +84,7 @@ impl SimBuffer {
 }
 
 /// A task node of the simulated network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimNode {
     /// Node name (task or black-box instance).
     pub name: String,
@@ -105,7 +104,7 @@ pub struct SimNode {
 /// Multi-reader channels are realised as one destination buffer per reader;
 /// every tick delivers the sample to each destination (a broadcast, matching
 /// dataflow semantics where every reader sees every token).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimSource {
     /// Source name.
     pub name: String,
@@ -122,7 +121,7 @@ pub struct SimSource {
 }
 
 /// A time-triggered sink draining a buffer at a fixed period.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimSink {
     /// Sink name.
     pub name: String,
@@ -145,7 +144,7 @@ pub struct SimSink {
 }
 
 /// Configuration of a simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimulationConfig {
     /// Number of processors; nodes are assigned round-robin. `0` means one
     /// processor per node (fully parallel, the assumption of the CTA model).
@@ -164,7 +163,7 @@ impl Default for SimulationConfig {
 }
 
 /// The simulated network: buffers, task nodes, sources and sinks.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimNetwork {
     /// All buffers.
     pub buffers: IndexVec<SimBufferId, SimBuffer>,
@@ -177,7 +176,7 @@ pub struct SimNetwork {
 }
 
 /// Results of a simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimMetrics {
     /// Simulated time, in picoseconds.
     pub end_time: Picos,
@@ -371,7 +370,7 @@ impl SimNetwork {
     /// in the order given by `tick_order` — a permutation of
     /// `0..sources+sinks` where values `< sources` name source ticks and the
     /// rest name sink ticks. Because event ordering is structural
-    /// ([`EventKind::rank`]), the insertion order must not influence the
+    /// (`EventKind::rank`), the insertion order must not influence the
     /// trace; `tests/determinism.rs` pins that property.
     pub fn run_traced_with_tick_order(
         &mut self,

@@ -15,11 +15,10 @@
 
 use crate::network::Picos;
 pub use oil_dataflow::fnv::Fnv1a;
-use serde::{Deserialize, Serialize};
 
 /// Per-buffer token trace: the buffer's name and the origin timestamp of
 /// every token pushed into it, in push order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BufferTrace {
     /// Buffer name (channel, replicated `channel->reader`, or
     /// `<instance>.<variable>`).
@@ -30,7 +29,7 @@ pub struct BufferTrace {
 }
 
 /// The complete observable behaviour of one execution.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ExecutionTrace {
     /// Per-buffer token traces, in buffer-id order.
     pub buffers: Vec<BufferTrace>,

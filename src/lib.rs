@@ -5,7 +5,7 @@
 //! single `oil` package:
 //!
 //! * [`lang`] — lexer, parser, AST and semantic analysis of OIL programs.
-//! * [`dataflow`] — task graphs, SDF/CSDF/HSDF models and exact baseline
+//! * [`dataflow`] — task graphs, SDF/HSDF models and exact baseline
 //!   analyses.
 //! * [`cta`] — the Compositional Temporal Analysis model and its
 //!   polynomial-time algorithms (consistency, buffer sizing, latency checks).

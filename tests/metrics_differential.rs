@@ -28,10 +28,23 @@ use oil::rt::{
     SelfTimedConfig, StaticConfig,
 };
 use oil::sim::picos;
+use std::sync::{Mutex, MutexGuard};
 
 const WORKERS: [usize; 3] = [1, 2, 4];
 const MIN_ACCEPTED: usize = 8;
 const HORIZON_S: f64 = 0.05;
+
+/// Every test here that runs an engine holds this lock: a wall-clock
+/// verdict must not be judged while a sibling test's workers take the
+/// host's cores.
+static ENGINE_RUNS: Mutex<()> = Mutex::new(());
+
+fn engine_runs() -> MutexGuard<'static, ()> {
+    // The lock guards no data, so a failed holder leaves nothing to repair.
+    ENGINE_RUNS
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn compile_scenario(scenario: &ProgramScenario) -> Option<oil::compiler::CompiledProgram> {
     match compile(
@@ -103,6 +116,7 @@ fn assert_ok_verdict(seed: u64, what: &str, m: &oil::rt::MetricsReport, wall_s: 
 
 #[test]
 fn metered_runs_are_bit_identical_to_unmetered_on_all_engines() {
+    let _serial = engine_runs();
     let metrics = Some(MetricsConfig::default());
     let mut accepted = 0usize;
     for seed in 0..24u64 {
@@ -233,6 +247,7 @@ fn skewed_model() -> KernelCostModel {
 
 #[test]
 fn skewed_cost_model_shifts_the_partition_and_never_the_values() {
+    let _serial = engine_runs();
     let compiled = compile(CHAIN, &chain_registry(), &CompilerOptions::default())
         .expect("chain program compiles");
     let graph = rtgraph::lower(&compiled);
@@ -364,8 +379,13 @@ fn busy_kernel(micros: u64) -> Kernel {
     }))
 }
 
+/// The control run's horizon: exactly three control windows of the 100 kHz
+/// source (12 288 samples), so no short tail window is judged.
+const CONTROL_HORIZON_S: f64 = 0.12288;
+
 #[test]
 fn drift_detector_flags_injected_slowdown_within_one_window() {
+    let _serial = engine_runs();
     let compiled = compile(
         DRIFT_PROGRAM,
         &drift_registry(),
@@ -374,10 +394,7 @@ fn drift_detector_flags_injected_slowdown_within_one_window() {
     .expect("drift program compiles");
     let graph = rtgraph::lower(&compiled);
     let plan = rtgraph::plan(&graph);
-    let metrics = MetricsConfig {
-        window: 128,
-        ..MetricsConfig::default()
-    };
+    let metrics = MetricsConfig { window: 128 };
 
     // The sink is predicted at 100 kHz; a kernel pinned at ≥50 µs/firing
     // caps the observed rate at ≤20 kHz — a 5x slowdown.
@@ -418,22 +435,33 @@ fn drift_detector_flags_injected_slowdown_within_one_window() {
         ),
     }
 
-    // Control: the same program with its normal (fast) kernels and the
-    // same small window stays clean when it beats real time.
+    // Control: the same program with its normal (fast) kernels stays clean
+    // when it beats real time. Its windows are 4096 samples (≈41 ms of
+    // budget each), so one scheduler preemption cannot fake a violation the
+    // way it could in a 128-sample (1.28 ms) window.
     let report = execute_selftimed(
         &graph,
         &plan,
         &KernelLibrary::new(),
-        picos(0.01),
+        picos(CONTROL_HORIZON_S),
         &SelfTimedConfig {
             threads: 1,
             warmup_samples: 4,
-            metrics: Some(metrics),
+            metrics: Some(MetricsConfig { window: 4096 }),
             ..SelfTimedConfig::default()
         },
     );
     let m = report.metrics.expect("metrics were enabled");
-    if report.wall.as_secs_f64() <= 0.01 {
+    assert_eq!(
+        m.sinks[0]
+            .windows
+            .iter()
+            .map(|w| w.samples)
+            .collect::<Vec<_>>(),
+        [4096; 3],
+        "the control horizon must close exactly three full windows"
+    );
+    if report.wall.as_secs_f64() <= CONTROL_HORIZON_S {
         assert!(
             !matches!(m.verdict, DriftVerdict::Violated { .. }),
             "untampered control run must not violate: {}",

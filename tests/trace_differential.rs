@@ -8,7 +8,7 @@
 //!    streams, sink samples and firing counts with tracing on and off.
 //!    Tracing enabled may *record* more; it must never *change* anything.
 //! 2. **Chrome schema** — the Perfetto export is well-formed JSON (parsed
-//!    by a hand-rolled reader, no serde) whose events all carry
+//!    by a hand-rolled reader) whose events all carry
 //!    `pid`/`tid`/`ts` (and `dur` for `"X"` spans) and whose spans form a
 //!    proper stack per track: two spans on one track are either disjoint
 //!    or one contains the other. Perfetto renders overlapping non-nested
@@ -277,8 +277,8 @@ fn assert_rings_within(seed: u64, engine: &str, threads: usize, tr: Option<&Trac
 }
 
 // ---------------------------------------------------------------------------
-// Chrome trace-event schema: a minimal hand-rolled JSON reader (the runtime
-// deliberately has no serde) and a per-track span-stack validator.
+// Chrome trace-event schema: a minimal hand-rolled JSON reader and a
+// per-track span-stack validator.
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone, PartialEq)]
