@@ -93,7 +93,7 @@ struct Context<'a> {
 /// remaining plain-step list where the head's whole-period inputs from
 /// this worker have accumulated — deferring the chain units' earlier
 /// firings and hoisting their later ones — and the plain steps the folded
-/// firings used to separate coalesce (a source feeding two chains becomes
+/// firings used to separate coalesce (a node feeding two chains becomes
 /// one whole-period step). Per-unit firing order and per-buffer push/pop
 /// value order are unchanged, so every value stream is bit-identical; the
 /// reorder is visible solely through token levels and through *when* a

@@ -39,7 +39,9 @@ impl ModeDependentRates {
             rates.modal[m] = reps[modal];
             for (u, unit) in units.iter().enumerate() {
                 match unit.kind {
-                    UnitKind::Source(id) => rates.sources[m][id.index()] = reps[u],
+                    // One unit per source: a mode-dependent table never
+                    // splits a source into replicas.
+                    UnitKind::Source { source, .. } => rates.sources[m][source.index()] = reps[u],
                     UnitKind::Sink(id) => rates.sinks[m][id.index()] = reps[u],
                     _ => {}
                 }

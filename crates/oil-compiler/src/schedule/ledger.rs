@@ -98,9 +98,9 @@ pub(super) fn row_access(
     units
         .iter()
         .map(|u| match &u.kind {
-            UnitKind::Source(id) => UnitAccess {
+            kind @ UnitKind::Source { .. } => UnitAccess {
                 reads: Vec::new(),
-                writes: graph.sources[*id].outputs.iter().map(|&b| (b, 1)).collect(),
+                writes: kind.source_outputs(graph).iter().map(|&b| (b, 1)).collect(),
             },
             UnitKind::Sink(id) => UnitAccess {
                 reads: vec![(graph.sinks[*id].input, 1)],

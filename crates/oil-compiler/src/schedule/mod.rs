@@ -37,7 +37,10 @@
 //!    re-proves admission across every (mode, mode') seam by exact integer
 //!    replay. Clusters outside that shape are rejected
 //!    ([`ScheduleError::NonUniformCluster`]) and the caller falls back to
-//!    the self-timed engine. Sources and sinks are units of their own.
+//!    the self-timed engine. Sources and sinks are units of their own; a
+//!    source read by `k` readers is `k` units, one per replica buffer
+//!    ([`UnitKind::Source`]), so chains that share only a source are
+//!    components of their own.
 //! 2. **Repetition vector.** The SDF view over units (collapsing makes
 //!    every buffer single-producer/single-consumer) yields the per-unit
 //!    firing counts `q` of one graph iteration, per weakly-connected

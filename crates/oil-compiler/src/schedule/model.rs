@@ -224,9 +224,20 @@ pub enum UnitKind {
         /// All members, ascending by node id; arm `k` fires `members[k]`.
         members: Vec<RtNodeId>,
     },
-    /// A time-triggered source (one sample per firing, broadcast to every
-    /// replica buffer).
-    Source(RtSourceId),
+    /// A time-triggered source (one sample per firing). Sources are pure
+    /// sequences — sample `n` is a function of `n` alone — so a source read
+    /// by `k` readers is `k` units, one per replica buffer, each generating
+    /// the same stream on its own: the readers' chains share no unit and
+    /// become components of their own. A source with one output, and every
+    /// source of a mode-dependent schedule (whose per-mode tables count
+    /// tokens per source), is one unit writing all its replica buffers.
+    Source {
+        /// The source this unit generates.
+        source: RtSourceId,
+        /// The one replica buffer this unit writes; `None`: it writes every
+        /// replica buffer of the source.
+        replica: Option<RtBufferId>,
+    },
     /// A sink (one value drained per firing).
     Sink(RtSinkId),
 }
@@ -246,7 +257,20 @@ impl UnitKind {
             ) => std::slice::from_ref(id),
             (UnitKind::Modal { members }, Some(k)) => &members[k..=k],
             (UnitKind::Modal { members }, None) => members,
-            (UnitKind::Source(_) | UnitKind::Sink(_), _) => &[],
+            (UnitKind::Source { .. } | UnitKind::Sink(_), _) => &[],
+        }
+    }
+
+    /// The buffers a firing of a source unit writes one sample to: its
+    /// replica, or every replica buffer of its source (none for the other
+    /// kinds).
+    pub fn source_outputs<'a>(&'a self, graph: &'a RtGraph) -> &'a [RtBufferId] {
+        match self {
+            UnitKind::Source {
+                replica: Some(b), ..
+            } => std::slice::from_ref(b),
+            UnitKind::Source { source, .. } => &graph.sources[*source].outputs,
+            _ => &[],
         }
     }
 }
@@ -576,18 +600,6 @@ impl StaticSchedule {
         self.period.iter().map(|s| s.times as u64).sum()
     }
 
-    /// Tokens one period moves over [`Self::cross_buffers`]: what the
-    /// workers hand each other per iteration (the top-level period's flow;
-    /// mode 0's for a mode-dependent schedule).
-    pub fn cross_tokens_per_period(&self, graph: &RtGraph) -> u64 {
-        let access = row_access(graph, &self.units, None);
-        let produced = |b: RtBufferId| {
-            let p = self.producer_unit[b].expect("a crossing buffer has a producer") as usize;
-            self.units[p].repetitions * port(&access[p].writes, b) as u64
-        };
-        self.cross_buffers.iter().map(|&b| produced(b)).sum()
-    }
-
     /// Iterations each component must execute so that the periodic replay
     /// *covers* a data-driven (self-timed) execution with the given source
     /// sample budgets: enough that every unit fires at least as often as
@@ -599,7 +611,8 @@ impl StaticSchedule {
     /// budgets alone is not enough. This computes the exact maximal firing
     /// counts `N[u]` as the greatest fixpoint of
     /// `N[u] = min_b ⌊(initial(b) + prod(b)·N[producer(b)]) / cons(b)⌋`
-    /// seeded with `N[source] = budget`, then takes
+    /// seeded with `N[source] = budget` (every replica unit of a source
+    /// gets the source's budget), then takes
     /// `max_u ⌈N[u] / q[u]⌉` per component. Units a budget constraint never
     /// reaches (source-free cycles, which a data-driven engine would spin
     /// on forever) contribute nothing; a component with no bounded units
@@ -615,7 +628,7 @@ impl StaticSchedule {
             .units
             .iter()
             .map(|u| match u.kind {
-                UnitKind::Source(id) => budget(id) as u128,
+                UnitKind::Source { source, .. } => budget(source) as u128,
                 _ => UNBOUNDED,
             })
             .collect();
@@ -626,7 +639,7 @@ impl StaticSchedule {
         for _pass in 0..self.units.len().max(1) * 64 {
             let mut changed = false;
             for (u, a) in access.iter().enumerate() {
-                if matches!(self.units[u].kind, UnitKind::Source(_)) {
+                if matches!(self.units[u].kind, UnitKind::Source { .. }) {
                     continue;
                 }
                 let mut bound = UNBOUNDED;
@@ -682,7 +695,12 @@ impl StaticSchedule {
                     let ids = std::iter::once(representative).chain(members);
                     (1, ids.map(|m| m.index()).collect())
                 }
-                UnitKind::Source(id) => (2, vec![id.index()]),
+                // A replica also mixes in its buffer; a source that is one
+                // unit digests as it did before sources had replicas.
+                UnitKind::Source { source, replica } => {
+                    let ids = std::iter::once(source.index()).chain(replica.map(|b| b.index()));
+                    (2, ids.collect())
+                }
                 UnitKind::Sink(id) => (3, vec![id.index()]),
                 UnitKind::Modal { members } => (4, members.iter().map(|m| m.index()).collect()),
             };

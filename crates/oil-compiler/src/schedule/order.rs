@@ -16,6 +16,10 @@ pub(super) type UnitOf = IndexVec<RtBufferId, Option<u32>>;
 /// Step 1 of synthesis: the scheduling units of a graph, in the self-timed
 /// engine's unit order (clusters at their first member, then sources, then
 /// sinks). `modal` marks which cluster becomes the modal unit.
+///
+/// A source with several replica buffers is one unit per buffer (see
+/// [`UnitKind::Source`]), consecutive in output order — except under a
+/// mode-dependent cluster, whose per-mode rates count tokens per source.
 pub(super) fn build_units(
     graph: &RtGraph,
     plan: &RtPlan,
@@ -45,7 +49,14 @@ pub(super) fn build_units(
             None => UnitKind::Node(ni),
         });
     }
-    kinds.extend(graph.sources.indices().map(UnitKind::Source));
+    let split = !modal.is_some_and(|m| m.mode_dependent);
+    for (source, s) in graph.sources.iter_enumerated() {
+        let replicas: Vec<Option<RtBufferId>> = match split && s.outputs.len() > 1 {
+            true => s.outputs.iter().copied().map(Some).collect(),
+            false => vec![None],
+        };
+        kinds.extend((replicas.into_iter()).map(|replica| UnitKind::Source { source, replica }));
+    }
     kinds.extend(graph.sinks.indices().map(UnitKind::Sink));
     kinds
         .into_iter()

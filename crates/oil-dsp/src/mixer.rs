@@ -63,7 +63,33 @@ impl Mixer {
 
     /// Mix a block of samples.
     pub fn process(&mut self, input: &[Sample]) -> Vec<Sample> {
-        input.iter().map(|&x| self.push(x)).collect()
+        let mut out = Vec::with_capacity(input.len());
+        self.process_into(input, &mut out);
+        out
+    }
+
+    /// Mix a block of samples onto `out` — bit-identical to a [`Self::push`]
+    /// loop. With a table the block walks it in runs between wraps, each
+    /// run one `x * lo * 2.0` pass over two slices; the table-less
+    /// oscillator mixes sample by sample.
+    pub fn process_into(&mut self, input: &[Sample], out: &mut Vec<Sample>) {
+        out.reserve(input.len());
+        if self.table.is_empty() {
+            out.extend(input.iter().map(|&x| self.push(x)));
+            return;
+        }
+        let mut rest = input;
+        while !rest.is_empty() {
+            let table = &self.table[self.idx..self.table.len().min(self.idx + rest.len())];
+            let (run, tail) = rest.split_at(table.len());
+            out.extend(run.iter().zip(table).map(|(&x, &lo)| x * lo * 2.0));
+            self.idx += table.len();
+            if self.idx == self.table.len() {
+                self.idx = 0;
+            }
+            rest = tail;
+        }
+        self.n += input.len() as u64;
     }
 
     /// Reset the oscillator phase.
@@ -111,6 +137,48 @@ mod tests {
         m.reset();
         let b = m.push(1.0);
         assert_eq!(a, b);
+    }
+
+    /// A `push` loop over `input`, the reference the block path must match
+    /// bit for bit.
+    fn pushed(m: &mut Mixer, input: &[f64]) -> Vec<u64> {
+        input.iter().map(|&x| m.push(x).to_bits()).collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn block_mixing_matches_push_across_wraps_splits_and_resets() {
+        // 2 MHz at 6.4 MS/s: a 16-sample period repeated into a table the
+        // blocks below wrap several times.
+        let table = Mixer::new(2.0e6, 6.4e6);
+        assert!(!table.table.is_empty());
+        // An irrational LO has no exact period: the per-sample path.
+        let table_less = Mixer::new(1_000.0 * PI, 48_000.0);
+        assert!(table_less.table.is_empty());
+        let input: Vec<f64> = (0..3 * table.table.len() + 17)
+            .map(|n| ((n * 7919) % 211) as f64 / 97.0 - 1.0)
+            .collect();
+        for mixer in [table, table_less] {
+            let want = pushed(&mut mixer.clone(), &input);
+            for split in [1, 3, 16, 1000, 1024, 1025, input.len()] {
+                let mut by_block = mixer.clone();
+                let mut got = Vec::new();
+                for chunk in input.chunks(split) {
+                    by_block.process_into(chunk, &mut got);
+                }
+                assert_eq!(bits(&got), want, "split {split}");
+                // The phase after a block is the phase after the pushes.
+                let mut by_push = mixer.clone();
+                pushed(&mut by_push, &input);
+                assert_eq!(by_block, by_push, "split {split}");
+                by_block.reset();
+                let again = bits(&by_block.process(&input[..split.min(input.len())]));
+                assert_eq!(again, want[..again.len()], "split {split} after reset");
+            }
+        }
     }
 
     #[test]

@@ -85,7 +85,7 @@ impl Kernel {
             Kernel::Fir(f) => f.process_block_into(inputs, out),
             Kernel::Decimate(d) => d.process_into(inputs, out),
             Kernel::Resample(r) => r.process_into(inputs, out),
-            Kernel::Mix(m) => out.extend(inputs.iter().map(|&x| m.push(x))),
+            Kernel::Mix(m) => m.process_into(inputs, out),
             Kernel::Custom(f) => out.extend(f(inputs, out_len)),
         }
         match (out.len() - start).cmp(&out_len) {
@@ -147,9 +147,7 @@ impl Kernel {
             Kernel::Fir(f) if in_len == out_len => {
                 f.process_block_into(inputs, out);
             }
-            Kernel::Mix(m) if in_len == out_len => {
-                out.extend(inputs.iter().map(|&x| m.push(x)));
-            }
+            Kernel::Mix(m) if in_len == out_len => m.process_into(inputs, out),
             // An aligned decimator consuming whole windows per firing emits
             // exactly `out_len` per chunk, so the concatenation is the
             // per-firing result; the block path runs every window of the run

@@ -119,7 +119,10 @@ pub struct StaticReport {
     /// dynamic engines' deterministic tie-break; modal arms report the
     /// firings the mode script actually dispatched to them.
     pub node_firings: Vec<(String, u64)>,
-    /// Per source: (name, samples generated).
+    /// Per source: (name, samples generated). A source split into one
+    /// unit per replica buffer reports the maximum over its replicas; each
+    /// replica covers the sample budget, rounded up to whole iterations of
+    /// its own component.
     pub sources: Vec<(String, u64)>,
     /// Total tokens pushed across all buffers (including dropped commits to
     /// unread buffers), the same currency as the other engines' reports.
@@ -1219,15 +1222,21 @@ pub fn execute_staticsched_scripted(
                 let state = node_state(*id, ports(&n.reads), ports(&n.writes));
                 push(state, &|| unit_label(graph, members.iter().copied(), false));
             }
-            UnitKind::Source(id) => {
-                let s = &graph.sources[*id];
+            // One generator per unit: a replica regenerates the source's
+            // pure sequence for its own buffer.
+            UnitKind::Source { source, replica } => {
+                let s = &graph.sources[*source];
+                let outputs = unit.kind.source_outputs(graph);
                 let state = UnitState::Source {
-                    source: id.index(),
+                    source: source.index(),
                     kernel: lib.instantiate_source(&s.function),
-                    outputs: s.outputs.iter().map(|b| b.index()).collect(),
+                    outputs: outputs.iter().map(|b| b.index()).collect(),
                     generated: 0,
                 };
-                push(state, &|| s.name.clone());
+                push(state, &|| match replica {
+                    Some(b) => format!("{}[{}]", s.name, graph.buffers[*b].name),
+                    None => s.name.clone(),
+                });
             }
             UnitKind::Sink(id) => {
                 let s = &graph.sinks[*id];
@@ -1467,7 +1476,10 @@ pub fn execute_staticsched_scripted(
                 UnitState::Node { node, fired, .. } => node_firings[node].1 = fired,
                 UnitState::Source {
                     source, generated, ..
-                } => source_samples[source].1 = generated,
+                } => {
+                    let samples = &mut source_samples[source].1;
+                    *samples = (*samples).max(generated);
+                }
                 UnitState::Sink {
                     sink,
                     consumed,

@@ -33,7 +33,7 @@
 use oil::compiler::rtgraph;
 use oil::compiler::schedule::{
     collapse_modal, modal_admission, synthesize, ModeScript, ScheduleError, StaticSchedule,
-    SynthesisConfig,
+    SynthesisConfig, UnitKind,
 };
 use oil::gen::{ModalScenario, ModeDependentScenario};
 use oil::rt::{
@@ -552,6 +552,73 @@ fn mode_dependent_static_replay_matches_scripted_selftimed() {
         seam_crossings > 0,
         "no script ever crossed a mode seam — the differential would be vacuous"
     );
+}
+
+#[test]
+fn a_mode_dependent_fan_out_source_stays_one_unit() {
+    // Sources split into one unit per reader everywhere except under a
+    // mode-dependent cluster: its per-mode rates and the self-timed
+    // engine's source caps count tokens per source, and replicas in
+    // different components would need different counts. A second reader of
+    // arm 0's source (a sink tapping it at the source's own rate) leaves
+    // the source one unit, and the static replay still matches the
+    // scripted self-timed engine.
+    let mut tapped_samples = 0;
+    for seed in 0..4 {
+        let mut scenario = ModeDependentScenario::generate(seed);
+        let graph = &mut scenario.graph;
+        let tapped = (graph.sources.indices())
+            .find(|&s| graph.sources[s].name == "s0")
+            .expect("arm 0 has a source");
+        let tap = graph.buffers.push(rtgraph::RtBuffer {
+            name: "tap".into(),
+            capacity: 4,
+            initial_tokens: 0,
+        });
+        graph.sources[tapped].outputs.push(tap);
+        graph.sinks.push(rtgraph::RtSink {
+            name: "tap_sink".into(),
+            function: "snk".into(),
+            input: tap,
+            period: graph.sources[tapped].period,
+        });
+        let graph = &scenario.graph;
+        let plan = rtgraph::plan(graph);
+        let one_each: Vec<_> = graph.sources.indices().map(|s| (s, None)).collect();
+        let mut schedules = Vec::new();
+        for w in WORKERS {
+            for fuse in [true, false] {
+                let schedule = synthesize(graph, &plan, w, &fusion(fuse))
+                    .unwrap_or_else(|e| panic!("seed {seed}: synthesis at {w} workers: {e}"));
+                let modes = schedule.modes.as_ref().expect("modal");
+                assert!(modes.dependent.is_some(), "seed {seed}");
+                let sources = schedule.units.iter().filter_map(|u| match u.kind {
+                    UnitKind::Source { source, replica } => Some((source, replica)),
+                    _ => None,
+                });
+                assert_eq!(sources.collect::<Vec<_>>(), one_each, "seed {seed}");
+                schedules.push((w, fuse, schedule));
+            }
+        }
+        for script in scenario.adversarial_scripts() {
+            let reference = scripted_selftimed_run(graph, &plan, &script);
+            assert!(!reference.deadlocked, "seed {seed} under {script:?}");
+            for (w, fuse, schedule) in &schedules {
+                let report = scripted_static_run(graph, schedule, &script);
+                let at = format!("seed {seed} at {w} worker(s), fusion={fuse}, under {script:?}");
+                if let Some(d) = reference.values.prefix_divergence(&report.values) {
+                    panic!("{at}: {d}");
+                }
+                for (dy, st) in reference.sinks.iter().zip(&report.sinks) {
+                    let shared = dy.values.len().min(st.values.len());
+                    assert_eq!(dy.values[..shared], st.values[..shared], "{at}");
+                }
+                assert_eq!(report.sources, reference.sources, "{at}");
+                tapped_samples += report.sink_values("tap_sink").map_or(0, <[f64]>::len);
+            }
+        }
+    }
+    assert!(tapped_samples > 0, "the tap never drained a sample");
 }
 
 #[test]

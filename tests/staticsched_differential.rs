@@ -46,10 +46,12 @@ use oil::compiler::schedule::{
     WorkItem,
 };
 use oil::compiler::{compile, rtgraph, CompileError, CompilerOptions};
+use oil::dataflow::Rational;
 use oil::gen::ProgramScenario;
+use oil::lang::registry::{FunctionRegistry, FunctionSignature};
 use oil::rt::{
-    execute_selftimed, execute_staticsched, measure, ConformanceVerdict, KernelLibrary,
-    SelfTimedConfig, StaticConfig, StaticReport,
+    execute, execute_selftimed, execute_staticsched, measure, ConformanceVerdict, KernelLibrary,
+    RtConfig, SelfTimedConfig, StaticConfig, StaticReport,
 };
 use oil::sim::picos;
 
@@ -121,6 +123,36 @@ fn static_run(
             ..StaticConfig::default()
         },
     )
+}
+
+/// A source read by two readers whose chains meet again: `x -> A`,
+/// `x -> B`, `A, B -> C -> E -> y`. Both replicas of `x` stay in one
+/// component. `A` is the heavy kernel, so two workers cut the chain
+/// `A -> C`: a whole period of `ma` (8 tokens, twice its capacity) crosses,
+/// and `B`'s run feeds `C`'s on the second worker.
+const FAN_OUT: &str = r#"
+    mod seq A(int a, out int m){ loop{ f(a, out m); } while(1); }
+    mod seq B(int a, out int m){ loop{ g(a, out m); } while(1); }
+    mod seq C(int m, int n, out int c){ loop{ h(m, n, out c); } while(1); }
+    mod seq E(int c, out int o){ loop{ k(c:8, out o); } while(1); }
+    mod par D(){
+        fifo int ma, mb, mc;
+        source int x = src() @ 8 kHz;
+        sink int y = snk() @ 1 kHz;
+        A(x, out ma) || B(x, out mb) || C(ma, mb, out mc) || E(mc, out y)
+    }
+"#;
+
+fn fan_out_graph() -> rtgraph::RtGraph {
+    let mut registry = FunctionRegistry::new();
+    for (f, response) in [("f", 4e-5), ("g", 1e-5), ("h", 1e-5), ("k", 1e-5)] {
+        registry.register(FunctionSignature::pure(f, response));
+    }
+    for f in ["src", "snk"] {
+        registry.register(FunctionSignature::pure(f, 1e-5));
+    }
+    let compiled = compile(FAN_OUT, &registry, &CompilerOptions::default()).expect("FAN_OUT");
+    rtgraph::lower(&compiled)
 }
 
 /// The corpus plus the SDR slice, as (label, scenario) pairs.
@@ -271,14 +303,10 @@ fn synthesized_schedules_satisfy_the_admission_property() {
                         index(&graph.nodes[*id].reads),
                         index(&graph.nodes[*id].writes),
                     ),
-                    UnitKind::Source(id) => (
-                        Vec::new(),
-                        graph.sources[*id]
-                            .outputs
-                            .iter()
-                            .map(|&b| (b.index(), 1))
-                            .collect(),
-                    ),
+                    kind @ UnitKind::Source { .. } => {
+                        let writes = kind.source_outputs(&graph).iter();
+                        (Vec::new(), writes.map(|&b| (b.index(), 1)).collect())
+                    }
                     UnitKind::Sink(id) => (vec![(graph.sinks[*id].input.index(), 1)], Vec::new()),
                     UnitKind::Modal { members } => {
                         // Union-advance: every member's aggregated reads
@@ -683,6 +711,12 @@ fn period_of(s: &mut StaticSchedule, dependent: bool) -> &mut Vec<Step> {
 fn the_admission_proof_rejects_every_minimal_corruption() {
     let (compiled, _) = oil::pal::analyze_pal().expect("the PAL decoder is schedulable");
     let pal = rtgraph::lower_with_registry(&compiled, &oil::pal::pal_registry());
+    // PAL's chains are components of their own, each one run through
+    // scratch: nothing of it crosses at two workers, and at one no ring is
+    // left to size. The fan-out program is one component: at one worker
+    // its runs hand `ma` and `mb` over through rings, and a second worker
+    // cuts the chain `A -> C`.
+    let fan_out = fan_out_graph();
     let modal = oil::gen::ModalScenario::generate(0).graph;
     let dependent = oil::gen::ModeDependentScenario::generate(0).graph;
     let synth = |graph: &rtgraph::RtGraph, workers: usize| {
@@ -690,19 +724,22 @@ fn the_admission_proof_rejects_every_minimal_corruption() {
     };
     // One admitted schedule of each shape.
     let subjects = [
-        ("uniform fused 1w", &pal, synth(&pal, 1)),
-        ("uniform split 2w", &pal, synth(&pal, 2)),
+        ("PAL fused 1w", &pal, synth(&pal, 1)),
+        ("uniform fused 1w", &fan_out, synth(&fan_out, 1)),
+        ("uniform split 2w", &fan_out, synth(&fan_out, 2)),
         ("union-advance modal", &modal, synth(&modal, 2)),
         ("mode-dependent", &dependent, synth(&dependent, 2)),
     ];
-    assert!(subjects[0].2.fusion.runs_fused > 0 && subjects[0].2.cross_buffers.is_empty());
-    assert!(!subjects[1].2.cross_buffers.is_empty());
-    assert!(subjects[2]
+    for (_, _, s) in &subjects[..2] {
+        assert!(s.fusion.runs_fused > 0 && s.cross_buffers.is_empty());
+    }
+    assert!(!subjects[2].2.cross_buffers.is_empty());
+    assert!(subjects[3]
         .2
         .modes
         .as_ref()
         .is_some_and(|m| m.dependent.is_none()));
-    assert!(subjects[3]
+    assert!(subjects[4]
         .2
         .modes
         .as_ref()
@@ -751,8 +788,8 @@ fn the_admission_proof_rejects_every_minimal_corruption() {
         }
     }
 
-    // Fused-list corruptions, on the single-worker PAL schedule.
-    let (shape, graph, s) = &subjects[0];
+    // Fused-list corruptions, on the single-worker fan-out schedule.
+    let (shape, graph, s) = &subjects[1];
     let (at, link) = s.fused_workers[0]
         .iter()
         .enumerate()
@@ -760,7 +797,7 @@ fn the_admission_proof_rejects_every_minimal_corruption() {
             WorkItem::Fused(run) => Some((at, run.links[0])),
             _ => None,
         })
-        .expect("PAL@1w fuses");
+        .expect("fan-out@1w fuses");
     let other = oil::compiler::RtBufferId::new((link.index() + 1) % graph.buffers.len());
     assert_rejected(
         &format!("{shape}: retargeted fused link"),
@@ -795,9 +832,9 @@ fn the_admission_proof_rejects_every_minimal_corruption() {
     }
     assert!(lowered > 0, "{shape}: no level bound is load-bearing");
 
-    // Corruptions of the cooperative proof, on the split PAL schedule: what
+    // Corruptions of the cooperative proof, on the split schedule: what
     // one worker does to a crossing ring is another worker's business.
-    let (shape, graph, s) = &subjects[1];
+    let (shape, graph, s) = &subjects[2];
     let name = |b: oil::compiler::RtBufferId| graph.buffers[b].name.clone();
     let crossing = s.cross_buffers[0];
     // One slot short on a crossing ring: the producer's whole-period block
@@ -810,14 +847,18 @@ fn the_admission_proof_rejects_every_minimal_corruption() {
         |t| t.level_max[crossing] -= 1,
         &format!("overflows buffer `{}`", name(crossing)),
     );
-    // Two items of a worker's list swapped: the run now ahead of the step
+    // Two items of a worker's list swapped: the run now ahead of the item
     // that feeds it waits for tokens that only come after it.
     let (w, at, starved) = (s.fused_workers.iter().enumerate())
         .find_map(|(w, items)| {
             let fed = |at: usize| match (&items[at], &items[at + 1]) {
-                (WorkItem::Step(step), WorkItem::Fused(run)) => {
+                (feeder, WorkItem::Fused(run)) => {
+                    let tail = match feeder {
+                        WorkItem::Step(step) => step.unit,
+                        WorkItem::Fused(feeder) => feeder.stages[feeder.stages.len() - 1].unit,
+                    };
                     (graph.buffers.indices()).find(|&b| {
-                        s.producer_unit[b] == Some(step.unit)
+                        s.producer_unit[b] == Some(tail)
                             && s.consumer_unit[b] == Some(run.stages[0].unit)
                     })
                 }
@@ -825,7 +866,7 @@ fn the_admission_proof_rejects_every_minimal_corruption() {
             };
             (0..items.len().saturating_sub(1)).find_map(|at| Some((w, at, fed(at)?)))
         })
-        .expect("PAL@2w: a step feeding the run after it");
+        .expect("fan-out@2w: an item feeding the run after it");
     assert_rejected(
         &format!("{shape}: reordered worker items"),
         graph,
@@ -840,7 +881,7 @@ fn the_admission_proof_rejects_every_minimal_corruption() {
             let run = |i: &WorkItem| matches!(i, WorkItem::Fused(_));
             Some((w, items.iter().position(run)?))
         })
-        .expect("PAL@2w fuses up to the cut");
+        .expect("fan-out@2w fuses up to the cut");
     assert_rejected(
         &format!("{shape}: crossing fused link"),
         graph,
@@ -854,7 +895,7 @@ fn the_admission_proof_rejects_every_minimal_corruption() {
     );
 
     // Per-mode table corruptions, on the mode-dependent schedule.
-    let (shape, graph, s) = &subjects[3];
+    let (shape, graph, s) = &subjects[4];
     let arms = s.modes.as_ref().expect("modal").arms.len();
     let dropped = {
         let mut probe = (*s).clone();
@@ -1099,19 +1140,33 @@ fn pal_fusion_collapses_the_pipelines_without_changing_a_bit() {
                 fused.fusion
             );
         }
-        if workers == 2 {
-            // The cut falls between the audio and the video branch: one
-            // buffer crosses (the video replica of the RF source), one
-            // period's worth of it per period, and fusion runs up to the
-            // cut on both sides.
-            assert_eq!(fused.cross_buffers.len(), 1, "{:?}", fused.cross_buffers);
-            let crossing = fused.cross_tokens_per_period(&graph);
-            assert!(
-                crossing <= 400,
-                "PAL@2w hands {crossing} tokens across per period"
-            );
-            for (w, items) in fused.fused_workers.iter().enumerate() {
-                assert!(items.len() <= 8, "PAL@2w worker {w}: {} items", items.len());
+        if workers <= 2 {
+            // The RF source is one unit per reader, so the audio and the
+            // video chain are components of their own, and each runs as
+            // one batched whole-component run headed by its source
+            // replica: both on one worker, one on each of two, with no
+            // buffer crossing.
+            assert!(fused.cross_buffers.is_empty(), "{:?}", fused.cross_buffers);
+            assert_eq!(fused.components, 2);
+            let lists = &fused.fused_workers;
+            let placed = lists.iter().all(|items| !items.is_empty());
+            assert!(placed && lists.iter().flatten().count() == 2, "{lists:?}");
+            for item in lists.iter().flatten() {
+                let WorkItem::Fused(run) = item else {
+                    panic!("PAL@{workers}w: a plain step {item:?}");
+                };
+                let head = &fused.units[run.stages[0].unit as usize].kind;
+                assert!(run.batch, "PAL@{workers}w: {run:?} is not batched");
+                assert!(
+                    matches!(
+                        head,
+                        UnitKind::Source {
+                            replica: Some(_),
+                            ..
+                        }
+                    ),
+                    "PAL@{workers}w: {run:?} is headed by {head:?}"
+                );
             }
         }
         let run = |s: &StaticSchedule| {
@@ -1141,6 +1196,91 @@ fn pal_fusion_collapses_the_pipelines_without_changing_a_bit() {
         for (fa, fb) in a.sinks.iter().zip(&b.sinks) {
             assert_eq!(fa.consumed, fb.consumed, "workers={workers}");
             assert_eq!(fa.values, fb.values, "workers={workers}");
+        }
+    }
+}
+
+/// The replica buffers of every source split into one unit per reader, in
+/// unit order (`None` for a source that stayed one unit).
+fn replica_units(s: &StaticSchedule) -> Vec<Option<oil::compiler::RtBufferId>> {
+    let replica = |kind: &UnitKind| match kind {
+        UnitKind::Source { replica, .. } => Some(*replica),
+        _ => None,
+    };
+    s.units.iter().filter_map(|u| replica(&u.kind)).collect()
+}
+
+#[test]
+fn source_replicas_replay_the_reference_prefix() {
+    // A source with several readers is one unit per reader, each
+    // regenerating the source's pure sequence for its own buffer. PAL's
+    // readers become components of their own; the fan-out program's meet
+    // again, so its replicas share one component. Either way every stream
+    // must be the reference interpreter's, at one and two workers, fusion
+    // on and off.
+    let (compiled, _) = oil::pal::analyze_pal().expect("the PAL decoder is schedulable");
+    let pal = rtgraph::lower_with_registry(&compiled, &oil::pal::pal_registry());
+    let fan_out = fan_out_graph();
+    let subjects = [
+        ("PAL", &pal, KernelLibrary::pal(), Rational::new(1, 1000), 2),
+        (
+            "fan-out",
+            &fan_out,
+            KernelLibrary::new(),
+            Rational::new(1, 10),
+            1,
+        ),
+    ];
+    for (label, graph, lib, horizon, components) in &subjects {
+        let duration = picos(horizon.to_f64());
+        let reference = execute(graph, lib, duration, &RtConfig::default());
+        let plan = rtgraph::plan(graph);
+        let outputs: Vec<_> = (graph.sources.iter())
+            .flat_map(|source| source.outputs.iter().map(move |&b| (source, b)))
+            .collect();
+        assert!(outputs.len() > graph.sources.len(), "{label}: no fan-out");
+        for (workers, fuse) in [(1, true), (1, false), (2, true), (2, false)] {
+            let at = format!("{label} at {workers} worker(s), fusion={fuse}");
+            let s = synthesize(graph, &plan, workers, &fusion(fuse))
+                .unwrap_or_else(|e| panic!("{at}: {e}"));
+            s.validate(graph).unwrap_or_else(|e| panic!("{at}: {e}"));
+            assert_eq!(s.components, *components, "{at}");
+            let replicas: Vec<_> = outputs.iter().map(|&(_, b)| Some(b)).collect();
+            assert_eq!(replica_units(&s), replicas, "{at}");
+
+            let report = execute_staticsched(
+                graph,
+                &s,
+                lib,
+                duration,
+                &StaticConfig {
+                    warmup_samples: 4,
+                    trace: true,
+                    ..StaticConfig::default()
+                },
+            );
+            if let Some(d) = reference.values.prefix_divergence(&report.values) {
+                panic!("{at}: a stream diverges from the reference interpreter: {d}");
+            }
+            for (want, got) in reference.sinks.iter().zip(&report.sinks) {
+                let prefix = !want.values.is_empty() && got.values.starts_with(&want.values);
+                assert!(prefix, "{at}: sink `{}` is not the reference's", want.name);
+            }
+            // Every replica covers the budget, so the report's maximum
+            // over them does too.
+            for (source, (name, generated)) in graph.sources.iter().zip(&report.sources) {
+                let budget = (*horizon / source.period).floor() as u64;
+                assert!(
+                    *generated >= budget,
+                    "{at}: `{name}` {generated} < {budget}"
+                );
+            }
+            let trace = report.trace_report.as_ref().expect("traced");
+            let labels: Vec<&String> = trace.tracks.iter().flat_map(|t| &t.labels).collect();
+            for (source, b) in &outputs {
+                let label = format!("{}[{}]", source.name, graph.buffers[*b].name);
+                assert!(labels.contains(&&label), "{at}: no `{label}` in {labels:?}");
+            }
         }
     }
 }
