@@ -7,7 +7,7 @@
 //! of functions OIL may coordinate.
 
 use crate::kept::Kept;
-use crate::simd::{dot_rr4, dot_rr4_strided, fir_block_rr4};
+use crate::simd::{dot_rr4, dot_rr4_strided, extend_wide, fir_block_rr4};
 use crate::Sample;
 use std::f64::consts::PI;
 use std::sync::Arc;
@@ -51,12 +51,26 @@ impl History {
     /// last `keep` of them are the history of the next call.
     pub(crate) fn stage(&mut self, input: impl IntoIterator<Item = Sample>) -> &[Sample] {
         let input = input.into_iter();
-        if self.buf.len() + input.size_hint().0 > self.buf.capacity() {
-            self.buf.drain(..self.buf.len() - self.keep);
-        }
-        let start = self.buf.len() - self.keep;
+        let start = self.make_room(input.size_hint().0);
         self.buf.extend(input);
         &self.buf[start..]
+    }
+
+    /// As [`Self::stage`] with `k·x` appended for every `x` of `input`:
+    /// the resampler's gain, through `extend_wide`.
+    pub(crate) fn stage_scaled(&mut self, input: &[Sample], k: f64) -> &[Sample] {
+        let start = self.make_room(input.len());
+        extend_wide(&mut self.buf, input.iter().map(|&x| x * k));
+        &self.buf[start..]
+    }
+
+    /// Drops the consumed samples if `more` would not fit, and returns
+    /// where the history starts.
+    fn make_room(&mut self, more: usize) -> usize {
+        if self.buf.len() + more > self.buf.capacity() {
+            self.buf.drain(..self.buf.len() - self.keep);
+        }
+        self.buf.len() - self.keep
     }
 
     fn reset(&mut self) {
@@ -187,7 +201,7 @@ impl FirFilter {
             // The trailing `+ 0.0 + 0.0` additions replay the round-robin
             // reduction `(l0+l1)+(l2+l3)` with three empty lanes, keeping
             // the result bit-identical even for signed zeros.
-            out.extend(input.iter().map(|&x| (x * t + 0.0) + 0.0));
+            extend_wide(out, input.iter().map(|&x| (x * t + 0.0) + 0.0));
             return;
         }
         for block in input.chunks(BLOCK) {

@@ -8,6 +8,7 @@
 //! (see DESIGN.md, substitutions table).
 
 use crate::kept::Kept;
+use crate::simd::extend_wide;
 use crate::Sample;
 use std::f64::consts::PI;
 use std::sync::Arc;
@@ -197,7 +198,8 @@ impl CompositeSignal {
                 return;
             }
             let tones = video[..run].iter().zip(&audio[..run]).zip(&carrier[..run]);
-            out.extend(
+            extend_wide(
+                out,
                 tones.map(|((video, audio), carrier)| video + (1.0 + audio) * carrier * 0.5),
             );
             self.video.advance(run);

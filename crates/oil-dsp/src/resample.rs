@@ -6,7 +6,7 @@
 //! plain decimator and a polyphase rational resampler are provided.
 
 use crate::fir::{FirFilter, History, BLOCK};
-use crate::simd::{dot_rr4, dot_rr4_strided};
+use crate::simd::{dot_rr4, dot_rr4_strided, PolyphaseLanes};
 use crate::Sample;
 
 /// An integer-factor decimator with an anti-aliasing low-pass filter.
@@ -120,6 +120,8 @@ pub struct RationalResampler {
     cycle: usize,
     /// …on windows `down / gcd(up, down)` inputs apart.
     step: usize,
+    /// The polyphase lane body's table, for a shape it takes.
+    lanes: Option<PolyphaseLanes>,
 }
 
 fn gcd(a: usize, b: usize) -> usize {
@@ -142,8 +144,14 @@ impl RationalResampler {
         let cutoff =
             (sample_rate_hz / 2.0).min(sample_rate_hz * up as f64 / (2.0 * down as f64)) * 0.9;
         let taps = FirFilter::low_pass(cutoff, upsampled, taps).taps().to_vec();
+        RationalResampler::from_taps(up, down, taps)
+    }
+
+    /// A resampler by `up/down` with the prototype `taps` on the upsampled
+    /// grid.
+    fn from_taps(up: usize, down: usize, taps: Vec<f64>) -> Self {
         let hist_len = taps.len().div_ceil(up);
-        let ptaps = (0..up)
+        let ptaps: Vec<Vec<f64>> = (0..up)
             .map(|k| {
                 let mut p: Vec<f64> = taps.iter().skip(k).step_by(up).copied().collect();
                 p.reverse();
@@ -151,15 +159,17 @@ impl RationalResampler {
             })
             .collect();
         let g = gcd(up, down);
+        let cycle = up / g;
         RationalResampler {
             up,
             down,
             taps,
+            lanes: PolyphaseLanes::new(up, down, cycle, &ptaps),
             ptaps,
             line: History::new(hist_len - 1),
             hist_len,
             phase: 0,
-            cycle: up / g,
+            cycle,
             step: down / g,
         }
     }
@@ -199,27 +209,35 @@ impl RationalResampler {
     /// Bit-identical to a [`Self::push_each`] loop. On the upsampled grid
     /// the block's outputs sit at `first, first + down, first + 2·down, …`;
     /// the output at grid position `t` belongs to input `t / up` and phase
-    /// `t % up`. Outputs `cycle` apart therefore share a phase and read
-    /// windows `step` inputs apart, so each of the first `cycle` outputs
-    /// heads one pass of the strided multi-output kernel over the staged
-    /// `history ++ up·input` window, writing every `cycle`-th output.
+    /// `t % up`, and input `i`'s `c`-tap window is `window[hist_len - c +
+    /// i..][..c]` of the staged `history ++ up·input` window. Where the
+    /// shape and host allow, the polyphase lane body computes 8
+    /// consecutive outputs per vector. Otherwise outputs `cycle` apart
+    /// share a phase and read windows `step` inputs apart, so each of the
+    /// first `cycle` outputs heads one pass of the strided multi-output
+    /// kernel, writing every `cycle`-th output.
     pub fn process_into(&mut self, input: &[Sample], out: &mut Vec<Sample>) {
         let (up, down) = (self.up, self.down);
         let scale = up as f64;
         for block in input.chunks(BLOCK) {
             let first = (down - self.phase) % down;
             let grid = block.len() * up;
-            let window = self.line.stage(block.iter().map(|&x| x * scale));
+            let window = self.line.stage_scaled(block, scale);
             let start = out.len();
             out.resize(start + grid.saturating_sub(first).div_ceil(down), 0.0);
-            for (r, head) in (start..out.len()).take(self.cycle).enumerate() {
+            let out = &mut out[start..];
+            self.phase = (self.phase + grid) % down;
+            if let Some(lanes) = &self.lanes {
+                if lanes.run(window, self.hist_len, first, out) {
+                    continue;
+                }
+            }
+            for r in 0..self.cycle.min(out.len()) {
                 let t = first + r * down;
                 let pt = &self.ptaps[t % up];
-                // Input `i`'s `c`-tap window is `window[hist_len - c + i..][..c]`.
                 let from = self.hist_len - pt.len() + t / up;
-                dot_rr4_strided(&window[from..], self.step, pt, &mut out[head..], self.cycle);
+                dot_rr4_strided(&window[from..], self.step, pt, &mut out[r..], self.cycle);
             }
-            self.phase = (self.phase + grid) % down;
         }
     }
 
@@ -246,6 +264,7 @@ impl RationalResampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::tests as simd_tests;
     use std::f64::consts::PI;
 
     #[test]
@@ -344,36 +363,62 @@ mod tests {
 
     #[test]
     fn resampler_process_into_bit_identical_to_push_each_loop() {
-        let input: Vec<f64> = (0..1200).map(|i| (i as f64 * 0.29).sin()).collect();
-        // 10/16 is the PAL video path (6–7 taps per phase), 1/2 a plain
-        // decimating FIR (one 101-tap phase), 3/2 emits more than it takes,
-        // 147/160 has more phases than a block has outputs — some of them
-        // without a single tap.
-        for (up, down, taps) in [(10, 16, 63), (1, 2, 101), (3, 2, 31), (147, 160, 63)] {
-            for lead in [0, 1, 5] {
-                for chunk in [1, 3, 16, 37, 400] {
-                    let mut by_push = RationalResampler::new(up, down, 6.4e6, taps);
+        let smooth: Vec<f64> = (0..8300).map(|i| (i as f64 * 0.29).sin()).collect();
+        let bits = |v: &[f64]| v.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+        // 10/16 is the PAL video path (6–7 taps per phase), the one shape
+        // here the polyphase lane body takes. The rest run the strided
+        // body: 1/2 a plain decimating FIR (one 101-tap phase), 3/2 emits
+        // more than it takes (10–11 taps per phase), 147/160 has more
+        // phases than a block has outputs — some of them without a tap.
+        for (up, down, taps, lanes) in [
+            (10, 16, 63, true),
+            (1, 2, 101, false),
+            (3, 2, 31, false),
+            (147, 160, 63, false),
+        ] {
+            let design = RationalResampler::new(up, down, 6.4e6, taps);
+            // The designed filter on a smooth signal, then taps and input
+            // full of −0.0, ±∞, NaN and subnormals through the masked lanes.
+            let hostile = RationalResampler::from_taps(up, down, simd_tests::hostile(taps, 0.3));
+            for (fresh, input) in [
+                (design, smooth.clone()),
+                (hostile, simd_tests::hostile(8300, 0.9)),
+            ] {
+                assert_eq!(fresh.lanes.is_some(), lanes, "{up}/{down} body");
+                let clean = input.iter().chain(&fresh.taps).all(|x| x.is_finite());
+                for lead in [0, 1, 5] {
+                    let mut by_push = fresh.clone();
                     for &x in &input[..lead] {
                         by_push.push_each(x, |_| ());
                     }
-                    let mut by_block = by_push.clone();
+                    let start = by_push.clone();
                     let mut push_out = Vec::new();
                     for &x in &input[lead..] {
                         by_push.push_each(x, |y| push_out.push(y));
                     }
-                    let mut block_out = Vec::new();
-                    for c in input[lead..].chunks(chunk) {
-                        by_block.process_into(c, &mut block_out);
+                    // Up to PAL's 1024-sample pass and past the 4096-sample
+                    // staging block.
+                    for chunk in [1, 3, 16, 37, 400, 1024, 4096, 4097] {
+                        let mut by_block = start.clone();
+                        let mut block_out = Vec::new();
+                        for c in input[lead..].chunks(chunk) {
+                            by_block.process_into(c, &mut block_out);
+                        }
+                        let what = format!("{up}/{down} clean {clean} lead {lead} chunk {chunk}");
+                        assert_eq!(push_out.len(), block_out.len(), "{what}");
+                        for (i, (&a, &b)) in push_out.iter().zip(&block_out).enumerate() {
+                            assert!(simd_tests::same(a, b), "{what} sample {i}: {a:e} vs {b:e}");
+                        }
+                        if clean {
+                            assert_eq!(bits(&push_out), bits(&block_out), "{what}");
+                            assert_eq!(by_push, by_block, "{what}");
+                        }
+                        assert_eq!(by_push.aligned(), by_block.aligned(), "{what}");
+                        let (mut a, mut b) = (by_push.clone(), by_block);
+                        for (x, y) in a.push(0.5).into_iter().zip(b.push(0.5)) {
+                            assert!(simd_tests::same(x, y), "{what} after");
+                        }
                     }
-                    let what = format!("{up}/{down} lead {lead} chunk {chunk}");
-                    assert_eq!(push_out.len(), block_out.len(), "{what}");
-                    for (i, (a, b)) in push_out.iter().zip(&block_out).enumerate() {
-                        assert_eq!(a.to_bits(), b.to_bits(), "{what} sample {i}");
-                    }
-                    assert_eq!(by_push.aligned(), by_block.aligned(), "{what}");
-                    assert_eq!(by_push, by_block, "{what}");
-                    let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-                    assert_eq!(bits(by_push.push(0.5)), bits(by_block.push(0.5)), "{what}");
                 }
             }
         }

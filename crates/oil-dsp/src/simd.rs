@@ -9,7 +9,7 @@
 //! reduction is `(l0 + l1) + (l2 + l3)`. Multiply and add stay separate
 //! instructions, *never* FMA: fusing changes the rounding of every product.
 //!
-//! Two vector bodies reproduce that order, and which one runs depends on
+//! Three vector bodies reproduce that order, and which one runs depends on
 //! how the outputs' windows lie in memory:
 //!
 //! * **Sliding window, lane = output** ([`fir_block_rr4`]). Consecutive
@@ -24,6 +24,18 @@
 //!   (AVX-512F, 8 per vector). A block length that is not a whole number
 //!   of vectors recomputes the last vector's worth of outputs (same
 //!   windows, same bits) instead of masking.
+//! * **Polyphase, lane = output** (`PolyphaseLanes`, AVX-512F). A rational
+//!   resampler's consecutive outputs belong to different phases: each has
+//!   its own short tap set and its window starts a fraction of an input
+//!   after the last. When 8 consecutive outputs' windows all start inside
+//!   one 16-sample span, tap `j` of all 8 is two unaligned loads, one
+//!   two-source permute picking each lane's sample, a multiply by the
+//!   lanes' tap-`j` vector and an add into accumulator `j & 3` — *masked*
+//!   to the lanes whose phase has a tap `j`, so a 6-tap phase beside a
+//!   7-tap one keeps its lane untouched, exactly as its scalar reduction
+//!   does. The permute indices, tap vectors and masks repeat with the
+//!   phase of the group's first output, so they are built once per
+//!   resampler, one table entry per phase.
 //! * **Strided windows, lane = tap mod 4** ([`dot_rr4_strided`]). A
 //!   decimator's or a polyphase resampler's outputs read windows `stride`
 //!   samples apart, so the vector holds one output's four partial sums and
@@ -33,17 +45,17 @@
 //!   a padded `+0.0` would turn a `-0.0` lane into `+0.0`, and `0·∞` would
 //!   make it NaN). [`dot_rr4`] is this body with one window.
 //!
-//! **Which width.** `zmm` halves the instruction count per output (on the
-//! development host the 2047-tap/64-output block reads 140 ns per output
-//! against 155–165 on `ymm`, the 63-tap/400-output block 4.0 against 5.3),
-//! but the first 512-bit instructions after a stretch without any run at
-//! reduced throughput while the core powers the upper lanes, so a short
-//! burst between other kernels gains nothing: inside the PAL decoder's
-//! period the 63-tap filter reads the same on either width. The rule is by
-//! shape alone — at least `ZMM_MIN_PRODUCTS` multiply-adds in the block
-//! (a few microseconds of work) and two `zmm` vectors of outputs — on hosts
-//! that report AVX-512F; everything else with AVX takes `ymm`, and every
-//! other architecture the scalar loop.
+//! **Which width.** The sliding body's width is a pure function of the
+//! block's shape and the host (`sliding_width`): `zmm` on hosts that report
+//! AVX-512F whenever the block holds at least two `zmm` vectors of outputs,
+//! `ymm` with AVX from one `ymm` vector up, and the strided body below that
+//! (or on any other architecture, which runs the scalar loop). `zmm` halves
+//! the instruction count per output: on the development host (a 2-vCPU
+//! Sapphire Rapids) the 2047-tap/64-output block reads 140 ns per output
+//! against 155–165 on `ymm`, and PAL's 63-tap/1024-output pass ≈7.5 ns
+//! against 6.9–9.9. There is no minimum product count: 512-bit units run
+//! slower for a few microseconds after idling, but a floor of 2¹⁶ products
+//! kept exactly that PAL pass (64 512 products) on the slower `ymm` body.
 //!
 //! A *single* dot product cannot go faster than the canonical order lets
 //! it: its four lanes are one vector accumulator, each add waits for the
@@ -190,33 +202,74 @@ pub fn fir_block_rr4(window: &[f64], rtaps: &[f64], out: &mut [f64]) {
         out.len()
     );
     #[cfg(target_arch = "x86_64")]
-    if simd_available() {
-        let m = out.len();
-        if m >= 2 * <__m512d as Lanes>::N
-            && m.saturating_mul(n) >= ZMM_MIN_PRODUCTS
-            && std::arch::is_x86_feature_detected!("avx512f")
-        {
-            // SAFETY: AVX-512F was just detected; the assert above gives
-            // every output `j < m` its window `[j, j + n)` inside `window`,
-            // and `m` is at least one vector.
-            unsafe { sliding_zmm(window.as_ptr(), rtaps, out) };
-            return;
-        }
-        if m >= <__m256d as Lanes>::N {
-            // SAFETY: as above, with AVX proved by `simd_available`.
-            unsafe { sliding_ymm(window.as_ptr(), rtaps, out) };
-            return;
-        }
+    match sliding_width(out.len(), simd_available(), avx512_available()) {
+        // SAFETY: AVX-512F detected; the assert above gives every output
+        // `j < out.len()` its window `[j, j + n)` inside `window`, and
+        // `sliding_width` only picks a width with a whole vector of outputs.
+        Width::Zmm => return unsafe { sliding_zmm(window.as_ptr(), rtaps, out) },
+        // SAFETY: as above, with AVX proved by `simd_available`.
+        Width::Ymm => return unsafe { sliding_ymm(window.as_ptr(), rtaps, out) },
+        Width::Strided => {}
     }
     // Shorter than one vector of outputs (or no vector unit): the windows
     // are a stride-1 case of the strided kernel.
     dot_rr4_strided(window, 1, rtaps, out, 1);
 }
 
-/// Multiply-adds (`outputs × taps`) a block must hold before the 512-bit
-/// body is worth its warm-up; see the module docs.
+/// `dst.extend(items)`, compiled for AVX-512F where the host has it, so an
+/// elementwise map over slices vectorises at that width. Each element is
+/// the same IEEE operations in the same order at any width (no FMA is ever
+/// formed), so the bits do not depend on the host.
+pub(crate) fn extend_wide(dst: &mut Vec<f64>, items: impl Iterator<Item = f64>) {
+    #[cfg(target_arch = "x86_64")]
+    if avx512_available() {
+        /// # Safety
+        /// AVX-512F.
+        #[target_feature(enable = "avx512f")]
+        unsafe fn wide(dst: &mut Vec<f64>, items: impl Iterator<Item = f64>) {
+            dst.extend(items);
+        }
+        // SAFETY: AVX-512F detected.
+        return unsafe { wide(dst, items) };
+    }
+    dst.extend(items);
+}
+
+/// Which body a sliding-window block of `outputs` runs on.
 #[cfg(target_arch = "x86_64")]
-const ZMM_MIN_PRODUCTS: usize = 1 << 16;
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Width {
+    /// `sliding_zmm`: AVX-512F, 8 outputs per vector.
+    Zmm,
+    /// `sliding_ymm`: AVX, 4 outputs per vector.
+    Ymm,
+    /// [`dot_rr4_strided`] at stride 1.
+    Strided,
+}
+
+/// The sliding body's width rule (see the module docs): by the number of
+/// outputs and the host's vector units alone. The tap count does not enter:
+/// every tap is one broadcast shared by all of a block's vectors whichever
+/// the width.
+#[cfg(target_arch = "x86_64")]
+fn sliding_width(outputs: usize, avx: bool, avx512f: bool) -> Width {
+    if avx512f && outputs >= 2 * <__m512d as Lanes>::N {
+        Width::Zmm
+    } else if avx && outputs >= <__m256d as Lanes>::N {
+        Width::Ymm
+    } else {
+        Width::Strided
+    }
+}
+
+/// True when the host has AVX-512F (cached after the first call).
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn avx512_available() -> bool {
+    use std::sync::OnceLock;
+    static AVX512F: OnceLock<bool> = OnceLock::new();
+    *AVX512F.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f"))
+}
 
 /// One vector of `f64` lanes — the operations the sliding-window body
 /// needs, so it is written once for every width.
@@ -459,8 +512,307 @@ unsafe fn strided_group<const G: usize>(
     )
 }
 
+/// Outputs per group of the polyphase lane body: one `zmm`.
+const GROUP: usize = 8;
+
+/// The longest phase the polyphase lane body takes. The strided body pays
+/// a masked tail, a blend and a horizontal reduction per output, which
+/// dominate its cost only while phases are short (PAL's have 6–7 taps);
+/// the lane body pays two loads and a permute per tap of every group. The
+/// crossover was not measured: longer phases stay on the strided body.
+const GROUP_TAPS: usize = 8;
+
+/// The most table entries (phases per cycle) the lane body keeps: 16 of
+/// 640 bytes stay a fifth of the development host's L1 beside the window.
+const GROUP_ENTRIES: usize = 16;
+
+/// `GROUP` consecutive resampler outputs whose first output has one given
+/// phase: lane `l` is output `l` of the group.
+#[derive(Debug, Clone, PartialEq)]
+#[repr(C, align(64))]
+struct LaneGroup {
+    /// `taps[j][l]`: tap `j` of lane `l`'s phase in the phase's reversed
+    /// (ascending-time) order, `0.0` past the phase's tap count.
+    taps: [[f64; GROUP]; GROUP_TAPS],
+    /// Lane `l`'s window starts `idx[l] < 2·GROUP` samples after the
+    /// group's load base: the two-source permute's index vector.
+    idx: [i64; GROUP],
+    /// `adds[j]`: the lanes whose phase has a tap `j`.
+    adds: [u8; GROUP_TAPS],
+    /// The load base, relative to where the first output's input ends its
+    /// window (`origin + i` for input `i`).
+    lead: isize,
+    /// The entry of the group `GROUP` outputs on…
+    next: usize,
+    /// …whose first output belongs to an input this many later.
+    advance: usize,
+}
+
+/// The polyphase lane body's table for one resampler shape: one
+/// [`LaneGroup`] per phase a group's first output can have, built once.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct PolyphaseLanes {
+    /// Entry `k / g` is the group whose first output has phase `k`.
+    groups: Vec<LaneGroup>,
+    up: usize,
+    down: usize,
+    /// `gcd(up, down)`: output phases are its multiples.
+    g: usize,
+    /// The longest phase; every group runs this many tap steps.
+    taps: usize,
+}
+
+impl PolyphaseLanes {
+    /// The table for a resampler by `up/down` with `cycle = up / gcd(up,
+    /// down)` and reversed phase taps `ptaps[k]` (`ptaps.len() == up`), or
+    /// `None` for a shape the lane body does not take: a phase longer than
+    /// `GROUP_TAPS`, more than `GROUP_ENTRIES` phases per cycle, or
+    /// `GROUP` consecutive outputs whose windows do not all start within
+    /// one `2·GROUP`-sample span.
+    pub(crate) fn new(up: usize, down: usize, cycle: usize, ptaps: &[Vec<f64>]) -> Option<Self> {
+        let taps = ptaps.iter().map(Vec::len).max()?;
+        if !(1..=GROUP_TAPS).contains(&taps) || cycle > GROUP_ENTRIES || ptaps.len() != up {
+            return None;
+        }
+        let g = up / cycle;
+        // Grid positions up to `k + GROUP·down` below, `k < up`.
+        down.checked_mul(GROUP)?.checked_add(up)?;
+        let groups = (0..cycle)
+            .map(|e| {
+                let k = e * g;
+                let mut group = LaneGroup {
+                    taps: [[0.0; GROUP]; GROUP_TAPS],
+                    idx: [0; GROUP],
+                    adds: [0; GROUP_TAPS],
+                    lead: 0,
+                    next: (k + GROUP * down) % up / g,
+                    advance: (k + GROUP * down) / up,
+                };
+                // Lane `l` sits `k + l·down` grid points into the first
+                // output's input: input `pos / up` on, phase `pos % up`. Its
+                // `c`-tap window starts `c` samples before that input's end.
+                let mut starts = [0isize; GROUP];
+                for (l, start) in starts.iter_mut().enumerate() {
+                    let pos = k + l * down;
+                    let pt = &ptaps[pos % up];
+                    // Farther than the span allows whatever the taps.
+                    let input = isize::try_from(pos / up)
+                        .ok()
+                        .filter(|&d| d <= (2 * GROUP + GROUP_TAPS) as isize)?;
+                    *start = input - pt.len() as isize;
+                    for (j, &t) in pt.iter().enumerate() {
+                        group.taps[j][l] = t;
+                        group.adds[j] |= 1 << l;
+                    }
+                }
+                group.lead = *starts.iter().min()?;
+                for (idx, start) in group.idx.iter_mut().zip(starts) {
+                    *idx = (start - group.lead) as i64;
+                }
+                group
+                    .idx
+                    .iter()
+                    .all(|&i| i < 2 * GROUP as i64)
+                    .then_some(group)
+            })
+            .collect::<Option<_>>()?;
+        Some(PolyphaseLanes {
+            groups,
+            up,
+            down,
+            g,
+            taps,
+        })
+    }
+
+    /// Runs the lane body over one block, if this host can: `out[q]` is the
+    /// output at grid position `first + q·down` of the block, input `i`'s
+    /// `c`-tap window being `window[origin + i - c..origin + i]`. Returns
+    /// false, writing nothing, without AVX-512F or with fewer than `GROUP`
+    /// outputs.
+    ///
+    /// # Panics
+    /// If `origin` is shorter than the longest phase, the last output's
+    /// window does not end inside `window`, or `first` is not a multiple of
+    /// `gcd(up, down)` (no output of the stream sits there).
+    pub(crate) fn run(&self, window: &[f64], origin: usize, first: usize, out: &mut [f64]) -> bool {
+        let m = out.len();
+        if m < GROUP {
+            return false;
+        }
+        let end = (m - 1)
+            .checked_mul(self.down)
+            .and_then(|t| t.checked_add(first))
+            .and_then(|t| (t / self.up).checked_add(origin));
+        assert!(
+            origin >= self.taps && end.is_some_and(|end| end <= window.len()),
+            "window of {} samples does not hold {m} outputs from grid position {first}",
+            window.len()
+        );
+        assert!(
+            first.is_multiple_of(self.g),
+            "grid position {first} is no output's: outputs sit on multiples of {}",
+            self.g
+        );
+        #[cfg(target_arch = "x86_64")]
+        if avx512_available() {
+            // SAFETY: AVX-512F detected; the assert bounds every output's
+            // window inside `window` and `m >= GROUP`.
+            unsafe { self.polyphase_zmm(window, origin, first, out) };
+            return true;
+        }
+        false
+    }
+
+    /// One instance of the loop per tap count, so each group's tap steps
+    /// unroll completely.
+    ///
+    /// # Safety
+    /// AVX-512F; the conditions `run` asserts, and `out.len() >= GROUP`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn polyphase_zmm(&self, window: &[f64], origin: usize, first: usize, out: &mut [f64]) {
+        match self.taps {
+            1 => self.groups::<1>(window, origin, first, out),
+            2 => self.groups::<2>(window, origin, first, out),
+            3 => self.groups::<3>(window, origin, first, out),
+            4 => self.groups::<4>(window, origin, first, out),
+            5 => self.groups::<5>(window, origin, first, out),
+            6 => self.groups::<6>(window, origin, first, out),
+            7 => self.groups::<7>(window, origin, first, out),
+            // `new` keeps `taps` in `1..=GROUP_TAPS`.
+            _ => self.groups::<GROUP_TAPS>(window, origin, first, out),
+        }
+    }
+
+    /// Groups of `GROUP` outputs, then one group recomputing the last
+    /// `GROUP` when the block is not a whole number of groups. A group
+    /// loads its samples unmasked where all `N - 1 + 2·GROUP` of them lie
+    /// inside `window`, masked (reading nothing past its end) at the edge.
+    ///
+    /// # Safety
+    /// As `polyphase_zmm`, and `N == self.taps`.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn groups<const N: usize>(
+        &self,
+        window: &[f64],
+        origin: usize,
+        first: usize,
+        out: &mut [f64],
+    ) {
+        let (m, o) = (out.len(), out.as_mut_ptr());
+        let at = |t: usize| (origin + t / self.up, t % self.up / self.g);
+        let ((mut end, mut e), mut q) = (at(first), 0);
+        while q + GROUP <= m {
+            let g = &self.groups[e];
+            group::<N>(g, window, end).store(o.add(q));
+            (q, end, e) = (q + GROUP, end + g.advance, g.next);
+        }
+        if q < m {
+            let q = m - GROUP;
+            let (end, e) = at(first + q * self.down);
+            group::<N>(&self.groups[e], window, end).store(o.add(q));
+        }
+    }
+}
+
+/// The group whose first output's input ends its window at `window[end]`.
+///
+/// # Safety
+/// AVX-512F; every lane's window inside `window`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn group<const N: usize>(g: &LaneGroup, window: &[f64], end: usize) -> __m512d {
+    let base = end.wrapping_add_signed(g.lead);
+    let room = window.len() - base;
+    let w = window.as_ptr().wrapping_add(base);
+    if N - 1 + 2 * GROUP <= room {
+        lane_group::<N, false>(g, w, room)
+    } else {
+        lane_group::<N, true>(g, w, room)
+    }
+}
+
+/// One group's `N` tap steps, each into accumulator `j & 3`. Lane `l` of
+/// the result is the lane's `(l0+l1)+(l2+l3)`.
+///
+/// # Safety
+/// AVX-512F; `w` readable for `room` samples, and for `N - 1 + 2·GROUP`
+/// unless `EDGE` (which loads only the first `room`); every lane's window
+/// (`w + idx[l]`, its phase's tap count long) among them.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn lane_group<const N: usize, const EDGE: bool>(
+    g: &LaneGroup,
+    w: *const f64,
+    room: usize,
+) -> __m512d {
+    let idx = _mm512_load_si512(g.idx.as_ptr().cast());
+    let mut acc = [_mm512_setzero_pd(); 4];
+    // As in `sliding_block`: accumulators indexed by constants only. The
+    // steps are functions, not closures, so they always inline into the
+    // AVX-512F caller.
+    let mut j = 0;
+    while j + 4 <= N {
+        for (r, a) in acc.iter_mut().enumerate() {
+            *a = tap_step::<EDGE>(*a, g, idx, w, room, j + r);
+        }
+        j += 4;
+    }
+    for (r, a) in acc.iter_mut().enumerate() {
+        if j + r < N {
+            *a = tap_step::<EDGE>(*a, g, idx, w, room, j + r);
+        }
+    }
+    let [l0, l1, l2, l3] = acc;
+    l0.add(l1).add(l2.add(l3))
+}
+
+/// Tap step `j`: lane `l`'s sample `j` permuted out of the `2·GROUP`
+/// samples at `w + j`, times the lane's tap `j`, added into `acc` in the
+/// lanes that have a tap `j`.
+///
+/// # Safety
+/// As [`lane_group`].
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn tap_step<const EDGE: bool>(
+    acc: __m512d,
+    g: &LaneGroup,
+    idx: __m512i,
+    w: *const f64,
+    room: usize,
+    j: usize,
+) -> __m512d {
+    let x = _mm512_permutex2var_pd(
+        load::<EDGE>(w, room, j),
+        idx,
+        load::<EDGE>(w, room, j + GROUP),
+    );
+    let p = _mm512_mul_pd(x, _mm512_load_pd(g.taps[j].as_ptr()));
+    _mm512_mask_add_pd(acc, g.adds[j], acc, p)
+}
+
+/// `GROUP` samples from `w + from`. At the edge, positions at or past
+/// `room` are masked off and never read: only lanes without a tap at this
+/// step would have picked them.
+///
+/// # Safety
+/// As [`lane_group`].
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn load<const EDGE: bool>(w: *const f64, room: usize, from: usize) -> __m512d {
+    if EDGE {
+        let fit = room.saturating_sub(from).min(GROUP);
+        _mm512_maskz_loadu_pd(((1u16 << fit) - 1) as __mmask8, w.wrapping_add(from))
+    } else {
+        _mm512_loadu_pd(w.add(from))
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn ramp(n: usize, seed: f64) -> Vec<f64> {
@@ -468,7 +820,7 @@ mod tests {
     }
 
     /// `ramp` with every special class of `f64` sprinkled in.
-    fn hostile(n: usize, seed: f64) -> Vec<f64> {
+    pub(crate) fn hostile(n: usize, seed: f64) -> Vec<f64> {
         const SPECIALS: [f64; 8] = [
             0.0,
             -0.0,
@@ -504,7 +856,7 @@ mod tests {
     /// Same bits, or both NaN: which NaN comes out of an `∞ − ∞` or a
     /// `NaN + NaN` is the one thing the canonical order does not fix (the
     /// compiler may commute the scalar operands).
-    fn same(a: f64, b: f64) -> bool {
+    pub(crate) fn same(a: f64, b: f64) -> bool {
         a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
     }
 
@@ -654,6 +1006,120 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A resampler by `up` with prototype `taps`: phase `k`'s taps
+    /// `taps[k], taps[k + up], …`, reversed, and the cycle `up / gcd`.
+    fn phases(up: usize, down: usize, taps: &[f64]) -> (Vec<Vec<f64>>, usize) {
+        let ptaps = (0..up)
+            .map(|k| taps.iter().skip(k).step_by(up).rev().copied().collect())
+            .collect();
+        let cycle = (1..=up).find(|c| (c * down).is_multiple_of(up)).unwrap();
+        (ptaps, cycle)
+    }
+
+    /// Shapes the polyphase lane body takes: PAL's 10/16 (6–7 taps per
+    /// phase), 8 taps in every phase, a 2/3 and a 4/5 with ragged phases,
+    /// an upsampling 5/4, one phase of 8 taps, and a 5/6 whose phases have
+    /// one tap or none.
+    const LANE_SHAPES: [(usize, usize, usize); 7] = [
+        (10, 16, 63),
+        (10, 16, 80),
+        (2, 3, 15),
+        (4, 5, 21),
+        (5, 4, 37),
+        (1, 1, 8),
+        (5, 6, 3),
+    ];
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn polyphase_lanes_match_the_scalar_order_bit_for_bit() {
+        let avx512 = std::arch::is_x86_feature_detected!("avx512f");
+        let outputs: Vec<usize> = (1..=33).chain([64, 400, 1024]).collect();
+        for (up, down, n) in LANE_SHAPES {
+            for taps in [ramp(n, 1.7), hostile(n, 0.3)] {
+                let (ptaps, cycle) = phases(up, down, &taps);
+                let lanes = PolyphaseLanes::new(up, down, cycle, &ptaps)
+                    .unwrap_or_else(|| panic!("{up}/{down} with {n} taps is a lane shape"));
+                let origin = n.div_ceil(up);
+                for &m in &outputs {
+                    for first in (0..down).step_by(up / cycle) {
+                        let last = origin + (first + (m - 1) * down) / up;
+                        // Ending at the last window, which sends the final
+                        // groups through the masked loads, and 24 samples
+                        // past it, which does not.
+                        for (slack, offset) in [(0, 0), (0, 5), (24, 3)] {
+                            let signal = hostile(last + slack, 0.9);
+                            let (buf, start) = at_offset(&signal, offset);
+                            let window = &buf[start..start + signal.len()];
+                            let mut out = vec![-7.25; m];
+                            let ran = lanes.run(window, origin, first, &mut out);
+                            assert_eq!(ran, avx512 && m >= GROUP, "{up}/{down} m {m}");
+                            if !ran {
+                                assert!(out.iter().all(|&y| y == -7.25));
+                                continue;
+                            }
+                            for (q, &got) in out.iter().enumerate() {
+                                let t = first + q * down;
+                                let pt = &ptaps[t % up];
+                                let i = origin + t / up;
+                                let want = dot_rr4_scalar(&window[i - pt.len()..i], pt);
+                                assert!(
+                                    same(got, want),
+                                    "{up}/{down}/{n} m {m} first {first} slack {slack} \
+                                     offset {offset} output {q}: {got:e} vs {want:e}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn polyphase_lanes_decline_long_phases_long_cycles_and_wide_spans() {
+        for (up, down, n, why) in [
+            (1, 2, 101, "101 taps in its one phase"),
+            (3, 2, 31, "11 taps in a phase"),
+            (147, 160, 63, "147 phases per cycle"),
+            (1, 3, 8, "8 outputs spanning 21 inputs"),
+        ] {
+            let (ptaps, cycle) = phases(up, down, &ramp(n, 1.7));
+            assert!(
+                PolyphaseLanes::new(up, down, cycle, &ptaps).is_none(),
+                "{why}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not hold")]
+    fn polyphase_lanes_reject_a_short_window() {
+        let (ptaps, cycle) = phases(10, 16, &ramp(63, 1.7));
+        let lanes = PolyphaseLanes::new(10, 16, cycle, &ptaps).unwrap();
+        // 16 outputs from grid position 0 end their last window at input
+        // `7 + 15·16 / 10 = 31`.
+        lanes.run(&ramp(30, 0.9), 7, 0, &mut [0.0; 16]);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn the_sliding_width_is_zmm_from_two_vectors_on_avx512() {
+        // PAL's video pass (1024 outputs of 63 taps) and wide's (64 of
+        // 2047) both run on `zmm`, whatever their product count.
+        assert_eq!(sliding_width(1024, true, true), Width::Zmm);
+        assert_eq!(sliding_width(64, true, true), Width::Zmm);
+        assert_eq!(sliding_width(16, true, true), Width::Zmm);
+        // Under two `zmm` vectors: `ymm`, and under one `ymm` the strided
+        // body.
+        assert_eq!(sliding_width(15, true, true), Width::Ymm);
+        assert_eq!(sliding_width(4, true, true), Width::Ymm);
+        assert_eq!(sliding_width(3, true, true), Width::Strided);
+        // Without AVX-512F, `ymm` at any length; without AVX, strided.
+        assert_eq!(sliding_width(1024, true, false), Width::Ymm);
+        assert_eq!(sliding_width(1024, false, false), Width::Strided);
     }
 
     #[test]

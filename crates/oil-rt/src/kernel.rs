@@ -408,7 +408,7 @@ mod tests {
     #[test]
     fn block_firing_is_bit_identical_to_per_firing_on_the_dsp_arms() {
         let lib = KernelLibrary::pal();
-        let signal: Vec<f64> = (0..2000).map(|i| (i as f64 * 0.23).sin()).collect();
+        let signal: Vec<f64> = (0..2100).map(|i| (i as f64 * 0.23).sin()).collect();
         // (function, inputs per firing, outputs per firing): the PAL shapes,
         // then shapes the block arms must decline (padded or truncated
         // outputs fall back to the per-firing loop).
@@ -430,20 +430,27 @@ mod tests {
                 let mut one_by_one = lib.instantiate(function);
                 // Start the decimators and the resampler off their phase.
                 one_by_one.fire(&signal[..lead], 0);
-                let mut blocked = lib.instantiate(function);
-                blocked.fire(&signal[..lead], 0);
                 let inputs = &signal[lead..lead + firings * in_len];
                 let want: Vec<u64> = inputs
                     .chunks(in_len)
                     .flat_map(|chunk| one_by_one.fire(chunk, out_len))
                     .map(f64::to_bits)
                     .collect();
-                let mut got = Vec::new();
-                for run in inputs.chunks(37 * in_len) {
-                    got.extend(blocked.fire_block(run, run.len() / in_len, in_len, out_len));
+                // Ragged runs of 37 firings, and 64: PAL's video pass is 64
+                // iterations of 16 samples.
+                for per_run in [37, 64] {
+                    let mut blocked = lib.instantiate(function);
+                    blocked.fire(&signal[..lead], 0);
+                    let mut got = Vec::new();
+                    for run in inputs.chunks(per_run * in_len) {
+                        got.extend(blocked.fire_block(run, run.len() / in_len, in_len, out_len));
+                    }
+                    let got: Vec<u64> = got.into_iter().map(f64::to_bits).collect();
+                    assert_eq!(
+                        got, want,
+                        "{function} {in_len}->{out_len} lead {lead} runs of {per_run}"
+                    );
                 }
-                let got: Vec<u64> = got.into_iter().map(f64::to_bits).collect();
-                assert_eq!(got, want, "{function} {in_len}->{out_len} lead {lead}");
             }
         }
     }
