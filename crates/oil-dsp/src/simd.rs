@@ -15,15 +15,25 @@
 //! * **Sliding window, lane = output** ([`fir_block_rr4`]). Consecutive
 //!   outputs read windows one sample apart, so one broadcast tap times one
 //!   unaligned window load is the tap-`i` product of a whole vector of
-//!   outputs. A block keeps `V` vectors × 4 accumulators in registers
-//!   (accumulator `r` of an output is its round-robin lane `r`), so every
-//!   tap broadcast is shared by `V` vectors of outputs, there is no tap
-//!   tail and no horizontal step: `(l0+l1)+(l2+l3)` is three vector adds
-//!   yielding finished outputs. The body is written once over `Lanes`
-//!   and instantiated for `ymm` (AVX, 4 outputs per vector) and `zmm`
-//!   (AVX-512F, 8 per vector). A block length that is not a whole number
-//!   of vectors recomputes the last vector's worth of outputs (same
-//!   windows, same bits) instead of masking.
+//!   outputs. A block holds `V = 4` vectors of outputs and walks its taps
+//!   **residue-major**: it finishes round-robin lane `r` of all of them —
+//!   taps `r, r + 4, r + 8, …`, ascending — before it starts lane `r + 1`,
+//!   and `(l0+l1)+(l2+l3)` is then three vector adds yielding finished
+//!   outputs, with no tap tail and no horizontal step. Within lane `r`,
+//!   output vector `v`'s window at the lane's tap `a` is the vector at
+//!   `r + 4(a + v·N/4)` (`N` lanes per vector), so the `V` vectors one tap
+//!   needs are `R = V·N/4` consecutive ones four samples apart. They live in
+//!   a register ring, and each tap costs one broadcast and **one** new window
+//!   load: 2 loads per tap, where a tap-major walk (tap `i` against all `V`
+//!   vectors, all four lanes' accumulators live) costs `V + 1`, most of them
+//!   split across cache lines. The body is written once over `Lanes` and
+//!   instantiated for `ymm` (AVX, 4 outputs per vector, a ring of 4) and
+//!   `zmm` (AVX-512F, 8 per vector, a ring of 8). The up to `V − 1` single
+//!   vectors after the last block walk tap-major: one vector loads one
+//!   window per tap either way, and tap-major keeps four add chains in
+//!   flight where residue-major would keep one. A block length that is not
+//!   a whole number of vectors recomputes the last vector's worth of
+//!   outputs (same windows, same bits) instead of masking.
 //! * **Polyphase, lane = output** (`PolyphaseLanes`, AVX-512F). A rational
 //!   resampler's consecutive outputs belong to different phases: each has
 //!   its own short tap set and its window starts a fraction of an input
@@ -50,12 +60,28 @@
 //! AVX-512F whenever the block holds at least two `zmm` vectors of outputs,
 //! `ymm` with AVX from one `ymm` vector up, and the strided body below that
 //! (or on any other architecture, which runs the scalar loop). `zmm` halves
-//! the instruction count per output: on the development host (a 2-vCPU
-//! Sapphire Rapids) the 2047-tap/64-output block reads 140 ns per output
-//! against 155–165 on `ymm`, and PAL's 63-tap/1024-output pass ≈7.5 ns
-//! against 6.9–9.9. There is no minimum product count: 512-bit units run
-//! slower for a few microseconds after idling, but a floor of 2¹⁶ products
-//! kept exactly that PAL pass (64 512 products) on the slower `ymm` body.
+//! the instruction count per output. There is no minimum product count:
+//! 512-bit units run slower for a few microseconds after idling, but a
+//! floor of 2¹⁶ products kept PAL's 63-tap/1024-output pass (64 512
+//! products) on the slower `ymm` body.
+//!
+//! **Throughput.** Entered directly on the development host (a 2-vCPU
+//! Sapphire Rapids, shared; four sets of 20 interleaved rounds), the
+//! residue-major `zmm` body reads 94–110 ns per output at wide's
+//! 2047-tap/64-output pass and 2.9–3.9 ns at PAL's 63-tap/1024-output pass:
+//! ×1.32–1.69 and ×1.30–1.45 (per-set medians of the paired ratios) over
+//! the tap-major `V = 2` body it replaced. On `ymm` residue-major won at
+//! both shapes too, ×1.22–1.58 and ×1.20–1.33 over tap-major `V = 3` in
+//! six sets, so both widths run it. By operation count (the host exposes no cycle
+//! counter), a tap is `V = 4` multiplies and 4 adds on two FP ports, 4
+//! cycles, and each accumulator receives one add per tap, which is the add
+//! latency: about 8 multiply-adds per cycle on `zmm`, the ceiling for
+//! separate multiply and add. FMA would halve the operations per tap
+//! but not the chains: 4 chains of 4-cycle FMAs still finish one vector per
+//! cycle, so it would pay only with 8 independent chains (`V = 8`, whose
+//! ring of 16 does not fit beside its accumulators, or two lanes in flight).
+//! The ring size is a power of two and the tap loop is unrolled by it: a
+//! ring size that leaves `% R` to run time sends the ring through memory.
 //!
 //! A *single* dot product cannot go faster than the canonical order lets
 //! it: its four lanes are one vector accumulator, each add waits for the
@@ -203,9 +229,13 @@ pub fn fir_block_rr4(window: &[f64], rtaps: &[f64], out: &mut [f64]) {
     );
     #[cfg(target_arch = "x86_64")]
     match sliding_width(out.len(), simd_available(), avx512_available()) {
-        // SAFETY: AVX-512F detected; the assert above gives every output
-        // `j < out.len()` its window `[j, j + n)` inside `window`, and
-        // `sliding_width` only picks a width with a whole vector of outputs.
+        // SAFETY: AVX-512F detected; `sliding_width` only picks a width
+        // with a whole vector of outputs. The assert above gives every
+        // output `j < out.len()` its window `[j, j + n)` inside `window`:
+        // a block of `V·N` outputs from `j` reads at most sample
+        // `j + V·N + n − 2` (`residue_lane` derives it), and
+        // `j + V·N ≤ out.len()`, so no read passes
+        // `out.len() + n − 2 = window.len() − 1`.
         Width::Zmm => return unsafe { sliding_zmm(window.as_ptr(), rtaps, out) },
         // SAFETY: as above, with AVX proved by `simd_available`.
         Width::Ymm => return unsafe { sliding_ymm(window.as_ptr(), rtaps, out) },
@@ -347,70 +377,194 @@ impl_lanes!(
     _mm512_add_pd
 );
 
-/// `V·L::N` consecutive outputs: lane `k` of vector `v` is output
-/// `v·L::N + k`, and `acc[r][v]` collects the products of the taps with
-/// index `≡ r (mod 4)` in ascending tap order — exactly lane `r` of each
-/// output's round-robin reduction.
+/// The sliding-window body: residue-major blocks of `V` vectors, then
+/// single vectors, then one vector recomputing the last `L::N` outputs when
+/// the length is not a whole number of vectors.
 ///
 /// # Safety
-/// `L`'s CPU feature; `base` readable for `V·L::N + rtaps.len() - 1`
-/// samples; `out` writable for `V·L::N`.
+/// `L`'s CPU feature; `R == V·L::N / 4`; `out.len() >= L::N`; `window`
+/// readable for `out.len() + rtaps.len() - 1` samples.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn sliding_block<L: Lanes, const V: usize>(base: *const f64, rtaps: &[f64], out: *mut f64) {
-    let (n, tp) = (rtaps.len(), rtaps.as_ptr());
-    let mut acc = [[L::zero(); V]; 4];
-    // One tap: its broadcast times `V` window vectors, into lane `r`.
-    let step = |lane: &mut [L; V], i: usize| {
-        let t = L::splat(*tp.add(i));
-        for (v, a) in lane.iter_mut().enumerate() {
-            *a = a.add(L::load(base.add(i + v * L::N)).mul(t));
+unsafe fn sliding<L: Lanes, const V: usize, const R: usize>(
+    window: *const f64,
+    rtaps: &[f64],
+    out: &mut [f64],
+) {
+    let (m, o) = (out.len(), out.as_mut_ptr());
+    let mut j = 0;
+    while j + V * L::N <= m {
+        residue_block::<L, V, R>(window.add(j), rtaps, o.add(j));
+        j += V * L::N;
+    }
+    while j + L::N <= m {
+        sliding_vector::<L>(window.add(j), rtaps, o.add(j));
+        j += L::N;
+    }
+    if j < m {
+        sliding_vector::<L>(window.add(m - L::N), rtaps, o.add(m - L::N));
+    }
+}
+
+/// `V·L::N` consecutive outputs, walked **residue-major**: round-robin lane
+/// `r` of every output — taps `r, r + 4, r + 8, …` in ascending order — is
+/// finished before lane `r + 1` starts, and `(l0 + l1) + (l2 + l3)` then
+/// finishes the block. Each output's lane sums the same products in the
+/// same order as in [`dot_rr4_scalar`], so the bits are the scalar order's.
+///
+/// Lane `r`'s tap `a` (tap index `r + 4a`) of output vector `v` reads
+/// `U_{a + S·v}`, where `U_m` is the vector at `base + r + 4m` and
+/// `S = L::N / 4`. So one tap's `V` vectors lie among `R = V·S` consecutive
+/// `U`s: they live in a register ring, and each tap loads only the one its
+/// last output vector meets for the first time, `U_{a + R − S}`, into the
+/// slot of `U_{a − S}`, which no later tap reads. That is one broadcast and
+/// one window load per tap, where a tap-major walk loads `V` windows.
+///
+/// # Safety
+/// `L`'s CPU feature; `R == V·L::N / 4`; `base` readable for
+/// `V·L::N + rtaps.len() − 1` samples; `out` writable for `V·L::N`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn residue_block<L: Lanes, const V: usize, const R: usize>(
+    base: *const f64,
+    rtaps: &[f64],
+    out: *mut f64,
+) {
+    let (l0, l1) = (
+        residue_lane::<L, V, R>(base, rtaps, 0),
+        residue_lane::<L, V, R>(base, rtaps, 1),
+    );
+    let mut y = [L::zero(); V];
+    for (v, y) in y.iter_mut().enumerate() {
+        *y = l0[v].add(l1[v]);
+    }
+    let (l2, l3) = (
+        residue_lane::<L, V, R>(base, rtaps, 2),
+        residue_lane::<L, V, R>(base, rtaps, 3),
+    );
+    for (v, y) in y.into_iter().enumerate() {
+        y.add(l2[v].add(l3[v])).store(out.add(v * L::N));
+    }
+}
+
+/// Round-robin lane `r` of `residue_block`'s `V` output vectors.
+///
+/// # Safety
+/// As `residue_block`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn residue_lane<L: Lanes, const V: usize, const R: usize>(
+    base: *const f64,
+    rtaps: &[f64],
+    r: usize,
+) -> [L; V] {
+    const { assert!(L::N % 4 == 0 && R == V * L::N / 4) };
+    let (n, tp, s) = (rtaps.len(), rtaps.as_ptr(), L::N / 4);
+    // The block's window is `end` samples. Tap index `i < n` loads the
+    // vector at `i + V·L::N − L::N`, whose last sample is
+    // `i + V·L::N − 1 ≤ n + V·L::N − 2 = end − 1`. The `R − S` vectors
+    // loaded before the first tap start at `r + 4m ≤ 3 + 4(R − S − 1)`, so
+    // they end by `V·L::N − 2`. `ring_load` checks each load against `end`.
+    let end = V * L::N + n - 1;
+    let taps = (n + 3 - r) / 4;
+    let mut acc = [L::zero(); V];
+    if taps == 0 {
+        return acc;
+    }
+    let mut ring = [L::zero(); R];
+    for (m, u) in ring.iter_mut().enumerate().take(R - s) {
+        *u = ring_load(base, r + 4 * m, end);
+    }
+    // Unrolled by `R`, so every ring slot and accumulator index is a
+    // constant: a run-time `% R` would send the ring through memory.
+    let mut a = 0;
+    while a + R <= taps {
+        for k in 0..R {
+            let i = r + 4 * (a + k);
+            let u = ring_load(base, i + V * L::N - L::N, end);
+            residue_tap::<L, V, R>(&mut ring, &mut acc, k, u, L::splat(*tp.add(i)));
         }
-    };
+        a += R;
+    }
+    for k in 0..R {
+        if a + k < taps {
+            let i = r + 4 * (a + k);
+            let u = ring_load(base, i + V * L::N - L::N, end);
+            residue_tap::<L, V, R>(&mut ring, &mut acc, k, u, L::splat(*tp.add(i)));
+        }
+    }
+    acc
+}
+
+/// A lane's tap `a ≡ k (mod R)`: `u = U_{a + R − S}` replaces `U_{a − S}`
+/// in the ring, then the broadcast tap `t` times each output vector's
+/// window is added into its accumulator.
+///
+/// # Safety
+/// `L`'s CPU feature.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn residue_tap<L: Lanes, const V: usize, const R: usize>(
+    ring: &mut [L; R],
+    acc: &mut [L; V],
+    k: usize,
+    u: L,
+    t: L,
+) {
+    let s = L::N / 4;
+    ring[(k + R - s) % R] = u;
+    for (v, y) in acc.iter_mut().enumerate() {
+        *y = y.add(ring[(k + s * v) % R].mul(t));
+    }
+}
+
+/// The vector at `base + at`, checked in debug builds to end inside the
+/// `end` samples of its block's window.
+///
+/// # Safety
+/// `L`'s CPU feature; `base` readable for `at + L::N` samples.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn ring_load<L: Lanes>(base: *const f64, at: usize, end: usize) -> L {
+    debug_assert!(
+        at + L::N <= end,
+        "ring load [{at}, {}) past {end}",
+        at + L::N
+    );
+    L::load(base.add(at))
+}
+
+/// One vector of `L::N` consecutive outputs, walked tap-major: tap `i` is
+/// one broadcast times one window load, added into accumulator `i mod 4`.
+/// A single vector has one window load per tap in either walk, and
+/// tap-major keeps four add chains in flight where residue-major would
+/// keep one.
+///
+/// # Safety
+/// `L`'s CPU feature; `base` readable for `L::N + rtaps.len() - 1`
+/// samples; `out` writable for `L::N`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn sliding_vector<L: Lanes>(base: *const f64, rtaps: &[f64], out: *mut f64) {
+    let (n, tp) = (rtaps.len(), rtaps.as_ptr());
+    let mut acc = [L::zero(); 4];
+    let step = |a: &mut L, i: usize| *a = a.add(L::load(base.add(i)).mul(L::splat(*tp.add(i))));
     // `r` only ever indexes `acc` as a constant of an unrolled loop: a
     // run-time `acc[i & 3]` would send every accumulator through memory.
     let mut i = 0;
     while i + 4 <= n {
-        for (r, lane) in acc.iter_mut().enumerate() {
-            step(lane, i + r);
+        for (r, a) in acc.iter_mut().enumerate() {
+            step(a, i + r);
         }
         i += 4;
     }
-    for (r, lane) in acc.iter_mut().enumerate() {
+    for (r, a) in acc.iter_mut().enumerate() {
         if i + r < n {
-            step(lane, i + r);
+            step(a, i + r);
         }
     }
     let [l0, l1, l2, l3] = acc;
-    for (v, l0) in l0.into_iter().enumerate() {
-        let y = l0.add(l1[v]).add(l2[v].add(l3[v]));
-        y.store(out.add(v * L::N));
-    }
-}
-
-/// The sliding-window body: blocks of `V` vectors, then single vectors,
-/// then one vector recomputing the last `L::N` outputs when the length is
-/// not a whole number of vectors.
-///
-/// # Safety
-/// `L`'s CPU feature; `out.len() >= L::N`; `window` readable for
-/// `out.len() + rtaps.len() - 1` samples.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn sliding<L: Lanes, const V: usize>(window: *const f64, rtaps: &[f64], out: &mut [f64]) {
-    let (m, o) = (out.len(), out.as_mut_ptr());
-    let mut j = 0;
-    while j + V * L::N <= m {
-        sliding_block::<L, V>(window.add(j), rtaps, o.add(j));
-        j += V * L::N;
-    }
-    while j + L::N <= m {
-        sliding_block::<L, 1>(window.add(j), rtaps, o.add(j));
-        j += L::N;
-    }
-    if j < m {
-        sliding_block::<L, 1>(window.add(m - L::N), rtaps, o.add(m - L::N));
-    }
+    l0.add(l1).add(l2.add(l3)).store(out);
 }
 
 /// # Safety
@@ -418,7 +572,7 @@ unsafe fn sliding<L: Lanes, const V: usize>(window: *const f64, rtaps: &[f64], o
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
 unsafe fn sliding_ymm(window: *const f64, rtaps: &[f64], out: &mut [f64]) {
-    sliding::<__m256d, 3>(window, rtaps, out)
+    sliding::<__m256d, 4, 4>(window, rtaps, out)
 }
 
 /// # Safety
@@ -426,7 +580,7 @@ unsafe fn sliding_ymm(window: *const f64, rtaps: &[f64], out: &mut [f64]) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn sliding_zmm(window: *const f64, rtaps: &[f64], out: &mut [f64]) {
-    sliding::<__m512d, 2>(window, rtaps, out)
+    sliding::<__m512d, 4, 8>(window, rtaps, out)
 }
 
 /// `TAIL_MASKS[k]` selects the first `k` lanes of a `ymm`.
@@ -961,10 +1115,17 @@ pub(crate) mod tests {
         }
     }
 
-    const TAPS: [usize; 13] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 63, 64, 2047];
+    /// Tap counts: every tail length, lanes of unequal lengths (29, 30, 33,
+    /// 35, 63, 127 taps), and lanes shorter than, equal to and longer than
+    /// the residue-major `zmm` ring of 8 vectors (29–35 taps).
+    const TAPS: [usize; 19] = [
+        1, 2, 3, 4, 5, 6, 7, 8, 9, 29, 30, 31, 32, 33, 35, 63, 64, 127, 2047,
+    ];
 
+    /// Output counts: every count up to four `ymm` vectors, and counts
+    /// around the 32-output `zmm` block (31, 32, 33, 40, 63, 64, 65).
     fn outputs() -> Vec<usize> {
-        (1..=33).chain([64, 100, 400]).collect()
+        (1..=33).chain([40, 63, 64, 65, 100, 400, 1024]).collect()
     }
 
     #[test]
@@ -972,7 +1133,7 @@ pub(crate) mod tests {
         let outputs = outputs();
         for n in TAPS {
             let rtaps = ramp(n, 1.7);
-            let signal = ramp(400 + n - 1, 0.9);
+            let signal = ramp(1024 + n - 1, 0.9);
             for offset in 0..8 {
                 // The long filter at two placements, not eight: its window
                 // spans 250 cache lines whichever one it starts in.
@@ -981,6 +1142,18 @@ pub(crate) mod tests {
                 }
                 check(&signal, &rtaps, offset, &outputs, &[1]);
             }
+        }
+    }
+
+    #[test]
+    fn every_lane_length_matches_the_scalar_order_bit_for_bit() {
+        // 1–72 taps give each round-robin lane 0–18 taps: every remainder
+        // of the residue-major ring at both widths (4 and 8 vectors), in the
+        // first pass round the ring and in later ones.
+        for n in 1..=72 {
+            let rtaps = hostile(n, 0.3);
+            let signal = hostile(64 + n - 1, 0.9);
+            check(&signal, &rtaps, 3, &[16, 32, 40, 64], &[1]);
         }
     }
 
@@ -997,9 +1170,9 @@ pub(crate) mod tests {
 
     #[test]
     fn special_values_survive_masked_and_recomputed_lanes() {
-        let outputs: Vec<usize> = (1..=33).collect();
+        let outputs: Vec<usize> = (1..=33).chain([64, 1024]).collect();
         for n in TAPS.into_iter().filter(|&n| n <= 64) {
-            let signal = hostile(40 * 3 + n, 0.9);
+            let signal = hostile(1024 * 3 + n, 0.9);
             for rtaps in [ramp(n, 1.7), hostile(n, 0.3)] {
                 for offset in [0, 5] {
                     check(&signal, &rtaps, offset, &outputs, &[1, 3]);

@@ -408,10 +408,15 @@ mod tests {
     #[test]
     fn block_firing_is_bit_identical_to_per_firing_on_the_dsp_arms() {
         let lib = KernelLibrary::pal();
+        // The `wide` program's 2047-tap filter, beside PAL's kernels.
+        let make = |function: &str| match function {
+            "wide" => Kernel::Fir(FirFilter::low_pass(200.0, 4_000.0, 2047)),
+            _ => lib.instantiate(function),
+        };
         let signal: Vec<f64> = (0..2100).map(|i| (i as f64 * 0.23).sin()).collect();
         // (function, inputs per firing, outputs per firing): the PAL shapes,
-        // then shapes the block arms must decline (padded or truncated
-        // outputs fall back to the per-firing loop).
+        // wide's, then shapes the block arms must decline (padded or
+        // truncated outputs fall back to the per-firing loop).
         for (function, in_len, out_len) in [
             ("mix", 1, 1),
             ("lpf_v", 1, 1),
@@ -419,6 +424,7 @@ mod tests {
             ("LPF", 25, 1),
             ("Audio", 8, 1),
             ("resamp", 16, 10),
+            ("wide", 1, 1),
             ("resamp", 8, 5),
             ("LPF", 25, 2),
             ("resamp", 16, 7),
@@ -427,7 +433,7 @@ mod tests {
         ] {
             for lead in [0, 1] {
                 let firings = (signal.len() - lead) / in_len;
-                let mut one_by_one = lib.instantiate(function);
+                let mut one_by_one = make(function);
                 // Start the decimators and the resampler off their phase.
                 one_by_one.fire(&signal[..lead], 0);
                 let inputs = &signal[lead..lead + firings * in_len];
@@ -437,9 +443,10 @@ mod tests {
                     .map(f64::to_bits)
                     .collect();
                 // Ragged runs of 37 firings, and 64: PAL's video pass is 64
-                // iterations of 16 samples.
+                // iterations of 16 samples, and wide's fused pass is 64
+                // firings.
                 for per_run in [37, 64] {
-                    let mut blocked = lib.instantiate(function);
+                    let mut blocked = make(function);
                     blocked.fire(&signal[..lead], 0);
                     let mut got = Vec::new();
                     for run in inputs.chunks(per_run * in_len) {
