@@ -74,9 +74,8 @@
 //! non-degraded row of a committed baseline (sim rows are reference, not
 //! gated).
 
-use oil_compiler::rtgraph::{self, RtGraph};
 use oil_compiler::schedule::{FusionStats, ScheduleError, SynthesisConfig};
-use oil_compiler::{compile, schedule, CompilerOptions};
+use oil_compiler::{build, schedule, Executable};
 use oil_dsp::{Decimator, FirFilter, Mixer, RationalResampler};
 use oil_lang::registry::{FunctionRegistry, FunctionSignature};
 use oil_rt::{
@@ -194,15 +193,15 @@ fn measured_utilization(m: Option<&MetricsReport>, wall: std::time::Duration) ->
         .unwrap_or_default()
 }
 
-fn pal_graph() -> RtGraph {
-    let (compiled, _) = oil_pal::analyze_pal().expect("PAL decoder is schedulable");
-    rtgraph::lower_with_registry(&compiled, &oil_pal::pal_registry())
+fn pal_graph(synth: &SynthesisConfig) -> Executable {
+    let registry = oil_pal::pal_registry();
+    build(oil_pal::PAL_DECODER_OIL, &registry, 1, synth).expect("PAL decoder builds")
 }
 
 /// The SDR chain: a fixed `generate_sdr`-shaped program at radio-ish rates
 /// (512 kHz wideband → ÷8 decimation → mixer demod → 2:3 resample → 96 kHz
 /// sink), bound to real DSP kernels.
-fn sdr_graph() -> (RtGraph, KernelLibrary) {
+fn sdr_graph(synth: &SynthesisConfig) -> (Executable, KernelLibrary) {
     const WIDEBAND: f64 = 512_000.0;
     let src = r#"
         mod seq Decim(int a, out int b){ loop{ f0(a:8, out b); } while(1); }
@@ -221,8 +220,7 @@ fn sdr_graph() -> (RtGraph, KernelLibrary) {
     reg.register(FunctionSignature::pure("f2", 2e-5)); // fires at 32 kHz
     reg.register(FunctionSignature::pure("src", 1e-7));
     reg.register(FunctionSignature::pure("snk", 1e-7));
-    let compiled = compile(src, &reg, &CompilerOptions::default()).expect("sdr program");
-    let graph = rtgraph::lower(&compiled);
+    let exe = build(src, &reg, 1, synth).expect("sdr program");
 
     let mut lib = KernelLibrary::new();
     lib.register(
@@ -237,12 +235,12 @@ fn sdr_graph() -> (RtGraph, KernelLibrary) {
         "f2",
         Box::new(|| Kernel::Resample(RationalResampler::new(3, 2, WIDEBAND / 8.0, 63))),
     );
-    (graph, lib)
+    (exe, lib)
 }
 
 /// Eight independent source → filter → sink chains at 4 kHz: wide enough
 /// that firings overlap, with kernels heavy enough that worker threads matter.
-fn wide_graph() -> (RtGraph, KernelLibrary) {
+fn wide_graph(synth: &SynthesisConfig) -> (Executable, KernelLibrary) {
     const CHAINS: usize = 8;
     let mut src = String::new();
     let _ = writeln!(
@@ -263,15 +261,14 @@ fn wide_graph() -> (RtGraph, KernelLibrary) {
     reg.register(FunctionSignature::pure("heavy", 1.875e-4));
     reg.register(FunctionSignature::pure("src", 1e-7));
     reg.register(FunctionSignature::pure("snk", 1e-7));
-    let compiled = compile(&src, &reg, &CompilerOptions::default()).expect("wide program");
-    let graph = rtgraph::lower(&compiled);
+    let exe = build(&src, &reg, 1, synth).expect("wide program");
 
     let mut lib = KernelLibrary::new();
     lib.register(
         "heavy",
         Box::new(|| Kernel::Fir(FirFilter::low_pass(200.0, 4_000.0, 2047))),
     );
-    (graph, lib)
+    (exe, lib)
 }
 
 /// The row of a single-threaded reference (`sim`, `calendar`): no workers
@@ -313,7 +310,7 @@ const THREAD_SWEEP: [usize; 3] = [1, 2, 4];
 fn bench_workload(
     rows: &mut Vec<Row>,
     workload: &'static str,
-    graph: &RtGraph,
+    exe: &Executable,
     lib: &KernelLibrary,
     virtual_s: f64,
     companion_s: f64,
@@ -321,6 +318,7 @@ fn bench_workload(
     trace: bool,
     metrics: Option<MetricsConfig>,
 ) {
+    let (graph, plan) = (&exe.graph, &exe.plan);
     // Simulator floor (token origins only, no kernels, no trace recording).
     let mut net = build_simulation_from_graph(graph);
     let started = Instant::now();
@@ -365,12 +363,11 @@ fn bench_workload(
         report.tokens,
     ));
 
-    let plan = rtgraph::plan(graph);
     for threads in THREAD_SWEEP {
         let run = |trace: bool, horizon: f64| {
             execute_selftimed(
                 graph,
-                &plan,
+                plan,
                 lib,
                 picos(horizon),
                 &SelfTimedConfig {
@@ -423,7 +420,7 @@ fn bench_workload(
     }
 
     for workers in THREAD_SWEEP {
-        match schedule::synthesize(graph, &plan, workers, synth) {
+        match schedule::synthesize(graph, plan, workers, synth) {
             Ok(schedule) => {
                 let run = |trace: bool, horizon: f64| {
                     execute_staticsched(
@@ -483,7 +480,7 @@ fn bench_workload(
                 let run = |trace: bool, horizon: f64| {
                     execute_selftimed(
                         graph,
-                        &plan,
+                        plan,
                         lib,
                         picos(horizon),
                         &SelfTimedConfig {
@@ -647,7 +644,7 @@ fn main() {
     let metrics = env_metrics();
 
     let mut rows = Vec::new();
-    let pal = pal_graph();
+    let pal = pal_graph(&synth);
     bench_workload(
         &mut rows,
         "pal",
@@ -659,11 +656,11 @@ fn main() {
         trace,
         metrics,
     );
-    let (sdr, sdr_lib) = sdr_graph();
+    let (sdr, sdr_lib) = sdr_graph(&synth);
     bench_workload(
         &mut rows, "sdr", &sdr, &sdr_lib, sdr_s, sdr_c, &synth, trace, metrics,
     );
-    let (wide, wide_lib) = wide_graph();
+    let (wide, wide_lib) = wide_graph(&synth);
     bench_workload(
         &mut rows, "wide", &wide, &wide_lib, wide_s, wide_c, &synth, trace, metrics,
     );

@@ -22,7 +22,9 @@
 //!    worker, replayed by `oil-rt`'s static-order engine with zero runtime
 //!    scheduling.
 //!
-//! The one-call entry point is [`pipeline::compile`].
+//! The front door is [`build`]: source text to a proven [`Executable`]
+//! (compiled program, runtime graph, plan and static-order schedule).
+//! [`compile`] stops after the analysis.
 
 pub mod buffers;
 pub mod codegen;
@@ -38,7 +40,9 @@ pub use codegen::GeneratedCode;
 pub use costmodel::{KernelCost, KernelCostModel};
 pub use derive::{derive_cta_model, DerivedModel};
 pub use parallelize::{extract_task_graph, runnable_tasks};
-pub use pipeline::{compile, CompileError, CompiledProgram, CompilerOptions};
+pub use pipeline::{
+    build, compile, BuildError, CompileError, CompiledProgram, CompilerOptions, Executable,
+};
 pub use rtgraph::{
     RtBuffer, RtBufferId, RtGraph, RtNode, RtNodeId, RtSink, RtSinkId, RtSource, RtSourceId,
 };

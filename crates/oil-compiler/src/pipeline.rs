@@ -3,11 +3,15 @@
 //! [`compile`] runs the whole flow of the paper on one OIL source text:
 //! front end → task-graph extraction → CTA derivation → consistency check →
 //! buffer sizing → code generation, and returns everything the examples,
-//! benches and the simulator need in one [`CompiledProgram`].
+//! benches and the simulator need in one [`CompiledProgram`]. [`build`]
+//! carries on to the runtime graph and a proven static-order schedule, and
+//! returns the [`Executable`] the engines run.
 
 use crate::buffers::{plan_buffers, BufferPlan};
 use crate::codegen::{generate_module_code, GeneratedCode};
 use crate::derive::{derive_cta_model, DerivedModel};
+use crate::rtgraph::{self, RtGraph, RtPlan};
+use crate::schedule::{synthesize, ScheduleError, StaticSchedule, SynthesisConfig};
 use oil_cta::{BufferSizingError, ConsistencyResult, CtaModel, Rational};
 use oil_lang::registry::FunctionRegistry;
 use oil_lang::sema::AnalyzedProgram;
@@ -130,6 +134,65 @@ pub fn compile(
         consistency,
         buffers,
         generated,
+    })
+}
+
+/// A program built from source to a proven executable: the compiled
+/// program (for the analysis queries), its runtime graph, the plan of the
+/// self-timed engine and the static-order schedule for the requested
+/// worker count.
+#[derive(Debug, Clone)]
+pub struct Executable {
+    /// The compiled program.
+    pub compiled: CompiledProgram,
+    /// The runtime graph, lowered with the registry the program was
+    /// compiled with.
+    pub graph: RtGraph,
+    /// The batching plan of [`Self::graph`].
+    pub plan: RtPlan,
+    /// The synthesised and validated static-order schedule.
+    pub schedule: StaticSchedule,
+}
+
+/// Why [`build`] failed.
+#[derive(Debug, Clone)]
+pub enum BuildError {
+    /// The front end or the temporal analysis rejected the program.
+    Compile(CompileError),
+    /// No static-order schedule exists for the runtime graph.
+    Schedule(ScheduleError),
+}
+
+impl std::fmt::Display for BuildError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BuildError::Compile(e) => e.fmt(f),
+            BuildError::Schedule(e) => write!(f, "schedule synthesis failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for BuildError {}
+
+/// Build an OIL program from source text: [`compile`], lower to the
+/// runtime graph with the same `registry`, plan, and synthesise the
+/// static-order schedule for `workers` workers under `config`.
+pub fn build(
+    source: &str,
+    registry: &FunctionRegistry,
+    workers: usize,
+    config: &SynthesisConfig,
+) -> Result<Executable, BuildError> {
+    let compiled =
+        compile(source, registry, &CompilerOptions::default()).map_err(BuildError::Compile)?;
+    let graph = rtgraph::lower_with_registry(&compiled, registry);
+    let plan = rtgraph::plan(&graph);
+    let schedule = synthesize(&graph, &plan, workers, config).map_err(BuildError::Schedule)?;
+    Ok(Executable {
+        compiled,
+        graph,
+        plan,
+        schedule,
     })
 }
 

@@ -141,13 +141,6 @@ enum Dest {
     SinkDriver,
 }
 
-/// Lower a compiled program to its runtime graph, treating any black-box
-/// modules as single-rate nodes with a 1 µs response time. Use
-/// [`lower_with_registry`] to supply their real interfaces.
-pub fn lower(compiled: &CompiledProgram) -> RtGraph {
-    lower_with_registry(compiled, &FunctionRegistry::new())
-}
-
 /// Lower a compiled program to its runtime graph, using `registry` to obtain
 /// the consumption/production rates and response times of black-box modules
 /// (e.g. the PAL decoder's `Video` and `Audio` modules).
@@ -840,7 +833,7 @@ mod tests {
             }
         "#;
         let compiled = compile(src, &registry(), &CompilerOptions::default()).unwrap();
-        let rt = lower(&compiled);
+        let rt = lower_with_registry(&compiled, &registry());
         assert_eq!(rt.sources.len(), 1);
         assert_eq!(rt.sinks.len(), 1);
         assert_eq!(rt.nodes.len(), 1);
@@ -867,7 +860,7 @@ mod tests {
             }
         "#;
         let compiled = compile(src, &registry(), &CompilerOptions::default()).unwrap();
-        let rt = lower(&compiled);
+        let rt = lower_with_registry(&compiled, &registry());
         // The source broadcasts to two replicas, one per reader.
         let source = rt.sources.iter().next().unwrap();
         assert_eq!(source.outputs.len(), 2, "{:?}", rt.buffers);
@@ -895,7 +888,7 @@ mod tests {
             mod par C(){ fifo int x, y; A(out x, y) || B(out y, x) }
         "#;
         let compiled = compile(src, &registry(), &CompilerOptions::default()).unwrap();
-        let rt = lower(&compiled);
+        let rt = lower_with_registry(&compiled, &registry());
         // Two loop tasks only; the init prologue shows as initial tokens.
         assert_eq!(rt.nodes.len(), 2);
         let y = rt
@@ -919,7 +912,7 @@ mod tests {
             }
         "#;
         let compiled = compile(src, &registry(), &CompilerOptions::default()).unwrap();
-        let rt = lower(&compiled);
+        let rt = lower_with_registry(&compiled, &registry());
         let p = plan(&rt);
         // The two branch tasks contend on the shared input replica and the
         // shared local `t`; the downstream task stays independent.
@@ -987,7 +980,7 @@ mod tests {
             }
         "#;
         let compiled = compile(src, &registry(), &CompilerOptions::default()).unwrap();
-        let rt = lower(&compiled);
+        let rt = lower_with_registry(&compiled, &registry());
         let p = plan(&rt);
         assert!(p.is_kpn_safe());
         assert!(p.invariant.iter().all(|&i| i), "KPN ⇒ all invariant");
@@ -1010,7 +1003,7 @@ mod tests {
             }
         "#;
         let compiled = compile(src, &registry(), &CompilerOptions::default()).unwrap();
-        let rt = lower(&compiled);
+        let rt = lower_with_registry(&compiled, &registry());
         let p = plan(&rt);
         // The source fires 200× per iteration but batches are clamped.
         assert_eq!(p.source_batch.iter().next().copied(), Some(MAX_BATCH));
@@ -1029,7 +1022,7 @@ mod tests {
             }
         "#;
         let compiled = compile(src, &registry(), &CompilerOptions::default()).unwrap();
-        let rt = lower(&compiled);
+        let rt = lower_with_registry(&compiled, &registry());
         let x = rt
             .buffers
             .iter()

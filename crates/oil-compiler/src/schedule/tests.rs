@@ -5,7 +5,7 @@
 use super::ledger::{row_access, Fault, FaultKind, UnitAccess};
 use super::*;
 use crate::rtgraph::{self, RtBuffer};
-use crate::{compile, CompilerOptions};
+use crate::{build, Executable};
 use oil_dataflow::index::Idx;
 use oil_lang::registry::{FunctionRegistry, FunctionSignature};
 use std::collections::BTreeMap;
@@ -177,9 +177,9 @@ fn fused_runs_reach_other_workers_only_at_their_ends() {
     for f in ["f", "g", "src", "snk"] {
         registry.register(FunctionSignature::pure(f, 1e-5));
     }
-    let compiled = compile(src, &registry, &CompilerOptions::default()).unwrap();
-    let graph = rtgraph::lower(&compiled);
-    let s = synthesize(&graph, &rtgraph::plan(&graph), 2, &fused(true)).unwrap();
+    let Executable {
+        graph, schedule: s, ..
+    } = build(src, &registry, 2, &fused(true)).unwrap();
     let access = row_access(&graph, &s.units, None);
     let crosses = |b: &RtBufferId| s.cross_buffers.contains(b);
     // The pipeline is one chain cut once: fusion runs up to the cut on both

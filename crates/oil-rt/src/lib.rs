@@ -73,43 +73,3 @@ pub use staticsched::{
     execute_staticsched, execute_staticsched_scripted, StaticConfig, StaticReport,
 };
 pub use trace::{env_trace, TraceReport};
-
-/// The `OIL_RT_THREADS` environment override, if set: the "N" of the worker
-/// sweeps the test harnesses run the two engines at
-/// ([`SelfTimedConfig::threads`], the `workers` of a synthesised schedule).
-///
-/// A malformed value is a loud panic, not a silent fall-through to the
-/// default: an override that does not apply is worse than no override
-/// (matching the `OIL_RT_CONFORMANCE` / `OIL_RT_FUSION` validation
-/// discipline). Parsing lives in [`parse_threads`] so the rejection path
-/// is testable without mutating the process environment.
-pub fn env_threads() -> Option<usize> {
-    std::env::var("OIL_RT_THREADS")
-        .ok()
-        .map(|v| parse_threads(&v))
-}
-
-/// Parse an `OIL_RT_THREADS` value: a base-10 thread count (`0` means
-/// "use the machine's available parallelism"). Anything else panics — see
-/// [`env_threads`].
-pub fn parse_threads(raw: &str) -> usize {
-    raw.trim()
-        .parse()
-        .unwrap_or_else(|_| panic!("OIL_RT_THREADS must be a thread count (0 = auto), got `{raw}`"))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn env_threads_parses() {
-        // Only checks the parser, not the environment (tests run in
-        // parallel; mutating the process environment would race).
-        assert_eq!(parse_threads("3"), 3);
-        assert_eq!(parse_threads(" 0 "), 0);
-        // A malformed override is a loud error, never a silent default.
-        assert!(std::panic::catch_unwind(|| parse_threads("three")).is_err());
-        assert!(std::panic::catch_unwind(|| parse_threads("")).is_err());
-    }
-}

@@ -344,32 +344,25 @@ impl RateConformance {
     }
 }
 
-/// The default conformance threshold: the `OIL_RT_CONFORMANCE` environment
-/// variable when set to a finite value > 0, else 0.5 in release builds and
-/// a smoke value in debug builds (unoptimised kernels measure the build
-/// profile, not the engine). Degenerate overrides (zero, negative, NaN,
-/// infinite, unparseable) fall back to the built-in default — a NaN or
-/// negative threshold would silently turn every `ratio < threshold` check
-/// into a no-op.
-pub fn conformance_threshold() -> f64 {
-    if let Some(t) = std::env::var("OIL_RT_CONFORMANCE")
-        .ok()
-        .as_deref()
-        .and_then(parse_conformance)
-    {
-        return t;
-    }
-    if cfg!(debug_assertions) {
-        0.01
-    } else {
-        0.5
+/// The conformance threshold of a run: the `OIL_RT_CONFORMANCE` override
+/// when it is set, else the caller's `default`. An override must be a
+/// finite number > 0; anything else panics, as junk in `OIL_RT_THREADS`,
+/// `OIL_RT_FUSION` or `OIL_RT_TRACE` does: a typo silently replaced by a
+/// default enforces a threshold nobody asked for, and a NaN or negative
+/// one would turn every `ratio < threshold` check into a no-op.
+pub fn conformance_threshold(default: f64) -> f64 {
+    match std::env::var("OIL_RT_CONFORMANCE") {
+        Ok(raw) => parse_conformance(&raw),
+        Err(_) => default,
     }
 }
 
-/// Parse an `OIL_RT_CONFORMANCE` override; `None` unless finite and > 0.
-fn parse_conformance(raw: &str) -> Option<f64> {
-    let t = raw.trim().parse::<f64>().ok()?;
-    (t.is_finite() && t > 0.0).then_some(t)
+/// Parse an `OIL_RT_CONFORMANCE` override — see [`conformance_threshold`].
+fn parse_conformance(raw: &str) -> f64 {
+    match raw.trim().parse::<f64>() {
+        Ok(t) if t.is_finite() && t > 0.0 => t,
+        _ => panic!("OIL_RT_CONFORMANCE must be a finite threshold > 0, got `{raw}`"),
+    }
 }
 
 #[cfg(test)]
@@ -440,10 +433,12 @@ mod tests {
 
     #[test]
     fn conformance_override_rejects_degenerate_values() {
-        assert_eq!(parse_conformance("0.25"), Some(0.25));
-        assert_eq!(parse_conformance(" 1.5 "), Some(1.5));
-        for bad in ["0", "-1", "NaN", "-NaN", "inf", "-inf", "abc", ""] {
-            assert_eq!(parse_conformance(bad), None, "`{bad}` must be rejected");
+        assert_eq!(parse_conformance("0.25"), 0.25);
+        assert_eq!(parse_conformance(" 1.5 "), 1.5);
+        // A junk override is a loud error, never the caller's default.
+        for bad in ["0", "-1", "NaN", "-NaN", "inf", "-inf", "abc", "", "0,5"] {
+            let parsed = std::panic::catch_unwind(|| parse_conformance(bad));
+            assert!(parsed.is_err(), "`{bad}` must be rejected");
         }
     }
 

@@ -167,7 +167,7 @@ impl SelfTimedReport {
     }
 
     /// The rate-conformance verdict at `threshold` (see
-    /// [`crate::measure::conformance_threshold`] for the default).
+    /// [`crate::measure::conformance_threshold`] for its override).
     pub fn conformance(&self, threshold: f64) -> RateConformance {
         RateConformance {
             threshold,
@@ -1488,34 +1488,33 @@ fn partition_units(graph: &RtGraph, plan: &RtPlan, units: &[Unit], threads: usiz
 mod tests {
     use super::*;
     use crate::exec::{execute, RtConfig};
-    use oil_compiler::{compile, rtgraph, CompilerOptions};
+    use oil_compiler::schedule::SynthesisConfig;
+    use oil_compiler::{build, rtgraph, Executable};
     use oil_lang::registry::{FunctionRegistry, FunctionSignature};
     use oil_sim::picos;
 
-    fn registry() -> FunctionRegistry {
-        let mut r = FunctionRegistry::new();
+    /// A two-stage 2:1 pipeline, built through the front door.
+    fn pipeline() -> Executable {
+        const PIPELINE: &str = r#"
+            mod seq P(int a, out int m){ loop{ f(a, out m); } while(1); }
+            mod seq Q(int m, out int b){ loop{ g(m:2, out b); } while(1); }
+            mod par D(){
+                fifo int mid;
+                source int x = src() @ 2 kHz;
+                sink int y = snk() @ 1 kHz;
+                P(x, out mid) || Q(mid, out y)
+            }
+        "#;
+        let mut registry = FunctionRegistry::new();
         for f in ["f", "g", "init", "src", "snk"] {
-            r.register(FunctionSignature::pure(f, 1e-5));
+            registry.register(FunctionSignature::pure(f, 1e-5));
         }
-        r
+        build(PIPELINE, &registry, 1, &SynthesisConfig::default()).unwrap()
     }
-
-    const PIPELINE: &str = r#"
-        mod seq P(int a, out int m){ loop{ f(a, out m); } while(1); }
-        mod seq Q(int m, out int b){ loop{ g(m:2, out b); } while(1); }
-        mod par D(){
-            fifo int mid;
-            source int x = src() @ 2 kHz;
-            sink int y = snk() @ 1 kHz;
-            P(x, out mid) || Q(mid, out y)
-        }
-    "#;
 
     #[test]
     fn calendar_value_streams_are_a_prefix_of_the_free_run() {
-        let compiled = compile(PIPELINE, &registry(), &CompilerOptions::default()).unwrap();
-        let graph = rtgraph::lower(&compiled);
-        let plan = rtgraph::plan(&graph);
+        let Executable { graph, plan, .. } = pipeline();
         assert!(plan.is_kpn_safe());
         let reference = execute(
             &graph,
@@ -1554,9 +1553,7 @@ mod tests {
 
     #[test]
     fn free_run_is_thread_count_invariant() {
-        let compiled = compile(PIPELINE, &registry(), &CompilerOptions::default()).unwrap();
-        let graph = rtgraph::lower(&compiled);
-        let plan = rtgraph::plan(&graph);
+        let Executable { graph, plan, .. } = pipeline();
         let base = execute_selftimed(
             &graph,
             &plan,
@@ -1654,9 +1651,7 @@ mod tests {
         // undrained / falsely reports deadlock. Many short multi-threaded
         // runs maximise park/wake churn around the drain; every run must
         // quiesce cleanly with the same sink count.
-        let compiled = compile(PIPELINE, &registry(), &CompilerOptions::default()).unwrap();
-        let graph = rtgraph::lower(&compiled);
-        let plan = rtgraph::plan(&graph);
+        let Executable { graph, plan, .. } = pipeline();
         let run = |threads: usize| {
             execute_selftimed(
                 &graph,
@@ -1784,9 +1779,7 @@ mod tests {
 
     #[test]
     fn perturbation_does_not_change_the_streams() {
-        let compiled = compile(PIPELINE, &registry(), &CompilerOptions::default()).unwrap();
-        let graph = rtgraph::lower(&compiled);
-        let plan = rtgraph::plan(&graph);
+        let Executable { graph, plan, .. } = pipeline();
         let calm = execute_selftimed(
             &graph,
             &plan,

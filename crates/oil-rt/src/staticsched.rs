@@ -165,7 +165,7 @@ impl StaticReport {
     }
 
     /// The rate-conformance verdict at `threshold` (see
-    /// [`crate::measure::conformance_threshold`] for the default).
+    /// [`crate::measure::conformance_threshold`] for its override).
     pub fn conformance(&self, threshold: f64) -> RateConformance {
         RateConformance {
             threshold,
@@ -1582,17 +1582,9 @@ mod tests {
     use super::*;
     use crate::selftimed::{execute_selftimed, SelfTimedConfig};
     use oil_compiler::schedule::{synthesize, SynthesisConfig};
-    use oil_compiler::{compile, rtgraph, CompilerOptions};
+    use oil_compiler::{build, rtgraph, Executable};
     use oil_lang::registry::{FunctionRegistry, FunctionSignature};
     use oil_sim::picos;
-
-    fn registry() -> FunctionRegistry {
-        let mut r = FunctionRegistry::new();
-        for f in ["f", "g", "init", "src", "snk"] {
-            r.register(FunctionSignature::pure(f, 1e-5));
-        }
-        r
-    }
 
     const PIPELINE: &str = r#"
         mod seq P(int a, out int m){ loop{ f(a, out m); } while(1); }
@@ -1605,16 +1597,18 @@ mod tests {
         }
     "#;
 
-    fn lowered(src: &str) -> (rtgraph::RtGraph, rtgraph::RtPlan) {
-        let compiled = compile(src, &registry(), &CompilerOptions::default()).unwrap();
-        let graph = rtgraph::lower(&compiled);
-        let plan = rtgraph::plan(&graph);
-        (graph, plan)
+    /// `src` built through the front door for `workers` workers.
+    fn built(src: &str, workers: usize) -> Executable {
+        let mut registry = FunctionRegistry::new();
+        for f in ["f", "g", "init", "src", "snk"] {
+            registry.register(FunctionSignature::pure(f, 1e-5));
+        }
+        build(src, &registry, workers, &SynthesisConfig::from_env()).expect("schedulable")
     }
 
     #[test]
     fn selftimed_streams_are_a_prefix_of_the_static_replay() {
-        let (graph, plan) = lowered(PIPELINE);
+        let Executable { graph, plan, .. } = built(PIPELINE, 1);
         let reference = execute_selftimed(
             &graph,
             &plan,
@@ -1627,8 +1621,9 @@ mod tests {
         );
         assert!(!reference.deadlocked);
         for workers in [1, 2, 4] {
-            let schedule = synthesize(&graph, &plan, workers, &SynthesisConfig::from_env())
-                .expect("schedulable");
+            let Executable {
+                graph, schedule, ..
+            } = built(PIPELINE, workers);
             let report = execute_staticsched(
                 &graph,
                 &schedule,
@@ -1650,10 +1645,10 @@ mod tests {
 
     #[test]
     fn static_replay_is_worker_count_invariant() {
-        let (graph, plan) = lowered(PIPELINE);
         let run = |workers: usize| {
-            let schedule = synthesize(&graph, &plan, workers, &SynthesisConfig::from_env())
-                .expect("schedulable");
+            let Executable {
+                graph, schedule, ..
+            } = built(PIPELINE, workers);
             execute_staticsched(
                 &graph,
                 &schedule,
@@ -1688,7 +1683,7 @@ mod tests {
                 S(x, out y)
             }
         "#;
-        let (graph, plan) = lowered(src);
+        let Executable { graph, plan, .. } = built(src, 1);
         assert!(!plan.is_kpn_safe(), "the scenario under test is modal");
         let reference = execute_selftimed(
             &graph,
@@ -1701,8 +1696,7 @@ mod tests {
             },
         );
         for workers in [1, 2] {
-            let schedule = synthesize(&graph, &plan, workers, &SynthesisConfig::from_env())
-                .expect("uniform clusters schedule");
+            let schedule = built(src, workers).schedule;
             let report = execute_staticsched(
                 &graph,
                 &schedule,
@@ -1736,8 +1730,9 @@ mod tests {
 
     #[test]
     fn sources_cover_their_budget_rounded_to_whole_iterations() {
-        let (graph, plan) = lowered(PIPELINE);
-        let schedule = synthesize(&graph, &plan, 1, &SynthesisConfig::from_env()).unwrap();
+        let Executable {
+            graph, schedule, ..
+        } = built(PIPELINE, 1);
         // 0.0105 s at 2 kHz = 21 samples; q(source) = 2 ⇒ 11 iterations,
         // 22 samples.
         let report = execute_staticsched(
@@ -1754,8 +1749,9 @@ mod tests {
 
     #[test]
     fn a_panicking_kernel_aborts_the_run_instead_of_hanging() {
-        let (graph, plan) = lowered(PIPELINE);
-        let schedule = synthesize(&graph, &plan, 2, &SynthesisConfig::from_env()).unwrap();
+        let Executable {
+            graph, schedule, ..
+        } = built(PIPELINE, 2);
         let mut lib = KernelLibrary::new();
         lib.register(
             "f",

@@ -15,13 +15,6 @@ use crate::time::picos_nearest;
 use oil_compiler::rtgraph::{self, RtGraph};
 use oil_compiler::CompiledProgram;
 
-/// Build a [`SimNetwork`] from a compiled program, treating any black-box
-/// modules as single-rate nodes with a 1 µs response time. Use
-/// [`build_simulation_with_registry`] to supply their real interfaces.
-pub fn build_simulation(compiled: &CompiledProgram) -> SimNetwork {
-    build_simulation_from_graph(&rtgraph::lower(compiled))
-}
-
 /// Build a [`SimNetwork`] from a compiled program, using `registry` to obtain
 /// the consumption/production rates and response times of black-box modules
 /// (e.g. the PAL decoder's `Video` and `Audio` modules).
@@ -73,15 +66,17 @@ mod tests {
     use super::*;
     use crate::network::SimulationConfig;
     use crate::picos;
-    use oil_compiler::{compile, CompilerOptions};
+    use oil_compiler::schedule::SynthesisConfig;
     use oil_lang::registry::{FunctionRegistry, FunctionSignature};
 
-    fn registry() -> FunctionRegistry {
-        let mut r = FunctionRegistry::new();
+    /// The simulation of `src`'s runtime graph, built through the front door.
+    fn network(src: &str) -> SimNetwork {
+        let mut registry = FunctionRegistry::new();
         for f in ["f", "g", "init", "src", "snk"] {
-            r.register(FunctionSignature::pure(f, 1e-5));
+            registry.register(FunctionSignature::pure(f, 1e-5));
         }
-        r
+        let exe = oil_compiler::build(src, &registry, 1, &SynthesisConfig::default()).unwrap();
+        build_simulation_from_graph(&exe.graph)
     }
 
     #[test]
@@ -95,8 +90,7 @@ mod tests {
                 W(x, out y)
             }
         "#;
-        let compiled = compile(src, &registry(), &CompilerOptions::default()).unwrap();
-        let mut net = build_simulation(&compiled);
+        let mut net = network(src);
         assert_eq!(net.sources.len(), 1);
         assert_eq!(net.sinks.len(), 1);
         assert_eq!(net.nodes.len(), 1);
@@ -120,8 +114,7 @@ mod tests {
                 P(x, out mid) || Q(mid, out y)
             }
         "#;
-        let compiled = compile(src, &registry(), &CompilerOptions::default()).unwrap();
-        let mut net = build_simulation(&compiled);
+        let mut net = network(src);
         assert_eq!(net.nodes.len(), 2);
         let metrics = net.run(picos(0.5), &SimulationConfig::default());
         assert!(metrics.meets_real_time_constraints(), "{metrics:?}");
@@ -141,8 +134,7 @@ mod tests {
                 Down(x, out y)
             }
         "#;
-        let compiled = compile(src, &registry(), &CompilerOptions::default()).unwrap();
-        let mut net = build_simulation(&compiled);
+        let mut net = network(src);
         let metrics = net.run(picos(1.0), &SimulationConfig::default());
         assert!(metrics.meets_real_time_constraints(), "{metrics:?}");
         let thr = metrics.sink_throughput("y").unwrap();
@@ -156,8 +148,7 @@ mod tests {
             mod seq B(out int c, int d){ init(out c:4); loop{ g(out c:2, d:2); } while(1); }
             mod par C(){ fifo int x, y; A(out x, y) || B(out y, x) }
         "#;
-        let compiled = compile(src, &registry(), &CompilerOptions::default()).unwrap();
-        let net = build_simulation(&compiled);
+        let net = network(src);
         let y = net.buffers.iter().find(|b| b.name.ends_with(".y")).unwrap();
         assert!(y.max_occupancy >= 4, "initial tokens missing: {y:?}");
     }
@@ -176,8 +167,7 @@ mod tests {
                 P(x, out y) || Q(x, out z)
             }
         "#;
-        let compiled = compile(src, &registry(), &CompilerOptions::default()).unwrap();
-        let mut net = build_simulation(&compiled);
+        let mut net = network(src);
         let metrics = net.run(picos(0.5), &SimulationConfig::default());
         assert!(metrics.meets_real_time_constraints(), "{metrics:?}");
         for sink in ["y", "z"] {

@@ -18,15 +18,17 @@
 //!   end-to-end latencies can be measured and compared against the
 //!   `start .. before ..` constraints.
 //!
-//! [`build::build_simulation`] constructs a simulation directly from a
-//! [`CompiledProgram`](oil_compiler::CompiledProgram).
+//! [`build::build_simulation_from_graph`] constructs a simulation from the
+//! runtime graph of an `oil_compiler::build` executable, and
+//! [`build::build_simulation_with_registry`] from a
+//! [`CompiledProgram`](oil_compiler::CompiledProgram) and its registry.
 
 pub mod build;
 pub mod network;
 pub mod time;
 pub mod trace;
 
-pub use build::{build_simulation, build_simulation_from_graph, build_simulation_with_registry};
+pub use build::{build_simulation_from_graph, build_simulation_with_registry};
 pub use network::{
     Picos, SimBufferId, SimMetrics, SimNetwork, SimNode, SimNodeId, SimSinkId, SimSourceId,
     SimulationConfig,

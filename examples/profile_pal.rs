@@ -15,18 +15,25 @@
 //! Point a later run at the artifact with `OIL_COST_MODEL=pal_cost_model.json`
 //! — `SynthesisConfig::from_env()` picks it up everywhere.
 
-use oil::compiler::rtgraph;
-use oil::compiler::schedule::{synthesize, SynthesisConfig};
+use oil::compiler::schedule::SynthesisConfig;
 use oil::rt::{
     execute_staticsched, profile_graph, KernelLibrary, MetricsConfig, ProfileConfig, StaticConfig,
 };
 use oil::sim::picos;
 
 fn main() {
-    let (compiled, _) = oil::pal::analyze_pal().expect("the PAL decoder is schedulable");
+    // The PAL decoder built for two workers on its declared costs.
+    let workers = 2usize;
     let registry = oil::pal::pal_registry();
-    let graph = rtgraph::lower_with_registry(&compiled, &registry);
-    let plan = rtgraph::plan(&graph);
+    let build = |config: &SynthesisConfig| {
+        oil::build(oil::pal::PAL_DECODER_OIL, &registry, workers, config)
+            .expect("the PAL decoder builds")
+    };
+    let oil::Executable {
+        graph,
+        schedule: declared,
+        ..
+    } = build(&SynthesisConfig::default());
     let lib = KernelLibrary::pal();
 
     // 1. Calibrate.
@@ -47,19 +54,11 @@ fn main() {
     );
 
     // 2. Steer the partition with the measurements.
-    let workers = 2usize;
-    let declared = synthesize(&graph, &plan, workers, &SynthesisConfig::default())
-        .expect("declared-cost synthesis");
-    let measured = synthesize(
-        &graph,
-        &plan,
-        workers,
-        &SynthesisConfig {
-            cost_model: Some(model),
-            ..SynthesisConfig::default()
-        },
-    )
-    .expect("measured-cost synthesis");
+    let measured = build(&SynthesisConfig {
+        cost_model: Some(model),
+        ..SynthesisConfig::default()
+    })
+    .schedule;
     let pct = |u: &[f64]| -> String {
         u.iter()
             .map(|x| format!("{:.1}%", x * 100.0))

@@ -21,7 +21,7 @@
 //! (tracing is forced on here regardless, so the variable is optional —
 //! it exists for binaries that default to untraced runs).
 
-use oil::compiler::{rtgraph, schedule};
+use oil::compiler::schedule::SynthesisConfig;
 use oil::rt::{
     execute_selftimed, execute_staticsched, measure, ConformanceVerdict, KernelLibrary,
     RateConformance, SelfTimedConfig, StaticConfig, TraceReport,
@@ -58,19 +58,22 @@ fn report_engine(engine: &str, tr: &TraceReport, conformance: &RateConformance) 
 }
 
 fn main() {
-    let (compiled, analysis) = oil::pal::analyze_pal().expect("the PAL decoder is schedulable");
-    let registry = oil::pal::pal_registry();
-    let graph = rtgraph::lower_with_registry(&compiled, &registry);
-    let plan = rtgraph::plan(&graph);
-    let duration = picos(10e-3);
+    let (_, analysis) = oil::pal::analyze_pal().expect("the PAL decoder is schedulable");
     let threads = 2;
-    let threshold = if std::env::var_os("OIL_RT_CONFORMANCE").is_some() {
-        measure::conformance_threshold()
-    } else if cfg!(debug_assertions) {
-        0.005
-    } else {
-        0.02
-    };
+    let registry = oil::pal::pal_registry();
+    let synth = SynthesisConfig::from_env();
+    let oil::Executable {
+        graph,
+        plan,
+        schedule,
+        ..
+    } = oil::build(oil::pal::PAL_DECODER_OIL, &registry, threads, &synth)
+        .expect("the PAL decoder builds");
+    let duration = picos(10e-3);
+    // The PAL floor of the differential suites: its display sink is bound
+    // by real FIR and resampler arithmetic. `OIL_RT_CONFORMANCE` overrides.
+    let threshold =
+        measure::conformance_threshold(if cfg!(debug_assertions) { 0.005 } else { 0.02 });
 
     println!("PAL decoder, traced on both engines ({threads} workers, 10 ms virtual)");
     for (channel, rate) in ["screen", "speakers"]
@@ -102,12 +105,9 @@ fn main() {
     report_engine("selftimed", tr, &conformance);
 
     println!("\nstaticsched:");
-    let synth = schedule::SynthesisConfig::from_env();
-    let s =
-        schedule::synthesize(&graph, &plan, threads, &synth).expect("the PAL graph is schedulable");
     let report = execute_staticsched(
         &graph,
-        &s,
+        &schedule,
         &KernelLibrary::pal(),
         duration,
         &StaticConfig {

@@ -27,10 +27,17 @@
 //!   harness (`tests/differential.rs`) that cross-checks CTA against the
 //!   exact dataflow baselines.
 //!
+//! The front door is [`build`]: OIL source text, a function registry, a
+//! worker count and a [`compiler::SynthesisConfig`] in; an [`Executable`]
+//! out — the compiled program, its runtime graph, the self-timed plan and
+//! the proven static-order schedule the engines of [`rt`] run. A rejection
+//! is one [`BuildError`] over the compiler's and the scheduler's errors.
+//!
 //! See `README.md` for a tour and `DESIGN.md` for the mapping from the paper's
 //! figures and claims to modules and benchmarks.
 
 pub use oil_compiler as compiler;
+pub use oil_compiler::{build, BuildError, Executable};
 pub use oil_cta as cta;
 pub use oil_dataflow as dataflow;
 pub use oil_dsp as dsp;

@@ -7,17 +7,15 @@
 //! pipeline: derivation, consistency, buffer sizing and the reported
 //! channel rates/latencies.
 
+mod support;
+
 use oil::compiler::{compile, derive_cta_model, CompilerOptions};
 use oil::cta::size_buffers;
 use oil::dataflow::Rational;
-use oil::lang::registry::{FunctionRegistry, FunctionSignature};
+use oil::lang::registry::FunctionRegistry;
 
 fn registry() -> FunctionRegistry {
-    let mut reg = FunctionRegistry::new();
-    for f in ["f", "g", "init", "src", "snk"] {
-        reg.register(FunctionSignature::pure(f, 1e-6));
-    }
-    reg
+    support::pure(&["f", "g", "init", "src", "snk"], 1e-6)
 }
 
 const FIG6: &str = r#"
@@ -98,18 +96,7 @@ fn pipeline32_sizing_is_bit_identical_across_runs() {
     // 33 buffers, one enlargement each. Its sizing runs on scaled integers,
     // skips no-op relaxations and stops at the first predecessor cycle;
     // none of that may make a result depend on anything but the model.
-    let mut src = String::from("mod seq W(int a, out int b){ loop{ f(a, out b); } while(1); }\n");
-    src.push_str("mod par Top(){\n");
-    for i in 0..31 {
-        src.push_str(&format!("    fifo int m{i};\n"));
-    }
-    src.push_str("    source int x = src() @ 1000 Hz;\n    sink int y = snk() @ 1000 Hz;\n");
-    src.push_str("    W(x, out m0)");
-    for i in 1..31 {
-        src.push_str(&format!(" || W(m{}, out m{i})", i - 1));
-    }
-    src.push_str(" || W(m30, out y)\n}\n");
-
+    let src = support::pipeline_source(32);
     let reg = registry();
     let analyzed = oil::lang::frontend(&src, &reg).unwrap();
     let derived = derive_cta_model(&analyzed, &reg);
@@ -165,17 +152,12 @@ fn fig2c_channel_rates_are_exactly_equal() {
 /// generated programs.
 #[test]
 fn sim_traces_are_insensitive_to_event_insertion_order() {
-    use oil::gen::{GenRng, ProgramScenario};
-    use oil::sim::{build_simulation, picos, SimulationConfig};
+    use oil::gen::GenRng;
+    use oil::sim::{build_simulation_from_graph, picos, SimulationConfig};
 
     let mut checked = 0;
-    for seed in 0..24u64 {
-        let scenario = ProgramScenario::generate(seed);
-        let Ok(compiled) = compile(
-            &scenario.source,
-            &scenario.registry,
-            &CompilerOptions::default(),
-        ) else {
+    for (at, scenario) in support::programs(24, 0) {
+        let Some(exe) = support::build_program(&at, &scenario, 1) else {
             continue; // temporal rejection is legitimate; see differential.rs
         };
         checked += 1;
@@ -185,7 +167,7 @@ fn sim_traces_are_insensitive_to_event_insertion_order() {
         };
         let duration = picos(0.1);
 
-        let net = build_simulation(&compiled);
+        let net = build_simulation_from_graph(&exe.graph);
         let ticks = net.sources.len() + net.sinks.len();
         let (_, reference) = net.clone().run_traced(duration, &config);
 
@@ -193,7 +175,7 @@ fn sim_traces_are_insensitive_to_event_insertion_order() {
         let identity: Vec<usize> = (0..ticks).collect();
         let reversed: Vec<usize> = (0..ticks).rev().collect();
         let mut orders = vec![identity, reversed];
-        let mut rng = GenRng::new(seed ^ 0x5EED);
+        let mut rng = GenRng::new(scenario.seed ^ 0x5EED);
         for _ in 0..3 {
             let mut p: Vec<usize> = (0..ticks).collect();
             for i in (1..p.len()).rev() {
@@ -209,7 +191,7 @@ fn sim_traces_are_insensitive_to_event_insertion_order() {
             assert_eq!(
                 permuted.first_divergence(&reference),
                 None,
-                "seed {seed}: trace depends on event insertion order {order:?}"
+                "{at}: trace depends on event insertion order {order:?}"
             );
         }
     }

@@ -27,6 +27,8 @@
 //! `<Scenario>::generate(seed)` (all generation is a pure function of the
 //! seed — same instance on every machine).
 
+mod support;
+
 use oil::cta::consistency::ConsistencyError;
 use oil::dataflow::hsdf::{ExactCycleRatio, HsdfGraph};
 use oil::dataflow::index::{Idx, PortId};
@@ -230,73 +232,48 @@ fn pairs_state_space_and_exact_hsdf_baselines_agree_exactly() {
 
 #[test]
 fn accepted_generated_programs_simulate_cleanly_with_cta_sized_buffers() {
-    use oil::compiler::{compile, CompileError, CompilerOptions};
-    use oil::sim::{build_simulation, picos, SimulationConfig};
+    use oil::sim::{build_simulation_from_graph, picos, SimulationConfig};
 
     let (mut accepted, mut rejected) = (0u32, 0u32);
-    for seed in 0..PROGRAM_SEEDS {
-        let scenario = ProgramScenario::generate(seed);
-        let opts = CompilerOptions::default();
-        match compile(&scenario.source, &scenario.registry, &opts) {
-            Ok(compiled) => {
-                accepted += 1;
-                // Determinism: the exact-rational pipeline leaves no room for
-                // drift between identical compilations.
-                let again = compile(&scenario.source, &scenario.registry, &opts)
-                    .unwrap_or_else(|e| panic!("seed {seed}: recompilation failed: {e}"));
-                assert_eq!(
-                    again.consistency, compiled.consistency,
-                    "seed {seed}: consistency result drifted between compilations"
-                );
+    for (at, scenario) in support::programs(PROGRAM_SEEDS, 0) {
+        let Some(exe) = support::build_program(&at, &scenario, 1) else {
+            // Tight latency bounds are a legitimate reason to reject.
+            rejected += 1;
+            continue;
+        };
+        accepted += 1;
+        // Determinism: the exact-rational pipeline leaves no room for
+        // drift between identical compilations.
+        let again = support::build_program(&at, &scenario, 1).expect("rebuilds");
+        assert_eq!(
+            again.compiled.consistency, exe.compiled.consistency,
+            "{at}: consistency result drifted between compilations"
+        );
 
-                // The paper's core guarantee: accepted ⇒ executes cleanly
-                // with the analysed buffer capacities. The warm-up must cover
-                // the pipeline fill: with rate up-conversion the sink ticks
-                // many times before the slowest upstream stage has produced
-                // its first burst, and those ticks are not misses.
-                let slowest_hz = scenario
-                    .stages
-                    .iter()
-                    .map(|s| s.firing_hz)
-                    .chain([scenario.source_hz])
-                    .min()
-                    .unwrap_or(1);
-                let warmup_ticks = 4 + scenario.sink_hz.div_ceil(slowest_hz) * 6;
-                let mut net = build_simulation(&compiled);
-                let metrics = net.run(
-                    picos(0.25),
-                    &SimulationConfig {
-                        cores: 0,
-                        warmup_ticks,
-                    },
-                );
-                assert!(
-                    metrics.meets_real_time_constraints(),
-                    "seed {seed}: accepted program missed deadlines or overflowed:\n\
-                     {metrics:?}\nsource:\n{}",
-                    scenario.source
-                );
-                for (name, cap, occ) in &metrics.buffers {
-                    assert!(
-                        occ <= cap,
-                        "seed {seed}: buffer {name} exceeded its analysed capacity"
-                    );
-                }
-                if let Some(ms) = scenario.latency_ms {
-                    let measured = metrics.sink_max_latency("y").unwrap_or(0.0);
-                    assert!(
-                        measured <= ms as f64 * 1e-3 + 1e-9,
-                        "seed {seed}: measured latency {measured}s exceeds the {ms} ms bound"
-                    );
-                }
-            }
-            // Tight latency bounds are a legitimate reason to reject; the
-            // front end must never be the one rejecting generated programs.
-            Err(CompileError::Temporal(_)) => rejected += 1,
-            Err(CompileError::Frontend(diags)) => panic!(
-                "seed {seed}: generated program must be front-end valid, got {diags:?}\n{}",
-                scenario.source
-            ),
+        // The paper's core guarantee: accepted ⇒ executes cleanly with the
+        // analysed buffer capacities.
+        let config = SimulationConfig {
+            cores: 0,
+            warmup_ticks: support::warmup_ticks(&scenario),
+        };
+        let metrics = build_simulation_from_graph(&exe.graph).run(picos(0.25), &config);
+        assert!(
+            metrics.meets_real_time_constraints(),
+            "{at}: accepted program missed deadlines or overflowed:\n{metrics:?}\nsource:\n{}",
+            scenario.source
+        );
+        for (name, cap, occ) in &metrics.buffers {
+            assert!(
+                occ <= cap,
+                "{at}: buffer {name} exceeded its analysed capacity"
+            );
+        }
+        if let Some(ms) = scenario.latency_ms {
+            let measured = metrics.sink_max_latency("y").unwrap_or(0.0);
+            assert!(
+                measured <= ms as f64 * 1e-3 + 1e-9,
+                "{at}: measured latency {measured}s exceeds the {ms} ms bound"
+            );
         }
     }
     assert!(
@@ -529,34 +506,6 @@ mod dense {
     }
 }
 
-/// A `stages`-deep single-rate pipeline between a 1 kHz source and sink
-/// (the compile corpus's `pipeline_source`).
-fn pipeline_source(stages: usize) -> String {
-    let mut s = String::from("mod seq W(int a, out int b){ loop{ f(a, out b); } while(1); }\n");
-    s.push_str("mod par Top(){\n");
-    for i in 0..stages - 1 {
-        s.push_str(&format!("    fifo int m{i};\n"));
-    }
-    s.push_str("    source int x = src() @ 1000 Hz;\n    sink int y = snk() @ 1000 Hz;\n");
-    let calls: Vec<String> = (0..stages)
-        .map(|i| {
-            let input = if i == 0 {
-                "x".into()
-            } else {
-                format!("m{}", i - 1)
-            };
-            let output = if i == stages - 1 {
-                "y".into()
-            } else {
-                format!("m{i}")
-            };
-            format!("W({input}, out {output})")
-        })
-        .collect();
-    s.push_str(&format!("    {}\n}}\n", calls.join(" || ")));
-    s
-}
-
 /// Every CTA model the kernel is held to the dense loop on: the derived
 /// models of the generated and fixed programs, and the generator's ring,
 /// pair and multi-rate topologies.
@@ -618,7 +567,11 @@ fn kernel_corpus() -> Vec<(String, oil::cta::CtaModel)> {
         ),
     ];
     for k in [4, 8, 16] {
-        programs.push((format!("pipeline{k}"), pipeline_source(k), unit.clone()));
+        programs.push((
+            format!("pipeline{k}"),
+            support::pipeline_source(k),
+            unit.clone(),
+        ));
     }
     for seed in 0..PROGRAM_SEEDS {
         let s = ProgramScenario::generate(seed);
@@ -933,36 +886,27 @@ fn adversarial_denominators_take_the_rational_path_to_the_dense_verdict() {
 #[test]
 #[ignore = "release-only: run by CI's differential sweep"]
 fn long_pipelines_compile_and_schedule() {
-    use oil::compiler::rtgraph;
-    use oil::compiler::schedule::{synthesize, SynthesisConfig};
-    use oil::compiler::{compile, CompilerOptions};
-    use oil::lang::registry::{FunctionRegistry, FunctionSignature};
+    use oil::compiler::schedule::SynthesisConfig;
 
-    let mut registry = FunctionRegistry::new();
-    for f in ["f", "src", "snk"] {
-        registry.register(FunctionSignature::pure(f, 1e-6));
-    }
+    let registry = support::pure(&["f", "src", "snk"], 1e-6);
     for stages in [64, 128] {
         let started = std::time::Instant::now();
-        let compiled = compile(
-            &pipeline_source(stages),
-            &registry,
-            &CompilerOptions::default(),
-        )
-        .unwrap_or_else(|e| panic!("pipeline{stages}: {e}"));
-        assert_eq!(compiled.buffers.iterations, stages + 1);
+        let at = format!("pipeline{stages}");
+        let source = support::pipeline_source(stages);
+        let config = SynthesisConfig::default();
+        let exe =
+            oil::build(&source, &registry, 1, &config).unwrap_or_else(|e| panic!("{at}: {e}"));
+        assert_eq!(exe.compiled.buffers.iterations, stages + 1);
         assert_eq!(
-            compiled.channel_rate_exact("y"),
+            exe.compiled.channel_rate_exact("y"),
             Some(Rational::from_int(1000))
         );
-        let graph = rtgraph::lower_with_registry(&compiled, &registry);
-        let plan = rtgraph::plan(&graph);
         for workers in [1, 2] {
-            let schedule = synthesize(&graph, &plan, workers, &SynthesisConfig::default())
-                .unwrap_or_else(|e| panic!("pipeline{stages}@{workers}w: {e}"));
+            let at = format!("{at}@{workers}w");
+            let schedule = support::schedule(&at, &exe.graph, workers, &config);
             schedule
-                .validate(&graph)
-                .unwrap_or_else(|e| panic!("pipeline{stages}@{workers}w: {e}"));
+                .validate(&exe.graph)
+                .unwrap_or_else(|e| panic!("{at}: {e}"));
         }
         println!("pipeline{stages}: {:?}", started.elapsed());
     }

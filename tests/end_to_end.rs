@@ -1,16 +1,26 @@
 //! Integration tests spanning the whole toolchain: front end → task graphs →
 //! CTA derivation → buffer sizing → simulation.
 
-use oil::compiler::{compile, CompileError, CompilerOptions};
-use oil::lang::registry::{FunctionRegistry, FunctionSignature};
-use oil::sim::{build_simulation, picos, SimulationConfig};
+mod support;
+
+use oil::compiler::schedule::{ScheduleError, SynthesisConfig};
+use oil::compiler::CompileError;
+use oil::lang::registry::FunctionRegistry;
+use oil::sim::{build_simulation_from_graph, picos, SimMetrics, SimulationConfig};
+use oil::BuildError;
 
 fn registry(response_time: f64) -> FunctionRegistry {
-    let mut reg = FunctionRegistry::new();
-    for f in ["f", "g", "h", "k", "init", "src", "snk"] {
-        reg.register(FunctionSignature::pure(f, response_time));
-    }
-    reg
+    support::pure(&["f", "g", "h", "k", "init", "src", "snk"], response_time)
+}
+
+/// `src` built through the front door at one worker.
+fn build(src: &str, registry: &FunctionRegistry) -> Result<oil::Executable, BuildError> {
+    oil::build(src, registry, 1, &SynthesisConfig::default())
+}
+
+/// Simulate the runtime graph of `exe` for `seconds` with `config`.
+fn simulate(exe: &oil::Executable, seconds: f64, config: &SimulationConfig) -> SimMetrics {
+    build_simulation_from_graph(&exe.graph).run(picos(seconds), config)
 }
 
 #[test]
@@ -28,9 +38,8 @@ fn analysed_program_meets_constraints_in_simulation() {
             P(x, out mid) || Q(mid, out y)
         }
     "#;
-    let compiled = compile(src, &registry(2e-5), &CompilerOptions::default()).unwrap();
-    let mut net = build_simulation(&compiled);
-    let metrics = net.run(picos(0.25), &SimulationConfig::default());
+    let exe = build(src, &registry(2e-5)).unwrap();
+    let metrics = simulate(&exe, 0.25, &SimulationConfig::default());
     assert!(metrics.meets_real_time_constraints(), "{metrics:?}");
     // The measured latency stays within the declared 2 ms bound.
     assert!(metrics.sink_max_latency("y").unwrap() <= 2e-3 + 1e-9);
@@ -51,19 +60,15 @@ fn overloaded_program_is_rejected_by_analysis_and_fails_in_simulation() {
             W(x, out y)
         }
     "#;
-    let slow = registry(5e-4);
-    let rejected = compile(src, &slow, &CompilerOptions::default());
-    assert!(
-        rejected.is_err(),
-        "analysis must reject the overloaded program"
-    );
+    let rejected = build(src, &registry(5e-4));
+    let by_analysis = matches!(rejected, Err(BuildError::Compile(_)));
+    assert!(by_analysis, "analysis must reject the overloaded program");
 
     // The same program with fast tasks is accepted; artificially slowing the
     // simulation down (single shared core for comparison) is not needed —
     // simply check the accepted program simulates cleanly.
-    let compiled = compile(src, &registry(2e-5), &CompilerOptions::default()).unwrap();
-    let mut net = build_simulation(&compiled);
-    let metrics = net.run(picos(0.25), &SimulationConfig::default());
+    let exe = build(src, &registry(2e-5)).unwrap();
+    let metrics = simulate(&exe, 0.25, &SimulationConfig::default());
     assert!(metrics.meets_real_time_constraints());
 }
 
@@ -83,17 +88,14 @@ fn functional_determinism_across_core_counts() {
             P(x, out mid) || Q(mid, out y)
         }
     "#;
-    let compiled = compile(src, &registry(1e-5), &CompilerOptions::default()).unwrap();
+    let exe = build(src, &registry(1e-5)).unwrap();
     let mut counts = Vec::new();
     for cores in [0usize, 2, 1] {
-        let mut net = build_simulation(&compiled);
-        let metrics = net.run(
-            picos(0.5),
-            &SimulationConfig {
-                cores,
-                warmup_ticks: 4,
-            },
-        );
+        let config = SimulationConfig {
+            cores,
+            warmup_ticks: 4,
+        };
+        let metrics = simulate(&exe, 0.5, &config);
         assert!(
             metrics.meets_real_time_constraints(),
             "cores={cores}: {metrics:?}"
@@ -117,9 +119,14 @@ fn latency_constraint_violations_are_compile_errors() {
             W(x, out y)
         }
     "#;
-    // 5 ms of work per sample can never satisfy a 1 ms end-to-end bound.
-    let err = compile(src, &registry(5e-3), &CompilerOptions::default()).unwrap_err();
-    assert!(matches!(err, CompileError::Temporal(_)));
+    // 5 ms of work per sample can never satisfy a 1 ms end-to-end bound
+    // (the infeasible end of `examples/source_sink_latency.rs`): `build`'s
+    // temporal arm.
+    let err = build(src, &registry(5e-3)).unwrap_err();
+    assert!(
+        matches!(err, BuildError::Compile(CompileError::Temporal(_))),
+        "{err}"
+    );
 }
 
 #[test]
@@ -134,14 +141,13 @@ fn multi_rate_chain_rates_compose_multiplicatively() {
             D4(x, out mid) || D4(mid, out y)
         }
     "#;
-    let compiled = compile(src, &registry(1e-5), &CompilerOptions::default()).unwrap();
+    let exe = build(src, &registry(1e-5)).unwrap();
     // Exact rate equality: the 16 kHz -> 4 kHz -> 1 kHz cascade composes
     // multiplicatively with no round-off.
-    assert_eq!(compiled.channel_rate("x"), Some(16_000.0));
-    assert_eq!(compiled.channel_rate("mid"), Some(4_000.0));
-    assert_eq!(compiled.channel_rate("y"), Some(1_000.0));
-    let mut net = build_simulation(&compiled);
-    let metrics = net.run(picos(0.5), &SimulationConfig::default());
+    assert_eq!(exe.compiled.channel_rate("x"), Some(16_000.0));
+    assert_eq!(exe.compiled.channel_rate("mid"), Some(4_000.0));
+    assert_eq!(exe.compiled.channel_rate("y"), Some(1_000.0));
+    let metrics = simulate(&exe, 0.5, &SimulationConfig::default());
     assert!(metrics.meets_real_time_constraints(), "{metrics:?}");
 }
 
@@ -159,8 +165,8 @@ fn astronomically_large_rate_literals_are_rejected_not_panics() {
             W(x, out y)
         }
     "#;
-    match compile(src, &reg, &CompilerOptions::default()) {
-        Err(CompileError::Frontend(diags)) => {
+    match build(src, &reg) {
+        Err(BuildError::Compile(CompileError::Frontend(diags))) => {
             assert!(
                 diags.iter().any(|d| d.message.contains("exact rational")),
                 "{diags:?}"
@@ -179,38 +185,66 @@ fn astronomically_large_rate_literals_are_rejected_not_panics() {
             W(x, out y)
         }
     "#;
+    let err = build(src_latency, &reg).unwrap_err();
+    let frontend = matches!(err, BuildError::Compile(CompileError::Frontend(_)));
     assert!(
-        matches!(
-            compile(src_latency, &reg, &CompilerOptions::default()),
-            Err(CompileError::Frontend(_))
-        ),
-        "latency amount must be rejected at the front end"
+        frontend,
+        "latency amount must be rejected at the front end: {err}"
     );
 }
 
 #[test]
 fn rejects_programs_that_escape_analysability() {
     let reg = registry(1e-5);
-    // Recursion between modules.
-    assert!(compile(
+    let rejected = [
+        // Recursion between modules.
         "mod par A(int x, out int y){ B(x, out y) } mod par B(int x, out int y){ A(x, out y) }",
-        &reg,
-        &CompilerOptions::default()
-    )
-    .is_err());
-    // Output stream never written.
-    assert!(compile(
+        // Output stream never written.
         "mod seq A(int a, out int b){ loop{ f(a); } while(1); }",
-        &reg,
-        &CompilerOptions::default()
-    )
-    .is_err());
-    // Mismatched rate conversion between source and sink.
-    assert!(compile(
+        // Mismatched rate conversion between source and sink.
         r#"mod seq W(int a, out int b){ loop{ f(a:2, out b); } while(1); }
            mod par T(){ source int x = src() @ 8 kHz; sink int y = snk() @ 8 kHz; W(x, out y) }"#,
-        &reg,
-        &CompilerOptions::default()
-    )
-    .is_err());
+    ];
+    for src in rejected {
+        let err = build(src, &reg).expect_err(src);
+        assert!(matches!(err, BuildError::Compile(_)), "{err}");
+    }
+}
+
+#[test]
+fn build_reaches_every_error_arm_from_source() {
+    let reg = registry(1e-5);
+    // Front end: a parse error.
+    match build("mod seq A(out int a){ f(out a) ", &reg) {
+        Err(BuildError::Compile(CompileError::Frontend(diags))) => assert!(!diags.is_empty()),
+        other => panic!("expected a front-end rejection, got {other:?}"),
+    }
+    // (The temporal arm is `latency_constraint_violations_are_compile_errors`.)
+    // Schedule: two modal modules whose arms read disjoint inputs are two
+    // non-uniform clusters; synthesis admits one modal unit per graph, so
+    // the second is rejected, named by its members.
+    let two_modal = r#"
+        mod seq S(int a, int c, out int b){
+            loop{ if(...){ t = f(a); } else { t = g(c); } k(t, out b); } while(1);
+        }
+        mod par D(){
+            fifo int m;
+            source int x = src() @ 1 kHz;
+            source int z = src() @ 1 kHz;
+            source int w = src() @ 1 kHz;
+            sink int y = snk() @ 1 kHz;
+            S(x, z, out m) || S(m, w, out y)
+        }
+    "#;
+    match build(two_modal, &reg) {
+        Err(BuildError::Schedule(ScheduleError::NonUniformCluster { members, .. })) => {
+            assert!(members.iter().all(|m| m.contains("S#1")), "{members:?}");
+        }
+        other => panic!("expected a schedule rejection, got {other:?}"),
+    }
+    // One such module alone is admitted as a modal unit (`m` and `w` left
+    // unread).
+    let one_modal = two_modal.replace("S(x, z, out m) || S(m, w, out y)", "S(x, z, out y)");
+    let exe = build(&one_modal, &reg).expect("one non-uniform cluster is modal-admissible");
+    assert!(exe.schedule.modes.is_some());
 }

@@ -18,19 +18,18 @@
 //! 4. **Detection latency** — an injected 5x-slower kernel is reported as
 //!    `Violated` in the *first* closed window, not at end-of-run.
 
+mod support;
+
 use oil::compiler::costmodel::{KernelCost, KernelCostModel};
-use oil::compiler::schedule::{synthesize, ScheduleError, SynthesisConfig};
-use oil::compiler::{compile, rtgraph, CompileError, CompilerOptions};
-use oil::gen::ProgramScenario;
-use oil::lang::registry::{FunctionRegistry, FunctionSignature};
+use oil::compiler::schedule::{StaticSchedule, SynthesisConfig};
+use oil::lang::registry::FunctionSignature;
 use oil::rt::{
-    execute_selftimed, execute_staticsched, DriftVerdict, Kernel, KernelLibrary, MetricsConfig,
-    SelfTimedConfig, StaticConfig,
+    execute_selftimed, DriftVerdict, Kernel, KernelLibrary, MetricsConfig, SelfTimedConfig,
 };
 use oil::sim::picos;
 use std::sync::{Mutex, MutexGuard};
+use support::{assert_identical, build_program, matrix, programs, Knobs};
 
-const WORKERS: [usize; 3] = [1, 2, 4];
 const MIN_ACCEPTED: usize = 8;
 const HORIZON_S: f64 = 0.05;
 
@@ -46,152 +45,47 @@ fn engine_runs() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-fn compile_scenario(scenario: &ProgramScenario) -> Option<oil::compiler::CompiledProgram> {
-    match compile(
-        &scenario.source,
-        &scenario.registry,
-        &CompilerOptions::default(),
-    ) {
-        Ok(compiled) => Some(compiled),
-        Err(CompileError::Temporal(_)) => None,
-        Err(CompileError::Frontend(diags)) => panic!(
-            "seed {}: generated program must be front-end valid, got {diags:?}\n{}",
-            scenario.seed, scenario.source
-        ),
-    }
-}
-
-/// Byte-for-byte comparison of everything the value plane observes.
-fn assert_bit_identical(
-    seed: u64,
-    what: &str,
-    base: (
-        &oil::rt::ValueTrace,
-        &[oil::rt::SinkStream],
-        &[(String, u64)],
-    ),
-    metered: (
-        &oil::rt::ValueTrace,
-        &[oil::rt::SinkStream],
-        &[(String, u64)],
-    ),
-) {
-    if let Some(d) = base.0.first_divergence(metered.0) {
-        panic!("seed {seed}: {what}: metrics changed a value stream: {d}");
-    }
-    assert_eq!(
-        base.2, metered.2,
-        "seed {seed}: {what}: metrics changed firing counts"
-    );
-    assert_eq!(base.1.len(), metered.1.len(), "seed {seed}: {what}: sinks");
-    for (a, b) in base.1.iter().zip(metered.1) {
-        assert_eq!(
-            a.consumed, b.consumed,
-            "seed {seed}: {what}: sink `{}` consumed",
-            a.name
-        );
-        assert_eq!(
-            a.values, b.values,
-            "seed {seed}: {what}: sink `{}` samples",
-            a.name
-        );
-    }
-}
-
-/// The untampered corpus must never trip the oracle — but wall-clock rate
-/// claims only bind when the run actually beat real time (an overloaded
-/// host genuinely is drift, just not the kind this test injects).
-fn assert_ok_verdict(seed: u64, what: &str, m: &oil::rt::MetricsReport, wall_s: f64) {
-    if wall_s > HORIZON_S {
-        return;
-    }
-    assert_eq!(
-        m.verdict,
-        DriftVerdict::Ok,
-        "seed {seed}: {what}: drift oracle fired on an untampered run \
-         (wall {wall_s:.6}s < virtual {HORIZON_S}s): {:?}",
-        m.verdict
-    );
-}
-
 #[test]
 fn metered_runs_are_bit_identical_to_unmetered_on_all_engines() {
     let _serial = engine_runs();
-    let metrics = Some(MetricsConfig::default());
+    let cells = matrix(&[1, 2, 4]);
     let mut accepted = 0usize;
-    for seed in 0..24u64 {
-        let scenario = ProgramScenario::generate(seed);
-        let Some(compiled) = compile_scenario(&scenario) else {
+    for (at, scenario) in programs(24, 0) {
+        let Some(exe) = build_program(&at, &scenario, 1) else {
             continue;
         };
         accepted += 1;
-        let graph = rtgraph::lower(&compiled);
-        let plan = rtgraph::plan(&graph);
-        for &threads in &WORKERS {
-            let run_selftimed = |metrics: Option<MetricsConfig>| {
-                execute_selftimed(
-                    &graph,
-                    &plan,
-                    &KernelLibrary::new(),
-                    picos(HORIZON_S),
-                    &SelfTimedConfig {
-                        threads,
-                        warmup_samples: 4,
+        for cell in &cells {
+            let at = format!("{at}: {cell}");
+            let run = |metrics| {
+                cell.run(
+                    &at,
+                    &exe.graph,
+                    HORIZON_S,
+                    Knobs {
                         metrics,
-                        ..SelfTimedConfig::default()
+                        ..Knobs::default()
                     },
                 )
             };
-            let base = run_selftimed(None);
-            let metered = run_selftimed(metrics);
-            let m = metered.metrics.as_ref().expect("metered run lost report");
-            assert_ok_verdict(
-                seed,
-                &format!("selftimed@{threads}"),
-                m,
-                metered.wall.as_secs_f64(),
-            );
-            assert_bit_identical(
-                seed,
-                &format!("selftimed@{threads}"),
-                (&base.values, &base.sinks, &base.node_firings),
-                (&metered.values, &metered.sinks, &metered.node_firings),
-            );
-
-            let schedule = match synthesize(&graph, &plan, threads, &SynthesisConfig::from_env()) {
-                Ok(s) => s,
-                Err(ScheduleError::NonUniformCluster { .. }) => continue,
-                Err(e) => panic!("seed {seed}: synthesis at {threads}: {e}"),
-            };
-            let run_static = |metrics: Option<MetricsConfig>| {
-                execute_staticsched(
-                    &graph,
-                    &schedule,
-                    &KernelLibrary::new(),
-                    picos(HORIZON_S),
-                    &StaticConfig {
-                        record_values: true,
-                        warmup_samples: 4,
-                        metrics,
-                        ..StaticConfig::default()
-                    },
-                )
-            };
-            let base = run_static(None);
-            let metered = run_static(metrics);
-            let m = metered.metrics.as_ref().expect("metered run lost report");
-            assert_ok_verdict(
-                seed,
-                &format!("staticsched@{threads}"),
-                m,
-                metered.wall.as_secs_f64(),
-            );
-            assert_bit_identical(
-                seed,
-                &format!("staticsched@{threads}"),
-                (&base.values, &base.sinks, &base.node_firings),
-                (&metered.values, &metered.sinks, &metered.node_firings),
-            );
+            let base = run(None);
+            let metered = run(Some(MetricsConfig::default()));
+            let m = metered.metrics().expect("metered run lost report");
+            // The untampered corpus must never trip the oracle — but
+            // wall-clock rate claims only bind when the run actually beat
+            // real time (an overloaded host genuinely is drift, just not
+            // the kind this test injects).
+            let wall_s = metered.wall_s();
+            if wall_s <= HORIZON_S {
+                assert_eq!(
+                    m.verdict,
+                    DriftVerdict::Ok,
+                    "{at}: drift oracle fired on an untampered run \
+                     (wall {wall_s:.6}s < virtual {HORIZON_S}s): {:?}",
+                    m.verdict
+                );
+            }
+            assert_identical(&format!("{at}: metered vs unmetered"), &base, &metered);
         }
     }
     assert!(
@@ -219,14 +113,12 @@ const CHAIN: &str = r#"
     }
 "#;
 
-fn chain_registry() -> FunctionRegistry {
-    let mut r = FunctionRegistry::new();
-    for f in ["f0", "f1", "f2", "f3"] {
-        r.register(FunctionSignature::pure(f, 1e-5));
-    }
-    r.register(FunctionSignature::pure("src", 1e-7));
-    r.register(FunctionSignature::pure("snk", 1e-7));
-    r
+/// `CHAIN` built for two workers under `config`.
+fn chain(config: &SynthesisConfig) -> oil::Executable {
+    let mut registry = support::pure(&["f0", "f1", "f2", "f3"], 1e-5);
+    registry.register(FunctionSignature::pure("src", 1e-7));
+    registry.register(FunctionSignature::pure("snk", 1e-7));
+    oil::build(CHAIN, &registry, 2, config).expect("chain program builds")
 }
 
 /// One kernel measured 500x more expensive than its equally-declared
@@ -248,25 +140,14 @@ fn skewed_model() -> KernelCostModel {
 #[test]
 fn skewed_cost_model_shifts_the_partition_and_never_the_values() {
     let _serial = engine_runs();
-    let compiled = compile(CHAIN, &chain_registry(), &CompilerOptions::default())
-        .expect("chain program compiles");
-    let graph = rtgraph::lower(&compiled);
-    let plan = rtgraph::plan(&graph);
     let workers = 2usize;
-
-    let declared = synthesize(&graph, &plan, workers, &SynthesisConfig::default())
-        .expect("declared-cost synthesis");
+    let declared = chain(&SynthesisConfig::default()).schedule;
     let model = skewed_model();
-    let measured = synthesize(
-        &graph,
-        &plan,
-        workers,
-        &SynthesisConfig {
-            cost_model: Some(model.clone()),
-            ..SynthesisConfig::default()
-        },
-    )
-    .expect("measured-cost synthesis");
+    let measured = chain(&SynthesisConfig {
+        cost_model: Some(model.clone()),
+        ..SynthesisConfig::default()
+    });
+    let (graph, measured) = (measured.graph, measured.schedule);
 
     // Provenance is recorded — and excluded from the structural digest.
     assert_eq!(declared.cost_model_hash, None);
@@ -279,9 +160,8 @@ fn skewed_cost_model_shifts_the_partition_and_never_the_values() {
     );
 
     // The observation moved at least one unit to a different worker.
-    let placement = |s: &oil::compiler::schedule::StaticSchedule| -> Vec<usize> {
-        s.units.iter().map(|u| u.worker).collect()
-    };
+    let placement =
+        |s: &StaticSchedule| -> Vec<usize> { s.units.iter().map(|u| u.worker).collect() };
     assert_ne!(
         placement(&declared),
         placement(&measured),
@@ -291,27 +171,10 @@ fn skewed_cost_model_shifts_the_partition_and_never_the_values() {
     // …but never correctness: the moved schedule re-validates, and both
     // schedules stream bit-identical values.
     measured.validate(&graph).expect("measured-cost schedule");
-    let run = |s| {
-        execute_staticsched(
-            &graph,
-            s,
-            &KernelLibrary::new(),
-            picos(HORIZON_S),
-            &StaticConfig {
-                record_values: true,
-                warmup_samples: 4,
-                ..StaticConfig::default()
-            },
-        )
-    };
-    let a = run(&declared);
-    let b = run(&measured);
-    assert_bit_identical(
-        0,
-        "declared vs measured partition",
-        (&a.values, &a.sinks, &a.node_firings),
-        (&b.values, &b.sinks, &b.node_firings),
-    );
+    let config = support::static_config();
+    let a = support::replay(&graph, &declared, HORIZON_S, None, &config);
+    let b = support::replay(&graph, &measured, HORIZON_S, None, &config);
+    assert_identical("declared vs measured partition", &a, &b);
 }
 
 #[test]
@@ -320,23 +183,14 @@ fn golden_digests_are_untouched_without_a_cost_model() {
     // OIL_COST_MODEL is set; with `cost_model: None` the measured-cost
     // path must be byte-for-byte the declared-cost path — the golden
     // corpus (tests/data/schedule_corpus.txt) relies on it.
-    let compiled = compile(CHAIN, &chain_registry(), &CompilerOptions::default())
-        .expect("chain program compiles");
-    let graph = rtgraph::lower(&compiled);
-    let plan = rtgraph::plan(&graph);
+    let graph = chain(&SynthesisConfig::default()).graph;
     for workers in [1usize, 2, 4] {
-        let a = synthesize(&graph, &plan, workers, &SynthesisConfig::default())
-            .expect("default synthesis");
-        let b = synthesize(
-            &graph,
-            &plan,
-            workers,
-            &SynthesisConfig {
-                cost_model: None,
-                ..SynthesisConfig::default()
-            },
-        )
-        .expect("explicit no-model synthesis");
+        let a = support::schedule("CHAIN", &graph, workers, &SynthesisConfig::default());
+        let explicit = SynthesisConfig {
+            cost_model: None,
+            ..SynthesisConfig::default()
+        };
+        let b = support::schedule("CHAIN", &graph, workers, &explicit);
         assert_eq!(
             a.digest(),
             b.digest(),
@@ -359,14 +213,6 @@ const DRIFT_PROGRAM: &str = r#"
     }
 "#;
 
-fn drift_registry() -> FunctionRegistry {
-    let mut r = FunctionRegistry::new();
-    r.register(FunctionSignature::pure("f", 1e-6));
-    r.register(FunctionSignature::pure("src", 1e-7));
-    r.register(FunctionSignature::pure("snk", 1e-7));
-    r
-}
-
 /// A kernel that burns at least `micros` of wall clock per firing and
 /// passes its input through.
 fn busy_kernel(micros: u64) -> Kernel {
@@ -386,14 +232,11 @@ const CONTROL_HORIZON_S: f64 = 0.12288;
 #[test]
 fn drift_detector_flags_injected_slowdown_within_one_window() {
     let _serial = engine_runs();
-    let compiled = compile(
-        DRIFT_PROGRAM,
-        &drift_registry(),
-        &CompilerOptions::default(),
-    )
-    .expect("drift program compiles");
-    let graph = rtgraph::lower(&compiled);
-    let plan = rtgraph::plan(&graph);
+    let mut registry = support::pure(&["src", "snk"], 1e-7);
+    registry.register(FunctionSignature::pure("f", 1e-6));
+    let config = SynthesisConfig::default();
+    let exe = oil::build(DRIFT_PROGRAM, &registry, 1, &config).expect("drift program builds");
+    let (graph, plan) = (&exe.graph, &exe.plan);
     let metrics = MetricsConfig { window: 128 };
 
     // The sink is predicted at 100 kHz; a kernel pinned at ≥50 µs/firing
@@ -401,8 +244,8 @@ fn drift_detector_flags_injected_slowdown_within_one_window() {
     let mut slow = KernelLibrary::new();
     slow.register("f", Box::new(|| busy_kernel(50)));
     let report = execute_selftimed(
-        &graph,
-        &plan,
+        graph,
+        plan,
         &slow,
         picos(0.01),
         &SelfTimedConfig {
@@ -440,8 +283,8 @@ fn drift_detector_flags_injected_slowdown_within_one_window() {
     // budget each), so one scheduler preemption cannot fake a violation the
     // way it could in a 128-sample (1.28 ms) window.
     let report = execute_selftimed(
-        &graph,
-        &plan,
+        graph,
+        plan,
         &KernelLibrary::new(),
         picos(CONTROL_HORIZON_S),
         &SelfTimedConfig {

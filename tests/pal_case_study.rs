@@ -60,3 +60,28 @@ fn pal_source_text_is_self_contained() {
         assert!(program.module(name).is_some(), "module {name} missing");
     }
 }
+
+#[test]
+fn pal_through_build_schedules_as_the_hand_written_pipeline() {
+    // `oil::build` replaces compile → lower → plan → synthesize at every
+    // call site; on the case study the two must agree digest for digest.
+    use oil::compiler::rtgraph;
+    use oil::compiler::schedule::{synthesize, SynthesisConfig};
+
+    let config = SynthesisConfig::default();
+    let (compiled, _) = analyze_pal().expect("the PAL decoder is schedulable");
+    let graph = rtgraph::lower_with_registry(&compiled, &oil::pal::pal_registry());
+    let plan = rtgraph::plan(&graph);
+    for workers in [1, 2] {
+        let by_hand = synthesize(&graph, &plan, workers, &config).expect("schedulable");
+        let registry = oil::pal::pal_registry();
+        let exe = oil::build(PAL_DECODER_OIL, &registry, workers, &config).expect("builds");
+        assert_eq!(exe.graph, graph, "{workers} worker(s)");
+        assert_eq!(exe.plan, plan, "{workers} worker(s)");
+        assert_eq!(
+            exe.schedule.digest(),
+            by_hand.digest(),
+            "{workers} worker(s)"
+        );
+    }
+}

@@ -6,57 +6,28 @@
 //! Tests that need the module's private items stay in
 //! `crates/oil-compiler/src/schedule/tests.rs`.
 
-use oil::compiler::rtgraph;
+mod support;
+
+use oil::compiler::rtgraph::{self, RtGraph};
 use oil::compiler::schedule::{
     modal_admission, parse_fusion, plan_mode_sequence, synthesize, FusionStats, ModeDependentRates,
     ModeScript, ScheduleError, StaticSchedule, Step, SynthesisConfig, UnitKind, WorkItem,
 };
-use oil::compiler::{compile, CompilerOptions};
 use oil::dataflow::index::Idx;
 use oil::dataflow::Rational;
-use oil::lang::registry::{FunctionRegistry, FunctionSignature};
+use support::{fusion, schedule, PIPELINE};
 
-/// Synthesis with fusion pinned on or off (no seam bound, declared costs),
-/// whatever the environment says.
-fn fusion(on: bool) -> SynthesisConfig {
-    SynthesisConfig {
-        fusion: on,
-        ..SynthesisConfig::default()
-    }
-}
-
-fn registry() -> FunctionRegistry {
-    let mut r = FunctionRegistry::new();
-    for f in ["f", "g", "init", "src", "snk"] {
-        r.register(FunctionSignature::pure(f, 1e-5));
-    }
-    r
-}
-
-fn synth_with(src: &str, workers: usize, fuse: bool) -> (rtgraph::RtGraph, StaticSchedule) {
-    let compiled = compile(src, &registry(), &CompilerOptions::default()).unwrap();
-    let graph = rtgraph::lower(&compiled);
-    let plan = rtgraph::plan(&graph);
-    let schedule = synthesize(&graph, &plan, workers, &fusion(fuse)).expect("schedulable");
-    (graph, schedule)
+fn synth_with(src: &str, workers: usize, fuse: bool) -> (RtGraph, StaticSchedule) {
+    let registry = support::pure(&["f", "g", "init", "src", "snk"], 1e-5);
+    let exe = oil::build(src, &registry, workers, &fusion(fuse)).expect("schedulable");
+    (exe.graph, exe.schedule)
 }
 
 // Fusion forced on so the tests are deterministic under the CI
 // fusion-off (`OIL_RT_FUSION=0`) leg.
-fn synth(src: &str, workers: usize) -> (rtgraph::RtGraph, StaticSchedule) {
+fn synth(src: &str, workers: usize) -> (RtGraph, StaticSchedule) {
     synth_with(src, workers, true)
 }
-
-const PIPELINE: &str = r#"
-    mod seq P(int a, out int m){ loop{ f(a, out m); } while(1); }
-    mod seq Q(int m, out int b){ loop{ g(m:2, out b); } while(1); }
-    mod par D(){
-        fifo int mid;
-        source int x = src() @ 2 kHz;
-        sink int y = snk() @ 1 kHz;
-        P(x, out mid) || Q(mid, out y)
-    }
-"#;
 
 #[test]
 fn one_period_fires_the_repetition_vector_and_loops() {
@@ -149,8 +120,7 @@ fn non_uniform_modal_demo_synthesizes_per_mode_schedules() {
     // buffers — exactly the union-advance shape, so synthesis admits
     // them as a modal unit instead of rejecting.
     let graph = rtgraph::non_uniform_merge_demo();
-    let plan = rtgraph::plan(&graph);
-    let s = synthesize(&graph, &plan, 2, &fusion(true)).expect("modal-admissible");
+    let s = schedule("the merge demo", &graph, 2, &fusion(true));
     let modes = s.modes.as_ref().expect("a modal schedule");
     assert_eq!(modes.arms.len(), 2);
     assert_eq!(modes.arm_names.len(), 2);
@@ -177,7 +147,7 @@ fn non_uniform_modal_demo_synthesizes_per_mode_schedules() {
 /// The demo with its second twin writing two tokens per firing: the
 /// arms diverge in write counts, so union-advance no longer applies and
 /// admission must go mode-dependent.
-fn write_divergent_demo() -> rtgraph::RtGraph {
+fn write_divergent_demo() -> RtGraph {
     let mut graph = rtgraph::non_uniform_merge_demo();
     let n1 = graph.nodes.indices().nth(1).unwrap();
     graph.nodes[n1].writes[0].1 = 2;
@@ -190,8 +160,7 @@ fn write_divergent_arms_synthesize_per_mode_schedules() {
     // union-advance argument); per-mode synthesis now admits it with
     // one repetition vector and period per mode.
     let graph = write_divergent_demo();
-    let plan = rtgraph::plan(&graph);
-    let s = synthesize(&graph, &plan, 2, &SynthesisConfig::default()).expect("mode-dependent");
+    let s = schedule("write-divergent", &graph, 2, &SynthesisConfig::default());
     let modes = s.modes.as_ref().expect("a modal schedule");
     let dep = modes.dependent.as_ref().expect("mode-dependent tables");
     // Unit order: modal {n0, n1}, n2, source a, source b, sink. Mode 0
@@ -210,8 +179,8 @@ fn write_divergent_arms_synthesize_per_mode_schedules() {
     // Fusion rewrites each mode's worker lists and nothing else of the
     // table; off, the lists are the plain projections and the schedule
     // digests as it did before rows could fuse.
-    let off = synthesize(&graph, &plan, 2, &fusion(false)).unwrap();
-    let on = synthesize(&graph, &plan, 2, &fusion(true)).unwrap();
+    let off = schedule("write-divergent", &graph, 2, &fusion(false));
+    let on = schedule("write-divergent", &graph, 2, &fusion(true));
     assert_eq!(on, s);
     let off_dep = off.modes.as_ref().unwrap().dependent.as_ref().unwrap();
     assert_eq!((&on.period, &on.workers), (&off.period, &off.workers));
@@ -245,7 +214,7 @@ fn shared_read_arms_synthesize_per_mode_schedules() {
     let plan = rtgraph::plan(&graph);
     let info = modal_admission(&graph, &plan).unwrap().expect("modal");
     assert!(info.mode_dependent);
-    let s = synthesize(&graph, &plan, 2, &SynthesisConfig::default()).expect("mode-dependent");
+    let s = schedule("shared-read", &graph, 2, &SynthesisConfig::default());
     let dep = s.modes.as_ref().unwrap().dependent.as_ref().unwrap();
     // Mode 1 consumes both inputs, so *no* source gates there; mode 0
     // still gates source b.
@@ -288,7 +257,7 @@ fn arm_reading_a_modal_written_buffer_is_rejected() {
 fn seam_latency_bound_is_enforced_per_pair() {
     let graph = write_divergent_demo();
     let plan = rtgraph::plan(&graph);
-    let free = synthesize(&graph, &plan, 2, &SynthesisConfig::default()).unwrap();
+    let free = schedule("write-divergent", &graph, 2, &SynthesisConfig::default());
     let worst = free
         .modes
         .as_ref()
@@ -299,16 +268,11 @@ fn seam_latency_bound_is_enforced_per_pair() {
         .seam_latency_max;
     // A bound at exactly the worst seam is feasible (exact rational
     // arithmetic, no tolerance)...
-    let ok = synthesize(
-        &graph,
-        &plan,
-        2,
-        &SynthesisConfig {
-            seam_latency_bound: Some(worst),
-            ..SynthesisConfig::default()
-        },
-    )
-    .unwrap();
+    let bound = SynthesisConfig {
+        seam_latency_bound: Some(worst),
+        ..SynthesisConfig::default()
+    };
+    let ok = schedule("write-divergent, bounded", &graph, 2, &bound);
     let dep = ok.modes.as_ref().unwrap().dependent.as_ref().unwrap();
     assert_eq!(dep.seam_latency_bound, Some(worst));
     assert_eq!(dep.seam_latency_max, worst);

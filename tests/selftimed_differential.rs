@@ -22,150 +22,31 @@
 //!    bit-identical across thread counts and under injected scheduling
 //!    perturbations.
 //! 3. **Liveness** — CTA-sized buffers must reach quiescence with zero
-//!    deadlocks at 1/2/4 threads.
+//!    deadlocks at 1/2/N threads.
 //! 4. **Rate conformance** — measured steady-state sink throughput must
 //!    reach a configurable fraction (`OIL_RT_CONFORMANCE`, see
 //!    `oil::rt::measure::conformance_threshold`) of the CTA-predicted
 //!    rate: the paper's temporal guarantee as an empirical property.
 //!
-//! Every failure message quotes the reproducing seed
-//! (`ProgramScenario::generate(seed)`).
+//! Every failure message quotes the reproducing generator and seed.
 
-use oil::compiler::{compile, rtgraph, CompileError, CompilerOptions};
-use oil::gen::ProgramScenario;
-use oil::rt::{
-    execute, execute_selftimed, measure, ConformanceVerdict, KernelLibrary, RtConfig,
-    SelfTimedConfig, SelfTimedReport,
-};
+mod support;
+
+use oil::rt::{execute, ConformanceVerdict, KernelLibrary, RtConfig, SelfTimedConfig};
 use oil::sim::picos;
+use support::{
+    assert_identical, build_program, duration_s, env, program_seeds, programs, selftimed,
+    selftimed_config, thread_counts,
+};
 
-/// Generated programs per sweep (stress widens it, as in the calendar
-/// harness).
-fn program_seeds() -> u64 {
-    if stress() {
-        300
-    } else {
-        200
-    }
-}
-
-fn stress() -> bool {
-    std::env::var_os("OIL_RT_STRESS").is_some()
-}
-
-/// Virtual horizon per program for the prefix/invariance sweep.
-fn duration_s() -> f64 {
-    if stress() {
-        1.0
-    } else {
-        0.2
-    }
-}
-
-/// Thread counts under test: 1, 2 and N (`OIL_RT_THREADS` or the machine).
-fn thread_counts() -> Vec<usize> {
-    let n = oil::rt::env_threads()
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()));
-    let mut counts = vec![1, 2, n.max(1)];
-    counts.sort_unstable();
-    counts.dedup();
-    counts
-}
-
-fn compile_scenario(scenario: &ProgramScenario) -> Option<oil::compiler::CompiledProgram> {
-    match compile(
-        &scenario.source,
-        &scenario.registry,
-        &CompilerOptions::default(),
-    ) {
-        Ok(compiled) => Some(compiled),
-        Err(CompileError::Temporal(_)) => None,
-        Err(CompileError::Frontend(diags)) => panic!(
-            "seed {}: generated program must be front-end valid, got {diags:?}\n{}",
-            scenario.seed, scenario.source
-        ),
-    }
-}
-
-fn free_run(
-    graph: &rtgraph::RtGraph,
-    plan: &rtgraph::RtPlan,
-    threads: usize,
-    duration_seconds: f64,
-    chaos: Option<u64>,
-) -> SelfTimedReport {
-    execute_selftimed(
-        graph,
-        plan,
-        &KernelLibrary::new(),
-        picos(duration_seconds),
-        &SelfTimedConfig {
-            threads,
-            chaos,
-            warmup_samples: 4,
-            // OIL_RT_TRACE=1 (the CI traced leg) runs the corpus down the
-            // instrumented paths.
-            trace: oil::rt::env_trace(),
-            ..SelfTimedConfig::default()
-        },
-    )
-}
-
-/// Assert that `base` and `other` observed bit-identical behaviour.
-fn assert_invariant(seed: u64, base: &SelfTimedReport, other: &SelfTimedReport, what: &str) {
-    if let Some(d) = base.values.first_divergence(&other.values) {
-        panic!(
-            "seed {seed}: value streams differ between {what}: {d}\n\
-             reproduce with ProgramScenario::generate({seed})"
-        );
-    }
-    assert_eq!(
-        base.node_firings, other.node_firings,
-        "seed {seed}: firing counts differ between {what}"
-    );
-    for (a, b) in base.sinks.iter().zip(&other.sinks) {
-        assert_eq!(
-            a.consumed, b.consumed,
-            "seed {seed}: sink `{}` {what}",
-            a.name
-        );
-        assert_eq!(a.values, b.values, "seed {seed}: sink `{}` {what}", a.name);
-    }
-    assert_eq!(
-        base.sources, other.sources,
-        "seed {seed}: source sample counts differ between {what}"
-    );
-}
-
-/// Prefix-compare the schedule-invariant buffers of the calendar reference
-/// against a free run; returns how many buffers were verified.
-fn assert_invariant_prefix(
-    seed: u64,
-    threads: usize,
-    plan: &rtgraph::RtPlan,
-    reference: &oil::rt::ValueTrace,
-    free: &oil::rt::ValueTrace,
-) -> u64 {
-    assert_eq!(reference.buffers.len(), free.buffers.len(), "seed {seed}");
-    let mut verified = 0;
-    for ((cal, run), &invariant) in reference
-        .buffers
-        .iter()
-        .zip(&free.buffers)
-        .zip(plan.invariant.iter())
-    {
-        if !invariant {
-            continue;
-        }
-        if let Some(d) = cal.prefix_divergence(run) {
-            panic!(
-                "seed {seed}: schedule-invariant stream is not preserved at {threads} \
-                 thread(s): {d}\nreproduce with ProgramScenario::generate({seed})"
-            );
-        }
-        verified += 1;
-    }
-    verified
+#[test]
+fn oil_rt_threads_rejects_junk_loudly() {
+    // Only the parser, not the environment: tests run concurrently, and
+    // mutating the process environment would race.
+    assert_eq!(support::parse_threads("3"), 3);
+    assert_eq!(support::parse_threads(" 0 "), 0);
+    assert!(std::panic::catch_unwind(|| support::parse_threads("three")).is_err());
+    assert!(std::panic::catch_unwind(|| support::parse_threads("")).is_err());
 }
 
 #[test]
@@ -173,15 +54,13 @@ fn free_running_streams_match_the_calendar_reference_on_the_corpus() {
     let threads = thread_counts();
     let (mut checked, mut rejected, mut kpn, mut clustered) = (0u32, 0u32, 0u32, 0u32);
     let (mut buffers_total, mut buffers_verified) = (0u64, 0u64);
-    for seed in 0..program_seeds() {
-        let scenario = ProgramScenario::generate(seed);
-        let Some(compiled) = compile_scenario(&scenario) else {
+    for (at, scenario) in programs(program_seeds(), 0) {
+        let Some(exe) = build_program(&at, &scenario, 1) else {
             rejected += 1;
             continue;
         };
         checked += 1;
-        let graph = rtgraph::lower(&compiled);
-        let plan = rtgraph::plan(&graph);
+        let (graph, plan) = (&exe.graph, &exe.plan);
         if plan.is_kpn_safe() {
             kpn += 1;
         } else {
@@ -192,68 +71,54 @@ fn free_running_streams_match_the_calendar_reference_on_the_corpus() {
         // simulator. Accepted programs neither overflow nor miss there, so
         // its value streams are exactly the first L values of the
         // schedule-invariant streams.
-        let reference = execute(
-            &graph,
-            &KernelLibrary::new(),
-            picos(duration_s()),
-            &RtConfig {
-                warmup_ticks: u64::MAX, // miss accounting is not under test
-                ..RtConfig::default()
-            },
-        );
+        let config = RtConfig {
+            warmup_ticks: u64::MAX, // miss accounting is not under test
+            ..RtConfig::default()
+        };
+        let reference = execute(graph, &KernelLibrary::new(), picos(duration_s()), &config);
         assert_eq!(
             reference.trace.total_overflows(),
             0,
-            "seed {seed}: the prefix oracle requires an overflow-free reference"
+            "{at}: the prefix oracle requires an overflow-free reference"
         );
 
-        let mut baseline: Option<SelfTimedReport> = None;
+        let mut baseline = None;
         for &t in &threads {
-            let report = free_run(&graph, &plan, t, duration_s(), None);
+            let report = selftimed(graph, plan, duration_s(), None, &selftimed_config(t));
+            let at = format!("{at} at {t} thread(s)");
             assert!(
                 !report.deadlocked,
-                "seed {seed}: self-timed execution deadlocked at {t} thread(s) under \
-                 CTA-sized buffers\nsource:\n{}",
+                "{at}: self-timed execution deadlocked under CTA-sized buffers\nsource:\n{}",
                 scenario.source
             );
-            buffers_verified +=
-                assert_invariant_prefix(seed, t, &plan, &reference.values, &report.values);
-            buffers_total += graph.buffers.len() as u64;
-            for ((cal, free), sink) in reference
-                .sinks
-                .iter()
-                .zip(&report.sinks)
-                .zip(graph.sinks.iter())
+            // The prefix oracle, on the schedule-invariant buffers and sinks.
+            let buffers = report.values.buffers.len();
+            assert_eq!(reference.values.buffers.len(), buffers, "{at}");
+            let invariant = plan.invariant.iter();
+            for ((cal, run), _) in (reference.values.buffers.iter().zip(&report.values.buffers))
+                .zip(invariant)
+                .filter(|(_, &invariant)| invariant)
             {
-                if !plan.invariant[sink.input] {
-                    continue;
+                if let Some(d) = cal.prefix_divergence(run) {
+                    panic!("{at}: a schedule-invariant stream is not preserved: {d}");
                 }
-                assert!(
-                    free.consumed >= cal.consumed,
-                    "seed {seed}: sink `{}` consumed less free-running ({} < {}) at \
-                     {t} thread(s)",
-                    cal.name,
-                    free.consumed,
-                    cal.consumed
-                );
+                buffers_verified += 1;
+            }
+            buffers_total += graph.buffers.len() as u64;
+            let sinks = reference.sinks.iter().zip(&report.sinks).zip(&graph.sinks);
+            for ((cal, free), _) in sinks.filter(|(_, sink)| plan.invariant[sink.input]) {
+                let (name, less) = (&cal.name, free.consumed < cal.consumed);
+                assert!(!less, "{at}: sink `{name}` consumed less free-running");
                 let shared = cal.values.len().min(free.values.len());
                 assert_eq!(
                     cal.values[..shared],
                     free.values[..shared],
-                    "seed {seed}: sink `{}` sample stream diverges at {t} thread(s)",
-                    cal.name
+                    "{at}: sink `{name}`"
                 );
             }
             match &baseline {
                 None => baseline = Some(report),
-                Some(base) => {
-                    assert_invariant(
-                        seed,
-                        base,
-                        &report,
-                        &format!("{} and {t} threads", base.threads),
-                    );
-                }
+                Some(base) => assert_identical(&format!("{at} vs {}", base.threads), base, &report),
             }
         }
     }
@@ -287,22 +152,25 @@ fn injected_perturbations_do_not_change_the_streams() {
     // KPN determinism under adversarial scheduling: random yields and
     // sleeps inside the workers must not move a single bit in any stream.
     let threads = *thread_counts().last().unwrap();
-    for seed in 0..16u64 {
-        let scenario = ProgramScenario::generate(seed);
-        let Some(compiled) = compile_scenario(&scenario) else {
+    for (at, scenario) in programs(16, 0) {
+        let Some(exe) = build_program(&at, &scenario, 1) else {
             continue;
         };
-        let graph = rtgraph::lower(&compiled);
-        let plan = rtgraph::plan(&graph);
-        let calm = free_run(&graph, &plan, threads, 0.05, None);
+        let run = |chaos| {
+            let config = SelfTimedConfig {
+                chaos,
+                ..selftimed_config(threads)
+            };
+            selftimed(&exe.graph, &exe.plan, 0.05, None, &config)
+        };
+        let calm = run(None);
         for chaos_seed in [1u64, 0xDEAD_BEEF] {
-            let stormy = free_run(&graph, &plan, threads, 0.05, Some(chaos_seed));
-            assert!(!stormy.deadlocked, "seed {seed}");
-            assert_invariant(
-                seed,
+            let stormy = run(Some(chaos_seed));
+            assert!(!stormy.deadlocked, "{at}");
+            assert_identical(
+                &format!("{at}: calm vs chaos({chaos_seed:#x})"),
                 &calm,
                 &stormy,
-                &format!("calm and chaos({chaos_seed:#x}) runs"),
             );
         }
     }
@@ -315,16 +183,12 @@ fn measured_sink_throughput_meets_the_cta_rate_conformance_threshold() {
     // sink rate. Generated sink rates are a few kHz at most; a free run
     // that cannot beat that fraction on any modern machine is a scheduling
     // regression, not a slow kernel.
-    let threshold = measure::conformance_threshold();
     let threads = *thread_counts().last().unwrap();
     let mut measured = 0u32;
-    for seed in 0..24u64 {
-        let scenario = ProgramScenario::generate(seed);
-        let Some(compiled) = compile_scenario(&scenario) else {
+    for (at, scenario) in programs(24, 0) {
+        let Some(exe) = build_program(&at, &scenario, 1) else {
             continue;
         };
-        let graph = rtgraph::lower(&compiled);
-        let plan = rtgraph::plan(&graph);
         // A longer horizon than the prefix sweep: throughput needs a
         // steady-state window, and free-running execution pays wall time
         // only per token, not per virtual second. This is a *wall-clock*
@@ -332,28 +196,23 @@ fn measured_sink_throughput_meets_the_cta_rate_conformance_threshold() {
         // measurement, so a violation is only a failure if it reproduces —
         // a real scheduling regression violates every attempt.
         let mut last_violations = Vec::new();
-        let mut conformed = false;
-        let mut measurable = false;
+        let (mut conformed, mut measurable) = (false, false);
         for _attempt in 0..3 {
-            let report = free_run(&graph, &plan, threads, 2.0, None);
-            assert!(!report.deadlocked, "seed {seed}");
-            let conformance = report.conformance(threshold);
-            measurable |= conformance
-                .sinks
-                .iter()
-                .any(|s| s.conformance_ratio().is_some());
+            let report = selftimed(&exe.graph, &exe.plan, 2.0, None, &selftimed_config(threads));
+            assert!(!report.deadlocked, "{at}");
+            let conformance = report.conformance(env().corpus_threshold);
+            let sinks = conformance.sinks.iter();
+            measurable |= sinks.clone().any(|s| s.conformance_ratio().is_some());
             if conformance.verdict() != ConformanceVerdict::Fail {
                 conformed = true;
                 break;
             }
             last_violations = conformance.violations();
         }
-        if measurable {
-            measured += 1;
-        }
+        measured += measurable as u32;
         assert!(
             conformed,
-            "seed {seed}: rate conformance violated in 3 consecutive measurements:\n  {}\n\
+            "{at}: rate conformance violated in 3 consecutive measurements:\n  {}\n\
              source:\n{}",
             last_violations.join("\n  "),
             scenario.source
@@ -372,10 +231,8 @@ fn pal_decoder_free_run_conforms_to_the_predicted_rates() {
     // calendar streams are a prefix of the free-running streams, and the
     // display/speaker sinks sustain the CTA-predicted rates scaled by the
     // conformance threshold.
-    let (compiled, _) = oil::pal::analyze_pal().expect("the PAL decoder is schedulable");
-    let registry = oil::pal::pal_registry();
-    let graph = rtgraph::lower_with_registry(&compiled, &registry);
-    let plan = rtgraph::plan(&graph);
+    let pal = support::pal(1, &env().synthesis);
+    let (graph, plan) = (&pal.graph, &pal.plan);
     assert!(plan.is_kpn_safe(), "the PAL decoder lowers to a pure KPN");
     assert!(
         plan.batch.iter().any(|&b| b > 1) || plan.source_batch.iter().any(|&b| b > 1),
@@ -383,23 +240,18 @@ fn pal_decoder_free_run_conforms_to_the_predicted_rates() {
         plan.batch
     );
 
-    let duration = picos(2e-3); // 12 800 RF samples, 8 000 display samples
-                                // The free runs get a longer horizon: the 32 kHz speakers sink needs
-                                // to clear its 256-sample warmup (64 samples at 2 ms would leave the
-                                // conformance verdict *inconclusive* forever — the vacuous pass
-                                // ConformanceVerdict was introduced to expose). 12 ms gives it 384
-                                // samples: warm at 257, a >= 127-sample steady window. The calendar
-                                // reference stays short — the prefix oracle only needs a prefix.
-    let free_duration = picos(12e-3);
-    let reference = execute(
-        &graph,
-        &KernelLibrary::pal(),
-        duration,
-        &RtConfig {
-            warmup_ticks: 64,
-            ..RtConfig::default()
-        },
-    );
+    // 2 ms is 12 800 RF samples and 8 000 display samples. The free runs
+    // get a longer horizon: the 32 kHz speakers sink needs to clear its
+    // 256-sample warmup (64 samples at 2 ms would leave the conformance
+    // verdict *inconclusive* forever — the vacuous pass ConformanceVerdict
+    // was introduced to expose). 12 ms gives it 384 samples: warm at 257, a
+    // >= 127-sample steady window. The calendar reference stays short — the
+    // prefix oracle only needs a prefix.
+    let config = RtConfig {
+        warmup_ticks: 64,
+        ..RtConfig::default()
+    };
+    let reference = execute(graph, &KernelLibrary::pal(), picos(2e-3), &config);
     assert_eq!(
         reference.trace.total_overflows(),
         0,
@@ -407,17 +259,15 @@ fn pal_decoder_free_run_conforms_to_the_predicted_rates() {
     );
 
     for t in thread_counts() {
-        let report = execute_selftimed(
-            &graph,
-            &plan,
-            &KernelLibrary::pal(),
-            free_duration,
-            &SelfTimedConfig {
+        let run = || {
+            let config = SelfTimedConfig {
                 threads: t,
                 warmup_samples: 256,
                 ..SelfTimedConfig::default()
-            },
-        );
+            };
+            oil::rt::execute_selftimed(graph, plan, &KernelLibrary::pal(), picos(12e-3), &config)
+        };
+        let report = run();
         assert!(!report.deadlocked, "threads={t}");
         if let Some(d) = reference.values.prefix_divergence(&report.values) {
             panic!("PAL value streams diverge at {t} thread(s): {d}");
@@ -426,52 +276,12 @@ fn pal_decoder_free_run_conforms_to_the_predicted_rates() {
         let speakers = report.sink_values("speakers").expect("speaker stream");
         assert!(speakers.len() > 32, "collected {} samples", speakers.len());
         assert!(speakers.iter().any(|v| v.abs() > 1e-6));
-        // Rate conformance with the real kernels. The default threshold is
-        // calibrated for the corpus's kHz-rate scenarios; the display sink
-        // here is predicted at 4 MS/s and its wall rate is bound by real
-        // FIR/resampler arithmetic, so the un-overridden floor is 2% in
-        // release (an ~80 kS/s sustained display path even on one shared-CI
-        // core) and 0.5% in debug (unoptimised kernels measure the build
-        // profile, not the engine). Set OIL_RT_CONFORMANCE to enforce more
-        // on real hardware.
-        let threshold = if std::env::var_os("OIL_RT_CONFORMANCE").is_some() {
-            measure::conformance_threshold()
-        } else if cfg!(debug_assertions) {
-            0.005
-        } else {
-            0.02
-        };
-        // Wall-clock oracle, so a preempted host gets re-measured: only a
-        // violation in three consecutive runs is a regression.
-        let mut conformance = report.conformance(threshold);
-        for _retry in 0..2 {
-            if conformance.verdict() == ConformanceVerdict::Pass {
-                break;
-            }
-            let again = execute_selftimed(
-                &graph,
-                &plan,
-                &KernelLibrary::pal(),
-                free_duration,
-                &SelfTimedConfig {
-                    threads: t,
-                    warmup_samples: 256,
-                    ..SelfTimedConfig::default()
-                },
-            );
-            conformance = again.conformance(threshold);
-        }
-        assert!(
-            conformance.verdict() == ConformanceVerdict::Pass,
-            "PAL rate conformance {} at {t} thread(s) in 3 consecutive \
-             measurements:\n  {}",
-            conformance.verdict(),
-            conformance
-                .violations()
-                .into_iter()
-                .chain(conformance.inconclusive_sinks())
-                .collect::<Vec<_>>()
-                .join("\n  ")
+        // Rate conformance with the real kernels, at the PAL floor.
+        let threshold = env().pal_threshold;
+        support::assert_conforms(
+            &format!("PAL at {t} thread(s)"),
+            report.conformance(threshold),
+            || run().conformance(threshold),
         );
     }
 }

@@ -21,226 +21,83 @@
 //! The reference interpreter (`oil::rt::execute`) is not traced: an oracle
 //! is compared, not profiled.
 
-use oil::compiler::schedule::{synthesize, ScheduleError, SynthesisConfig};
-use oil::compiler::{compile, rtgraph, CompileError, CompilerOptions};
-use oil::gen::ProgramScenario;
+mod support;
+
 use oil::rt::{
     execute_selftimed, execute_staticsched, KernelLibrary, SelfTimedConfig, StaticConfig,
     TraceReport,
 };
 use oil::sim::picos;
+use support::{assert_identical, build_program, matrix, programs, Knobs};
 
-const WORKERS: [usize; 3] = [1, 2, 4];
 /// Seeds swept; the corpus tests demand at least this many compile.
 const MIN_ACCEPTED: usize = 8;
-
-fn compile_scenario(scenario: &ProgramScenario) -> Option<oil::compiler::CompiledProgram> {
-    match compile(
-        &scenario.source,
-        &scenario.registry,
-        &CompilerOptions::default(),
-    ) {
-        Ok(compiled) => Some(compiled),
-        Err(CompileError::Temporal(_)) => None,
-        Err(CompileError::Frontend(diags)) => panic!(
-            "seed {}: generated program must be front-end valid, got {diags:?}\n{}",
-            scenario.seed, scenario.source
-        ),
-    }
-}
 
 /// A saturated event buffer silently truncates the evidence every other
 /// oracle relies on: the corpus runs are sized well under the per-worker
 /// capacity, so a single dropped event is a bug, not a tuning issue.
-fn assert_no_drops(seed: u64, what: &str, tr: Option<&TraceReport>) {
-    let tr = tr.expect("tracing was enabled");
+fn traced<'a>(at: &str, tr: Option<&'a TraceReport>) -> &'a TraceReport {
+    let tr = tr.unwrap_or_else(|| panic!("{at}: tracing was enabled"));
     assert_eq!(
         tr.dropped, 0,
-        "seed {seed}: {what}: traced run dropped {} event(s) — the trace \
-         is no longer evidence",
+        "{at}: traced run dropped {} event(s) — the trace is no longer evidence",
         tr.dropped
     );
-}
-
-/// Byte-for-byte comparison of everything the value plane observes.
-fn assert_bit_identical(
-    seed: u64,
-    what: &str,
-    base: (
-        &oil::rt::ValueTrace,
-        &[oil::rt::SinkStream],
-        &[(String, u64)],
-    ),
-    traced: (
-        &oil::rt::ValueTrace,
-        &[oil::rt::SinkStream],
-        &[(String, u64)],
-    ),
-) {
-    if let Some(d) = base.0.first_divergence(traced.0) {
-        panic!("seed {seed}: {what}: tracing changed a value stream: {d}");
-    }
-    assert_eq!(
-        base.2, traced.2,
-        "seed {seed}: {what}: tracing changed firing counts"
-    );
-    assert_eq!(
-        base.1.len(),
-        traced.1.len(),
-        "seed {seed}: {what}: sink count"
-    );
-    for (a, b) in base.1.iter().zip(traced.1) {
-        assert_eq!(
-            a.consumed, b.consumed,
-            "seed {seed}: {what}: sink `{}` consumed",
-            a.name
-        );
-        assert_eq!(
-            a.values, b.values,
-            "seed {seed}: {what}: sink `{}` samples",
-            a.name
-        );
-    }
+    tr
 }
 
 #[test]
 fn traced_runs_are_bit_identical_to_untraced_on_all_engines() {
+    // Self-timed runs interleave schedule-dependently with
+    // schedule-invariant values, static ones replay the synthesised lists:
+    // tracing must stay on the invariant side of both. The traced run's
+    // ring high-water marks must stay within the CTA-proven capacities.
     let mut accepted = 0usize;
-    for seed in 0..24u64 {
-        let scenario = ProgramScenario::generate(seed);
-        let Some(compiled) = compile_scenario(&scenario) else {
+    for (at, scenario) in programs(24, 0) {
+        let Some(exe) = build_program(&at, &scenario, 1) else {
             continue;
         };
         accepted += 1;
-        let graph = rtgraph::lower(&compiled);
-        let plan = rtgraph::plan(&graph);
-        for &threads in &WORKERS {
-            // Self-timed: schedule-dependent interleavings, schedule-
-            // invariant values — tracing must stay on the invariant side.
-            let run_selftimed = |trace: bool| {
-                execute_selftimed(
-                    &graph,
-                    &plan,
-                    &KernelLibrary::new(),
-                    picos(0.05),
-                    &SelfTimedConfig {
-                        threads,
-                        warmup_samples: 4,
+        let graph = &exe.graph;
+        for cell in matrix(&[1, 2, 4]) {
+            let at = format!("{at}: {cell}");
+            let run = |trace| {
+                cell.run(
+                    &at,
+                    graph,
+                    0.05,
+                    Knobs {
                         trace,
-                        ..SelfTimedConfig::default()
+                        metrics: None,
                     },
                 )
             };
-            let base = run_selftimed(false);
-            let traced = run_selftimed(true);
-            assert!(traced.trace_report.is_some());
-            assert_no_drops(
-                seed,
-                &format!("selftimed@{threads}"),
-                traced.trace_report.as_ref(),
-            );
-            assert_bit_identical(
-                seed,
-                &format!("selftimed@{threads}"),
-                (&base.values, &base.sinks, &base.node_firings),
-                (&traced.values, &traced.sinks, &traced.node_firings),
-            );
+            let (base, traced_run) = (run(false), run(true));
+            let tr = traced(&at, traced_run.trace_report());
+            assert_identical(&format!("{at}: traced vs untraced"), &base, &traced_run);
 
-            // Static-order, when the graph admits a schedule.
-            let schedule = match synthesize(&graph, &plan, threads, &SynthesisConfig::from_env()) {
-                Ok(s) => s,
-                Err(ScheduleError::NonUniformCluster { .. }) => continue,
-                Err(e) => panic!("seed {seed}: synthesis at {threads}: {e}"),
+            let over: Vec<String> = (tr.rings.iter())
+                .filter(|r| r.highwater > r.capacity)
+                .map(|r| format!("`{}` {} > {}", r.name, r.highwater, r.capacity))
+                .collect();
+            assert!(
+                tr.rings_within_capacity(),
+                "{at}: observed ring occupancy (high-water > capacity) exceeds the CTA-proven \
+                 bound:\n  {}",
+                over.join("\n  ")
+            );
+            // The static bound checked above is the size the schedule
+            // proved — for crossing rings as for local ones — floored at
+            // the CTA capacity.
+            let Some(schedule) = cell.schedule(&at, graph) else {
+                continue;
             };
-            let run_static = |trace: bool| {
-                execute_staticsched(
-                    &graph,
-                    &schedule,
-                    &KernelLibrary::new(),
-                    picos(0.05),
-                    &StaticConfig {
-                        record_values: true,
-                        warmup_samples: 4,
-                        trace,
-                        ..StaticConfig::default()
-                    },
-                )
-            };
-            let base = run_static(false);
-            let traced = run_static(true);
-            assert!(traced.trace_report.is_some());
-            assert_no_drops(
-                seed,
-                &format!("staticsched@{threads}"),
-                traced.trace_report.as_ref(),
-            );
-            assert_bit_identical(
-                seed,
-                &format!("staticsched@{threads}"),
-                (&base.values, &base.sinks, &base.node_firings),
-                (&traced.values, &traced.sinks, &traced.node_firings),
-            );
-        }
-    }
-    assert!(
-        accepted >= MIN_ACCEPTED,
-        "corpus too thin: only {accepted} of 24 seeds compiled"
-    );
-}
-
-#[test]
-fn ring_highwater_stays_within_cta_capacity_on_the_corpus() {
-    let mut accepted = 0usize;
-    for seed in 0..24u64 {
-        let scenario = ProgramScenario::generate(seed);
-        let Some(compiled) = compile_scenario(&scenario) else {
-            continue;
-        };
-        accepted += 1;
-        let graph = rtgraph::lower(&compiled);
-        let plan = rtgraph::plan(&graph);
-        for &threads in &WORKERS {
-            let report = execute_selftimed(
-                &graph,
-                &plan,
-                &KernelLibrary::new(),
-                picos(0.05),
-                &SelfTimedConfig {
-                    threads,
-                    warmup_samples: 4,
-                    trace: true,
-                    ..SelfTimedConfig::default()
-                },
-            );
-            assert_rings_within(seed, "selftimed", threads, report.trace_report.as_ref());
-
-            let schedule = match synthesize(&graph, &plan, threads, &SynthesisConfig::from_env()) {
-                Ok(s) => s,
-                Err(ScheduleError::NonUniformCluster { .. }) => continue,
-                Err(e) => panic!("seed {seed}: synthesis at {threads}: {e}"),
-            };
-            let report = execute_staticsched(
-                &graph,
-                &schedule,
-                &KernelLibrary::new(),
-                picos(0.05),
-                &StaticConfig {
-                    record_values: false,
-                    warmup_samples: 4,
-                    trace: true,
-                    ..StaticConfig::default()
-                },
-            );
-            assert_rings_within(seed, "staticsched", threads, report.trace_report.as_ref());
-            // The bound checked above is the size the schedule proved — for
-            // crossing rings as for local ones — floored at the CTA capacity.
-            let rings = &report.trace_report.as_ref().expect("traced").rings;
-            for ((b, buffer), ring) in graph.buffers.iter_enumerated().zip(rings) {
+            for ((b, buffer), ring) in graph.buffers.iter_enumerated().zip(&tr.rings) {
                 let declared = buffer.capacity.max(buffer.initial_tokens).max(1);
                 assert_eq!(
                     ring.capacity,
                     declared.max(schedule.level_max[b] as usize),
-                    "seed {seed}: staticsched@{threads}: ring `{}` (crossing: {})",
+                    "{at}: ring `{}` (crossing: {})",
                     ring.name,
                     ring.crossing
                 );
@@ -250,29 +107,6 @@ fn ring_highwater_stays_within_cta_capacity_on_the_corpus() {
     assert!(
         accepted >= MIN_ACCEPTED,
         "corpus too thin: only {accepted} of 24 seeds compiled"
-    );
-}
-
-fn assert_rings_within(seed: u64, engine: &str, threads: usize, tr: Option<&TraceReport>) {
-    let tr = tr.expect("tracing was enabled");
-    if tr.rings_within_capacity() {
-        return;
-    }
-    let over: Vec<String> = tr
-        .rings
-        .iter()
-        .filter(|r| r.highwater > r.capacity)
-        .map(|r| {
-            format!(
-                "`{}` highwater {} > capacity {}",
-                r.name, r.highwater, r.capacity
-            )
-        })
-        .collect();
-    panic!(
-        "seed {seed}: {engine}@{threads}: observed ring occupancy exceeds the \
-         CTA-proven bound:\n  {}",
-        over.join("\n  ")
     );
 }
 
@@ -317,154 +151,124 @@ struct Parser<'a> {
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn parse(text: &'a str) -> Result<Json, String> {
+impl Parser<'_> {
+    fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
         };
         let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at {}", p.pos));
+        match p.peek() {
+            None => Ok(v),
+            Some(_) => Err(format!("trailing bytes at {}", p.pos)),
         }
-        Ok(v)
     }
 
-    fn skip_ws(&mut self) {
+    /// The next byte after any whitespace.
+    fn peek(&mut self) -> Option<u8> {
         while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn eat(&mut self, b: u8) -> bool {
+        let hit = self.peek() == Some(b);
+        self.pos += hit as usize;
+        hit
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected `{}` at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.bytes.get(self.pos).map(|c| *c as char)
-            ))
+        match self.eat(b) {
+            true => Ok(()),
+            false => Err(format!("expected `{}` at byte {}", b as char, self.pos)),
         }
     }
 
     fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+        match self.peek() {
+            Some(b'{') => {
+                self.pos += 1;
+                let field = |p: &mut Self| {
+                    let key = p.string()?;
+                    p.expect(b':')?;
+                    Ok((key, p.value()?))
+                };
+                Ok(Json::Obj(self.list(b'}', field)?))
+            }
+            Some(b'[') => {
+                self.pos += 1;
+                Ok(Json::Arr(self.list(b']', Self::value)?))
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
+            Some(_) => self.scalar(),
             None => Err("unexpected end of input".into()),
         }
     }
 
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
+    /// Comma-separated items up to `close`, the opening bracket consumed.
+    fn list<T>(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let mut items = Vec::new();
+        if self.eat(close) {
+            return Ok(items);
+        }
+        loop {
+            items.push(item(self)?);
+            if self.eat(close) {
+                return Ok(items);
+            }
+            self.expect(b',')?;
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    /// A literal or a number.
+    fn scalar(&mut self) -> Result<Json, String> {
         let start = self.pos;
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
+        while self
+            .bytes
+            .get(self.pos)
+            .is_some_and(|b| b.is_ascii_alphanumeric() || b"+-.".contains(b))
+        {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
+        let word = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or_default();
+        let numeric = !word.is_empty() && word.bytes().all(|b| b"0123456789+-.eE".contains(&b));
+        match word {
+            "true" => Ok(Json::Bool(true)),
+            "false" => Ok(Json::Bool(false)),
+            "null" => Ok(Json::Null),
+            _ if numeric => word
+                .parse()
+                .map(Json::Num)
+                .map_err(|e| format!("{e} at byte {start}")),
+            _ => Err(format!("bad literal at byte {start}")),
+        }
     }
 
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(c) => out.push(*c as char),
-                        None => return Err("unterminated escape".into()),
-                    }
-                    self.pos += 1;
-                }
-                Some(&c) => {
-                    // The exporter only emits ASCII names; pass bytes
-                    // through so a future UTF-8 name still round-trips.
-                    out.push(c as char);
-                    self.pos += 1;
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
+            let c = *self.bytes.get(self.pos).ok_or("unterminated string")?;
             self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
+            match c {
+                b'"' => return Ok(out),
+                b'\\' => {
+                    let escaped = *self.bytes.get(self.pos).ok_or("unterminated escape")?;
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    out.push(match escaped {
+                        b'n' => '\n',
+                        b't' => '\t',
+                        other => other as char,
+                    });
                 }
-                _ => return Err(format!("expected , or ] at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected , or }} at byte {}", self.pos)),
+                // The exporter only emits ASCII names; pass bytes through
+                // so a future UTF-8 name still round-trips.
+                c => out.push(c as char),
             }
         }
     }
@@ -478,13 +282,9 @@ fn to_ns(us: f64) -> u64 {
 
 fn validate_chrome_trace(label: &str, raw: &str) {
     let root = Parser::parse(raw).unwrap_or_else(|e| panic!("{label}: unparseable JSON: {e}"));
-    let events = root
-        .get("traceEvents")
-        .and_then(|v| match v {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        })
-        .unwrap_or_else(|| panic!("{label}: missing traceEvents array"));
+    let Some(Json::Arr(events)) = root.get("traceEvents") else {
+        panic!("{label}: missing traceEvents array");
+    };
     assert!(!events.is_empty(), "{label}: empty trace");
 
     // Per-tid stacks of open (start_ns, end_ns) spans. Events within a tid
@@ -494,41 +294,31 @@ fn validate_chrome_trace(label: &str, raw: &str) {
     let mut stacks: std::collections::BTreeMap<u64, Vec<(u64, u64)>> = Default::default();
     let mut spans = 0usize;
     for ev in events {
-        let ph = ev
-            .get("ph")
-            .and_then(Json::as_str)
-            .unwrap_or_else(|| panic!("{label}: event without ph: {ev:?}"));
-        let pid = ev.get("pid").and_then(Json::as_num);
-        let tid = ev.get("tid").and_then(Json::as_num);
-        assert_eq!(pid, Some(1.0), "{label}: bad pid: {ev:?}");
-        let tid = tid.unwrap_or_else(|| panic!("{label}: missing tid: {ev:?}")) as u64;
+        let num = |key| ev.get(key).and_then(Json::as_num);
+        let named = |v: Option<&Json>| v.and_then(Json::as_str).is_some();
+        let ph = ev.get("ph").and_then(Json::as_str);
+        let ph = ph.unwrap_or_else(|| panic!("{label}: event without ph: {ev:?}"));
+        assert_eq!(num("pid"), Some(1.0), "{label}: bad pid: {ev:?}");
+        let tid = num("tid").unwrap_or_else(|| panic!("{label}: missing tid: {ev:?}")) as u64;
         match ph {
+            // Thread-name metadata carries no timestamp.
             "M" => {
-                // Thread-name metadata carries no timestamp.
-                assert!(
-                    ev.get("args").and_then(|a| a.get("name")).is_some(),
-                    "{label}: metadata without a name: {ev:?}"
-                );
+                let name = ev.get("args").and_then(|a| a.get("name"));
+                assert!(name.is_some(), "{label}: metadata without a name: {ev:?}");
             }
             "i" => {
-                let ts = ev.get("ts").and_then(Json::as_num);
+                let ts = num("ts");
                 assert!(
                     ts.is_some_and(|t| t >= 0.0),
                     "{label}: instant without ts: {ev:?}"
                 );
             }
             "X" => {
-                let ts = ev
-                    .get("ts")
-                    .and_then(Json::as_num)
-                    .unwrap_or_else(|| panic!("{label}: span without ts: {ev:?}"));
-                let dur = ev
-                    .get("dur")
-                    .and_then(Json::as_num)
-                    .unwrap_or_else(|| panic!("{label}: span without dur: {ev:?}"));
+                let ts = num("ts").unwrap_or_else(|| panic!("{label}: span without ts: {ev:?}"));
+                let dur = num("dur").unwrap_or_else(|| panic!("{label}: span without dur: {ev:?}"));
                 assert!(ts >= 0.0 && dur >= 0.0, "{label}: negative span: {ev:?}");
                 assert!(
-                    ev.get("name").and_then(Json::as_str).is_some(),
+                    named(ev.get("name")),
                     "{label}: span without a name: {ev:?}"
                 );
                 let (start, end) = (to_ns(ts), to_ns(ts) + to_ns(dur));
@@ -554,44 +344,43 @@ fn validate_chrome_trace(label: &str, raw: &str) {
 
 #[test]
 fn chrome_trace_export_is_wellformed_and_properly_nested() {
-    let (compiled, _) = oil::pal::analyze_pal().expect("the PAL decoder is schedulable");
-    let registry = oil::pal::pal_registry();
-    let graph = rtgraph::lower_with_registry(&compiled, &registry);
-    let plan = rtgraph::plan(&graph);
-    let duration = picos(2e-3);
+    // The reader itself: well-formed JSON parses, a malformed one does not.
+    let sample = r#" {"a": [1, -2.5e3, true, null, {"b": "c\"d"}], "e": {}} "#;
+    assert!(Parser::parse(sample).is_ok(), "{sample}");
+    for bad in [
+        r#"{"a": [1, 2}"#,
+        r#"{"a" 1}"#,
+        "[1,]",
+        "[nan]",
+        r#"{"a": 1} x"#,
+    ] {
+        assert!(Parser::parse(bad).is_err(), "{bad}");
+    }
 
-    for &threads in &[1usize, 2] {
-        let report = execute_selftimed(
-            &graph,
-            &plan,
-            &KernelLibrary::pal(),
-            duration,
-            &SelfTimedConfig {
-                threads,
-                record_values: false,
-                trace: true,
-                ..SelfTimedConfig::default()
-            },
-        );
+    let (duration, pal_lib) = (picos(2e-3), KernelLibrary::pal());
+    for threads in [1, 2] {
+        let pal = support::pal(threads, &support::env().synthesis);
+        let config = SelfTimedConfig {
+            threads,
+            record_values: false,
+            trace: true,
+            ..SelfTimedConfig::default()
+        };
+        let report = execute_selftimed(&pal.graph, &pal.plan, &pal_lib, duration, &config);
         let tr = report.trace_report.expect("tracing was enabled");
         validate_chrome_trace(&format!("selftimed@{threads}"), &tr.chrome_trace_json());
 
-        let schedule = synthesize(&graph, &plan, threads, &SynthesisConfig::from_env())
-            .expect("the PAL graph is schedulable");
-        let report = execute_staticsched(
-            &graph,
-            &schedule,
-            &KernelLibrary::pal(),
-            duration,
-            &StaticConfig {
-                record_values: false,
-                warmup_samples: 256,
-                trace: true,
-                ..StaticConfig::default()
-            },
-        );
-        let tr = report.trace_report.expect("tracing was enabled");
-        let raw = tr.chrome_trace_json();
+        let config = StaticConfig {
+            record_values: false,
+            warmup_samples: 256,
+            trace: true,
+            ..StaticConfig::default()
+        };
+        let report = execute_staticsched(&pal.graph, &pal.schedule, &pal_lib, duration, &config);
+        let raw = report
+            .trace_report
+            .expect("tracing was enabled")
+            .chrome_trace_json();
         validate_chrome_trace(&format!("staticsched@{threads}"), &raw);
         // The compiled engine's export also carries the compile-phase
         // track (tid 0) — the one place compiler latency is visible.
