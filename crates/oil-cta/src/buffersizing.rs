@@ -21,7 +21,7 @@
 //!
 //! All of this is exact and deterministic: a cycle's excess and the token
 //! growth `⌈excess · r / n⌉` are rationals whatever the probe computes in,
-//! and the probe accepting the final capacities is replayed in rationals.
+//! and the probe accepting the final capacities is certified in rationals.
 //!
 //! The result is a *sufficient* capacity per buffer (the paper claims
 //! sufficiency, not minimality); the ablation benchmark compares it against

@@ -13,8 +13,10 @@
 //!   `k/r(from)`, is an integer multiple of `1/D`, and scaling by `D` keeps
 //!   every sum and comparison: the rounds run on plain `i128`. When `D`, a
 //!   scaled weight or the offset bound below would leave `i128`, the same
-//!   generic code runs on [`Rational`], as it does once more to confirm a
-//!   final verdict and report its numbers ([`Kernel::confirm`]).
+//!   generic code runs on [`Rational`]. A final verdict is not replayed but
+//!   certified on [`Rational`] in `O(P + C)` ([`Kernel::delay_check`]): the
+//!   offsets `s / D` satisfy every connection, and tight, acyclic
+//!   predecessors from ports at zero make them the least such offsets.
 //! * **No-op elision.** A connection is skipped unless its source rose since
 //!   the connection's last turn: that turn left `θ(to) ≥ θ(from) + Δ` and
 //!   `θ(to)` only rises, so offsets evolve exactly as in a dense loop.
@@ -152,24 +154,55 @@ impl Kernel {
         }
     }
 
-    /// Replay an accepted all-zero probe of the scaled instantiation on the
-    /// `Rational` one: the reference arithmetic has the last word and the
-    /// offsets that leave the crate never pass through the scaling.
+    /// Certify an accepted all-zero probe (see [`Self::delay_check`]).
     pub(crate) fn confirm(&mut self) {
-        if self.den.take().is_some() {
-            assert!(self.probe(None).is_none(), "both instantiations accept");
-        }
+        self.delay_check();
     }
 
-    /// All offsets and slacks after a feasible probe from every port at zero.
+    /// All offsets and slacks after a feasible probe from every port at
+    /// zero, certified in the reference arithmetic instead of replayed: each
+    /// offset is read exactly (`s / D` on the scaled instantiation), every
+    /// live connection's slack `θ(to) − θ(from) − Δ` is non-negative and
+    /// every offset too (feasible), and every port is at zero without a
+    /// predecessor or on a tight live one, with no predecessor cycle, so
+    /// each offset is a path's delay from a port at zero (least). Panics,
+    /// naming the connection or port, if the probe's numbers fail.
     pub(crate) fn delay_check(&mut self) -> DelayCheck {
-        self.confirm();
-        let at = |p: usize| self.offsets[p].expect("every port starts at zero");
-        let offsets: Vec<Rational> = (0..self.graph.pred.len()).map(at).collect();
-        let slacks = self.graph.ends.iter().zip(&self.weights);
-        let slacks = slacks.map(|(&(from, to), &w)| offsets[to] - offsets[from] - w);
-        let slacks = slacks.collect();
-        (IndexVec::from_raw(offsets), slacks)
+        let read = |p: usize| {
+            let offset = self.offset(p).expect("every port starts at zero");
+            assert!(
+                !offset.is_negative(),
+                "port p{p} starts below zero at {offset}"
+            );
+            let root = self.graph.pred[p].is_none();
+            assert!(
+                !root || offset.is_zero(),
+                "port p{p} has no predecessor yet sits at {offset}"
+            );
+            offset
+        };
+        let offsets: Vec<Rational> = (0..self.graph.pred.len()).map(read).collect();
+        let graph = &mut self.graph;
+        let mut slacks = Vec::with_capacity(graph.ends.len());
+        for (c, (&(from, to), &w)) in graph.ends.iter().zip(&self.weights).enumerate() {
+            let slack = offsets[to] - offsets[from] - w;
+            assert!(
+                graph.dead[c] || !slack.is_negative(),
+                "connection c{c} (p{from} -> p{to}) is violated by {}",
+                -slack
+            );
+            slacks.push(slack);
+        }
+        for (p, &pred) in graph.pred.iter().enumerate() {
+            if let Some(c) = pred {
+                let tight = graph.ends[c].1 == p && !graph.dead[c] && slacks[c].is_zero();
+                assert!(tight, "port p{p}'s predecessor c{c} is not tight");
+            }
+        }
+        if let Some(p) = graph.pred_cycle() {
+            panic!("port p{p} lies on a predecessor cycle");
+        }
+        (IndexVec::from_raw(offsets), IndexVec::from_raw(slacks))
     }
 }
 
@@ -243,6 +276,26 @@ impl Graph {
                 }
             }
         }
+    }
+
+    /// A port on a cycle of predecessors, if there is one. Each walk follows
+    /// predecessors from its start, marking, until a root or an earlier
+    /// walk's port; meeting its own mark closes a cycle.
+    fn pred_cycle(&mut self) -> Option<usize> {
+        self.mark.clear();
+        self.mark.resize(self.pred.len(), 0);
+        for start in 0..self.pred.len() {
+            let (walk, mut v) = (start + 1, start);
+            while self.mark[v] == 0 {
+                self.mark[v] = walk;
+                let Some(c) = self.pred[v] else { break };
+                v = self.ends[c].0;
+            }
+            if self.mark[v] == walk && self.pred[v].is_some() {
+                return Some(v);
+            }
+        }
+        None
     }
 }
 
@@ -326,8 +379,9 @@ mod tests {
     }
 
     /// Run the sizing loop on two kernels in lockstep, the second held to
-    /// the `Rational` instantiation, comparing every probe, the final
-    /// offsets and slacks, and single-source offsets. Returns the
+    /// the `Rational` instantiation, comparing every probe, single-source
+    /// offsets, and the final offsets and slacks, certified on the first
+    /// and relaxed on the second. Returns the
     /// iterations and whether the first kernel stayed on scaled integers.
     fn lockstep(model: &CtaModel) -> (usize, bool) {
         let rates = model.maximal_rates_unbounded_buffers().unwrap();
@@ -363,17 +417,172 @@ mod tests {
         let still_scaled = scaled.den.is_some();
         assert_eq!((scaled.probe(None), exact.probe(None)), (None, None));
         assert_eq!(scaled.delay_check(), exact.delay_check());
-        assert_eq!(scaled.den, None, "reported numbers come off the rationals");
         (iterations, still_scaled)
     }
 
     #[test]
     fn both_instantiations_agree_on_every_output() {
-        let m = pipeline_model(6);
+        for (k, expected) in [(6, 7), (32, 33)] {
+            let m = pipeline_model(k);
+            let (iterations, still_scaled) = lockstep(&m);
+            assert!(still_scaled, "a 1 kHz pipeline fits i128");
+            assert_eq!(iterations, expected);
+            assert_eq!(size_buffers(&m).unwrap().iterations, iterations);
+        }
+    }
+
+    /// A 1 kHz source through `depth` rate converters of ratio `num/den`,
+    /// each with a granularity term and an unsized buffer back (the shape
+    /// `tests/differential.rs` sweeps): rates `1000 · (num/den)^k`.
+    fn converter_chain(num: i128, den: i128, depth: u32) -> CtaModel {
+        let ratio = Rational::new(num, den);
+        let (zero, one) = (Rational::ZERO, Rational::ONE);
+        let mut m = CtaModel::new();
+        let src = m.add_component("src", None);
+        let mut prev = m.add_required_rate_port(src, "out", Rational::from_int(1000));
+        for k in 0..depth {
+            let conv = m.add_component(format!("conv{k}"), None);
+            let input = m.add_port(conv, "in", None);
+            let output = m.add_port(conv, "out", None);
+            m.connect(prev, input, Rational::new(1, 1000), zero, one);
+            m.connect(input, output, zero, Rational::from_int(3), ratio);
+            m.connect_buffer(format!("b{k}"), output, prev, zero, zero, ratio.recip());
+            prev = output;
+        }
+        m
+    }
+
+    /// `model` sized, and a kernel holding its accepted scaled probe.
+    fn accepted(model: &CtaModel) -> (CtaModel, Kernel) {
+        let sizing = size_buffers(model).unwrap();
+        let mut sized = model.clone();
+        crate::buffersizing::apply_capacities(&mut sized, &sizing.capacities);
+        let mut kernel = Kernel::default();
+        kernel.load(&sized, &sizing.rates, false);
+        assert_eq!(kernel.probe(None), None);
+        assert!(kernel.den.is_some(), "the probe ran on scaled integers");
+        (sized, kernel)
+    }
+
+    #[test]
+    fn both_instantiations_agree_where_scaled_offsets_reduce() {
+        let m = converter_chain(147, 160, 3);
         let (iterations, still_scaled) = lockstep(&m);
-        assert!(still_scaled, "a 1 kHz pipeline fits i128");
-        assert_eq!(iterations, 7);
-        assert_eq!(size_buffers(&m).unwrap().iterations, iterations);
+        assert!(still_scaled && iterations > 0);
+        // The certificate reads `s / D` through a reduction: some offset's
+        // denominator is neither 1 nor `D`.
+        let (_, mut kernel) = accepted(&m);
+        let den = kernel.den.unwrap();
+        let (offsets, _) = kernel.delay_check();
+        assert!(
+            offsets.iter().any(|o| o.denom() != 1 && o.denom() != den),
+            "no offset reduced: {offsets:?} over {den}"
+        );
+    }
+
+    #[test]
+    fn certifying_a_scaled_probe_relaxes_nothing() {
+        let (sized, mut kernel) = accepted(&pipeline_model(32));
+        let before = RELAXATIONS.get();
+        kernel.confirm();
+        let check = kernel.delay_check();
+        assert_eq!(RELAXATIONS.get(), before);
+        let reported = sized.consistency_at_maximal_rates().unwrap();
+        assert_eq!((reported.offsets, reported.slacks), check);
+    }
+
+    /// The message a tampered certificate is refused with.
+    fn refusal(kernel: &mut Kernel) -> String {
+        let confirm = std::panic::AssertUnwindSafe(|| kernel.confirm());
+        let refused = std::panic::catch_unwind(confirm).expect_err("tampering must be refused");
+        refused
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default()
+    }
+
+    /// An accepted probe of the sized 6-stage pipeline and its slacks
+    /// scaled by `D`.
+    fn tamperable() -> (Kernel, Vec<i128>) {
+        let (_, kernel) = accepted(&pipeline_model(6));
+        let s = &kernel.scaled_offsets;
+        let slacks = kernel.graph.ends.iter().zip(&kernel.scaled);
+        let slacks = slacks.map(|(&(from, to), w)| s[to].unwrap() - s[from].unwrap() - w);
+        let slacks = slacks.collect();
+        (kernel, slacks)
+    }
+
+    /// The first port with a predecessor whose outgoing connections all
+    /// have slack to spare, so raising it one unit breaks none of them.
+    fn loose_port(kernel: &Kernel, slacks: &[i128]) -> usize {
+        let ends = &kernel.graph.ends;
+        let loose = |&p: &usize| (0..ends.len()).all(|c| ends[c].0 != p || slacks[c] > 0);
+        let mut raised = (0..kernel.graph.pred.len()).filter(|&p| kernel.graph.pred[p].is_some());
+        raised.find(loose).expect("a port to tamper with")
+    }
+
+    #[test]
+    fn a_lowered_offset_violates_a_connection() {
+        let (mut kernel, slacks) = tamperable();
+        let p = kernel.graph.pred.iter().position(Option::is_some).unwrap();
+        *kernel.scaled_offsets[p].as_mut().unwrap() -= 1;
+        // The first zero-slack connection into `p` now falls short.
+        let ends = &kernel.graph.ends;
+        let c = (0..ends.len())
+            .find(|&c| ends[c].1 == p && slacks[c] == 0)
+            .unwrap();
+        let message = refusal(&mut kernel);
+        assert!(
+            message.starts_with(&format!("connection c{c} ")),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn a_raised_offset_leaves_its_predecessor_loose() {
+        let (mut kernel, slacks) = tamperable();
+        let p = loose_port(&kernel, &slacks);
+        *kernel.scaled_offsets[p].as_mut().unwrap() += 1;
+        let c = kernel.graph.pred[p].unwrap();
+        let message = refusal(&mut kernel);
+        assert_eq!(
+            message,
+            format!("port p{p}'s predecessor c{c} is not tight")
+        );
+    }
+
+    #[test]
+    fn a_root_off_zero_is_refused() {
+        let (mut kernel, _) = tamperable();
+        let p = kernel.graph.pred.iter().position(Option::is_none).unwrap();
+        kernel.scaled_offsets[p] = Some(1);
+        let message = refusal(&mut kernel);
+        assert!(
+            message.starts_with(&format!("port p{p} has no predecessor")),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn predecessors_pointing_at_each_other_are_refused() {
+        // Two ports joined both ways by zero delays: all-zero is the least
+        // solution, and the two connections are tight either way, so only
+        // the acyclicity check can refuse a predecessor cycle between them.
+        let mut m = CtaModel::new();
+        let (a, b) = (m.add_component("a", None), m.add_component("b", None));
+        let (p, q) = (m.add_port(a, "out", None), m.add_port(b, "in", None));
+        let there = m.connect(p, q, Rational::ZERO, Rational::ZERO, Rational::ONE);
+        let back = m.connect(q, p, Rational::ZERO, Rational::ZERO, Rational::ONE);
+        let rates = m.maximal_rates_unbounded_buffers().unwrap();
+        let mut kernel = Kernel::default();
+        kernel.load(&m, &rates, false);
+        assert_eq!(kernel.probe(None), None);
+        assert!(kernel.den.is_some());
+        kernel.confirm();
+        (kernel.graph.pred[p.index()], kernel.graph.pred[q.index()]) =
+            (Some(back.index()), Some(there.index()));
+        let message = refusal(&mut kernel);
+        assert_eq!(message, "port p0 lies on a predecessor cycle");
     }
 
     #[test]

@@ -180,23 +180,26 @@ fn skewed_cost_model_shifts_the_partition_and_never_the_values() {
 #[test]
 fn golden_digests_are_untouched_without_a_cost_model() {
     // `SynthesisConfig::from_env()` only grows a cost model when
-    // OIL_COST_MODEL is set; with `cost_model: None` the measured-cost
-    // path must be byte-for-byte the declared-cost path — the golden
-    // corpus (tests/data/schedule_corpus.txt) relies on it.
+    // OIL_COST_MODEL is set, and the golden corpus
+    // (tests/data/schedule_corpus.txt) is synthesised with none. A model
+    // that measured nothing must leave every kernel at its declared
+    // response, so its schedules are byte-for-byte the declared-cost ones.
+    assert!(SynthesisConfig::default().cost_model.is_none());
     let graph = chain(&SynthesisConfig::default()).graph;
+    let empty = SynthesisConfig {
+        cost_model: Some(KernelCostModel::new("empty")),
+        ..SynthesisConfig::default()
+    };
     for workers in [1usize, 2, 4] {
         let a = support::schedule("CHAIN", &graph, workers, &SynthesisConfig::default());
-        let explicit = SynthesisConfig {
-            cost_model: None,
-            ..SynthesisConfig::default()
-        };
-        let b = support::schedule("CHAIN", &graph, workers, &explicit);
+        let b = support::schedule("CHAIN", &graph, workers, &empty);
         assert_eq!(
             a.digest(),
             b.digest(),
-            "workers={workers}: absent cost model changed a digest"
+            "workers={workers}: an empty cost model changed a digest"
         );
         assert_eq!(a.cost_model_hash, None);
+        assert!(b.cost_model_hash.is_some());
     }
 }
 
