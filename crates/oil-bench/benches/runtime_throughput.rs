@@ -30,7 +30,7 @@
 //!   and worker threads pay off.
 //!
 //! Results are printed and written to `BENCH_runtime.json` at the workspace
-//! root under **schema v8**: one record per (workload, engine_mode,
+//! root under **schema v9**: one record per (workload, engine_mode,
 //! threads), each carrying the host parallelism measured *at that row's
 //! execution* (`std::thread::available_parallelism()` can change under
 //! cgroup pressure mid-run), a `"degraded": true` flag whenever
@@ -42,23 +42,22 @@
 //! `transition_firings` (v6): modal firings spent draining a mode-switch
 //! seam (0 on non-modal and union-advance workloads), the runtime-trace
 //! telemetry columns (v7) — `park_count`, `ring_highwater_max`,
-//! `backpressure_wait_ns`, `seam_latency_observed_ns` — and (new in v8):
+//! `backpressure_wait_ns`, `seam_latency_observed_ns` — and (v8):
 //!
 //! * `telemetry_source` — where those four columns came from: `"inline"`
 //!   when the row itself ran traced (`OIL_RT_TRACE=1`), `"companion"` when
 //!   a short traced companion run at the smoke horizon supplied them (the
 //!   headline rows run untraced, and schema v7's constant zeros taught
 //!   nothing), `"none"` on the sim and calendar rows;
-//! * `cost_model_hash` — the fingerprint of the `KernelCostModel` that
-//!   steered a static-order row's partition (`OIL_COST_MODEL`), or null;
 //! * `predicted_utilization` / `measured_utilization` — per-worker
 //!   utilization: predicted by synthesis from its cost vector, measured by
 //!   the metrics registry (`OIL_RT_METRICS=1`; empty when metrics are off);
 //! * `drift` — the registry's CTA-drift verdict for the row
-//!   (`ok`/`degrading`/`violated`, `none` with metrics off);
+//!   (`ok`/`degrading`/`violated`, `none` with metrics off).
 //!
-//! plus a top-level `cost_model` provenance object (hash, host, entry
-//! count) when a model steered the run. A traced row (inline or companion)
+//! Schema v9 drops v8's cost-model provenance (a per-row fingerprint and a
+//! top-level object): the partitioner has one cost source, the declared
+//! CTA response times. A traced row (inline or companion)
 //! that dropped events prints a `WARNING:` line — a saturated buffer must
 //! not silently truncate the evidence.
 //! A requested staticsched row whose synthesis is rejected falls back to
@@ -119,9 +118,6 @@ struct Row {
     backpressure_wait_ns: u64,
     /// Longest observed mode-switch seam span.
     seam_latency_observed_ns: u64,
-    /// Fingerprint of the cost model that steered this static-order row's
-    /// partition (schema v8; None off staticsched or without a model).
-    cost_model_hash: Option<u64>,
     /// Synthesis-predicted per-worker utilization (staticsched rows only).
     predicted_utilization: Vec<f64>,
     /// Metrics-measured per-worker utilization (empty with metrics off).
@@ -297,7 +293,6 @@ fn reference_row(
         ring_highwater_max: 0,
         backpressure_wait_ns: 0,
         seam_latency_observed_ns: 0,
-        cost_model_hash: None,
         predicted_utilization: Vec::new(),
         measured_utilization: Vec::new(),
         drift: "none",
@@ -412,7 +407,6 @@ fn bench_workload(
             ring_highwater_max,
             backpressure_wait_ns: backpressure,
             seam_latency_observed_ns: seam,
-            cost_model_hash: None,
             predicted_utilization: Vec::new(),
             measured_utilization: measured_utilization(report.metrics.as_ref(), report.wall),
             drift: drift_tag(report.metrics.as_ref()),
@@ -459,7 +453,6 @@ fn bench_workload(
                     ring_highwater_max,
                     backpressure_wait_ns: backpressure,
                     seam_latency_observed_ns: seam,
-                    cost_model_hash: schedule.cost_model_hash,
                     predicted_utilization: schedule.predicted_utilization.clone(),
                     measured_utilization: measured_utilization(
                         report.metrics.as_ref(),
@@ -519,7 +512,6 @@ fn bench_workload(
                     ring_highwater_max,
                     backpressure_wait_ns: backpressure,
                     seam_latency_observed_ns: seam,
-                    cost_model_hash: None,
                     predicted_utilization: Vec::new(),
                     measured_utilization: measured_utilization(
                         report.metrics.as_ref(),
@@ -545,7 +537,7 @@ fn utilization_json(u: &[f64]) -> String {
     s
 }
 
-/// Pull the value of `key` out of a one-line schema-v7/v8 row. Scalar
+/// Pull the value of `key` out of a one-line schema-v7/v8/v9 row. Scalar
 /// fields only (the array fields are emitted after every scalar).
 fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     let pat = format!("\"{key}\": ");
@@ -565,7 +557,7 @@ struct BaselineRow {
 }
 
 /// Parse the committed BENCH_runtime.json (one row per line, as this
-/// binary writes it — schema v7 or v8). A hand-rolled reader.
+/// binary writes it — schema v7, v8 or v9). A hand-rolled reader.
 fn parse_baseline(raw: &str) -> Vec<BaselineRow> {
     raw.lines()
         .filter_map(|line| {
@@ -713,34 +705,15 @@ fn main() {
         }
     }
 
-    // Machine-readable results at the workspace root (schema v8: see the
+    // Machine-readable results at the workspace root (schema v9: see the
     // module docs for the field-by-field history). One row per line — the
     // `--compare` reader and external tooling rely on it.
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema_version\": 8,");
-    match synth.cost_model.as_ref() {
-        Some(m) => {
-            let _ = writeln!(
-                json,
-                "  \"cost_model\": {{\"hash\": \"{:016x}\", \"host\": \"{}\", \
-                 \"functions\": {}}},",
-                m.fingerprint(),
-                m.host,
-                m.entries.len()
-            );
-        }
-        None => {
-            let _ = writeln!(json, "  \"cost_model\": null,");
-        }
-    }
+    let _ = writeln!(json, "  \"schema_version\": 9,");
     let _ = writeln!(json, "  \"benchmarks\": [");
     for (i, r) in rows.iter().enumerate() {
         let degraded = r.threads > r.host_parallelism;
-        let cost_model_hash = match r.cost_model_hash {
-            Some(h) => format!("\"{h:016x}\""),
-            None => "null".to_string(),
-        };
         let _ = writeln!(
             json,
             "    {{\"workload\": \"{}\", \"engine_mode\": \"{}\", \
@@ -751,7 +724,7 @@ fn main() {
              \"fused_chain_len_max\": {}, \"transition_firings\": {}, \
              \"telemetry_source\": \"{}\", \"park_count\": {}, \
              \"ring_highwater_max\": {}, \"backpressure_wait_ns\": {}, \
-             \"seam_latency_observed_ns\": {}, \"cost_model_hash\": {}, \
+             \"seam_latency_observed_ns\": {}, \
              \"drift\": \"{}\", \"predicted_utilization\": {}, \
              \"measured_utilization\": {}}}{}",
             r.workload,
@@ -773,7 +746,6 @@ fn main() {
             r.ring_highwater_max,
             r.backpressure_wait_ns,
             r.seam_latency_observed_ns,
-            cost_model_hash,
             r.drift,
             utilization_json(&r.predicted_utilization),
             utilization_json(&r.measured_utilization),

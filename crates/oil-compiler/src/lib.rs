@@ -28,7 +28,6 @@
 
 pub mod buffers;
 pub mod codegen;
-pub mod costmodel;
 pub mod derive;
 pub mod parallelize;
 pub mod pipeline;
@@ -37,7 +36,6 @@ pub mod schedule;
 
 pub use buffers::BufferPlan;
 pub use codegen::GeneratedCode;
-pub use costmodel::{KernelCost, KernelCostModel};
 pub use derive::{derive_cta_model, DerivedModel};
 pub use parallelize::{extract_task_graph, runnable_tasks};
 pub use pipeline::{

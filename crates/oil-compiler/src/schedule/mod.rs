@@ -100,7 +100,6 @@ pub use model::{
     ScheduleUnit, StaticSchedule, Step, UnitKind, WorkItem, MAX_PERIOD_FIRINGS,
 };
 
-use crate::costmodel::KernelCostModel;
 use crate::rtgraph::{RtBufferId, RtGraph, RtPlan};
 use ledger::{engine_capacities, Ledger};
 use oil_dataflow::Rational;
@@ -121,13 +120,6 @@ pub struct SynthesisConfig {
     /// schedules. `None` leaves the seam latency unconstrained (it is still
     /// computed and reported in [`ModeDependent::seam_latency_max`]).
     pub seam_latency_bound: Option<Rational>,
-    /// Measured per-kernel costs steering `partition_workers`. `None`
-    /// balances on the declared CTA response times (the historical
-    /// behaviour, byte-identical schedules). `Some` balances on measured
-    /// ns/firing, falling back to the declared response (scaled to ns) for
-    /// functions the model has not calibrated — placement only, the
-    /// partition is still proven by the exact-integer replay either way.
-    pub cost_model: Option<KernelCostModel>,
 }
 
 impl Default for SynthesisConfig {
@@ -135,7 +127,6 @@ impl Default for SynthesisConfig {
         SynthesisConfig {
             fusion: true,
             seam_latency_bound: None,
-            cost_model: None,
         }
     }
 }
@@ -143,13 +134,11 @@ impl Default for SynthesisConfig {
 impl SynthesisConfig {
     /// Read the configuration from the environment once (`OIL_RT_FUSION=0`
     /// disables fusion, `1` or unset enables it; anything else is a loud
-    /// error — see [`fusion_enabled`]. `OIL_COST_MODEL=<path>` loads a
-    /// measured cost model, loud on junk — see
-    /// [`KernelCostModel::from_env`]).
+    /// error — see [`fusion_enabled`]). `OIL_RT_FUSION` is the only
+    /// variable it reads.
     pub fn from_env() -> Self {
         SynthesisConfig {
             fusion: fusion_enabled(),
-            cost_model: KernelCostModel::from_env(),
             ..SynthesisConfig::default()
         }
     }
@@ -253,7 +242,7 @@ pub fn synthesize(
     // concatenated row periods so units gated in row 0 still get a
     // position.
     let workers = workers.clamp(1, units.len().max(1));
-    let cost = partition::unit_costs(graph, &units, config.cost_model.as_ref(), &reps, &arms);
+    let cost = partition::unit_costs(graph, &units, &reps, &arms);
     let order = periods.iter().flatten().copied();
     let flow = partition::Flow::new(graph, &access, &reps, &producer_unit, &consumer_unit);
     partition::partition_workers(&mut units, &cost, components, workers, order, &flow);
@@ -359,7 +348,6 @@ pub fn synthesize(
         fusion,
         level_max,
         phases: Vec::new(),
-        cost_model_hash: config.cost_model.as_ref().map(|m| m.fingerprint()),
         predicted_utilization,
     };
     // Admission: the schedule is returned only with its validity — and,

@@ -555,13 +555,6 @@ pub struct StaticSchedule {
     /// only: not part of [`Self::digest`] and never compared by the
     /// golden corpus.
     pub phases: Vec<PhaseSpan>,
-    /// [`KernelCostModel::fingerprint`](crate::costmodel::KernelCostModel::fingerprint)
-    /// of the measured cost model that steered the partition, `None` when
-    /// declared response times did.
-    /// Provenance only: excluded from equality and [`Self::digest`], like
-    /// [`Self::phases`] — two syntheses that landed on the same structure
-    /// are the same schedule regardless of what steered the balance.
-    pub cost_model_hash: Option<u64>,
     /// Per worker: predicted utilization under the cost vector the
     /// partitioner balanced (worker load / heaviest worker load, in
     /// `(0, 1]`). Observational, excluded from equality and digest.
@@ -570,9 +563,8 @@ pub struct StaticSchedule {
 
 impl PartialEq for StaticSchedule {
     fn eq(&self, other: &Self) -> bool {
-        // Everything except `phases` (wall time, nondeterministic) and the
-        // cost-model provenance (`cost_model_hash`,
-        // `predicted_utilization` — observational, not structure).
+        // Everything except `phases` (wall time, nondeterministic) and
+        // `predicted_utilization` (observational, not structure).
         self.units == other.units
             && self.period == other.period
             && self.workers == other.workers

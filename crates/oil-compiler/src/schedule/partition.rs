@@ -5,40 +5,28 @@
 use super::ledger::{port, UnitAccess};
 use super::model::{ScheduleUnit, Step};
 use super::order::UnitOf;
-use crate::costmodel::KernelCostModel;
-use crate::rtgraph::{RtGraph, RtNodeId};
+use crate::rtgraph::RtGraph;
 
 /// The per-unit cost vector the partitioner balances: each unit's worst
-/// row of the per-mode table, `reps × per-firing cost`.
-///
-/// Without a model the per-firing cost is the declared CTA response time
-/// in seconds (byte for byte the historical expression: the golden corpus
-/// pins it). With one it is the measured ns/firing, falling back to the
-/// declared response scaled to ns for uncalibrated functions, so a partial
-/// model keeps the relative weights of the kernels it has not seen. `arms[r]` is
-/// the member row `r`'s modal firings run; `None` budgets the worst member
-/// (any arm may run under a hot-switching script).
+/// row of the per-mode table, `reps × per-firing cost`, where the
+/// per-firing cost is the declared CTA response time in seconds (the
+/// golden corpus pins this expression byte for byte). A source/sink unit
+/// costs one token moved, no kernel work; a kernel unit is floored at 1 ns
+/// so no unit is free to stack. `arms[r]` is the member row `r`'s modal
+/// firings run; `None` budgets the worst member (any arm may run under a
+/// hot-switching script).
 pub(super) fn unit_costs(
     graph: &RtGraph,
     units: &[ScheduleUnit],
-    model: Option<&KernelCostModel>,
     reps: &[Vec<u64>],
     arms: &[Option<usize>],
 ) -> Vec<f64> {
-    // (per-firing floor, cost of a source/sink firing: one token moved, no
-    // kernel work).
-    let (floor, io) = if model.is_some() {
-        (1.0, 10.0)
-    } else {
-        (1e-9, 1e-8)
-    };
-    let node = |id: RtNodeId| match model {
-        Some(model) => measured_cost_ns(graph, id, model),
-        None => graph.nodes[id].response.to_f64(),
-    };
     let per_firing = |unit: &ScheduleUnit, arm| match unit.kind.nodes(arm) {
-        [] => io,
-        nodes => nodes.iter().map(|&n| node(n)).fold(floor, f64::max),
+        [] => 1e-8,
+        nodes => nodes
+            .iter()
+            .map(|&n| graph.nodes[n].response.to_f64())
+            .fold(1e-9, f64::max),
     };
     units
         .iter()
@@ -52,24 +40,10 @@ pub(super) fn unit_costs(
         .collect()
 }
 
-/// A node's per-firing cost in nanoseconds under a measured cost model:
-/// the calibrated ns/firing when the node's function has an entry, the
-/// declared CTA response time scaled seconds→ns otherwise (so a partial
-/// model keeps the same relative weights as the declared path for the
-/// kernels it has not seen). Floored at 1 ns — a zero cost would let the
-/// partitioner stack unboundedly many units on one worker for free.
-fn measured_cost_ns(graph: &RtGraph, id: RtNodeId, model: &KernelCostModel) -> f64 {
-    match model.ns_per_firing(&graph.nodes[id].function) {
-        Some(ns) => ns.max(1.0),
-        None => (graph.nodes[id].response.to_f64() * 1e9).max(1.0),
-    }
-}
-
 /// Predicted per-worker utilization of a finished partition: each worker's
 /// summed unit cost divided by the heaviest worker's (in `(0, 1]`; a
-/// perfectly balanced partition is all ones). Purely observational — the
-/// number the profile-guided loop improves, recorded in
-/// [`StaticSchedule::predicted_utilization`].
+/// perfectly balanced partition is all ones). Purely observational,
+/// recorded in [`StaticSchedule::predicted_utilization`].
 pub(super) fn worker_utilization(
     units: &[ScheduleUnit],
     cost: &[f64],

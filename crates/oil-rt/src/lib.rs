@@ -41,9 +41,8 @@
 //!   CTA drift detector ([`metrics::DriftVerdict`]). Off by default with the
 //!   same one-branch discipline as [`trace`];
 //! * [`profile`] — kernel cost calibration: measures ns/firing per
-//!   coordinated function (trimmed-median estimator) into an
-//!   `oil_compiler::costmodel::KernelCostModel` artifact that
-//!   `oil_compiler::schedule` can use for measured-cost partitioning.
+//!   coordinated function (trimmed-median estimator), the table benchmarks
+//!   use to split a run's time into kernel work and coordination.
 //!
 //! All three consume the same [`oil_compiler::rtgraph::RtGraph`] lowering
 //! as the simulator, so differential testing compares *scheduling
@@ -65,7 +64,7 @@ pub use measure::{
     ConformanceVerdict, RateConformance, SinkThroughput, ThroughputMeter, ValueTrace,
 };
 pub use metrics::{env_metrics, DriftVerdict, MetricsConfig, MetricsHub, MetricsReport, WindowObs};
-pub use profile::{profile_graph, profile_kernel, ProfileConfig};
+pub use profile::{profile_graph, KernelCosts, ProfileConfig};
 pub use selftimed::{
     execute_selftimed, execute_selftimed_scripted, SelfTimedConfig, SelfTimedReport,
 };

@@ -1,128 +1,95 @@
 //! Kernel cost calibration: measure ns/firing per coordinated function.
 //!
-//! The partitioner in `oil_compiler::schedule` balances workers on per-unit
-//! cost estimates; this module produces the *measured* estimates — a
-//! [`KernelCostModel`] artifact mapping each coordinated function name to
-//! its observed nanoseconds per firing on this host. Calibration runs each
-//! kernel at a representative burst size (the same
-//! [`Kernel::fire_block_into`] path the static-order engine replays) and
-//! estimates the per-firing cost with a **deterministic robust estimator**:
-//! the timed repeats are sorted, `trim` are dropped from each end, and the
-//! median of the rest is taken — no randomness, no mean that one preempted
-//! run can poison. Timings are still timings: two calibrations of the same
-//! binary will produce *similar*, not identical, artifacts, which is why
-//! the model is placement advice only — every schedule it steers is still
-//! proven by the exact-integer replay, and the model's fingerprint is
-//! recorded in the schedule for provenance.
+//! [`profile_graph`] runs each kernel of a graph at a representative burst
+//! size (the same [`Kernel::fire_block_into`] path the static-order engine
+//! replays) and estimates its per-firing cost with a **deterministic robust
+//! estimator**: the timed repeats are sorted, the fastest and slowest few
+//! are dropped, and the median of the rest is taken — no randomness, no
+//! mean that one preempted run can poison. Timings are still timings: two
+//! calibrations of the same binary give *similar*, not identical, tables.
+//! The table is an observation of the host, read by benchmarks that split
+//! a run's time into kernel work and coordination; the partitioner never
+//! sees it (it balances on declared CTA response times).
 
 use crate::kernel::{Kernel, KernelLibrary};
-use oil_compiler::costmodel::{KernelCost, KernelCostModel};
 use oil_compiler::rtgraph::RtGraph;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// Calibration knobs. The defaults measure each kernel 9 × 64 firings
-/// (plus warmup), trimming the 2 fastest and 2 slowest repeats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProfileConfig {
-    /// Firings per timed repeat. Bursts amortise the clock reads and match
-    /// the static engine's block replay granularity.
-    pub burst: usize,
-    /// Timed repeats per kernel (the estimator's sample count).
-    pub repeats: usize,
-    /// Repeats dropped from *each* end of the sorted durations before the
-    /// median (clamped so at least one sample survives).
-    pub trim: usize,
-    /// Untimed warmup repeats (cache/branch-predictor settling).
-    pub warmup: usize,
-}
+/// Firings per timed repeat. Bursts amortise the clock reads and match the
+/// static engine's block replay granularity.
+const BURST: usize = 64;
+/// Timed repeats per kernel (the estimator's sample count).
+const REPEATS: usize = 9;
+/// Repeats dropped from *each* end of the sorted durations before the
+/// median.
+const TRIM: usize = 2;
+/// Untimed warmup repeats (cache/branch-predictor settling).
+const WARMUP: usize = 2;
 
-impl Default for ProfileConfig {
-    fn default() -> Self {
-        ProfileConfig {
-            burst: 64,
-            repeats: 9,
-            trim: 2,
-            warmup: 2,
-        }
+/// How [`profile_graph`] calibrates. It has no settings: every kernel is
+/// measured 9 × 64 firings (after 2 warmup repeats), trimming the 2 fastest
+/// and 2 slowest repeats.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ProfileConfig;
+
+/// Calibrated ns/firing per coordinated function, as [`profile_graph`]
+/// measured it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct KernelCosts(BTreeMap<String, f64>);
+
+impl KernelCosts {
+    /// Measured ns/firing for `function`, `None` if it was not calibrated.
+    pub fn ns_per_firing(&self, function: &str) -> Option<f64> {
+        self.0.get(function).copied()
     }
 }
 
-/// One calibrated kernel: the measurement plus the shape it ran at.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProfiledKernel {
-    /// Coordinated function name.
-    pub function: String,
-    /// Inputs consumed per firing during calibration.
-    pub in_len: usize,
-    /// Outputs produced per firing during calibration.
-    pub out_len: usize,
-    /// The robust estimate, ns/firing.
-    pub ns_per_firing: f64,
-}
-
-/// Calibrate every distinct node function of `graph` against `lib` and
-/// assemble the [`KernelCostModel`] artifact (host-fingerprinted, entries
-/// in canonical function order). Each function is measured at the
-/// input/output shape its first node declares — per-firing rates are a
-/// property of the function in OIL, so any node of the function gives the
-/// representative shape.
-pub fn profile_graph(
-    graph: &RtGraph,
-    lib: &KernelLibrary,
-    config: &ProfileConfig,
-) -> KernelCostModel {
+/// Calibrate every distinct node function of `graph` against `lib`. Each
+/// function is measured at the input/output shape its first node declares
+/// — per-firing rates are a property of the function in OIL, so any node
+/// of the function gives the representative shape.
+pub fn profile_graph(graph: &RtGraph, lib: &KernelLibrary, _config: &ProfileConfig) -> KernelCosts {
     let mut shapes: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
     for node in graph.nodes.iter() {
         let in_len: usize = node.reads.iter().map(|&(_, c)| c).sum();
         let out_len: usize = node.writes.iter().map(|&(_, c)| c).max().unwrap_or(0);
         shapes.entry(&node.function).or_insert((in_len, out_len));
     }
-    let mut model = KernelCostModel::new(KernelCostModel::local_host());
-    for (function, &(in_len, out_len)) in &shapes {
-        let mut kernel = lib.instantiate(function);
-        let ns = profile_kernel(&mut kernel, in_len, out_len, config);
-        model.insert(
-            function.to_string(),
-            KernelCost {
-                ns_per_firing: ns,
-                burst: config.burst as u32,
-                samples: config.repeats as u32,
-            },
-        );
-    }
-    model
+    KernelCosts(
+        shapes
+            .into_iter()
+            .map(|(function, (in_len, out_len))| {
+                let mut kernel = lib.instantiate(function);
+                let ns = profile_kernel(&mut kernel, in_len, out_len);
+                (function.to_string(), ns)
+            })
+            .collect(),
+    )
 }
 
-/// Measure one kernel's ns/firing at the given per-firing shape: `warmup`
-/// untimed bursts, `repeats` timed bursts of `burst` firings through
+/// Measure one kernel's ns/firing at the given per-firing shape: `WARMUP`
+/// untimed bursts, `REPEATS` timed bursts of `BURST` firings through
 /// [`Kernel::fire_block_into`], then the trimmed median over the repeat
 /// durations divided by the burst size.
-pub fn profile_kernel(
-    kernel: &mut Kernel,
-    in_len: usize,
-    out_len: usize,
-    config: &ProfileConfig,
-) -> f64 {
-    let burst = config.burst.max(1);
-    let repeats = config.repeats.max(1);
-    let inputs = calibration_signal(burst * in_len);
-    let mut out: Vec<f64> = Vec::with_capacity(burst * out_len);
+fn profile_kernel(kernel: &mut Kernel, in_len: usize, out_len: usize) -> f64 {
+    let inputs = calibration_signal(BURST * in_len);
+    let mut out: Vec<f64> = Vec::with_capacity(BURST * out_len);
     let mut run = |timed: bool| -> u64 {
         out.clear();
         let t0 = Instant::now();
-        kernel.fire_block_into(&inputs, burst, in_len, out_len, &mut out);
+        kernel.fire_block_into(&inputs, BURST, in_len, out_len, &mut out);
         if timed {
             t0.elapsed().as_nanos() as u64
         } else {
             0
         }
     };
-    for _ in 0..config.warmup {
+    for _ in 0..WARMUP {
         run(false);
     }
-    let mut durations: Vec<u64> = (0..repeats).map(|_| run(true)).collect();
-    trimmed_median_ns(&mut durations, config.trim) / burst as f64
+    let mut durations: Vec<u64> = (0..REPEATS).map(|_| run(true)).collect();
+    trimmed_median_ns(&mut durations, TRIM) / BURST as f64
 }
 
 /// The trimmed-median estimator over raw burst durations: sort, drop
@@ -130,7 +97,7 @@ pub fn profile_kernel(
 /// median of the survivors (midpoint average for even counts).
 /// Deterministic in its inputs — the only nondeterminism in calibration is
 /// the clock itself.
-pub fn trimmed_median_ns(durations: &mut [u64], trim: usize) -> f64 {
+fn trimmed_median_ns(durations: &mut [u64], trim: usize) -> f64 {
     assert!(!durations.is_empty(), "no samples to estimate from");
     durations.sort_unstable();
     let trim = trim.min((durations.len() - 1) / 2);
@@ -183,13 +150,33 @@ mod tests {
     fn profiling_a_kernel_yields_a_positive_finite_cost() {
         let lib = KernelLibrary::pal();
         let mut mix = lib.instantiate("mix");
-        let ns = profile_kernel(&mut mix, 1, 1, &ProfileConfig::default());
+        let ns = profile_kernel(&mut mix, 1, 1);
         assert!(ns.is_finite() && ns >= 0.0, "got {ns}");
         // A 63-tap FIR over a 25-sample burst costs measurably more than a
         // single mixer multiply.
         let mut lpf = lib.instantiate("LPF");
-        let lpf_ns = profile_kernel(&mut lpf, 25, 1, &ProfileConfig::default());
+        let lpf_ns = profile_kernel(&mut lpf, 25, 1);
         assert!(lpf_ns > 0.0);
+
+        // The whole graph, as benchmarks calibrate it: every node function
+        // gets a cost, and a function outside the graph gets none.
+        let exe = oil_compiler::build(
+            oil_pal::PAL_DECODER_OIL,
+            &oil_pal::pal_registry(),
+            1,
+            &Default::default(),
+        )
+        .expect("PAL builds");
+        let costs = profile_graph(&exe.graph, &lib, &ProfileConfig);
+        for node in exe.graph.nodes.iter() {
+            let ns = costs.ns_per_firing(&node.function);
+            assert!(
+                ns.is_some_and(|ns| ns.is_finite() && ns >= 0.0),
+                "{}: got {ns:?}",
+                node.function
+            );
+        }
+        assert_eq!(costs.ns_per_firing("not_in_pal"), None);
     }
 
     #[test]

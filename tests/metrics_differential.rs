@@ -1,8 +1,7 @@
 //! Differential verification of the always-on metrics registry
-//! (`oil::rt::metrics`) and the profile-guided cost model
-//! (`oil::compiler::costmodel`).
+//! (`oil::rt::metrics`).
 //!
-//! Four oracles:
+//! Three oracles:
 //!
 //! 1. **Bit-identity** — enabling metrics must never change a value
 //!    stream, sink sample or firing count, on either engine at any worker
@@ -11,17 +10,12 @@
 //! 2. **Live oracle honesty** — on the untampered corpus, every run that
 //!    beats real time must report [`DriftVerdict::Ok`]: the drift detector
 //!    may only fire on real drift.
-//! 3. **Cost-model steering** — a skewed synthetic cost model provably
-//!    moves the partition, the moved schedule still passes
-//!    `StaticSchedule::validate` (observations steer placement, never
-//!    correctness), and both schedules stream bit-identical values.
-//! 4. **Detection latency** — an injected 5x-slower kernel is reported as
+//! 3. **Detection latency** — an injected 5x-slower kernel is reported as
 //!    `Violated` in the *first* closed window, not at end-of-run.
 
 mod support;
 
-use oil::compiler::costmodel::{KernelCost, KernelCostModel};
-use oil::compiler::schedule::{StaticSchedule, SynthesisConfig};
+use oil::compiler::schedule::SynthesisConfig;
 use oil::lang::registry::FunctionSignature;
 use oil::rt::{
     execute_selftimed, DriftVerdict, Kernel, KernelLibrary, MetricsConfig, SelfTimedConfig,
@@ -92,115 +86,6 @@ fn metered_runs_are_bit_identical_to_unmetered_on_all_engines() {
         accepted >= MIN_ACCEPTED,
         "corpus too thin: only {accepted} of 24 seeds compiled"
     );
-}
-
-// ---------------------------------------------------------------------------
-// Cost-model steering.
-// ---------------------------------------------------------------------------
-
-/// Four equal-declared-cost stages in a row: declared balancing has no
-/// reason to isolate any one of them.
-const CHAIN: &str = r#"
-    mod seq A0(int a, out int b){ loop{ f0(a, out b); } while(1); }
-    mod seq A1(int a, out int b){ loop{ f1(a, out b); } while(1); }
-    mod seq A2(int a, out int b){ loop{ f2(a, out b); } while(1); }
-    mod seq A3(int a, out int b){ loop{ f3(a, out b); } while(1); }
-    mod par Top(){
-        fifo int m0, m1, m2;
-        source int x = src() @ 8 kHz;
-        sink int y = snk() @ 8 kHz;
-        A0(x, out m0) || A1(m0, out m1) || A2(m1, out m2) || A3(m2, out y)
-    }
-"#;
-
-/// `CHAIN` built for two workers under `config`.
-fn chain(config: &SynthesisConfig) -> oil::Executable {
-    let mut registry = support::pure(&["f0", "f1", "f2", "f3"], 1e-5);
-    registry.register(FunctionSignature::pure("src", 1e-7));
-    registry.register(FunctionSignature::pure("snk", 1e-7));
-    oil::build(CHAIN, &registry, 2, config).expect("chain program builds")
-}
-
-/// One kernel measured 500x more expensive than its equally-declared
-/// peers; everything else cheap and uniform.
-fn skewed_model() -> KernelCostModel {
-    let mut model = KernelCostModel::new("test-host");
-    let entry = |ns: f64| KernelCost {
-        ns_per_firing: ns,
-        burst: 64,
-        samples: 9,
-    };
-    model.insert("f0", entry(50_000.0));
-    for f in ["f1", "f2", "f3"] {
-        model.insert(f, entry(100.0));
-    }
-    model
-}
-
-#[test]
-fn skewed_cost_model_shifts_the_partition_and_never_the_values() {
-    let _serial = engine_runs();
-    let workers = 2usize;
-    let declared = chain(&SynthesisConfig::default()).schedule;
-    let model = skewed_model();
-    let measured = chain(&SynthesisConfig {
-        cost_model: Some(model.clone()),
-        ..SynthesisConfig::default()
-    });
-    let (graph, measured) = (measured.graph, measured.schedule);
-
-    // Provenance is recorded — and excluded from the structural digest.
-    assert_eq!(declared.cost_model_hash, None);
-    assert_eq!(measured.cost_model_hash, Some(model.fingerprint()));
-    assert_eq!(measured.predicted_utilization.len(), workers);
-    assert!(
-        measured.predicted_utilization.iter().all(|u| *u > 0.0),
-        "every worker should carry some predicted load: {:?}",
-        measured.predicted_utilization
-    );
-
-    // The observation moved at least one unit to a different worker.
-    let placement =
-        |s: &StaticSchedule| -> Vec<usize> { s.units.iter().map(|u| u.worker).collect() };
-    assert_ne!(
-        placement(&declared),
-        placement(&measured),
-        "a 500x skewed kernel cost must move the partition"
-    );
-
-    // …but never correctness: the moved schedule re-validates, and both
-    // schedules stream bit-identical values.
-    measured.validate(&graph).expect("measured-cost schedule");
-    let config = support::static_config();
-    let a = support::replay(&graph, &declared, HORIZON_S, None, &config);
-    let b = support::replay(&graph, &measured, HORIZON_S, None, &config);
-    assert_identical("declared vs measured partition", &a, &b);
-}
-
-#[test]
-fn golden_digests_are_untouched_without_a_cost_model() {
-    // `SynthesisConfig::from_env()` only grows a cost model when
-    // OIL_COST_MODEL is set, and the golden corpus
-    // (tests/data/schedule_corpus.txt) is synthesised with none. A model
-    // that measured nothing must leave every kernel at its declared
-    // response, so its schedules are byte-for-byte the declared-cost ones.
-    assert!(SynthesisConfig::default().cost_model.is_none());
-    let graph = chain(&SynthesisConfig::default()).graph;
-    let empty = SynthesisConfig {
-        cost_model: Some(KernelCostModel::new("empty")),
-        ..SynthesisConfig::default()
-    };
-    for workers in [1usize, 2, 4] {
-        let a = support::schedule("CHAIN", &graph, workers, &SynthesisConfig::default());
-        let b = support::schedule("CHAIN", &graph, workers, &empty);
-        assert_eq!(
-            a.digest(),
-            b.digest(),
-            "workers={workers}: an empty cost model changed a digest"
-        );
-        assert_eq!(a.cost_model_hash, None);
-        assert!(b.cost_model_hash.is_some());
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -59,8 +59,16 @@ fn split_pipelines_cross_at_stage_boundaries() {
         "{:?}",
         s.cross_buffers
     );
-    // Both workers have work.
+    // Both workers have work, and the partitioner predicts a load for
+    // each: a share of the heaviest worker's, in (0, 1].
     assert!(s.workers.iter().all(|w| !w.is_empty()));
+    let predicted = &s.predicted_utilization;
+    assert_eq!(predicted.len(), 2);
+    assert!(
+        predicted.iter().all(|&u| u > 0.0 && u <= 1.0),
+        "{predicted:?}"
+    );
+    assert!(predicted.contains(&1.0), "{predicted:?}");
 }
 
 #[test]

@@ -1,9 +1,9 @@
 //! The harness every integration suite shares, pulled in with `mod support;`:
 //!
 //! * the environment, read once ([`env`]): `OIL_RT_STRESS`,
-//!   `OIL_RT_THREADS`, `OIL_RT_TRACE`, `OIL_RT_FUSION` (with
-//!   `OIL_COST_MODEL`, through `SynthesisConfig::from_env`) and
-//!   `OIL_RT_CONFORMANCE`. Junk in any of them panics;
+//!   `OIL_RT_THREADS`, `OIL_RT_TRACE`, `OIL_RT_FUSION` (through
+//!   `SynthesisConfig::from_env`) and `OIL_RT_CONFORMANCE`. Junk in any of
+//!   them panics;
 //! * the corpora, each item with the expression that reproduces it:
 //!   generated programs built through `oil::build` ([`programs`],
 //!   [`build_program`]), and the modal and mode-dependent graphs
@@ -44,7 +44,7 @@ pub struct Env {
     pub threads: Option<usize>,
     /// `OIL_RT_TRACE`: run the corpus down the instrumented paths.
     pub trace: bool,
-    /// `OIL_RT_FUSION` and `OIL_COST_MODEL`.
+    /// `OIL_RT_FUSION`, through `SynthesisConfig::from_env`.
     pub synthesis: SynthesisConfig,
     /// The rate-conformance threshold of the generated corpus: the
     /// `OIL_RT_CONFORMANCE` override, else 0.5 (0.01 in debug builds,
