@@ -101,23 +101,23 @@ mod tests {
         }
     }
 
+    /// Worst calendar latency into the display and the speakers, in
+    /// picoseconds: the oldest input origin of the consumed token to its
+    /// consumption (DESIGN.md, "Known limitations", on how this differs
+    /// from the analysed rf→sink latency).
+    const SCREEN_LATENCY_PS: u64 = 6_343_750;
+    const SPEAKER_LATENCY_PS: u64 = 62_343_750;
+
     #[test]
     fn latencies_are_bounded() {
-        let report = simulate_pal(2e-3).unwrap();
-        assert!(report.screen_latency.is_finite());
-        assert!(report.speaker_latency.is_finite());
-        // Both paths deliver samples within a millisecond on the simulated
-        // platform (the audio path is the slower one: 25*8 samples per
-        // speaker sample at 6.4 MS/s is 0.3125 ms of accumulation).
-        assert!(
-            report.screen_latency < 1e-3,
-            "screen latency {}",
-            report.screen_latency
-        );
-        assert!(
-            report.speaker_latency < 2e-3,
-            "speaker latency {}",
-            report.speaker_latency
-        );
+        // The calendar is data-independent and periodic: the worst latency
+        // is reached in the first few audio periods and a ten times longer
+        // run reads the same picosecond.
+        for horizon in [2e-3, 20e-3] {
+            let report = simulate_pal(horizon).unwrap();
+            let at = format!("{horizon} s horizon");
+            assert_eq!(picos(report.screen_latency), SCREEN_LATENCY_PS, "{at}");
+            assert_eq!(picos(report.speaker_latency), SPEAKER_LATENCY_PS, "{at}");
+        }
     }
 }

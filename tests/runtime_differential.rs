@@ -86,6 +86,11 @@ fn runtime_traces_match_the_simulator_on_generated_programs() {
     );
 }
 
+/// PAL's 2 ms token-trace digest and value-stream digest (single worker,
+/// fusion on, 64 warm-up ticks), pinned like a corpus line.
+const PAL_TRACE_DIGEST: &str = "131ce39b299e5f79";
+const PAL_VALUE_DIGEST: &str = "b7f89bd7206d67d3";
+
 #[test]
 fn pal_decoder_runtime_matches_simulator_with_zero_misses() {
     // The case study of paper Section VI, with the real DSP kernels: the
@@ -101,6 +106,16 @@ fn pal_decoder_runtime_matches_simulator_with_zero_misses() {
     }
     assert_eq!(report.trace.total_misses(), 0);
     assert_eq!(report.trace.total_overflows(), 0);
+    assert_eq!(
+        format!("{:016x}", sim_trace.digest()),
+        PAL_TRACE_DIGEST,
+        "PAL's 2 ms token trace moved"
+    );
+    assert_eq!(
+        format!("{:016x}", report.values.digest()),
+        PAL_VALUE_DIGEST,
+        "PAL's 2 ms value streams moved"
+    );
     // The interpreter executed real DSP kernels: the speaker stream carries
     // the recovered audio tone, not zeros.
     let speakers = report.sink_values("speakers").expect("speaker stream");
