@@ -6,9 +6,9 @@
 //! * **sim** — the discrete-event simulator: token origins only, no kernel
 //!   work, no threads. The scheduling-overhead floor.
 //! * **calendar** — `oil-rt::exec`, the single-threaded reference
-//!   interpreter: real kernels fired inline from the virtual-clock calendar
-//!   (the price of bit-identical traces). One row; it is the oracle the
-//!   engines are compared against, not a contender.
+//!   interpreter: the simulator's calendar with real kernels fired inline
+//!   (the price of a value oracle). One row; it is the oracle the engines
+//!   are compared against, not a contender.
 //! * **selftimed** — `oil-rt::selftimed` at 1/2/4 worker threads: real
 //!   kernels, no clock, tasks fire whenever data and space allow with
 //!   repetition-vector batching.

@@ -492,9 +492,13 @@ impl<'a> Flattener<'a> {
                             Span::synthetic(),
                         ));
                     }
-                    if ch.writer.is_some() && ch.readers.is_empty() {
+                    if ch.readers.is_empty() {
+                        let unread = match ch.writer {
+                            Some(_) => "written but never read",
+                            None => "never used",
+                        };
                         self.diags.push(Diagnostic::warning(
-                            format!("FIFO `{}` is written but never read", ch.name),
+                            format!("FIFO `{}` is {unread}", ch.name),
                             Span::synthetic(),
                         ));
                     }

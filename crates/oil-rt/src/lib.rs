@@ -10,12 +10,12 @@
 //!
 //! Architecture (see the module docs for detail):
 //!
-//! * [`exec`] — the **reference interpreter**: a single-threaded replay of
-//!   virtual time on a `(time, kind, id)`-ordered calendar with the same
-//!   documented tie-breaking rule as the simulator, kernels fired inline.
-//!   `tests/runtime_differential.rs` holds its per-buffer token traces,
-//!   deadline-miss and overflow counts bit-identical to `oil-sim`; the
-//!   engines' value streams are compared against it;
+//! * [`exec`] — the **reference interpreter**: the simulator's one calendar
+//!   (`oil_sim::network`) with a kernel payload, kernels fired inline. Its
+//!   timing is the simulator's by construction, guarded by the pinned
+//!   digest corpus, the insertion-order test and the miss and latency sweep
+//!   of `tests/differential.rs`; the engines' value streams are compared
+//!   against it;
 //! * [`selftimed`] — the **free-running engine**: no clock, tasks fire as
 //!   soon as tokens and space allow, batched by the repetition-vector plan
 //!   (`oil_compiler::rtgraph::plan`), verified against the interpreter

@@ -1,8 +1,8 @@
 //! The self-timed, free-running execution engine.
 //!
 //! The reference interpreter ([`crate::exec`]) pins the *semantics* of
-//! execution: it replays virtual time sequentially and is held to
-//! bit-identical traces against the simulator. This engine drops the clock
+//! execution: it replays virtual time sequentially on the simulator's
+//! calendar, carrying kernel values. This engine drops the clock
 //! entirely and keeps only what the paper's restrictions actually require
 //! for correctness:
 //!

@@ -5,10 +5,10 @@
 //! runnable task, one buffer per channel **per reader**, CTA capacities,
 //! exact rational times), and this module merely maps that graph onto the
 //! simulator's structures, quantising the rational times onto the picosecond
-//! clock through the checked conversions of [`crate::time`]. The
-//! multi-threaded runtime (`oil-rt`) consumes the *same* graph, which is
-//! what makes trace-equivalence between the two engines a statement about
-//! scheduling semantics rather than graph construction.
+//! clock through the checked conversions of [`crate::time`]. The reference
+//! interpreter (`oil_rt::exec`) builds its network here too, and the
+//! engines of `oil-rt` consume the *same* graph, so comparing them is a
+//! statement about scheduling semantics rather than graph construction.
 
 use crate::network::SimNetwork;
 use crate::time::picos_nearest;

@@ -18,6 +18,13 @@
 //!   end-to-end latencies can be measured and compared against the
 //!   `start .. before ..` constraints.
 //!
+//! [`network`] is the one calendar. A token may also carry a [`Payload`]
+//! value; the reference interpreter (`oil_rt::exec`) is this loop with
+//! kernel-computed samples. The timing is guarded by the pinned digest
+//! corpus (`tests/data/runtime_corpus.txt`), the insertion-order test of
+//! `tests/determinism.rs` and the miss and latency sweep of
+//! `tests/differential.rs`.
+//!
 //! [`build::build_simulation_from_graph`] constructs a simulation from the
 //! runtime graph of an `oil_compiler::build` executable, and
 //! [`build::build_simulation_with_registry`] from a
@@ -30,8 +37,8 @@ pub mod trace;
 
 pub use build::{build_simulation_from_graph, build_simulation_with_registry};
 pub use network::{
-    Picos, SimBufferId, SimMetrics, SimNetwork, SimNode, SimNodeId, SimSinkId, SimSourceId,
-    SimulationConfig,
+    Payload, Picos, SimBufferId, SimMetrics, SimNetwork, SimNode, SimNodeId, SimSinkId,
+    SimSourceId, SimulationConfig,
 };
 pub use time::{picos_exact, picos_nearest, seconds_exact, TimeError};
 pub use trace::{BufferTrace, ExecutionTrace, Fnv1a};

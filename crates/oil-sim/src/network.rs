@@ -1,9 +1,22 @@
-//! The simulated task network and the discrete-event engine.
+//! The simulated task network and its calendar — the one event loop that
+//! replays an OIL program's timing.
+//!
+//! OIL's restrictions make temporal behaviour data-independent: when each
+//! firing starts and ends is a pure function of the graph. [`SimNetwork`]
+//! replays that function on a calendar of `(time, kind, id)`-ordered events
+//! (`EventKind` documents the tie-break) with a data-driven admission rule
+//! and an optional processor model ([`SimulationConfig::cores`]). What a
+//! token carries besides its origin timestamp is a [`Payload`]: `()` for the
+//! simulator ([`SimNetwork::run`]), sample values computed by real kernels
+//! for the reference interpreter (`oil_rt::exec`). A payload sees every
+//! draw, firing, push and consumption and moves none of them, so both read
+//! the same trace.
 
 use crate::trace::{BufferTrace, ExecutionTrace};
 use oil_dataflow::define_index_type;
 use oil_dataflow::index::{Idx, IndexVec};
 use oil_dataflow::taskgraph::ports_satisfied;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Simulation time in picoseconds.
@@ -38,7 +51,7 @@ pub struct SimBuffer {
     pub name: String,
     /// Capacity in values.
     pub capacity: usize,
-    /// Values currently present, with their origin timestamps.
+    /// Origin timestamps of the values currently present, oldest first.
     tokens: VecDeque<Picos>,
     /// Highest occupancy observed.
     pub max_occupancy: usize,
@@ -47,39 +60,14 @@ pub struct SimBuffer {
 }
 
 impl SimBuffer {
-    fn new(name: String, capacity: usize) -> Self {
-        SimBuffer {
-            name,
-            capacity,
-            tokens: VecDeque::new(),
-            max_occupancy: 0,
-            total_written: 0,
-        }
-    }
-
-    fn occupancy(&self) -> usize {
-        self.tokens.len()
-    }
-
     fn space(&self) -> usize {
         self.capacity.saturating_sub(self.tokens.len())
     }
 
-    fn push(&mut self, origin: Picos, count: usize) {
-        for _ in 0..count {
-            self.tokens.push_back(origin);
-        }
-        self.total_written += count as u64;
+    fn push(&mut self, origin: Picos) {
+        self.tokens.push_back(origin);
+        self.total_written += 1;
         self.max_occupancy = self.max_occupancy.max(self.tokens.len());
-    }
-
-    fn pop(&mut self, count: usize) -> Option<Picos> {
-        let mut oldest = None;
-        for _ in 0..count {
-            let t = self.tokens.pop_front()?;
-            oldest = Some(oldest.map_or(t, |o: Picos| o.min(t)));
-        }
-        oldest
     }
 }
 
@@ -94,8 +82,6 @@ pub struct SimNode {
     pub reads: Vec<(SimBufferId, usize)>,
     /// `(buffer, values per firing)` written at the end of a firing.
     pub writes: Vec<(SimBufferId, usize)>,
-    /// Processor this node is mapped to.
-    pub core: usize,
     /// Number of completed firings.
     pub firings: u64,
 }
@@ -135,21 +121,20 @@ pub struct SimSink {
     pub misses: u64,
     /// Total ticks elapsed (including warm-up).
     pub ticks: u64,
-    /// Number of start-up ticks to ignore before counting misses (the
-    /// pipeline needs to fill once; the CTA offsets predict this time).
-    pub warmup_ticks: u64,
-    /// Observed end-to-end latencies (origin timestamp to consumption), in
-    /// picoseconds.
-    pub latencies: Vec<Picos>,
+    /// Worst observed end-to-end latency (oldest input origin of the
+    /// consumed value to its consumption), in picoseconds.
+    pub max_latency: Picos,
 }
 
 /// Configuration of a simulation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimulationConfig {
-    /// Number of processors; nodes are assigned round-robin. `0` means one
-    /// processor per node (fully parallel, the assumption of the CTA model).
+    /// Number of processors; node `i` runs on processor `i % cores`. `0`
+    /// means one processor per node (fully parallel, the assumption of the
+    /// CTA model).
     pub cores: usize,
-    /// Sink ticks ignored before misses are counted (pipeline warm-up).
+    /// Sink ticks ignored before misses are counted (the pipeline needs to
+    /// fill once; the CTA offsets predict this time).
     pub warmup_ticks: u64,
 }
 
@@ -224,50 +209,151 @@ impl SimMetrics {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What a token carries besides its origin timestamp, and what computes it.
+///
+/// The calendar tells the payload of every source tick, firing, push and
+/// consumption; the payload cannot move any of them. Ids are the network's,
+/// which `build_simulation_from_graph` numbers as the runtime graph does.
+pub trait Payload {
+    /// The value one token carries. Initial tokens carry the default.
+    type Value: Copy + Default;
+
+    /// The sample of `source`'s current tick. Drawn once per tick, before
+    /// any destination is offered it, even when every destination is full.
+    fn draw(&mut self, source: SimSourceId) -> Self::Value;
+
+    /// Fire `node` as it is admitted: `inputs` are the values it consumed
+    /// (every read, in read order); append its `out_len` outputs to
+    /// `outputs`. A write of `c` tokens commits the first `c` of them at the
+    /// firing's completion.
+    fn fire(
+        &mut self,
+        node: SimNodeId,
+        inputs: &[Self::Value],
+        out_len: usize,
+        outputs: &mut Vec<Self::Value>,
+    );
+
+    /// `value` was pushed into `buffer`.
+    fn pushed(&mut self, _buffer: SimBufferId, _value: Self::Value) {}
+
+    /// `sink` consumed `value`.
+    fn consumed(&mut self, _sink: SimSinkId, _value: Self::Value) {}
+
+    /// Run `net` for `duration` picoseconds carrying this payload: the same
+    /// loop as [`SimNetwork::run`], which is this with `()`. The trace's
+    /// per-buffer pushes are recorded only when `record_pushes`; its source
+    /// and sink counters always are.
+    fn replay(
+        &mut self,
+        net: &mut SimNetwork,
+        duration: Picos,
+        config: &SimulationConfig,
+        record_pushes: bool,
+    ) -> (SimMetrics, ExecutionTrace)
+    where
+        Self: Sized,
+    {
+        net.run_impl(duration, config, record_pushes, None, self)
+    }
+}
+
+/// The simulator's payload: tokens carry nothing but their origin.
+impl Payload for () {
+    type Value = ();
+
+    fn draw(&mut self, _: SimSourceId) {}
+
+    fn fire(&mut self, _: SimNodeId, _: &[()], _: usize, _: &mut Vec<()>) {}
+}
+
+/// A calendar event. The derived order is the documented tie-break for
+/// events at the same instant: **sources deliver first, completing nodes
+/// commit second, sinks consume last**, and within a kind, lower ids go
+/// first. The rule is *structural* — it depends only on (time, kind, id),
+/// never on the order events were inserted — which makes a run insensitive
+/// to queue-population order
+/// (`tests/determinism.rs::sim_traces_are_insensitive_to_event_insertion_order`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum EventKind {
     SourceTick(SimSourceId),
-    SinkTick(SimSinkId),
     NodeComplete(SimNodeId),
+    SinkTick(SimSinkId),
 }
 
-impl EventKind {
-    /// The documented tie-breaking rule for events at the same instant:
-    /// **sources deliver first, completing nodes commit second, sinks
-    /// consume last**, and within a kind, lower ids go first. The rule is
-    /// *structural* — it depends only on (time, kind, id), never on the
-    /// order events happened to be inserted into the queue — which is what
-    /// makes the simulation replayable by an independent engine (`oil-rt`)
-    /// and insensitive to queue-population order
-    /// (`tests/determinism.rs::sim_traces_are_insensitive_to_event_insertion_order`).
-    fn rank(self) -> (u8, usize) {
-        match self {
-            EventKind::SourceTick(i) => (0, i.index()),
-            EventKind::NodeComplete(i) => (1, i.index()),
-            EventKind::SinkTick(i) => (2, i.index()),
+/// The state of one run: the calendar, the processors, the firings in
+/// flight and the tokens' payload values.
+struct Run<'p, P: Payload> {
+    payload: &'p mut P,
+    /// Pending events, earliest first.
+    calendar: BinaryHeap<Reverse<(Picos, EventKind)>>,
+    /// Per processor: when its firing in flight completes.
+    core_busy_until: Vec<Picos>,
+    /// Per node, while a firing is in flight: the oldest origin among its
+    /// inputs (and `now`), which every output it commits carries.
+    in_flight: IndexVec<SimNodeId, Option<Picos>>,
+    /// Per node: the outputs of its firing in flight.
+    outputs: IndexVec<SimNodeId, Vec<P::Value>>,
+    /// Per buffer: the payload values of its tokens, oldest first.
+    values: IndexVec<SimBufferId, VecDeque<P::Value>>,
+    /// Per buffer, when recording: the origin of every token pushed.
+    pushes: Option<IndexVec<SimBufferId, Vec<Picos>>>,
+    /// Scratch: the values one firing consumes.
+    inputs: Vec<P::Value>,
+}
+
+impl<P: Payload> Run<'_, P> {
+    fn schedule(&mut self, time: Picos, event: EventKind) {
+        self.calendar.push(Reverse((time, event)));
+    }
+
+    fn push(&mut self, net: &mut SimNetwork, b: SimBufferId, origin: Picos, value: P::Value) {
+        net.buffers[b].push(origin);
+        self.values[b].push_back(value);
+        if let Some(pushes) = &mut self.pushes {
+            pushes[b].push(origin);
         }
+        self.payload.pushed(b, value);
     }
-}
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Event {
-    time: Picos,
-    kind: EventKind,
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap by (time, rank) (BinaryHeap is a max-heap, so reverse).
-        other
-            .time
-            .cmp(&self.time)
-            .then(other.kind.rank().cmp(&self.kind.rank()))
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+    /// Start every node that can fire at `now` — enough values on every
+    /// read, enough space on every write, node and its processor idle —
+    /// scanning nodes in id order to fixpoint. A firing consumes its inputs
+    /// and fires the payload now; its outputs wait for its completion.
+    fn admit(&mut self, net: &mut SimNetwork, now: Picos) {
+        let mut progressed = true;
+        while progressed {
+            progressed = false;
+            for ni in net.nodes.indices() {
+                let node = &net.nodes[ni];
+                let core = ni.index() % self.core_busy_until.len();
+                let buffers = &mut net.buffers;
+                let ready = self.in_flight[ni].is_none()
+                    && self.core_busy_until[core] <= now
+                    && ports_satisfied(&node.reads, |b| buffers[b].tokens.len())
+                    && ports_satisfied(&node.writes, |b| buffers[b].space());
+                if !ready {
+                    continue;
+                }
+                let mut origin = now;
+                self.inputs.clear();
+                for &(b, c) in &node.reads {
+                    for o in buffers[b].tokens.drain(..c) {
+                        origin = origin.min(o);
+                    }
+                    self.inputs.extend(self.values[b].drain(..c));
+                }
+                let out_len = node.writes.iter().map(|&(_, c)| c).max().unwrap_or(0);
+                self.outputs[ni].clear();
+                self.payload
+                    .fire(ni, &self.inputs, out_len, &mut self.outputs[ni]);
+                self.in_flight[ni] = Some(origin);
+                let complete = now + node.response_time;
+                self.core_busy_until[core] = complete;
+                self.schedule(complete, EventKind::NodeComplete(ni));
+                progressed = true;
+            }
+        }
     }
 }
 
@@ -279,8 +365,16 @@ impl SimNetwork {
         capacity: usize,
         initial_tokens: usize,
     ) -> SimBufferId {
-        let mut b = SimBuffer::new(name.into(), capacity.max(initial_tokens).max(1));
-        b.push(0, initial_tokens);
+        let mut b = SimBuffer {
+            name: name.into(),
+            capacity: capacity.max(initial_tokens).max(1),
+            tokens: VecDeque::new(),
+            max_occupancy: 0,
+            total_written: 0,
+        };
+        for _ in 0..initial_tokens {
+            b.push(0);
+        }
         self.buffers.push(b)
     }
 
@@ -292,13 +386,11 @@ impl SimNetwork {
         reads: Vec<(SimBufferId, usize)>,
         writes: Vec<(SimBufferId, usize)>,
     ) -> SimNodeId {
-        let core = self.nodes.len();
         self.nodes.push(SimNode {
             name: name.into(),
             response_time,
             reads,
             writes,
-            core,
             firings: 0,
         })
     }
@@ -344,14 +436,13 @@ impl SimNetwork {
             consumed: 0,
             misses: 0,
             ticks: 0,
-            warmup_ticks: 0,
-            latencies: Vec::new(),
+            max_latency: 0,
         })
     }
 
     /// Run the simulation for `duration` picoseconds.
     pub fn run(&mut self, duration: Picos, config: &SimulationConfig) -> SimMetrics {
-        self.run_impl(duration, config, false, None).0
+        self.run_impl(duration, config, false, None, &mut ()).0
     }
 
     /// As [`SimNetwork::run`], additionally recording the per-buffer token
@@ -362,200 +453,137 @@ impl SimNetwork {
         duration: Picos,
         config: &SimulationConfig,
     ) -> (SimMetrics, ExecutionTrace) {
-        let (metrics, trace) = self.run_impl(duration, config, true, None);
-        (metrics, trace.expect("trace recording was requested"))
+        self.run_impl(duration, config, true, None, &mut ())
     }
 
     /// As [`SimNetwork::run_traced`], but populating the initial event queue
     /// in the order given by `tick_order` — a permutation of
     /// `0..sources+sinks` where values `< sources` name source ticks and the
     /// rest name sink ticks. Because event ordering is structural
-    /// (`EventKind::rank`), the insertion order must not influence the
-    /// trace; `tests/determinism.rs` pins that property.
+    /// (`EventKind`), the insertion order must not influence the trace;
+    /// `tests/determinism.rs` pins that property.
     pub fn run_traced_with_tick_order(
         &mut self,
         duration: Picos,
         config: &SimulationConfig,
         tick_order: &[usize],
     ) -> (SimMetrics, ExecutionTrace) {
-        let (metrics, trace) = self.run_impl(duration, config, true, Some(tick_order));
-        (metrics, trace.expect("trace recording was requested"))
+        self.run_impl(duration, config, true, Some(tick_order), &mut ())
     }
 
-    fn run_impl(
+    /// The event loop: every run, with or without a payload, is this one.
+    fn run_impl<P: Payload>(
         &mut self,
         duration: Picos,
         config: &SimulationConfig,
         record: bool,
         tick_order: Option<&[usize]>,
-    ) -> (SimMetrics, Option<ExecutionTrace>) {
-        // Processor assignment.
-        let cores = if config.cores == 0 {
-            self.nodes.len().max(1)
-        } else {
-            config.cores
+        payload: &mut P,
+    ) -> (SimMetrics, ExecutionTrace) {
+        let cores = match config.cores {
+            0 => self.nodes.len().max(1),
+            cores => cores,
         };
-        for (i, n) in self.nodes.iter_mut().enumerate() {
-            n.core = i % cores;
+        // The tokens already present (initial tokens, origin 0) carry the
+        // default value and open the trace.
+        let mut values = IndexVec::new();
+        for (b, buffer) in self.buffers.iter_enumerated() {
+            let initial = vec![P::Value::default(); buffer.tokens.len()];
+            initial.iter().for_each(|&v| payload.pushed(b, v));
+            values.push(VecDeque::from(initial));
         }
-        for s in &mut self.sinks {
-            s.warmup_ticks = config.warmup_ticks;
-        }
+        let pushes = record.then(|| {
+            self.buffers
+                .iter()
+                .map(|b| b.tokens.iter().copied().collect())
+                .collect()
+        });
+        let mut run = Run {
+            payload,
+            calendar: BinaryHeap::new(),
+            core_busy_until: vec![0; cores],
+            in_flight: IndexVec::from_elem(None, self.nodes.len()),
+            outputs: IndexVec::from_elem(Vec::new(), self.nodes.len()),
+            values,
+            pushes,
+            inputs: Vec::new(),
+        };
 
-        // Trace recording: per-buffer push log, seeded with the tokens
-        // already present (initial tokens, origin 0).
-        let mut pushes: IndexVec<SimBufferId, Vec<Picos>> = IndexVec::new();
-        if record {
-            for b in &self.buffers {
-                pushes.push(b.tokens.iter().copied().collect());
-            }
-        }
-
-        let mut heap: BinaryHeap<Event> = BinaryHeap::new();
         // Initial ticks, by default sources then sinks in id order; a test
         // hook may permute the insertion order (the structural event
         // ordering makes this unobservable).
-        let initial: Vec<Event> = self
+        let initial: Vec<(Picos, EventKind)> = self
             .sources
             .iter_enumerated()
-            .map(|(i, s)| Event {
-                time: s.period,
-                kind: EventKind::SourceTick(i),
-            })
-            .chain(self.sinks.iter_enumerated().map(|(i, s)| Event {
-                time: s.period,
-                kind: EventKind::SinkTick(i),
-            }))
+            .map(|(i, s)| (s.period, EventKind::SourceTick(i)))
+            .chain(
+                self.sinks
+                    .iter_enumerated()
+                    .map(|(i, s)| (s.period, EventKind::SinkTick(i))),
+            )
             .collect();
-        match tick_order {
-            None => heap.extend(initial),
-            Some(order) => {
-                assert_eq!(
-                    order.len(),
-                    initial.len(),
-                    "tick_order must be a permutation"
-                );
-                heap.extend(order.iter().map(|&i| initial[i]));
-            }
+        let order = tick_order.map_or_else(|| (0..initial.len()).collect(), <[usize]>::to_vec);
+        assert_eq!(
+            order.len(),
+            initial.len(),
+            "tick_order must be a permutation"
+        );
+        for i in order {
+            run.schedule(initial[i].0, initial[i].1);
         }
 
-        // Core and node state.
-        let mut core_busy_until: Vec<Picos> = vec![0; cores];
-        let mut node_busy: IndexVec<SimNodeId, bool> = IndexVec::from_elem(false, self.nodes.len());
-        // Origin timestamp carried by the firing in flight.
-        let mut node_origin: IndexVec<SimNodeId, Picos> = IndexVec::from_elem(0, self.nodes.len());
-        let mut now: Picos = 0;
-
-        // Try to start every node that can fire at `now`.
-        macro_rules! start_ready_nodes {
-            () => {
-                loop {
-                    let mut progressed = false;
-                    for ni in self.nodes.indices() {
-                        if node_busy[ni] {
-                            continue;
-                        }
-                        let node = &self.nodes[ni];
-                        if core_busy_until[node.core] > now {
-                            continue;
-                        }
-                        let inputs_ready =
-                            ports_satisfied(&node.reads, |b| self.buffers[b].occupancy());
-                        let outputs_ready =
-                            ports_satisfied(&node.writes, |b| self.buffers[b].space());
-                        if inputs_ready && outputs_ready {
-                            let reads = node.reads.clone();
-                            let mut origin = now;
-                            for (b, c) in reads {
-                                if let Some(o) = self.buffers[b].pop(c) {
-                                    origin = origin.min(o);
-                                }
-                            }
-                            let node = &mut self.nodes[ni];
-                            node_origin[ni] = origin;
-                            node_busy[ni] = true;
-                            let complete = now + node.response_time;
-                            core_busy_until[node.core] = complete;
-                            heap.push(Event {
-                                time: complete,
-                                kind: EventKind::NodeComplete(ni),
-                            });
-                            progressed = true;
-                        }
-                    }
-                    if !progressed {
-                        break;
-                    }
-                }
-            };
-        }
-
-        start_ready_nodes!();
-
-        while let Some(ev) = heap.pop() {
-            if ev.time > duration {
+        run.admit(self, 0);
+        while let Some(Reverse((time, event))) = run.calendar.pop() {
+            if time > duration {
                 break;
             }
-            now = ev.time;
-            match ev.kind {
+            match event {
                 EventKind::SourceTick(i) => {
                     // Broadcast: every destination buffer (one per reader)
                     // receives the sample; a full destination drops it and
-                    // counts an overflow. Indexed iteration — this is the
-                    // hottest event in the loop; cloning the destination
-                    // list per tick would allocate millions of times per
-                    // sweep.
+                    // counts an overflow.
+                    let value = run.payload.draw(i);
                     for d in 0..self.sources[i].buffers.len() {
-                        let buffer = self.sources[i].buffers[d];
-                        if self.buffers[buffer].space() >= 1 {
-                            self.buffers[buffer].push(now, 1);
+                        let b = self.sources[i].buffers[d];
+                        if self.buffers[b].space() >= 1 {
+                            run.push(self, b, time, value);
                             self.sources[i].produced += 1;
-                            if record {
-                                pushes[buffer].push(now);
-                            }
                         } else {
                             self.sources[i].overflows += 1;
                         }
                     }
-                    let next = now + self.sources[i].period;
-                    heap.push(Event {
-                        time: next,
-                        kind: EventKind::SourceTick(i),
-                    });
-                }
-                EventKind::SinkTick(i) => {
-                    let buffer = self.sinks[i].buffer;
-                    let tick_number = self.sinks[i].ticks;
-                    self.sinks[i].ticks += 1;
-                    if self.buffers[buffer].occupancy() >= 1 {
-                        let origin = self.buffers[buffer].pop(1).unwrap_or(now);
-                        self.sinks[i].consumed += 1;
-                        self.sinks[i].latencies.push(now.saturating_sub(origin));
-                    } else if tick_number >= self.sinks[i].warmup_ticks {
-                        self.sinks[i].misses += 1;
-                    }
-                    let next = now + self.sinks[i].period;
-                    heap.push(Event {
-                        time: next,
-                        kind: EventKind::SinkTick(i),
-                    });
+                    run.schedule(time + self.sources[i].period, event);
                 }
                 EventKind::NodeComplete(ni) => {
-                    node_busy[ni] = false;
-                    let writes = self.nodes[ni].writes.clone();
-                    let origin = node_origin[ni];
-                    for (b, c) in writes {
-                        self.buffers[b].push(origin, c);
-                        if record {
-                            for _ in 0..c {
-                                pushes[b].push(origin);
-                            }
+                    let origin = run.in_flight[ni]
+                        .take()
+                        .expect("completion of an idle node");
+                    let outputs = std::mem::take(&mut run.outputs[ni]);
+                    for w in 0..self.nodes[ni].writes.len() {
+                        let (b, c) = self.nodes[ni].writes[w];
+                        for k in 0..c {
+                            let value = outputs.get(k).copied().unwrap_or_default();
+                            run.push(self, b, origin, value);
                         }
                     }
+                    run.outputs[ni] = outputs;
                     self.nodes[ni].firings += 1;
                 }
+                EventKind::SinkTick(i) => {
+                    let sink = &mut self.sinks[i];
+                    sink.ticks += 1;
+                    if let Some(origin) = self.buffers[sink.buffer].tokens.pop_front() {
+                        let value = run.values[sink.buffer].pop_front().unwrap_or_default();
+                        sink.consumed += 1;
+                        sink.max_latency = sink.max_latency.max(time.saturating_sub(origin));
+                        run.payload.consumed(i, value);
+                    } else if sink.ticks > config.warmup_ticks {
+                        sink.misses += 1;
+                    }
+                    run.schedule(time + sink.period, event);
+                }
             }
-            start_ready_nodes!();
+            run.admit(self, time);
         }
 
         let metrics = SimMetrics {
@@ -564,8 +592,8 @@ impl SimNetwork {
                 .sinks
                 .iter()
                 .map(|s| {
-                    let max_latency = s.latencies.iter().copied().max().unwrap_or(0) as f64 / 1e12;
-                    (s.name.clone(), s.consumed, s.misses, max_latency)
+                    let latency = s.max_latency as f64 / 1e12;
+                    (s.name.clone(), s.consumed, s.misses, latency)
                 })
                 .collect(),
             sources: self
@@ -585,26 +613,25 @@ impl SimNetwork {
                 .collect(),
             tokens_written: self.buffers.iter().map(|b| b.total_written).sum(),
         };
-        let trace = record.then(|| ExecutionTrace {
-            buffers: self
-                .buffers
-                .iter_enumerated()
-                .map(|(i, b)| BufferTrace {
-                    name: b.name.clone(),
-                    pushes: std::mem::take(&mut pushes[i]),
-                })
-                .collect(),
-            sources: self
-                .sources
+        let buffers = run.pushes.map_or_else(Vec::new, |pushes| {
+            self.buffers
                 .iter()
-                .map(|s| (s.name.clone(), s.produced, s.overflows))
-                .collect(),
+                .zip(pushes)
+                .map(|(b, pushes)| BufferTrace {
+                    name: b.name.clone(),
+                    pushes,
+                })
+                .collect()
+        });
+        let trace = ExecutionTrace {
+            buffers,
+            sources: metrics.sources.clone(),
             sinks: self
                 .sinks
                 .iter()
                 .map(|s| (s.name.clone(), s.consumed, s.misses))
                 .collect(),
-        });
+        };
         (metrics, trace)
     }
 }
@@ -669,6 +696,69 @@ mod tests {
         net.add_sink("snk", bout, picos(1e-3));
         let metrics = net.run(picos(0.2), &SimulationConfig::default());
         assert!(metrics.total_overflows() > 0);
+    }
+
+    /// Numbers every source sample in draw order, passes it through the
+    /// nodes, and counts what the calendar tells it.
+    #[derive(Default)]
+    struct Counting {
+        draws: u64,
+        fired: u64,
+        pushed: u64,
+        consumed: Vec<u64>,
+    }
+
+    impl Payload for Counting {
+        type Value = u64;
+
+        fn draw(&mut self, _: SimSourceId) -> u64 {
+            self.draws += 1;
+            self.draws
+        }
+
+        fn fire(&mut self, _: SimNodeId, inputs: &[u64], out_len: usize, outputs: &mut Vec<u64>) {
+            self.fired += 1;
+            outputs.extend(inputs.iter().copied().take(out_len));
+        }
+
+        fn pushed(&mut self, _: SimBufferId, _: u64) {
+            self.pushed += 1;
+        }
+
+        fn consumed(&mut self, _: SimSinkId, value: u64) {
+            self.consumed.push(value);
+        }
+    }
+
+    #[test]
+    fn a_payload_sees_every_tick_and_moves_nothing() {
+        // The undersized chain: the source's only destination is full on
+        // many ticks, and every tick must still draw one sample.
+        let mut net = SimNetwork::default();
+        let bin = net.add_buffer("in", 1, 0);
+        let bout = net.add_buffer("out", 1, 0);
+        net.add_node("work", picos(5e-3), vec![(bin, 1)], vec![(bout, 1)]);
+        net.add_source("src", bin, picos(1e-3));
+        net.add_sink("snk", bout, picos(1e-3));
+        let config = SimulationConfig::default();
+
+        let (plain, plain_trace) = net.clone().run_traced(picos(0.2), &config);
+        let mut counting = Counting::default();
+        let (metrics, trace) = counting.replay(&mut net, picos(0.2), &config, true);
+        assert_eq!(metrics, plain);
+        assert_eq!(trace.first_divergence(&plain_trace), None);
+
+        assert!(metrics.total_overflows() > 100, "{metrics:?}");
+        assert_eq!(counting.draws, 200, "one draw per tick, full or not");
+        let (_, produced, overflows) = metrics.sources[0];
+        assert_eq!(produced + overflows, counting.draws);
+        assert_eq!(counting.pushed, metrics.tokens_written);
+        let completed = metrics.node_firings[0].1;
+        assert!((completed..=completed + 1).contains(&counting.fired));
+        // Values travel with their tokens: the sink reads samples in draw
+        // order, with the dropped ones missing.
+        assert_eq!(counting.consumed.len() as u64, metrics.sinks[0].1);
+        assert!(counting.consumed.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! Token-trace recording: the common trace format both execution engines
-//! (`oil-sim` and `oil-rt`) emit, and what "trace equivalence" means.
+//! Token-trace recording: what the calendar of [`crate::network`] emits,
+//! with or without a payload, and what "trace equivalence" means.
 //!
 //! A trace records, per buffer, the sequence of origin timestamps of every
 //! token ever pushed (initial tokens first, origin 0), plus the per-source
 //! produced/overflow counters and the per-sink consumed/miss counters. Two
 //! executions of the same program are **trace-equivalent** when these are
 //! bit-identical — the oracle of `tests/runtime_differential.rs`: the
-//! multi-threaded runtime must be trace-equivalent to the discrete-event
-//! simulator at every thread count.
+//! reference interpreter's kernel payload must not move the trace.
 //!
 //! Traces also have a stable 64-bit digest (FNV-1a over the canonical byte
 //! rendering) so regression corpora can pin expected behaviour per seed

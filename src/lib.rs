@@ -18,8 +18,8 @@
 //!   two multi-threaded engines — the self-timed free-running engine
 //!   (`tests/selftimed_differential.rs`) and the compiled static-order
 //!   engine (`tests/staticsched_differential.rs`) — plus the single-threaded
-//!   reference interpreter both are compared against, itself
-//!   trace-equivalent to the simulator (`tests/runtime_differential.rs`).
+//!   reference interpreter both are compared against: the simulator's
+//!   calendar carrying kernel values (`tests/runtime_differential.rs`).
 //! * [`dsp`] — the signal-processing kernels coordinated by the example
 //!   programs (filters, mixers, resamplers, signal generators).
 //! * [`pal`] — the PAL video/audio decoder case study from the paper.

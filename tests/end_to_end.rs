@@ -212,6 +212,33 @@ fn rejects_programs_that_escape_analysability() {
 }
 
 #[test]
+fn unused_declarations_build_with_warnings() {
+    // An unused `fifo` and an unread `source` are legal but suspicious: the
+    // program builds, and analysis names both.
+    let src = r#"
+        mod seq W(int a, out int b){ loop{ f(a, out b); } while(1); }
+        mod par D(){
+            fifo int idle;
+            source int x = src() @ 1 kHz;
+            source int spare = src() @ 1 kHz;
+            sink int y = snk() @ 1 kHz;
+            W(x, out y)
+        }
+    "#;
+    let exe = build(src, &registry(1e-5)).expect("unused declarations are not errors");
+    let warnings = &exe.compiled.analyzed.warnings;
+    for expected in [
+        "FIFO `D.idle` is never used",
+        "source `D.spare` is never read",
+    ] {
+        assert!(
+            warnings.iter().any(|w| w.message.contains(expected)),
+            "missing warning `{expected}`: {warnings:?}"
+        );
+    }
+}
+
+#[test]
 fn build_reaches_every_error_arm_from_source() {
     let reg = registry(1e-5);
     // Front end: a parse error.

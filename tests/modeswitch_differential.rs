@@ -19,13 +19,14 @@
 //! (computed from the synthesised repetition count), mid-stream, and far
 //! beyond the horizon, at 1/2/4 workers with fusion on and off.
 //!
-//! The simulator is value-free (it traces token origins, not payloads), so
-//! its leg runs on the **collapsed twin**: the modal cluster replaced by
-//! one union node with identical token flow ([`collapse_modal`]). The
-//! collapsed trace must be bit-identical between the simulator and the
-//! reference interpreter — which, combined with the in-crate proof that
-//! the modal schedule moves exactly the collapsed schedule's per-period
-//! token flow, closes the simulator → interpreter → engines oracle chain.
+//! The calendar (`oil_sim::network`, with or without the reference
+//! interpreter's kernel payload) has no notion of a mode, so its leg runs
+//! on the **collapsed twin**: the modal cluster replaced by one union node
+//! with identical token flow ([`collapse_modal`]). The collapsed twin's
+//! trace must be the same with and without the kernel payload — which,
+//! combined with the in-crate proof that the modal schedule moves exactly
+//! the collapsed schedule's per-period token flow, closes the calendar →
+//! interpreter → engines oracle chain.
 //!
 //! Every failure message quotes the reproducing generator and seed
 //! (`ModalScenario::generate(seed)` or `ModeDependentScenario::generate(seed)`).
@@ -200,11 +201,11 @@ fn fusion_on_and_off_replay_identical_modal_streams() {
 
 #[test]
 fn collapsed_twin_trace_matches_the_simulator() {
-    // The simulator traces token origins, not values, so the modal graph
-    // itself cannot be its oracle. Its twin with the cluster collapsed to
-    // one union node has the *identical per-buffer token flow* (proven by
-    // exact integer replay in `oil-compiler`'s unit tests) and is a plain
-    // KPN graph: simulator and interpreter must agree bit for bit.
+    // The calendar cannot run the modal graph itself. Its twin with the
+    // cluster collapsed to one union node has the *identical per-buffer
+    // token flow* (proven by exact integer replay in `oil-compiler`'s unit
+    // tests) and is a plain KPN graph: its trace must be the same with and
+    // without the kernel payload.
     for (at, scenario) in modal(8) {
         let plan = rtgraph::plan(&scenario.graph);
         let info = modal_admission(&scenario.graph, &plan)
@@ -218,7 +219,7 @@ fn collapsed_twin_trace_matches_the_simulator() {
         assert_eq!(
             report.trace.first_divergence(&sim_trace),
             None,
-            "{at}: collapsed-twin trace diverges from the simulator"
+            "{at}: the kernel payload moved the collapsed twin's trace"
         );
     }
 }

@@ -1,20 +1,20 @@
-//! Trace-equivalence differential verification of the reference
-//! interpreter (`oil_rt::exec`) against the discrete-event simulator.
+//! The reference interpreter (`oil_rt::exec`): the simulator's one
+//! calendar carrying real kernel values.
 //!
-//! The interpreter is the bridge oracle of the runtime: the two engines'
-//! value streams are compared against it, so it must itself be pinned. For
-//! hundreds of seeded random programs (`oil_gen::ProgramScenario`) and for
-//! the PAL decoder case study it must produce **bit-identical** per-buffer
-//! token traces, deadline-miss counts and overflow counts as the simulator
-//! (`oil-sim`) while computing real sample values. Both execute the *same*
-//! runtime graph of `oil::build`, so any divergence is a scheduling-semantics
-//! bug, not a graph-construction artifact.
+//! `oil::rt::execute` runs `oil_sim::network`'s event loop with a kernel
+//! payload, and `SimNetwork::run_traced` runs it with none. A payload may
+//! compute values but must not move an event, so for hundreds of seeded
+//! random programs (`oil_gen::ProgramScenario`) and for the PAL decoder case
+//! study the two must give **bit-identical** per-buffer token traces,
+//! deadline-miss counts and overflow counts: the kernels do not move the
+//! trace. Both run the *same* runtime graph of `oil::build`.
 //!
-//! On top of live equivalence, a fixed-seed corpus
+//! What guards the calendar's timing itself is a fixed-seed corpus
 //! (`tests/data/runtime_corpus.txt`: `seed trace-digest value-digest`
-//! lines) pins the simulator's token-trace digest and the interpreter's
-//! value-stream digest per seed, so a behavioural regression fails with the
-//! exact reproducing seed even if both drift together. Regenerate after an
+//! lines) that pins the token-trace digest and the interpreter's
+//! value-stream digest per seed, PAL's two pinned 2 ms digests, the
+//! insertion-order test of `tests/determinism.rs`, and the miss and latency
+//! sweep of `tests/differential.rs`. Regenerate the corpus after an
 //! intentional semantic change with
 //! `OIL_UPDATE_RUNTIME_CORPUS=1 cargo test --test runtime_differential corpus`.
 //!
@@ -28,7 +28,7 @@ use oil::rt::{execute, Kernel, KernelLibrary, RtConfig, RtReport};
 use oil::sim::{build_simulation_from_graph, picos, ExecutionTrace, SimulationConfig};
 use support::{build_program, program_seeds, programs, pure, PIPELINE};
 
-/// The simulator's trace and the interpreter's report of `graph` over
+/// The value-free trace and the kernel-carrying report of `graph` over
 /// `horizon_s` virtual seconds, with `warmup` miss-free ticks.
 fn both(
     graph: &RtGraph,
@@ -63,7 +63,7 @@ fn runtime_traces_match_the_simulator_on_generated_programs() {
         let (sim_trace, report) = both(&exe.graph, &KernelLibrary::new(), horizon, warmup);
         if let Some(divergence) = report.trace.first_divergence(&sim_trace) {
             panic!(
-                "{at}: interpreter trace diverges from the simulator: {divergence}\nsource:\n{}",
+                "{at}: the kernel payload moved the trace: {divergence}\nsource:\n{}",
                 scenario.source
             );
         }
@@ -93,16 +93,16 @@ const PAL_VALUE_DIGEST: &str = "b7f89bd7206d67d3";
 
 #[test]
 fn pal_decoder_runtime_matches_simulator_with_zero_misses() {
-    // The case study of paper Section VI, with the real DSP kernels: the
-    // interpreter must reproduce the simulator's trace bit for bit and meet
-    // every real-time constraint at CTA-sized buffers. 2 ms is 12 800 RF
-    // samples and 8 000 display samples.
+    // The case study of paper Section VI, with the real DSP kernels: they
+    // must leave the value-free trace bit for bit as it is, and meet every
+    // real-time constraint at CTA-sized buffers. 2 ms is 12 800 RF samples
+    // and 8 000 display samples.
     let pal = support::pal(1, &support::fusion(true));
     let (sim_trace, report) = both(&pal.graph, &KernelLibrary::pal(), 2e-3, 64);
     assert_eq!(sim_trace.total_misses(), 0, "simulator PAL baseline");
     assert_eq!(sim_trace.total_overflows(), 0, "simulator PAL baseline");
     if let Some(divergence) = report.trace.first_divergence(&sim_trace) {
-        panic!("PAL decoder diverges from the simulator: {divergence}");
+        panic!("PAL's kernels moved the trace: {divergence}");
     }
     assert_eq!(report.trace.total_misses(), 0);
     assert_eq!(report.trace.total_overflows(), 0);
