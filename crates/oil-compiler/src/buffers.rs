@@ -149,6 +149,24 @@ mod tests {
     }
 
     #[test]
+    fn a_buffer_sized_to_no_tokens_still_gets_one_slot() {
+        // Fig. 2c: `B`'s `init` puts four tokens on `y` before `A` reads
+        // any, and sizing asks `y` for no room at all.
+        let src = r#"
+            mod seq A(out int a, int b){ loop{ f(out a:3, b:3); } while(1); }
+            mod seq B(out int c, int d){ init(out c:4); loop{ g(out c:2, d:2); } while(1); }
+            mod par C(){ fifo int x, y; A(out x, y) || B(out y, x) }
+        "#;
+        let reg = registry();
+        let analyzed = analyze(&parse_program(src).unwrap(), &reg).unwrap();
+        let derived = derive_cta_model(&analyzed, &reg);
+        let sizing = oil_cta::size_buffers(&derived.cta).unwrap();
+        assert_eq!(sizing.capacities.get("C.y"), Some(&0));
+        let (plan, _) = plan_buffers(&analyzed, &derived).unwrap();
+        assert_eq!(plan.channel("y"), Some(1));
+    }
+
+    #[test]
     fn faster_rates_do_not_shrink_buffers() {
         let slow = plan(
             r#"

@@ -564,6 +564,36 @@ mod tests {
     }
 
     #[test]
+    fn an_offset_below_zero_is_refused() {
+        // A root whose one incoming connection is negative enough to end
+        // below zero, hung on it: its predecessor chain runs tight from a
+        // root at zero, its outgoing connections only gain slack, and no
+        // port hangs on it, so only the sign of its offset is wrong.
+        let (mut kernel, _) = tamperable();
+        let (ends, pred, s) = (
+            &kernel.graph.ends,
+            &kernel.graph.pred,
+            &kernel.scaled_offsets,
+        );
+        let below = |c: usize| s[ends[c].0].unwrap() + kernel.scaled[c];
+        let only_into = |c: usize| {
+            let p = ends[c].1;
+            (0..ends.len()).all(|d| ends[d].1 != p || d == c)
+                && pred.iter().flatten().all(|&d| ends[d].0 != p)
+        };
+        let c = (0..ends.len())
+            .find(|&c| pred[ends[c].1].is_none() && below(c) < 0 && only_into(c))
+            .expect("a root to hang below zero");
+        let p = ends[c].1;
+        (kernel.scaled_offsets[p], kernel.graph.pred[p]) = (Some(below(c)), Some(c));
+        let message = refusal(&mut kernel);
+        assert!(
+            message.starts_with(&format!("port p{p} starts below zero")),
+            "{message}"
+        );
+    }
+
+    #[test]
     fn predecessors_pointing_at_each_other_are_refused() {
         // Two ports joined both ways by zero delays: all-zero is the least
         // solution, and the two connections are tight either way, so only

@@ -26,14 +26,12 @@
 //!   a register ring, and each tap costs one broadcast and **one** new window
 //!   load: 2 loads per tap, where a tap-major walk (tap `i` against all `V`
 //!   vectors, all four lanes' accumulators live) costs `V + 1`, most of them
-//!   split across cache lines. The body is written once over `Lanes` and
-//!   instantiated for `ymm` (AVX, 4 outputs per vector, a ring of 4) and
-//!   `zmm` (AVX-512F, 8 per vector, a ring of 8). The up to `V − 1` single
-//!   vectors after the last block walk tap-major: one vector loads one
-//!   window per tap either way, and tap-major keeps four add chains in
-//!   flight where residue-major would keep one. A block length that is not
-//!   a whole number of vectors recomputes the last vector's worth of
-//!   outputs (same windows, same bits) instead of masking.
+//!   split across cache lines. The up to `V − 1` single vectors after the
+//!   last block walk tap-major: one vector loads one window per tap either
+//!   way, and tap-major keeps four add chains in flight where residue-major
+//!   would keep one. A block length that is not a whole number of vectors
+//!   recomputes the last vector's worth of outputs (same windows, same bits)
+//!   instead of masking.
 //! * **Polyphase, lane = output** (`PolyphaseLanes`, AVX-512F). A rational
 //!   resampler's consecutive outputs belong to different phases: each has
 //!   its own short tap set and its window starts a fraction of an input
@@ -55,6 +53,25 @@
 //!   a padded `+0.0` would turn a `-0.0` lane into `+0.0`, and `0·∞` would
 //!   make it NaN). [`dot_rr4`] is this body with one window.
 //!
+//! **Safe code.** The sliding walk is written once, in safe code, over
+//! `Lanes<N>`: an `[f64; N]` whose operations go lane by lane and whose
+//! loads and stores are slice indexes. A `#[target_feature]` entry
+//! instantiates it for `ymm` (AVX, `Lanes<4>`, a ring of 4) and `zmm`
+//! (AVX-512F, `Lanes<8>`, a ring of 8); the tests also run both
+//! instances compiled for no feature, so every host checks the `zmm` walk.
+//! Each block gets exactly its window, and each group of `R` taps is one
+//! bounds check: a ring load past the window panics in any build. The
+//! polyphase and strided bodies stay intrinsics, because a walk over
+//! `Lanes` measured ×4.45 (polyphase, an 8-lane gather per tap instead of
+//! the permute) and ×1.95–2.34 (strided, split into 128-bit halves by the
+//! compiler) of their time at PAL's 10/16 × 1024; they are safe
+//! `#[target_feature]` functions over slices, loading through
+//! bounds-checked slices. `unsafe` is left on each entry's one call after
+//! feature detection, and on two pointer intrinsics: the polyphase group's
+//! store, and the strided tail's masked load (with a lane-by-lane tail the
+//! strided body read ×1.46 of the raw-pointer body's time at 10/16, with
+//! the masked load ×1.29, before its outputs were sliced once per group).
+//!
 //! **Which width.** The sliding body's width is a pure function of the
 //! block's shape and the host (`sliding_width`): `zmm` on hosts that report
 //! AVX-512F whenever the block holds at least two `zmm` vectors of outputs,
@@ -66,13 +83,15 @@
 //! products) on the slower `ymm` body.
 //!
 //! **Throughput.** Entered directly on the development host (a 2-vCPU
-//! Sapphire Rapids, shared; four sets of 20 interleaved rounds), the
-//! residue-major `zmm` body reads 94–110 ns per output at wide's
-//! 2047-tap/64-output pass and 2.9–3.9 ns at PAL's 63-tap/1024-output pass:
-//! ×1.32–1.69 and ×1.30–1.45 (per-set medians of the paired ratios) over
-//! the tap-major `V = 2` body it replaced. On `ymm` residue-major won at
-//! both shapes too, ×1.22–1.58 and ×1.20–1.33 over tap-major `V = 3` in
-//! six sets, so both widths run it. By operation count (the host exposes no cycle
+//! Sapphire Rapids, shared; 20 alternating pairs each), the safe walk reads
+//! ×1.00 (64 × 2047) and ×1.05 (1024 × 63) of the intrinsic walk's time on
+//! `zmm`, and ×1.17 at both shapes on `ymm`, where the compiler spills one
+//! accumulator; the strided and polyphase bodies over slices read ×1.01 at
+//! PAL's decimators, ×0.97 at its resampler, and ×1.11 on the strided
+//! resampler path that only hosts without AVX-512F take. The residue-major
+//! walk itself read ×1.32–1.69 and ×1.30–1.45 over the tap-major `V = 2`
+//! body it replaced on `zmm`, ×1.22–1.58 and ×1.20–1.33 over tap-major
+//! `V = 3` on `ymm`. By operation count (the host exposes no cycle
 //! counter), a tap is `V = 4` multiplies and 4 adds on two FP ports, 4
 //! cycles, and each accumulator receives one add per tap, which is the add
 //! latency: about 8 multiply-adds per cycle on `zmm`, the ceiling for
@@ -122,10 +141,8 @@ pub fn dot_rr4(a: &[f64], b: &[f64]) -> f64 {
     #[cfg(target_arch = "x86_64")]
     if n >= 8 && simd_available() {
         let mut y = 0.0;
-        // SAFETY: `simd_available` proved AVX support; one window of `n`
-        // samples at `a` is in bounds because `n <= a.len()`, the taps are
-        // exactly `b[..n]`, and `y` is the single output slot.
-        unsafe { strided_avx(a.as_ptr(), 0, &b[..n], &mut y, 1, 1) };
+        // SAFETY: `simd_available` proved AVX support.
+        unsafe { strided_avx(&a[..n], 0, &b[..n], std::slice::from_mut(&mut y), 1) };
         return y;
     }
     dot_rr4_scalar(&a[..n], &b[..n])
@@ -193,20 +210,8 @@ pub fn dot_rr4_strided(
     // the scalar loop wins; the bits are the same either way.
     #[cfg(target_arch = "x86_64")]
     if n >= 4 && simd_available() {
-        // SAFETY: `simd_available` proved AVX support; the assert above
-        // bounds every window `[q·stride, q·stride + n)` for `q < count`
-        // inside `window`, and `(count - 1)·out_stride < out.len()` by the
-        // definition of `count`.
-        unsafe {
-            strided_avx(
-                window.as_ptr(),
-                stride,
-                rtaps,
-                out.as_mut_ptr(),
-                out_stride,
-                count,
-            )
-        };
+        // SAFETY: `simd_available` proved AVX support.
+        unsafe { strided_avx(window, stride, rtaps, out, out_stride) };
         return;
     }
     for (q, o) in out.iter_mut().step_by(out_stride).enumerate() {
@@ -229,16 +234,10 @@ pub fn fir_block_rr4(window: &[f64], rtaps: &[f64], out: &mut [f64]) {
     );
     #[cfg(target_arch = "x86_64")]
     match sliding_width(out.len(), simd_available(), avx512_available()) {
-        // SAFETY: AVX-512F detected; `sliding_width` only picks a width
-        // with a whole vector of outputs. The assert above gives every
-        // output `j < out.len()` its window `[j, j + n)` inside `window`:
-        // a block of `V·N` outputs from `j` reads at most sample
-        // `j + V·N + n − 2` (`residue_lane` derives it), and
-        // `j + V·N ≤ out.len()`, so no read passes
-        // `out.len() + n − 2 = window.len() − 1`.
-        Width::Zmm => return unsafe { sliding_zmm(window.as_ptr(), rtaps, out) },
-        // SAFETY: as above, with AVX proved by `simd_available`.
-        Width::Ymm => return unsafe { sliding_ymm(window.as_ptr(), rtaps, out) },
+        // SAFETY: AVX-512F detected.
+        Width::Zmm => return unsafe { sliding_zmm(window, rtaps, out) },
+        // SAFETY: AVX detected.
+        Width::Ymm => return unsafe { sliding_ymm(window, rtaps, out) },
         Width::Strided => {}
     }
     // Shorter than one vector of outputs (or no vector unit): the windows
@@ -253,10 +252,8 @@ pub fn fir_block_rr4(window: &[f64], rtaps: &[f64], out: &mut [f64]) {
 pub(crate) fn extend_wide(dst: &mut Vec<f64>, items: impl Iterator<Item = f64>) {
     #[cfg(target_arch = "x86_64")]
     if avx512_available() {
-        /// # Safety
-        /// AVX-512F.
         #[target_feature(enable = "avx512f")]
-        unsafe fn wide(dst: &mut Vec<f64>, items: impl Iterator<Item = f64>) {
+        fn wide(dst: &mut Vec<f64>, items: impl Iterator<Item = f64>) {
             dst.extend(items);
         }
         // SAFETY: AVX-512F detected.
@@ -283,9 +280,9 @@ enum Width {
 /// the width.
 #[cfg(target_arch = "x86_64")]
 fn sliding_width(outputs: usize, avx: bool, avx512f: bool) -> Width {
-    if avx512f && outputs >= 2 * <__m512d as Lanes>::N {
+    if avx512f && outputs >= 2 * 8 {
         Width::Zmm
-    } else if avx && outputs >= <__m256d as Lanes>::N {
+    } else if avx && outputs >= 4 {
         Width::Ymm
     } else {
         Width::Strided
@@ -301,196 +298,168 @@ fn avx512_available() -> bool {
     *AVX512F.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f"))
 }
 
-/// One vector of `f64` lanes — the operations the sliding-window body
-/// needs, so it is written once for every width.
-///
-/// # Safety
-/// Every method requires the CPU feature of the implementing width (checked
-/// by whoever enters the `#[target_feature]` function these inline into);
-/// `load`/`store` additionally require `N` readable / writable `f64`s at
-/// `p` (no alignment).
-#[cfg(target_arch = "x86_64")]
-trait Lanes: Copy {
-    /// Lanes per vector.
-    const N: usize;
-    unsafe fn zero() -> Self;
-    unsafe fn splat(x: f64) -> Self;
-    unsafe fn load(p: *const f64) -> Self;
-    unsafe fn store(self, p: *mut f64);
-    unsafe fn mul(self, o: Self) -> Self;
-    unsafe fn add(self, o: Self) -> Self;
-}
+/// One vector of `N` `f64` lanes, in safe code: loads and stores take
+/// slices and panic past their end. Every operation is lane by lane, so
+/// inside a `#[target_feature]` entry a `Lanes<4>` compiles to one `ymm`
+/// and a `Lanes<8>` to one `zmm`, and without one to the same IEEE
+/// operations on narrower registers: the bits never depend on the host.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Lanes<const N: usize>([f64; N]);
 
-#[cfg(target_arch = "x86_64")]
-macro_rules! impl_lanes {
-    ($vec:ty, $n:expr, $zero:ident, $splat:ident, $load:ident, $store:ident, $mul:ident, $add:ident) => {
-        impl Lanes for $vec {
-            const N: usize = $n;
-            #[inline(always)]
-            unsafe fn zero() -> Self {
-                $zero()
-            }
-            #[inline(always)]
-            unsafe fn splat(x: f64) -> Self {
-                $splat(x)
-            }
-            #[inline(always)]
-            unsafe fn load(p: *const f64) -> Self {
-                $load(p)
-            }
-            #[inline(always)]
-            unsafe fn store(self, p: *mut f64) {
-                $store(p, self)
-            }
-            #[inline(always)]
-            unsafe fn mul(self, o: Self) -> Self {
-                $mul(self, o)
-            }
-            #[inline(always)]
-            unsafe fn add(self, o: Self) -> Self {
-                $add(self, o)
-            }
+impl<const N: usize> Lanes<N> {
+    const ZERO: Self = Lanes([0.0; N]);
+
+    #[inline(always)]
+    fn splat(x: f64) -> Self {
+        Lanes([x; N])
+    }
+
+    /// The first `N` samples of `s`.
+    #[inline(always)]
+    fn load(s: &[f64]) -> Self {
+        Lanes(*s.first_chunk().expect("a whole vector inside the slice"))
+    }
+
+    /// Into the first `N` slots of `s`.
+    #[inline(always)]
+    fn store(self, s: &mut [f64]) {
+        s[..N].copy_from_slice(&self.0);
+    }
+
+    // The lane loops index instead of zipping iterators, whose calls
+    // dominate the unoptimised test build; optimised, both unroll alike.
+
+    #[inline(always)]
+    fn mul(mut self, o: Self) -> Self {
+        let mut l = 0;
+        while l < N {
+            self.0[l] *= o.0[l];
+            l += 1;
         }
-    };
-}
+        self
+    }
 
-#[cfg(target_arch = "x86_64")]
-impl_lanes!(
-    __m256d,
-    4,
-    _mm256_setzero_pd,
-    _mm256_set1_pd,
-    _mm256_loadu_pd,
-    _mm256_storeu_pd,
-    _mm256_mul_pd,
-    _mm256_add_pd
-);
-#[cfg(target_arch = "x86_64")]
-impl_lanes!(
-    __m512d,
-    8,
-    _mm512_setzero_pd,
-    _mm512_set1_pd,
-    _mm512_loadu_pd,
-    _mm512_storeu_pd,
-    _mm512_mul_pd,
-    _mm512_add_pd
-);
+    #[inline(always)]
+    fn add(mut self, o: Self) -> Self {
+        let mut l = 0;
+        while l < N {
+            self.0[l] += o.0[l];
+            l += 1;
+        }
+        self
+    }
+}
 
 /// The sliding-window body: residue-major blocks of `V` vectors, then
-/// single vectors, then one vector recomputing the last `L::N` outputs when
-/// the length is not a whole number of vectors.
+/// single vectors, then one vector recomputing the last `N` outputs when
+/// the length is not a whole number of vectors. `R == V·N / 4`.
 ///
-/// # Safety
-/// `L`'s CPU feature; `R == V·L::N / 4`; `out.len() >= L::N`; `window`
-/// readable for `out.len() + rtaps.len() - 1` samples.
-#[cfg(target_arch = "x86_64")]
+/// # Panics
+/// If `out.len() < N` or `window` is shorter than `out.len() +
+/// rtaps.len() - 1` samples.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 #[inline(always)]
-unsafe fn sliding<L: Lanes, const V: usize, const R: usize>(
-    window: *const f64,
+fn sliding<const N: usize, const V: usize, const R: usize>(
+    window: &[f64],
     rtaps: &[f64],
     out: &mut [f64],
 ) {
-    let (m, o) = (out.len(), out.as_mut_ptr());
+    let (m, n) = (out.len(), rtaps.len());
     let mut j = 0;
-    while j + V * L::N <= m {
-        residue_block::<L, V, R>(window.add(j), rtaps, o.add(j));
-        j += V * L::N;
+    while j + V * N <= m {
+        let block = &window[j..j + V * N + n - 1];
+        residue_block::<N, V, R>(block, rtaps, &mut out[j..j + V * N]);
+        j += V * N;
     }
-    while j + L::N <= m {
-        sliding_vector::<L>(window.add(j), rtaps, o.add(j));
-        j += L::N;
+    while j + N <= m {
+        sliding_vector::<N>(&window[j..j + N + n - 1], rtaps, &mut out[j..]);
+        j += N;
     }
     if j < m {
-        sliding_vector::<L>(window.add(m - L::N), rtaps, o.add(m - L::N));
+        sliding_vector::<N>(&window[m - N..m + n - 1], rtaps, &mut out[m - N..]);
     }
 }
 
-/// `V·L::N` consecutive outputs, walked **residue-major**: round-robin lane
-/// `r` of every output — taps `r, r + 4, r + 8, …` in ascending order — is
-/// finished before lane `r + 1` starts, and `(l0 + l1) + (l2 + l3)` then
-/// finishes the block. Each output's lane sums the same products in the
-/// same order as in [`dot_rr4_scalar`], so the bits are the scalar order's.
+/// `V·N` consecutive outputs of the block's window (`V·N + rtaps.len() −
+/// 1` samples), walked **residue-major**: round-robin lane `r` of every
+/// output — taps `r, r + 4, r + 8, …` in ascending order — is finished
+/// before lane `r + 1` starts, and `(l0 + l1) + (l2 + l3)` then finishes
+/// the block. Each output's lane sums the same products in the same order
+/// as in [`dot_rr4_scalar`], so the bits are the scalar order's.
 ///
 /// Lane `r`'s tap `a` (tap index `r + 4a`) of output vector `v` reads
-/// `U_{a + S·v}`, where `U_m` is the vector at `base + r + 4m` and
-/// `S = L::N / 4`. So one tap's `V` vectors lie among `R = V·S` consecutive
+/// `U_{a + S·v}`, where `U_m` is the vector at `window[r + 4m..]` and
+/// `S = N / 4`. So one tap's `V` vectors lie among `R = V·S` consecutive
 /// `U`s: they live in a register ring, and each tap loads only the one its
 /// last output vector meets for the first time, `U_{a + R − S}`, into the
 /// slot of `U_{a − S}`, which no later tap reads. That is one broadcast and
 /// one window load per tap, where a tap-major walk loads `V` windows.
-///
-/// # Safety
-/// `L`'s CPU feature; `R == V·L::N / 4`; `base` readable for
-/// `V·L::N + rtaps.len() − 1` samples; `out` writable for `V·L::N`.
-#[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn residue_block<L: Lanes, const V: usize, const R: usize>(
-    base: *const f64,
+fn residue_block<const N: usize, const V: usize, const R: usize>(
+    window: &[f64],
     rtaps: &[f64],
-    out: *mut f64,
+    out: &mut [f64],
 ) {
     let (l0, l1) = (
-        residue_lane::<L, V, R>(base, rtaps, 0),
-        residue_lane::<L, V, R>(base, rtaps, 1),
+        residue_lane::<N, V, R>(window, rtaps, 0),
+        residue_lane::<N, V, R>(window, rtaps, 1),
     );
-    let mut y = [L::zero(); V];
+    let mut y = [Lanes::ZERO; V];
     for (v, y) in y.iter_mut().enumerate() {
         *y = l0[v].add(l1[v]);
     }
     let (l2, l3) = (
-        residue_lane::<L, V, R>(base, rtaps, 2),
-        residue_lane::<L, V, R>(base, rtaps, 3),
+        residue_lane::<N, V, R>(window, rtaps, 2),
+        residue_lane::<N, V, R>(window, rtaps, 3),
     );
-    for (v, y) in y.into_iter().enumerate() {
-        y.add(l2[v].add(l3[v])).store(out.add(v * L::N));
+    for (v, (y, out)) in y.into_iter().zip(out.chunks_exact_mut(N)).enumerate() {
+        y.add(l2[v].add(l3[v])).store(out);
     }
 }
 
 /// Round-robin lane `r` of `residue_block`'s `V` output vectors.
-///
-/// # Safety
-/// As `residue_block`.
-#[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn residue_lane<L: Lanes, const V: usize, const R: usize>(
-    base: *const f64,
+fn residue_lane<const N: usize, const V: usize, const R: usize>(
+    window: &[f64],
     rtaps: &[f64],
     r: usize,
-) -> [L; V] {
-    const { assert!(L::N % 4 == 0 && R == V * L::N / 4) };
-    let (n, tp, s) = (rtaps.len(), rtaps.as_ptr(), L::N / 4);
-    // The block's window is `end` samples. Tap index `i < n` loads the
-    // vector at `i + V·L::N − L::N`, whose last sample is
-    // `i + V·L::N − 1 ≤ n + V·L::N − 2 = end − 1`. The `R − S` vectors
-    // loaded before the first tap start at `r + 4m ≤ 3 + 4(R − S − 1)`, so
-    // they end by `V·L::N − 2`. `ring_load` checks each load against `end`.
-    let end = V * L::N + n - 1;
+) -> [Lanes<N>; V] {
+    const { assert!(N.is_multiple_of(4) && R == V * N / 4) };
+    let (n, s) = (rtaps.len(), N / 4);
     let taps = (n + 3 - r) / 4;
-    let mut acc = [L::zero(); V];
+    let mut acc = [Lanes::ZERO; V];
     if taps == 0 {
         return acc;
     }
-    let mut ring = [L::zero(); R];
+    let mut ring = [Lanes::ZERO; R];
     for (m, u) in ring.iter_mut().enumerate().take(R - s) {
-        *u = ring_load(base, r + 4 * m, end);
+        *u = Lanes::load(&window[r + 4 * m..]);
     }
+    // Tap index `i` loads `U_{a + R − S}`, the vector at `i + lead`; the
+    // block's last tap `i ≤ n − 1` ends it at the window's last sample.
+    let lead = V * N - N;
     // Unrolled by `R`, so every ring slot and accumulator index is a
-    // constant: a run-time `% R` would send the ring through memory.
+    // constant (a run-time `% R` would send the ring through memory), and
+    // each group of `R` taps is one bounds check on the window and one on
+    // the taps.
     let mut a = 0;
     while a + R <= taps {
+        let i = r + 4 * a;
+        let (w, t) = (
+            &window[i + lead..][..4 * R - 4 + N],
+            &rtaps[i..][..4 * R - 3],
+        );
         for k in 0..R {
-            let i = r + 4 * (a + k);
-            let u = ring_load(base, i + V * L::N - L::N, end);
-            residue_tap::<L, V, R>(&mut ring, &mut acc, k, u, L::splat(*tp.add(i)));
+            let u = Lanes::load(&w[4 * k..]);
+            residue_tap::<N, V, R>(&mut ring, &mut acc, k, u, Lanes::splat(t[4 * k]));
         }
         a += R;
     }
     for k in 0..R {
         if a + k < taps {
             let i = r + 4 * (a + k);
-            let u = ring_load(base, i + V * L::N - L::N, end);
-            residue_tap::<L, V, R>(&mut ring, &mut acc, k, u, L::splat(*tp.add(i)));
+            let u = Lanes::load(&window[i + lead..]);
+            residue_tap::<N, V, R>(&mut ring, &mut acc, k, u, Lanes::splat(rtaps[i]));
         }
     }
     acc
@@ -499,123 +468,92 @@ unsafe fn residue_lane<L: Lanes, const V: usize, const R: usize>(
 /// A lane's tap `a ≡ k (mod R)`: `u = U_{a + R − S}` replaces `U_{a − S}`
 /// in the ring, then the broadcast tap `t` times each output vector's
 /// window is added into its accumulator.
-///
-/// # Safety
-/// `L`'s CPU feature.
-#[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn residue_tap<L: Lanes, const V: usize, const R: usize>(
-    ring: &mut [L; R],
-    acc: &mut [L; V],
+fn residue_tap<const N: usize, const V: usize, const R: usize>(
+    ring: &mut [Lanes<N>; R],
+    acc: &mut [Lanes<N>; V],
     k: usize,
-    u: L,
-    t: L,
+    u: Lanes<N>,
+    t: Lanes<N>,
 ) {
-    let s = L::N / 4;
+    let s = N / 4;
     ring[(k + R - s) % R] = u;
     for (v, y) in acc.iter_mut().enumerate() {
         *y = y.add(ring[(k + s * v) % R].mul(t));
     }
 }
 
-/// The vector at `base + at`, checked in debug builds to end inside the
-/// `end` samples of its block's window.
-///
-/// # Safety
-/// `L`'s CPU feature; `base` readable for `at + L::N` samples.
-#[cfg(target_arch = "x86_64")]
+/// One vector of `N` consecutive outputs of `window` (`N + rtaps.len() −
+/// 1` samples) into `out`, walked tap-major: tap `i` is one broadcast times
+/// one window load, added into accumulator `i mod 4`. A single vector has
+/// one window load per tap in either walk, and tap-major keeps four add
+/// chains in flight where residue-major would keep one.
 #[inline(always)]
-unsafe fn ring_load<L: Lanes>(base: *const f64, at: usize, end: usize) -> L {
-    debug_assert!(
-        at + L::N <= end,
-        "ring load [{at}, {}) past {end}",
-        at + L::N
-    );
-    L::load(base.add(at))
-}
-
-/// One vector of `L::N` consecutive outputs, walked tap-major: tap `i` is
-/// one broadcast times one window load, added into accumulator `i mod 4`.
-/// A single vector has one window load per tap in either walk, and
-/// tap-major keeps four add chains in flight where residue-major would
-/// keep one.
-///
-/// # Safety
-/// `L`'s CPU feature; `base` readable for `L::N + rtaps.len() - 1`
-/// samples; `out` writable for `L::N`.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn sliding_vector<L: Lanes>(base: *const f64, rtaps: &[f64], out: *mut f64) {
-    let (n, tp) = (rtaps.len(), rtaps.as_ptr());
-    let mut acc = [L::zero(); 4];
-    let step = |a: &mut L, i: usize| *a = a.add(L::load(base.add(i)).mul(L::splat(*tp.add(i))));
+fn sliding_vector<const N: usize>(window: &[f64], rtaps: &[f64], out: &mut [f64]) {
+    let n = rtaps.len();
+    let mut acc = [Lanes::<N>::ZERO; 4];
     // `r` only ever indexes `acc` as a constant of an unrolled loop: a
     // run-time `acc[i & 3]` would send every accumulator through memory.
     let mut i = 0;
     while i + 4 <= n {
+        let (w, t) = (&window[i..][..N + 3], &rtaps[i..][..4]);
         for (r, a) in acc.iter_mut().enumerate() {
-            step(a, i + r);
+            *a = a.add(Lanes::load(&w[r..]).mul(Lanes::splat(t[r])));
         }
         i += 4;
     }
     for (r, a) in acc.iter_mut().enumerate() {
         if i + r < n {
-            step(a, i + r);
+            *a = a.add(Lanes::load(&window[i + r..]).mul(Lanes::splat(rtaps[i + r])));
         }
     }
     let [l0, l1, l2, l3] = acc;
     l0.add(l1).add(l2.add(l3)).store(out);
 }
 
-/// # Safety
-/// AVX; otherwise as [`sliding`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn sliding_ymm(window: *const f64, rtaps: &[f64], out: &mut [f64]) {
-    sliding::<__m256d, 4, 4>(window, rtaps, out)
+fn sliding_ymm(window: &[f64], rtaps: &[f64], out: &mut [f64]) {
+    sliding::<4, 4, 4>(window, rtaps, out)
 }
 
-/// # Safety
-/// AVX-512F; otherwise as [`sliding`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn sliding_zmm(window: *const f64, rtaps: &[f64], out: &mut [f64]) {
-    sliding::<__m512d, 4, 8>(window, rtaps, out)
+fn sliding_zmm(window: &[f64], rtaps: &[f64], out: &mut [f64]) {
+    sliding::<8, 4, 8>(window, rtaps, out)
 }
 
 /// `TAIL_MASKS[k]` selects the first `k` lanes of a `ymm`.
 #[cfg(target_arch = "x86_64")]
-static TAIL_MASKS: [[i64; 4]; 4] = [[0; 4], [-1, 0, 0, 0], [-1, -1, 0, 0], [-1, -1, -1, 0]];
+const TAIL_MASKS: [[i64; 4]; 4] = [[0; 4], [-1, 0, 0, 0], [-1, -1, 0, 0], [-1, -1, -1, 0]];
 
-/// `count` strided windows, four in flight.
+/// The strided body: `out[q·out_stride]` is window `q`'s dot product, four
+/// windows in flight.
 ///
-/// # Safety
-/// AVX; `window` readable for `(count - 1)·stride + rtaps.len()` samples;
-/// `out` writable at `q·out_stride` for every `q < count`.
+/// # Panics
+/// If a window `[q·stride, q·stride + rtaps.len())` is not inside `window`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn strided_avx(
-    window: *const f64,
-    stride: usize,
-    rtaps: &[f64],
-    out: *mut f64,
-    out_stride: usize,
-    count: usize,
-) {
+fn strided_avx(window: &[f64], stride: usize, rtaps: &[f64], out: &mut [f64], out_stride: usize) {
+    let count = out.len().div_ceil(out_stride);
+    let (n, full) = (rtaps.len(), rtaps.len() / 4 * 4);
+    let [m0, m1, m2, m3] = TAIL_MASKS[n - full];
+    let mask = _mm256_castsi256_pd(_mm256_setr_epi64x(m0, m1, m2, m3));
+    let tail = (ymm_tail(&rtaps[full..]), mask);
     let mut q = 0;
     while q + 4 <= count {
-        let y = strided_group::<4>(window.add(q * stride), stride, rtaps);
-        let (lo, hi) = (_mm256_castpd256_pd128(y), _mm256_extractf128_pd(y, 1));
-        let o = out.add(q * out_stride);
-        _mm_storel_pd(o, lo);
-        _mm_storeh_pd(o.add(out_stride), lo);
-        _mm_storel_pd(o.add(2 * out_stride), hi);
-        _mm_storeh_pd(o.add(3 * out_stride), hi);
+        let y = strided_group::<4>(&window[q * stride..], stride, rtaps, tail);
+        let (lo, hi) = (_mm256_castpd256_pd128(y), _mm256_extractf128_pd::<1>(y));
+        let out = &mut out[q * out_stride..][..3 * out_stride + 1];
+        out[0] = _mm_cvtsd_f64(lo);
+        out[out_stride] = _mm_cvtsd_f64(_mm_unpackhi_pd(lo, lo));
+        out[2 * out_stride] = _mm_cvtsd_f64(hi);
+        out[3 * out_stride] = _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi));
         q += 4;
     }
     while q < count {
-        let y = strided_group::<1>(window.add(q * stride), stride, rtaps);
-        *out.add(q * out_stride) = _mm256_cvtsd_f64(y);
+        let y = strided_group::<1>(&window[q * stride..], stride, rtaps, tail);
+        out[q * out_stride] = _mm256_cvtsd_f64(y);
         q += 1;
     }
 }
@@ -623,35 +561,37 @@ unsafe fn strided_avx(
 /// `G` windows `stride` apart against one tap set; lane `g` of the result
 /// is window `g`'s dot product (lanes `G..` repeat the last window).
 /// Vector lane `l` of `acc[g]` is the window's round-robin lane `l`.
-///
-/// # Safety
-/// AVX; `window` readable for `(G - 1)·stride + rtaps.len()` samples.
 #[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn strided_group<const G: usize>(
-    window: *const f64,
+#[target_feature(enable = "avx")]
+#[inline]
+fn strided_group<const G: usize>(
+    window: &[f64],
     stride: usize,
     rtaps: &[f64],
+    (tail, mask): (__m256d, __m256d),
 ) -> __m256d {
-    let (n, tp) = (rtaps.len(), rtaps.as_ptr());
+    let n = rtaps.len();
+    // Each window sliced once, so the whole vectors below need no check.
+    let mut windows: [&[f64]; G] = [&[]; G];
+    for (g, w) in windows.iter_mut().enumerate() {
+        *w = &window[g * stride..][..n];
+    }
     let mut acc = [_mm256_setzero_pd(); G];
     let mut i = 0;
     while i + 4 <= n {
-        let t = _mm256_loadu_pd(tp.add(i));
-        for (g, a) in acc.iter_mut().enumerate() {
-            let w = _mm256_loadu_pd(window.add(g * stride + i));
-            *a = _mm256_add_pd(*a, _mm256_mul_pd(w, t));
+        let t = ymm(&rtaps[i..]);
+        for (a, w) in acc.iter_mut().zip(windows) {
+            *a = _mm256_add_pd(*a, _mm256_mul_pd(ymm(&w[i..]), t));
         }
         i += 4;
     }
     if i < n {
-        // Lanes past the last tap are neither read nor added to.
-        let mask = _mm256_loadu_si256(TAIL_MASKS[n - i].as_ptr().cast());
-        let t = _mm256_maskload_pd(tp.add(i), mask);
-        for (g, a) in acc.iter_mut().enumerate() {
-            let w = _mm256_maskload_pd(window.add(g * stride + i), mask);
-            let sum = _mm256_add_pd(*a, _mm256_mul_pd(w, t));
-            *a = _mm256_blendv_pd(*a, sum, _mm256_castsi256_pd(mask));
+        // Lanes past the last tap (`tail` and `mask`, the taps' last
+        // partial vector) are neither read nor added to.
+        for (a, w) in acc.iter_mut().zip(windows) {
+            let w = ymm_tail(&w[i..]);
+            let sum = _mm256_add_pd(*a, _mm256_mul_pd(w, tail));
+            *a = _mm256_blendv_pd(*a, sum, mask);
         }
     }
     // `(l0 + l1) + (l2 + l3)` of four accumulators at once: `hadd` pairs
@@ -661,9 +601,29 @@ unsafe fn strided_group<const G: usize>(
     let ab = _mm256_hadd_pd(at(0), at(1));
     let cd = _mm256_hadd_pd(at(2), at(3));
     _mm256_add_pd(
-        _mm256_permute2f128_pd(ab, cd, 0x20),
-        _mm256_permute2f128_pd(ab, cd, 0x31),
+        _mm256_permute2f128_pd::<0x20>(ab, cd),
+        _mm256_permute2f128_pd::<0x31>(ab, cd),
     )
+}
+
+/// The first four samples of `s`: one unaligned load.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline]
+fn ymm(s: &[f64]) -> __m256d {
+    let &[a, b, c, d] = s.first_chunk().expect("a whole vector inside the slice");
+    _mm256_setr_pd(a, b, c, d)
+}
+
+/// The `s.len() < 4` samples of `s`, and `0.0` in the lanes past them,
+/// which are not read.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline]
+fn ymm_tail(s: &[f64]) -> __m256d {
+    let [m0, m1, m2, m3] = TAIL_MASKS[s.len()];
+    // SAFETY: AVX is enabled here, and the mask selects the lanes of `s`.
+    unsafe { _mm256_maskload_pd(s.as_ptr(), _mm256_setr_epi64x(m0, m1, m2, m3)) }
 }
 
 /// Outputs per group of the polyphase lane body: one `zmm`.
@@ -671,8 +631,8 @@ const GROUP: usize = 8;
 
 /// The longest phase the polyphase lane body takes. The strided body pays
 /// a masked tail, a blend and a horizontal reduction per output, which
-/// dominate its cost only while phases are short (PAL's have 6–7 taps);
-/// the lane body pays two loads and a permute per tap of every group. The
+/// dominate its cost only while phases are short (PAL's have 6–7 taps); the
+/// lane body pays two loads and a permute per tap of every group. The
 /// crossover was not measured: longer phases stay on the strided body.
 const GROUP_TAPS: usize = 8;
 
@@ -810,8 +770,7 @@ impl PolyphaseLanes {
         );
         #[cfg(target_arch = "x86_64")]
         if avx512_available() {
-            // SAFETY: AVX-512F detected; the assert bounds every output's
-            // window inside `window` and `m >= GROUP`.
+            // SAFETY: AVX-512F detected.
             unsafe { self.polyphase_zmm(window, origin, first, out) };
             return true;
         }
@@ -820,12 +779,9 @@ impl PolyphaseLanes {
 
     /// One instance of the loop per tap count, so each group's tap steps
     /// unroll completely.
-    ///
-    /// # Safety
-    /// AVX-512F; the conditions `run` asserts, and `out.len() >= GROUP`.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
-    unsafe fn polyphase_zmm(&self, window: &[f64], origin: usize, first: usize, out: &mut [f64]) {
+    fn polyphase_zmm(&self, window: &[f64], origin: usize, first: usize, out: &mut [f64]) {
         match self.taps {
             1 => self.groups::<1>(window, origin, first, out),
             2 => self.groups::<2>(window, origin, first, out),
@@ -840,129 +796,114 @@ impl PolyphaseLanes {
     }
 
     /// Groups of `GROUP` outputs, then one group recomputing the last
-    /// `GROUP` when the block is not a whole number of groups. A group
-    /// loads its samples unmasked where all `N - 1 + 2·GROUP` of them lie
-    /// inside `window`, masked (reading nothing past its end) at the edge.
-    ///
-    /// # Safety
-    /// As `polyphase_zmm`, and `N == self.taps`.
+    /// `GROUP` when the block is not a whole number of groups; `T ==
+    /// self.taps`. A group loads its samples as whole vectors where all
+    /// `T - 1 + 2·GROUP` of them lie inside `window`, lane by lane (reading
+    /// nothing past its end) at the edge.
     #[cfg(target_arch = "x86_64")]
-    #[inline(always)]
-    unsafe fn groups<const N: usize>(
-        &self,
-        window: &[f64],
-        origin: usize,
-        first: usize,
-        out: &mut [f64],
-    ) {
-        let (m, o) = (out.len(), out.as_mut_ptr());
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn groups<const T: usize>(&self, window: &[f64], origin: usize, first: usize, out: &mut [f64]) {
+        let m = out.len();
+        // Group `e` whose first output's input ends its window at
+        // `window[end]`, for the output at grid position `t`.
         let at = |t: usize| (origin + t / self.up, t % self.up / self.g);
         let ((mut end, mut e), mut q) = (at(first), 0);
-        while q + GROUP <= m {
+        while q < m {
+            if q + GROUP > m {
+                q = m - GROUP;
+                (end, e) = at(first + q * self.down);
+            }
             let g = &self.groups[e];
-            group::<N>(g, window, end).store(o.add(q));
+            let w = &window[end.wrapping_add_signed(g.lead)..];
+            let y = match w.get(..T - 1 + 2 * GROUP) {
+                Some(w) => lane_group::<T, false>(g, w),
+                None => lane_group::<T, true>(g, w),
+            };
+            let out = &mut out[q..q + GROUP];
+            // SAFETY: AVX-512F is enabled here, and `out` holds `GROUP` slots.
+            unsafe { _mm512_storeu_pd(out.as_mut_ptr(), y) };
             (q, end, e) = (q + GROUP, end + g.advance, g.next);
         }
-        if q < m {
-            let q = m - GROUP;
-            let (end, e) = at(first + q * self.down);
-            group::<N>(&self.groups[e], window, end).store(o.add(q));
-        }
     }
 }
 
-/// The group whose first output's input ends its window at `window[end]`.
-///
-/// # Safety
-/// AVX-512F; every lane's window inside `window`.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn group<const N: usize>(g: &LaneGroup, window: &[f64], end: usize) -> __m512d {
-    let base = end.wrapping_add_signed(g.lead);
-    let room = window.len() - base;
-    let w = window.as_ptr().wrapping_add(base);
-    if N - 1 + 2 * GROUP <= room {
-        lane_group::<N, false>(g, w, room)
-    } else {
-        lane_group::<N, true>(g, w, room)
-    }
-}
-
-/// One group's `N` tap steps, each into accumulator `j & 3`. Lane `l` of
+/// One group's `T` tap steps, each into accumulator `j & 3`. Lane `l` of
 /// the result is the lane's `(l0+l1)+(l2+l3)`.
-///
-/// # Safety
-/// AVX-512F; `w` readable for `room` samples, and for `N - 1 + 2·GROUP`
-/// unless `EDGE` (which loads only the first `room`); every lane's window
-/// (`w + idx[l]`, its phase's tap count long) among them.
 #[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn lane_group<const N: usize, const EDGE: bool>(
-    g: &LaneGroup,
-    w: *const f64,
-    room: usize,
-) -> __m512d {
-    let idx = _mm512_load_si512(g.idx.as_ptr().cast());
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn lane_group<const T: usize, const EDGE: bool>(g: &LaneGroup, w: &[f64]) -> __m512d {
+    let [i0, i1, i2, i3, i4, i5, i6, i7] = g.idx;
+    let idx = _mm512_setr_epi64(i0, i1, i2, i3, i4, i5, i6, i7);
     let mut acc = [_mm512_setzero_pd(); 4];
-    // As in `sliding_block`: accumulators indexed by constants only. The
-    // steps are functions, not closures, so they always inline into the
-    // AVX-512F caller.
+    // As in `sliding_vector`: accumulators indexed by constants only.
     let mut j = 0;
-    while j + 4 <= N {
+    while j + 4 <= T {
         for (r, a) in acc.iter_mut().enumerate() {
-            *a = tap_step::<EDGE>(*a, g, idx, w, room, j + r);
+            *a = tap_step::<EDGE>(*a, g, idx, w, j + r);
         }
         j += 4;
     }
     for (r, a) in acc.iter_mut().enumerate() {
-        if j + r < N {
-            *a = tap_step::<EDGE>(*a, g, idx, w, room, j + r);
+        if j + r < T {
+            *a = tap_step::<EDGE>(*a, g, idx, w, j + r);
         }
     }
     let [l0, l1, l2, l3] = acc;
-    l0.add(l1).add(l2.add(l3))
+    _mm512_add_pd(_mm512_add_pd(l0, l1), _mm512_add_pd(l2, l3))
 }
 
 /// Tap step `j`: lane `l`'s sample `j` permuted out of the `2·GROUP`
-/// samples at `w + j`, times the lane's tap `j`, added into `acc` in the
-/// lanes that have a tap `j`.
-///
-/// # Safety
-/// As [`lane_group`].
+/// samples from `w[j]`, times the lane's tap `j`, added into `acc` in the
+/// lanes that have a tap `j`. At the edge, samples past the end of `w` are
+/// `0.0`: only lanes without a tap at this step would pick them.
 #[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn tap_step<const EDGE: bool>(
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn tap_step<const EDGE: bool>(
     acc: __m512d,
     g: &LaneGroup,
     idx: __m512i,
-    w: *const f64,
-    room: usize,
+    w: &[f64],
     j: usize,
 ) -> __m512d {
-    let x = _mm512_permutex2var_pd(
-        load::<EDGE>(w, room, j),
-        idx,
-        load::<EDGE>(w, room, j + GROUP),
-    );
-    let p = _mm512_mul_pd(x, _mm512_load_pd(g.taps[j].as_ptr()));
+    let x = _mm512_permutex2var_pd(load::<EDGE>(w, j), idx, load::<EDGE>(w, j + GROUP));
+    let p = _mm512_mul_pd(x, zmm(&g.taps[j]));
     _mm512_mask_add_pd(acc, g.adds[j], acc, p)
 }
 
-/// `GROUP` samples from `w + from`. At the edge, positions at or past
-/// `room` are masked off and never read: only lanes without a tap at this
-/// step would have picked them.
-///
-/// # Safety
-/// As [`lane_group`].
+/// `GROUP` samples from `w[from]`; at the edge, `0.0` past the end of `w`.
 #[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn load<const EDGE: bool>(w: *const f64, room: usize, from: usize) -> __m512d {
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn load<const EDGE: bool>(w: &[f64], from: usize) -> __m512d {
     if EDGE {
-        let fit = room.saturating_sub(from).min(GROUP);
-        _mm512_maskz_loadu_pd(((1u16 << fit) - 1) as __mmask8, w.wrapping_add(from))
+        zmm_tail(w.get(from..).unwrap_or_default())
     } else {
-        _mm512_loadu_pd(w.add(from))
+        zmm(&w[from..])
     }
+}
+
+/// The first eight samples of `s`: one unaligned load.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn zmm(s: &[f64]) -> __m512d {
+    let &[a, b, c, d, e, f, g, h] = s.first_chunk().expect("a whole vector inside the slice");
+    _mm512_setr_pd(a, b, c, d, e, f, g, h)
+}
+
+/// Up to eight samples of `s`, `0.0` past its end.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn zmm_tail(s: &[f64]) -> __m512d {
+    if s.len() >= GROUP {
+        return zmm(s);
+    }
+    let at = |l: usize| s.get(l).copied().unwrap_or(0.0);
+    _mm512_setr_pd(at(0), at(1), at(2), at(3), at(4), at(5), at(6), at(7))
 }
 
 #[cfg(test)]
@@ -1018,7 +959,9 @@ pub(crate) mod tests {
 
     /// Every kernel body at every ISA level this host supports, entered
     /// directly — the dispatchers only ever reach the widest — next to the
-    /// dispatchers themselves. Each computes `out[q·out_stride] =
+    /// dispatchers themselves and the generic walks compiled with no target
+    /// feature, so every host runs the `zmm` walk's ring slots, remainders
+    /// and recomputed last vectors. Each computes `out[q·out_stride] =
     /// dot(window[q·stride..][..n], rtaps)`, or returns false for a shape it
     /// does not take.
     fn bodies() -> Vec<(&'static str, Body)> {
@@ -1040,25 +983,34 @@ pub(crate) mod tests {
                 }
                 true
             }),
+            ("sliding::<4>", |w, stride, t, out, os| {
+                let takes = stride == 1 && os == 1 && out.len() >= 4;
+                if takes {
+                    sliding::<4, 4, 4>(w, t, out);
+                }
+                takes
+            }),
+            ("sliding::<8>", |w, stride, t, out, os| {
+                let takes = stride == 1 && os == 1 && out.len() >= 8;
+                if takes {
+                    sliding::<8, 4, 8>(w, t, out);
+                }
+                takes
+            }),
         ];
         #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("avx") {
                 bodies.push(("strided_avx", |w, stride, t, out, os| {
-                    let count = out.len().div_ceil(os);
-                    assert!((count - 1) * stride + t.len() <= w.len());
-                    // SAFETY: AVX detected; windows and outputs bounded by
-                    // the assert and the definition of `count`.
-                    unsafe { strided_avx(w.as_ptr(), stride, t, out.as_mut_ptr(), os, count) };
+                    // SAFETY: AVX detected.
+                    unsafe { strided_avx(w, stride, t, out, os) };
                     true
                 }));
                 bodies.push(("sliding_ymm", |w, stride, t, out, os| {
                     let takes = stride == 1 && os == 1 && out.len() >= 4;
                     if takes {
-                        assert!(out.len() + t.len() - 1 <= w.len());
-                        // SAFETY: AVX detected; a vector of outputs, and
-                        // the window holds them all.
-                        unsafe { sliding_ymm(w.as_ptr(), t, out) };
+                        // SAFETY: AVX detected.
+                        unsafe { sliding_ymm(w, t, out) };
                     }
                     takes
                 }));
@@ -1067,9 +1019,8 @@ pub(crate) mod tests {
                 bodies.push(("sliding_zmm", |w, stride, t, out, os| {
                     let takes = stride == 1 && os == 1 && out.len() >= 8;
                     if takes {
-                        assert!(out.len() + t.len() - 1 <= w.len());
-                        // SAFETY: as for `ymm`, AVX-512F detected.
-                        unsafe { sliding_zmm(w.as_ptr(), t, out) };
+                        // SAFETY: AVX-512F detected.
+                        unsafe { sliding_zmm(w, t, out) };
                     }
                     takes
                 }));
@@ -1220,8 +1171,8 @@ pub(crate) mod tests {
                     for first in (0..down).step_by(up / cycle) {
                         let last = origin + (first + (m - 1) * down) / up;
                         // Ending at the last window, which sends the final
-                        // groups through the masked loads, and 24 samples
-                        // past it, which does not.
+                        // groups through the edge's lane-by-lane loads, and
+                        // 24 samples past it, which does not.
                         for (slack, offset) in [(0, 0), (0, 5), (24, 3)] {
                             let signal = hostile(last + slack, 0.9);
                             let (buf, start) = at_offset(&signal, offset);
@@ -1324,6 +1275,14 @@ pub(crate) mod tests {
         let mut out = [1.0; 3];
         dot_rr4_strided(&window, 31, &[], &mut out, 1);
         assert_eq!(out, [0.0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a whole vector inside the slice")]
+    fn a_ring_load_past_the_block_window_panics() {
+        // 32 outputs of 9 taps need 40 samples; lane 0's last tap loads the
+        // vector ending at the 40th.
+        residue_block::<8, 4, 8>(&ramp(39, 0.9), &ramp(9, 1.7), &mut [0.0; 32]);
     }
 
     #[test]

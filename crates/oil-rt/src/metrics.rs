@@ -464,65 +464,6 @@ impl MetricsReport {
             verdict
         )
     }
-
-    /// The snapshot as a hand-rolled JSON document, for artifact upload and
-    /// offline comparison.
-    pub fn summary_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"engine\": \"{}\",\n  \"workers\": {},\n  \"firings\": {},\n  \
-             \"firing_ns\": {},\n  \"firing_p50_ns\": {},\n  \"firing_p90_ns\": {},\n  \
-             \"firing_p99_ns\": {},\n  \"parks\": {},\n  \"backpressure_ns\": {},\n  \
-             \"sink_samples\": {},\n",
-            crate::trace::json_escape(self.engine),
-            self.workers,
-            self.firings,
-            self.firing_ns,
-            self.firing_quantile_ns(0.50),
-            self.firing_quantile_ns(0.90),
-            self.firing_quantile_ns(0.99),
-            self.parks,
-            self.backpressure_ns,
-            self.sink_samples,
-        ));
-        out.push_str(&format!(
-            "  \"verdict\": \"{}\",\n  \"sinks\": [\n",
-            verdict_tag(&self.verdict)
-        ));
-        for (i, s) in self.sinks.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            out.push_str(&format!(
-                "    {{\"sink\": \"{}\", \"predicted_hz\": {:.3}, \"verdict\": \"{}\", \
-                 \"windows\": [",
-                crate::trace::json_escape(&s.sink),
-                s.predicted_hz,
-                verdict_tag(&s.verdict)
-            ));
-            for (j, w) in s.windows.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"samples\": {}, \"dur_ns\": {}, \"observed_hz\": {:.3}}}",
-                    w.samples, w.dur_ns, w.observed_hz
-                ));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-}
-
-fn verdict_tag(v: &DriftVerdict) -> &'static str {
-    match v {
-        DriftVerdict::Ok => "ok",
-        DriftVerdict::Degrading { .. } => "degrading",
-        DriftVerdict::Violated { .. } => "violated",
-    }
 }
 
 /// Read the `OIL_RT_METRICS` toggle from the environment (unset = off; the
@@ -647,18 +588,6 @@ mod tests {
         // Flat tail: Ok.
         let flat = [w(4000.0), w(4000.0), w(4000.0)];
         assert_eq!(drift_verdict(&flat, 1000.0), DriftVerdict::Ok);
-    }
-
-    #[test]
-    fn summary_json_is_emitted_and_tagged() {
-        let hub = MetricsHub::new("test", 1, cfg(10));
-        let mut mon = hub.sink_monitor("s0", 42.0);
-        mon.record_block(10);
-        mon.finish();
-        let json = hub.snapshot().summary_json();
-        assert!(json.contains("\"engine\": \"test\""));
-        assert!(json.contains("\"sink\": \"s0\""));
-        assert!(json.contains("\"verdict\": \"ok\""));
     }
 
     #[test]

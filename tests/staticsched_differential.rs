@@ -687,6 +687,12 @@ fn the_admission_proof_rejects_every_minimal_corruption() {
         dep.periods.push(dep.periods[arms - 1].clone());
         dep.steps.push(dep.steps[arms - 1].clone());
     });
+    // A row that never fires the modal unit cannot leave its mode.
+    let modal = s.modes.as_ref().expect("modal").unit as usize;
+    let needle = "mode 1: the modal unit is gated in its own mode";
+    subject.rejects("modal unit gated in its own mode", needle, |t| {
+        dependent_mut(t).reps[1][modal] = 0
+    });
     let needle = "recorded worst-case seam latency";
     subject.rejects("changed seam latency", needle, |t| {
         dependent_mut(t).seam_latency_max += Rational::new(1, 1000);
