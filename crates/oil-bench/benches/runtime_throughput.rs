@@ -51,9 +51,10 @@
 //!   nothing), `"none"` on the sim and calendar rows;
 //! * `predicted_utilization` / `measured_utilization` — per-worker
 //!   utilization: predicted by synthesis from its cost vector, measured by
-//!   the metrics registry (`OIL_RT_METRICS=1`; empty when metrics are off);
-//! * `drift` — the registry's CTA-drift verdict for the row
-//!   (`ok`/`degrading`/`violated`, `none` with metrics off).
+//!   run metrics (`OIL_RT_METRICS=1`; empty when metrics are off);
+//! * `drift` — the metrics' CTA-drift verdict for the row
+//!   (`ok`/`degrading`/`violated`; `none` with metrics off or when no
+//!   drift window closed).
 //!
 //! Schema v9 drops v8's cost-model provenance (a per-row fingerprint and a
 //! top-level object): the partitioner has one cost source, the declared
@@ -78,8 +79,8 @@ use oil_compiler::{build, schedule, Executable};
 use oil_dsp::{Decimator, FirFilter, Mixer, RationalResampler};
 use oil_lang::registry::{FunctionRegistry, FunctionSignature};
 use oil_rt::{
-    env_metrics, env_trace, execute, execute_selftimed, execute_staticsched, DriftVerdict, Kernel,
-    KernelLibrary, MetricsConfig, MetricsReport, RtConfig, SelfTimedConfig, StaticConfig,
+    env_metrics, env_trace, execute, execute_selftimed, execute_staticsched, Kernel, KernelLibrary,
+    MetricsConfig, MetricsReport, RateVerdict, RtConfig, SelfTimedConfig, StaticConfig,
     TraceReport,
 };
 use oil_sim::{build_simulation_from_graph, picos, SimulationConfig};
@@ -122,8 +123,8 @@ struct Row {
     predicted_utilization: Vec<f64>,
     /// Metrics-measured per-worker utilization (empty with metrics off).
     measured_utilization: Vec<f64>,
-    /// The metrics registry's drift verdict for this row (`none` when
-    /// metrics are off).
+    /// The metrics' drift verdict for this row (`none` when metrics are
+    /// off or no drift window closed).
     drift: &'static str,
 }
 
@@ -177,10 +178,10 @@ fn telemetry(
 
 fn drift_tag(m: Option<&MetricsReport>) -> &'static str {
     match m.map(|m| &m.verdict) {
-        None => "none",
-        Some(DriftVerdict::Ok) => "ok",
-        Some(DriftVerdict::Degrading { .. }) => "degrading",
-        Some(DriftVerdict::Violated { .. }) => "violated",
+        None | Some(RateVerdict::Inconclusive) => "none",
+        Some(RateVerdict::Pass) => "ok",
+        Some(RateVerdict::Degrading { .. }) => "degrading",
+        Some(RateVerdict::Violated { .. }) => "violated",
     }
 }
 

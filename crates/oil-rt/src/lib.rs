@@ -30,16 +30,20 @@
 //!   of the two engines (capacity from CTA buffer sizing);
 //! * [`kernel`] — DSP-backed and synthetic kernels, mapped from coordinated
 //!   function names by a [`KernelLibrary`];
-//! * [`measure`] — per-buffer value-stream traces and wall-clock sink
-//!   throughput vs the CTA-predicted rates (rate conformance);
+//! * [`measure`] — per-buffer value-stream traces, and one rate monitor
+//!   per sink ([`SinkMonitor`]) whose one judge returns one
+//!   [`RateVerdict`]: end-of-run conformance to the CTA-predicted rate
+//!   (the steady window at a threshold) and drift (each window of a
+//!   metered run at the predicted rate);
 //! * [`trace`] — low-overhead per-worker event tracing of the two engines:
 //!   firing/seam spans, park/backpressure counters and ring high-water
 //!   marks, exported as a stable JSON summary or a Perfetto-loadable Chrome
 //!   trace. Off by default; enabling it never changes value streams;
-//! * [`metrics`] — always-on metrics registry of the two engines: lock-free
-//!   per-worker counter/histogram cells, windowed sink throughput and a live
-//!   CTA drift detector ([`metrics::DriftVerdict`]). Off by default with the
-//!   same one-branch discipline as [`trace`];
+//! * [`metrics`] — the same workers' counters without the events: work
+//!   items, busy time, a log₂ firing histogram, parks and ring waits, plus
+//!   the worst sink drift verdict. Each worker owns one probe that feeds
+//!   both [`trace`] and [`metrics`] from one clock, folded at join; off,
+//!   each instrumentation site is one branch;
 //! * [`profile`] — kernel cost calibration: measures ns/firing per
 //!   coordinated function (trimmed-median estimator), the table benchmarks
 //!   use to split a run's time into kernel work and coordination.
@@ -60,10 +64,8 @@ pub mod trace;
 
 pub use exec::{execute, RtConfig, RtReport, SinkStream};
 pub use kernel::{Kernel, KernelLibrary, SourceKernel};
-pub use measure::{
-    ConformanceVerdict, RateConformance, SinkThroughput, ThroughputMeter, ValueTrace,
-};
-pub use metrics::{env_metrics, DriftVerdict, MetricsConfig, MetricsHub, MetricsReport, WindowObs};
+pub use measure::{RateVerdict, SinkMonitor, ValueTrace, WindowObs};
+pub use metrics::{env_metrics, MetricsConfig, MetricsReport};
 pub use profile::{profile_graph, KernelCosts, ProfileConfig};
 pub use selftimed::{
     execute_selftimed, execute_selftimed_scripted, SelfTimedConfig, SelfTimedReport,

@@ -8,13 +8,18 @@
 //!   be a **prefix** of any free-running execution's trace — the value-plane
 //!   analogue of `oil_sim::trace::ExecutionTrace`'s origin-timestamp
 //!   equality, checked by `tests/selftimed_differential.rs`.
-//! * [`ThroughputMeter`] / [`RateConformance`] — wall-clock sink throughput
-//!   against the CTA-predicted rate. The paper guarantees an accepted
-//!   program *can* sustain its declared sink rates; a free-running engine
-//!   turns that into an empirical property: steady-state samples/second on
-//!   real hardware must reach a configurable fraction of the predicted
-//!   rate.
+//! * [`SinkMonitor`] — one per sink: wall-clock sink throughput against
+//!   the CTA-predicted rate. The paper guarantees an accepted program *can*
+//!   sustain its declared sink rates; a free-running engine turns that into
+//!   an empirical property. The monitor reads the clock once per
+//!   [`METER_STRIDE`] samples; one judge (`judge`) over its windows
+//!   returns one [`RateVerdict`] for both questions asked of it:
+//!   end-of-run *conformance* is the steady window (warm-up boundary to
+//!   last stamp) at a configurable fraction of the predicted rate, and
+//!   *drift* (`crate::metrics`) is each window of a metered run at the
+//!   predicted rate itself.
 
+use crate::metrics::MetricsConfig;
 use oil_sim::trace::Fnv1a;
 use std::time::Instant;
 
@@ -135,213 +140,250 @@ impl ValueTrace {
     }
 }
 
-/// Clock-read stride of a [`ThroughputMeter`]: one `Instant::now()` per
-/// this many recorded samples, so metering a multi-MS/s sink does not bake
-/// its own measurement overhead into the measured rate.
+/// Clock-read stride of a [`SinkMonitor`]: one `Instant::now()` per this
+/// many recorded samples, so monitoring a multi-MS/s sink does not bake its
+/// own measurement overhead into the measured rate.
 pub const METER_STRIDE: u64 = 16;
 
-/// Steady-state wall-clock throughput of one sink.
-///
-/// The first `warmup` samples are excluded — they measure pipeline fill,
-/// not the sustained rate — and the rate is taken over the wall-clock span
-/// between the warm-up boundary and the last clock-stamped sample (the
-/// clock is read every [`METER_STRIDE`] samples, keeping the hot sink path
-/// nearly free of timer calls).
-#[derive(Debug, Clone)]
-pub struct ThroughputMeter {
-    warmup: u64,
-    samples: u64,
-    /// Sample index and time of the warm-up boundary.
-    warm: Option<(u64, Instant)>,
-    /// Sample index and time of the most recent clock stamp.
-    last: Option<(u64, Instant)>,
-}
+/// Relative decline between consecutive windows below which the
+/// degradation streak resets (noise floor).
+pub const DEGRADE_EPSILON: f64 = 0.01;
 
-impl ThroughputMeter {
-    /// A meter excluding the first `warmup` samples from the steady-state
-    /// window.
-    pub fn new(warmup: u64) -> Self {
-        ThroughputMeter {
-            warmup,
-            samples: 0,
-            warm: None,
-            last: None,
-        }
-    }
+/// Consecutive strictly-declining windows (by more than [`DEGRADE_EPSILON`]
+/// relative) that raise [`RateVerdict::Degrading`].
+const DEGRADING_WINDOWS: usize = 3;
 
-    /// Record one consumed sample.
-    pub fn record(&mut self) {
-        self.samples += 1;
-        if self.samples <= self.warmup {
-            return;
-        }
-        match self.warm {
-            None => self.warm = Some((self.samples, Instant::now())),
-            Some((warm_idx, _)) => {
-                if (self.samples - warm_idx).is_multiple_of(METER_STRIDE) {
-                    self.last = Some((self.samples, Instant::now()));
-                }
-            }
-        }
-    }
+/// A clock stamp of a sink: samples recorded so far, and when.
+type Stamp = (u64, Instant);
 
-    /// Record `n` consumed samples delivered as one block (a fused sink
-    /// stage). Equivalent to `n` [`Self::record`] calls for the sample
-    /// count and warm-up accounting, but takes at most one clock stamp —
-    /// block consumption is only observable at block granularity anyway.
-    pub fn record_block(&mut self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.samples += n;
-        if self.samples <= self.warmup {
-            return;
-        }
-        match self.warm {
-            None => self.warm = Some((self.samples, Instant::now())),
-            Some((warm_idx, _)) => {
-                if self.samples - warm_idx >= METER_STRIDE {
-                    self.last = Some((self.samples, Instant::now()));
-                }
-            }
-        }
-    }
-
-    /// Samples recorded so far.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    /// Steady-state samples per wall-clock second, or `None` when the run
-    /// produced fewer than [`METER_STRIDE`] post-warm-up samples (no
-    /// measurable span).
-    pub fn steady_rate_hz(&self) -> Option<f64> {
-        let ((warm_idx, warm_at), (last_idx, last_at)) = (self.warm?, self.last?);
-        let span = last_at.duration_since(warm_at);
-        if span.is_zero() || last_idx <= warm_idx {
-            return None;
-        }
-        Some((last_idx - warm_idx) as f64 / span.as_secs_f64())
-    }
-}
-
-/// One sink's measured throughput against its CTA-predicted rate.
-#[derive(Debug, Clone)]
-pub struct SinkThroughput {
-    /// Sink name.
-    pub name: String,
-    /// Samples consumed.
+/// One stretch of a sink's consumption between two clock stamps.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WindowObs {
+    /// Samples the window covers.
     pub samples: u64,
-    /// The CTA-predicted (declared and analysis-validated) rate in Hz.
-    pub predicted_hz: f64,
-    /// Measured steady-state samples per wall second (`None` when the run
-    /// was too short to measure).
-    pub measured_hz: Option<f64>,
+    /// Wall time the window took, ns.
+    pub dur_ns: u64,
+    /// `samples / dur_ns`, in Hz.
+    pub observed_hz: f64,
 }
 
-impl SinkThroughput {
-    /// `measured / predicted`, or `None` when unmeasurable.
-    pub fn conformance_ratio(&self) -> Option<f64> {
-        Some(self.measured_hz? / self.predicted_hz)
-    }
-}
-
-/// The rate-conformance verdict of one execution: every sink's measured
-/// steady-state throughput must reach `threshold × predicted`.
-#[derive(Debug, Clone)]
-pub struct RateConformance {
-    /// Required fraction of the predicted rate.
-    pub threshold: f64,
-    /// Per-sink measurements.
-    pub sinks: Vec<SinkThroughput>,
-}
-
-/// The three-way outcome of a rate-conformance check. `satisfied()` alone
-/// is a trap: a run whose warmup never completed has *no* measurable sink,
-/// zero violations, and would silently pass. The verdict makes that state
-/// explicit so callers must decide what an inconclusive measurement means
-/// for them (retry with a longer horizon, usually).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConformanceVerdict {
-    /// Every sink was measured and every sink reached the threshold.
-    Pass,
-    /// At least one measured sink fell short of the threshold.
-    Fail,
-    /// No violation, but at least one sink never produced a steady-state
-    /// measurement (run too short / warmup never completed) — the check
-    /// proved nothing about that sink.
-    Inconclusive,
-}
-
-impl std::fmt::Display for ConformanceVerdict {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ConformanceVerdict::Pass => "pass",
-            ConformanceVerdict::Fail => "fail",
-            ConformanceVerdict::Inconclusive => "inconclusive",
+impl WindowObs {
+    /// The window from stamp `from` to stamp `to`; `None` when it holds no
+    /// sample or no measurable time.
+    fn between(from: Stamp, to: Stamp) -> Option<WindowObs> {
+        let samples = to.0.saturating_sub(from.0);
+        let dur_ns = to.1.duration_since(from.1).as_nanos() as u64;
+        (samples > 0 && dur_ns > 0).then(|| WindowObs {
+            samples,
+            dur_ns,
+            observed_hz: samples as f64 * 1e9 / dur_ns as f64,
         })
     }
 }
 
-impl RateConformance {
-    /// True when every measurable sink reaches the threshold. Vacuously
-    /// true when nothing was measurable — use [`Self::verdict`] to tell a
-    /// real pass from an inconclusive run.
-    pub fn satisfied(&self) -> bool {
-        self.violations().is_empty()
-    }
+/// The one verdict on a sink's rate, for end-of-run conformance and for
+/// drift alike. Ordered by severity: `Pass < Inconclusive < Degrading <
+/// Violated` ([`Self::max`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum RateVerdict {
+    /// Every judged window reached the required rate.
+    Pass,
+    /// No window fell short, but the last three declined monotonically.
+    Degrading {
+        /// The declining per-window rates (Hz), oldest first.
+        rates_hz: Vec<f64>,
+    },
+    /// A window fell below the required rate.
+    Violated {
+        /// Index of the first violating window.
+        window: usize,
+        /// That window's observed rate, Hz.
+        observed_hz: f64,
+        /// The CTA-predicted rate of the sink, Hz.
+        predicted_hz: f64,
+    },
+    /// Nothing was measured: the run never got past the warm-up plus one
+    /// clock stride, so the check proved nothing. Never a pass.
+    Inconclusive,
+}
 
-    /// The three-way outcome: [`ConformanceVerdict::Fail`] on any
-    /// violation, else [`ConformanceVerdict::Inconclusive`] when any sink
-    /// went unmeasured, else [`ConformanceVerdict::Pass`]. A graph with no
-    /// sinks at all passes — there is nothing to conform.
-    pub fn verdict(&self) -> ConformanceVerdict {
-        if !self.violations().is_empty() {
-            ConformanceVerdict::Fail
-        } else if self.sinks.iter().any(|s| s.measured_hz.is_none()) {
-            ConformanceVerdict::Inconclusive
-        } else {
-            ConformanceVerdict::Pass
+impl RateVerdict {
+    fn severity(&self) -> u8 {
+        match self {
+            RateVerdict::Pass => 0,
+            RateVerdict::Inconclusive => 1,
+            RateVerdict::Degrading { .. } => 2,
+            RateVerdict::Violated { .. } => 3,
         }
     }
 
-    /// The sinks the run never measured, rendered for failure messages.
-    pub fn inconclusive_sinks(&self) -> Vec<String> {
-        self.sinks
-            .iter()
-            .filter(|s| s.measured_hz.is_none())
-            .map(|s| {
-                format!(
-                    "sink `{}`: predicted {:.0} Hz, but the run was too short to \
-                     measure a steady-state rate",
-                    s.name, s.predicted_hz
-                )
-            })
-            .collect()
+    /// The worse of two verdicts.
+    pub fn max(self, other: RateVerdict) -> RateVerdict {
+        if other.severity() > self.severity() {
+            other
+        } else {
+            self
+        }
+    }
+}
+
+impl std::fmt::Display for RateVerdict {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RateVerdict::Pass => f.write_str("pass"),
+            RateVerdict::Inconclusive => f.write_str("inconclusive"),
+            RateVerdict::Degrading { rates_hz } => {
+                write!(f, "degrading ({} windows)", rates_hz.len())
+            }
+            RateVerdict::Violated {
+                window,
+                observed_hz,
+                predicted_hz,
+            } => write!(
+                f,
+                "violated (window {window}: {observed_hz:.0} Hz vs predicted {predicted_hz:.0} Hz)"
+            ),
+        }
+    }
+}
+
+/// Judge a sink's windows against `threshold × predicted_hz`: the first
+/// window below it is [`RateVerdict::Violated`]; with none below, a
+/// monotone decline over the last three is [`RateVerdict::Degrading`]; no
+/// window at all is [`RateVerdict::Inconclusive`]. Reads no clock.
+pub(crate) fn judge(windows: &[WindowObs], predicted_hz: f64, threshold: f64) -> RateVerdict {
+    if windows.is_empty() {
+        return RateVerdict::Inconclusive;
+    }
+    let required_hz = threshold * predicted_hz;
+    if let Some(window) = windows.iter().position(|w| w.observed_hz < required_hz) {
+        return RateVerdict::Violated {
+            window,
+            observed_hz: windows[window].observed_hz,
+            predicted_hz,
+        };
+    }
+    let tail = &windows[windows.len().saturating_sub(DEGRADING_WINDOWS)..];
+    let declining = |p: &[WindowObs]| p[1].observed_hz < p[0].observed_hz * (1.0 - DEGRADE_EPSILON);
+    if tail.len() == DEGRADING_WINDOWS && tail.windows(2).all(declining) {
+        return RateVerdict::Degrading {
+            rates_hz: tail.iter().map(|w| w.observed_hz).collect(),
+        };
+    }
+    RateVerdict::Pass
+}
+
+/// One sink's rate monitor, owned by the worker that runs the sink.
+///
+/// The first `warmup` samples are excluded — they measure pipeline fill,
+/// not the sustained rate. From the warm-up boundary on, the clock is read
+/// once per [`METER_STRIDE`] samples and never otherwise. The *steady
+/// window* runs from the boundary to the last stamp; with metrics on, the
+/// stamps also close drift windows of at least `MetricsConfig::window`
+/// samples, kept in [`Self::windows`] (a block spanning several windows
+/// closes one merged window — the rate over the merged span is what was
+/// observed). End-of-run conformance is the steady window judged at a
+/// threshold ([`Self::conformance`]); drift is each window judged at the
+/// CTA rate ([`Self::drift`]).
+#[derive(Debug, Clone)]
+pub struct SinkMonitor {
+    /// Sink name.
+    pub name: String,
+    /// The CTA-predicted (declared and analysis-validated) rate in Hz.
+    pub predicted_hz: f64,
+    /// Samples consumed.
+    pub samples: u64,
+    /// Closed drift windows, oldest first: empty unless metrics were on.
+    pub windows: Vec<WindowObs>,
+    /// Samples per drift window; 0 keeps none.
+    window: u64,
+    /// Sample count at which the next clock stamp is due.
+    due: u64,
+    /// The warm-up boundary: the first stamp.
+    origin: Option<Stamp>,
+    /// Where the open drift window started.
+    open: Option<Stamp>,
+    /// The most recent stamp after the origin.
+    last: Option<Stamp>,
+}
+
+impl SinkMonitor {
+    /// A monitor excluding the first `warmup` samples, keeping drift
+    /// windows when `metrics` is on.
+    pub(crate) fn new(
+        name: impl Into<String>,
+        predicted_hz: f64,
+        warmup: u64,
+        metrics: Option<MetricsConfig>,
+    ) -> Self {
+        SinkMonitor {
+            name: name.into(),
+            predicted_hz,
+            samples: 0,
+            windows: Vec::new(),
+            window: metrics.map_or(0, |m| m.window.max(1)),
+            due: warmup + 1,
+            origin: None,
+            open: None,
+            last: None,
+        }
     }
 
-    /// The sinks that fell short, rendered for failure messages.
-    pub fn violations(&self) -> Vec<String> {
-        self.sinks
-            .iter()
-            .filter_map(|s| {
-                let ratio = s.conformance_ratio()?;
-                if ratio < self.threshold {
-                    Some(format!(
-                        "sink `{}`: measured {:.0} Hz is {:.3}× the predicted {:.0} Hz \
-                         (threshold {:.3})",
-                        s.name,
-                        s.measured_hz.unwrap_or(0.0),
-                        ratio,
-                        s.predicted_hz,
-                        self.threshold
-                    ))
-                } else {
-                    None
-                }
-            })
-            .collect()
+    /// Record `n` consumed samples (one, or a fused stage's block).
+    #[inline]
+    pub(crate) fn record(&mut self, n: u64) {
+        self.samples += n;
+        if self.samples >= self.due {
+            self.stamp();
+        }
     }
+
+    #[cold]
+    fn stamp(&mut self) {
+        let now = (self.samples, Instant::now());
+        self.due = self.samples + METER_STRIDE;
+        let Some(open) = self.open else {
+            (self.origin, self.open) = (Some(now), Some(now));
+            return;
+        };
+        self.last = Some(now);
+        if self.window > 0 && now.0 - open.0 >= self.window {
+            self.windows.extend(WindowObs::between(open, now));
+            self.open = Some(now);
+        }
+    }
+
+    /// Close the partial drift window up to the last stamp (no clock
+    /// read: samples after it were never timed). Called once, at teardown.
+    pub(crate) fn finish(&mut self) {
+        if let (Some(open), Some(last), true) = (self.open, self.last, self.window > 0) {
+            self.windows.extend(WindowObs::between(open, last));
+        }
+    }
+
+    /// The steady window, from the warm-up boundary to the last stamp
+    /// (`None` when the run never got one stride past the boundary).
+    pub fn steady(&self) -> Option<WindowObs> {
+        WindowObs::between(self.origin?, self.last?)
+    }
+
+    /// End-of-run conformance: the steady window judged at `threshold ×`
+    /// the predicted rate.
+    pub fn conformance(&self, threshold: f64) -> RateVerdict {
+        judge(self.steady().as_slice(), self.predicted_hz, threshold)
+    }
+
+    /// Drift: every closed window judged at the predicted rate itself.
+    pub fn drift(&self) -> RateVerdict {
+        judge(&self.windows, self.predicted_hz, 1.0)
+    }
+}
+
+/// The conformance verdict of a run: the worst of its sinks' verdicts at
+/// `threshold` (see [`conformance_threshold`] for its override). A run
+/// with no sinks passes — there is nothing to conform.
+pub fn conformance(sinks: &[SinkMonitor], threshold: f64) -> RateVerdict {
+    (sinks.iter()).fold(RateVerdict::Pass, |v, s| v.max(s.conformance(threshold)))
 }
 
 /// The conformance threshold of a run: the `OIL_RT_CONFORMANCE` override
@@ -349,7 +391,8 @@ impl RateConformance {
 /// finite number > 0; anything else panics, as junk in `OIL_RT_THREADS`,
 /// `OIL_RT_FUSION` or `OIL_RT_TRACE` does: a typo silently replaced by a
 /// default enforces a threshold nobody asked for, and a NaN or negative
-/// one would turn every `ratio < threshold` check into a no-op.
+/// one would turn every `observed < threshold × predicted` check into a
+/// no-op.
 pub fn conformance_threshold(default: f64) -> f64 {
     match std::env::var("OIL_RT_CONFORMANCE") {
         Ok(raw) => parse_conformance(&raw),
@@ -413,22 +456,26 @@ mod tests {
 
     #[test]
     fn meter_measures_a_paced_stream() {
-        let mut m = ThroughputMeter::new(2);
+        let mut m = SinkMonitor::new("paced", 1000.0, 2, None);
         for _ in 0..20 {
-            m.record();
+            m.record(1);
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(m.samples(), 20);
+        assert_eq!(m.samples, 20);
         // Warm boundary at sample 3, one stamp at sample 3 + METER_STRIDE.
-        let hz = m.steady_rate_hz().expect("measurable");
+        let steady = m.steady().expect("measurable");
+        assert_eq!(steady.samples, METER_STRIDE);
         // 1 ms pacing → ~1 kHz; wide tolerance for scheduler noise.
-        assert!((50.0..20_000.0).contains(&hz), "{hz}");
+        assert!((50.0..20_000.0).contains(&steady.observed_hz), "{steady:?}");
+        assert!(
+            m.windows.is_empty(),
+            "windows are kept only with metrics on"
+        );
         // Too few post-warm-up samples for a single stride → unmeasurable.
-        let mut short = ThroughputMeter::new(2);
-        for _ in 0..(2 + METER_STRIDE) {
-            short.record();
-        }
-        assert!(short.steady_rate_hz().is_none());
+        let mut short = SinkMonitor::new("short", 1000.0, 2, None);
+        short.record(2 + METER_STRIDE);
+        assert!(short.steady().is_none());
+        assert_eq!(short.conformance(0.5), RateVerdict::Inconclusive);
     }
 
     #[test]
@@ -442,76 +489,60 @@ mod tests {
         }
     }
 
+    /// A sink whose steady window holds `samples` over 1 ms.
+    fn measured(name: &str, samples: u64) -> SinkMonitor {
+        let t0 = Instant::now();
+        SinkMonitor {
+            origin: Some((1, t0)),
+            last: Some((1 + samples, t0 + Duration::from_millis(1))),
+            ..SinkMonitor::new(name, 1000.0, 0, None)
+        }
+    }
+
     #[test]
     fn conformance_flags_slow_sinks_only() {
-        let conf = RateConformance {
-            threshold: 0.5,
-            sinks: vec![
-                SinkThroughput {
-                    name: "fast".into(),
-                    samples: 100,
-                    predicted_hz: 1000.0,
-                    measured_hz: Some(900.0),
-                },
-                SinkThroughput {
-                    name: "slow".into(),
-                    samples: 100,
-                    predicted_hz: 1000.0,
-                    measured_hz: Some(100.0),
-                },
-                SinkThroughput {
-                    name: "unmeasured".into(),
-                    samples: 1,
-                    predicted_hz: 1000.0,
-                    measured_hz: None,
-                },
-            ],
-        };
-        assert!(!conf.satisfied());
-        let v = conf.violations();
-        assert_eq!(v.len(), 1);
-        assert!(v[0].contains("slow"), "{v:?}");
-        assert_eq!(conf.verdict(), ConformanceVerdict::Fail);
-        let inc = conf.inconclusive_sinks();
-        assert_eq!(inc.len(), 1);
-        assert!(inc[0].contains("unmeasured"), "{inc:?}");
+        // 900 and 100 samples in 1 ms: 900 kHz and 100 kHz.
+        let (fast, slow) = (measured("fast", 900), measured("slow", 100));
+        assert_eq!(fast.conformance(0.5), RateVerdict::Pass);
+        match slow.conformance(500.0) {
+            RateVerdict::Violated {
+                window,
+                observed_hz,
+                predicted_hz,
+            } => {
+                assert_eq!(window, 0, "the steady window is the only one");
+                assert!((observed_hz - 1e5).abs() < 1e-6, "{observed_hz}");
+                assert_eq!(predicted_hz, 1000.0);
+            }
+            other => panic!("expected Violated, got {other:?}"),
+        }
+        // The run's verdict is its worst sink's: a violation outranks an
+        // unmeasured sink, which outranks a pass.
+        let unmeasured = SinkMonitor::new("unmeasured", 1000.0, 0, None);
+        let sinks = [fast.clone(), slow, unmeasured.clone()];
+        assert!(matches!(
+            conformance(&sinks, 500.0),
+            RateVerdict::Violated { .. }
+        ));
+        let sinks = [fast.clone(), unmeasured];
+        assert_eq!(conformance(&sinks, 500.0), RateVerdict::Inconclusive);
+        assert_eq!(conformance(&[fast], 500.0), RateVerdict::Pass);
     }
 
     #[test]
     fn unmeasured_sinks_are_inconclusive_not_a_pass() {
         // The silent no-op this guards against: warmup never completed, so
-        // no sink has a measurement, `violations()` is empty, and
-        // `satisfied()` is vacuously true — the verdict must say so.
-        let sink = |name: &str, measured_hz: Option<f64>| SinkThroughput {
-            name: name.into(),
-            samples: 1,
-            predicted_hz: 1000.0,
-            measured_hz,
-        };
-        let unmeasured = RateConformance {
-            threshold: 0.5,
-            sinks: vec![sink("a", None), sink("b", None)],
-        };
-        assert!(unmeasured.satisfied(), "vacuous by construction");
-        assert_eq!(unmeasured.verdict(), ConformanceVerdict::Inconclusive);
-        assert_eq!(unmeasured.inconclusive_sinks().len(), 2);
-
-        let measured = RateConformance {
-            threshold: 0.5,
-            sinks: vec![sink("a", Some(900.0))],
-        };
-        assert_eq!(measured.verdict(), ConformanceVerdict::Pass);
-        assert!(measured.inconclusive_sinks().is_empty());
-
+        // no sink has a measurement and no window can fall short — the
+        // verdict must say so. No clock is read here.
+        assert_eq!(judge(&[], 1000.0, 0.5), RateVerdict::Inconclusive);
+        let mut never_warm = SinkMonitor::new("a", 1000.0, 64, None);
+        never_warm.record(64);
+        assert_eq!(never_warm.steady(), None);
+        assert_eq!(never_warm.conformance(0.5), RateVerdict::Inconclusive);
+        let sinks = [never_warm.clone(), never_warm];
+        assert_eq!(conformance(&sinks, 0.5), RateVerdict::Inconclusive);
         // No sinks at all: nothing to conform, a genuine pass.
-        let empty = RateConformance {
-            threshold: 0.5,
-            sinks: Vec::new(),
-        };
-        assert_eq!(empty.verdict(), ConformanceVerdict::Pass);
-        assert_eq!(
-            format!("{}", ConformanceVerdict::Inconclusive),
-            "inconclusive"
-        );
+        assert_eq!(conformance(&[], 0.5), RateVerdict::Pass);
+        assert_eq!(RateVerdict::Inconclusive.to_string(), "inconclusive");
     }
 }

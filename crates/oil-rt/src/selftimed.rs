@@ -57,10 +57,10 @@
 
 use crate::exec::{SinkStream, SINK_STREAM_CAP};
 use crate::kernel::{Kernel, KernelLibrary, SourceKernel};
-use crate::measure::{BufferValues, RateConformance, SinkThroughput, ThroughputMeter, ValueTrace};
-use crate::metrics::{MetricsConfig, MetricsHub, MetricsReport, SinkMonitor};
+use crate::measure::{BufferValues, SinkMonitor, ValueTrace};
+use crate::metrics::{MetricsConfig, MetricsReport};
 use crate::ring::{self, Consumer, Producer};
-use crate::trace::{EventKind, RingStat, TraceReport, WorkerTracer};
+use crate::trace::{EventKind, Probe, RingStat, TraceReport};
 use oil_compiler::rtgraph::{RtGraph, RtNodeId, RtPlan, RtSinkId, RtSourceId};
 use oil_compiler::schedule::{
     modal_admission, mode_dependent_rates, plan_mode_sequence, ModeScript,
@@ -94,9 +94,9 @@ pub struct SelfTimedConfig {
     /// instrumentation point; recording writes only worker-local memory,
     /// so value streams are bit-identical either way.
     pub trace: bool,
-    /// Run with the always-on metrics registry ([`crate::metrics`]):
-    /// per-worker counter/histogram cells, windowed sink throughput and
-    /// the CTA drift detector. Same overhead discipline as `trace`.
+    /// Run with metrics ([`crate::metrics`]): per-worker counters and
+    /// histograms, and drift windows on every sink monitor. Same overhead
+    /// discipline as `trace`, through the same per-worker probe.
     pub metrics: Option<MetricsConfig>,
 }
 
@@ -123,9 +123,10 @@ pub struct SelfTimedReport {
     /// Per sink: the output sample streams (`misses` is always 0 — a
     /// free-running engine has no deadlines, only throughput).
     pub sinks: Vec<SinkStream>,
-    /// Per sink: measured steady-state throughput vs the CTA-predicted
-    /// rate.
-    pub throughput: Vec<SinkThroughput>,
+    /// Per sink: its rate monitor — steady-state throughput against the
+    /// CTA-predicted rate (`measure::conformance`) and, with metrics on,
+    /// its drift windows.
+    pub throughput: Vec<SinkMonitor>,
     /// Per node: (name, completed firings), in node-id order.
     pub node_firings: Vec<(String, u64)>,
     /// Per source: (name, samples generated).
@@ -152,7 +153,7 @@ pub struct SelfTimedReport {
     /// Per-worker event tracks and ring telemetry (`Some` iff
     /// [`SelfTimedConfig::trace`]).
     pub trace_report: Option<TraceReport>,
-    /// Merged metric cells, per-sink windows and the drift verdict
+    /// The workers' folded counters and the worst sink drift verdict
     /// (`Some` iff [`SelfTimedConfig::metrics`]).
     pub metrics: Option<MetricsReport>,
 }
@@ -164,15 +165,6 @@ impl SelfTimedReport {
             .iter()
             .find(|s| s.name.contains(name))
             .map(|s| s.values.as_slice())
-    }
-
-    /// The rate-conformance verdict at `threshold` (see
-    /// [`crate::measure::conformance_threshold`] for its override).
-    pub fn conformance(&self, threshold: f64) -> RateConformance {
-        RateConformance {
-            threshold,
-            sinks: self.throughput.clone(),
-        }
     }
 }
 
@@ -210,12 +202,8 @@ enum Unit {
         id: RtSinkId,
         input: usize,
         batch: u32,
-        consumed: u64,
         values: Vec<f64>,
-        meter: ThroughputMeter,
-        /// `Some` iff metrics are on: the drift detector's windowing
-        /// monitor for this sink.
-        monitor: Option<SinkMonitor>,
+        monitor: SinkMonitor,
     },
     /// A modal-admissible non-uniform cluster driven by a mode script:
     /// every firing pops the union of all members' aggregated reads
@@ -277,12 +265,9 @@ struct WorkerBufs {
     record_values: bool,
     tokens: u64,
     scratch: Vec<f64>,
-    /// `Some` iff [`SelfTimedConfig::trace`]: worker-local event buffer
-    /// plus ring high-water marks.
-    trace: Option<WorkerTracer>,
-    /// `Some` iff [`SelfTimedConfig::metrics`]: the shared hub plus this
-    /// worker's index, for its metric cell.
-    metrics: Option<(Arc<MetricsHub>, usize)>,
+    /// `Some` iff tracing or metrics are on: this worker's counters and
+    /// (when tracing) events and ring high-water marks.
+    probe: Option<Probe>,
 }
 
 impl WorkerBufs {
@@ -312,11 +297,10 @@ impl WorkerBufs {
         if !self.unread[b] {
             let p = self.prods[b].as_mut().expect("producer endpoint is owned");
             p.push(value).expect("space was checked before the firing");
-            if let Some(t) = self.trace.as_mut() {
+            if let Some(probe) = self.probe.as_mut() {
                 // Post-push occupancy: a concurrent consumer drain only
                 // lowers it, so the mark never over-reports.
-                let level = p.len();
-                t.note_level(b, level);
+                probe.note_level(b, || p.len());
             }
         }
         if self.record_values {
@@ -494,13 +478,11 @@ fn run_unit(unit: &mut Unit, w: &mut WorkerBufs, control: &Control) -> bool {
         Unit::Sink {
             input,
             batch,
-            consumed,
             values,
-            meter,
             monitor,
             ..
         } => {
-            let mut drained = 0u64;
+            let mut drained = false;
             for _ in 0..(*batch).max(8) {
                 let Some(v) = w.cons[*input]
                     .as_mut()
@@ -509,22 +491,13 @@ fn run_unit(unit: &mut Unit, w: &mut WorkerBufs, control: &Control) -> bool {
                 else {
                     break;
                 };
-                *consumed += 1;
-                meter.record();
-                if let Some(m) = monitor.as_mut() {
-                    m.record();
-                }
+                monitor.record(1);
                 if values.len() < SINK_STREAM_CAP {
                     values.push(v);
                 }
-                drained += 1;
+                drained = true;
             }
-            if drained > 0 {
-                if let Some((h, wi)) = w.metrics.as_ref() {
-                    h.cell(*wi).record_sink(drained);
-                }
-            }
-            drained > 0
+            drained
         }
         Unit::Modal {
             members,
@@ -560,8 +533,8 @@ fn run_unit(unit: &mut Unit, w: &mut WorkerBufs, control: &Control) -> bool {
                 let arm = script.arm_at(*fired).min(members.len() as u32 - 1);
                 if *last_arm != u32::MAX && arm != *last_arm {
                     *switches += 1;
-                    if let Some(t) = w.trace.as_mut() {
-                        t.instant(EventKind::ModeSwitch, arm);
+                    if let Some(p) = w.probe.as_mut() {
+                        p.instant(EventKind::ModeSwitch, arm);
                     }
                 }
                 *last_arm = arm;
@@ -633,8 +606,8 @@ fn run_modal_dependent(
         }
         if *last_arm != u32::MAX && mode != *last_arm {
             *switches += 1;
-            if let Some(t) = w.trace.as_mut() {
-                t.instant(EventKind::ModeSwitch, mode);
+            if let Some(p) = w.probe.as_mut() {
+                p.instant(EventKind::ModeSwitch, mode);
             }
         }
         *last_arm = mode;
@@ -646,10 +619,7 @@ fn run_modal_dependent(
         if seam {
             dep.transition_firings += 1;
         }
-        let seam_t0 = match (seam, w.trace.as_ref()) {
-            (true, Some(t)) => Some(t.now_ns()),
-            _ => None,
-        };
+        let seam_t0 = w.probe.as_ref().filter(|_| seam).map(Probe::now_ns);
         w.scratch.clear();
         for ri in 0..members[mode as usize].reads.len() {
             let (b, c) = members[mode as usize].reads[ri];
@@ -670,9 +640,8 @@ fn run_modal_dependent(
         }
         members[mode as usize].fired += 1;
         *fired += 1;
-        if let Some(start) = seam_t0 {
-            let t = w.trace.as_mut().expect("tracer outlives the run");
-            t.span(EventKind::Seam, (mode << 16) | scripted, start);
+        if let (Some(p), Some(start)) = (w.probe.as_mut(), seam_t0) {
+            p.span(EventKind::Seam, (mode << 16) | scripted, start);
         }
         dep.period_left -= 1;
         if dep.period_left == 0 {
@@ -695,34 +664,7 @@ struct WorkerOut {
     units: Vec<Unit>,
     recorders: Vec<Option<BufferValues>>,
     tokens: u64,
-    trace: Option<WorkerTracer>,
-}
-
-/// Timestamp origin for a unit pass — `Some` when any instrumentation is
-/// on (the tracer's clock when tracing, so span and histogram agree).
-#[inline]
-fn scan_t0(bufs: &WorkerBufs) -> Option<u64> {
-    match (&bufs.trace, &bufs.metrics) {
-        (Some(t), _) => Some(t.now_ns()),
-        (None, Some((h, _))) => Some(h.now_ns()),
-        (None, None) => None,
-    }
-}
-
-/// Close a productive unit pass opened at `start`: a trace span when
-/// tracing, a firing-histogram sample in the worker's cell when metering.
-#[inline]
-fn note_pass(bufs: &mut WorkerBufs, unit: u32, start: u64) {
-    if let Some((h, wi)) = bufs.metrics.as_ref() {
-        let now = match bufs.trace.as_ref() {
-            Some(t) => t.now_ns(),
-            None => h.now_ns(),
-        };
-        h.cell(*wi).record_firing(now.saturating_sub(start));
-    }
-    if let Some(t) = bufs.trace.as_mut() {
-        t.span(EventKind::Firing, unit, start);
-    }
+    probe: Option<Probe>,
 }
 
 /// Extra empty-scan → rescan rounds (with a `yield_now` between) before a
@@ -741,14 +683,12 @@ fn worker_loop(
         let scan = |units: &mut Vec<Unit>, bufs: &mut WorkerBufs| -> bool {
             let mut fired = false;
             for (ui, unit) in units.iter_mut().enumerate() {
-                let t0 = scan_t0(bufs);
+                let t0 = bufs.probe.as_ref().map(Probe::now_ns);
                 let f = run_unit(unit, bufs, control);
-                if f {
-                    if let Some(start) = t0 {
-                        // One span per productive pass: it covers the
-                        // unit's whole batched burst, attributed by label.
-                        note_pass(bufs, ui as u32, start);
-                    }
+                if let (Some(p), Some(start), true) = (bufs.probe.as_mut(), t0, f) {
+                    // One work item per productive pass: it covers the
+                    // unit's whole batched burst, attributed by label.
+                    p.work(EventKind::Firing, ui as u32, start);
                 }
                 fired |= f;
             }
@@ -810,8 +750,8 @@ fn worker_loop(
             control.idle.fetch_sub(1, Ordering::SeqCst);
             control.cv.notify_all();
             drop(guard);
-            if let Some(t) = bufs.trace.as_mut() {
-                t.instant(EventKind::Census, deadlocked as u32);
+            if let Some(p) = bufs.probe.as_mut() {
+                p.instant(EventKind::Census, deadlocked as u32);
             }
             break;
         }
@@ -822,38 +762,21 @@ fn worker_loop(
         // re-register at the current generation and complete the census
         // itself.
         control.parks.fetch_add(1, Ordering::Relaxed);
-        if let Some((h, wi)) = bufs.metrics.as_ref() {
-            h.cell(*wi).record_park();
-        }
-        let park_t0 = scan_t0(&bufs);
+        let park_t0 = bufs.probe.as_ref().map(Probe::now_ns);
         while control.gen.load(Ordering::SeqCst) == g0 && !control.done.load(Ordering::SeqCst) {
             guard = control.cv.wait(guard).expect("control mutex poisoned");
         }
         control.idle.fetch_sub(1, Ordering::SeqCst);
         drop(guard);
-        if let Some(start) = park_t0 {
-            // A park is this engine's backpressure: nothing the worker owns
-            // was fireable until a peer's firing made progress possible.
-            if let Some((h, wi)) = bufs.metrics.as_ref() {
-                let now = match bufs.trace.as_ref() {
-                    Some(t) => t.now_ns(),
-                    None => h.now_ns(),
-                };
-                h.cell(*wi).record_backpressure(now.saturating_sub(start));
-            }
-            if let Some(t) = bufs.trace.as_mut() {
-                t.parks += 1;
-                t.unparks += 1;
-                t.span(EventKind::Park, 0, start);
-                t.instant(EventKind::Unpark, 0);
-            }
+        if let (Some(p), Some(start)) = (bufs.probe.as_mut(), park_t0) {
+            p.park(start);
         }
     }
     WorkerOut {
         units,
         recorders: bufs.recorders,
         tokens: bufs.tokens,
-        trace: bufs.trace,
+        probe: bufs.probe,
     }
 }
 
@@ -1105,10 +1028,13 @@ fn execute_inner(
             id: i,
             input: s.input.index(),
             batch: plan.sink_batch[i],
-            consumed: 0,
             values: Vec::new(),
-            meter: ThroughputMeter::new(config.warmup_samples),
-            monitor: None, // registered below, once the hub knows `threads`
+            monitor: SinkMonitor::new(
+                s.name.clone(),
+                s.period.recip().to_f64(),
+                config.warmup_samples,
+                config.metrics,
+            ),
         });
     }
 
@@ -1125,25 +1051,12 @@ fn execute_inner(
     }
     .min(units.len())
     .max(1);
-    // The metrics hub needs the final worker count; register each sink's
-    // drift monitor now that it exists.
-    let hub: Option<Arc<MetricsHub>> = config
-        .metrics
-        .map(|m| MetricsHub::new("selftimed", threads, m));
-    if let Some(h) = hub.as_ref() {
-        for unit in units.iter_mut() {
-            if let Unit::Sink { id, monitor, .. } = unit {
-                let s = &graph.sinks[*id];
-                *monitor = Some(h.sink_monitor(s.name.clone(), s.period.recip().to_f64()));
-            }
-        }
-    }
     let assignment = partition_units(graph, plan, &units, threads);
 
     // --- Distribute endpoints and recorders to the owning workers.
     let mut worker_units: Vec<Vec<Unit>> = (0..threads).map(|_| Vec::new()).collect();
     let mut worker_bufs: Vec<WorkerBufs> = (0..threads)
-        .map(|w| WorkerBufs {
+        .map(|_| WorkerBufs {
             prods: (0..n_buffers).map(|_| None).collect(),
             cons: (0..n_buffers).map(|_| None).collect(),
             recorders: (0..n_buffers).map(|_| None).collect(),
@@ -1152,9 +1065,9 @@ fn execute_inner(
             record_values: config.record_values,
             tokens: 0,
             scratch: Vec::new(),
-            // All tracers share one epoch so the merged tracks align.
-            trace: config.trace.then(|| WorkerTracer::new(started, n_buffers)),
-            metrics: hub.as_ref().map(|h| (Arc::clone(h), w)),
+            // All probes share one epoch so the merged tracks align.
+            probe: (config.trace || config.metrics.is_some())
+                .then(|| Probe::new(started, n_buffers, config.trace)),
         })
         .collect();
     // Per worker, the display label of each local unit (trace attribution),
@@ -1249,23 +1162,12 @@ fn execute_inner(
         .map(|s| (s.name.clone(), 0u64))
         .collect();
     let mut sinks: Vec<Option<SinkStream>> = (0..graph.sinks.len()).map(|_| None).collect();
-    let mut throughput: Vec<Option<SinkThroughput>> =
-        (0..graph.sinks.len()).map(|_| None).collect();
+    let mut throughput: Vec<Option<SinkMonitor>> = (0..graph.sinks.len()).map(|_| None).collect();
     let mut mode_switches = 0u64;
     let mut transition_firings = 0u64;
-    let mut trace_report = config.trace.then(|| TraceReport::new("selftimed", threads));
-    let mut ring_hw: Vec<u32> = vec![0; n_buffers];
-    for (w, out) in outs.into_iter().enumerate() {
-        if let (Some(tr), Some(t)) = (trace_report.as_mut(), out.trace) {
-            let hw = tr.push_track(
-                format!("worker-{w}"),
-                std::mem::take(&mut worker_labels[w]),
-                t,
-            );
-            for (b, h) in hw.into_iter().enumerate() {
-                ring_hw[b] = ring_hw[b].max(h);
-            }
-        }
+    let mut probes = Vec::with_capacity(threads);
+    for out in outs {
+        probes.extend(out.probe);
         tokens += out.tokens;
         for (b, r) in out.recorders.into_iter().enumerate() {
             if let Some(r) = r {
@@ -1284,31 +1186,19 @@ fn execute_inner(
                 }
                 Unit::Sink {
                     id,
-                    consumed,
                     values,
-                    meter,
-                    monitor,
+                    mut monitor,
                     ..
                 } => {
-                    // Flush the drift detector's partial tail window before
-                    // the snapshot below.
-                    if let Some(m) = monitor {
-                        m.finish();
-                    }
-                    let s = &graph.sinks[id];
+                    monitor.finish();
                     sinks[id.index()] = Some(SinkStream {
-                        name: s.name.clone(),
-                        consumed,
+                        name: monitor.name.clone(),
+                        consumed: monitor.samples,
                         misses: 0,
                         max_latency: 0.0,
                         values,
                     });
-                    throughput[id.index()] = Some(SinkThroughput {
-                        name: s.name.clone(),
-                        samples: consumed,
-                        predicted_hz: s.period.recip().to_f64(),
-                        measured_hz: meter.steady_rate_hz(),
-                    });
+                    throughput[id.index()] = Some(monitor);
                 }
                 Unit::Modal {
                     members,
@@ -1325,7 +1215,13 @@ fn execute_inner(
             }
         }
     }
-    if let Some(tr) = trace_report.as_mut() {
+    let throughput: Vec<SinkMonitor> = throughput
+        .into_iter()
+        .map(|t| t.expect("every sink ran"))
+        .collect();
+    let metrics = (config.metrics).map(|_| MetricsReport::fold("selftimed", &probes, &throughput));
+    let trace_report = config.trace.then(|| {
+        let (mut tr, ring_hw) = TraceReport::fold("selftimed", probes, worker_labels);
         tr.rings = graph
             .buffers
             .iter()
@@ -1341,7 +1237,8 @@ fn execute_inner(
                 },
             })
             .collect();
-    }
+        tr
+    });
     SelfTimedReport {
         threads,
         values: ValueTrace {
@@ -1358,10 +1255,7 @@ fn execute_inner(
             .into_iter()
             .map(|s| s.expect("every sink ran"))
             .collect(),
-        throughput: throughput
-            .into_iter()
-            .map(|t| t.expect("every sink measured"))
-            .collect(),
+        throughput,
         node_firings,
         sources: source_samples,
         deadlocked: control.deadlocked.load(Ordering::SeqCst),
@@ -1372,7 +1266,7 @@ fn execute_inner(
         mode_switches,
         transition_firings,
         trace_report,
-        metrics: hub.as_ref().map(|h| h.snapshot()),
+        metrics,
     }
 }
 

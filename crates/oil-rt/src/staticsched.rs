@@ -55,10 +55,10 @@
 
 use crate::exec::{SinkStream, SINK_STREAM_CAP};
 use crate::kernel::{Kernel, KernelLibrary, SourceKernel};
-use crate::measure::{BufferValues, RateConformance, SinkThroughput, ThroughputMeter, ValueTrace};
-use crate::metrics::{MetricCell, MetricsConfig, MetricsHub, MetricsReport, SinkMonitor};
+use crate::measure::{BufferValues, SinkMonitor, ValueTrace};
+use crate::metrics::{MetricsConfig, MetricsReport};
 use crate::ring::{self, Consumer, Producer, WaitStats};
-use crate::trace::{unit_label, EventKind, RingStat, TraceReport, WorkerTracer};
+use crate::trace::{unit_label, EventKind, Probe, RingStat, TraceReport};
 use oil_compiler::rtgraph::RtGraph;
 use oil_compiler::schedule::{
     modal_member_access, plan_mode_sequence, FusionStats, ModePlan, ModeScript, StaticSchedule,
@@ -83,10 +83,10 @@ pub struct StaticConfig {
     /// instrumentation point; recording writes only worker-local memory,
     /// so value streams are bit-identical either way.
     pub trace: bool,
-    /// Run with the always-on metrics registry ([`crate::metrics`]):
-    /// per-worker counter/histogram cells, windowed sink throughput and
-    /// the CTA drift detector. Same overhead discipline as `trace`: off is
-    /// a single predictable branch per instrumentation point, and enabling
+    /// Run with metrics ([`crate::metrics`]): per-worker counters and
+    /// histograms, and drift windows on every sink monitor. Same overhead
+    /// discipline as `trace`, through the same per-worker probe: off is a
+    /// single predictable branch per instrumentation point, and enabling
     /// it never changes value streams.
     pub metrics: Option<MetricsConfig>,
 }
@@ -111,9 +111,10 @@ pub struct StaticReport {
     pub values: ValueTrace,
     /// Per sink: the output sample streams.
     pub sinks: Vec<SinkStream>,
-    /// Per sink: measured steady-state throughput vs the CTA-predicted
-    /// rate.
-    pub throughput: Vec<SinkThroughput>,
+    /// Per sink: its rate monitor — steady-state throughput against the
+    /// CTA-predicted rate (`measure::conformance`) and, with metrics on,
+    /// its drift windows.
+    pub throughput: Vec<SinkMonitor>,
     /// Per node: (name, completed firings), in node-id order. Non-
     /// representative cluster members report 0, exactly as under the
     /// dynamic engines' deterministic tie-break; modal arms report the
@@ -150,7 +151,7 @@ pub struct StaticReport {
     /// Per-worker event tracks, ring telemetry and compile-phase timing
     /// (`Some` iff [`StaticConfig::trace`]).
     pub trace_report: Option<TraceReport>,
-    /// Merged metric cells, per-sink windows and the drift verdict
+    /// The workers' folded counters and the worst sink drift verdict
     /// (`Some` iff [`StaticConfig::metrics`]).
     pub metrics: Option<MetricsReport>,
 }
@@ -162,15 +163,6 @@ impl StaticReport {
             .iter()
             .find(|s| s.name.contains(name))
             .map(|s| s.values.as_slice())
-    }
-
-    /// The rate-conformance verdict at `threshold` (see
-    /// [`crate::measure::conformance_threshold`] for its override).
-    pub fn conformance(&self, threshold: f64) -> RateConformance {
-        RateConformance {
-            threshold,
-            sinks: self.throughput.clone(),
-        }
     }
 }
 
@@ -282,12 +274,8 @@ enum UnitState {
     Sink {
         sink: usize,
         input: usize,
-        consumed: u64,
         values: Vec<f64>,
-        meter: ThroughputMeter,
-        /// `Some` iff metrics are on: the drift detector's windowing
-        /// monitor for this sink.
-        monitor: Option<SinkMonitor>,
+        monitor: SinkMonitor,
     },
     /// A **union-advance** modal unit: one arm per cluster member, the
     /// script dispatching per firing. Every firing pops the union of all
@@ -393,103 +381,29 @@ struct BufIo {
     recorders: Vec<Option<BufferValues>>,
     record_values: bool,
     tokens: u64,
-    /// `Some` iff [`StaticConfig::trace`]: worker-local event buffer plus
-    /// ring high-water marks. Disjoint from `slots`, so wait observation
-    /// and level notes borrow alongside the ring endpoints.
-    trace: Option<WorkerTracer>,
-    /// `Some` iff [`StaticConfig::metrics`]: the shared hub plus this
-    /// worker's identity, for attributing blocked waits and work-item
-    /// durations to the worker's metric cell.
-    metrics: Option<MetricsIo>,
+    /// `Some` iff tracing or metrics are on: this worker's counters, wait
+    /// statistics and (when tracing) events and ring high-water marks.
+    /// Disjoint from `slots`, so wait observation and level notes borrow
+    /// alongside the ring endpoints.
+    probe: Option<Probe>,
 }
 
-/// One worker's handle on the metrics registry.
-struct MetricsIo {
-    hub: Arc<MetricsHub>,
-    worker: usize,
-    /// Wait accounting for the metrics-only case; when tracing too, the
-    /// tracer's own stats are the observation point instead (one counter,
-    /// never double-counted).
-    wait: WaitStats,
-}
-
-impl MetricsIo {
-    #[inline]
-    fn cell(&self) -> &MetricCell {
-        self.hub.cell(self.worker)
-    }
-}
-
-/// Cumulative observed blocked-wait ns so far: the tracer's stats when
-/// tracing, else the metrics-side stats, else 0 (nothing observes waits).
+/// Run a blocking ring call on buffer `b` with its wait observed by the
+/// probe, when there is one (without, the ring skips timing entirely).
 #[inline]
-fn blocked_ns(trace: &Option<WorkerTracer>, metrics: &Option<MetricsIo>) -> u64 {
-    match (trace, metrics) {
-        (Some(t), _) => t.wait.wait_ns,
-        (None, Some(m)) => m.wait.wait_ns,
-        (None, None) => 0,
-    }
-}
-
-/// The wait-stats observation point for a blocking ring call (`None` when
-/// neither tracing nor metering — the ring skips timing entirely).
-#[inline]
-fn wait_stats<'a>(
-    trace: &'a mut Option<WorkerTracer>,
-    metrics: &'a mut Option<MetricsIo>,
-) -> Option<&'a mut WaitStats> {
-    match (trace.as_mut(), metrics.as_mut()) {
-        (Some(t), _) => Some(&mut t.wait),
-        (None, Some(m)) => Some(&mut m.wait),
-        (None, None) => None,
-    }
-}
-
-/// Attribute a completed observed wait (its duration = observed ns now
-/// minus `before`) to the trace backpressure track and the metric cell.
-#[inline]
-fn observe_wait(
-    trace: &mut Option<WorkerTracer>,
-    metrics: &Option<MetricsIo>,
+fn observed<R>(
+    probe: &mut Option<Probe>,
     b: usize,
-    before: u64,
-) {
-    let dur = blocked_ns(&*trace, metrics) - before;
-    if dur == 0 {
-        return;
-    }
-    if let Some(t) = trace.as_mut() {
-        t.backpressure(b as u32, dur);
-    }
-    if let Some(m) = metrics {
-        m.cell().record_backpressure(dur);
-    }
-}
-
-/// Timestamp origin for a work item — `Some` when any instrumentation is
-/// on (the tracer's clock when tracing, so span and histogram agree).
-#[inline]
-fn work_t0(io: &BufIo) -> Option<u64> {
-    match (&io.trace, &io.metrics) {
-        (Some(t), _) => Some(t.now_ns()),
-        (None, Some(m)) => Some(m.hub.now_ns()),
-        (None, None) => None,
-    }
-}
-
-/// Close a work item opened at `start`: a trace span when tracing, a
-/// firing-histogram sample in the worker's metric cell when metering.
-#[inline]
-fn note_work(io: &mut BufIo, kind: EventKind, unit: u32, start: u64) {
-    if let Some(m) = io.metrics.as_ref() {
-        let now = match io.trace.as_ref() {
-            Some(t) => t.now_ns(),
-            None => m.hub.now_ns(),
-        };
-        m.cell().record_firing(now.saturating_sub(start));
-    }
-    if let Some(t) = io.trace.as_mut() {
-        t.span(kind, unit, start);
+    call: impl FnOnce(Option<&mut WaitStats>) -> R,
+) -> R {
+    match probe {
+        None => call(None),
+        Some(p) => {
+            let before = p.wait.wait_ns;
+            let r = call(Some(&mut p.wait));
+            p.waited(b, before);
+            r
+        }
     }
 }
 
@@ -498,22 +412,10 @@ impl BufIo {
     fn pop(&mut self, b: usize, abort: &AtomicBool) -> f64 {
         match &mut self.slots[b] {
             Slot::Local(q) => q.pop(),
-            Slot::Cons(rx) => {
-                if self.trace.is_none() && self.metrics.is_none() {
-                    rx.pop_wait(|| abort.load(Ordering::Relaxed))
-                        .expect("peer worker aborted mid-schedule")
-                } else {
-                    let before = blocked_ns(&self.trace, &self.metrics);
-                    let v = rx
-                        .pop_wait_observed(
-                            || abort.load(Ordering::Relaxed),
-                            wait_stats(&mut self.trace, &mut self.metrics),
-                        )
-                        .expect("peer worker aborted mid-schedule");
-                    observe_wait(&mut self.trace, &self.metrics, b, before);
-                    v
-                }
-            }
+            Slot::Cons(rx) => observed(&mut self.probe, b, |stats| {
+                rx.pop_wait_observed(|| abort.load(Ordering::Relaxed), stats)
+            })
+            .expect("peer worker aborted mid-schedule"),
             _ => unreachable!("read from a buffer this worker does not consume"),
         }
     }
@@ -529,36 +431,21 @@ impl BufIo {
         match &mut self.slots[b] {
             Slot::Local(q) => {
                 q.push(value);
-                if let Some(t) = self.trace.as_mut() {
-                    t.note_level(b, q.len());
+                if let Some(p) = self.probe.as_mut() {
+                    p.note_level(b, || q.len());
                 }
             }
             Slot::Prod(tx) => {
-                if self.trace.is_none() && self.metrics.is_none() {
-                    if tx
-                        .push_wait(value, || abort.load(Ordering::Relaxed))
-                        .is_err()
-                    {
-                        panic!("peer worker aborted mid-schedule");
-                    }
-                } else {
-                    let before = blocked_ns(&self.trace, &self.metrics);
-                    if tx
-                        .push_wait_observed(
-                            value,
-                            || abort.load(Ordering::Relaxed),
-                            wait_stats(&mut self.trace, &mut self.metrics),
-                        )
-                        .is_err()
-                    {
-                        panic!("peer worker aborted mid-schedule");
-                    }
-                    observe_wait(&mut self.trace, &self.metrics, b, before);
-                    if let Some(t) = self.trace.as_mut() {
-                        // Post-push occupancy: the consumer may already have
-                        // drained, so this never over-reports.
-                        t.note_level(b, tx.len());
-                    }
+                let pushed = observed(&mut self.probe, b, |stats| {
+                    tx.push_wait_observed(value, || abort.load(Ordering::Relaxed), stats)
+                });
+                if pushed.is_err() {
+                    panic!("peer worker aborted mid-schedule");
+                }
+                if let Some(p) = self.probe.as_mut() {
+                    // Post-push occupancy: the consumer may already have
+                    // drained, so this never over-reports.
+                    p.note_level(b, || tx.len());
                 }
             }
             Slot::Sunk => {}
@@ -571,15 +458,12 @@ impl BufIo {
     fn pop_block(&mut self, b: usize, n: usize, scratch: &mut Vec<f64>, abort: &AtomicBool) {
         match &mut self.slots[b] {
             Slot::Local(q) => q.pop_block(n, scratch),
-            Slot::Cons(rx) => {
-                // One block transfer; waits are observed once per block,
-                // and not at all when nothing observes them.
-                let before = blocked_ns(&self.trace, &self.metrics);
-                let stats = wait_stats(&mut self.trace, &mut self.metrics);
+            // One block transfer; waits are observed once per block, and
+            // not at all when nothing observes them.
+            Slot::Cons(rx) => observed(&mut self.probe, b, |stats| {
                 rx.pop_slice(n, scratch, || abort.load(Ordering::Relaxed), stats)
-                    .expect("peer worker aborted mid-schedule");
-                observe_wait(&mut self.trace, &self.metrics, b, before);
-            }
+            })
+            .expect("peer worker aborted mid-schedule"),
             _ => unreachable!("read from a buffer this worker does not consume"),
         }
     }
@@ -613,18 +497,17 @@ impl BufIo {
         match &mut self.slots[b] {
             Slot::Local(q) => {
                 q.push_block(values);
-                if let Some(t) = self.trace.as_mut() {
-                    t.note_level(b, q.len());
+                if let Some(p) = self.probe.as_mut() {
+                    p.note_level(b, || q.len());
                 }
             }
             Slot::Prod(tx) => {
-                let before = blocked_ns(&self.trace, &self.metrics);
-                let stats = wait_stats(&mut self.trace, &mut self.metrics);
-                tx.push_slice(values, || abort.load(Ordering::Relaxed), stats)
-                    .expect("peer worker aborted mid-schedule");
-                observe_wait(&mut self.trace, &self.metrics, b, before);
-                if let Some(t) = self.trace.as_mut() {
-                    t.note_level(b, tx.len());
+                observed(&mut self.probe, b, |stats| {
+                    tx.push_slice(values, || abort.load(Ordering::Relaxed), stats)
+                })
+                .expect("peer worker aborted mid-schedule");
+                if let Some(p) = self.probe.as_mut() {
+                    p.note_level(b, || tx.len());
                 }
             }
             Slot::Sunk => {}
@@ -656,7 +539,7 @@ struct WorkerOut {
     units: Vec<UnitState>,
     recorders: Vec<Option<BufferValues>>,
     tokens: u64,
-    trace: Option<WorkerTracer>,
+    probe: Option<Probe>,
 }
 
 impl Worker {
@@ -671,11 +554,11 @@ impl Worker {
         let out_buf = &mut self.out_buf;
         let mut prev: Option<u32> = None;
         for &(mode, periods) in self.plan.iter() {
-            if let (Some(p), Some(t)) = (prev, io.trace.as_mut()) {
+            if let (Some(from), Some(p)) = (prev, io.probe.as_mut()) {
                 // The periods abut at a boundary, so the seam span is an
                 // empty marker; its arg packs the (from, to) mode pair.
-                t.span(EventKind::Seam, (p << 16) | mode, t.now_ns());
-                t.instant(EventKind::ModeSwitch, mode);
+                p.span(EventKind::Seam, (from << 16) | mode, p.now_ns());
+                p.instant(EventKind::ModeSwitch, mode);
             }
             prev = Some(mode);
             let row = &self.rows[mode as usize];
@@ -689,12 +572,12 @@ impl Worker {
                 for work in &row.items {
                     match work {
                         CompiledWork::Step(step) if it < step.iters => {
-                            let t0 = work_t0(io);
+                            let t0 = io.probe.as_ref().map(Probe::now_ns);
                             let unit = &mut self.units[step.unit as usize];
                             let times = step.times as usize * pass as usize;
                             fire_step(unit, times, io, scratch, out_buf, abort);
-                            if let Some(start) = t0 {
-                                note_work(io, EventKind::Firing, step.unit, start);
+                            if let (Some(p), Some(start)) = (io.probe.as_mut(), t0) {
+                                p.work(EventKind::Firing, step.unit, start);
                             }
                         }
                         // A whole-component run (single-row tables only)
@@ -703,11 +586,11 @@ impl Worker {
                         CompiledWork::Fused(f)
                             if it < f.iters && (f.batch == 1 || it.is_multiple_of(f.batch)) =>
                         {
-                            let t0 = work_t0(io);
+                            let t0 = io.probe.as_ref().map(Probe::now_ns);
                             let reps = (pass * f.batch.min(f.iters - it)) as usize;
                             run_fused(f, reps, &mut self.units, io, scratch, out_buf, abort);
-                            if let Some(start) = t0 {
-                                note_work(io, EventKind::SuperStep, f.stages[0].unit, start);
+                            if let (Some(p), Some(start)) = (io.probe.as_mut(), t0) {
+                                p.work(EventKind::SuperStep, f.stages[0].unit, start);
                             }
                         }
                         _ => {}
@@ -720,7 +603,7 @@ impl Worker {
             units: self.units,
             recorders: self.io.recorders,
             tokens: self.io.tokens,
-            trace: self.io.trace,
+            probe: self.io.probe,
         }
     }
 }
@@ -810,25 +693,16 @@ fn fire_step(
         }
         UnitState::Sink {
             input,
-            consumed,
             values,
-            meter,
             monitor,
             ..
         } => {
             for _ in 0..times {
                 let v = io.pop(*input, abort);
-                *consumed += 1;
-                meter.record();
-                if let Some(m) = monitor.as_mut() {
-                    m.record();
-                }
+                monitor.record(1);
                 if values.len() < SINK_STREAM_CAP {
                     values.push(v);
                 }
-            }
-            if let Some(m) = io.metrics.as_ref() {
-                m.cell().record_sink(times as u64);
             }
         }
         UnitState::Modal {
@@ -848,8 +722,8 @@ fn fire_step(
                 }
                 if *fired > 0 && *arm != last {
                     *switches += 1;
-                    if let Some(t) = io.trace.as_mut() {
-                        t.instant(EventKind::ModeSwitch, *arm);
+                    if let Some(p) = io.probe.as_mut() {
+                        p.instant(EventKind::ModeSwitch, *arm);
                     }
                 }
                 // Union-advance: pop every member's inputs in ascending
@@ -971,22 +845,11 @@ fn run_fused(
                 unreachable!("union-advance modal units are excluded from fusion at synthesis")
             }
             UnitState::Sink {
-                consumed,
-                values,
-                meter,
-                monitor,
-                ..
+                values, monitor, ..
             } => {
                 debug_assert!(si == last && si > 0, "a sink can only tail a fused run");
                 debug_assert_eq!(cur.len(), times, "the link carried the sink's reads");
-                *consumed += cur.len() as u64;
-                meter.record_block(cur.len() as u64);
-                if let Some(m) = monitor.as_mut() {
-                    m.record_block(cur.len() as u64);
-                }
-                if let Some(m) = io.metrics.as_ref() {
-                    m.cell().record_sink(cur.len() as u64);
-                }
+                monitor.record(cur.len() as u64);
                 if values.len() < SINK_STREAM_CAP {
                     let take = (SINK_STREAM_CAP - values.len()).min(cur.len());
                     values.extend_from_slice(&cur[..take]);
@@ -1073,11 +936,6 @@ pub fn execute_staticsched_scripted(
     let started = Instant::now();
     let threads = schedule.worker_count();
     let n_buffers = graph.buffers.len();
-    // The metrics hub outlives the workers: sinks register monitors before
-    // the run, the snapshot is taken after every worker joined.
-    let hub: Option<Arc<MetricsHub>> = config
-        .metrics
-        .map(|m| MetricsHub::new("staticsched", threads, m));
 
     // --- Source budgets (the simulator's horizon count) and the covering
     // iteration count per component.
@@ -1243,12 +1101,13 @@ pub fn execute_staticsched_scripted(
                 let state = UnitState::Sink {
                     sink: id.index(),
                     input: s.input.index(),
-                    consumed: 0,
                     values: Vec::new(),
-                    meter: ThroughputMeter::new(config.warmup_samples),
-                    monitor: hub
-                        .as_ref()
-                        .map(|h| h.sink_monitor(s.name.clone(), s.period.recip().to_f64())),
+                    monitor: SinkMonitor::new(
+                        s.name.clone(),
+                        s.period.recip().to_f64(),
+                        config.warmup_samples,
+                        config.metrics,
+                    ),
                 };
                 push(state, &|| s.name.clone());
             }
@@ -1389,13 +1248,9 @@ pub fn execute_staticsched_scripted(
                 recorders: recs,
                 record_values: config.record_values,
                 tokens: 0,
-                // All tracers share one epoch so the merged tracks align.
-                trace: config.trace.then(|| WorkerTracer::new(started, n_buffers)),
-                metrics: hub.as_ref().map(|h| MetricsIo {
-                    hub: Arc::clone(h),
-                    worker: w,
-                    wait: WaitStats::default(),
-                }),
+                // All probes share one epoch so the merged tracks align.
+                probe: (config.trace || config.metrics.is_some())
+                    .then(|| Probe::new(started, n_buffers, config.trace)),
             },
             scratch: Vec::new(),
             out_buf: Vec::new(),
@@ -1448,23 +1303,10 @@ pub fn execute_staticsched_scripted(
         .map(|s| (s.name.clone(), 0u64))
         .collect();
     let mut sinks: Vec<Option<SinkStream>> = (0..graph.sinks.len()).map(|_| None).collect();
-    let mut throughput: Vec<Option<SinkThroughput>> =
-        (0..graph.sinks.len()).map(|_| None).collect();
-    let mut trace_report = config
-        .trace
-        .then(|| TraceReport::new("staticsched", threads));
-    let mut ring_hw: Vec<u32> = vec![0; n_buffers];
-    for (w, out) in outs.into_iter().enumerate() {
-        if let (Some(tr), Some(t)) = (trace_report.as_mut(), out.trace) {
-            let hw = tr.push_track(
-                format!("worker-{w}"),
-                std::mem::take(&mut worker_labels[w]),
-                t,
-            );
-            for (b, h) in hw.into_iter().enumerate() {
-                ring_hw[b] = ring_hw[b].max(h);
-            }
-        }
+    let mut throughput: Vec<Option<SinkMonitor>> = (0..graph.sinks.len()).map(|_| None).collect();
+    let mut probes = Vec::with_capacity(threads);
+    for out in outs {
+        probes.extend(out.probe);
         tokens += out.tokens;
         for (b, r) in out.recorders.into_iter().enumerate() {
             if let Some(r) = r {
@@ -1482,31 +1324,19 @@ pub fn execute_staticsched_scripted(
                 }
                 UnitState::Sink {
                     sink,
-                    consumed,
                     values,
-                    meter,
-                    monitor,
+                    mut monitor,
                     ..
                 } => {
-                    // Flush the drift detector's partial tail window before
-                    // the snapshot below.
-                    if let Some(m) = monitor {
-                        m.finish();
-                    }
-                    let s = &graph.sinks[oil_compiler::rtgraph::RtSinkId::new(sink)];
+                    monitor.finish();
                     sinks[sink] = Some(SinkStream {
-                        name: s.name.clone(),
-                        consumed,
+                        name: monitor.name.clone(),
+                        consumed: monitor.samples,
                         misses: 0,
                         max_latency: 0.0,
                         values,
                     });
-                    throughput[sink] = Some(SinkThroughput {
-                        name: s.name.clone(),
-                        samples: consumed,
-                        predicted_hz: s.period.recip().to_f64(),
-                        measured_hz: meter.steady_rate_hz(),
-                    });
+                    throughput[sink] = Some(monitor);
                 }
                 UnitState::Modal {
                     members, switches, ..
@@ -1519,7 +1349,14 @@ pub fn execute_staticsched_scripted(
             }
         }
     }
-    if let Some(tr) = trace_report.as_mut() {
+    let throughput: Vec<SinkMonitor> = throughput
+        .into_iter()
+        .map(|t| t.expect("every sink is a scheduled unit"))
+        .collect();
+    let metrics =
+        (config.metrics).map(|_| MetricsReport::fold("staticsched", &probes, &throughput));
+    let trace_report = config.trace.then(|| {
+        let (mut tr, ring_hw) = TraceReport::fold("staticsched", probes, worker_labels);
         let mut crossing = vec![false; n_buffers];
         for &b in &schedule.cross_buffers {
             crossing[b.index()] = true;
@@ -1542,7 +1379,8 @@ pub fn execute_staticsched_scripted(
             .iter()
             .map(|p| (p.name.to_string(), p.dur_ns))
             .collect();
-    }
+        tr
+    });
     StaticReport {
         threads,
         values: ValueTrace {
@@ -1559,10 +1397,7 @@ pub fn execute_staticsched_scripted(
             .into_iter()
             .map(|s| s.expect("every sink is a scheduled unit"))
             .collect(),
-        throughput: throughput
-            .into_iter()
-            .map(|t| t.expect("every sink measured"))
-            .collect(),
+        throughput,
         node_firings,
         sources: source_samples,
         tokens,
@@ -1573,7 +1408,7 @@ pub fn execute_staticsched_scripted(
         mode_switches,
         transition_firings,
         trace_report,
-        metrics: hub.as_ref().map(|h| h.snapshot()),
+        metrics,
     }
 }
 

@@ -8,18 +8,27 @@
 //! occupancy high-water marks against the CTA-proven capacities, and the
 //! compile-phase timings of the schedule synthesis itself.
 //!
-//! ## Overhead discipline
+//! ## One observation path
+//!
+//! Each engine worker owns one `Option<Probe>`, `Some` when tracing or
+//! metrics (`crate::metrics`) are on. The probe holds the worker's plain
+//! counters — work items, busy ns, a log₂ histogram, parks and ring waits
+//! — and, only when tracing, the event buffer. A work item reads the clock
+//! once at each end, and that one duration feeds the counters and the
+//! span alike. At join the engine folds the probes into the
+//! [`TraceReport`] and the [`MetricsReport`](crate::metrics::MetricsReport),
+//! so the two views of one run cannot disagree.
 //!
 //! Tracing must never perturb what it observes:
 //!
-//! - **Disabled is a single branch.** Every engine stores an
-//!   `Option<WorkerTracer>`; the hot paths test `if let Some(t)` and do
-//!   nothing else. No clock reads, no allocation, no atomics.
-//! - **Enabled writes are worker-local.** A [`WorkerTracer`] is owned
-//!   exclusively by one worker thread: recording an event is a bounds
-//!   check and a `Vec` push into pre-sized storage, never a lock or a
-//!   shared cache line. Buffers are bounded ([`EVENTS_CAP`]); overflow
-//!   increments a `dropped` counter instead of growing.
+//! - **Off is a single branch.** With neither tracing nor metrics, every
+//!   instrumentation site tests the probe's `Option` and does nothing else.
+//!   No clock reads, no allocation, no atomics.
+//! - **Writes are worker-local.** A probe is owned exclusively by one
+//!   worker thread: recording an event is a bounds check and a `Vec` push
+//!   into pre-sized storage, never a lock or a shared cache line. Buffers
+//!   are bounded ([`EVENTS_CAP`]); overflow increments a `dropped` counter
+//!   instead of growing.
 //! - **Clock reads stay off the fast path where possible.** Ring wait
 //!   instrumentation ([`crate::ring::WaitStats`]) reads the clock only
 //!   after the lock-free fast path has already failed — the blocked path
@@ -32,16 +41,17 @@
 //! ## Exporters
 //!
 //! [`TraceReport::summary_json`] emits a stable JSON summary (per-unit
-//! firing histograms, per-ring high-water vs proven capacity, park/steal/
-//! backpressure counts, and — when given a [`RateConformance`] — the
-//! observed-vs-predicted sink rates with their verdict).
+//! firing histograms, per-ring high-water vs proven capacity, park and
+//! backpressure counts, and — when given the run's sink monitors — the
+//! observed-vs-predicted sink rates with their conformance verdict).
 //! [`TraceReport::chrome_trace_json`] emits Chrome trace-event format:
 //! one track per worker plus a compiler track, loadable directly in
 //! Perfetto or `chrome://tracing`.
 
 use std::time::Instant;
 
-use crate::measure::RateConformance;
+use crate::measure::{conformance, SinkMonitor};
+use crate::metrics::HIST_BUCKETS;
 use crate::ring::WaitStats;
 use oil_compiler::rtgraph::{RtGraph, RtNodeId};
 
@@ -108,110 +118,158 @@ pub struct TraceEvent {
     pub arg: u32,
 }
 
-/// The per-worker recorder. Owned exclusively by one worker thread; the
-/// engine collects it at teardown.
-#[derive(Debug)]
-pub struct WorkerTracer {
-    epoch: Instant,
-    events: Vec<TraceEvent>,
-    dropped: u64,
-    /// Blocked-path statistics from the rings this worker touches.
-    pub wait: WaitStats,
-    /// Condvar parks taken by this worker (self-timed idle protocol).
-    pub parks: u64,
-    /// Wakes from those parks.
-    pub unparks: u64,
-    /// Per global buffer: highest producer-side occupancy this worker
-    /// observed right after one of its own pushes.
-    pub highwater: Vec<u32>,
+/// The log₂-ns bucket of a duration: bucket `i` holds `[2^i, 2^(i+1))`
+/// ns (bucket 0 also zero), the last bucket everything longer.
+pub(crate) fn log2_bucket(dur_ns: u64) -> usize {
+    (64 - dur_ns.leading_zeros() as usize)
+        .saturating_sub(1)
+        .min(HIST_BUCKETS - 1)
 }
 
-impl WorkerTracer {
-    /// A tracer sharing `epoch` with its sibling workers (one epoch per
-    /// run keeps all tracks on one timeline) and tracking `n_buffers`
-    /// occupancy high-water marks.
-    pub fn new(epoch: Instant, n_buffers: usize) -> Self {
-        WorkerTracer {
+/// One worker's observation point, owned exclusively by its thread and
+/// handed back at join (see the module docs).
+#[derive(Debug)]
+pub(crate) struct Probe {
+    epoch: Instant,
+    /// The event buffer: `Some` iff tracing.
+    events: Option<Vec<TraceEvent>>,
+    dropped: u64,
+    /// Blocked-path statistics of the rings this worker waits on.
+    pub(crate) wait: WaitStats,
+    /// Condvar parks taken by this worker (self-timed idle protocol).
+    pub(crate) parks: u64,
+    /// Wakes from those parks.
+    pub(crate) unparks: u64,
+    /// Per global buffer: highest producer-side occupancy this worker
+    /// observed right after one of its own pushes (empty unless tracing).
+    pub(crate) highwater: Vec<u32>,
+    /// Work items closed by [`Self::work`].
+    pub(crate) items: u64,
+    /// Their summed durations, ns.
+    pub(crate) busy_ns: u64,
+    /// Their log₂-ns histogram ([`log2_bucket`]).
+    pub(crate) hist: [u64; HIST_BUCKETS],
+}
+
+impl Probe {
+    /// A probe sharing `epoch` with its sibling workers (one epoch per run
+    /// keeps all tracks on one timeline); `trace` adds the event buffer and
+    /// `n_buffers` occupancy high-water marks.
+    pub(crate) fn new(epoch: Instant, n_buffers: usize, trace: bool) -> Self {
+        Probe {
             epoch,
-            events: Vec::with_capacity(EVENTS_CAP.min(1 << 12)),
+            events: trace.then(|| Vec::with_capacity(EVENTS_CAP.min(1 << 12))),
             dropped: 0,
             wait: WaitStats::default(),
             parks: 0,
             unparks: 0,
-            highwater: vec![0; n_buffers],
+            highwater: vec![0; if trace { n_buffers } else { 0 }],
+            items: 0,
+            busy_ns: 0,
+            hist: [0; HIST_BUCKETS],
         }
     }
 
     /// Nanoseconds since the run epoch.
     #[inline]
-    pub fn now_ns(&self) -> u64 {
+    pub(crate) fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
 
     #[inline]
     fn push(&mut self, ev: TraceEvent) {
-        if self.events.len() < EVENTS_CAP {
-            self.events.push(ev);
-        } else {
-            self.dropped += 1;
+        if let Some(events) = self.events.as_mut() {
+            if events.len() < EVENTS_CAP {
+                events.push(ev);
+            } else {
+                self.dropped += 1;
+            }
         }
     }
 
-    /// Record a span that started at `start_ns` (from [`Self::now_ns`])
-    /// and ends now.
+    /// Close a work item (`Firing` or `SuperStep`) opened at `start_ns`
+    /// (from [`Self::now_ns`]): one clock read gives the duration that the
+    /// counters, the histogram and the span all take.
     #[inline]
-    pub fn span(&mut self, kind: EventKind, arg: u32, start_ns: u64) {
-        let end = self.now_ns();
+    pub(crate) fn work(&mut self, kind: EventKind, unit: u32, start_ns: u64) {
+        let dur_ns = self.now_ns().saturating_sub(start_ns);
+        self.items += 1;
+        self.busy_ns += dur_ns;
+        self.hist[log2_bucket(dur_ns)] += 1;
         self.push(TraceEvent {
             ts_ns: start_ns,
-            dur_ns: end.saturating_sub(start_ns),
-            kind,
-            arg,
-        });
-    }
-
-    /// Record an instantaneous event.
-    #[inline]
-    pub fn instant(&mut self, kind: EventKind, arg: u32) {
-        let ts_ns = self.now_ns();
-        self.push(TraceEvent {
-            ts_ns,
-            dur_ns: 0,
-            kind,
-            arg,
-        });
-    }
-
-    /// Record a backpressure span on global buffer `b` retroactively: the
-    /// wait of `dur_ns` just ended, so the span ran from `now - dur_ns` to
-    /// now. Used by engines that learn the blocked duration only from the
-    /// [`WaitStats`] delta around a ring call.
-    #[inline]
-    pub fn backpressure(&mut self, b: u32, dur_ns: u64) {
-        let end = self.now_ns();
-        self.push(TraceEvent {
-            ts_ns: end.saturating_sub(dur_ns),
             dur_ns,
-            kind: EventKind::Backpressure,
-            arg: b,
+            kind,
+            arg: unit,
         });
     }
 
-    /// Note a post-push occupancy `level` on global buffer `b`.
+    /// Record a span that started at `start_ns` and ends now (tracing only).
     #[inline]
-    pub fn note_level(&mut self, b: usize, level: usize) {
-        let hw = &mut self.highwater[b];
-        *hw = (*hw).max(level as u32);
+    pub(crate) fn span(&mut self, kind: EventKind, arg: u32, start_ns: u64) {
+        if self.events.is_some() {
+            let dur_ns = self.now_ns().saturating_sub(start_ns);
+            self.push(TraceEvent {
+                ts_ns: start_ns,
+                dur_ns,
+                kind,
+                arg,
+            });
+        }
     }
 
-    /// Events dropped after [`EVENTS_CAP`] filled up.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
+    /// Record an instantaneous event (tracing only).
+    #[inline]
+    pub(crate) fn instant(&mut self, kind: EventKind, arg: u32) {
+        if self.events.is_some() {
+            let ts_ns = self.now_ns();
+            self.push(TraceEvent {
+                ts_ns,
+                dur_ns: 0,
+                kind,
+                arg,
+            });
+        }
     }
 
-    /// The recorded events.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+    /// A condvar park that began at `start_ns` just ended.
+    pub(crate) fn park(&mut self, start_ns: u64) {
+        self.parks += 1;
+        self.unparks += 1;
+        self.span(EventKind::Park, 0, start_ns);
+        self.instant(EventKind::Unpark, 0);
+    }
+
+    /// A ring call on global buffer `b` returned, with [`Self::wait`]'s
+    /// blocked ns at `before` when it began: the time it spent blocked
+    /// becomes a backpressure span, placed retroactively (tracing only).
+    #[inline]
+    pub(crate) fn waited(&mut self, b: usize, before: u64) {
+        let dur_ns = self.wait.wait_ns - before;
+        if dur_ns > 0 && self.events.is_some() {
+            let end = self.now_ns();
+            self.push(TraceEvent {
+                ts_ns: end.saturating_sub(dur_ns),
+                dur_ns,
+                kind: EventKind::Backpressure,
+                arg: b as u32,
+            });
+        }
+    }
+
+    /// Note a post-push occupancy on global buffer `b` (tracing only:
+    /// `level` is not called otherwise, since a ring's length loads the
+    /// peer endpoint's index).
+    #[inline]
+    pub(crate) fn note_level(&mut self, b: usize, level: impl FnOnce() -> usize) {
+        if let Some(hw) = self.highwater.get_mut(b) {
+            *hw = (*hw).max(level() as u32);
+        }
+    }
+
+    /// Condvar parks plus parks on blocked ring waits.
+    pub(crate) fn park_count(&self) -> u64 {
+        self.parks + self.wait.parks
     }
 }
 
@@ -301,39 +359,48 @@ impl TraceReport {
         }
     }
 
-    /// Fold one worker's tracer into the report as a named track,
-    /// aggregating its counters and wait statistics. Returns the
-    /// tracer's high-water vector so the engine can merge ring levels.
-    pub fn push_track(
-        &mut self,
-        name: impl Into<String>,
-        labels: Vec<String>,
-        tracer: WorkerTracer,
-    ) -> Vec<u32> {
-        let c = &mut self.counters;
-        c.parks += tracer.parks + tracer.wait.parks;
-        c.unparks += tracer.unparks;
-        c.spin_yields += tracer.wait.spin_yields;
-        c.backpressure_waits += tracer.wait.waits;
-        c.backpressure_wait_ns += tracer.wait.wait_ns;
-        for ev in &tracer.events {
-            match ev.kind {
-                EventKind::Seam => {
-                    c.seams += 1;
-                    c.seam_latency_ns += ev.dur_ns;
-                    c.seam_latency_max_ns = c.seam_latency_max_ns.max(ev.dur_ns);
+    /// The report of a traced run: one track per worker probe, in worker
+    /// order (`worker-{w}`, labelled by `labels[w]`), with the probes'
+    /// counters and wait statistics aggregated; and, per buffer, the ring
+    /// high-water mark merged over the workers.
+    pub(crate) fn fold(
+        engine: &'static str,
+        probes: Vec<Probe>,
+        labels: Vec<Vec<String>>,
+    ) -> (TraceReport, Vec<u32>) {
+        let mut report = TraceReport::new(engine, probes.len());
+        let mut highwater: Vec<u32> = Vec::new();
+        for (w, (probe, labels)) in probes.into_iter().zip(labels).enumerate() {
+            let c = &mut report.counters;
+            c.parks += probe.park_count();
+            c.unparks += probe.unparks;
+            c.spin_yields += probe.wait.spin_yields;
+            c.backpressure_waits += probe.wait.waits;
+            c.backpressure_wait_ns += probe.wait.wait_ns;
+            let events = probe.events.unwrap_or_default();
+            for ev in &events {
+                match ev.kind {
+                    EventKind::Seam => {
+                        c.seams += 1;
+                        c.seam_latency_ns += ev.dur_ns;
+                        c.seam_latency_max_ns = c.seam_latency_max_ns.max(ev.dur_ns);
+                    }
+                    EventKind::ModeSwitch => c.mode_switches += 1,
+                    _ => {}
                 }
-                EventKind::ModeSwitch => c.mode_switches += 1,
-                _ => {}
+            }
+            report.dropped += probe.dropped;
+            report.tracks.push(TraceTrack {
+                name: format!("worker-{w}"),
+                events,
+                labels,
+            });
+            highwater.resize(probe.highwater.len().max(highwater.len()), 0);
+            for (hw, level) in highwater.iter_mut().zip(probe.highwater) {
+                *hw = (*hw).max(level);
             }
         }
-        self.dropped += tracer.dropped;
-        self.tracks.push(TraceTrack {
-            name: name.into(),
-            events: tracer.events,
-            labels,
-        });
-        tracer.highwater
+        (report, highwater)
     }
 
     /// Highest ring high-water mark across the run (0 with no rings).
@@ -473,12 +540,12 @@ impl TraceReport {
 
     /// Stable JSON summary: per-unit firing histograms, ring high-water
     /// vs CTA capacity, aggregate counters, compile phases and — when
-    /// `conformance` is given — the observed-vs-predicted sink rates
-    /// with their verdict.
-    pub fn summary_json(&self, conformance: Option<&RateConformance>) -> String {
+    /// given the run's sink monitors and a threshold — the
+    /// observed-vs-predicted sink rates with their conformance verdict.
+    pub fn summary_json(&self, sinks: Option<(&[SinkMonitor], f64)>) -> String {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(1 << 12);
-        out.push_str("{\n  \"schema_version\": 2,\n");
+        out.push_str("{\n  \"schema_version\": 3,\n");
         let _ = writeln!(out, "  \"engine\": \"{}\",", self.engine);
         let _ = writeln!(out, "  \"workers\": {},", self.workers);
         let c = &self.counters;
@@ -557,24 +624,23 @@ impl TraceReport {
             );
         }
         out.push_str("\n  ],\n");
-        if let Some(conf) = conformance {
+        if let Some((sinks, threshold)) = sinks {
             let _ = writeln!(
                 out,
-                "  \"conformance\": {{\"verdict\": \"{}\", \"threshold\": {}, \"sinks\": [",
-                conf.verdict(),
-                conf.threshold
+                "  \"conformance\": {{\"verdict\": \"{}\", \"threshold\": {threshold}, \"sinks\": [",
+                conformance(sinks, threshold)
             );
-            for (i, s) in conf.sinks.iter().enumerate() {
-                let sep = if i + 1 == conf.sinks.len() { "" } else { "," };
+            for (i, s) in sinks.iter().enumerate() {
+                let sep = if i + 1 == sinks.len() { "" } else { "," };
+                let measured_hz = s.steady().map(|w| w.observed_hz);
                 let _ = writeln!(
                     out,
                     "    {{\"name\": \"{}\", \"predicted_hz\": {}, \"measured_hz\": {}, \
                      \"ratio\": {}}}{sep}",
                     json_escape(&s.name),
                     s.predicted_hz,
-                    s.measured_hz.map_or("null".into(), |h| h.to_string()),
-                    s.conformance_ratio()
-                        .map_or("null".into(), |r| r.to_string())
+                    measured_hz.map_or("null".into(), |h| h.to_string()),
+                    measured_hz.map_or("null".into(), |h| (h / s.predicted_hz).to_string())
                 );
             }
             out.push_str("  ]},\n");
@@ -591,9 +657,8 @@ struct UnitStat {
     total_ns: u64,
     min_ns: u64,
     max_ns: u64,
-    /// `hist[k]` counts spans with `dur_ns` in `[2^k, 2^(k+1))`
-    /// (`hist[0]` includes zero-length spans).
-    hist: [u64; 32],
+    /// `hist[k]` counts spans in [`log2_bucket`] `k`.
+    hist: [u64; HIST_BUCKETS],
 }
 
 fn unit_stats(track: &TraceTrack) -> Vec<(usize, UnitStat)> {
@@ -611,16 +676,13 @@ fn unit_stats(track: &TraceTrack) -> Vec<(usize, UnitStat)> {
             total_ns: 0,
             min_ns: u64::MAX,
             max_ns: 0,
-            hist: [0; 32],
+            hist: [0; HIST_BUCKETS],
         });
         s.count += 1;
         s.total_ns += ev.dur_ns;
         s.min_ns = s.min_ns.min(ev.dur_ns);
         s.max_ns = s.max_ns.max(ev.dur_ns);
-        let bucket = (64 - ev.dur_ns.leading_zeros() as usize)
-            .saturating_sub(1)
-            .min(31);
-        s.hist[bucket] += 1;
+        s.hist[log2_bucket(ev.dur_ns)] += 1;
     }
     stats
         .into_iter()
@@ -654,25 +716,30 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Parse an `OIL_RT_TRACE` value. Same discipline as `OIL_RT_THREADS`:
-/// junk panics loudly instead of silently disabling the telemetry the
-/// user asked for.
-pub fn parse_trace(raw: &str) -> bool {
+/// Parse the on/off toggle `name` (`OIL_RT_TRACE`, `OIL_RT_METRICS`):
+/// `1/true/on` and `0/false/off`, surrounding blanks ignored; set but empty
+/// is unset, i.e. off, as for `OIL_RT_FUSION`. Junk panics loudly instead
+/// of silently disabling the telemetry the user asked for.
+pub(crate) fn parse_toggle(name: &str, raw: &str) -> bool {
     match raw.trim() {
         "1" | "true" | "on" => true,
-        "0" | "false" | "off" => false,
-        other => panic!("OIL_RT_TRACE must be one of 1/0/true/false/on/off, got `{other}`"),
+        "0" | "false" | "off" | "" => false,
+        other => panic!("{name} must be one of 1/0/true/false/on/off, got `{other}`"),
     }
 }
 
-/// Read the `OIL_RT_TRACE` toggle from the environment (unset = off).
-/// Engines never read the environment themselves — callers thread this
-/// into [`crate::SelfTimedConfig`]/[`crate::StaticConfig`].
+/// Read the toggle `name` from the environment ([`parse_toggle`]; unset =
+/// off).
+pub(crate) fn env_toggle(name: &str) -> bool {
+    std::env::var(name).is_ok_and(|raw| parse_toggle(name, &raw))
+}
+
+/// Read the `OIL_RT_TRACE` toggle from the environment (unset or empty =
+/// off; the one parser `OIL_RT_METRICS` uses too). Engines never read the
+/// environment themselves — callers thread this into
+/// [`crate::SelfTimedConfig`]/[`crate::StaticConfig`].
 pub fn env_trace() -> bool {
-    match std::env::var("OIL_RT_TRACE") {
-        Ok(v) => parse_trace(&v),
-        Err(_) => false,
-    }
+    env_toggle("OIL_RT_TRACE")
 }
 
 #[cfg(test)]
@@ -680,49 +747,66 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    fn tracer() -> WorkerTracer {
-        WorkerTracer::new(Instant::now() - Duration::from_micros(10), 2)
+    fn probe() -> Probe {
+        Probe::new(Instant::now() - Duration::from_micros(10), 2, true)
     }
 
     #[test]
     fn spans_and_instants_are_recorded_in_order() {
-        let mut t = tracer();
-        let t0 = t.now_ns();
-        t.span(EventKind::Firing, 0, t0);
-        t.instant(EventKind::ModeSwitch, 1);
-        assert_eq!(t.events().len(), 2);
-        assert_eq!(t.events()[0].kind, EventKind::Firing);
-        assert!(t.events()[1].ts_ns >= t.events()[0].ts_ns);
-        assert_eq!(t.dropped(), 0);
+        let mut p = probe();
+        let t0 = p.now_ns();
+        p.work(EventKind::Firing, 0, t0);
+        p.instant(EventKind::ModeSwitch, 1);
+        let events = p.events.as_deref().unwrap();
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[0].kind, EventKind::Firing);
+        assert!(events[1].ts_ns >= events[0].ts_ns);
+        assert_eq!(events[1].dur_ns, 0, "an instant has no duration");
+        assert_eq!(p.dropped, 0);
+        // The work item's one duration feeds the counters and the span.
+        assert_eq!((p.items, p.busy_ns), (1, events[0].dur_ns));
+        assert_eq!(p.hist.iter().sum::<u64>(), 1);
+        // Without tracing the counters run and no event is kept.
+        let mut counting = Probe::new(Instant::now(), 2, false);
+        counting.work(EventKind::Firing, 0, counting.now_ns());
+        counting.instant(EventKind::ModeSwitch, 1);
+        counting.note_level(1, || 9);
+        assert_eq!((counting.items, counting.events.is_none()), (1, true));
+        assert!(counting.highwater.is_empty());
     }
 
     #[test]
     fn overflow_counts_drops_instead_of_growing() {
-        let mut t = tracer();
+        let mut p = probe();
         for _ in 0..EVENTS_CAP + 7 {
-            t.instant(EventKind::Unpark, 0);
+            p.instant(EventKind::Unpark, 0);
         }
-        assert_eq!(t.events().len(), EVENTS_CAP);
-        assert_eq!(t.dropped(), 7);
+        assert_eq!(p.events.as_ref().map(Vec::len), Some(EVENTS_CAP));
+        assert_eq!(p.dropped, 7);
     }
 
     #[test]
     fn high_water_marks_are_monotone() {
-        let mut t = tracer();
-        t.note_level(0, 3);
-        t.note_level(0, 1);
-        t.note_level(1, 5);
-        assert_eq!(t.highwater, vec![3, 5]);
+        let mut p = probe();
+        p.note_level(0, || 3);
+        p.note_level(0, || 1);
+        p.note_level(1, || 5);
+        assert_eq!(p.highwater, vec![3, 5]);
+        // Folding takes the highest mark any worker saw per buffer.
+        let mut q = probe();
+        q.note_level(0, || 4);
+        let (report, highwater) = TraceReport::fold("test", vec![p, q], vec![vec![]; 2]);
+        assert_eq!(highwater, vec![4, 5]);
+        assert_eq!(report.tracks.len(), 2);
     }
 
     #[test]
     fn chrome_export_names_tracks_and_units() {
-        let mut report = TraceReport::new("test", 1);
-        let mut t = tracer();
-        let t0 = t.now_ns();
-        t.span(EventKind::Firing, 0, t0);
-        t.instant(EventKind::ModeSwitch, 2);
-        report.push_track("worker-0", vec!["fir".into()], t);
+        let mut p = probe();
+        let t0 = p.now_ns();
+        p.work(EventKind::Firing, 0, t0);
+        p.instant(EventKind::ModeSwitch, 2);
+        let (report, _) = TraceReport::fold("test", vec![p], vec![vec!["fir".into()]]);
         let json = report.chrome_trace_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"thread_name\""));
@@ -742,32 +826,37 @@ mod tests {
         });
         report.phases.push(("fusion".into(), 1234));
         let json = report.summary_json(None);
-        assert!(json.contains("\"schema_version\": 2"));
+        assert!(json.contains("\"schema_version\": 3"));
         assert!(json.contains("\"capacity\": 8"));
         assert!(json.contains("\"highwater\": 5"));
         assert!(json.contains("\"fusion\""));
+        assert!(!json.contains("\"conformance\""));
         assert!(report.rings_within_capacity());
         assert_eq!(report.ring_highwater_max(), 5);
+        // With the sinks: a sink that never warmed up is inconclusive.
+        let sinks = [SinkMonitor::new("y", 1000.0, 16, None)];
+        let json = report.summary_json(Some((&sinks, 0.5)));
+        assert!(json.contains("\"verdict\": \"inconclusive\""), "{json}");
+        assert!(json.contains("\"measured_hz\": null"), "{json}");
     }
 
     #[test]
     fn seam_spans_feed_the_latency_counters() {
-        let mut report = TraceReport::new("test", 1);
-        let mut t = tracer();
-        t.push(TraceEvent {
+        let mut p = probe();
+        p.push(TraceEvent {
             ts_ns: 10,
             dur_ns: 40,
             kind: EventKind::Seam,
             arg: (1 << 16) | 2,
         });
-        t.push(TraceEvent {
+        p.push(TraceEvent {
             ts_ns: 100,
             dur_ns: 25,
             kind: EventKind::Seam,
             arg: (2 << 16) | 1,
         });
-        t.instant(EventKind::ModeSwitch, 1);
-        report.push_track("worker-0", Vec::new(), t);
+        p.instant(EventKind::ModeSwitch, 1);
+        let (report, _) = TraceReport::fold("test", vec![p], vec![Vec::new()]);
         assert_eq!(report.counters.seams, 2);
         assert_eq!(report.counters.seam_latency_ns, 65);
         assert_eq!(report.seam_latency_observed_ns(), 40);
@@ -775,19 +864,26 @@ mod tests {
     }
 
     #[test]
-    fn parse_trace_accepts_the_documented_forms() {
-        assert!(parse_trace("1"));
-        assert!(parse_trace("true"));
-        assert!(parse_trace(" on "));
-        assert!(!parse_trace("0"));
-        assert!(!parse_trace("false"));
-        assert!(!parse_trace("off"));
+    fn one_parser_reads_both_toggles() {
+        for name in ["OIL_RT_TRACE", "OIL_RT_METRICS"] {
+            for on in ["1", "true", "on", " on "] {
+                assert!(parse_toggle(name, on), "{name}={on:?}");
+            }
+            // Set but empty (or blank) is unset: off, never a panic.
+            for off in ["0", "false", "off", "", "  "] {
+                assert!(!parse_toggle(name, off), "{name}={off:?}");
+            }
+            for junk in ["yes please", "2", "ON"] {
+                let parsed = std::panic::catch_unwind(|| parse_toggle(name, junk));
+                assert!(parsed.is_err(), "{name}={junk:?} must be rejected");
+            }
+        }
     }
 
     #[test]
     #[should_panic(expected = "OIL_RT_TRACE")]
     fn parse_trace_rejects_junk_loudly() {
-        parse_trace("yes please");
+        parse_toggle("OIL_RT_TRACE", "yes please");
     }
 
     #[test]

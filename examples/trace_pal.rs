@@ -23,14 +23,14 @@
 
 use oil::compiler::schedule::SynthesisConfig;
 use oil::rt::{
-    execute_selftimed, execute_staticsched, measure, ConformanceVerdict, KernelLibrary,
-    RateConformance, SelfTimedConfig, StaticConfig, TraceReport,
+    execute_selftimed, execute_staticsched, measure, KernelLibrary, SelfTimedConfig, SinkMonitor,
+    StaticConfig, TraceReport,
 };
 use oil::sim::picos;
 
 /// Write the Perfetto trace, print the one-line telemetry summary and the
-/// conformance verdict.
-fn report_engine(engine: &str, tr: &TraceReport, conformance: &RateConformance) {
+/// conformance verdict of every sink at `threshold`.
+fn report_engine(engine: &str, tr: &TraceReport, sinks: &[SinkMonitor], threshold: f64) {
     let path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("pal_{engine}.trace.json"));
     match std::fs::write(&path, tr.chrome_trace_json()) {
@@ -46,14 +46,9 @@ fn report_engine(engine: &str, tr: &TraceReport, conformance: &RateConformance) 
         tr.seam_latency_observed_ns(),
         tr.rings_within_capacity()
     );
-    println!("  conformance: {}", conformance.verdict());
-    let lines = match conformance.verdict() {
-        ConformanceVerdict::Pass => Vec::new(),
-        ConformanceVerdict::Fail => conformance.violations(),
-        ConformanceVerdict::Inconclusive => conformance.inconclusive_sinks(),
-    };
-    for l in lines {
-        println!("    {l}");
+    println!("  conformance: {}", measure::conformance(sinks, threshold));
+    for s in sinks {
+        println!("    sink `{}`: {}", s.name, s.conformance(threshold));
     }
 }
 
@@ -100,9 +95,8 @@ fn main() {
             ..SelfTimedConfig::default()
         },
     );
-    let conformance = report.conformance(threshold);
     let tr = report.trace_report.as_ref().expect("tracing was enabled");
-    report_engine("selftimed", tr, &conformance);
+    report_engine("selftimed", tr, &report.throughput, threshold);
 
     println!("\nstaticsched:");
     let report = execute_staticsched(
@@ -117,16 +111,18 @@ fn main() {
             ..StaticConfig::default()
         },
     );
-    let conformance = report.conformance(threshold);
     let tr = report.trace_report.as_ref().expect("tracing was enabled");
-    report_engine("staticsched", tr, &conformance);
+    report_engine("staticsched", tr, &report.throughput, threshold);
 
     // The machine-readable summary of the static-order run — the same
     // content as the Perfetto trace, aggregated (firing histograms, ring
     // high-water vs capacity, compile phases, conformance verdict).
     let path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("pal_staticsched.summary.json");
-    match std::fs::write(&path, tr.summary_json(Some(&conformance))) {
+    match std::fs::write(
+        &path,
+        tr.summary_json(Some((&report.throughput, threshold))),
+    ) {
         Ok(()) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("\ncould not write {}: {e}", path.display()),
     }

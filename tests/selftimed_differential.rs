@@ -32,7 +32,7 @@
 
 mod support;
 
-use oil::rt::{execute, ConformanceVerdict, KernelLibrary, RtConfig, SelfTimedConfig};
+use oil::rt::{execute, measure, KernelLibrary, RateVerdict, RtConfig, SelfTimedConfig};
 use oil::sim::picos;
 use support::{
     assert_identical, build_program, duration_s, env, program_seeds, programs, selftimed,
@@ -200,14 +200,16 @@ fn measured_sink_throughput_meets_the_cta_rate_conformance_threshold() {
         for _attempt in 0..3 {
             let report = selftimed(&exe.graph, &exe.plan, 2.0, None, &selftimed_config(threads));
             assert!(!report.deadlocked, "{at}");
-            let conformance = report.conformance(env().corpus_threshold);
-            let sinks = conformance.sinks.iter();
-            measurable |= sinks.clone().any(|s| s.conformance_ratio().is_some());
-            if conformance.verdict() != ConformanceVerdict::Fail {
+            let threshold = env().corpus_threshold;
+            measurable |= report.throughput.iter().any(|s| s.steady().is_some());
+            let verdict = measure::conformance(&report.throughput, threshold);
+            if !matches!(verdict, RateVerdict::Violated { .. }) {
                 conformed = true;
                 break;
             }
-            last_violations = conformance.violations();
+            last_violations = (report.throughput.iter())
+                .map(|s| format!("sink `{}`: {}", s.name, s.conformance(threshold)))
+                .collect();
         }
         measured += measurable as u32;
         assert!(
@@ -243,8 +245,8 @@ fn pal_decoder_free_run_conforms_to_the_predicted_rates() {
     // 2 ms is 12 800 RF samples and 8 000 display samples. The free runs
     // get a longer horizon: the 32 kHz speakers sink needs to clear its
     // 256-sample warmup (64 samples at 2 ms would leave the conformance
-    // verdict *inconclusive* forever — the vacuous pass ConformanceVerdict
-    // was introduced to expose). 12 ms gives it 384 samples: warm at 257, a
+    // verdict *inconclusive* forever — the vacuous pass the verdict's
+    // `Inconclusive` exists to expose). 12 ms gives it 384 samples: warm at 257, a
     // >= 127-sample steady window. The calendar reference stays short — the
     // prefix oracle only needs a prefix.
     let config = RtConfig {
@@ -280,8 +282,9 @@ fn pal_decoder_free_run_conforms_to_the_predicted_rates() {
         let threshold = env().pal_threshold;
         support::assert_conforms(
             &format!("PAL at {t} thread(s)"),
-            report.conformance(threshold),
-            || run().conformance(threshold),
+            threshold,
+            report.throughput,
+            || run().throughput,
         );
     }
 }

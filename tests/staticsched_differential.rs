@@ -997,8 +997,9 @@ fn pal_decoder_static_replay_conforms_to_the_predicted_rates() {
         let threshold = env().pal_threshold;
         support::assert_conforms(
             &format!("PAL at {workers} worker(s)"),
-            report.conformance(threshold),
-            || run().conformance(threshold),
+            threshold,
+            report.throughput,
+            || run().throughput,
         );
     }
 }

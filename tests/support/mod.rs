@@ -24,9 +24,8 @@ use oil::gen::{ModalScenario, ModeDependentScenario, ProgramScenario};
 use oil::lang::registry::{FunctionRegistry, FunctionSignature};
 use oil::rt::{
     execute_selftimed, execute_selftimed_scripted, execute_staticsched_scripted, measure,
-    ConformanceVerdict, KernelLibrary, MetricsConfig, MetricsReport, RateConformance, RtReport,
-    SelfTimedConfig, SelfTimedReport, SinkStream, StaticConfig, StaticReport, TraceReport,
-    ValueTrace,
+    KernelLibrary, MetricsConfig, MetricsReport, RateVerdict, RtReport, SelfTimedConfig,
+    SelfTimedReport, SinkMonitor, SinkStream, StaticConfig, StaticReport, TraceReport, ValueTrace,
 };
 use oil::sim::picos;
 use oil::{BuildError, Executable};
@@ -524,24 +523,31 @@ pub fn golden(
     pinned
 }
 
-/// The wall-clock conformance oracle: a preempted host can depress one
-/// measurement, so while the verdict is not a pass `again` measures once
-/// more, three runs in all. A real regression fails every one.
-pub fn assert_conforms(at: &str, first: RateConformance, again: impl Fn() -> RateConformance) {
-    let mut conformance = first;
+/// The wall-clock conformance oracle on a run's sink monitors at
+/// `threshold`: a preempted host can depress one measurement, so while the
+/// verdict is not a pass `again` measures once more, three runs in all. A
+/// real regression fails every one.
+pub fn assert_conforms(
+    at: &str,
+    threshold: f64,
+    first: Vec<SinkMonitor>,
+    again: impl Fn() -> Vec<SinkMonitor>,
+) {
+    let mut sinks = first;
     for _retry in 0..2 {
-        if conformance.verdict() == ConformanceVerdict::Pass {
+        if measure::conformance(&sinks, threshold) == RateVerdict::Pass {
             break;
         }
-        conformance = again();
+        sinks = again();
     }
-    let evidence: Vec<String> = (conformance.violations().into_iter())
-        .chain(conformance.inconclusive_sinks())
+    let evidence: Vec<String> = (sinks.iter())
+        .map(|s| format!("sink `{}`: {}", s.name, s.conformance(threshold)))
         .collect();
+    let verdict = measure::conformance(&sinks, threshold);
     assert!(
-        conformance.verdict() == ConformanceVerdict::Pass,
-        "{at}: rate conformance {} in 3 consecutive measurements:\n  {}",
-        conformance.verdict(),
+        verdict == RateVerdict::Pass,
+        "{at}: rate conformance {verdict} at threshold {threshold} in 3 consecutive \
+         measurements:\n  {}",
         evidence.join("\n  ")
     );
 }
