@@ -283,6 +283,11 @@ mod tests {
     }
 
     #[test]
+    fn parse_metrics_accepts_the_documented_forms() {
+        crate::trace::tests::assert_toggle_forms("OIL_RT_METRICS");
+    }
+
+    #[test]
     #[should_panic(expected = "OIL_RT_METRICS")]
     fn parse_metrics_rejects_junk_loudly() {
         crate::trace::parse_toggle("OIL_RT_METRICS", "maybe");

@@ -743,7 +743,7 @@ pub fn env_trace() -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::time::Duration;
 
@@ -863,20 +863,24 @@ mod tests {
         assert_eq!(report.counters.mode_switches, 1);
     }
 
+    /// `OIL_RT_TRACE`'s forms through the toggle parser it shares with
+    /// `OIL_RT_METRICS` (whose forms `metrics::tests` pins the same way).
     #[test]
-    fn one_parser_reads_both_toggles() {
-        for name in ["OIL_RT_TRACE", "OIL_RT_METRICS"] {
-            for on in ["1", "true", "on", " on "] {
-                assert!(parse_toggle(name, on), "{name}={on:?}");
-            }
-            // Set but empty (or blank) is unset: off, never a panic.
-            for off in ["0", "false", "off", "", "  "] {
-                assert!(!parse_toggle(name, off), "{name}={off:?}");
-            }
-            for junk in ["yes please", "2", "ON"] {
-                let parsed = std::panic::catch_unwind(|| parse_toggle(name, junk));
-                assert!(parsed.is_err(), "{name}={junk:?} must be rejected");
-            }
+    fn parse_trace_accepts_the_documented_forms() {
+        assert_toggle_forms("OIL_RT_TRACE");
+    }
+
+    pub(crate) fn assert_toggle_forms(name: &str) {
+        for on in ["1", "true", "on", " on "] {
+            assert!(parse_toggle(name, on), "{name}={on:?}");
+        }
+        // Set but empty (or blank) is unset: off, never a panic.
+        for off in ["0", "false", "off", "", "  "] {
+            assert!(!parse_toggle(name, off), "{name}={off:?}");
+        }
+        for junk in ["yes please", "2", "ON"] {
+            let parsed = std::panic::catch_unwind(|| parse_toggle(name, junk));
+            assert!(parsed.is_err(), "{name}={junk:?} must be rejected");
         }
     }
 
