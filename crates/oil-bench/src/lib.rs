@@ -1,9 +1,10 @@
-//! Shared workload generators for the benchmark harness.
+//! Program and graph generators shared by the repository benchmark
+//! (`bench/`) and the figure tests below.
 //!
-//! Every bench target regenerates one of the paper's figures or quantifies
-//! one of its complexity claims; see `EXPERIMENTS.md` for the mapping. The
-//! generators here build parameterised OIL programs and dataflow graphs so
-//! the benches can sweep problem sizes.
+//! The generators build parameterised OIL programs and dataflow graphs so a
+//! benchmark can sweep problem sizes. The tests pin the numbers of the
+//! paper's complexity claim (E9), of the buffer-sizing ablation and of the
+//! Fig. 10 latency-bound sweep.
 
 use oil_dataflow::SdfGraph;
 use oil_lang::registry::{FunctionRegistry, FunctionSignature};
@@ -73,9 +74,10 @@ pub fn pipeline_source(stages: usize, rate_hz: f64) -> String {
 }
 
 /// A two-actor multi-rate cycle with the given production/consumption rates
-/// and initial tokens, as used by the exact-vs-polynomial scaling benchmark.
-/// Larger `p`/`c` values blow up the state space and the HSDF expansion while
-/// the CTA model size stays constant.
+/// and initial tokens, the exact side of the polynomial-vs-exponential
+/// comparison. Larger `p`/`c` values blow up the HSDF expansion while the CTA
+/// model size stays constant. With `2·max(p, c)` initial tokens the
+/// self-timed state space reads two states at every ratio the tests pin.
 pub fn multirate_cycle(p: u64, c: u64, initial: u64) -> SdfGraph {
     SdfGraph::rate_converter(p, p, c, c, initial, 1e-6)
 }
@@ -110,18 +112,12 @@ pub fn multirate_cycle_cta(p: u64, c: u64, initial: u64) -> oil_cta::CtaModel {
     m
 }
 
-/// Length (number of statements) of the flat single-appearance schedule a
-/// sequential specification needs for a `p`:`q` rate conversion (Fig. 2b
-/// style): `p + q` calls per hyperperiod after reduction by the gcd.
-pub fn sequential_schedule_length(p: u64, q: u64) -> u64 {
-    let g = oil_dataflow::rational::gcd(p as u128, q as u128) as u64;
-    p / g + q / g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use oil_compiler::{compile, CompilerOptions};
+    use oil_dataflow::hsdf::HsdfGraph;
+    use oil_dataflow::statespace::analyze_self_timed;
 
     #[test]
     fn generated_pipeline_compiles() {
@@ -138,21 +134,60 @@ mod tests {
         let reg = bench_registry(1e-6);
         assert!(compile(fig2c_source(), &reg, &CompilerOptions::default()).is_ok());
         assert!(compile(fig6_source(), &reg, &CompilerOptions::default()).is_ok());
+
+        // Fig. 10 / E7: the 1 kHz three-task pipeline with 10 us tasks has a
+        // 0.020 ms latency bound, so a 0.01 ms constraint is the one rejected.
+        let reg = bench_registry(1e-5);
+        for (bound_ms, accepted) in [("0.01", false), ("0.05", true), ("0.5", true), ("5", true)] {
+            let src = fig6_source().replace("5 ms", &format!("{bound_ms} ms"));
+            let verdict = compile(&src, &reg, &CompilerOptions::default()).is_ok();
+            assert_eq!(verdict, accepted, "latency bound {bound_ms} ms");
+        }
     }
 
+    /// E9, the paper's polynomial-vs-exponential claim: with 2·max(p, q)
+    /// initial tokens the HSDF expansion grows with the rates while the CTA
+    /// model keeps two ports. Then the buffer-sizing ablation: CTA's
+    /// sufficient capacity never undercuts the exact state-space maximum
+    /// (at these rates it equals it).
     #[test]
     fn multirate_cycle_models_agree_on_feasibility() {
         let sdf = multirate_cycle(3, 2, 4);
         assert!(sdf.check_deadlock_free().is_ok());
         let cta = multirate_cycle_cta(3, 2, 4);
         assert!(cta.consistency_at_maximal_rates().is_ok());
-    }
 
-    #[test]
-    fn schedule_length_grows_with_coprime_rates() {
-        assert_eq!(sequential_schedule_length(3, 2), 5);
-        assert_eq!(sequential_schedule_length(4, 2), 3);
-        assert_eq!(sequential_schedule_length(25, 1), 26);
-        assert!(sequential_schedule_length(127, 128) > sequential_schedule_length(4, 4));
+        // (p, q, HSDF nodes, states explored, CTA ports)
+        for (p, q, nodes, states, ports) in [
+            (3, 2, 5, 2, 2),
+            (9, 8, 17, 2, 2),
+            (27, 16, 43, 2, 2),
+            (81, 64, 145, 2, 2),
+        ] {
+            let tokens = 2 * u64::max(p, q);
+            let sdf = multirate_cycle(p, q, tokens);
+            let hsdf = HsdfGraph::expand(&sdf).unwrap();
+            let exact = analyze_self_timed(&sdf, 100_000).unwrap();
+            let cta = multirate_cycle_cta(p, q, tokens);
+            assert_eq!(
+                (hsdf.node_count(), exact.states_explored, cta.port_count()),
+                (nodes, states, ports),
+                "{p}:{q}"
+            );
+        }
+
+        // (p, q, exact max tokens per edge, CTA capacity)
+        for (p, q, exact_max, cta_capacity) in [(3, 2, 6, 6), (5, 4, 10, 10), (10, 16, 32, 32)] {
+            let tokens = 2 * u64::max(p, q);
+            let exact = analyze_self_timed(&multirate_cycle(p, q, tokens), 100_000).unwrap();
+            let sized = oil_cta::size_buffers(&multirate_cycle_cta(p, q, tokens)).unwrap();
+            let exact_tokens = *exact.max_tokens_per_edge.iter().max().unwrap();
+            assert_eq!(
+                (exact_tokens, sized.capacities["by"]),
+                (exact_max, cta_capacity),
+                "{p}:{q}"
+            );
+            assert!(sized.capacities["by"] >= exact_tokens, "{p}:{q}");
+        }
     }
 }

@@ -24,8 +24,8 @@
 //! and the probe accepting the final capacities is certified in rationals.
 //!
 //! The result is a *sufficient* capacity per buffer (the paper claims
-//! sufficiency, not minimality); the ablation benchmark compares it against
-//! the exact minimum found by state-space search on the dataflow model.
+//! sufficiency, not minimality); `oil_bench`'s tests compare it against the
+//! exact maximum occupancy found by state-space search on the dataflow model.
 
 use crate::component::{ConnectionId, CtaModel};
 use crate::consistency::ConsistencyError;

@@ -5,7 +5,8 @@
 //! actor within an iteration) and computing the Maximum Cycle Mean of the
 //! result. The expansion is **exponential in the rates** (the repetition
 //! vector entries), which is exactly the cost the paper's CTA approach
-//! avoids; the benchmark `scaling_poly_vs_exact` measures this difference.
+//! avoids. The benchmark's `dataflow.hsdf_mcm_us` row measures this cost,
+//! and `oil_bench`'s tests pin the node counts per rate ratio.
 
 use crate::index::{ActorId, IndexVec};
 use crate::mcr::{CycleRatio, RatioGraph};

@@ -9,8 +9,9 @@
 //! steady-state period is the time between the two visits.
 //!
 //! The state space can be exponential in the repetition vector and in the
-//! number of initial tokens, which is exactly what the benchmark
-//! `scaling_poly_vs_exact` demonstrates against CTA's polynomial algorithms.
+//! number of initial tokens. The benchmark's `dataflow.statespace_us` row
+//! times it next to CTA's `cta.cycle_consistency_us` on the same cycle, and
+//! `oil_bench`'s tests pin the states it explores per rate ratio.
 
 use crate::index::{ActorId, IndexVec};
 use crate::rational::Rational;

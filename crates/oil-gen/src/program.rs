@@ -162,8 +162,8 @@ impl ProgramScenario {
     /// source feeding a high-ratio decimation, a samplewise demodulator,
     /// and a small-ratio audio resampler) instead of the generic chain
     /// shapes. Widens the differential corpus beyond PAL and the synthetic
-    /// wide/chain graphs; the bench's `sdr` workload uses the same
-    /// topology with real DSP kernels.
+    /// wide/chain graphs; `bench/src/programs.rs`'s `sdr_program` has the
+    /// same topology with real DSP kernels.
     pub fn generate_sdr(seed: u64) -> Self {
         let mut rng = GenRng::new(seed ^ 0x5D12_AD10);
         // Audio base rate and the conversion factors, kept small enough

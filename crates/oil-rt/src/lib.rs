@@ -65,7 +65,7 @@ pub mod trace;
 pub use exec::{execute, RtConfig, RtReport, SinkStream};
 pub use kernel::{Kernel, KernelLibrary, SourceKernel};
 pub use measure::{RateVerdict, SinkMonitor, ValueTrace, WindowObs};
-pub use metrics::{env_metrics, MetricsConfig, MetricsReport};
+pub use metrics::{MetricsConfig, MetricsReport};
 pub use profile::{profile_graph, KernelCosts, ProfileConfig};
 pub use selftimed::{
     execute_selftimed, execute_selftimed_scripted, SelfTimedConfig, SelfTimedReport,

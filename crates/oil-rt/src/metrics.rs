@@ -158,15 +158,6 @@ impl MetricsReport {
     }
 }
 
-/// Read the `OIL_RT_METRICS` toggle from the environment, with the one
-/// toggle parser `OIL_RT_TRACE` uses (unset or empty = off, loud on
-/// junk). Engines never read the environment themselves; callers thread
-/// the resulting config through
-/// [`crate::SelfTimedConfig`]/[`crate::StaticConfig`].
-pub fn env_metrics() -> Option<MetricsConfig> {
-    crate::trace::env_toggle("OIL_RT_METRICS").then(MetricsConfig::default)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,16 +271,5 @@ mod tests {
         let flat = [w(4000.0), w(4000.0), w(4000.0)];
         assert_eq!(judge(&flat, 1000.0, 1.0), RateVerdict::Pass);
         assert_eq!(judge(&windows[1..], 1000.0, 1.0), RateVerdict::Pass);
-    }
-
-    #[test]
-    fn parse_metrics_accepts_the_documented_forms() {
-        crate::trace::tests::assert_toggle_forms("OIL_RT_METRICS");
-    }
-
-    #[test]
-    #[should_panic(expected = "OIL_RT_METRICS")]
-    fn parse_metrics_rejects_junk_loudly() {
-        crate::trace::parse_toggle("OIL_RT_METRICS", "maybe");
     }
 }

@@ -716,34 +716,27 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Parse the on/off toggle `name` (`OIL_RT_TRACE`, `OIL_RT_METRICS`):
-/// `1/true/on` and `0/false/off`, surrounding blanks ignored; set but empty
-/// is unset, i.e. off, as for `OIL_RT_FUSION`. Junk panics loudly instead
-/// of silently disabling the telemetry the user asked for.
-pub(crate) fn parse_toggle(name: &str, raw: &str) -> bool {
+/// Parse an `OIL_RT_TRACE` value: `1/true/on` and `0/false/off`,
+/// surrounding blanks ignored; set but empty is unset, i.e. off, as for
+/// `OIL_RT_FUSION`. Junk panics loudly instead of silently disabling the
+/// telemetry the user asked for.
+fn parse_trace(raw: &str) -> bool {
     match raw.trim() {
         "1" | "true" | "on" => true,
         "0" | "false" | "off" | "" => false,
-        other => panic!("{name} must be one of 1/0/true/false/on/off, got `{other}`"),
+        other => panic!("OIL_RT_TRACE must be one of 1/0/true/false/on/off, got `{other}`"),
     }
 }
 
-/// Read the toggle `name` from the environment ([`parse_toggle`]; unset =
-/// off).
-pub(crate) fn env_toggle(name: &str) -> bool {
-    std::env::var(name).is_ok_and(|raw| parse_toggle(name, &raw))
-}
-
 /// Read the `OIL_RT_TRACE` toggle from the environment (unset or empty =
-/// off; the one parser `OIL_RT_METRICS` uses too). Engines never read the
-/// environment themselves — callers thread this into
-/// [`crate::SelfTimedConfig`]/[`crate::StaticConfig`].
+/// off, junk a panic). Engines never read the environment themselves —
+/// callers thread this into [`crate::SelfTimedConfig`]/[`crate::StaticConfig`].
 pub fn env_trace() -> bool {
-    env_toggle("OIL_RT_TRACE")
+    std::env::var("OIL_RT_TRACE").is_ok_and(|raw| parse_trace(&raw))
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use std::time::Duration;
 
@@ -863,31 +856,25 @@ pub(crate) mod tests {
         assert_eq!(report.counters.mode_switches, 1);
     }
 
-    /// `OIL_RT_TRACE`'s forms through the toggle parser it shares with
-    /// `OIL_RT_METRICS` (whose forms `metrics::tests` pins the same way).
     #[test]
     fn parse_trace_accepts_the_documented_forms() {
-        assert_toggle_forms("OIL_RT_TRACE");
-    }
-
-    pub(crate) fn assert_toggle_forms(name: &str) {
         for on in ["1", "true", "on", " on "] {
-            assert!(parse_toggle(name, on), "{name}={on:?}");
+            assert!(parse_trace(on), "OIL_RT_TRACE={on:?}");
         }
         // Set but empty (or blank) is unset: off, never a panic.
         for off in ["0", "false", "off", "", "  "] {
-            assert!(!parse_toggle(name, off), "{name}={off:?}");
+            assert!(!parse_trace(off), "OIL_RT_TRACE={off:?}");
         }
         for junk in ["yes please", "2", "ON"] {
-            let parsed = std::panic::catch_unwind(|| parse_toggle(name, junk));
-            assert!(parsed.is_err(), "{name}={junk:?} must be rejected");
+            let parsed = std::panic::catch_unwind(|| parse_trace(junk));
+            assert!(parsed.is_err(), "OIL_RT_TRACE={junk:?} must be rejected");
         }
     }
 
     #[test]
     #[should_panic(expected = "OIL_RT_TRACE")]
     fn parse_trace_rejects_junk_loudly() {
-        parse_toggle("OIL_RT_TRACE", "yes please");
+        parse_trace("yes please");
     }
 
     #[test]
