@@ -199,8 +199,10 @@ impl FirFilter {
             // One tap has no history to stage, and one pass over the input
             // is a third of the kernel's three (stage, zero-fill, compute).
             // The trailing `+ 0.0 + 0.0` additions replay the round-robin
-            // reduction `(l0+l1)+(l2+l3)` with three empty lanes, keeping
-            // the result bit-identical even for signed zeros.
+            // reduction `(l0+l1)+(l2+l3)` with three empty lanes. Lane 0 is
+            // `fma(x, t, +0.0)`, which differs from `x * t + 0.0` only in
+            // the sign of an underflowed zero; the second `+ 0.0` makes
+            // every zero `+0.0`, so the result is bit-identical.
             extend_wide(out, input.iter().map(|&x| (x * t + 0.0) + 0.0));
             return;
         }
@@ -347,6 +349,23 @@ mod tests {
         let mut f = FirFilter::from_taps(vec![1.0]);
         assert_eq!(f.push(3.5), 3.5);
         assert_eq!(f.push(-1.0), -1.0);
+    }
+
+    #[test]
+    fn one_tap_block_path_matches_the_fused_push_on_special_values() {
+        use crate::simd::tests::{hostile, same, underflow};
+        let tiny = -f64::MIN_POSITIVE / 1024.0;
+        for t in [1.0, -0.0, tiny, f64::INFINITY, f64::NAN] {
+            for input in [hostile(200, 0.9), underflow(40, false)] {
+                let mut by_push = FirFilter::from_taps(vec![t]);
+                let mut block_out = Vec::new();
+                by_push.clone().process_block_into(&input, &mut block_out);
+                for (i, (&x, &y)) in input.iter().zip(&block_out).enumerate() {
+                    let want = by_push.push(x);
+                    assert!(same(want, y), "tap {t:e} sample {i}: {want:e} vs {y:e}");
+                }
+            }
+        }
     }
 
     #[test]

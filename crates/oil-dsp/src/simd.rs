@@ -4,10 +4,15 @@
 //! (the runtime differential oracles compare raw `f64` bits), so a SIMD
 //! path is only admissible if it reproduces the scalar reduction order
 //! exactly. The canonical reduction — [`dot_rr4_scalar`], shared by every
-//! filter in this crate — is **four round-robin partial sums**: product `i`
-//! is accumulated into lane `i & 3` in ascending `i`, and the final
-//! reduction is `(l0 + l1) + (l2 + l3)`. Multiply and add stay separate
-//! instructions, *never* FMA: fusing changes the rounding of every product.
+//! filter in this crate — is **four round-robin partial sums of fused
+//! multiply-adds**: `acc[i & 3] = fma(a[i], b[i], acc[i & 3])` in ascending
+//! `i`, one rounding per tap, and the final reduction is `(l0 + l1) + (l2 +
+//! l3)` in plain adds. `f64::mul_add` is correctly rounded on every target,
+//! so the bits do not depend on the host, only the speed does: hosts with
+//! AVX and FMA run the vector bodies below and the scalar loop compiled for
+//! FMA (one `vfmadd` per tap); hosts with AVX but no FMA, and other
+//! architectures, run the scalar loop through the C library's `fma`,
+//! correct everywhere and slow.
 //!
 //! Three vector bodies reproduce that order, and which one runs depends on
 //! how the outputs' windows lie in memory:
@@ -16,109 +21,119 @@
 //!   outputs read windows one sample apart, so one broadcast tap times one
 //!   unaligned window load is the tap-`i` product of a whole vector of
 //!   outputs. A block holds `V = 4` vectors of outputs and walks its taps
-//!   **residue-major**: it finishes round-robin lane `r` of all of them —
-//!   taps `r, r + 4, r + 8, …`, ascending — before it starts lane `r + 1`,
-//!   and `(l0+l1)+(l2+l3)` is then three vector adds yielding finished
-//!   outputs, with no tap tail and no horizontal step. Within lane `r`,
-//!   output vector `v`'s window at the lane's tap `a` is the vector at
-//!   `r + 4(a + v·N/4)` (`N` lanes per vector), so the `V` vectors one tap
-//!   needs are `R = V·N/4` consecutive ones four samples apart. They live in
-//!   a register ring, and each tap costs one broadcast and **one** new window
-//!   load: 2 loads per tap, where a tap-major walk (tap `i` against all `V`
-//!   vectors, all four lanes' accumulators live) costs `V + 1`, most of them
-//!   split across cache lines. The up to `V − 1` single vectors after the
-//!   last block walk tap-major: one vector loads one window per tap either
-//!   way, and tap-major keeps four add chains in flight where residue-major
-//!   would keep one. A block length that is not a whole number of vectors
-//!   recomputes the last vector's worth of outputs (same windows, same bits)
-//!   instead of masking.
+//!   **residue-major**, two round-robin lanes in flight: it finishes lanes
+//!   0 and 1 of all of them — taps `r, r + 4, r + 8, …` of lane `r`,
+//!   ascending, the two lanes in step — before it starts lanes 2 and 3, and
+//!   `(l0+l1)+(l2+l3)` is then three vector adds yielding finished outputs,
+//!   with no tap tail and no horizontal step. Within lane `r`, output
+//!   vector `v`'s window at the lane's tap `a` is the vector at `r + 4(a +
+//!   v·N/4)` (`N` lanes per vector), so the `V` vectors one tap needs are
+//!   `R = V·N/4` consecutive ones four samples apart. They live in a
+//!   register ring, one per lane in flight, and each tap costs one broadcast
+//!   and **one** new window load: 2 loads per tap, where a tap-major walk
+//!   (tap `i` against all `V` vectors, all four lanes' accumulators live)
+//!   costs `V + 1`, most of them split across cache lines. The up to `V − 1`
+//!   single vectors after the last block walk tap-major: one vector loads
+//!   one window per tap either way, and tap-major keeps four FMA chains in
+//!   flight where residue-major would keep one. A block length that is not a
+//!   whole number of vectors recomputes the last vector's worth of outputs
+//!   (same windows, same bits) instead of masking.
 //! * **Polyphase, lane = output** (`PolyphaseLanes`, AVX-512F). A rational
 //!   resampler's consecutive outputs belong to different phases: each has
 //!   its own short tap set and its window starts a fraction of an input
 //!   after the last. When 8 consecutive outputs' windows all start inside
 //!   one 16-sample span, tap `j` of all 8 is two unaligned loads, one
-//!   two-source permute picking each lane's sample, a multiply by the
-//!   lanes' tap-`j` vector and an add into accumulator `j & 3` — *masked*
-//!   to the lanes whose phase has a tap `j`, so a 6-tap phase beside a
-//!   7-tap one keeps its lane untouched, exactly as its scalar reduction
-//!   does. The permute indices, tap vectors and masks repeat with the
-//!   phase of the group's first output, so they are built once per
-//!   resampler, one table entry per phase.
+//!   two-source permute picking each lane's sample, and a fused multiply-add
+//!   of the lanes' tap-`j` vector into accumulator `j & 3` — *masked* to the
+//!   lanes whose phase has a tap `j` (`_mm512_mask3_fmadd_pd`, which leaves
+//!   the other lanes' sums as they are), so a 6-tap phase beside a 7-tap
+//!   one keeps its lane untouched, exactly as its scalar reduction does.
+//!   The permute indices, tap vectors and masks repeat with the phase of
+//!   the group's first output, so they are built once per resampler, one
+//!   table entry per phase.
 //! * **Strided windows, lane = tap mod 4** ([`dot_rr4_strided`]). A
 //!   decimator's or a polyphase resampler's outputs read windows `stride`
 //!   samples apart, so the vector holds one output's four partial sums and
 //!   four windows are in flight sharing each tap load. A tap count that is
-//!   not a multiple of four ends in a masked load and a *blended* add:
-//!   lanes past the end are never read and keep their sum untouched (adding
-//!   a padded `+0.0` would turn a `-0.0` lane into `+0.0`, and `0·∞` would
-//!   make it NaN). [`dot_rr4`] is this body with one window.
+//!   not a multiple of four ends in a masked load and a fused multiply-add
+//!   *blended* back: lanes past the end are never read and keep their sum
+//!   untouched (fusing a padded `0·0` into a `-0.0` lane would make it
+//!   `+0.0`, and `0·∞` would make it NaN). [`dot_rr4`] is this body with
+//!   one window.
 //!
 //! **Safe code.** The sliding walk is written once, in safe code, over
-//! `Lanes<N>`: an `[f64; N]` whose operations go lane by lane and whose
-//! loads and stores are slice indexes. A `#[target_feature]` entry
-//! instantiates it for `ymm` (AVX, `Lanes<4>`, a ring of 4) and `zmm`
-//! (AVX-512F, `Lanes<8>`, a ring of 8); the tests also run both
-//! instances compiled for no feature, so every host checks the `zmm` walk.
-//! Each block gets exactly its window, and each group of `R` taps is one
-//! bounds check: a ring load past the window panics in any build. The
-//! polyphase and strided bodies stay intrinsics, because a walk over
-//! `Lanes` measured ×4.45 (polyphase, an 8-lane gather per tap instead of
-//! the permute) and ×1.95–2.34 (strided, split into 128-bit halves by the
-//! compiler) of their time at PAL's 10/16 × 1024; they are safe
-//! `#[target_feature]` functions over slices, loading through
-//! bounds-checked slices. `unsafe` is left on each entry's one call after
-//! feature detection, and on two pointer intrinsics: the polyphase group's
-//! store, and the strided tail's masked load (with a lane-by-lane tail the
-//! strided body read ×1.46 of the raw-pointer body's time at 10/16, with
-//! the masked load ×1.29, before its outputs were sliced once per group).
+//! `Lanes<N>`: an `[f64; N]` whose operations go lane by lane (its `fma` is
+//! `f64::mul_add` per lane) and whose loads and stores are slice indexes. A
+//! `#[target_feature]` entry instantiates it for `ymm` (AVX and FMA,
+//! `Lanes<4>`, a ring of 4) and `zmm` (AVX-512F, `Lanes<8>`, a ring of 8);
+//! the tests also run both instances compiled for no feature, so every host
+//! checks the `zmm` walk. Each block gets exactly its window, and each group
+//! of `R` taps of both lanes in flight is one bounds check: a ring load past
+//! the window panics in any build. The polyphase and strided bodies stay
+//! intrinsics, because a walk over `Lanes` measured ×4.45 (polyphase, an
+//! 8-lane gather per tap instead of the permute) and ×1.95–2.34 (strided,
+//! split into 128-bit halves by the compiler) of their time at PAL's 10/16
+//! × 1024; they are safe `#[target_feature]` functions over slices, loading
+//! through bounds-checked slices. `unsafe` is left on each entry's one call
+//! after feature detection, and on two pointer intrinsics: the polyphase
+//! group's store, and the strided tail's masked load (with a lane-by-lane
+//! tail the strided body read ×1.46 of the raw-pointer body's time at
+//! 10/16, with the masked load ×1.29, before its outputs were sliced once
+//! per group).
 //!
 //! **Which width.** The sliding body's width is a pure function of the
 //! block's shape and the host (`sliding_width`): `zmm` on hosts that report
-//! AVX-512F whenever the block holds at least two `zmm` vectors of outputs,
-//! `ymm` with AVX from one `ymm` vector up, and the strided body below that
-//! (or on any other architecture, which runs the scalar loop). `zmm` halves
-//! the instruction count per output. There is no minimum product count:
-//! 512-bit units run slower for a few microseconds after idling, but a
-//! floor of 2¹⁶ products kept PAL's 63-tap/1024-output pass (64 512
-//! products) on the slower `ymm` body.
+//! AVX-512F (and FMA) whenever the block holds at least two `zmm` vectors
+//! of outputs, `ymm` with AVX and FMA from one `ymm` vector up, and the
+//! strided body below that (or on any other host, which runs the scalar
+//! loop). `zmm` halves the instruction count per output. There is no
+//! minimum product count: 512-bit units run slower for a few microseconds
+//! after idling, but a floor of 2¹⁶ products kept PAL's 63-tap/1024-output
+//! pass (64 512 products) on the slower `ymm` body.
 //!
-//! **Throughput.** Entered directly on the development host (a 2-vCPU
-//! Sapphire Rapids, shared; 20 alternating pairs each), the safe walk reads
-//! ×1.00 (64 × 2047) and ×1.05 (1024 × 63) of the intrinsic walk's time on
-//! `zmm`, and ×1.17 at both shapes on `ymm`, where the compiler spills one
-//! accumulator; the strided and polyphase bodies over slices read ×1.01 at
-//! PAL's decimators, ×0.97 at its resampler, and ×1.11 on the strided
-//! resampler path that only hosts without AVX-512F take. The residue-major
-//! walk itself read ×1.32–1.69 and ×1.30–1.45 over the tap-major `V = 2`
-//! body it replaced on `zmm`, ×1.22–1.58 and ×1.20–1.33 over tap-major
-//! `V = 3` on `ymm`. By operation count (the host exposes no cycle
-//! counter), a tap is `V = 4` multiplies and 4 adds on two FP ports, 4
-//! cycles, and each accumulator receives one add per tap, which is the add
-//! latency: about 8 multiply-adds per cycle on `zmm`, the ceiling for
-//! separate multiply and add. FMA would halve the operations per tap
-//! but not the chains: 4 chains of 4-cycle FMAs still finish one vector per
-//! cycle, so it would pay only with 8 independent chains (`V = 8`, whose
-//! ring of 16 does not fit beside its accumulators, or two lanes in flight).
-//! The ring size is a power of two and the tap loop is unrolled by it: a
-//! ring size that leaves `% R` to run time sends the ring through memory.
+//! **Throughput.** By operation count a tap of one lane is `V = 4` FMAs,
+//! and each accumulator takes one FMA per tap, so its chain waits the FMA
+//! latency between taps. Two FP ports and a 4-cycle FMA need 8 independent
+//! chains to stay busy, which one lane's 4 accumulators do not give: two
+//! lanes in flight do, and on `zmm` their two rings of 8 and 8 accumulators
+//! take 24 of the 32 registers. Entered directly on the development host (a
+//! 2-vCPU Sapphire Rapids, shared; 20 alternating pairs each), the `zmm`
+//! walk reads ×1.71 (64 × 2047, wide's pass) and ×1.50 (1024 × 63, PAL's
+//! `lpf_v`) of the speed of the separate-multiply-and-add walk, one lane at
+//! a time, that it replaced (20 of 20 pairs won at each); FMA with one lane
+//! in flight read ×1.19 and ×1.33, two lanes with separate operations ×0.59
+//! and ×0.61, so the gain needs both. On `ymm` the two
+//! rings and 8 accumulators fill all 16 registers and the compiler spills,
+//! yet the `V = 4` instance still reads ×1.08 (15 of 20) and ×1.01 (13 of
+//! 20) over the old `ymm` body; `V = 2` (4 chains, no spill) read ×0.88 and
+//! ×0.92, and `V = 3` ×0.25, scalarised by the compiler, so `ymm` keeps
+//! `V = 4`. The strided body reads ×1.11 at PAL's decimator (63 taps,
+//! stride 25) and the polyphase body ×1.03 at its 10/16 resampler. The ring
+//! size is a power of two and the tap loop is unrolled by it: a ring size
+//! that leaves `% R` to run time sends the ring through memory.
 //!
 //! A *single* dot product cannot go faster than the canonical order lets
-//! it: its four lanes are one vector accumulator, each add waits for the
+//! it: its four lanes are one vector accumulator, each FMA waits for the
 //! previous one, and a wider vector would reassociate the sum. `dot_rr4` is
-//! latency-bound at one add per four taps by construction; the block
-//! kernels are fast because they have many outputs to overlap.
+//! latency-bound at one FMA per four taps by construction, and on the
+//! development host an FMA chain is about twice as slow as the add chain it
+//! replaced: `dot_rr4` reads ×0.52 at 2047 taps and ×0.75 at 7 of its
+//! separate-operation speed. The block kernels are fast because they have
+//! many outputs to overlap, and the engines fire the filters on blocks.
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
 
-/// True when the vector paths are available on this host (cached after
-/// the first call).
+/// True when the vector paths are available on this host: AVX and FMA
+/// (cached after the first call).
 #[cfg(target_arch = "x86_64")]
 #[inline]
 pub fn simd_available() -> bool {
     use std::sync::OnceLock;
-    static AVX: OnceLock<bool> = OnceLock::new();
-    *AVX.get_or_init(|| std::arch::is_x86_feature_detected!("avx"))
+    static AVX_FMA: OnceLock<bool> = OnceLock::new();
+    *AVX_FMA.get_or_init(|| {
+        std::arch::is_x86_feature_detected!("avx") && std::arch::is_x86_feature_detected!("fma")
+    })
 }
 
 /// Portable fallback: no vector path.
@@ -135,44 +150,65 @@ pub fn simd_available() -> bool {
 #[inline]
 pub fn dot_rr4(a: &[f64], b: &[f64]) -> f64 {
     let n = a.len().min(b.len());
-    // Below two full vectors the feature dispatch and the reduction cost
-    // more than the multiplies; both paths produce the same bits, so the
-    // cutover is purely a speed choice.
+    // Below two full vectors the reduction costs more than the products;
+    // both paths produce the same bits, so the cutover is purely a speed
+    // choice.
     #[cfg(target_arch = "x86_64")]
     if n >= 8 && simd_available() {
         let mut y = 0.0;
-        // SAFETY: `simd_available` proved AVX support.
+        // SAFETY: `simd_available` proved AVX and FMA support.
         unsafe { strided_avx(&a[..n], 0, &b[..n], std::slice::from_mut(&mut y), 1) };
         return y;
     }
     dot_rr4_scalar(&a[..n], &b[..n])
 }
 
-/// The canonical scalar reduction: `acc[i & 3] += a[i] * b[i]`, reduced as
-/// `(acc0 + acc1) + (acc2 + acc3)`. Hand-unrolled into four named lanes —
-/// the indexed-array form keeps the accumulators in memory and every
-/// short dot stalls on store-to-load forwarding; the unroll is the same
-/// additions in the same per-lane order, so the bits don't move.
+/// The canonical scalar reduction: `acc[i & 3] = fma(a[i], b[i], acc[i &
+/// 3])`, one rounding per product-and-add, reduced as `(acc0 + acc1) +
+/// (acc2 + acc3)`. On hosts with FMA the loop is compiled for it, one
+/// `vfmadd` per tap; elsewhere `f64::mul_add` is the same correctly rounded
+/// operation through the C library, slower.
 #[inline]
 pub fn dot_rr4_scalar(a: &[f64], b: &[f64]) -> f64 {
+    #[cfg(target_arch = "x86_64")]
+    if simd_available() {
+        // SAFETY: `simd_available` proved FMA support.
+        return unsafe { rr4_fma(a, b) };
+    }
+    rr4(a, b)
+}
+
+/// [`dot_rr4_scalar`]'s loop compiled with FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+fn rr4_fma(a: &[f64], b: &[f64]) -> f64 {
+    rr4(a, b)
+}
+
+/// The canonical order's loop, hand-unrolled into four named lanes — the
+/// indexed-array form keeps the accumulators in memory and every short dot
+/// stalls on store-to-load forwarding; the unroll is the same operations in
+/// the same per-lane order, so the bits don't move.
+#[inline(always)]
+fn rr4(a: &[f64], b: &[f64]) -> f64 {
     let n = a.len().min(b.len());
     let (mut l0, mut l1, mut l2, mut l3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
     let mut i = 0usize;
     while i + 4 <= n {
-        l0 += a[i] * b[i];
-        l1 += a[i + 1] * b[i + 1];
-        l2 += a[i + 2] * b[i + 2];
-        l3 += a[i + 3] * b[i + 3];
+        l0 = a[i].mul_add(b[i], l0);
+        l1 = a[i + 1].mul_add(b[i + 1], l1);
+        l2 = a[i + 2].mul_add(b[i + 2], l2);
+        l3 = a[i + 3].mul_add(b[i + 3], l3);
         i += 4;
     }
     if i < n {
-        l0 += a[i] * b[i];
+        l0 = a[i].mul_add(b[i], l0);
     }
     if i + 1 < n {
-        l1 += a[i + 1] * b[i + 1];
+        l1 = a[i + 1].mul_add(b[i + 1], l1);
     }
     if i + 2 < n {
-        l2 += a[i + 2] * b[i + 2];
+        l2 = a[i + 2].mul_add(b[i + 2], l2);
     }
     (l0 + l1) + (l2 + l3)
 }
@@ -210,7 +246,7 @@ pub fn dot_rr4_strided(
     // the scalar loop wins; the bits are the same either way.
     #[cfg(target_arch = "x86_64")]
     if n >= 4 && simd_available() {
-        // SAFETY: `simd_available` proved AVX support.
+        // SAFETY: `simd_available` proved AVX and FMA support.
         unsafe { strided_avx(window, stride, rtaps, out, out_stride) };
         return;
     }
@@ -234,9 +270,9 @@ pub fn fir_block_rr4(window: &[f64], rtaps: &[f64], out: &mut [f64]) {
     );
     #[cfg(target_arch = "x86_64")]
     match sliding_width(out.len(), simd_available(), avx512_available()) {
-        // SAFETY: AVX-512F detected.
+        // SAFETY: AVX-512F and FMA detected.
         Width::Zmm => return unsafe { sliding_zmm(window, rtaps, out) },
-        // SAFETY: AVX detected.
+        // SAFETY: AVX and FMA detected.
         Width::Ymm => return unsafe { sliding_ymm(window, rtaps, out) },
         Width::Strided => {}
     }
@@ -247,8 +283,12 @@ pub fn fir_block_rr4(window: &[f64], rtaps: &[f64], out: &mut [f64]) {
 
 /// `dst.extend(items)`, compiled for AVX-512F where the host has it, so an
 /// elementwise map over slices vectorises at that width. Each element is
-/// the same IEEE operations in the same order at any width (no FMA is ever
-/// formed), so the bits do not depend on the host.
+/// the same IEEE operations in the same order at any width, so the bits do
+/// not depend on the host. The maps keep separate multiplies and adds (the
+/// compiler never fuses them): they are scalings and fills, not dot
+/// products, except the one-tap FIR's `(x·t + 0) + 0`, which equals the
+/// canonical `(fma(x, t, 0) + 0) + 0` bit for bit (see its comment), so
+/// FMA would only tie them to hosts that have it.
 pub(crate) fn extend_wide(dst: &mut Vec<f64>, items: impl Iterator<Item = f64>) {
     #[cfg(target_arch = "x86_64")]
     if avx512_available() {
@@ -289,13 +329,14 @@ fn sliding_width(outputs: usize, avx: bool, avx512f: bool) -> Width {
     }
 }
 
-/// True when the host has AVX-512F (cached after the first call).
+/// True when the host has AVX-512F, and with it the FMA every vector body
+/// needs (cached after the first call).
 #[cfg(target_arch = "x86_64")]
 #[inline]
 fn avx512_available() -> bool {
     use std::sync::OnceLock;
     static AVX512F: OnceLock<bool> = OnceLock::new();
-    *AVX512F.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f"))
+    *AVX512F.get_or_init(|| simd_available() && std::arch::is_x86_feature_detected!("avx512f"))
 }
 
 /// One vector of `N` `f64` lanes, in safe code: loads and stores take
@@ -329,11 +370,12 @@ impl<const N: usize> Lanes<N> {
     // The lane loops index instead of zipping iterators, whose calls
     // dominate the unoptimised test build; optimised, both unroll alike.
 
+    /// `self · b + c` lane by lane, rounded once: `f64::mul_add`.
     #[inline(always)]
-    fn mul(mut self, o: Self) -> Self {
+    fn fma(mut self, b: Self, c: Self) -> Self {
         let mut l = 0;
         while l < N {
-            self.0[l] *= o.0[l];
+            self.0[l] = self.0[l].mul_add(b.0[l], c.0[l]);
             l += 1;
         }
         self
@@ -381,11 +423,12 @@ fn sliding<const N: usize, const V: usize, const R: usize>(
 }
 
 /// `V·N` consecutive outputs of the block's window (`V·N + rtaps.len() −
-/// 1` samples), walked **residue-major**: round-robin lane `r` of every
-/// output — taps `r, r + 4, r + 8, …` in ascending order — is finished
-/// before lane `r + 1` starts, and `(l0 + l1) + (l2 + l3)` then finishes
-/// the block. Each output's lane sums the same products in the same order
-/// as in [`dot_rr4_scalar`], so the bits are the scalar order's.
+/// 1` samples), walked **residue-major**: round-robin lanes 0 and 1 of
+/// every output — taps `r, r + 4, r + 8, …` of lane `r`, in ascending
+/// order — are finished together before lanes 2 and 3 start, and `(l0 +
+/// l1) + (l2 + l3)` then finishes the block. Each output's lane sums the
+/// same products in the same order as in [`dot_rr4_scalar`], so the bits
+/// are the scalar order's.
 ///
 /// Lane `r`'s tap `a` (tap index `r + 4a`) of output vector `v` reads
 /// `U_{a + S·v}`, where `U_m` is the vector at `window[r + 4m..]` and
@@ -400,74 +443,78 @@ fn residue_block<const N: usize, const V: usize, const R: usize>(
     rtaps: &[f64],
     out: &mut [f64],
 ) {
-    let (l0, l1) = (
-        residue_lane::<N, V, R>(window, rtaps, 0),
-        residue_lane::<N, V, R>(window, rtaps, 1),
-    );
+    let (l0, l1) = residue_lanes::<N, V, R>(window, rtaps, 0);
     let mut y = [Lanes::ZERO; V];
     for (v, y) in y.iter_mut().enumerate() {
         *y = l0[v].add(l1[v]);
     }
-    let (l2, l3) = (
-        residue_lane::<N, V, R>(window, rtaps, 2),
-        residue_lane::<N, V, R>(window, rtaps, 3),
-    );
+    let (l2, l3) = residue_lanes::<N, V, R>(window, rtaps, 2);
     for (v, (y, out)) in y.into_iter().zip(out.chunks_exact_mut(N)).enumerate() {
         y.add(l2[v].add(l3[v])).store(out);
     }
 }
 
-/// Round-robin lane `r` of `residue_block`'s `V` output vectors.
+/// Round-robin lanes `r` and `r + 1` of `residue_block`'s `V` output
+/// vectors, walked in step: two rings and `2·V` accumulators, so `2·V`
+/// independent FMA chains are in flight. Lane `r + 1`'s window vectors are
+/// lane `r`'s one sample on, and it has as many taps as lane `r` or one
+/// fewer.
 #[inline(always)]
-fn residue_lane<const N: usize, const V: usize, const R: usize>(
+fn residue_lanes<const N: usize, const V: usize, const R: usize>(
     window: &[f64],
     rtaps: &[f64],
     r: usize,
-) -> [Lanes<N>; V] {
+) -> ([Lanes<N>; V], [Lanes<N>; V]) {
     const { assert!(N.is_multiple_of(4) && R == V * N / 4) };
     let (n, s) = (rtaps.len(), N / 4);
-    let taps = (n + 3 - r) / 4;
-    let mut acc = [Lanes::ZERO; V];
-    if taps == 0 {
+    let (taps0, taps1) = ((n + 3 - r) / 4, (n + 2 - r) / 4);
+    let mut acc = ([Lanes::ZERO; V], [Lanes::ZERO; V]);
+    if taps0 == 0 {
         return acc;
     }
-    let mut ring = [Lanes::ZERO; R];
-    for (m, u) in ring.iter_mut().enumerate().take(R - s) {
-        *u = Lanes::load(&window[r + 4 * m..]);
+    let mut ring = ([Lanes::ZERO; R], [Lanes::ZERO; R]);
+    for m in 0..R - s {
+        ring.0[m] = Lanes::load(&window[r + 4 * m..]);
+        ring.1[m] = Lanes::load(&window[r + 1 + 4 * m..]);
     }
     // Tap index `i` loads `U_{a + R − S}`, the vector at `i + lead`; the
     // block's last tap `i ≤ n − 1` ends it at the window's last sample.
     let lead = V * N - N;
     // Unrolled by `R`, so every ring slot and accumulator index is a
     // constant (a run-time `% R` would send the ring through memory), and
-    // each group of `R` taps is one bounds check on the window and one on
-    // the taps.
+    // each group of `R` taps of both lanes is one bounds check on the window
+    // and one on the taps.
     let mut a = 0;
-    while a + R <= taps {
+    while a + R <= taps1 {
         let i = r + 4 * a;
         let (w, t) = (
-            &window[i + lead..][..4 * R - 4 + N],
-            &rtaps[i..][..4 * R - 3],
+            &window[i + lead..][..4 * R - 3 + N],
+            &rtaps[i..][..4 * R - 2],
         );
         for k in 0..R {
-            let u = Lanes::load(&w[4 * k..]);
-            residue_tap::<N, V, R>(&mut ring, &mut acc, k, u, Lanes::splat(t[4 * k]));
+            let (u0, u1) = (Lanes::load(&w[4 * k..]), Lanes::load(&w[4 * k + 1..]));
+            residue_tap::<N, V, R>(&mut ring.0, &mut acc.0, k, u0, Lanes::splat(t[4 * k]));
+            residue_tap::<N, V, R>(&mut ring.1, &mut acc.1, k, u1, Lanes::splat(t[4 * k + 1]));
         }
         a += R;
     }
     for k in 0..R {
-        if a + k < taps {
-            let i = r + 4 * (a + k);
+        let i = r + 4 * (a + k);
+        if a + k < taps0 {
             let u = Lanes::load(&window[i + lead..]);
-            residue_tap::<N, V, R>(&mut ring, &mut acc, k, u, Lanes::splat(rtaps[i]));
+            residue_tap::<N, V, R>(&mut ring.0, &mut acc.0, k, u, Lanes::splat(rtaps[i]));
+        }
+        if a + k < taps1 {
+            let u = Lanes::load(&window[i + 1 + lead..]);
+            residue_tap::<N, V, R>(&mut ring.1, &mut acc.1, k, u, Lanes::splat(rtaps[i + 1]));
         }
     }
     acc
 }
 
 /// A lane's tap `a ≡ k (mod R)`: `u = U_{a + R − S}` replaces `U_{a − S}`
-/// in the ring, then the broadcast tap `t` times each output vector's
-/// window is added into its accumulator.
+/// in the ring, then each output vector's window times the broadcast tap
+/// `t` is fused into its accumulator.
 #[inline(always)]
 fn residue_tap<const N: usize, const V: usize, const R: usize>(
     ring: &mut [Lanes<N>; R],
@@ -479,7 +526,7 @@ fn residue_tap<const N: usize, const V: usize, const R: usize>(
     let s = N / 4;
     ring[(k + R - s) % R] = u;
     for (v, y) in acc.iter_mut().enumerate() {
-        *y = y.add(ring[(k + s * v) % R].mul(t));
+        *y = ring[(k + s * v) % R].fma(t, *y);
     }
 }
 
@@ -498,13 +545,13 @@ fn sliding_vector<const N: usize>(window: &[f64], rtaps: &[f64], out: &mut [f64]
     while i + 4 <= n {
         let (w, t) = (&window[i..][..N + 3], &rtaps[i..][..4]);
         for (r, a) in acc.iter_mut().enumerate() {
-            *a = a.add(Lanes::load(&w[r..]).mul(Lanes::splat(t[r])));
+            *a = Lanes::load(&w[r..]).fma(Lanes::splat(t[r]), *a);
         }
         i += 4;
     }
     for (r, a) in acc.iter_mut().enumerate() {
         if i + r < n {
-            *a = a.add(Lanes::load(&window[i + r..]).mul(Lanes::splat(rtaps[i + r])));
+            *a = Lanes::load(&window[i + r..]).fma(Lanes::splat(rtaps[i + r]), *a);
         }
     }
     let [l0, l1, l2, l3] = acc;
@@ -512,13 +559,13 @@ fn sliding_vector<const N: usize>(window: &[f64], rtaps: &[f64], out: &mut [f64]
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
+#[target_feature(enable = "avx,fma")]
 fn sliding_ymm(window: &[f64], rtaps: &[f64], out: &mut [f64]) {
     sliding::<4, 4, 4>(window, rtaps, out)
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
+#[target_feature(enable = "avx512f,fma")]
 fn sliding_zmm(window: &[f64], rtaps: &[f64], out: &mut [f64]) {
     sliding::<8, 4, 8>(window, rtaps, out)
 }
@@ -533,7 +580,7 @@ const TAIL_MASKS: [[i64; 4]; 4] = [[0; 4], [-1, 0, 0, 0], [-1, -1, 0, 0], [-1, -
 /// # Panics
 /// If a window `[q·stride, q·stride + rtaps.len())` is not inside `window`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
+#[target_feature(enable = "avx,fma")]
 fn strided_avx(window: &[f64], stride: usize, rtaps: &[f64], out: &mut [f64], out_stride: usize) {
     let count = out.len().div_ceil(out_stride);
     let (n, full) = (rtaps.len(), rtaps.len() / 4 * 4);
@@ -562,7 +609,7 @@ fn strided_avx(window: &[f64], stride: usize, rtaps: &[f64], out: &mut [f64], ou
 /// is window `g`'s dot product (lanes `G..` repeat the last window).
 /// Vector lane `l` of `acc[g]` is the window's round-robin lane `l`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
+#[target_feature(enable = "avx,fma")]
 #[inline]
 fn strided_group<const G: usize>(
     window: &[f64],
@@ -581,16 +628,16 @@ fn strided_group<const G: usize>(
     while i + 4 <= n {
         let t = ymm(&rtaps[i..]);
         for (a, w) in acc.iter_mut().zip(windows) {
-            *a = _mm256_add_pd(*a, _mm256_mul_pd(ymm(&w[i..]), t));
+            *a = _mm256_fmadd_pd(ymm(&w[i..]), t, *a);
         }
         i += 4;
     }
     if i < n {
         // Lanes past the last tap (`tail` and `mask`, the taps' last
-        // partial vector) are neither read nor added to.
+        // partial vector) are neither read nor added to: the blend after
+        // the FMA keeps their sums.
         for (a, w) in acc.iter_mut().zip(windows) {
-            let w = ymm_tail(&w[i..]);
-            let sum = _mm256_add_pd(*a, _mm256_mul_pd(w, tail));
+            let sum = _mm256_fmadd_pd(ymm_tail(&w[i..]), tail, *a);
             *a = _mm256_blendv_pd(*a, sum, mask);
         }
     }
@@ -855,9 +902,10 @@ fn lane_group<const T: usize, const EDGE: bool>(g: &LaneGroup, w: &[f64]) -> __m
 }
 
 /// Tap step `j`: lane `l`'s sample `j` permuted out of the `2·GROUP`
-/// samples from `w[j]`, times the lane's tap `j`, added into `acc` in the
-/// lanes that have a tap `j`. At the edge, samples past the end of `w` are
-/// `0.0`: only lanes without a tap at this step would pick them.
+/// samples from `w[j]`, times the lane's tap `j`, fused into `acc` in the
+/// lanes that have a tap `j`; the other lanes keep `acc` as it is. At the
+/// edge, samples past the end of `w` are `0.0`: only lanes without a tap at
+/// this step would pick them.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]
@@ -869,8 +917,7 @@ fn tap_step<const EDGE: bool>(
     j: usize,
 ) -> __m512d {
     let x = _mm512_permutex2var_pd(load::<EDGE>(w, j), idx, load::<EDGE>(w, j + GROUP));
-    let p = _mm512_mul_pd(x, zmm(&g.taps[j]));
-    _mm512_mask_add_pd(acc, g.adds[j], acc, p)
+    _mm512_mask3_fmadd_pd(x, zmm(&g.taps[j]), acc, g.adds[j])
 }
 
 /// `GROUP` samples from `w[from]`; at the edge, `0.0` past the end of `w`.
@@ -939,6 +986,39 @@ pub(crate) mod tests {
         v
     }
 
+    /// `n` copies of a positive subnormal, or (`negative`) of a negative
+    /// one: every product of the two underflows to a negative zero, which a
+    /// fused multiply-add into `+0.0` keeps and a separate add would turn
+    /// into `+0.0`. A dot product of them is `-0.0` only if no lane was ever
+    /// touched by a padded or inactive tap.
+    pub(crate) fn underflow(n: usize, negative: bool) -> Vec<f64> {
+        let x = f64::MIN_POSITIVE / 4.0;
+        vec![if negative { -x / 256.0 } else { x }; n]
+    }
+
+    /// `ramp` with sparse special values, so most sums stay finite: a zero of
+    /// either sign or a subnormal every 7th sample, `±∞` or NaN every 97th.
+    /// A zero tap meeting an infinite sample is `0·∞ + x`.
+    fn sparse(n: usize, seed: f64) -> Vec<f64> {
+        const SPECIALS: [f64; 6] = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE / 8.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut v = ramp(n, seed);
+        for (i, x) in v.iter_mut().enumerate() {
+            if i % 97 == 50 {
+                *x = SPECIALS[3 + (i / 97) % 3];
+            } else if i % 7 == 2 {
+                *x = SPECIALS[(i / 7) % 3];
+            }
+        }
+        v
+    }
+
     /// `len` samples copied to start `offset` doubles past a 64-byte line.
     fn at_offset(src: &[f64], offset: usize) -> (Vec<f64>, usize) {
         let mut buf = vec![0.0; src.len() + 16];
@@ -959,8 +1039,9 @@ pub(crate) mod tests {
 
     /// Every kernel body at every ISA level this host supports, entered
     /// directly — the dispatchers only ever reach the widest — next to the
-    /// dispatchers themselves and the generic walks compiled with no target
-    /// feature, so every host runs the `zmm` walk's ring slots, remainders
+    /// dispatchers themselves and the generic walks and the scalar loop
+    /// compiled with no target feature (`f64::mul_add` through the C
+    /// library), so every host runs the `zmm` walk's ring slots, remainders
     /// and recomputed last vectors. Each computes `out[q·out_stride] =
     /// dot(window[q·stride..][..n], rtaps)`, or returns false for a shape it
     /// does not take.
@@ -983,6 +1064,12 @@ pub(crate) mod tests {
                 }
                 true
             }),
+            ("rr4", |w, stride, t, out, os| {
+                for (q, o) in out.iter_mut().step_by(os).enumerate() {
+                    *o = rr4(&w[q * stride..][..t.len()], t);
+                }
+                true
+            }),
             ("sliding::<4>", |w, stride, t, out, os| {
                 let takes = stride == 1 && os == 1 && out.len() >= 4;
                 if takes {
@@ -1000,26 +1087,26 @@ pub(crate) mod tests {
         ];
         #[cfg(target_arch = "x86_64")]
         {
-            if std::arch::is_x86_feature_detected!("avx") {
+            if simd_available() {
                 bodies.push(("strided_avx", |w, stride, t, out, os| {
-                    // SAFETY: AVX detected.
+                    // SAFETY: AVX and FMA detected.
                     unsafe { strided_avx(w, stride, t, out, os) };
                     true
                 }));
                 bodies.push(("sliding_ymm", |w, stride, t, out, os| {
                     let takes = stride == 1 && os == 1 && out.len() >= 4;
                     if takes {
-                        // SAFETY: AVX detected.
+                        // SAFETY: AVX and FMA detected.
                         unsafe { sliding_ymm(w, t, out) };
                     }
                     takes
                 }));
             }
-            if std::arch::is_x86_feature_detected!("avx512f") {
+            if avx512_available() {
                 bodies.push(("sliding_zmm", |w, stride, t, out, os| {
                     let takes = stride == 1 && os == 1 && out.len() >= 8;
                     if takes {
-                        // SAFETY: AVX-512F detected.
+                        // SAFETY: AVX-512F and FMA detected.
                         unsafe { sliding_zmm(w, t, out) };
                     }
                     takes
@@ -1123,11 +1210,82 @@ pub(crate) mod tests {
     fn special_values_survive_masked_and_recomputed_lanes() {
         let outputs: Vec<usize> = (1..=33).chain([64, 1024]).collect();
         for n in TAPS.into_iter().filter(|&n| n <= 64) {
-            let signal = hostile(1024 * 3 + n, 0.9);
-            for rtaps in [ramp(n, 1.7), hostile(n, 0.3)] {
+            let len = 1024 * 3 + n;
+            for (signal, rtaps) in [
+                (hostile(len, 0.9), ramp(n, 1.7)),
+                (hostile(len, 0.9), hostile(n, 0.3)),
+                (sparse(len, 0.9), sparse(n, 0.3)),
+                (underflow(len, false), underflow(n, true)),
+            ] {
                 for offset in [0, 5] {
                     check(&signal, &rtaps, offset, &outputs, &[1, 3]);
                 }
+            }
+        }
+    }
+
+    /// Taps and a constant sample whose `n`-tap dot products round
+    /// differently fused and unfused, with the fused result: every output,
+    /// sliding, strided or polyphase, is that one value.
+    ///
+    /// * Lane 0 holds `-x` after tap 0, then tap 4's product `x·(1 − 2⁻³⁰)
+    ///   = 1 − 2⁻⁶⁰` is fused into it, giving `−2⁻³⁰ − 2⁻⁶⁰`, where rounding
+    ///   the product to `1.0` first gives `−2⁻³⁰`. The other taps are zeros,
+    ///   which change no sum.
+    /// * Every product underflows to a negative zero, which a fused add into
+    ///   `+0.0` keeps and a separate add makes `+0.0`. The output is `-0.0`
+    ///   only if no padded or inactive tap touched a lane (from 4 taps on,
+    ///   every lane has one).
+    fn canaries(n: usize) -> [(Vec<f64>, f64, f64); 2] {
+        let x = 1.0 + 2f64.powi(-30);
+        let mut rtaps = vec![0.0; n];
+        rtaps[0] = -1.0;
+        rtaps[4] = 1.0 - 2f64.powi(-30);
+        let fused = -(2f64.powi(-30) + 2f64.powi(-60));
+        assert_ne!(
+            fused,
+            -x + x * rtaps[4],
+            "the canary must round differently"
+        );
+        [
+            (rtaps, x, fused),
+            (underflow(n, true), underflow(1, false)[0], -0.0),
+        ]
+    }
+
+    #[test]
+    fn every_body_rounds_each_tap_once() {
+        for n in [5, 8, 9, 33, 63, 2047] {
+            for (rtaps, x, fused) in canaries(n) {
+                let signal = vec![x; 3 * 1024 + n];
+                let want = dot_rr4_scalar(&signal[..n], &rtaps);
+                assert!(same(want, fused), "{n} taps: {want:e} vs {fused:e}");
+                for (stride, os) in [(1, 1), (3, 1), (1, 3)] {
+                    for m in [1, 4, 8, 15, 16, 33, 64, 1024] {
+                        for (name, body) in bodies() {
+                            let mut out = vec![fused; (m - 1) * os + 1];
+                            out.iter_mut().step_by(os).for_each(|y| *y = 1.0);
+                            if body(&signal, stride, &rtaps, &mut out, os) {
+                                assert!(
+                                    out.iter().all(|&y| same(y, fused)),
+                                    "{name}: {n} taps, {m} outputs, stride {stride}/{os}: \
+                                     not {fused:e}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // The polyphase lane body, one phase of 8 taps.
+        for (rtaps, x, fused) in canaries(8) {
+            let lanes = PolyphaseLanes::new(1, 1, 1, &[rtaps]).expect("a lane shape");
+            let mut out = vec![1.0; 64];
+            if lanes.run(&vec![x; 8 + 64], 8, 0, &mut out) {
+                assert!(
+                    out.iter().all(|&y| same(y, fused)),
+                    "polyphase: not {fused:e}"
+                );
             }
         }
     }
@@ -1156,13 +1314,24 @@ pub(crate) mod tests {
         (5, 6, 3),
     ];
 
+    /// A signal generator: `fill(len, seed)`.
+    #[cfg(target_arch = "x86_64")]
+    type Fill = fn(usize, f64) -> Vec<f64>;
+
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn polyphase_lanes_match_the_scalar_order_bit_for_bit() {
-        let avx512 = std::arch::is_x86_feature_detected!("avx512f");
+        let avx512 = avx512_available();
         let outputs: Vec<usize> = (1..=33).chain([64, 400, 1024]).collect();
         for (up, down, n) in LANE_SHAPES {
-            for taps in [ramp(n, 1.7), hostile(n, 0.3)] {
+            let signals: [(Vec<f64>, Fill); 4] = [
+                (ramp(n, 1.7), hostile),
+                (hostile(n, 0.3), hostile),
+                (sparse(n, 0.3), sparse),
+                // Negative zeros that an inactive lane's `+0.0` would flip.
+                (underflow(n, true), |len, _| underflow(len, false)),
+            ];
+            for (taps, fill) in signals {
                 let (ptaps, cycle) = phases(up, down, &taps);
                 let lanes = PolyphaseLanes::new(up, down, cycle, &ptaps)
                     .unwrap_or_else(|| panic!("{up}/{down} with {n} taps is a lane shape"));
@@ -1174,7 +1343,7 @@ pub(crate) mod tests {
                         // groups through the edge's lane-by-lane loads, and
                         // 24 samples past it, which does not.
                         for (slack, offset) in [(0, 0), (0, 5), (24, 3)] {
-                            let signal = hostile(last + slack, 0.9);
+                            let signal = fill(last + slack, 0.9);
                             let (buf, start) = at_offset(&signal, offset);
                             let window = &buf[start..start + signal.len()];
                             let mut out = vec![-7.25; m];
@@ -1249,11 +1418,19 @@ pub(crate) mod tests {
     #[test]
     fn dot_dispatch_matches_scalar_exactly() {
         for n in [0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 63, 64, 100, 2047] {
-            let a = ramp(n, 1.3);
-            let b = ramp(n, 0.7);
-            let fast = dot_rr4(&a, &b);
-            let slow = dot_rr4_scalar(&a, &b);
-            assert_eq!(fast.to_bits(), slow.to_bits(), "n = {n}");
+            for (a, b) in [
+                (ramp(n, 1.3), ramp(n, 0.7)),
+                (hostile(n, 1.3), sparse(n, 0.7)),
+                (underflow(n, false), underflow(n, true)),
+            ] {
+                // Both sides of the 8-tap cutover, and the scalar loop
+                // with and without the FMA entry.
+                let (fast, slow, plain) = (dot_rr4(&a, &b), dot_rr4_scalar(&a, &b), rr4(&a, &b));
+                assert!(
+                    same(fast, slow) && same(slow, plain),
+                    "n = {n}: {fast:e} {slow:e} {plain:e}"
+                );
+            }
         }
     }
 

@@ -328,7 +328,6 @@ struct Control {
     deadlocked: AtomicBool,
     /// Sources still holding sample budget.
     sources_open: AtomicUsize,
-    parks: AtomicU64,
     threads: usize,
     m: Mutex<()>,
     cv: Condvar,
@@ -664,6 +663,8 @@ struct WorkerOut {
     units: Vec<Unit>,
     recorders: Vec<Option<BufferValues>>,
     tokens: u64,
+    /// Condvar parks this worker took: the run's one park count.
+    parks: u64,
     probe: Option<Probe>,
 }
 
@@ -679,6 +680,7 @@ fn worker_loop(
     chaos: Option<u64>,
 ) -> WorkerOut {
     let mut chaos = chaos.map(Chaos);
+    let mut parks = 0;
     'main: while !control.done.load(Ordering::SeqCst) {
         let scan = |units: &mut Vec<Unit>, bufs: &mut WorkerBufs| -> bool {
             let mut fired = false;
@@ -761,7 +763,7 @@ fn worker_loop(
         // rescan — and then either fire (bumping `gen`, waking us) or
         // re-register at the current generation and complete the census
         // itself.
-        control.parks.fetch_add(1, Ordering::Relaxed);
+        parks += 1;
         let park_t0 = bufs.probe.as_ref().map(Probe::now_ns);
         while control.gen.load(Ordering::SeqCst) == g0 && !control.done.load(Ordering::SeqCst) {
             guard = control.cv.wait(guard).expect("control mutex poisoned");
@@ -776,6 +778,7 @@ fn worker_loop(
         units,
         recorders: bufs.recorders,
         tokens: bufs.tokens,
+        parks,
         probe: bufs.probe,
     }
 }
@@ -1129,7 +1132,6 @@ fn execute_inner(
         done: AtomicBool::new(false),
         deadlocked: AtomicBool::new(false),
         sources_open: AtomicUsize::new(open_sources),
-        parks: AtomicU64::new(0),
         threads,
         m: Mutex::new(()),
         cv: Condvar::new(),
@@ -1166,8 +1168,14 @@ fn execute_inner(
     let mut mode_switches = 0u64;
     let mut transition_firings = 0u64;
     let mut probes = Vec::with_capacity(threads);
+    let mut parks = 0;
     for out in outs {
-        probes.extend(out.probe);
+        parks += out.parks;
+        // The trace and the metrics read the worker's one count.
+        probes.extend(out.probe.map(|mut p| {
+            p.parks = out.parks;
+            p
+        }));
         tokens += out.tokens;
         for (b, r) in out.recorders.into_iter().enumerate() {
             if let Some(r) = r {
@@ -1261,7 +1269,7 @@ fn execute_inner(
         deadlocked: control.deadlocked.load(Ordering::SeqCst),
         tokens,
         wall: started.elapsed(),
-        parks: control.parks.load(Ordering::SeqCst),
+        parks,
         clusters: plan.clusters.len(),
         mode_switches,
         transition_firings,

@@ -136,10 +136,9 @@ pub(crate) struct Probe {
     dropped: u64,
     /// Blocked-path statistics of the rings this worker waits on.
     pub(crate) wait: WaitStats,
-    /// Condvar parks taken by this worker (self-timed idle protocol).
+    /// Condvar parks taken by this worker (self-timed idle protocol): the
+    /// worker's own count, set when it hands the probe back.
     pub(crate) parks: u64,
-    /// Wakes from those parks.
-    pub(crate) unparks: u64,
     /// Per global buffer: highest producer-side occupancy this worker
     /// observed right after one of its own pushes (empty unless tracing).
     pub(crate) highwater: Vec<u32>,
@@ -162,7 +161,6 @@ impl Probe {
             dropped: 0,
             wait: WaitStats::default(),
             parks: 0,
-            unparks: 0,
             highwater: vec![0; if trace { n_buffers } else { 0 }],
             items: 0,
             busy_ns: 0,
@@ -232,10 +230,9 @@ impl Probe {
         }
     }
 
-    /// A condvar park that began at `start_ns` just ended.
+    /// A condvar park that began at `start_ns` just ended (tracing only;
+    /// the worker counts its parks itself).
     pub(crate) fn park(&mut self, start_ns: u64) {
-        self.parks += 1;
-        self.unparks += 1;
         self.span(EventKind::Park, 0, start_ns);
         self.instant(EventKind::Unpark, 0);
     }
@@ -373,7 +370,8 @@ impl TraceReport {
         for (w, (probe, labels)) in probes.into_iter().zip(labels).enumerate() {
             let c = &mut report.counters;
             c.parks += probe.park_count();
-            c.unparks += probe.unparks;
+            // Every condvar park ends in one wake.
+            c.unparks += probe.parks;
             c.spin_yields += probe.wait.spin_yields;
             c.backpressure_waits += probe.wait.waits;
             c.backpressure_wait_ns += probe.wait.wait_ns;

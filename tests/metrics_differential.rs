@@ -310,6 +310,19 @@ fn trace_and_metrics_of_one_run_agree_exactly() {
             ..SelfTimedConfig::default()
         },
     );
+    let parks = report.parks;
     let (trace, metrics) = (report.trace_report.unwrap(), report.metrics.unwrap());
     assert_views_agree("slowed pipeline: selftimed@2", &trace, &metrics);
+    // Self-timed workers never block inside a ring, so each park is a
+    // condvar park: one count per worker, which all three reports read.
+    assert!(parks > 0, "the idle producer must park");
+    assert_eq!(
+        trace.park_count(),
+        parks,
+        "selftimed@2: trace vs report parks"
+    );
+    assert_eq!(
+        trace.counters.unparks, parks,
+        "selftimed@2: one wake per park"
+    );
 }

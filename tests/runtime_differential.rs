@@ -89,7 +89,7 @@ fn runtime_traces_match_the_simulator_on_generated_programs() {
 /// PAL's 2 ms token-trace digest and value-stream digest (single worker,
 /// fusion on, 64 warm-up ticks), pinned like a corpus line.
 const PAL_TRACE_DIGEST: &str = "131ce39b299e5f79";
-const PAL_VALUE_DIGEST: &str = "b7f89bd7206d67d3";
+const PAL_VALUE_DIGEST: &str = "93a8bd2465a7dc53";
 
 #[test]
 fn pal_decoder_runtime_matches_simulator_with_zero_misses() {
