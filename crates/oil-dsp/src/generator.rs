@@ -162,7 +162,8 @@ impl CompositeSignal {
     /// The default configuration used by the case study: 6.4 MS/s, 50 kHz
     /// video content, 1 kHz audio tone on a 2 MHz carrier.
     pub fn pal_default() -> Self {
-        CompositeSignal::new(6.4e6, 50_000.0, 1_000.0, 2.0e6)
+        use crate::pal::{AUDIO_CARRIER_HZ, RF_RATE_HZ};
+        CompositeSignal::new(RF_RATE_HZ, 50_000.0, 1_000.0, AUDIO_CARRIER_HZ)
     }
 
     /// Produce the next composite sample.

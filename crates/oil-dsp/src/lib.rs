@@ -4,7 +4,8 @@
 //! side-effect-free functions (C/C++ in the paper, Rust here). This crate
 //! provides the kernels the examples and the PAL decoder case study
 //! coordinate — FIR low-pass filters, mixers, polyphase rational resamplers
-//! and synthetic signal generators — together with a pre-populated
+//! and synthetic signal generators, with the PAL decoder's kernels built
+//! from them in one place ([`pal`]) — together with a pre-populated
 //! [`FunctionRegistry`](oil_lang::FunctionRegistry) describing their temporal
 //! properties to the compiler.
 
@@ -12,6 +13,7 @@ pub mod fir;
 pub mod generator;
 mod kept;
 pub mod mixer;
+pub mod pal;
 pub mod registry;
 pub mod resample;
 pub mod simd;

@@ -1,11 +1,35 @@
-//! Functional reference implementation of the PAL decoder signal path.
+//! The hand-written sequential PAL decoder: the reference the coordinated
+//! one is held to.
 //!
-//! The OIL program coordinates the DSP kernels; this module wires the same
-//! kernels together directly (single-threaded, no coordination layer) so the
-//! functional behaviour of the decoder — audio tone recovery and the exact
-//! output rates — can be checked independently of the temporal analysis.
+//! The OIL program coordinates `oil_dsp::pal`'s kernels; this module runs
+//! the same kernels in a loop written by hand, single-threaded, with the
+//! multi-rate schedule spelled out: the paper's sequential program. Its
+//! passes have the static engine's shapes — the batch rule of
+//! `oil_compiler::schedule` gives PAL's video chain passes of 1024 RF
+//! samples and its audio chain passes of 4000 — and its streams equal the
+//! engine's `screen` and `speakers` sinks bit for bit
+//! (`tests/pal_case_study.rs`).
 
-use oil_dsp::{Decimator, FirFilter, Mixer, RationalResampler, Sample};
+use oil_compiler::schedule::{FUSED_BATCH_MAX, FUSED_BATCH_TOKENS};
+use oil_dsp::{pal, Decimator, FirFilter, Mixer, RationalResampler, Sample};
+
+/// RF samples per pass of a chain whose period reads `period` of them (its
+/// widest stage): the static engine's batch rule, `FUSED_BATCH_TOKENS`
+/// through the widest stage, at most `FUSED_BATCH_MAX` periods.
+const fn pass(period: u64) -> usize {
+    let by = FUSED_BATCH_TOKENS / period;
+    let by = if by > FUSED_BATCH_MAX {
+        FUSED_BATCH_MAX
+    } else {
+        by
+    };
+    (by * period) as usize
+}
+
+/// `lpf_v → resamp → Video`: 16 RF samples a period, 64 periods a pass.
+const VIDEO_PASS: usize = pass(16);
+/// `mix → LPF → Audio`: 200 RF samples a period, 20 periods a pass.
+const AUDIO_PASS: usize = pass(200);
 
 /// Output of running the native decoder over a block of RF samples.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,16 +40,20 @@ pub struct NativeDecodeOutput {
     pub audio: Vec<Sample>,
 }
 
-/// The reference decoder: splitter (mixer + filters), the 1/25 and 10/16
-/// sample-rate converters and the black-box stand-ins (video pass-through at
-/// 4 MS/s, audio decimation by 8 with a mute control).
+/// The reference decoder: the splitter's two chains (mixer and `LPF`;
+/// `lpf_v` and the 10/16 resampler) and the black boxes (the one-tap
+/// `Video` filter at 4 MS/s, the `Audio` decimation by 8 with a mute
+/// control).
 #[derive(Debug, Clone)]
 pub struct NativePalDecoder {
-    mix_a: Mixer,
-    src_a: Decimator,
+    mix: Mixer,
+    lpf: Decimator,
+    audio: Decimator,
     lpf_v: FirFilter,
-    src_v: RationalResampler,
-    audio_final: Decimator,
+    resamp: RationalResampler,
+    video: FirFilter,
+    /// One pass's first and second stage outputs, reused by every pass.
+    scratch: [Vec<Sample>; 2],
     /// When true the Audio module outputs silence (the paper mentions the
     /// black-box Audio module mutes its output on bad reception — the modal
     /// behaviour hidden inside the black box).
@@ -34,7 +62,7 @@ pub struct NativePalDecoder {
 
 impl Default for NativePalDecoder {
     fn default() -> Self {
-        Self::new(2.0e6)
+        Self::new(pal::AUDIO_CARRIER_HZ)
     }
 }
 
@@ -42,30 +70,55 @@ impl NativePalDecoder {
     /// Create a decoder whose audio carrier sits at `audio_carrier_hz`.
     pub fn new(audio_carrier_hz: f64) -> Self {
         NativePalDecoder {
-            mix_a: Mixer::new(audio_carrier_hz, 6.4e6),
-            src_a: Decimator::new(25, 6.4e6, 63),
-            lpf_v: FirFilter::low_pass(1.0e6, 6.4e6, 63),
-            src_v: RationalResampler::new(10, 16, 6.4e6, 63),
-            audio_final: Decimator::new(8, 256_000.0, 63),
+            mix: pal::mix(audio_carrier_hz),
+            lpf: pal::lpf(),
+            audio: pal::audio(),
+            lpf_v: pal::lpf_v(),
+            resamp: pal::resamp(),
+            video: pal::video(),
+            scratch: [
+                Vec::with_capacity(AUDIO_PASS),
+                Vec::with_capacity(VIDEO_PASS),
+            ],
             mute: false,
         }
     }
 
-    /// Decode a block of RF samples (sampled at 6.4 MS/s).
+    /// Decode a block of RF samples (sampled at 6.4 MS/s), continuing the
+    /// stream of the previous call: `decode(a)` then `decode(b)` yields
+    /// what `decode(a ++ b)` would.
+    ///
+    /// The RF goes through each chain in passes of the engine's size, each
+    /// stage writing into a pass-sized scratch buffer the next pass reuses,
+    /// and the last stage appending to the returned streams, which are
+    /// sized once. Nothing proportional to `rf` is allocated but the
+    /// output.
     pub fn decode(&mut self, rf: &[Sample]) -> NativeDecodeOutput {
-        // Audio path: mix the carrier to zero, low-pass + decimate by 25,
-        // then the Audio black box decimates by 8 (and may mute).
-        let mixed = self.mix_a.process(rf);
-        let audio_256k = self.src_a.process(&mixed);
-        let mut audio = self.audio_final.process(&audio_256k);
-        if self.mute {
-            audio.iter_mut().for_each(|s| *s = 0.0);
+        let (up, down) = (self.resamp.up, self.resamp.down);
+        let at_256k = rf.len().div_ceil(self.lpf.factor);
+        let mut out = NativeDecodeOutput {
+            video: Vec::with_capacity((rf.len() * up).div_ceil(down)),
+            audio: Vec::with_capacity(at_256k.div_ceil(self.audio.factor)),
+        };
+        let [first, second] = &mut self.scratch;
+        for pass in rf.chunks(VIDEO_PASS) {
+            first.clear();
+            second.clear();
+            self.lpf_v.process_block_into(pass, first);
+            self.resamp.process_into(first, second);
+            self.video.process_block_into(second, &mut out.video);
         }
-        // Video path: remove the audio band, resample by 10/16; the Video
-        // black box consumes the 4 MS/s stream unchanged.
-        let video_band = self.lpf_v.process(rf);
-        let video = self.src_v.process(&video_band);
-        NativeDecodeOutput { video, audio }
+        for pass in rf.chunks(AUDIO_PASS) {
+            first.clear();
+            second.clear();
+            self.mix.process_into(pass, first);
+            self.lpf.process_into(first, second);
+            self.audio.process_into(second, &mut out.audio);
+        }
+        if self.mute {
+            out.audio.fill(0.0);
+        }
+        out
     }
 }
 
@@ -112,6 +165,60 @@ mod tests {
             (freq - 50_000.0).abs() < 10_000.0,
             "video content at {freq} Hz"
         );
+    }
+
+    #[test]
+    fn passes_have_the_static_engines_shapes() {
+        assert_eq!((VIDEO_PASS, AUDIO_PASS), (1024, 4000));
+    }
+
+    fn bits(out: &NativeDecodeOutput) -> (Vec<u64>, Vec<u64>) {
+        let bits = |s: &[Sample]| s.iter().map(|x| x.to_bits()).collect();
+        (bits(&out.video), bits(&out.audio))
+    }
+
+    #[test]
+    fn decode_is_chunk_invariant() {
+        // Three passes of each chain and a ragged tail.
+        let rf = CompositeSignal::pal_default().block(3 * AUDIO_PASS + 777);
+        let whole = NativePalDecoder::default().decode(&rf);
+        // Pass boundaries, one sample either side of them, and 5 001: a
+        // multiple of neither pass size.
+        for split in [
+            0,
+            1,
+            VIDEO_PASS - 1,
+            VIDEO_PASS,
+            AUDIO_PASS + 1,
+            5_001,
+            rf.len(),
+        ] {
+            let mut decoder = NativePalDecoder::default();
+            let (a, b) = (decoder.decode(&rf[..split]), decoder.decode(&rf[split..]));
+            let joined = NativeDecodeOutput {
+                video: [a.video, b.video].concat(),
+                audio: [a.audio, b.audio].concat(),
+            };
+            assert_eq!(bits(&joined), bits(&whole), "split at {split}");
+        }
+        // Muted, in three calls: silent audio, the same video.
+        let mut muted = NativePalDecoder {
+            mute: true,
+            ..Default::default()
+        };
+        let (mut video, mut audio) = (Vec::new(), Vec::new());
+        for part in [&rf[..5_001], &rf[5_001..9_999], &rf[9_999..]] {
+            let out = muted.decode(part);
+            video.extend(out.video);
+            audio.extend(out.audio);
+        }
+        assert_eq!(audio.len(), whole.audio.len());
+        assert!(audio.iter().all(|s| s.to_bits() == 0));
+        let video = NativeDecodeOutput {
+            video,
+            audio: whole.audio.clone(),
+        };
+        assert_eq!(bits(&video), bits(&whole));
     }
 
     #[test]

@@ -325,35 +325,24 @@ impl KernelLibrary {
     /// carrier to baseband; `LPF` low-passes and decimates by 25; `lpf_v`
     /// removes the audio band; `resamp` converts 16 video samples into 10;
     /// the `Audio` black box decimates by 8 to the speaker rate; the `Video`
-    /// black box passes samples to the display.
+    /// black box passes samples to the display. The kernels are
+    /// `oil_dsp::pal`'s, which `oil_pal::NativePalDecoder` runs too.
     pub fn pal() -> Self {
-        const RF_RATE: f64 = 6.4e6;
+        use oil_dsp::pal;
         let mut lib = KernelLibrary::new();
         lib.register_source(
             "receiveRF",
             Box::new(|| SourceKernel::Composite(Box::new(CompositeSignal::pal_default()))),
         );
-        lib.register("mix", Box::new(|| Kernel::Mix(Mixer::new(2.0e6, RF_RATE))));
         lib.register(
-            "LPF",
-            Box::new(|| Kernel::Decimate(Decimator::new(25, RF_RATE, 63))),
+            "mix",
+            Box::new(|| Kernel::Mix(pal::mix(pal::AUDIO_CARRIER_HZ))),
         );
-        lib.register(
-            "lpf_v",
-            Box::new(|| Kernel::Fir(FirFilter::low_pass(1.0e6, RF_RATE, 63))),
-        );
-        lib.register(
-            "resamp",
-            Box::new(|| Kernel::Resample(RationalResampler::new(10, 16, RF_RATE, 63))),
-        );
-        lib.register(
-            "Audio",
-            Box::new(|| Kernel::Decimate(Decimator::new(8, RF_RATE / 25.0, 63))),
-        );
-        lib.register(
-            "Video",
-            Box::new(|| Kernel::Fir(FirFilter::from_taps(vec![1.0]))),
-        );
+        lib.register("LPF", Box::new(|| Kernel::Decimate(pal::lpf())));
+        lib.register("lpf_v", Box::new(|| Kernel::Fir(pal::lpf_v())));
+        lib.register("resamp", Box::new(|| Kernel::Resample(pal::resamp())));
+        lib.register("Audio", Box::new(|| Kernel::Decimate(pal::audio())));
+        lib.register("Video", Box::new(|| Kernel::Fir(pal::video())));
         lib
     }
 }

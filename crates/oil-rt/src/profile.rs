@@ -16,9 +16,11 @@ use oil_compiler::rtgraph::RtGraph;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// Firings per timed repeat. Bursts amortise the clock reads and match the
-/// static engine's block replay granularity.
-const BURST: usize = 64;
+/// Tokens through a kernel's widest port per timed repeat. A repeat costs
+/// two clock reads (≈80 ns together on the development host), which must be
+/// noise beside the kernel's work: at 64 firings a repeat read `mix` at
+/// 1.98 ns/firing, at 4096 firings 0.44.
+const BURST_TOKENS: usize = 4096;
 /// Timed repeats per kernel (the estimator's sample count).
 const REPEATS: usize = 9;
 /// Repeats dropped from *each* end of the sorted durations before the
@@ -28,8 +30,9 @@ const TRIM: usize = 2;
 const WARMUP: usize = 2;
 
 /// How [`profile_graph`] calibrates. It has no settings: every kernel is
-/// measured 9 × 64 firings (after 2 warmup repeats), trimming the 2 fastest
-/// and 2 slowest repeats.
+/// measured in 9 timed repeats (after 2 warmup repeats) of as many firings
+/// as move 4096 tokens through its widest port, trimming the 2 fastest and
+/// 2 slowest repeats.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProfileConfig;
 
@@ -68,17 +71,24 @@ pub fn profile_graph(graph: &RtGraph, lib: &KernelLibrary, _config: &ProfileConf
     )
 }
 
+/// Firings per timed repeat at a per-firing shape: at least
+/// `BURST_TOKENS` tokens through the wider of its input and output.
+fn burst_firings(in_len: usize, out_len: usize) -> usize {
+    BURST_TOKENS.div_ceil(in_len.max(out_len).max(1))
+}
+
 /// Measure one kernel's ns/firing at the given per-firing shape: `WARMUP`
-/// untimed bursts, `REPEATS` timed bursts of `BURST` firings through
-/// [`Kernel::fire_block_into`], then the trimmed median over the repeat
-/// durations divided by the burst size.
+/// untimed bursts, `REPEATS` timed bursts of `burst_firings` firings
+/// through [`Kernel::fire_block_into`], then the trimmed median over the
+/// repeat durations divided by the burst size.
 fn profile_kernel(kernel: &mut Kernel, in_len: usize, out_len: usize) -> f64 {
-    let inputs = calibration_signal(BURST * in_len);
-    let mut out: Vec<f64> = Vec::with_capacity(BURST * out_len);
+    let burst = burst_firings(in_len, out_len);
+    let inputs = calibration_signal(burst * in_len);
+    let mut out: Vec<f64> = Vec::with_capacity(burst * out_len);
     let mut run = |timed: bool| -> u64 {
         out.clear();
         let t0 = Instant::now();
-        kernel.fire_block_into(&inputs, BURST, in_len, out_len, &mut out);
+        kernel.fire_block_into(&inputs, burst, in_len, out_len, &mut out);
         if timed {
             t0.elapsed().as_nanos() as u64
         } else {
@@ -89,7 +99,7 @@ fn profile_kernel(kernel: &mut Kernel, in_len: usize, out_len: usize) -> f64 {
         run(false);
     }
     let mut durations: Vec<u64> = (0..REPEATS).map(|_| run(true)).collect();
-    trimmed_median_ns(&mut durations, TRIM) / BURST as f64
+    trimmed_median_ns(&mut durations, TRIM) / burst as f64
 }
 
 /// The trimmed-median estimator over raw burst durations: sort, drop
@@ -136,6 +146,20 @@ mod tests {
         let mut spiked = vec![100, 101, 102, 103, 104, 105, 106, 107, 1_000_000];
         assert_eq!(trimmed_median_ns(&mut clean, 2), 104.0);
         assert_eq!(trimmed_median_ns(&mut spiked, 2), 104.0);
+    }
+
+    #[test]
+    fn bursts_move_4096_tokens_through_the_widest_port() {
+        // PAL's shapes: mix and lpf_v, LPF, Audio, resamp.
+        assert_eq!(burst_firings(1, 1), 4096);
+        assert_eq!(burst_firings(25, 1), 164);
+        assert_eq!(burst_firings(8, 1), 512);
+        assert_eq!(burst_firings(16, 10), 256);
+        // Wider outputs than inputs, a port wider than the target, and a
+        // kernel without ports.
+        assert_eq!(burst_firings(1, 3), 1366);
+        assert_eq!(burst_firings(5000, 1), 1);
+        assert_eq!(burst_firings(0, 0), 4096);
     }
 
     #[test]

@@ -5,6 +5,8 @@ use oil::dataflow::Rational;
 use oil::dsp::generator::dominant_frequency;
 use oil::dsp::CompositeSignal;
 use oil::pal::{analyze_pal, simulate_pal, NativePalDecoder, PAL_DECODER_OIL};
+use oil::rt::{execute_staticsched, KernelLibrary, StaticConfig};
+use oil::sim::picos;
 
 #[test]
 fn pal_program_compiles_and_matches_paper_structure() {
@@ -49,6 +51,46 @@ fn pal_native_path_recovers_the_audio_tone() {
     assert_eq!(out.audio.len(), 320_000 / 200);
     let tone = dominant_frequency(&out.audio[out.audio.len() / 2..], 32_000.0);
     assert!((tone - 1000.0).abs() < 100.0, "recovered {tone} Hz");
+}
+
+#[test]
+fn native_decoder_equals_the_static_engine_bit_for_bit() {
+    // The hand-written sequential decoder is the reference the coordinated
+    // one is held to: the same kernels, scheduled by hand, must yield the
+    // engine's `screen` and `speakers` streams to the last bit.
+    let config = oil::compiler::schedule::SynthesisConfig::default();
+    let exe = oil::build(PAL_DECODER_OIL, &oil::pal::pal_registry(), 1, &config).expect("builds");
+    let lib = KernelLibrary::pal();
+    let report = execute_staticsched(
+        &exe.graph,
+        &exe.schedule,
+        &lib,
+        picos(10e-3),
+        &StaticConfig::default(),
+    );
+    // 11 ms of RF: more than the engine's sources generate for 10 ms.
+    let rf = CompositeSignal::pal_default().block(70_400);
+    let native = NativePalDecoder::default().decode(&rf);
+    for (sink, stream, at_least) in [
+        ("screen", &native.video, 40_000),
+        ("speakers", &native.audio, 320),
+    ] {
+        let engine = report.sink_values(sink).expect("a PAL sink");
+        assert!(
+            (at_least..=stream.len()).contains(&engine.len()),
+            "{sink}: the engine delivered {} samples, the native decoder {}",
+            engine.len(),
+            stream.len()
+        );
+        let first_difference = engine
+            .iter()
+            .zip(stream.iter())
+            .position(|(e, n)| e.to_bits() != n.to_bits());
+        assert_eq!(
+            first_difference, None,
+            "{sink}: the first sample that differs"
+        );
+    }
 }
 
 #[test]
