@@ -79,7 +79,7 @@ pub fn pipeline_source(stages: usize, rate_hz: f64) -> String {
 /// model size stays constant. With `2·max(p, c)` initial tokens the
 /// self-timed state space reads two states at every ratio the tests pin.
 pub fn multirate_cycle(p: u64, c: u64, initial: u64) -> SdfGraph {
-    SdfGraph::rate_converter(p, p, c, c, initial, 1e-6)
+    SdfGraph::rate_converter(p, p, c, c, initial, oil_cta::Rational::new(1, 1_000_000))
 }
 
 /// The equivalent CTA model of [`multirate_cycle`]: two components whose

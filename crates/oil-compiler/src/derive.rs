@@ -18,11 +18,11 @@
 //!   port rates are fixed by their frequency, and latency constraints become
 //!   constraint connections (Fig. 10).
 //!
-//! This is the boundary where the front end's `f64` quantities (declared
-//! source/sink frequencies, registry response times, latency amounts) are
-//! converted — losslessly, via [`Rational::from_f64`] — into the exact
-//! rationals the CTA analyses compute with. Everything downstream of here is
-//! exact.
+//! Every quantity arrives exact: declared source/sink frequencies (Hz) and
+//! latency amounts (seconds) are the rationals the parser read from the
+//! literals, and the registry's lookups return response times as rationals.
+//! Nothing here converts a number; the CTA model is built in the units it is
+//! analysed in.
 
 use crate::parallelize::{extract_task_graph, loops_accessing};
 use oil_cta::{latency, ComponentId, CtaModel, PortId, Rational};
@@ -70,11 +70,6 @@ struct StreamPorts {
     output: PortId,
 }
 
-/// Convert a registry/front-end time or frequency to its exact rational.
-fn exact(x: f64) -> Rational {
-    Rational::from_f64(x)
-}
-
 /// Derive the CTA model for a whole analysed program.
 pub fn derive_cta_model(program: &AnalyzedProgram, registry: &FunctionRegistry) -> DerivedModel {
     let mut cta = CtaModel::new();
@@ -114,7 +109,7 @@ pub fn derive_cta_model(program: &AnalyzedProgram, registry: &FunctionRegistry) 
         let mut ports = ChannelPorts::default();
         match &ch.kind {
             ChannelKind::Source { func, rate_hz } => {
-                let rate = exact(*rate_hz);
+                let rate = *rate_hz;
                 let comp = cta.add_component(format!("w_src_{}", func), None);
                 let data = cta.add_required_rate_port(comp, "data", rate);
                 let space = cta.add_port(comp, "space", None);
@@ -124,7 +119,7 @@ pub fn derive_cta_model(program: &AnalyzedProgram, registry: &FunctionRegistry) 
                 ports.space_in = Some(space);
             }
             ChannelKind::Sink { func, rate_hz } => {
-                let rate = exact(*rate_hz);
+                let rate = *rate_hz;
                 let comp = cta.add_component(format!("w_snk_{}", func), None);
                 let data = cta.add_required_rate_port(comp, "data", rate);
                 let space = cta.add_port(comp, "space", None);
@@ -223,15 +218,14 @@ pub fn derive_cta_model(program: &AnalyzedProgram, registry: &FunctionRegistry) 
         let (Some(subject), Some(reference)) = (subject, reference) else {
             continue;
         };
-        let bound_seconds = exact(l.amount_ms) * Rational::new(1, 1000);
         match l.relation {
             // `start S n ms before R`: R may start at most n ms after S.
             LatencyRelation::Before => {
-                latency::add_before_constraint(&mut cta, reference, subject, bound_seconds)
+                latency::add_before_constraint(&mut cta, reference, subject, l.amount_s)
             }
             // `start S n ms after R`: S starts at least n ms after R.
             LatencyRelation::After => {
-                latency::add_after_constraint(&mut cta, subject, reference, bound_seconds)
+                latency::add_after_constraint(&mut cta, subject, reference, l.amount_s)
             }
         }
     }
@@ -323,11 +317,7 @@ fn derive_black_box(
 ) -> (ComponentId, BTreeMap<ChannelId, StreamPorts>) {
     let comp = cta.add_component(format!("w_{}", inst.path), None);
     let interface = registry.black_box(&inst.module_name);
-    let rho = exact(
-        interface
-            .map(|i| i.response_time)
-            .unwrap_or(registry.default_response_time),
-    );
+    let rho = registry.black_box_response_time(&inst.module_name);
 
     let inputs: Vec<&oil_lang::sema::Binding> = inst.bindings.iter().filter(|b| !b.out).collect();
     let outputs: Vec<&oil_lang::sema::Binding> = inst.bindings.iter().filter(|b| b.out).collect();
@@ -431,7 +421,7 @@ fn derive_seq_instance(
             .map(|&l| loop_comp[l])
             .unwrap_or(module_comp);
         let comp = cta.add_component(format!("w_{}_{}", inst.path, t.name), Some(parent));
-        let rho = exact(t.response_time);
+        let rho = t.response_time;
         let max_rate = if rho.is_positive() {
             Some(rho.recip())
         } else {
@@ -492,8 +482,7 @@ fn derive_seq_instance(
             tg.tasks
                 .iter()
                 .filter(|t| t.loop_nest.contains(&l))
-                .map(|t| exact(t.response_time))
-                .fold(Rational::ZERO, |acc, rho| acc + rho)
+                .fold(Rational::ZERO, |acc, t| acc + t.response_time)
         })
         .collect();
 

@@ -383,7 +383,10 @@ mod tests {
         let p = parse_program("mod seq A(int a, out int b){ loop{ slow(a, out b); } while(1); }")
             .unwrap();
         let tg = extract_task_graph(p.module("A").unwrap(), &reg);
-        assert_eq!(tg.tasks.iter().next().unwrap().response_time, 5e-3);
+        assert_eq!(
+            tg.tasks.iter().next().unwrap().response_time,
+            oil_dataflow::Rational::new(5, 1000)
+        );
     }
 
     #[test]

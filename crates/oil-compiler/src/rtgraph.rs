@@ -261,7 +261,7 @@ pub fn lower_with_registry(compiled: &CompiledProgram, registry: &FunctionRegist
                     name: format!("src_{func}_{}", ch.name),
                     function: func.clone(),
                     outputs,
-                    period: period_seconds(*rate_hz),
+                    period: rate_hz.recip(),
                 });
             }
             ChannelKind::Sink { func, rate_hz } => {
@@ -274,7 +274,7 @@ pub fn lower_with_registry(compiled: &CompiledProgram, registry: &FunctionRegist
                     name: format!("snk_{func}_{}", ch.name),
                     function: func.clone(),
                     input,
-                    period: period_seconds(*rate_hz),
+                    period: rate_hz.recip(),
                 });
             }
             ChannelKind::Fifo => {}
@@ -359,7 +359,7 @@ pub fn lower_with_registry(compiled: &CompiledProgram, registry: &FunctionRegist
                     rt.nodes.push(RtNode {
                         name: format!("{}.{}", inst.path, t.name),
                         function: t.function.clone(),
-                        response: Rational::from_f64(t.response_time),
+                        response: t.response_time,
                         reads,
                         writes,
                     });
@@ -368,8 +368,7 @@ pub fn lower_with_registry(compiled: &CompiledProgram, registry: &FunctionRegist
             None => {
                 // Black box: one node with the registered interface rates.
                 let interface = registry.black_box(&inst.module_name);
-                let response =
-                    Rational::from_f64(interface.map(|i| i.response_time).unwrap_or(1e-6));
+                let response = registry.black_box_response_time(&inst.module_name);
                 let mut reads = Vec::new();
                 let mut writes = Vec::new();
                 let (mut in_idx, mut out_idx) = (0usize, 0usize);
@@ -406,11 +405,6 @@ pub fn lower_with_registry(compiled: &CompiledProgram, registry: &FunctionRegist
     }
 
     rt
-}
-
-/// The exact period (seconds) of a declared environment rate.
-fn period_seconds(rate_hz: f64) -> Rational {
-    Rational::from_f64(rate_hz).recip()
 }
 
 // ---------------------------------------------------------------------------
@@ -605,17 +599,17 @@ pub fn plan(graph: &RtGraph) -> RtPlan {
     let node_actor: Vec<_> = graph
         .nodes
         .iter()
-        .map(|n| sdf.add_actor(n.name.clone(), 0.0))
+        .map(|n| sdf.add_actor(n.name.clone(), Rational::ZERO))
         .collect();
     let source_actor: Vec<_> = graph
         .sources
         .iter()
-        .map(|s| sdf.add_actor(s.name.clone(), 0.0))
+        .map(|s| sdf.add_actor(s.name.clone(), Rational::ZERO))
         .collect();
     let sink_actor: Vec<_> = graph
         .sinks
         .iter()
-        .map(|s| sdf.add_actor(s.name.clone(), 0.0))
+        .map(|s| sdf.add_actor(s.name.clone(), Rational::ZERO))
         .collect();
     let port_count = |ports: &[(RtBufferId, usize)], b: RtBufferId| -> u64 {
         ports

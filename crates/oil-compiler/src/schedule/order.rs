@@ -8,6 +8,7 @@ use super::ModalClusterInfo;
 use crate::rtgraph::{RtBufferId, RtGraph, RtPlan};
 use oil_dataflow::index::{Idx, IndexVec};
 use oil_dataflow::sdf::SdfGraph;
+use oil_dataflow::Rational;
 use std::collections::BTreeMap;
 
 /// Per buffer: the unit at one of its ends.
@@ -110,7 +111,7 @@ pub(super) fn repetition_vector(
     let actors: Vec<_> = active
         .iter()
         .enumerate()
-        .map(|(u, &on)| on.then(|| sdf.add_actor(format!("u{u}"), 0.0)))
+        .map(|(u, &on)| on.then(|| sdf.add_actor(format!("u{u}"), Rational::ZERO)))
         .collect();
     for (bi, buf) in graph.buffers.iter_enumerated() {
         let (Some(p), Some(c)) = (producer_unit[bi], consumer_unit[bi]) else {

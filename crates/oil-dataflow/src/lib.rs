@@ -18,8 +18,8 @@
 //! * [`sdf`] — Synchronous Dataflow graphs, repetition vectors, consistency
 //!   and deadlock analysis.
 //! * [`hsdf`] — expansion of an SDF graph to its homogeneous equivalent and
-//!   Maximum Cycle Mean throughput analysis (on a crate-private maximum
-//!   cycle ratio solver).
+//!   its exact Maximum Cycle Mean (a parametric maximum cycle ratio search
+//!   in rational arithmetic).
 //! * [`statespace`] — exact self-timed state-space throughput analysis, the
 //!   exponential-time baseline referred to in the paper's related work.
 //! * [`fnv`] — the one stable FNV-1a hasher behind every golden digest.
@@ -27,7 +27,6 @@
 pub mod fnv;
 pub mod hsdf;
 pub mod index;
-mod mcr;
 pub mod rational;
 pub mod sdf;
 pub mod statespace;

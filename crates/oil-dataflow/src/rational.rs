@@ -10,8 +10,9 @@
 //! All arithmetic is *checked*: an overflowing operation panics with a clear
 //! message instead of silently wrapping, and the `checked_*` methods expose
 //! the fallible versions. `f64` appears only at the API boundary, through
-//! [`Rational::from_f64_lossless`] (exact by construction) and
-//! [`Rational::to_f64`] (the closest double).
+//! [`Rational::from_f64_lossless`] (a rational that round-trips to the same
+//! double) and [`Rational::to_f64`] (the closest double). Source literals
+//! never pass through either: the front end reads them as exact decimals.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -91,23 +92,26 @@ impl Rational {
         self.den
     }
 
-    /// The value as `f64` (the closest double; exact whenever the value was
-    /// produced by [`Rational::from_f64_lossless`]). This is the only place
-    /// analysis results are allowed to degrade to floating point, and it
-    /// happens after the exact algorithms have finished.
+    /// The value as `f64` (`num / den` in floating point; it gives back `x`
+    /// for a value made by [`Rational::from_f64_lossless`]`(x)`). This is
+    /// the only place analysis results are allowed to degrade to floating
+    /// point, and it happens after the exact algorithms have finished.
     pub fn to_f64(&self) -> f64 {
         self.num as f64 / self.den as f64
     }
 
-    /// Convert a finite `f64` to the *exactly equal* rational, or `None` for
-    /// NaN/infinite inputs (and for subnormals too extreme for `i128`).
+    /// Convert a finite `f64` to a rational that rounds back to it, or `None`
+    /// for NaN/infinite inputs (and for values too extreme for `i128`).
     ///
-    /// Decimal denominators are preferred: source-level literals such as
-    /// `6.4e6`, `2e-4` or `0.125` become small fractions (`32/5 · 10^6`,
-    /// `1/5000`, `1/8`) rather than the wide dyadic fractions a raw
-    /// mantissa/exponent decomposition would produce, which keeps the
-    /// downstream exact arithmetic far away from `i128` overflow. In every
-    /// case the result satisfies `result.to_f64() == x`.
+    /// The result is *not* in general the double's exact value. It is the
+    /// decimal `n / 10^k` with the fewest fraction digits (`k ≤ 18`,
+    /// `|n| ≤ 2^53`, `n` found as `x · 10^k` in `f64`) whose closest double
+    /// is `x`: `1e-6` becomes `1/10^6`, `6.4e6` becomes `6400000`,
+    /// which is what a caller who wrote those constants meant. Only when no
+    /// such decimal exists is the exact dyadic value of the double returned:
+    /// `4.1 * 1e6` rounds to `4099999.9999999995`, whose shortest decimal
+    /// needs 17 significant digits (more than 2^53 holds), so it becomes
+    /// `8804682956799999/2147483648`. In every case `result.to_f64() == x`.
     pub fn from_f64_lossless(x: f64) -> Option<Rational> {
         if !x.is_finite() {
             return None;

@@ -30,7 +30,7 @@ pub struct SdfActor {
     /// Human-readable name (task or function name).
     pub name: String,
     /// Firing duration (response time of the corresponding task) in seconds.
-    pub firing_duration: f64,
+    pub firing_duration: Rational,
 }
 
 /// An SDF edge: a FIFO with fixed production/consumption rates.
@@ -112,7 +112,7 @@ impl SdfGraph {
     }
 
     /// Add an actor, returning its id.
-    pub fn add_actor(&mut self, name: impl Into<String>, firing_duration: f64) -> ActorId {
+    pub fn add_actor(&mut self, name: impl Into<String>, firing_duration: Rational) -> ActorId {
         self.actors.push(SdfActor {
             name: name.into(),
             firing_duration,
@@ -360,7 +360,7 @@ impl SdfGraph {
         p_g: u64,
         c_g: u64,
         delta: u64,
-        firing_duration: f64,
+        firing_duration: Rational,
     ) -> SdfGraph {
         let mut g = SdfGraph::new();
         let f = g.add_actor("f", firing_duration);
@@ -387,10 +387,15 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// One microsecond.
+    fn us() -> Rational {
+        Rational::new(1, 1_000_000)
+    }
+
     /// The task graph of the paper's Figure 2a: f reads 3 / writes 3, g reads
     /// 2 / writes 2, four initial tokens on by.
     fn fig2a() -> SdfGraph {
-        SdfGraph::rate_converter(3, 3, 2, 2, 4, 1e-6)
+        SdfGraph::rate_converter(3, 3, 2, 2, 4, us())
     }
 
     #[test]
@@ -409,7 +414,7 @@ mod tests {
 
     #[test]
     fn fig2a_deadlocks_without_enough_initial_tokens() {
-        let g = SdfGraph::rate_converter(3, 3, 2, 2, 2, 1e-6);
+        let g = SdfGraph::rate_converter(3, 3, 2, 2, 2, us());
         match g.check_deadlock_free() {
             Err(SdfError::Deadlock { remaining }) => {
                 assert!(remaining.iter().sum::<u64>() > 0);
@@ -421,8 +426,8 @@ mod tests {
     #[test]
     fn inconsistent_graph_detected() {
         let mut g = SdfGraph::new();
-        let a = g.add_actor("a", 1.0);
-        let b = g.add_actor("b", 1.0);
+        let a = g.add_actor("a", Rational::ONE);
+        let b = g.add_actor("b", Rational::ONE);
         g.add_edge(a, b, 2, 3, 0);
         g.add_edge(b, a, 1, 1, 10);
         assert!(!g.is_consistent());
@@ -444,9 +449,9 @@ mod tests {
     fn chain_repetition_vector() {
         // a -2-> -1- b -3-> -1- c : q = (1, 2, 6)
         let mut g = SdfGraph::new();
-        let a = g.add_actor("a", 1.0);
-        let b = g.add_actor("b", 1.0);
-        let c = g.add_actor("c", 1.0);
+        let a = g.add_actor("a", Rational::ONE);
+        let b = g.add_actor("b", Rational::ONE);
+        let c = g.add_actor("c", Rational::ONE);
         g.add_edge(a, b, 2, 1, 0);
         g.add_edge(b, c, 3, 1, 0);
         assert_eq!(g.repetition_vector().unwrap().as_slice(), &[1, 2, 6]);
@@ -456,10 +461,10 @@ mod tests {
     #[test]
     fn disconnected_components_each_get_smallest_vector() {
         let mut g = SdfGraph::new();
-        let a = g.add_actor("a", 1.0);
-        let b = g.add_actor("b", 1.0);
-        let c = g.add_actor("c", 1.0);
-        let d = g.add_actor("d", 1.0);
+        let a = g.add_actor("a", Rational::ONE);
+        let b = g.add_actor("b", Rational::ONE);
+        let c = g.add_actor("c", Rational::ONE);
+        let d = g.add_actor("d", Rational::ONE);
         g.add_edge(a, b, 1, 2, 0);
         g.add_edge(c, d, 5, 1, 0);
         let q = g.repetition_vector().unwrap();
@@ -470,10 +475,10 @@ mod tests {
     fn pal_conversion_chain_rates() {
         // RF (6.4 MS/s) -> SRC_A (25:1) -> Audio (8:1) -> speakers.
         let mut g = SdfGraph::new();
-        let rf = g.add_actor("rf", 0.0);
-        let src_a = g.add_actor("src_a", 1e-6);
-        let audio = g.add_actor("audio", 1e-6);
-        let spk = g.add_actor("speakers", 0.0);
+        let rf = g.add_actor("rf", Rational::ZERO);
+        let src_a = g.add_actor("src_a", us());
+        let audio = g.add_actor("audio", us());
+        let spk = g.add_actor("speakers", Rational::ZERO);
         g.add_edge(rf, src_a, 1, 25, 0);
         g.add_edge(src_a, audio, 1, 8, 0);
         g.add_edge(audio, spk, 1, 1, 0);
@@ -500,8 +505,8 @@ mod tests {
     #[should_panic(expected = "rates must be positive")]
     fn zero_rate_edge_panics() {
         let mut g = SdfGraph::new();
-        let a = g.add_actor("a", 1.0);
-        let b = g.add_actor("b", 1.0);
+        let a = g.add_actor("a", Rational::ONE);
+        let b = g.add_actor("b", Rational::ONE);
         g.add_edge(a, b, 0, 1, 0);
     }
 
@@ -512,9 +517,9 @@ mod tests {
         // i128 inside the ratio propagation. Both must surface as
         // BudgetExceeded, never as a silently truncated vector.
         let mut g = SdfGraph::new();
-        let mut prev = g.add_actor("a0", 1e-6);
+        let mut prev = g.add_actor("a0", us());
         for i in 0..25 {
-            let next = g.add_actor(format!("a{}", i + 1), 1e-6);
+            let next = g.add_actor(format!("a{}", i + 1), us());
             g.add_edge(prev, next, 100, 1, 0);
             prev = next;
         }
@@ -531,8 +536,8 @@ mod tests {
     fn deadlock_check_respects_firing_budget() {
         // q = (1, 10_000): the symbolic iteration needs 10_001 firings.
         let mut g = SdfGraph::new();
-        let a = g.add_actor("a", 1e-6);
-        let b = g.add_actor("b", 1e-6);
+        let a = g.add_actor("a", us());
+        let b = g.add_actor("b", us());
         g.add_edge(a, b, 10_000, 1, 0);
         assert!(g.check_deadlock_free().is_ok());
         assert!(matches!(
@@ -551,8 +556,8 @@ mod tests {
             // 2-cycle whose product of rate ratios is forced to 1 by reusing
             // the rates crosswise.
             let mut g = SdfGraph::new();
-            let a = g.add_actor("a", 1.0);
-            let b = g.add_actor("b", 1.0);
+            let a = g.add_actor("a", Rational::ONE);
+            let b = g.add_actor("b", Rational::ONE);
             g.add_edge(a, b, p1, c1, 0);
             g.add_edge(b, a, c1 * p2, p1 * p2, 100);
             let q = g.repetition_vector().unwrap();
@@ -570,9 +575,9 @@ mod tests {
             rates in proptest::collection::vec((1u64..6, 1u64..6), 1..6)
         ) {
             let mut g = SdfGraph::new();
-            let mut prev = g.add_actor("a0", 1.0);
+            let mut prev = g.add_actor("a0", Rational::ONE);
             for (i, (p, c)) in rates.iter().enumerate() {
-                let next = g.add_actor(format!("a{}", i + 1), 1.0);
+                let next = g.add_actor(format!("a{}", i + 1), Rational::ONE);
                 g.add_edge(prev, next, *p, *c, 0);
                 prev = next;
             }

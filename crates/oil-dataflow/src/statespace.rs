@@ -21,18 +21,18 @@ use std::collections::HashMap;
 /// Result of an exact self-timed execution analysis.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelfTimedAnalysis {
-    /// The steady-state iteration period in seconds.
-    pub period: f64,
+    /// The steady-state iteration period in seconds, exact: the time between
+    /// the two visits of the repeated boundary state over
+    /// [`Self::cycle_iterations`]. When the analysis did not converge within
+    /// its iteration bound (`cycle_iterations == 0`, only
+    /// [`analyze_self_timed`]) it is the average period of the iterations
+    /// run, an estimate.
+    pub period: Rational,
     /// Number of transient iterations before the periodic phase is entered.
     pub transient_iterations: u64,
-    /// Number of iterations in one steady-state cycle of the state space.
+    /// Number of iterations in one steady-state cycle of the state space;
+    /// `0` when the analysis did not converge within its iteration bound.
     pub cycle_iterations: u64,
-    /// Duration of one steady-state cycle in integer picoseconds: the exact
-    /// time between the two visits of the repeated boundary state. Together
-    /// with [`Self::cycle_iterations`] this gives the period as an exact
-    /// rational (see [`Self::period_exact`]); `0` when the analysis did not
-    /// converge within its iteration bound.
-    pub cycle_picos: u64,
     /// Number of distinct iteration-boundary states explored.
     pub states_explored: usize,
     /// Maximum number of tokens simultaneously present on each edge during
@@ -41,28 +41,22 @@ pub struct SelfTimedAnalysis {
 }
 
 impl SelfTimedAnalysis {
-    /// Steady-state throughput in graph iterations per second.
+    /// Steady-state throughput in graph iterations per second, as `f64`
+    /// for reporting.
     pub fn throughput(&self) -> f64 {
-        if self.period <= 0.0 {
-            f64::INFINITY
+        if self.period.is_positive() {
+            self.period.recip().to_f64()
         } else {
-            1.0 / self.period
+            f64::INFINITY
         }
     }
 
-    /// The steady-state iteration period in seconds as an **exact rational**:
-    /// `cycle_picos / (cycle_iterations · 10¹²)`. This is the value the
-    /// differential harness compares bit-for-bit against CTA's exact maximal
-    /// rates. `None` when the analysis did not converge (no repeated state
-    /// within the iteration bound).
+    /// The steady-state iteration period of a converged analysis: the value
+    /// the differential harness compares bit-for-bit against CTA's exact
+    /// maximal rates. `None` when the analysis did not converge (no repeated
+    /// state within the iteration bound).
     pub fn period_exact(&self) -> Option<Rational> {
-        if self.cycle_iterations == 0 {
-            return None;
-        }
-        Some(Rational::new(
-            self.cycle_picos as i128,
-            self.cycle_iterations as i128 * 1_000_000_000_000,
-        ))
+        (self.cycle_iterations > 0).then_some(self.period)
     }
 }
 
@@ -70,8 +64,24 @@ impl SelfTimedAnalysis {
 /// simulation exactly repeatable.
 type Picos = u64;
 
-fn to_picos(seconds: f64) -> Picos {
-    (seconds * 1e12).round() as Picos
+const PICOS_PER_SECOND: i128 = 1_000_000_000_000;
+
+/// A firing duration on the picosecond grid, exactly: a duration that is
+/// negative, not a whole number of picoseconds or beyond `u64` picoseconds
+/// (~213 days) has no place on it.
+fn to_picos(seconds: Rational) -> Result<Picos, SdfError> {
+    seconds
+        .checked_mul(Rational::from_int(PICOS_PER_SECOND))
+        .filter(|p| p.denom() == 1)
+        .and_then(|p| Picos::try_from(p.numer()).ok())
+        .ok_or_else(|| SdfError::BudgetExceeded {
+            what: format!("firing duration {seconds} s is outside the picosecond time base"),
+        })
+}
+
+/// `picos / (iterations · 10¹²)` seconds.
+fn seconds_per_iteration(picos: Picos, iterations: u64) -> Rational {
+    Rational::new(picos as i128, iterations as i128 * PICOS_PER_SECOND)
 }
 
 /// One iteration-boundary state: the token distribution, the remaining busy
@@ -107,8 +117,7 @@ pub fn analyze_self_timed(
 }
 
 /// As [`analyze_self_timed`], but *strict*: the exploration refuses to keep
-/// more than `max_states` distinct boundary states, refuses graphs with
-/// non-finite or out-of-range firing durations, and reports hitting any
+/// more than `max_states` distinct boundary states and reports hitting any
 /// budget (including `max_iterations` without convergence) as
 /// [`SdfError::BudgetExceeded`]. This is the entry point for harnesses that
 /// feed *generated* (possibly adversarial) graphs and must skip-and-log
@@ -127,25 +136,13 @@ fn analyze_impl(
     max_states: usize,
     strict: bool,
 ) -> Result<SelfTimedAnalysis, SdfError> {
-    if strict {
-        // ~1.8e7 seconds is the largest duration whose picosecond count fits
-        // a u64; anything near it is an adversarial input, not a workload.
-        for a in &graph.actors {
-            let d = a.firing_duration;
-            if !d.is_finite() || d < 0.0 || d * 1e12 >= u64::MAX as f64 {
-                return Err(SdfError::BudgetExceeded {
-                    what: format!("firing duration {d} is outside the picosecond time base"),
-                });
-            }
-        }
-    }
-    let q = graph.check_deadlock_free()?;
-    let n = graph.actors.len();
     let durations: IndexVec<ActorId, Picos> = graph
         .actors
         .iter()
         .map(|a| to_picos(a.firing_duration))
-        .collect();
+        .collect::<Result<_, _>>()?;
+    let q = graph.check_deadlock_free()?;
+    let n = graph.actors.len();
 
     let mut incoming: IndexVec<ActorId, Vec<EdgeId>> = IndexVec::from_elem(Vec::new(), n);
     let mut outgoing: IndexVec<ActorId, Vec<EdgeId>> = IndexVec::from_elem(Vec::new(), n);
@@ -257,13 +254,10 @@ fn analyze_impl(
             };
             if let Some(&(prev_iter, prev_time)) = seen.get(&state) {
                 let cycle_iterations = iteration - prev_iter;
-                let cycle_picos = now - prev_time;
-                let period_picos = cycle_picos as f64 / cycle_iterations as f64;
                 return Ok(SelfTimedAnalysis {
-                    period: period_picos / 1e12,
+                    period: seconds_per_iteration(now - prev_time, cycle_iterations),
                     transient_iterations: prev_iter,
                     cycle_iterations,
-                    cycle_picos,
                     states_explored: seen.len(),
                     max_tokens_per_edge: max_tokens,
                 });
@@ -277,7 +271,7 @@ fn analyze_impl(
         }
     }
 
-    if strict {
+    if strict || iteration == 0 {
         return Err(SdfError::BudgetExceeded {
             what: format!("no repeated boundary state within {max_iterations} iterations"),
         });
@@ -285,14 +279,9 @@ fn analyze_impl(
     // Did not converge within the bound; report the average period so far as
     // an estimate (still useful for benchmarking the cost of exploration).
     Ok(SelfTimedAnalysis {
-        period: if iteration > 0 {
-            now as f64 / 1e12 / iteration as f64
-        } else {
-            f64::INFINITY
-        },
+        period: seconds_per_iteration(now, iteration),
         transient_iterations: iteration,
         cycle_iterations: 0,
-        cycle_picos: 0,
         states_explored: seen.len(),
         max_tokens_per_edge: max_tokens,
     })
@@ -301,35 +290,42 @@ fn analyze_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hsdf::HsdfGraph;
+    use crate::hsdf::{ExactCycleRatio, HsdfGraph};
+
+    fn ms(n: i128) -> Rational {
+        Rational::new(n, 1000)
+    }
+
+    fn us(n: i128) -> Rational {
+        Rational::new(n, 1_000_000)
+    }
 
     #[test]
     fn two_actor_cycle_period() {
         let mut g = SdfGraph::new();
-        let a = g.add_actor("a", 1e-3);
-        let b = g.add_actor("b", 2e-3);
+        let a = g.add_actor("a", ms(1));
+        let b = g.add_actor("b", ms(2));
         g.add_edge(a, b, 1, 1, 0);
         g.add_edge(b, a, 1, 1, 1);
         let res = analyze_self_timed(&g, 1000).unwrap();
-        assert!((res.period - 3e-3).abs() < 1e-9, "{}", res.period);
+        assert_eq!(res.period, ms(3));
         assert!(res.cycle_iterations >= 1);
     }
 
     #[test]
     fn fig2a_self_timed_period_positive_and_finite() {
-        let g = SdfGraph::rate_converter(3, 3, 2, 2, 4, 1e-3);
+        let g = SdfGraph::rate_converter(3, 3, 2, 2, 4, ms(1));
         let res = analyze_self_timed(&g, 1000).unwrap();
-        assert!(res.period.is_finite());
-        assert!(res.period > 0.0);
+        assert!(res.period_exact().is_some());
         // One iteration requires 2 firings of f and 3 of g; with a single
         // implicit processor per actor the period is at least the per-actor
         // work: max(2, 3) * 1 ms.
-        assert!(res.period >= 3e-3 - 1e-9, "{}", res.period);
+        assert!(res.period >= ms(3), "{}", res.period);
     }
 
     #[test]
     fn deadlocking_graph_reported() {
-        let g = SdfGraph::rate_converter(3, 3, 2, 2, 1, 1e-3);
+        let g = SdfGraph::rate_converter(3, 3, 2, 2, 1, ms(1));
         assert!(analyze_self_timed(&g, 100).is_err());
     }
 
@@ -338,19 +334,23 @@ mod tests {
         // a -> b -> c, all single-rate, cycle back c -> a with plenty of
         // tokens: the bottleneck actor dominates.
         let mut g = SdfGraph::new();
-        let a = g.add_actor("a", 1e-3);
-        let b = g.add_actor("b", 4e-3);
-        let c = g.add_actor("c", 2e-3);
+        let a = g.add_actor("a", ms(1));
+        let b = g.add_actor("b", ms(4));
+        let c = g.add_actor("c", ms(2));
         g.add_edge(a, b, 1, 1, 0);
         g.add_edge(b, c, 1, 1, 0);
         g.add_edge(c, a, 1, 1, 8);
         let res = analyze_self_timed(&g, 1000).unwrap();
-        assert!((res.period - 4e-3).abs() < 1e-9, "{}", res.period);
+        assert_eq!(res.period, ms(4));
     }
 
     #[test]
     fn self_timed_period_matches_hsdf_mcm_for_single_rate_cycles() {
-        for (da, db, tokens) in [(1e-3, 2e-3, 1u64), (5e-4, 5e-4, 2), (3e-3, 1e-3, 1)] {
+        for (da, db, tokens) in [
+            (ms(1), ms(2), 1u64),
+            (us(500), us(500), 2),
+            (ms(3), ms(1), 1),
+        ] {
             let mut g = SdfGraph::new();
             let a = g.add_actor("a", da);
             let b = g.add_actor("b", db);
@@ -358,27 +358,32 @@ mod tests {
             g.add_edge(b, a, 1, 1, tokens);
             let exact = analyze_self_timed(&g, 1000).unwrap();
             let h = HsdfGraph::expand(&g).unwrap();
-            let mcm = h.maximum_cycle_mean().unwrap();
+            let Some(ExactCycleRatio::Ratio(mcm)) = h.maximum_cycle_ratio_exact() else {
+                panic!("a live cycle has a ratio");
+            };
             // With one initial token the period equals the MCM; with more
             // tokens the actors' own sequential behaviour (implicit
             // self-edge) can dominate, so the self-timed period is at least
             // the MCM divided by the token count and at least the largest
             // firing duration.
             assert!(
-                exact.period + 1e-12 >= mcm / tokens as f64,
+                exact.period >= mcm / Rational::from_int(tokens as i128),
                 "{} vs {}",
                 exact.period,
                 mcm
             );
-            assert!(exact.period + 1e-12 >= da.max(db));
+            assert!(exact.period >= da.max(db));
+            if tokens == 1 {
+                assert_eq!(exact.period, mcm);
+            }
         }
     }
 
     #[test]
     fn max_tokens_tracks_buffer_usage() {
         let mut g = SdfGraph::new();
-        let a = g.add_actor("a", 1e-3);
-        let b = g.add_actor("b", 3e-3);
+        let a = g.add_actor("a", ms(1));
+        let b = g.add_actor("b", ms(3));
         let forward = g.add_edge(a, b, 1, 1, 0);
         let back = g.add_edge(b, a, 1, 1, 3);
         let res = analyze_self_timed(&g, 1000).unwrap();
@@ -390,24 +395,21 @@ mod tests {
     #[test]
     fn exact_period_matches_float_period() {
         let mut g = SdfGraph::new();
-        let a = g.add_actor("a", 1e-3);
-        let b = g.add_actor("b", 2e-3);
+        let a = g.add_actor("a", ms(1));
+        let b = g.add_actor("b", ms(2));
         g.add_edge(a, b, 1, 1, 0);
         g.add_edge(b, a, 1, 1, 1);
         let res = analyze_self_timed(&g, 1000).unwrap();
-        // 3 ms per iteration, exactly.
-        assert_eq!(
-            res.period_exact(),
-            Some(crate::rational::Rational::new(3, 1000))
-        );
-        assert!((res.period - res.period_exact().unwrap().to_f64()).abs() < 1e-15);
+        // 3 ms per iteration, exactly; the reporting view is its inverse.
+        assert_eq!(res.period_exact(), Some(ms(3)));
+        assert_eq!(res.throughput(), 1000.0 / 3.0);
     }
 
     #[test]
     fn budgeted_analysis_reports_budget_errors() {
         let mut g = SdfGraph::new();
-        let a = g.add_actor("a", 1e-3);
-        let b = g.add_actor("b", 7e-4);
+        let a = g.add_actor("a", ms(1));
+        let b = g.add_actor("b", us(700));
         g.add_edge(a, b, 2, 3, 0);
         g.add_edge(b, a, 3, 2, 12);
         // A one-state budget cannot hold the transient.
@@ -429,21 +431,35 @@ mod tests {
 
     #[test]
     fn non_finite_durations_rejected_in_strict_mode() {
-        let mut g = SdfGraph::new();
-        let a = g.add_actor("a", f64::INFINITY);
-        g.add_edge(a, a, 1, 1, 1);
-        assert!(matches!(
-            analyze_self_timed_budgeted(&g, 100, 1000),
-            Err(SdfError::BudgetExceeded { .. })
-        ));
+        // Durations with no finite picosecond count are refused by both
+        // entry points, never rounded: a third of a microsecond (a
+        // non-terminating count), a negative duration and one past u64
+        // picoseconds.
+        for d in [
+            Rational::new(1, 3_000_000),
+            -us(1),
+            Rational::from_int(u64::MAX as i128 / PICOS_PER_SECOND + 1),
+        ] {
+            let mut g = SdfGraph::new();
+            let a = g.add_actor("a", d);
+            g.add_edge(a, a, 1, 1, 1);
+            assert!(
+                matches!(
+                    analyze_self_timed_budgeted(&g, 100, 1000),
+                    Err(SdfError::BudgetExceeded { .. })
+                ),
+                "{d}"
+            );
+            assert!(analyze_self_timed(&g, 100).is_err(), "{d}");
+        }
     }
 
     #[test]
     fn states_explored_grows_with_initial_tokens() {
         let count_states = |tokens: u64| {
             let mut g = SdfGraph::new();
-            let a = g.add_actor("a", 1e-3);
-            let b = g.add_actor("b", 7e-4);
+            let a = g.add_actor("a", ms(1));
+            let b = g.add_actor("b", us(700));
             g.add_edge(a, b, 2, 3, 0);
             g.add_edge(b, a, 3, 2, tokens);
             analyze_self_timed(&g, 10_000).unwrap().states_explored

@@ -17,6 +17,7 @@
 
 use crate::define_index_type;
 use crate::index::{ActorId, IndexVec};
+use crate::rational::Rational;
 use crate::sdf::SdfGraph;
 
 define_index_type! {
@@ -47,7 +48,7 @@ pub struct Task {
     /// assignment statement).
     pub function: String,
     /// Worst-case response time of one firing, in seconds.
-    pub response_time: f64,
+    pub response_time: Rational,
     /// True if the statement is nested under `if`/`switch`: the task itself
     /// executes unconditionally, but its body is guarded (Fig. 4 of the
     /// paper).
@@ -287,7 +288,7 @@ mod tests {
         tg.add_task(Task {
             name: "tg".into(),
             function: "g".into(),
-            response_time: 1e-6,
+            response_time: Rational::new(1, 1_000_000),
             guarded: true,
             loop_nest: vec![],
             reads: vec![],
@@ -299,7 +300,7 @@ mod tests {
         tg.add_task(Task {
             name: "th".into(),
             function: "h".into(),
-            response_time: 1e-6,
+            response_time: Rational::new(1, 1_000_000),
             guarded: true,
             loop_nest: vec![],
             reads: vec![],
@@ -311,7 +312,7 @@ mod tests {
         tg.add_task(Task {
             name: "tk".into(),
             function: "k".into(),
-            response_time: 2e-6,
+            response_time: Rational::new(2, 1_000_000),
             guarded: false,
             loop_nest: vec![],
             reads: vec![PortAccess {
@@ -367,7 +368,7 @@ mod tests {
         tg.add_task(Task {
             name: "t_init".into(),
             function: "init".into(),
-            response_time: 1e-6,
+            response_time: Rational::new(1, 1_000_000),
             guarded: false,
             loop_nest: vec![],
             reads: vec![],
@@ -380,7 +381,7 @@ mod tests {
         let t_g = tg.add_task(Task {
             name: "t_g".into(),
             function: "g".into(),
-            response_time: 1e-6,
+            response_time: Rational::new(1, 1_000_000),
             guarded: false,
             loop_nest: vec![l0],
             reads: vec![],
@@ -412,7 +413,7 @@ mod tests {
         tg.add_task(Task {
             name: "t".into(),
             function: "f".into(),
-            response_time: 1e-6,
+            response_time: Rational::new(1, 1_000_000),
             guarded: false,
             loop_nest: vec![outer, inner],
             reads: vec![],
@@ -437,7 +438,7 @@ mod tests {
         let p = tg.add_task(Task {
             name: "prod".into(),
             function: "f".into(),
-            response_time: 1e-6,
+            response_time: Rational::new(1, 1_000_000),
             guarded: false,
             loop_nest: vec![],
             reads: vec![],
@@ -449,7 +450,7 @@ mod tests {
         let c = tg.add_task(Task {
             name: "cons".into(),
             function: "g".into(),
-            response_time: 1e-6,
+            response_time: Rational::new(1, 1_000_000),
             guarded: false,
             loop_nest: vec![],
             reads: vec![PortAccess {

@@ -55,6 +55,7 @@ pub fn dsp_registry(scale: f64) -> FunctionRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oil_dataflow::Rational;
 
     #[test]
     fn registry_contains_pal_functions() {
@@ -80,7 +81,7 @@ mod tests {
     #[test]
     fn response_times_fit_the_rf_rate() {
         let reg = dsp_registry(1.0);
-        let rf_period = 1.0 / 6.4e6;
+        let rf_period = Rational::new(1, 6_400_000);
         for f in ["receiveRF", "LPF_V", "mix"] {
             assert!(
                 reg.response_time(f) < rf_period,
@@ -93,7 +94,10 @@ mod tests {
     fn scale_multiplies_response_times() {
         let fast = dsp_registry(1.0);
         let slow = dsp_registry(10.0);
-        assert!((slow.response_time("LPF") / fast.response_time("LPF") - 10.0).abs() < 1e-9);
+        // `scale` multiplies in f64 before the registry converts, so the
+        // scaled time is the double nearest 20 µs, not 20 µs exactly.
+        let ratio = slow.response_time("LPF") / fast.response_time("LPF");
+        assert!((ratio.to_f64() - 10.0).abs() < 1e-9, "{ratio}");
     }
 
     #[test]

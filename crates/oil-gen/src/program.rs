@@ -20,6 +20,7 @@
 //! `parse(pretty(ast))` round-trip property.
 
 use crate::rng::GenRng;
+use oil_dataflow::Rational;
 use oil_lang::ast::{
     Access, Arg, BinOp, BufferDecl, CallArg, Case, Expr, Frequency, Ident, LatencyConstraint,
     LatencyRelation, Module, ModuleBody, ModuleCall, ModuleKind, ParBody, Program, SeqBody, Stmt,
@@ -586,21 +587,21 @@ pub fn gen_ast(seed: u64) -> Program {
                     ty: ident("int"),
                     name: ident("sx"),
                     func: ident("src"),
-                    rate: Frequency::from_hz(rng.range(1, 100) as f64 * 100.0),
+                    rate: Frequency::from_hz(Rational::from_int(rng.range(1, 100) as i128 * 100)),
                     span: sp(),
                 },
                 BufferDecl::Sink {
                     ty: ident("int"),
                     name: ident("sy"),
                     func: ident("snk"),
-                    rate: Frequency::from_hz(rng.range(1, 100) as f64 * 100.0),
+                    rate: Frequency::from_hz(Rational::from_int(rng.range(1, 100) as i128 * 100)),
                     span: sp(),
                 },
             ];
             let latencies = if rng.chance(1, 2) {
                 vec![LatencyConstraint {
                     subject: ident("sx"),
-                    amount_ms: rng.range(1, 50) as f64,
+                    amount_s: Rational::new(rng.range(1, 50) as i128, 1000),
                     relation: if rng.chance(1, 2) {
                         LatencyRelation::Before
                     } else {

@@ -83,14 +83,13 @@ impl RingScenario {
         Rational::new(self.durations_us[i] as i128, 1_000_000)
     }
 
-    /// The SDF view: ring edges plus one self-edge (1 token) per task. The
-    /// f64 durations are `k · 1e-6`; the picosecond time base of the
-    /// state-space engine recovers the integer microsecond count exactly.
+    /// The SDF view: ring edges plus one self-edge (1 token) per task, with
+    /// the exact durations.
     pub fn sdf(&self) -> SdfGraph {
         let n = self.len();
         let mut g = SdfGraph::new();
         let actors: Vec<ActorId> = (0..n)
-            .map(|i| g.add_actor(format!("t{i}"), self.durations_us[i] as f64 * 1e-6))
+            .map(|i| g.add_actor(format!("t{i}"), self.duration_exact(i)))
             .collect();
         for (i, &a) in actors.iter().enumerate() {
             g.add_named_edge(format!("self{i}"), a, a, 1, 1, 1);
@@ -98,13 +97,6 @@ impl RingScenario {
             g.add_named_edge(format!("ring{i}"), a, next, 1, 1, self.tokens[i]);
         }
         g
-    }
-
-    /// Exact rational durations per HSDF firing node, aligned with the
-    /// node order of `HsdfGraph::expand(&self.sdf())` (single-rate: one
-    /// firing per actor).
-    pub fn hsdf_durations_exact(&self) -> Vec<Rational> {
-        (0..self.len()).map(|i| self.duration_exact(i)).collect()
     }
 
     /// The CTA view: one port per task bounded by its reciprocal duration,
@@ -218,7 +210,7 @@ impl MultiRateScenario {
     pub fn sdf(&self) -> SdfGraph {
         let mut g = SdfGraph::new();
         let ids: Vec<ActorId> = (0..self.actors)
-            .map(|i| g.add_actor(format!("a{i}"), 1e-6))
+            .map(|i| g.add_actor(format!("a{i}"), Rational::new(1, 1_000_000)))
             .collect();
         for &(u, v, p, c, d) in &self.edges {
             g.add_edge(ids[u], ids[v], p, c, d);
@@ -306,11 +298,6 @@ impl PairScenario {
         }
     }
 
-    /// Exact firing durations of `f` and `g`, indexed like the SDF actors.
-    pub fn actor_durations_exact(&self) -> Vec<Rational> {
-        vec![self.rho_f(), self.rho_g()]
-    }
-
     /// Exact firing durations in seconds.
     pub fn rho_f(&self) -> Rational {
         Rational::new(self.rho_f_us as i128, 1_000_000)
@@ -325,8 +312,8 @@ impl PairScenario {
     /// explicit self-edges.
     pub fn sdf(&self, capacity: u64) -> SdfGraph {
         let mut g = SdfGraph::new();
-        let f = g.add_actor("f", self.rho_f_us as f64 * 1e-6);
-        let gg = g.add_actor("g", self.rho_g_us as f64 * 1e-6);
+        let f = g.add_actor("f", self.rho_f());
+        let gg = g.add_actor("g", self.rho_g());
         g.add_named_edge("self_f", f, f, 1, 1, 1);
         g.add_named_edge("self_g", gg, gg, 1, 1, 1);
         g.add_named_edge("bx", f, gg, self.p, self.c, 0);

@@ -61,8 +61,16 @@ proptest! {
         let bad = IllFormedProgram::generate(seed);
         let parsed = match parse_program(&bad.source) {
             Ok(p) => p,
-            // None of the generated defects are syntax errors.
-            Err(d) => panic!("seed {seed}: unexpected parse failure: {d}"),
+            // Literals are converted to exact rationals as they are read, so
+            // an unrepresentable one is the only defect the parser refuses.
+            Err(d) => {
+                prop_assert_eq!(
+                    bad.defect, Defect::NonRationalLiteral,
+                    "seed {}: unexpected parse failure: {}", seed, d
+                );
+                prop_assert!(d.message.contains("exact rational"), "seed {}: {}", seed, d);
+                return;
+            }
         };
         let diags = match analyze(&parsed, &bad.registry()) {
             Ok(_) => {
@@ -91,6 +99,58 @@ proptest! {
             "seed {}: diagnostics for {:?} should mention `{}`, got:\n{}",
             seed, bad.defect, expected, text
         );
+    }
+}
+
+/// Rate and latency literals survive `parse ∘ pretty` as the same exact
+/// rationals: PAL's literals, a rate a double cannot scale (4.1 MHz), 21 and
+/// 22 significant digits, and amounts far below a picosecond.
+#[test]
+fn exact_decimal_literals_roundtrip() {
+    use oil_dataflow::Rational;
+    use oil_lang::ast::{BufferDecl, ModuleBody};
+    let int = Rational::from_int;
+    for (rate, hz, amount, seconds) in [
+        ("6.4 MHz", int(6_400_000), "0 ms", Rational::ZERO),
+        ("4 MHz", int(4_000_000), "1 ms", Rational::new(1, 1000)),
+        ("32 kHz", int(32_000), "0.5 s", Rational::new(1, 2)),
+        ("4.1 MHz", int(4_100_000), "25 us", Rational::new(1, 40_000)),
+        (
+            "6.40000000000000000001 MHz",
+            Rational::new(640_000_000_000_000_000_001, 100_000_000_000_000),
+            "0.0000000000000000001 ms",
+            Rational::new(1, 10i128.pow(22)),
+        ),
+        (
+            "0.3333333333333333333333 MHz",
+            Rational::new(3_333_333_333_333_333_333_333, 10i128.pow(16)),
+            "0.00000000000000000000000000000000001 ms",
+            Rational::new(1, 10i128.pow(38)),
+        ),
+    ] {
+        let source = format!(
+            "mod par D(){{ source int x = src() @ {rate}; sink int y = snk() @ 1 Hz; \
+             start x {amount} before y; W(x, out y) }}"
+        );
+        let exact = |text: &str| {
+            let program = parse_program(text).unwrap_or_else(|e| panic!("{rate}: {e}\n{text}"));
+            let ModuleBody::Par(body) = &program.modules[0].body else {
+                panic!("{rate}: parallel body expected");
+            };
+            let BufferDecl::Source { rate, .. } = &body.buffers[0] else {
+                panic!("{rate}: source expected");
+            };
+            (rate.hz, body.latencies[0].amount_s, print_program(&program))
+        };
+        let (parsed_hz, parsed_s, printed) = exact(&source);
+        assert_eq!((parsed_hz, parsed_s), (hz, seconds), "{rate}, {amount}");
+        let (hz_again, s_again, printed_again) = exact(&printed);
+        assert_eq!(
+            (hz_again, s_again),
+            (hz, seconds),
+            "{rate}, {amount}:\n{printed}"
+        );
+        assert_eq!(printed_again, printed, "{rate}, {amount}");
     }
 }
 

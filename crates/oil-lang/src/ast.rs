@@ -15,6 +15,7 @@
 //! ```
 
 use crate::span::Span;
+use oil_dataflow::Rational;
 use std::fmt;
 
 /// An identifier with its source location.
@@ -218,40 +219,22 @@ impl BufferDecl {
     }
 }
 
-/// A frequency such as `1 kHz` or `6.4 MHz`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// A frequency such as `1 kHz` or `6.4 MHz`, exact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Frequency {
     /// The frequency in Hertz.
-    pub hz: f64,
+    pub hz: Rational,
 }
 
 impl Frequency {
     /// Construct a frequency from a value in Hertz.
-    pub fn from_hz(hz: f64) -> Self {
+    pub fn from_hz(hz: Rational) -> Self {
         Frequency { hz }
     }
 
     /// The period in seconds.
-    pub fn period_seconds(&self) -> f64 {
-        1.0 / self.hz
-    }
-
-    /// The period in integer picoseconds (rounded), the time base used by the
-    /// simulator.
-    pub fn period_picos(&self) -> u64 {
-        (1e12 / self.hz).round() as u64
-    }
-}
-
-impl fmt::Display for Frequency {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.hz >= 1e6 {
-            write!(f, "{} MHz", self.hz / 1e6)
-        } else if self.hz >= 1e3 {
-            write!(f, "{} kHz", self.hz / 1e3)
-        } else {
-            write!(f, "{} Hz", self.hz)
-        }
+    pub fn period_seconds(&self) -> Rational {
+        self.hz.recip()
     }
 }
 
@@ -270,8 +253,9 @@ pub enum LatencyRelation {
 pub struct LatencyConstraint {
     /// The source/sink being constrained.
     pub subject: Ident,
-    /// The amount of time, in milliseconds.
-    pub amount_ms: f64,
+    /// The amount of time in seconds, exact (the source may write it in
+    /// `s`, `ms`, `us` or `ns`; milliseconds when no unit is given).
+    pub amount_s: Rational,
     /// Whether the subject starts after or before the reference.
     pub relation: LatencyRelation,
     /// The source/sink the constraint is relative to.
@@ -664,14 +648,12 @@ mod tests {
 
     #[test]
     fn frequency_periods() {
-        let f = Frequency::from_hz(6.4e6);
-        assert_eq!(f.period_picos(), 156_250);
-        let f2 = Frequency::from_hz(32_000.0);
-        assert_eq!(f2.period_picos(), 31_250_000);
-        assert!((f.period_seconds() - 1.5625e-7).abs() < 1e-18);
-        assert_eq!(f.to_string(), "6.4 MHz");
-        assert_eq!(Frequency::from_hz(32e3).to_string(), "32 kHz");
-        assert_eq!(Frequency::from_hz(50.0).to_string(), "50 Hz");
+        let f = Frequency::from_hz(Rational::from_int(6_400_000));
+        assert_eq!(f.period_seconds(), Rational::new(1, 6_400_000));
+        let f2 = Frequency::from_hz(Rational::from_int(32_000));
+        assert_eq!(f2.period_seconds(), Rational::new(1, 32_000));
+        let third = Frequency::from_hz(Rational::new(1_000_000, 3));
+        assert_eq!(third.period_seconds(), Rational::new(3, 1_000_000));
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! The lexer recognises the core syntax of the paper's Figure 5 plus the
 //! notational conveniences used by the paper's own program listings: `//` and
 //! `/* */` comments, the Unicode parallel bar `‖`, the `...` placeholder
-//! condition and floating point frequency values such as `6.4` (as in
-//! `@ 6.4 MHz`).
+//! condition and fractional frequency values such as `6.4` (as in
+//! `@ 6.4 MHz`), which it reads as exact decimals.
 
 use crate::span::{Diagnostic, Span};
-use crate::token::{Token, TokenKind};
+use crate::token::{Decimal, Token, TokenKind};
 
 /// Converts OIL source text into a token stream.
 pub struct Lexer<'a> {
@@ -147,35 +147,7 @@ impl<'a> Lexer<'a> {
         }
 
         if b.is_ascii_digit() {
-            let mut is_float = false;
-            while let Some(c) = self.peek() {
-                if c.is_ascii_digit() || c == b'_' {
-                    self.bump();
-                } else if c == b'.'
-                    && !is_float
-                    && self.peek2().map(|d| d.is_ascii_digit()).unwrap_or(false)
-                {
-                    is_float = true;
-                    self.bump();
-                } else {
-                    break;
-                }
-            }
-            let text: String = self.src[start..self.pos]
-                .chars()
-                .filter(|c| *c != '_')
-                .collect();
-            let span = self.span_from(start, line, column);
-            let kind = if is_float {
-                TokenKind::Float(text.parse().map_err(|_| {
-                    Diagnostic::error(format!("invalid float literal `{text}`"), span)
-                })?)
-            } else {
-                TokenKind::Int(text.parse().map_err(|_| {
-                    Diagnostic::error(format!("invalid integer literal `{text}`"), span)
-                })?)
-            };
-            return Ok(Token::new(kind, span));
+            return self.number(start, line, column);
         }
 
         // Punctuation.
@@ -300,6 +272,67 @@ impl<'a> Lexer<'a> {
         };
         Ok(Token::new(kind, self.span_from(start, line, column)))
     }
+
+    /// A number literal, read exactly: its significant digits go into a
+    /// `u128`, its trailing zeros and fraction digits into a power of ten.
+    fn number(&mut self, start: usize, line: u32, column: u32) -> Result<Token, Diagnostic> {
+        let (mut mantissa, mut zeros, mut fraction_digits) = (0u128, 0u32, 0i64);
+        let (mut fraction, mut overflow) = (false, false);
+        while let Some(c) = self.peek() {
+            if c.is_ascii_digit() {
+                self.bump();
+                fraction_digits += i64::from(fraction);
+                if c == b'0' {
+                    zeros += 1;
+                    continue;
+                }
+                let digit = u128::from(c - b'0');
+                let digits = match mantissa {
+                    0 => Some(digit),
+                    m => 10u128
+                        .checked_pow(zeros + 1)
+                        .and_then(|scale| m.checked_mul(scale))
+                        .and_then(|m| m.checked_add(digit)),
+                };
+                mantissa = digits.unwrap_or_else(|| {
+                    overflow = true;
+                    0
+                });
+                zeros = 0;
+            } else if c == b'_' {
+                self.bump();
+            } else if c == b'.'
+                && !fraction
+                && self.peek2().map(|d| d.is_ascii_digit()).unwrap_or(false)
+            {
+                fraction = true;
+                self.bump();
+            } else {
+                break;
+            }
+        }
+        let span = self.span_from(start, line, column);
+        if overflow {
+            return Err(Diagnostic::error(
+                format!(
+                    "number literal `{}` has more significant digits than an exact \
+                     rational holds",
+                    &self.src[start..self.pos]
+                ),
+                span,
+            ));
+        }
+        let value = Decimal::new(mantissa, i64::from(zeros) - fraction_digits);
+        let int = (value.exponent >= 0)
+            .then(|| 10u128.checked_pow(u32::try_from(value.exponent).ok()?))
+            .flatten()
+            .and_then(|scale| i64::try_from(value.mantissa.checked_mul(scale)?).ok());
+        let kind = match int {
+            Some(n) if !fraction => TokenKind::Int(n),
+            _ => TokenKind::Decimal(value),
+        };
+        Ok(Token::new(kind, span))
+    }
 }
 
 /// Tokenise `src`, returning the token stream or the first lexical error.
@@ -365,7 +398,7 @@ mod tests {
         let k = kinds("source sample rf = receiveRF() @ 6.4 MHz; start x 5 ms before y;");
         assert!(k.contains(&TokenKind::Source));
         assert!(k.contains(&TokenKind::At));
-        assert!(k.contains(&TokenKind::Float(6.4)));
+        assert!(k.contains(&TokenKind::Decimal(Decimal::new(64, -1))));
         assert!(k.contains(&TokenKind::Ident("MHz".into())));
         assert!(k.contains(&TokenKind::Start));
         assert!(k.contains(&TokenKind::Before));
@@ -439,5 +472,28 @@ mod tests {
     fn underscores_in_numbers() {
         let k = kinds("6_400_000");
         assert_eq!(k[0], TokenKind::Int(6_400_000));
+    }
+
+    #[test]
+    fn number_literals_are_exact_decimals() {
+        let k = kinds(
+            "6.40000000000000000001 4.1 0.00000000000000000000000000000000000000000000000001 \
+             6.40 100000000000000000000",
+        );
+        assert_eq!(
+            k[..5],
+            [
+                TokenKind::Decimal(Decimal::new(640_000_000_000_000_000_001, -20)),
+                TokenKind::Decimal(Decimal::new(41, -1)),
+                TokenKind::Decimal(Decimal::new(1, -50)),
+                TokenKind::Decimal(Decimal::new(64, -1)),
+                // Past i64, an integer is a decimal too.
+                TokenKind::Decimal(Decimal::new(1, 20)),
+            ]
+        );
+        // 40 significant digits do not fit the mantissa: refused, spanned.
+        let err = tokenize("x @ 1234567890123456789012345678901234567890.5").unwrap_err();
+        assert!(err.message.contains("exact rational"), "{}", err.message);
+        assert_eq!(err.span.column, 5);
     }
 }

@@ -6,16 +6,27 @@
 //! per declaration, array variable declarations and slices, frequency units
 //! (`Hz`, `kHz`, `MHz`, `GHz`, `S/s` spellings) and the `...` placeholder
 //! condition.
+//!
+//! Number literals stay exact: a rate or latency amount is the literal's
+//! decimal scaled by its unit's power of ten, converted once to the
+//! rational the analyses use, or refused with a spanned diagnostic.
 
 use crate::ast::*;
 use crate::lexer::tokenize;
 use crate::span::{Diagnostic, Span};
-use crate::token::{Token, TokenKind};
+use crate::token::{Decimal, Token, TokenKind};
+use oil_dataflow::Rational;
+
+/// How deeply expressions and statements may nest. The parser, every pass
+/// over the tree and the tree's `Drop` recurse once per level, so deeper
+/// input is refused with a diagnostic instead of exhausting the stack.
+pub const MAX_NESTING: usize = 128;
 
 /// A recursive-descent / Pratt parser over a token stream.
 pub struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    depth: usize,
 }
 
 /// Parse an OIL program from source text.
@@ -29,7 +40,21 @@ impl Parser {
         Ok(Parser {
             tokens: tokenize(source)?,
             pos: 0,
+            depth: 0,
         })
+    }
+
+    /// Go one nesting level deeper, refusing to pass [`MAX_NESTING`], and
+    /// return the depth to restore when the nested construct ends.
+    fn enter(&mut self) -> Result<usize, Diagnostic> {
+        if self.depth == MAX_NESTING {
+            return Err(Diagnostic::error(
+                format!("nesting deeper than {MAX_NESTING} levels"),
+                self.peek().span,
+            ));
+        }
+        self.depth += 1;
+        Ok(self.depth - 1)
     }
 
     fn peek(&self) -> &Token {
@@ -102,13 +127,13 @@ impl Parser {
         }
     }
 
-    fn expect_number(&mut self) -> Result<(f64, Span), Diagnostic> {
+    fn expect_number(&mut self) -> Result<(Decimal, Span), Diagnostic> {
         match *self.peek_kind() {
             TokenKind::Int(n) => {
                 let t = self.bump();
-                Ok((n as f64, t.span))
+                Ok((Decimal::new(u128::from(n.unsigned_abs()), 0), t.span))
             }
-            TokenKind::Float(x) => {
+            TokenKind::Decimal(x) => {
                 let t = self.bump();
                 Ok((x, t.span))
             }
@@ -281,21 +306,33 @@ impl Parser {
         })
     }
 
+    /// `value · 10^shift` in `unit`, as the exact rational the analyses
+    /// use, or a diagnostic at the literal when no `i128` fraction holds it.
+    fn exact(value: Decimal, shift: i64, unit: &str, span: Span) -> Result<Rational, Diagnostic> {
+        value.to_rational(shift).ok_or_else(|| {
+            let scaled = Decimal::new(value.mantissa, value.exponent.saturating_add(shift));
+            Diagnostic::error(
+                format!("{scaled} {unit} has no exact rational representation"),
+                span,
+            )
+        })
+    }
+
     fn parse_frequency(&mut self) -> Result<Frequency, Diagnostic> {
         let (value, span) = self.expect_number()?;
         // Optional unit identifier: Hz, kHz, MHz, GHz; also accept the
         // sample-rate spellings used informally in the paper (`MS/s`, `kS/s`).
-        let mut multiplier = 1.0;
-        if let TokenKind::Ident(unit) = self.peek_kind().clone() {
-            let mult = match unit.as_str() {
-                "Hz" | "hz" | "S" => Some(1.0),
-                "kHz" | "KHz" | "khz" | "kS" => Some(1e3),
-                "MHz" | "mhz" | "MS" => Some(1e6),
-                "GHz" | "ghz" | "GS" => Some(1e9),
+        let mut shift = 0;
+        if let TokenKind::Ident(unit) = self.peek_kind() {
+            let unit_shift = match unit.as_str() {
+                "Hz" | "hz" | "S" => Some(0),
+                "kHz" | "KHz" | "khz" | "kS" => Some(3),
+                "MHz" | "mhz" | "MS" => Some(6),
+                "GHz" | "ghz" | "GS" => Some(9),
                 _ => None,
             };
-            if let Some(m) = mult {
-                multiplier = m;
+            if let Some(unit_shift) = unit_shift {
+                shift = unit_shift;
                 self.bump();
                 // Swallow a `/ s` suffix for sample-rate spellings.
                 if self.check(&TokenKind::Slash) {
@@ -306,8 +343,8 @@ impl Parser {
                 }
             }
         }
-        let hz = value * multiplier;
-        if hz <= 0.0 {
+        let hz = Self::exact(value, shift, "Hz", span)?;
+        if !hz.is_positive() {
             return Err(Diagnostic::error("frequency must be positive", span));
         }
         Ok(Frequency::from_hz(hz))
@@ -316,22 +353,23 @@ impl Parser {
     fn parse_latency(&mut self) -> Result<LatencyConstraint, Diagnostic> {
         let start = self.expect(TokenKind::Start)?.span;
         let subject = self.expect_ident()?;
-        let (amount, _) = self.expect_number()?;
+        let (amount, span) = self.expect_number()?;
         // Optional time unit, defaulting to milliseconds as in the grammar.
-        let mut amount_ms = amount;
-        if let TokenKind::Ident(unit) = self.peek_kind().clone() {
-            let scale = match unit.as_str() {
-                "ms" => Some(1.0),
-                "us" => Some(1e-3),
-                "ns" => Some(1e-6),
-                "s" => Some(1e3),
+        let mut shift = -3;
+        if let TokenKind::Ident(unit) = self.peek_kind() {
+            let unit_shift = match unit.as_str() {
+                "ms" => Some(-3),
+                "us" => Some(-6),
+                "ns" => Some(-9),
+                "s" => Some(0),
                 _ => None,
             };
-            if let Some(s) = scale {
-                amount_ms = amount * s;
+            if let Some(unit_shift) = unit_shift {
+                shift = unit_shift;
                 self.bump();
             }
         }
+        let amount_s = Self::exact(amount, shift, "s", span)?;
         let relation = if self.eat(&TokenKind::After) {
             LatencyRelation::After
         } else if self.eat(&TokenKind::Before) {
@@ -346,7 +384,7 @@ impl Parser {
         let end = self.expect(TokenKind::Semicolon)?.span;
         Ok(LatencyConstraint {
             subject,
-            amount_ms,
+            amount_s,
             relation,
             reference,
             span: start.merge(end),
@@ -436,6 +474,13 @@ impl Parser {
     }
 
     fn parse_stmt(&mut self) -> Result<Stmt, Diagnostic> {
+        let depth = self.enter()?;
+        let stmt = self.stmt();
+        self.depth = depth;
+        stmt
+    }
+
+    fn stmt(&mut self) -> Result<Stmt, Diagnostic> {
         match self.peek_kind().clone() {
             TokenKind::If => self.parse_if(),
             TokenKind::Switch => self.parse_switch(),
@@ -466,7 +511,7 @@ impl Parser {
         if self.eat(&TokenKind::Else) {
             if self.check(&TokenKind::If) {
                 // `else if` sugar: wrap the nested if in a single-statement block.
-                let nested = self.parse_if()?;
+                let nested = self.parse_stmt()?;
                 end = nested.span();
                 else_branch.push(nested);
             } else {
@@ -594,6 +639,7 @@ impl Parser {
     }
 
     fn parse_expr_bp(&mut self, min_bp: u8) -> Result<Expr, Diagnostic> {
+        let depth = self.depth;
         let mut lhs = self.parse_primary()?;
         loop {
             let op = match self.peek_kind() {
@@ -614,6 +660,8 @@ impl Parser {
             if bp < min_bp {
                 break;
             }
+            // Each operator folded into `lhs` deepens the tree by a level.
+            self.enter()?;
             self.bump();
             let rhs = self.parse_expr_bp(bp + 1)?;
             let span = lhs.span().merge(rhs.span());
@@ -624,18 +672,26 @@ impl Parser {
                 span,
             };
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn parse_primary(&mut self) -> Result<Expr, Diagnostic> {
+        let depth = self.enter()?;
+        let primary = self.primary();
+        self.depth = depth;
+        primary
+    }
+
+    fn primary(&mut self) -> Result<Expr, Diagnostic> {
         match self.peek_kind().clone() {
             TokenKind::Int(n) => {
                 let t = self.bump();
                 Ok(Expr::Int(n, t.span))
             }
-            TokenKind::Float(x) => {
+            TokenKind::Decimal(x) => {
                 let t = self.bump();
-                Ok(Expr::Float(x, t.span))
+                Ok(Expr::Float(x.to_f64(), t.span))
             }
             TokenKind::Ellipsis => {
                 let t = self.bump();
@@ -839,11 +895,11 @@ mod tests {
             ModuleBody::Par(b) => {
                 assert_eq!(b.buffers.len(), 2);
                 assert_eq!(b.latencies.len(), 1);
-                assert_eq!(b.latencies[0].amount_ms, 5.0);
+                assert_eq!(b.latencies[0].amount_s, Rational::new(5, 1000));
                 assert_eq!(b.latencies[0].relation, LatencyRelation::Before);
                 match &b.buffers[0] {
                     BufferDecl::Source { rate, func, .. } => {
-                        assert_eq!(rate.hz, 1000.0);
+                        assert_eq!(rate.hz, Rational::from_int(1000));
                         assert_eq!(func.name, "src");
                     }
                     _ => panic!("expected source"),
@@ -895,7 +951,9 @@ mod tests {
             ModuleBody::Par(b) => {
                 assert_eq!(b.buffers.len(), 3);
                 match &b.buffers[1] {
-                    BufferDecl::Source { rate, .. } => assert_eq!(rate.hz, 6.4e6),
+                    BufferDecl::Source { rate, .. } => {
+                        assert_eq!(rate.hz, Rational::from_int(6_400_000))
+                    }
                     _ => panic!("expected source"),
                 }
             }
@@ -985,6 +1043,32 @@ mod tests {
     }
 
     #[test]
+    fn latency_units_are_exact() {
+        let parse = |amount: &str| {
+            let src = format!(
+                "mod par D(){{ source int x = s() @ 1 Hz; sink int y = t() @ 1 Hz; \
+                 start x {amount} before y; A(x, out y) }}"
+            );
+            parse_program(&src).map(|p| match &p.module("D").unwrap().body {
+                ModuleBody::Par(b) => b.latencies[0].amount_s,
+                _ => panic!(),
+            })
+        };
+        assert_eq!(parse("5").unwrap(), Rational::new(5, 1000));
+        assert_eq!(parse("0.5 s").unwrap(), Rational::new(1, 2));
+        assert_eq!(parse("10 us").unwrap(), Rational::new(1, 100_000));
+        assert_eq!(parse("3 ns").unwrap(), Rational::new(3, 1_000_000_000));
+        // 10^-35 ms is 10^-38 s, the smallest power of ten an i128
+        // denominator holds; 10^-36 ms is refused at the literal, in the
+        // unit the analyses use.
+        let tiny = |k: usize| format!("0.{}1 ms", "0".repeat(k - 1));
+        assert_eq!(parse(&tiny(35)).unwrap(), Rational::new(1, 10i128.pow(38)));
+        let err = parse(&tiny(36)).unwrap_err();
+        assert!(err.message.contains("exact rational"), "{}", err.message);
+        assert_eq!(err.span.column, 74);
+    }
+
+    #[test]
     fn error_on_empty_program() {
         assert!(parse_program("").is_err());
     }
@@ -996,13 +1080,25 @@ mod tests {
 
     #[test]
     fn frequency_units() {
+        let int = Rational::from_int;
         for (text, hz) in [
-            ("@ 1 Hz", 1.0),
-            ("@ 2 kHz", 2e3),
-            ("@ 6.4 MHz", 6.4e6),
-            ("@ 1 GHz", 1e9),
-            ("@ 32000", 32000.0),
-            ("@ 6.4 MS/s", 6.4e6),
+            ("@ 1 Hz", int(1)),
+            ("@ 2 kHz", int(2000)),
+            ("@ 6.4 MHz", int(6_400_000)),
+            ("@ 1 GHz", int(1_000_000_000)),
+            ("@ 32000", int(32000)),
+            ("@ 6.4 MS/s", int(6_400_000)),
+            // Exact decimals, never rounded through a double.
+            ("@ 4.1 MHz", int(4_100_000)),
+            ("@ 4100 kHz", int(4_100_000)),
+            (
+                "@ 6.40000000000000000001 MHz",
+                Rational::new(640_000_000_000_000_000_001, 100_000_000_000_000),
+            ),
+            (
+                "@ 0.3333333333333333333333 MHz",
+                Rational::new(3_333_333_333_333_333_333_333, 10_000_000_000_000_000),
+            ),
         ] {
             let src = format!(
                 "mod par D(){{ source int x = s() {text}; sink int y = t() @ 1 Hz; A(x, out y) }}"

@@ -2,8 +2,12 @@
 //!
 //! The printer produces canonical source text that parses back to an
 //! equivalent AST, which is exercised by round-trip tests and property tests.
+//! Rates and latency amounts print as exact decimals, so they read back as
+//! the same rationals.
 
 use crate::ast::*;
+use crate::token::Decimal;
+use oil_dataflow::Rational;
 use std::fmt::Write;
 
 /// Render a whole program as OIL source text.
@@ -56,7 +60,9 @@ fn print_par_body(body: &ParBody, out: &mut String) {
                 rate,
                 ..
             } => {
-                let _ = writeln!(out, "    source {ty} {name} = {func}() @ {} Hz;", rate.hz);
+                let _ = write!(out, "    source {ty} {name} = {func}() @ ");
+                print_quantity(rate.hz, 0, "Hz", out);
+                out.push_str(";\n");
             }
             BufferDecl::Sink {
                 ty,
@@ -65,7 +71,9 @@ fn print_par_body(body: &ParBody, out: &mut String) {
                 rate,
                 ..
             } => {
-                let _ = writeln!(out, "    sink {ty} {name} = {func}() @ {} Hz;", rate.hz);
+                let _ = write!(out, "    sink {ty} {name} = {func}() @ ");
+                print_quantity(rate.hz, 0, "Hz", out);
+                out.push_str(";\n");
             }
         }
     }
@@ -74,11 +82,9 @@ fn print_par_body(body: &ParBody, out: &mut String) {
             LatencyRelation::After => "after",
             LatencyRelation::Before => "before",
         };
-        let _ = writeln!(
-            out,
-            "    start {} {} ms {} {};",
-            l.subject, l.amount_ms, rel, l.reference
-        );
+        let _ = write!(out, "    start {} ", l.subject);
+        print_quantity(l.amount_s, 3, "ms", out);
+        let _ = writeln!(out, " {rel} {};", l.reference);
     }
     if !body.calls.is_empty() {
         out.push_str("    ");
@@ -90,6 +96,21 @@ fn print_par_body(body: &ParBody, out: &mut String) {
         }
         out.push('\n');
     }
+}
+
+/// `value · 10^shift` in `unit`, as the decimal the lexer reads back
+/// exactly. A value with no finite decimal expansion, which no literal can
+/// denote, prints as its fraction in the unshifted unit.
+fn print_quantity(value: Rational, shift: i64, unit: &str, out: &mut String) {
+    let _ = match Decimal::from_rational(value) {
+        Some(d) => write!(
+            out,
+            "{} {unit}",
+            Decimal::new(d.mantissa, d.exponent + shift)
+        ),
+        None if shift == 0 => write!(out, "{value} {unit}"),
+        None => write!(out, "{value} s"),
+    };
 }
 
 fn print_module_call(call: &ModuleCall, out: &mut String) {
@@ -289,6 +310,33 @@ mod tests {
         let printed = normalize(&p1);
         assert!(printed.contains("source int x = src() @ 1000 Hz;"));
         assert!(printed.contains("start x 5 ms before y;"));
+        let p2 = parse_program(&printed).unwrap();
+        assert_eq!(normalize(&p2), printed);
+
+        // Exact decimals print as the same exact decimals: PAL's rates, a
+        // rate a double cannot scale (4.1 MHz), 21 and 22 significant
+        // digits, and a latency far below a nanosecond.
+        let src = r#"
+            mod par D(){
+                source int x = src() @ 6.40000000000000000001 MHz;
+                sink int y = snk() @ 4.1 MHz;
+                sink int z = snk() @ 0.3333333333333333333333 MHz;
+                sink int w = snk() @ 32 kHz;
+                start y 0.0000000000000000001 ms after z;
+                A(x, out y, out z, out w)
+            }
+        "#;
+        let p1 = parse_program(src).unwrap();
+        let printed = normalize(&p1);
+        for line in [
+            "@ 6400000.00000000000001 Hz;",
+            "@ 4100000 Hz;",
+            "@ 333333.3333333333333333 Hz;",
+            "@ 32000 Hz;",
+            "start y 0.0000000000000000001 ms after z;",
+        ] {
+            assert!(printed.contains(line), "{line} in {printed}");
+        }
         let p2 = parse_program(&printed).unwrap();
         assert_eq!(normalize(&p2), printed);
     }

@@ -11,8 +11,13 @@
 //! * whether it is **side-effect free** (a requirement of the language; state
 //!   is allowed, global side effects are not), and
 //! * its **worst-case response time**, which becomes the firing duration of
-//!   the corresponding dataflow actor / CTA component.
+//!   the corresponding dataflow actor / CTA component. Response times are
+//!   given in seconds as `f64`, the registry's one floating-point edge; the
+//!   compiler reads them only through [`FunctionRegistry::response_time`]
+//!   and [`FunctionRegistry::black_box_response_time`], which return the
+//!   exact rational.
 
+use oil_dataflow::Rational;
 use std::collections::BTreeMap;
 
 /// Temporal and semantic information about one coordinated function.
@@ -33,7 +38,8 @@ pub struct FunctionSignature {
 }
 
 impl FunctionSignature {
-    /// A side-effect-free, stateless function with the given response time.
+    /// A side-effect-free, stateless function with the given response time
+    /// in seconds.
     pub fn pure(name: impl Into<String>, response_time: f64) -> Self {
         FunctionSignature {
             name: name.into(),
@@ -47,10 +53,8 @@ impl FunctionSignature {
     /// with a delay line).
     pub fn stateful(name: impl Into<String>, response_time: f64) -> Self {
         FunctionSignature {
-            name: name.into(),
-            response_time,
             has_state: true,
-            side_effect_free: true,
+            ..FunctionSignature::pure(name, response_time)
         }
     }
 
@@ -58,10 +62,9 @@ impl FunctionSignature {
     /// such functions.
     pub fn impure(name: impl Into<String>, response_time: f64) -> Self {
         FunctionSignature {
-            name: name.into(),
-            response_time,
             has_state: true,
             side_effect_free: false,
+            ..FunctionSignature::pure(name, response_time)
         }
     }
 }
@@ -110,8 +113,8 @@ impl BlackBoxInterface {
 pub struct FunctionRegistry {
     functions: BTreeMap<String, FunctionSignature>,
     black_boxes: BTreeMap<String, BlackBoxInterface>,
-    /// Response time assumed for functions that are not registered, in
-    /// seconds.
+    /// Response time assumed for functions and black boxes that are not
+    /// registered, in seconds.
     pub default_response_time: f64,
 }
 
@@ -160,11 +163,24 @@ impl FunctionRegistry {
 
     /// The response time to assume for `name`: the registered worst case, or
     /// the default for unknown functions.
-    pub fn response_time(&self, name: &str) -> f64 {
-        self.functions
-            .get(name)
-            .map(|f| f.response_time)
-            .unwrap_or(self.default_response_time)
+    /// It is exact: the decimal that rounds to the registered double (`1e-6`
+    /// is `1/10^6`), through [`Rational::from_f64`].
+    pub fn response_time(&self, name: &str) -> Rational {
+        Rational::from_f64(
+            self.functions
+                .get(name)
+                .map_or(self.default_response_time, |f| f.response_time),
+        )
+    }
+
+    /// The response time to assume for one firing of black box `name`: its
+    /// registered interface's, or the default for unknown modules.
+    pub fn black_box_response_time(&self, name: &str) -> Rational {
+        Rational::from_f64(
+            self.black_boxes
+                .get(name)
+                .map_or(self.default_response_time, |b| b.response_time),
+        )
     }
 
     /// True if the function may be coordinated by OIL (side-effect free or
@@ -212,8 +228,8 @@ mod tests {
         assert_eq!(reg.len(), 3);
         assert!(reg.is_known("f"));
         assert!(!reg.is_known("unknown"));
-        assert_eq!(reg.response_time("f"), 2e-6);
-        assert_eq!(reg.response_time("unknown"), reg.default_response_time);
+        assert_eq!(reg.response_time("f"), Rational::new(2, 1_000_000));
+        assert_eq!(reg.response_time("unknown"), Rational::new(1, 1_000_000));
         assert!(reg.is_side_effect_free("f"));
         assert!(reg.is_side_effect_free("unknown"));
         assert!(!reg.is_side_effect_free("printf"));
@@ -224,6 +240,10 @@ mod tests {
     fn black_box_interfaces() {
         let mut reg = FunctionRegistry::new();
         reg.register_black_box(BlackBoxInterface::new("Audio", vec![8], vec![1], 1e-6));
+        assert_eq!(
+            reg.black_box_response_time("Audio"),
+            Rational::new(1, 1_000_000)
+        );
         let bb = reg.black_box("Audio").unwrap();
         assert_eq!(bb.consumption, vec![8]);
         assert_eq!(bb.production, vec![1]);
@@ -236,7 +256,7 @@ mod tests {
         let mut reg = FunctionRegistry::new();
         reg.register(FunctionSignature::pure("f", 1e-6));
         reg.register(FunctionSignature::pure("f", 9e-6));
-        assert_eq!(reg.response_time("f"), 9e-6);
+        assert_eq!(reg.response_time("f"), Rational::new(9, 1_000_000));
         assert_eq!(reg.len(), 1);
     }
 }

@@ -13,6 +13,7 @@ use crate::registry::FunctionRegistry;
 use crate::span::{Diagnostic, Span};
 use oil_dataflow::define_index_type;
 use oil_dataflow::index::{ChannelId, IndexVec};
+use oil_dataflow::Rational;
 use std::collections::BTreeMap;
 
 define_index_type! {
@@ -30,20 +31,20 @@ pub enum ChannelKind {
         /// Function implementing the environment communication.
         func: String,
         /// Sampling frequency in Hz.
-        rate_hz: f64,
+        rate_hz: Rational,
     },
     /// A time-triggered sink consuming samples at a fixed rate.
     Sink {
         /// Function implementing the environment communication.
         func: String,
         /// Consumption frequency in Hz.
-        rate_hz: f64,
+        rate_hz: Rational,
     },
 }
 
 impl ChannelKind {
-    /// The fixed environment rate, if this is a source or sink.
-    pub fn rate_hz(&self) -> Option<f64> {
+    /// The fixed environment rate in Hz, if this is a source or sink.
+    pub fn rate_hz(&self) -> Option<Rational> {
         match self {
             ChannelKind::Fifo => None,
             ChannelKind::Source { rate_hz, .. } | ChannelKind::Sink { rate_hz, .. } => {
@@ -114,8 +115,8 @@ pub struct ModuleInstance {
 pub struct LatencySpec {
     /// Channel of the constrained source/sink (`start <subject> ..`).
     pub subject: ChannelId,
-    /// Constraint amount in milliseconds.
-    pub amount_ms: f64,
+    /// Constraint amount in seconds.
+    pub amount_s: Rational,
     /// Whether the subject starts after or before the reference.
     pub relation: LatencyRelation,
     /// Channel of the reference source/sink.
@@ -293,18 +294,6 @@ impl<'a> Flattener<'a> {
         idx
     }
 
-    /// Source/sink frequencies must convert losslessly into the exact
-    /// rationals the temporal analyses compute with; a literal too extreme
-    /// for `i128` is a front-end error, not a panic deep in the compiler.
-    fn check_exact_rate(&mut self, name: &str, rate_hz: f64, span: Span) {
-        if oil_dataflow::Rational::from_f64_lossless(rate_hz).is_none() {
-            self.diags.push(Diagnostic::error(
-                format!("rate {rate_hz} Hz of `{name}` has no exact rational representation"),
-                span,
-            ));
-        }
-    }
-
     fn expand_par(&mut self, module: &Module, path: &str, outer: &BTreeMap<String, ChannelId>) {
         let ModuleBody::Par(body) = &module.body else {
             return;
@@ -330,9 +319,8 @@ impl<'a> Flattener<'a> {
                     name,
                     func,
                     rate,
-                    span,
+                    ..
                 } => {
-                    self.check_exact_rate(&name.name, rate.hz, *span);
                     let idx = self.add_channel(
                         format!("{path}.{}", name.name),
                         ty.name.clone(),
@@ -348,9 +336,8 @@ impl<'a> Flattener<'a> {
                     name,
                     func,
                     rate,
-                    span,
+                    ..
                 } => {
-                    self.check_exact_rate(&name.name, rate.hz, *span);
                     let idx = self.add_channel(
                         format!("{path}.{}", name.name),
                         ty.name.clone(),
@@ -366,22 +353,12 @@ impl<'a> Flattener<'a> {
 
         // Latency constraints of this body.
         for l in &body.latencies {
-            if oil_dataflow::Rational::from_f64_lossless(l.amount_ms).is_none() {
-                self.diags.push(Diagnostic::error(
-                    format!(
-                        "latency amount {} ms has no exact rational representation",
-                        l.amount_ms
-                    ),
-                    l.span,
-                ));
-                continue;
-            }
             let subject = visible.get(&l.subject.name).copied();
             let reference = visible.get(&l.reference.name).copied();
             if let (Some(subject), Some(reference)) = (subject, reference) {
                 self.graph.latencies.push(LatencySpec {
                     subject,
-                    amount_ms: l.amount_ms,
+                    amount_s: l.amount_s,
                     relation: l.relation,
                     reference,
                 });
@@ -652,7 +629,7 @@ mod tests {
         let l = &g.latencies[0];
         assert!(g.channels[l.subject].kind.is_source());
         assert!(g.channels[l.reference].kind.is_sink());
-        assert_eq!(l.amount_ms, 5.0);
+        assert_eq!(l.amount_s, Rational::new(5, 1000));
     }
 
     #[test]
@@ -669,6 +646,9 @@ mod tests {
         );
         assert_eq!(g.sources().count(), 1);
         assert_eq!(g.sinks().count(), 1);
-        assert_eq!(g.sources().next().unwrap().1.kind.rate_hz(), Some(2000.0));
+        assert_eq!(
+            g.sources().next().unwrap().1.kind.rate_hz(),
+            Some(Rational::from_int(2000))
+        );
     }
 }

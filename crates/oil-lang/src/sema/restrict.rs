@@ -249,7 +249,7 @@ fn check_instantiations(program: &Program, diags: &mut Vec<Diagnostic>) {
                     ));
                 }
             }
-            if l.amount_ms < 0.0 {
+            if l.amount_s.is_negative() {
                 diags.push(Diagnostic::error(
                     "latency constraint amount must be non-negative",
                     l.span,

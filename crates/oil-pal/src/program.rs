@@ -102,10 +102,11 @@ mod tests {
     fn rf_source_rate_is_6_4_mhz() {
         let analyzed = oil_lang::frontend(PAL_DECODER_OIL, &pal_registry()).unwrap();
         let (_, rf) = analyzed.graph.channel_named("rf").unwrap();
-        assert_eq!(rf.kind.rate_hz(), Some(6.4e6));
+        let hz = |n| Some(oil_dataflow::Rational::from_int(n));
+        assert_eq!(rf.kind.rate_hz(), hz(6_400_000));
         let (_, screen) = analyzed.graph.channel_named("screen").unwrap();
-        assert_eq!(screen.kind.rate_hz(), Some(4e6));
+        assert_eq!(screen.kind.rate_hz(), hz(4_000_000));
         let (_, speakers) = analyzed.graph.channel_named("speakers").unwrap();
-        assert_eq!(speakers.kind.rate_hz(), Some(32e3));
+        assert_eq!(speakers.kind.rate_hz(), hz(32_000));
     }
 }

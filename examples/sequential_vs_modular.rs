@@ -12,7 +12,7 @@
 //! ```
 
 use oil::dataflow::rational::gcd;
-use oil::dataflow::SdfGraph;
+use oil::dataflow::{Rational, SdfGraph};
 use oil::lang::parse_program;
 
 const SEQUENTIAL: &str = r#"
@@ -57,7 +57,8 @@ fn main() {
     );
 
     // The underlying task graph is deadlock-free with 4 initial tokens.
-    let graph = SdfGraph::rate_converter(3, 3, 2, 2, 4, 1e-6);
+    let us = Rational::new(1, 1_000_000);
+    let graph = SdfGraph::rate_converter(3, 3, 2, 2, 4, us);
     let q = graph.repetition_map().unwrap();
     println!(
         "\nrepetition vector: f fires {}x, g fires {}x per iteration",
@@ -69,7 +70,7 @@ fn main() {
     );
     println!(
         "deadlock-free with 2 initial tokens: {}",
-        SdfGraph::rate_converter(3, 3, 2, 2, 2, 1e-6)
+        SdfGraph::rate_converter(3, 3, 2, 2, 2, us)
             .check_deadlock_free()
             .is_ok()
     );

@@ -93,8 +93,7 @@ fn rings_cta_maximal_rates_match_state_space_and_hsdf_exactly() {
                 // 3. The exact HSDF maximum cycle ratio is the same period.
                 let h = HsdfGraph::expand(&sdf)
                     .unwrap_or_else(|e| panic!("seed {seed}: ring expansion failed: {e}"));
-                let durations = ring.hsdf_durations_exact();
-                match h.maximum_cycle_ratio_exact_with(&durations) {
+                match h.maximum_cycle_ratio_exact() {
                     Some(ExactCycleRatio::Ratio(mcm)) => assert_eq!(
                         mcm, period,
                         "seed {seed}: exact HSDF ratio {mcm} vs state-space period {period}"
@@ -184,14 +183,8 @@ fn pairs_state_space_and_exact_hsdf_baselines_agree_exactly() {
 
         let h = HsdfGraph::expand(&sdf)
             .unwrap_or_else(|e| panic!("seed {seed}: pair expansion failed: {e}"));
-        let actor_durations = pair.actor_durations_exact();
-        let durations: Vec<Rational> = h
-            .firings
-            .iter()
-            .map(|f| actor_durations[f.actor.index()])
-            .collect();
         let ratio = h
-            .maximum_cycle_ratio_exact_with(&durations)
+            .maximum_cycle_ratio_exact()
             .unwrap_or_else(|| panic!("seed {seed}: exact cycle ratio exhausted its budget"));
 
         match analyze_self_timed_budgeted(&sdf, MAX_ITERATIONS, MAX_STATES) {
@@ -306,9 +299,10 @@ fn adversarial_rates_hit_budget_guards_not_panics() {
 
     // Exponential repetition vector: 100^25 overflows every budget.
     let mut chain = SdfGraph::new();
-    let mut prev = chain.add_actor("a0", 1e-6);
+    let us = Rational::new(1, 1_000_000);
+    let mut prev = chain.add_actor("a0", us);
     for i in 0..25 {
-        let next = chain.add_actor(format!("a{}", i + 1), 1e-6);
+        let next = chain.add_actor(format!("a{}", i + 1), us);
         chain.add_edge(prev, next, 100, 1, 0);
         prev = next;
     }
@@ -328,8 +322,8 @@ fn adversarial_rates_hit_budget_guards_not_panics() {
     // A feasible but large-rate cycle: the HSDF node budget refuses the
     // expansion while the (polynomial) repetition vector still succeeds.
     let mut wide = SdfGraph::new();
-    let a = wide.add_actor("a", 1e-6);
-    let b = wide.add_actor("b", 1e-6);
+    let a = wide.add_actor("a", us);
+    let b = wide.add_actor("b", us);
     wide.add_edge(a, b, 2_000_000, 1, 0);
     wide.add_edge(b, a, 1, 2_000_000, 4_000_000);
     assert!(wide.repetition_vector().is_ok());

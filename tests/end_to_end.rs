@@ -4,7 +4,7 @@
 mod support;
 
 use oil::compiler::schedule::{ScheduleError, SynthesisConfig};
-use oil::compiler::CompileError;
+use oil::compiler::{compile, CompileError, CompilerOptions};
 use oil::lang::registry::FunctionRegistry;
 use oil::sim::{build_simulation_from_graph, picos, SimMetrics, SimulationConfig};
 use oil::BuildError;
@@ -191,6 +191,85 @@ fn astronomically_large_rate_literals_are_rejected_not_panics() {
         frontend,
         "latency amount must be rejected at the front end: {err}"
     );
+}
+
+#[test]
+fn decimal_rates_compose_exactly() {
+    // 4.1 MHz in, 4100 kHz out through a 1:1 module: the same rate, written
+    // two ways. Scaled in f64, 4.1 * 1e6 misses 4100000 and the composition
+    // was rejected.
+    let src = r#"
+        mod seq W(int a, out int b){ loop{ f(a, out b); } while(1); }
+        mod par D(){
+            source int x = src() @ 4.1 MHz;
+            sink int y = snk() @ 4100 kHz;
+            W(x, out y)
+        }
+    "#;
+    let compiled = compile(src, &registry(1e-8), &CompilerOptions::default())
+        .unwrap_or_else(|e| panic!("{e}"));
+    let hz = Some(oil::dataflow::Rational::from_int(4_100_000));
+    assert_eq!(compiled.channel_rate_exact("x"), hz);
+    assert_eq!(compiled.channel_rate_exact("y"), hz);
+}
+
+/// A module whose `if` condition is `a` inside `parens` parentheses: the
+/// parser nests `parens + 3` levels deep (the loop, the `if`, each `(` and
+/// the innermost `a`).
+fn nested_condition(parens: usize) -> String {
+    format!(
+        "mod seq W(int a, out int b){{ loop{{ if({}a{} > 0){{ f(a, out b); }} \
+         else {{ g(a, out b); }} }} while(1); }}\n\
+         mod par D(){{ source int x = src() @ 1 kHz; sink int y = snk() @ 1 kHz; W(x, out y) }}",
+        "(".repeat(parens),
+        ")".repeat(parens)
+    )
+}
+
+#[test]
+fn nesting_at_the_limit_compiles() {
+    let limit = oil::lang::parser::MAX_NESTING;
+    let at_limit = nested_condition(limit - 3);
+    compile(&at_limit, &registry(1e-5), &CompilerOptions::default())
+        .unwrap_or_else(|e| panic!("nesting at the limit must compile: {e}"));
+    let past = nested_condition(limit - 2);
+    assert!(matches!(
+        compile(&past, &registry(1e-5), &CompilerOptions::default()),
+        Err(CompileError::Frontend(_))
+    ));
+}
+
+#[test]
+fn ten_thousand_nested_parentheses_are_refused_not_a_stack_overflow() {
+    match compile(
+        &nested_condition(10_000),
+        &registry(1e-5),
+        &CompilerOptions::default(),
+    ) {
+        Err(CompileError::Frontend(diags)) => {
+            let d = &diags[0];
+            assert!(d.message.contains("nesting deeper than"), "{d}");
+            // The span points into the condition, past the limit's worth of
+            // parentheses.
+            assert_eq!(d.span.line, 1);
+            assert!(
+                d.span.column as usize > oil::lang::parser::MAX_NESTING,
+                "{d}"
+            );
+        }
+        other => panic!("expected a front-end rejection, got {other:?}"),
+    }
+}
+
+#[test]
+fn ten_thousand_term_operator_chains_are_refused_not_a_stack_overflow() {
+    // A flat `a + a + ...` builds a left-deep tree without parser recursion;
+    // every later pass recurses down it, so each operator counts as a level.
+    let chain = nested_condition(0).replace("if(a", &format!("if({}a", "a + ".repeat(10_000)));
+    assert!(matches!(
+        compile(&chain, &registry(1e-5), &CompilerOptions::default()),
+        Err(CompileError::Frontend(_))
+    ));
 }
 
 #[test]

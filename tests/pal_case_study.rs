@@ -1,6 +1,7 @@
 //! Integration test for the PAL decoder case study (paper Section VI):
 //! analysis, simulation and the native signal path must all agree.
 
+use oil::compiler::{compile, CompileError, CompilerOptions};
 use oil::dataflow::Rational;
 use oil::dsp::generator::dominant_frequency;
 use oil::dsp::CompositeSignal;
@@ -126,4 +127,67 @@ fn pal_through_build_schedules_as_the_hand_written_pipeline() {
             "{workers} worker(s)"
         );
     }
+}
+
+/// PAL compiled with one literal replaced.
+fn compile_pal_with(from: &str, to: &str) -> Result<oil::compiler::CompiledProgram, CompileError> {
+    assert!(PAL_DECODER_OIL.contains(from), "{from}");
+    let source = PAL_DECODER_OIL.replace(from, to);
+    compile(
+        &source,
+        &oil::pal::pal_registry(),
+        &CompilerOptions::default(),
+    )
+}
+
+#[test]
+fn over_precise_rf_rate_is_analysed_exactly() {
+    // One part in 10^20 above 6.4 MHz is not 6.4 MHz: the exact rate reaching
+    // the 4 MHz screen through the 10/16 resampler conflicts with it.
+    let err = compile_pal_with("@ 6.4 MHz", "@ 6.40000000000000000001 MHz")
+        .expect_err("the exact composition misses the screen's 4 MHz");
+    let text = err.to_string();
+    assert!(
+        matches!(err, CompileError::Temporal(_)),
+        "expected a rate conflict, got {text}"
+    );
+    assert!(
+        text.contains("640000000000000000001/160000000000000 Hz"),
+        "{text}"
+    );
+}
+
+#[test]
+fn sub_picosecond_latency_amounts_compile_or_are_refused_at_the_literal() {
+    // `start screen 10^-k ms after speakers` for k = 0..=40: each amount is
+    // either carried exactly through the analysis or refused by the parser
+    // with a span on the literal, in seconds, the unit the analyses use.
+    // None may panic.
+    let mut verdicts = Vec::new();
+    for k in 0..=40usize {
+        let amount = match k {
+            0 => "1".to_string(),
+            k => format!("0.{}1", "0".repeat(k - 1)),
+        };
+        let verdict = match compile_pal_with(
+            "start screen 0 ms after speakers",
+            &format!("start screen {amount} ms after speakers"),
+        ) {
+            Ok(_) => 'c',
+            Err(CompileError::Frontend(diags)) => {
+                assert!(
+                    diags.iter().any(|d| d.message.contains("exact rational")
+                        && d.span.line > 0
+                        && d.span.start < d.span.end),
+                    "k = {k}: {diags:?}"
+                );
+                'f'
+            }
+            Err(other) => panic!("k = {k}: {other}"),
+        };
+        verdicts.push(verdict);
+    }
+    // 10^-35 ms is 10^-38 s, the last power of ten an i128 denominator holds.
+    let expected: String = (0..=40).map(|k| if k <= 35 { 'c' } else { 'f' }).collect();
+    assert_eq!(verdicts.into_iter().collect::<String>(), expected);
 }
