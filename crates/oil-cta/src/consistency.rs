@@ -27,6 +27,7 @@
 use crate::component::{ConnectionId, CtaModel};
 use crate::longest_path::{Cycle, Kernel};
 use oil_dataflow::index::{GroupId, Idx, IndexVec, PortId};
+use oil_dataflow::unionfind::UnionFind;
 use oil_dataflow::Rational;
 
 /// The result of a successful consistency check. All values are exact.
@@ -428,30 +429,16 @@ impl CtaModel {
     /// component index per port (dense, 0-based).
     fn port_constraint_components(&self) -> Vec<usize> {
         let n = self.ports.len();
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
+        let mut sets = UnionFind::new(n);
         for c in &self.connections {
-            let (a, b) = (
-                find(&mut parent, c.from.index()),
-                find(&mut parent, c.to.index()),
-            );
-            if a != b {
-                parent[a] = b;
-            }
+            sets.union(c.from.index(), c.to.index());
         }
-        // Densify root ids to 0..k.
+        // Densify root ids to 0..k in order of first appearance.
         let mut dense: Vec<Option<usize>> = vec![None; n];
         let mut next = 0usize;
         (0..n)
             .map(|p| {
-                let root = find(&mut parent, p);
-                *dense[root].get_or_insert_with(|| {
+                *dense[sets.find(p)].get_or_insert_with(|| {
                     let id = next;
                     next += 1;
                     id

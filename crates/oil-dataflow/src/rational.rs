@@ -397,7 +397,6 @@ impl From<u64> for Rational {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn gcd_lcm_basics() {
@@ -589,72 +588,135 @@ mod tests {
         assert_eq!(video, Rational::from_int(4_000_000));
     }
 
-    proptest! {
-        #[test]
-        fn prop_add_commutes(a in -1000i128..1000, b in 1i128..1000, c in -1000i128..1000, d in 1i128..1000) {
-            let x = Rational::new(a, b);
-            let y = Rational::new(c, d);
-            prop_assert_eq!(x + y, y + x);
-        }
+    /// Every `(n, d)` with `|n| ≤ num` and `1 ≤ d ≤ den`, each spelling
+    /// kept (so `Rational::new` normalises `2/4` and `1/2` separately), then
+    /// [`EDGES`].
+    fn scope(num: i128, den: i128) -> Vec<(i128, i128)> {
+        let grid = (-num..=num).flat_map(|n| (1..=den).map(move |d| (n, d)));
+        grid.chain(EDGES).collect()
+    }
 
-        #[test]
-        fn prop_add_associates(a in -100i128..100, b in 1i128..100, c in -100i128..100, d in 1i128..100, e in -100i128..100, f in 1i128..100) {
-            let x = Rational::new(a, b);
-            let y = Rational::new(c, d);
+    /// The extreme numerators and denominators of the ranges these
+    /// properties once sampled (numerators −10 000…9 999, denominators
+    /// 1…9 999), so that every magnitude a sample could reach is still met.
+    const EDGES: [(i128, i128); 18] = [
+        (-10_000, 1),
+        (-10_000, 9_999),
+        (9_999, 1),
+        (9_999, 9_999),
+        (1, 9_999),
+        (-1, 9_999),
+        (-1_000, 1),
+        (-1_000, 999),
+        (999, 1),
+        (999, 999),
+        (1, 999),
+        (-1, 999),
+        (-100, 1),
+        (-100, 99),
+        (99, 1),
+        (99, 99),
+        (1, 99),
+        (-1, 99),
+    ];
+
+    /// Run `check` on every pair of `values` and return how many ran.
+    fn for_all_pairs(values: &[(i128, i128)], check: impl Fn(Rational, Rational)) -> usize {
+        for &(a, b) in values {
+            for &(c, d) in values {
+                check(Rational::new(a, b), Rational::new(c, d));
+            }
+        }
+        values.len() * values.len()
+    }
+
+    #[test]
+    fn prop_add_commutes() {
+        let cases = for_all_pairs(&scope(12, 12), |x, y| assert_eq!(x + y, y + x, "{x}, {y}"));
+        assert_eq!(cases, 318 * 318);
+    }
+
+    #[test]
+    fn prop_add_associates() {
+        let values = scope(4, 4);
+        let mut cases = 0;
+        for &(e, f) in &values {
             let z = Rational::new(e, f);
-            prop_assert_eq!((x + y) + z, x + (y + z));
+            cases += for_all_pairs(&values, |x, y| {
+                assert_eq!((x + y) + z, x + (y + z), "{x}, {y}, {z}");
+            });
         }
+        assert_eq!(cases, 54 * 54 * 54);
+    }
 
-        #[test]
-        fn prop_mul_inverse(a in 1i128..1000, b in 1i128..1000) {
+    #[test]
+    fn prop_mul_inverse() {
+        let mut cases = 0;
+        for (a, b) in scope(1_000, 99).into_iter().filter(|&(a, _)| a != 0) {
             let x = Rational::new(a, b);
-            prop_assert_eq!(x * x.recip(), Rational::ONE);
+            assert_eq!(x * x.recip(), Rational::ONE, "{a}/{b}");
+            cases += 1;
         }
+        assert_eq!(cases, 2_000 * 99 + EDGES.len());
+    }
 
-        #[test]
-        fn prop_construction_is_normalised(a in -10_000i128..10_000, b in 1i128..10_000) {
+    #[test]
+    fn prop_construction_is_normalised() {
+        let values = scope(1_000, 99);
+        for &(a, b) in &values {
             let x = Rational::new(a, b);
-            prop_assert!(x.denom() > 0);
-            prop_assert_eq!(gcd(x.numer().unsigned_abs(), x.denom() as u128).max(1), 1);
+            assert!(x.denom() > 0, "{a}/{b}");
+            assert_eq!(
+                gcd(x.numer().unsigned_abs(), x.denom() as u128).max(1),
+                1,
+                "{a}/{b}"
+            );
             // Re-normalising is a no-op.
-            prop_assert_eq!(Rational::new(x.numer(), x.denom()), x);
+            assert_eq!(Rational::new(x.numer(), x.denom()), x, "{a}/{b}");
         }
+        assert_eq!(values.len(), 2_001 * 99 + EDGES.len());
+    }
 
-        #[test]
-        fn prop_ordering_is_total_and_consistent(a in -1000i128..1000, b in 1i128..1000, c in -1000i128..1000, d in 1i128..1000) {
-            let x = Rational::new(a, b);
-            let y = Rational::new(c, d);
+    #[test]
+    fn prop_ordering_is_total_and_consistent() {
+        let cases = for_all_pairs(&scope(12, 12), |x, y| {
             // Antisymmetry and totality.
             match x.cmp(&y) {
-                std::cmp::Ordering::Less => prop_assert!(y > x),
-                std::cmp::Ordering::Greater => prop_assert!(y < x),
-                std::cmp::Ordering::Equal => prop_assert_eq!(x, y),
+                std::cmp::Ordering::Less => assert!(y > x, "{x}, {y}"),
+                std::cmp::Ordering::Greater => assert!(y < x, "{x}, {y}"),
+                std::cmp::Ordering::Equal => assert_eq!(x, y),
             }
             // Consistency with subtraction.
-            prop_assert_eq!(x < y, (x - y).is_negative());
-        }
+            assert_eq!(x < y, (x - y).is_negative(), "{x}, {y}");
+        });
+        assert_eq!(cases, 318 * 318);
+    }
 
-        #[test]
-        fn prop_floor_le_ceil(a in -10_000i128..10_000, b in 1i128..100) {
+    #[test]
+    fn prop_floor_le_ceil() {
+        let values = scope(1_000, 99);
+        for &(a, b) in &values {
             let x = Rational::new(a, b);
-            prop_assert!(x.floor() <= x.ceil());
-            prop_assert!(Rational::from_int(x.floor()) <= x);
-            prop_assert!(Rational::from_int(x.ceil()) >= x);
+            assert!(x.floor() <= x.ceil(), "{x}");
+            assert!(Rational::from_int(x.floor()) <= x, "{x}");
+            assert!(Rational::from_int(x.ceil()) >= x, "{x}");
             // floor and ceil agree exactly on integers and differ by 1 otherwise.
             if x.denom() == 1 {
-                prop_assert_eq!(x.floor(), x.ceil());
+                assert_eq!(x.floor(), x.ceil(), "{x}");
             } else {
-                prop_assert_eq!(x.floor() + 1, x.ceil());
+                assert_eq!(x.floor() + 1, x.ceil(), "{x}");
             }
         }
+        assert_eq!(values.len(), 2_001 * 99 + EDGES.len());
+    }
 
-        #[test]
-        fn prop_to_f64_monotone(a in -1000i128..1000, b in 1i128..1000, c in -1000i128..1000, d in 1i128..1000) {
-            let x = Rational::new(a, b);
-            let y = Rational::new(c, d);
+    #[test]
+    fn prop_to_f64_monotone() {
+        let cases = for_all_pairs(&scope(12, 12), |x, y| {
             if x < y {
-                prop_assert!(x.to_f64() <= y.to_f64());
+                assert!(x.to_f64() <= y.to_f64(), "{x}, {y}");
             }
-        }
+        });
+        assert_eq!(cases, 318 * 318);
     }
 }

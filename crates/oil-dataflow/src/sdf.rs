@@ -385,7 +385,6 @@ impl SdfGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     /// One microsecond.
     fn us() -> Rational {
@@ -546,12 +545,14 @@ mod tests {
         ));
     }
 
-    proptest! {
-        /// The repetition vector always satisfies the balance equations.
-        #[test]
-        fn prop_repetition_vector_balances(
-            p1 in 1u64..8, c1 in 1u64..8, p2 in 1u64..8
-        ) {
+    /// The repetition vector satisfies the balance equations, for every
+    /// rate triple in 1…7.
+    #[test]
+    fn prop_repetition_vector_balances() {
+        let mut cases = 0;
+        for (p1, c1, p2) in
+            (1..8u64).flat_map(|p1| (1..8).flat_map(move |c1| (1..8).map(move |p2| (p1, c1, p2))))
+        {
             // Only graphs whose cycle ratio is 1 are consistent; build a
             // 2-cycle whose product of rate ratios is forced to 1 by reusing
             // the rates crosswise.
@@ -562,18 +563,47 @@ mod tests {
             g.add_edge(b, a, c1 * p2, p1 * p2, 100);
             let q = g.repetition_vector().unwrap();
             for e in &g.edges {
-                prop_assert_eq!(e.production * q[e.src], e.consumption * q[e.dst]);
+                assert_eq!(
+                    e.production * q[e.src],
+                    e.consumption * q[e.dst],
+                    "{p1}, {c1}, {p2}"
+                );
             }
             // Smallest vector: gcd of entries is 1.
             let g0 = crate::rational::gcd(q[a] as u128, q[b] as u128);
-            prop_assert_eq!(g0, 1);
+            assert_eq!(g0, 1, "{p1}, {c1}, {p2}");
+            cases += 1;
         }
+        assert_eq!(cases, 343);
+    }
 
-        /// Acyclic graphs never deadlock.
-        #[test]
-        fn prop_acyclic_graphs_deadlock_free(
-            rates in proptest::collection::vec((1u64..6, 1u64..6), 1..6)
-        ) {
+    /// Acyclic graphs never deadlock: every chain of 1…3 hops at rates
+    /// 1…5, and the 4- and 5-hop chains whose every hop is 1:5 or 5:1 (the
+    /// longest chains and steepest rate products of the range once
+    /// sampled).
+    #[test]
+    fn prop_acyclic_graphs_deadlock_free() {
+        let all: Vec<(u64, u64)> = (1..=5).flat_map(|p| (1..=5).map(move |c| (p, c))).collect();
+        let steep = [(1, 5), (5, 1)];
+        // Every sequence of `hops` rate pairs drawn from `rates`.
+        let chains = |rates: &[(u64, u64)], hops: u32| -> Vec<Vec<(u64, u64)>> {
+            (0..rates.len().pow(hops))
+                .map(|mut i| {
+                    (0..hops)
+                        .map(|_| {
+                            let r = rates[i % rates.len()];
+                            i /= rates.len();
+                            r
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        let mut cases = 0;
+        for rates in (1..=3)
+            .flat_map(|hops| chains(&all, hops))
+            .chain((4..=5).flat_map(|hops| chains(&steep, hops)))
+        {
             let mut g = SdfGraph::new();
             let mut prev = g.add_actor("a0", Rational::ONE);
             for (i, (p, c)) in rates.iter().enumerate() {
@@ -581,7 +611,9 @@ mod tests {
                 g.add_edge(prev, next, *p, *c, 0);
                 prev = next;
             }
-            prop_assert!(g.check_deadlock_free().is_ok());
+            assert!(g.check_deadlock_free().is_ok(), "{rates:?}");
+            cases += 1;
         }
+        assert_eq!(cases, 25 + 25 * 25 + 25 * 25 * 25 + 16 + 32);
     }
 }

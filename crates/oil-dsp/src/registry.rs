@@ -14,40 +14,58 @@ use oil_lang::registry::{BlackBoxInterface, FunctionRegistry, FunctionSignature}
 /// comfortably sustain the PAL rates), larger values model slower processors
 /// and eventually make the temporal constraints unsatisfiable — useful for
 /// the benches that probe where analysis starts rejecting programs.
+///
+/// Each time is written as `units / per_second` seconds and scaled as
+/// `units · scale / per_second`: one IEEE division of an exact product by an
+/// exact power of ten, rounded once. For an integer `scale` the registered
+/// `f64` is therefore the double nearest the exact scaled time, which the
+/// registry reads back as that exact decimal (`dsp_registry(10.0)` gives
+/// `LPF` 1/50 000 s); at `scale = 1` it is the double of the literal
+/// `units / per_second`.
 pub fn dsp_registry(scale: f64) -> FunctionRegistry {
     let mut reg = FunctionRegistry::new();
-    let t = |seconds: f64| seconds * scale;
+    let t = |units: f64, per_second: f64| units * scale / per_second;
 
     // Generic kernels used by the smaller examples.
     for (name, rt) in [
-        ("f", 1e-7),
-        ("g", 1e-7),
-        ("h", 1e-7),
-        ("k", 1e-7),
-        ("init", 1e-8),
-        ("src", 1e-8),
-        ("snk", 1e-8),
+        ("f", t(1.0, 1e7)),
+        ("g", t(1.0, 1e7)),
+        ("h", t(1.0, 1e7)),
+        ("k", t(1.0, 1e7)),
+        ("init", t(1.0, 1e8)),
+        ("src", t(1.0, 1e8)),
+        ("snk", t(1.0, 1e8)),
     ] {
-        reg.register(FunctionSignature::pure(name, t(rt)));
+        reg.register(FunctionSignature::pure(name, rt));
     }
 
     // PAL decoder kernels (Fig. 11 of the paper). The RF front end runs at
     // 6.4 MS/s, so per-sample work must stay well below 156 ns.
-    reg.register(FunctionSignature::stateful("receiveRF", t(2e-8)));
-    reg.register(FunctionSignature::stateful("display", t(5e-8)));
-    reg.register(FunctionSignature::stateful("sound", t(5e-8)));
-    reg.register(FunctionSignature::stateful("mix", t(4e-8)));
-    reg.register(FunctionSignature::stateful("Mix", t(4e-8)));
-    reg.register(FunctionSignature::stateful("LPF", t(2e-6)));
-    reg.register(FunctionSignature::stateful("LPF_V", t(8e-8)));
-    reg.register(FunctionSignature::stateful("lpf_v", t(8e-8)));
-    reg.register(FunctionSignature::stateful("resamp", t(1.5e-6)));
+    reg.register(FunctionSignature::stateful("receiveRF", t(2.0, 1e8)));
+    reg.register(FunctionSignature::stateful("display", t(5.0, 1e8)));
+    reg.register(FunctionSignature::stateful("sound", t(5.0, 1e8)));
+    reg.register(FunctionSignature::stateful("mix", t(4.0, 1e8)));
+    reg.register(FunctionSignature::stateful("Mix", t(4.0, 1e8)));
+    reg.register(FunctionSignature::stateful("LPF", t(2.0, 1e6)));
+    reg.register(FunctionSignature::stateful("LPF_V", t(8.0, 1e8)));
+    reg.register(FunctionSignature::stateful("lpf_v", t(8.0, 1e8)));
+    reg.register(FunctionSignature::stateful("resamp", t(15.0, 1e7)));
 
     // Black-box modules known only by their temporal interface: the Video
     // module processes one sample per firing at 4 MS/s; the Audio module
     // consumes 8 samples and produces 1 (the final downsampling to 32 kS/s).
-    reg.register_black_box(BlackBoxInterface::new("Video", vec![1], vec![1], t(1.2e-7)));
-    reg.register_black_box(BlackBoxInterface::new("Audio", vec![8], vec![1], t(2e-5)));
+    reg.register_black_box(BlackBoxInterface::new(
+        "Video",
+        vec![1],
+        vec![1],
+        t(12.0, 1e8),
+    ));
+    reg.register_black_box(BlackBoxInterface::new(
+        "Audio",
+        vec![8],
+        vec![1],
+        t(2.0, 1e5),
+    ));
 
     reg
 }
@@ -94,10 +112,41 @@ mod tests {
     fn scale_multiplies_response_times() {
         let fast = dsp_registry(1.0);
         let slow = dsp_registry(10.0);
-        // `scale` multiplies in f64 before the registry converts, so the
-        // scaled time is the double nearest 20 µs, not 20 µs exactly.
-        let ratio = slow.response_time("LPF") / fast.response_time("LPF");
-        assert!((ratio.to_f64() - 10.0).abs() < 1e-9, "{ratio}");
+        // At scale 1 each time is the double of its decimal literal (no time
+        // is zero or NaN, so `==` is bit identity).
+        for (name, literal) in [
+            ("f", 1e-7),
+            ("src", 1e-8),
+            ("receiveRF", 2e-8),
+            ("display", 5e-8),
+            ("mix", 4e-8),
+            ("LPF", 2e-6),
+            ("lpf_v", 8e-8),
+            ("resamp", 1.5e-6),
+        ] {
+            assert_eq!(
+                fast.function(name).unwrap().response_time,
+                literal,
+                "{name}"
+            );
+        }
+        for (name, literal) in [("Video", 1.2e-7), ("Audio", 2e-5)] {
+            assert_eq!(
+                fast.black_box(name).unwrap().response_time,
+                literal,
+                "{name}"
+            );
+        }
+        assert_eq!(slow.response_time("LPF"), Rational::new(1, 50_000));
+        for f in fast.functions() {
+            let ratio = slow.response_time(&f.name) / fast.response_time(&f.name);
+            assert_eq!(ratio, Rational::from_int(10), "{}", f.name);
+        }
+        for b in fast.black_boxes() {
+            let ratio =
+                slow.black_box_response_time(&b.name) / fast.black_box_response_time(&b.name);
+            assert_eq!(ratio, Rational::from_int(10), "{}", b.name);
+        }
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! Everything `oil-gen` produces is a pure function of a `u64` seed: the same
 //! seed yields the same workload on every machine, every run. SplitMix64 is
 //! used because it is tiny, passes the usual statistical batteries at this
-//! scale, and — unlike the xorshift in the proptest shim — cannot get stuck
-//! at the all-zero state, so *every* seed (including 0) is usable. Failure
+//! scale, and has no stuck state, so *every* seed (including 0) is usable. Failure
 //! messages in the differential harness always quote the seed; reproducing a
 //! failure is `Scenario::generate(seed)`.
 

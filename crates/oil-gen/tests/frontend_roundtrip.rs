@@ -5,71 +5,106 @@
 use oil_gen::{gen_ast, Defect, GenRng, IllFormedProgram, ProgramScenario};
 use oil_lang::pretty::print_program;
 use oil_lang::{analyze, parse_program};
-use proptest::prelude::*;
 
-proptest! {
-    /// `parse(pretty(ast))` reproduces the AST: spans aside, printing the
-    /// re-parsed program yields the identical canonical text, with the same
-    /// module structure. Uses prop_flat_map to derive a *pair* of related
-    /// seeds so the concatenation of two generated programs round-trips too.
-    #[test]
-    fn prop_parse_pretty_roundtrip(
-        seeds in (0u64..50_000).prop_flat_map(|s| (Just(s), s..s + 4)),
-    ) {
-        let (sa, sb) = seeds;
+/// The cases each property runs.
+const CASES: usize = 256;
+
+/// `parse(pretty(ast))` reproduces the AST: spans aside, printing the
+/// re-parsed program yields the identical canonical text, with the same
+/// module structure. Each case concatenates the programs of a *pair* of
+/// related seeds (`sa` in 0…49 999, `sb` in `sa`…`sa + 3`), so the
+/// concatenation of two generated programs round-trips too.
+#[test]
+fn prop_parse_pretty_roundtrip() {
+    let mut rng = GenRng::new(0x9A25E);
+    let mut cases = 0;
+    for _ in 0..CASES {
+        let sa = rng.below(50_000);
+        let sb = rng.range(sa, sa + 3);
         let mut ast = gen_ast(sa);
         ast.modules.extend(gen_ast(sb).modules);
 
         let printed = print_program(&ast);
-        let reparsed = parse_program(&printed)
-            .unwrap_or_else(|e| panic!("seeds {sa}/{sb}: canonical text must parse: {e}\n{printed}"));
-        prop_assert_eq!(
-            reparsed.modules.len(), ast.modules.len(),
-            "seeds {}/{}: module count changed", sa, sb
+        let reparsed = parse_program(&printed).unwrap_or_else(|e| {
+            panic!("seeds {sa}/{sb}: canonical text must parse: {e}\n{printed}")
+        });
+        assert_eq!(
+            reparsed.modules.len(),
+            ast.modules.len(),
+            "seeds {sa}/{sb}: module count changed"
         );
-        prop_assert_eq!(
-            print_program(&reparsed), printed,
-            "seeds {}/{}: canonical form is not a fixed point", sa, sb
+        assert_eq!(
+            print_program(&reparsed),
+            printed,
+            "seeds {sa}/{sb}: canonical form is not a fixed point"
         );
+        cases += 1;
     }
+    assert_eq!(cases, CASES);
+}
 
-    /// Fully generated pipeline programs round-trip through the printer and
-    /// re-analyse to the same application graph.
-    #[test]
-    fn prop_generated_programs_roundtrip_and_reanalyse(seed in 0u64..5_000) {
+/// Fully generated pipeline programs (seeds 0…4 999) round-trip through the
+/// printer and re-analyse to the same application graph.
+#[test]
+fn prop_generated_programs_roundtrip_and_reanalyse() {
+    let mut rng = GenRng::new(0x2EA7A);
+    let mut cases = 0;
+    for _ in 0..CASES {
+        let seed = rng.below(5_000);
         let scenario = ProgramScenario::generate(seed);
         let ast = parse_program(&scenario.source)
             .unwrap_or_else(|e| panic!("seed {seed}: generated source must parse: {e}"));
         let printed = print_program(&ast);
-        let reparsed = parse_program(&printed)
-            .unwrap_or_else(|e| panic!("seed {seed}: printed source must re-parse: {e}\n{printed}"));
-        prop_assert_eq!(print_program(&reparsed), printed, "seed {}", seed);
+        let reparsed = parse_program(&printed).unwrap_or_else(|e| {
+            panic!("seed {seed}: printed source must re-parse: {e}\n{printed}")
+        });
+        assert_eq!(print_program(&reparsed), printed, "seed {seed}");
 
         // Both forms pass semantic analysis with identical channel counts.
         let a = analyze(&ast, &scenario.registry)
             .unwrap_or_else(|e| panic!("seed {seed}: original must analyse: {:?}", e.diagnostics));
-        let b = analyze(&reparsed, &scenario.registry)
-            .unwrap_or_else(|e| panic!("seed {seed}: round-trip must analyse: {:?}", e.diagnostics));
-        prop_assert_eq!(a.graph.channels.len(), b.graph.channels.len(), "seed {}", seed);
-        prop_assert_eq!(a.graph.instances.len(), b.graph.instances.len(), "seed {}", seed);
+        let b = analyze(&reparsed, &scenario.registry).unwrap_or_else(|e| {
+            panic!("seed {seed}: round-trip must analyse: {:?}", e.diagnostics)
+        });
+        assert_eq!(
+            a.graph.channels.len(),
+            b.graph.channels.len(),
+            "seed {seed}"
+        );
+        assert_eq!(
+            a.graph.instances.len(),
+            b.graph.instances.len(),
+            "seed {seed}"
+        );
+        cases += 1;
     }
+    assert_eq!(cases, CASES);
+}
 
-    /// Ill-formed generated programs are rejected with at least one error
-    /// diagnostic whose message names the defect — and nothing panics.
-    #[test]
-    fn prop_ill_formed_programs_get_diagnostics(seed in 0u64..5_000) {
+/// Ill-formed generated programs (seeds 0…4 999) are rejected with at least
+/// one error diagnostic whose message names the defect — and nothing
+/// panics.
+#[test]
+fn prop_ill_formed_programs_get_diagnostics() {
+    let mut rng = GenRng::new(0x111F0);
+    // Cases refused by the parser, accepted by the front end, diagnosed.
+    let (mut refused, mut accepted, mut diagnosed) = (0, 0, 0);
+    for _ in 0..CASES {
+        let seed = rng.below(5_000);
         let bad = IllFormedProgram::generate(seed);
         let parsed = match parse_program(&bad.source) {
             Ok(p) => p,
             // Literals are converted to exact rationals as they are read, so
             // an unrepresentable one is the only defect the parser refuses.
             Err(d) => {
-                prop_assert_eq!(
-                    bad.defect, Defect::NonRationalLiteral,
-                    "seed {}: unexpected parse failure: {}", seed, d
+                assert_eq!(
+                    bad.defect,
+                    Defect::NonRationalLiteral,
+                    "seed {seed}: unexpected parse failure: {d}"
                 );
-                prop_assert!(d.message.contains("exact rational"), "seed {}: {}", seed, d);
-                return;
+                assert!(d.message.contains("exact rational"), "seed {seed}: {d}");
+                refused += 1;
+                continue;
             }
         };
         let diags = match analyze(&parsed, &bad.registry()) {
@@ -77,29 +112,37 @@ proptest! {
                 // Rate mismatches surface later, in temporal analysis — the
                 // front end legitimately accepts them; everything else must
                 // be caught here.
-                prop_assert_eq!(
-                    bad.defect, Defect::RateMismatch,
-                    "seed {}: defect {:?} must be caught by the front end",
-                    seed, bad.defect
+                assert_eq!(
+                    bad.defect,
+                    Defect::RateMismatch,
+                    "seed {seed}: defect {:?} must be caught by the front end",
+                    bad.defect
                 );
-                return;
+                accepted += 1;
+                continue;
             }
             Err(e) => e.diagnostics,
         };
-        prop_assert!(!diags.is_empty(), "seed {}", seed);
-        let text: String = diags.iter().map(|d| d.message.clone()).collect::<Vec<_>>().join("\n");
+        assert!(!diags.is_empty(), "seed {seed}");
+        let text: String = diags
+            .iter()
+            .map(|d| d.message.clone())
+            .collect::<Vec<_>>()
+            .join("\n");
         let expected = match bad.defect {
             Defect::ModuleRecursion => "recursi",
             Defect::UnwrittenOutput => "never written",
             Defect::NonRationalLiteral => "exact rational",
             Defect::RateMismatch => "", // may or may not reach the front end
         };
-        prop_assert!(
+        assert!(
             text.contains(expected),
-            "seed {}: diagnostics for {:?} should mention `{}`, got:\n{}",
-            seed, bad.defect, expected, text
+            "seed {seed}: diagnostics for {:?} should mention `{expected}`, got:\n{text}",
+            bad.defect
         );
+        diagnosed += 1;
     }
+    assert_eq!((refused, accepted, diagnosed), (74, 62, 120));
 }
 
 /// Rate and latency literals survive `parse ∘ pretty` as the same exact

@@ -84,7 +84,6 @@ pub fn seconds_exact(p: Picos) -> Rational {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn exact_conversions() {
@@ -117,23 +116,45 @@ mod tests {
         );
     }
 
-    proptest! {
-        /// Exact round trip over the full `Picos` range: the rational path
-        /// loses nothing.
-        #[test]
-        fn rational_round_trip_is_lossless(p in 0u64..u64::MAX) {
-            prop_assert_eq!(picos_exact(seconds_exact(p)), Ok(p));
-            prop_assert_eq!(picos_nearest(seconds_exact(p)), Ok(p));
-        }
+    /// Every value in `0..=max` among 0, 1, `2^k − 1`, `2^k`, `2^k + 1`,
+    /// `max − 1` and `max`, then 4 096 values spread over `0..max` by a
+    /// Weyl sequence (multiples of the 64-bit golden-ratio constant).
+    fn picos_cases(max: u64) -> Vec<u64> {
+        let powers = (1..64).flat_map(|k| [(1u64 << k) - 1, 1 << k, (1 << k) + 1]);
+        let mut cases: Vec<u64> = [0, 1, max - 1, max]
+            .into_iter()
+            .chain(powers)
+            .filter(|&p| p <= max)
+            .collect();
+        cases.sort_unstable();
+        cases.dedup();
+        cases.extend((1..=4_096u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % max));
+        cases
+    }
 
-        /// The f64 convenience wrappers round-trip wherever `f64` can still
-        /// resolve single picoseconds: below 2^12 seconds the unit in the
-        /// last place of `p / 1e12` is under one picosecond, so
-        /// nearest-rounding recovers `p` exactly. (Beyond that the loss is
-        /// inherent to `f64` — the rational path above has no such bound.)
-        #[test]
-        fn f64_wrappers_round_trip_at_picosecond_resolution(p in 0u64..4_096_000_000_000_000) {
-            prop_assert_eq!(crate::picos(crate::seconds(p)), p);
+    /// Exact round trip over the full `Picos` range: the rational path
+    /// loses nothing.
+    #[test]
+    fn rational_round_trip_is_lossless() {
+        let cases = picos_cases(u64::MAX);
+        for &p in &cases {
+            assert_eq!(picos_exact(seconds_exact(p)), Ok(p), "{p}");
+            assert_eq!(picos_nearest(seconds_exact(p)), Ok(p), "{p}");
         }
+        assert_eq!(cases.len(), 191 + 4_096);
+    }
+
+    /// The f64 convenience wrappers round-trip wherever `f64` can still
+    /// resolve single picoseconds: below 2^12 seconds the unit in the
+    /// last place of `p / 1e12` is under one picosecond, so
+    /// nearest-rounding recovers `p` exactly. (Beyond that the loss is
+    /// inherent to `f64` — the rational path above has no such bound.)
+    #[test]
+    fn f64_wrappers_round_trip_at_picosecond_resolution() {
+        let cases = picos_cases(4_096_000_000_000_000 - 1);
+        for &p in &cases {
+            assert_eq!(crate::picos(crate::seconds(p)), p, "{p}");
+        }
+        assert_eq!(cases.len(), 155 + 4_096);
     }
 }
